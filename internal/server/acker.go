@@ -76,17 +76,15 @@ func (s *Server) getAckItem(n int) *ackItem {
 // closes (after every producer worker has stopped).
 func (s *Server) ackLoop() {
 	defer close(s.ackDone)
-	var resp []byte
 	for it := range s.acks {
-		resp = s.finishDurable(it, resp)
+		s.finishDurable(it)
 	}
 }
 
 // finishDurable settles one durable batch: wait out each shard's
 // obligation, demote a failed shard's operations to StatusUnavailable,
-// account the survivors, write the responses, release the in-flight
-// slots.
-func (s *Server) finishDurable(it *ackItem, resp []byte) []byte {
+// account the survivors, reply, release the in-flight slots.
+func (s *Server) finishDurable(it *ackItem) {
 	for wi := range it.waits {
 		wt := &it.waits[wi]
 		sp := &wt.span
@@ -126,29 +124,8 @@ func (s *Server) finishDurable(it *ackItem, resp []byte) []byte {
 		s.lcs[wt.sh].noteOps(wt.nops)
 	}
 
-	// Same coalescing as the worker's inline path: consecutive
-	// same-connection responses share one buffer and one syscall.
-	i := 0
-	for i < len(it.tasks) {
-		c := it.tasks[i].c
-		resp = resp[:0]
-		j := i
-		for j < len(it.tasks) && it.tasks[j].c == c {
-			resp = AppendResponse(resp, Response{
-				ID:     it.tasks[j].req.ID,
-				Status: it.results[j].status,
-				Value:  it.results[j].value,
-			})
-			j++
-		}
-		c.writeFrames(resp)
-		i = j
-	}
-	for range it.tasks {
-		s.inflight.Done()
-	}
+	s.answer(it.tasks, it.results)
 	s.ackPool.Put(it)
-	return resp
 }
 
 // stopAcker closes the hand-off channel (all workers must have exited)

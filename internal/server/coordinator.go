@@ -28,11 +28,8 @@ import (
 // txnTask is one queued OpTxn awaiting the coordinator. ops is owned by
 // the task (decoded off the connection's reusable payload buffer).
 type txnTask struct {
-	req   Request
-	ops   []TxnOp
-	c     *conn
-	enq   int64
-	decNs int64
+	task
+	ops []TxnOp
 }
 
 // coordThread is the STM thread every OpTxn transaction runs as. It sits
@@ -52,7 +49,6 @@ type coordinator struct {
 	stgs    []wal.Staging
 	logging bool
 	span    obs.Span
-	resp    []byte
 }
 
 func newCoordinator(s *Server) *coordinator {
@@ -194,7 +190,7 @@ func (co *coordinator) execTxn(t txnTask) {
 		// observatory sees exactly one record per transaction.
 		it.waits[0].span = co.span
 		it.waits[0].spanned = true
-		it.tasks = append(it.tasks, task{req: t.req, c: t.c, enq: t.enq, decNs: t.decNs})
+		it.tasks = append(it.tasks, t.task)
 		it.results = append(it.results, opResult{status: resp.Status, value: resp.Value, delta: delta})
 		s.acks <- it
 		return
@@ -264,7 +260,6 @@ func (co *coordinator) finish(cause obs.Cause) {
 }
 
 func (co *coordinator) respond(t txnTask, r Response) {
-	co.resp = AppendResponse(co.resp[:0], r)
-	t.c.writeFrames(co.resp)
+	t.c.reply(r, t.b)
 	co.srv.inflight.Done()
 }

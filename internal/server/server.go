@@ -402,22 +402,98 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// conn wraps a client connection with a write lock so workers and the
-// reader can interleave response frames safely.
+// conn is a client connection's reply side, the only path a response takes
+// to the socket: frames collect in out and go down in one Write when the
+// burst they belong to is settled (DESIGN.md "Reply coalescing").
 type conn struct {
 	nc  net.Conn
 	wmu sync.Mutex
+	out []byte // frames not yet written; guarded by wmu
 }
 
-func (c *conn) writeFrames(buf []byte) {
+// burst counts the replies still owed to the requests one socket read
+// delivered, plus one for the reader while it is still decoding that read.
+// Each count is settled exactly once; the last writes the buffer.
+type burst struct{ n atomic.Int32 }
+
+var burstPool = sync.Pool{New: func() any { return new(burst) }}
+
+// openBurst returns a burst holding the reader's count. A recycled record
+// was put back at zero, so Add keeps the count exact.
+func openBurst() *burst {
+	b := burstPool.Get().(*burst)
+	b.n.Add(1)
+	return b
+}
+
+// reply buffers r and settles its count on b. Replies outside any burst —
+// control, watches, drain-time refusals — pass nil and flush at once.
+func (c *conn) reply(r Response, b *burst) {
 	c.wmu.Lock()
-	_, _ = c.nc.Write(buf) // write errors surface as reader EOF/close
+	c.out = AppendResponse(c.out, r)
+	c.wmu.Unlock()
+	c.settle(b)
+}
+
+// settle drops one count of b and, if it was the last (or b is nil), writes
+// everything buffered.
+func (c *conn) settle(b *burst) {
+	if b != nil {
+		if b.n.Add(-1) != 0 {
+			return
+		}
+		burstPool.Put(b)
+	}
+	c.wmu.Lock()
+	if len(c.out) > 0 {
+		_, _ = c.nc.Write(c.out) // write errors surface as reader EOF/close
+		c.out = c.out[:0]
+	}
 	c.wmu.Unlock()
 }
 
 func (s *Server) serveConn(nc net.Conn) {
 	c := &conn{nc: nc}
+	// cur is the reader's open burst: what it admitted since it last had to
+	// wait for input. The reader's count on it comes with an inflight slot,
+	// so a drain neither closes the connection over replies only release
+	// would flush nor sees an admission's inflight.Add start from zero.
+	var cur *burst
+	var prev time.Time // the previous frame's enqueue stamp; zero if it took none
+	// open makes sure a burst is open; false means the server is draining
+	// (draining is set under connMu: this Add is ordered before the Wait).
+	open := func() bool {
+		if cur == nil {
+			s.connMu.Lock()
+			if !s.draining.Load() {
+				cur = openBurst()
+				s.inflight.Add(1)
+			}
+			s.connMu.Unlock()
+		}
+		return cur != nil
+	}
+	release := func() {
+		if cur != nil {
+			c.settle(cur)
+			s.inflight.Done()
+			cur = nil
+		}
+	}
+	// admit turns a data request into a task — inflight slot, count on cur,
+	// span stamps — or refuses it mid-drain.
+	admit := func(req Request, dec0 time.Time) (task, bool) {
+		if !open() {
+			c.reply(Response{ID: req.ID, Status: StatusShutdown}, nil)
+			return task{}, false
+		}
+		s.inflight.Add(1)
+		cur.n.Add(1)
+		prev = time.Now()
+		return task{req: req, c: c, b: cur, enq: prev.UnixNano(), decNs: prev.Sub(dec0).Nanoseconds()}, true
+	}
 	defer func() {
+		release()
 		s.connMu.Lock()
 		delete(s.conns, nc)
 		s.connMu.Unlock()
@@ -427,18 +503,31 @@ func (s *Server) serveConn(nc net.Conn) {
 	br := bufio.NewReaderSize(nc, 64*ReqFrameLen)
 	var hdr [4]byte
 	var payload [MaxFrame]byte
-	var respBuf []byte
 	for {
+		// A read that can block ends the burst: what follows arrives in
+		// another socket read.
+		buffered := br.Buffered() >= len(hdr)
+		if !buffered {
+			release()
+		}
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return // EOF or forced close
 		}
 		// The span's decode phase starts here: the frame header has
 		// arrived, so everything until dispatch is the server's own work
-		// (payload read off the bufio buffer, decode, routing).
-		dec0 := time.Now()
+		// (payload read off the bufio buffer, decode, routing). A frame that
+		// was already buffered starts where the previous one was enqueued.
+		dec0 := prev
+		if !buffered || dec0.IsZero() {
+			dec0 = time.Now()
+		}
+		prev = time.Time{}
 		n := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
 		if n == 0 || n > MaxFrame {
 			return // stream out of sync: drop the connection
+		}
+		if br.Buffered() < int(n) {
+			release()
 		}
 		if _, err := io.ReadFull(br, payload[:n]); err != nil {
 			return
@@ -452,19 +541,14 @@ func (s *Server) serveConn(nc net.Conn) {
 			if err != nil {
 				return // undecodable: cannot trust framing anymore
 			}
-			s.inflight.Add(1)
-			if s.draining.Load() {
-				s.inflight.Done()
-				respBuf = AppendResponse(respBuf[:0], Response{ID: req.ID, Status: StatusShutdown})
-				c.writeFrames(respBuf)
-				continue
-			}
-			enq := time.Now()
-			select {
-			case s.coord.queue <- txnTask{req: req, ops: ops, c: c, enq: enq.UnixNano(), decNs: enq.Sub(dec0).Nanoseconds()}:
-			case <-s.stop:
-				s.inflight.Done()
-				return
+			if t, ok := admit(req, dec0); ok {
+				select {
+				case s.coord.queue <- txnTask{task: t, ops: ops}:
+				case <-s.stop: // never to run: give back what admit took
+					c.settle(t.b)
+					s.inflight.Done()
+					return
+				}
 			}
 			continue
 		}
@@ -475,40 +559,32 @@ func (s *Server) serveConn(nc net.Conn) {
 
 		switch req.Op {
 		case OpCtl, OpInfo:
-			respBuf = AppendResponse(respBuf[:0], s.handleControl(req))
-			c.writeFrames(respBuf)
+			c.reply(s.handleControl(req), nil)
 		case OpWatch, OpWaitKey:
 			// Long-polls bypass the worker queue: each gets its own
 			// goroutine that parks inside a blocking transaction, so a
 			// thousand idle watches occupy zero workers. A watch arriving
-			// mid-drain is refused before it can park.
-			s.inflight.Add(1)
-			if s.draining.Load() {
-				s.inflight.Done()
-				respBuf = AppendResponse(respBuf[:0], Response{ID: req.ID, Status: StatusWouldBlock})
-				c.writeFrames(respBuf)
+			// mid-drain is refused before it can park. It takes no count on
+			// the burst: a parked watch must never hold another reply back.
+			if !open() {
+				c.reply(Response{ID: req.ID, Status: StatusWouldBlock}, nil)
 				continue
 			}
+			s.inflight.Add(1)
 			s.wg.Add(1)
 			go func(req Request) {
 				defer s.wg.Done()
 				s.serveWatch(req, c)
 			}(req)
 		default:
-			s.inflight.Add(1)
-			if s.draining.Load() {
-				s.inflight.Done()
-				respBuf = AppendResponse(respBuf[:0], Response{ID: req.ID, Status: StatusShutdown})
-				c.writeFrames(respBuf)
-				continue
-			}
-			w := s.workers[int(s.rr.Add(1))%len(s.workers)]
-			enq := time.Now()
-			select {
-			case w.queue <- task{req: req, c: c, enq: enq.UnixNano(), decNs: enq.Sub(dec0).Nanoseconds()}:
-			case <-s.stop:
-				s.inflight.Done()
-				return
+			if t, ok := admit(req, dec0); ok {
+				select {
+				case s.workers[int(s.rr.Add(1))%len(s.workers)].queue <- t:
+				case <-s.stop: // never to run: give back what admit took
+					c.settle(t.b)
+					s.inflight.Done()
+					return
+				}
 			}
 		}
 	}
@@ -652,11 +728,14 @@ func (s *Server) RejectReason() string {
 
 // Shutdown drains the server: the listener closes immediately, queued and
 // in-flight operations finish and their responses are written, then the
-// workers stop and every connection is closed. New data operations
-// arriving mid-drain are answered with StatusShutdown. ctx bounds the
-// drain; on expiry remaining work is abandoned and ctx.Err() returned.
+// workers stop and every connection is closed. A read burst that starts
+// mid-drain is answered with StatusShutdown; one already open is served to
+// its end. ctx bounds the drain; on expiry remaining work is abandoned and
+// ctx.Err() returned.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.connMu.Lock() // a reader that saw draining clear has its inflight slot
 	s.draining.Store(true)
+	s.connMu.Unlock()
 	// Wake every parked watch before waiting on inflight: a long-poll whose
 	// key never changes would otherwise hold the drain open forever.
 	s.watchCancel()

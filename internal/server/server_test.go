@@ -447,3 +447,133 @@ func TestServerMalformedFrameDropsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// livenessBurst builds one pipelined burst as a single buffer: an OpInfo
+// (answered at once — reading its reply proves the reader has the burst),
+// an OpWatch on an absent key that must park, then Gets/Puts/Adds over
+// both shards and two OpTxn transfers. Returns the frames and the watch's id.
+func livenessBurst(t *testing.T, s *Server) (buf []byte, ids []uint32, watchID uint32) {
+	t.Helper()
+	const watchKey = 9001
+	next := func() uint32 { ids = append(ids, uint32(len(ids)+1)); return ids[len(ids)-1] }
+	buf = AppendRequest(buf, Request{Op: OpInfo, ID: next(), Key: uint64(InfoShards)})
+	watchID = next()
+	buf = AppendRequest(buf, Request{Op: OpWatch, ID: watchID, Key: watchKey})
+	homes := map[int]bool{}
+	for k := uint64(1); k <= 8; k++ {
+		homes[s.Router().HomeOf(k)] = true
+		buf = AppendRequest(buf, Request{Op: OpPut, ID: next(), Key: k, Arg: 100})
+		buf = AppendRequest(buf, Request{Op: OpAdd, ID: next(), Key: k + 100, Arg: 1})
+		buf = AppendRequest(buf, Request{Op: OpGet, ID: next(), Key: k})
+	}
+	if len(homes) != 2 {
+		t.Fatalf("burst keys live on shards %v, want both", homes)
+	}
+	for _, pair := range [][2]uint64{{1, 2}, {3, 4}} {
+		buf = AppendTxnRequest(buf, Request{Op: OpTxn, ID: next()}, []TxnOp{
+			{Op: OpAdd, Key: pair[0], Arg: ^uint64(0)}, {Op: OpAdd, Key: pair[1], Arg: 1}})
+	}
+	return buf, ids, watchID
+}
+
+// readReplies reads n response frames, failing on a duplicate or unknown id
+// or when the deadline passes first (a reply held back shows up here).
+func readReplies(t *testing.T, nc net.Conn, n int, ids []uint32, got map[uint32]Status) {
+	t.Helper()
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	frame := make([]byte, RespFrameLen)
+	for i := 0; i < n; i++ {
+		if _, err := io.ReadFull(nc, frame); err != nil {
+			t.Fatalf("reply %d of %d: %v (answered so far: %d of %d requests)", i+1, n, err, len(got), len(ids))
+		}
+		resp, err := DecodeResponse(frame[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, dup := got[resp.ID]; dup || resp.ID == 0 || int(resp.ID) > len(ids) {
+			t.Fatalf("reply id %d is duplicate or unknown", resp.ID)
+		}
+		got[resp.ID] = resp.Status
+	}
+}
+
+// TestReplyLiveness: burst coalescing must never hold a reply behind a
+// parked watch, nor lose one to a drain. In-memory the workers and the
+// coordinator reply inline; with a WAL the acker does.
+func TestReplyLiveness(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "wal"
+		}
+		config := func(t *testing.T) Config {
+			cfg := Config{Workers: 2, Shards: 2, Unguided: true}
+			if durable {
+				cfg.WALDir = t.TempDir()
+			}
+			return cfg
+		}
+		t.Run(name+"/parked-watch", func(t *testing.T) {
+			s := startServer(t, config(t))
+			nc, err := net.Dial("tcp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			buf, ids, watchID := livenessBurst(t, s)
+			if _, err := nc.Write(buf); err != nil {
+				t.Fatal(err)
+			}
+			// Everything but the watch is answered while it stays parked: a
+			// watch counted into the burst would stall this read to its deadline.
+			got := map[uint32]Status{}
+			readReplies(t, nc, len(ids)-1, ids, got)
+			for id, st := range got {
+				if id == watchID || st != StatusOK {
+					t.Fatalf("reply id %d status %d while the watch (id %d) is parked", id, st, watchID)
+				}
+			}
+			waitParked(t, s, 1)
+			cl, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if _, err := cl.Put(9001, 7); err != nil {
+				t.Fatal(err)
+			}
+			readReplies(t, nc, 1, ids, got)
+			if st, ok := got[watchID]; !ok || st != StatusOK {
+				t.Fatalf("watch reply: status %d, answered %v", st, ok)
+			}
+		})
+		t.Run(name+"/drain", func(t *testing.T) {
+			s := startServer(t, config(t))
+			nc, err := net.Dial("tcp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			buf, ids, watchID := livenessBurst(t, s)
+			if _, err := nc.Write(buf); err != nil {
+				t.Fatal(err)
+			}
+			// The OpInfo reply means the reader holds the whole burst; drain
+			// while it is still working through it.
+			got := map[uint32]Status{}
+			readReplies(t, nc, 1, ids, got)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+			readReplies(t, nc, len(ids)-1, ids, got)
+			for id, st := range got {
+				refused := st == StatusShutdown || (id == watchID && st == StatusWouldBlock)
+				if st != StatusOK && !refused {
+					t.Fatalf("reply id %d: status %d, want OK or a drain refusal", id, st)
+				}
+			}
+		})
+	}
+}

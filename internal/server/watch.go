@@ -73,5 +73,5 @@ func (s *Server) serveWatch(req Request, c *conn) {
 	}
 	sp.Finish(cause, time.Now().UnixNano())
 	s.obs.Collect(int(s.watchThread()), &sp)
-	c.writeFrames(AppendResponse(nil, resp))
+	c.reply(resp, nil)
 }

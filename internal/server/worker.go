@@ -53,10 +53,12 @@ func site(op Op) gstm.TxnID {
 // task is one queued data operation awaiting a worker. enq/decNs carry the
 // reader's span timestamps: when the task was queued (unix nanos) and how
 // long the frame read + decode took, so the worker can reconstruct the
-// request's decode and queue-wait phases without another clock read.
+// request's decode and queue-wait phases without another clock read. b is
+// the burst the reply settles a count on.
 type task struct {
 	req   Request
 	c     *conn
+	b     *burst
 	enq   int64
 	decNs int64
 }
@@ -86,8 +88,13 @@ type worker struct {
 	batch   []task
 	results []opResult
 	plan    *shard.Plan
-	resp    []byte
-	runOpts [1]gstm.TxOption // reused option slice (ReadOnly or MaxAttempts)
+
+	// body (runShard), updOpt (update batches' MaxAttempts) and planOpt (the
+	// spanOpts lookup) depend only on the worker, so they are built once:
+	// each would otherwise be a heap allocation per batch.
+	body    func(tx *gstm.Tx, sh int, idxs []int) error
+	updOpt  gstm.TxOption
+	planOpt shard.PlanOption
 
 	// spans[sh] is the scratch span for shard sh's sub-transaction of the
 	// current batch; spanOpts[sh] is the prebuilt option slice threading it
@@ -112,7 +119,10 @@ func newWorker(s *Server, id int) *worker {
 		results: make([]opResult, s.cfg.Batch),
 		plan:    s.router.NewPlan(),
 		spans:   make([]obs.Span, s.cfg.Shards),
+		updOpt:  gstm.WithMaxAttempts(s.cfg.MaxAttempts),
 	}
+	w.body = w.runShard
+	w.planOpt = shard.WithShardOptions(func(sh int) []gstm.TxOption { return w.spanOpts[sh] })
 	w.spanOpts = make([][]gstm.TxOption, s.cfg.Shards)
 	for sh := range w.spanOpts {
 		w.spanOpts[sh] = []gstm.TxOption{gstm.WithMaxAttempts(0), gstm.WithSpan(&w.spans[sh])}
@@ -174,7 +184,7 @@ func (w *worker) batchHasKey(k uint64) bool {
 }
 
 // execBatch scatter-gathers the batch by home shard, runs one transaction
-// per touched shard, and writes every response. Operations against
+// per touched shard, and replies to every operation. Operations against
 // disjoint keys are independent, so folding a shard's sub-batch into one
 // atomic block changes neither their results nor the store's final state
 // versus running them back to back — it only spends one commit (and one
@@ -185,10 +195,9 @@ func (w *worker) execBatch() {
 	s := w.srv
 	kind := w.batch[0].req.Op
 	w.plan.Build(len(w.batch), func(i int) uint64 { return w.batch[i].req.Key })
+	runOpt := w.updOpt
 	if kind == OpGet {
-		w.runOpts[0] = gstm.WithReadOnly()
-	} else {
-		w.runOpts[0] = gstm.WithMaxAttempts(s.cfg.MaxAttempts)
+		runOpt = gstm.WithReadOnly()
 	}
 
 	// Open one span per touched shard before running: the decode and
@@ -210,29 +219,11 @@ func (w *worker) execBatch() {
 		sp.Start(first.req.ID, uint8(kind), uint8(sh), uint8(w.id), len(idxs), forced, begin)
 		sp.Add(obs.PhaseDecode, obs.CauseNone, 0, begin, first.decNs)
 		sp.Add(obs.PhaseQueue, obs.CauseNone, 0, first.enq, deq-first.enq)
-		w.spanOpts[sh][0] = w.runOpts[0]
+		w.spanOpts[sh][0] = runOpt
 	}
 
 	durable := s.wals != nil && kind != OpGet
-	w.plan.Run(nil, w.id, site(kind), func(tx *gstm.Tx, sh int, idxs []int) error {
-		w.logging = false
-		if durable {
-			// Fail fast on a dead log: committing state whose durability
-			// can never be promised would make memory diverge from disk.
-			if s.wals[sh].Failed() {
-				return errWALUnavailable
-			}
-			// Stage inside the body so a retry starts a fresh record; the
-			// commit event stamps the staged ops with this commit's wv.
-			w.stg = s.wals[sh].Stage(int(w.id), uint16(site(kind)))
-			w.logging = true
-		}
-		st := s.stores[sh]
-		for _, i := range idxs {
-			w.results[i] = w.applyOp(tx, st, w.batch[i].req)
-		}
-		return nil
-	}, shard.WithShardOptions(func(sh int) []gstm.TxOption { return w.spanOpts[sh] }))
+	w.plan.Run(nil, w.id, site(kind), w.body, w.planOpt)
 
 	var it *ackItem
 	if durable {
@@ -322,26 +313,37 @@ func (w *worker) execBatch() {
 		s.acks <- it
 		return
 	}
+	s.answer(w.batch, w.results)
+}
 
-	// Write responses, coalescing consecutive same-connection frames into
-	// one buffer (and one syscall) each.
-	i := 0
-	for i < len(w.batch) {
-		c := w.batch[i].c
-		w.resp = w.resp[:0]
-		j := i
-		for j < len(w.batch) && w.batch[j].c == c {
-			w.resp = AppendResponse(w.resp, Response{
-				ID:     w.batch[j].req.ID,
-				Status: w.results[j].status,
-				Value:  w.results[j].value,
-			})
-			j++
+// runShard is the current batch's transaction body on shard sh.
+func (w *worker) runShard(tx *gstm.Tx, sh int, idxs []int) error {
+	s, kind := w.srv, w.batch[0].req.Op
+	w.logging = false
+	if s.wals != nil && kind != OpGet {
+		// Fail fast on a dead log: committing state whose durability
+		// can never be promised would make memory diverge from disk.
+		if s.wals[sh].Failed() {
+			return errWALUnavailable
 		}
-		c.writeFrames(w.resp)
-		i = j
+		// Stage inside the body so a retry starts a fresh record; the
+		// commit event stamps the staged ops with this commit's wv.
+		w.stg = s.wals[sh].Stage(int(w.id), uint16(site(kind)))
+		w.logging = true
 	}
-	for range w.batch {
+	st := s.stores[sh]
+	for _, i := range idxs {
+		w.results[i] = w.applyOp(tx, st, w.batch[i].req)
+	}
+	return nil
+}
+
+// answer replies to every task with its result and releases its in-flight
+// slot.
+func (s *Server) answer(tasks []task, results []opResult) {
+	for i := range tasks {
+		t := &tasks[i]
+		t.c.reply(Response{ID: t.req.ID, Status: results[i].status, Value: results[i].value}, t.b)
 		s.inflight.Done()
 	}
 }
