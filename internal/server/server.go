@@ -733,6 +733,8 @@ func (s *Server) RejectReason() string {
 // its end. ctx bounds the drain; on expiry remaining work is abandoned and
 // ctx.Err() returned.
 func (s *Server) Shutdown(ctx context.Context) error {
+	// The shards leave /metrics last: a scrape mid-drain still sees them.
+	defer s.router.Close()
 	s.connMu.Lock() // a reader that saw draining clear has its inflight slot
 	s.draining.Store(true)
 	s.connMu.Unlock()
@@ -824,4 +826,5 @@ func (s *Server) Crash() {
 	s.connMu.Unlock()
 	s.wg.Wait()
 	s.stopAcker()
+	s.router.Close()
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gstm/internal/telemetry"
 	"gstm/internal/xrand"
 )
 
@@ -24,6 +25,27 @@ func startServer(t *testing.T, cfg Config) *Server {
 		_ = s.Shutdown(ctx)
 	})
 	return s
+}
+
+// TestStoppedServerLeavesTelemetry: a server's shard Systems leave the
+// process-wide telemetry registry when it stops, by either road, so the
+// registry does not keep every server ever started reachable.
+func TestStoppedServerLeavesTelemetry(t *testing.T) {
+	before := len(telemetry.Gather().Components)
+	for _, crash := range []bool{false, true} {
+		s := startServer(t, Config{Workers: 1, Shards: 7, Unguided: true})
+		if got := len(telemetry.Gather().Components); got <= before {
+			t.Fatalf("crash=%v: %d components with a 7-shard server up, %d before it", crash, got, before)
+		}
+		if crash {
+			s.Crash()
+		} else if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(telemetry.Gather().Components); got != before {
+			t.Fatalf("crash=%v: %d components after the server stopped, want %d", crash, got, before)
+		}
+	}
 }
 
 // TestServerSequentialOracle hammers one server from concurrent clients and
@@ -448,14 +470,17 @@ func TestServerMalformedFrameDropsConnection(t *testing.T) {
 	}
 }
 
-// livenessBurst builds one pipelined burst as a single buffer: an OpInfo
-// (answered at once — reading its reply proves the reader has the burst),
-// an OpWatch on an absent key that must park, then Gets/Puts/Adds over
-// both shards and two OpTxn transfers. Returns the frames and the watch's id.
+// livenessBurst builds one pipelined burst as a single buffer: a Put (it
+// opens the burst, so a drain from here on waits for the reader), an OpInfo
+// (answered at once — any reply proves the reader has the burst and has
+// opened it), an OpWatch on an absent key that must park, then
+// Gets/Puts/Adds over both shards and two OpTxn transfers. Returns the
+// frames and the watch's id.
 func livenessBurst(t *testing.T, s *Server) (buf []byte, ids []uint32, watchID uint32) {
 	t.Helper()
 	const watchKey = 9001
 	next := func() uint32 { ids = append(ids, uint32(len(ids)+1)); return ids[len(ids)-1] }
+	buf = AppendRequest(buf, Request{Op: OpPut, ID: next(), Key: 200, Arg: 1})
 	buf = AppendRequest(buf, Request{Op: OpInfo, ID: next(), Key: uint64(InfoShards)})
 	watchID = next()
 	buf = AppendRequest(buf, Request{Op: OpWatch, ID: watchID, Key: watchKey})
@@ -558,8 +583,8 @@ func TestReplyLiveness(t *testing.T) {
 			if _, err := nc.Write(buf); err != nil {
 				t.Fatal(err)
 			}
-			// The OpInfo reply means the reader holds the whole burst; drain
-			// while it is still working through it.
+			// The first reply means the reader holds the whole burst and has
+			// opened it; drain while it is still working through it.
 			got := map[uint32]Status{}
 			readReplies(t, nc, 1, ids, got)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

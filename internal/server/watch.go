@@ -10,10 +10,10 @@ import (
 
 // The watch subsystem serves OpWatch/OpWaitKey long-polls as blocking STM
 // transactions: the body reads the key and calls tx.Retry when the wait
-// condition holds, which parks the goroutine on exactly the cells the
-// read touched (the key's hash bucket chain). A commit that changes the
-// key wakes the parked transaction through tl2's per-base waiter lists —
-// no server-side polling loop, no periodic revalidation.
+// condition holds, which parks the goroutine on the one cell the read
+// touched (the key's hash bucket). A commit to that bucket wakes it through
+// tl2's per-base waiter lists — it parks again unless its own key changed —
+// with no server-side polling loop and no periodic revalidation.
 //
 // Watches run outside the worker pool, one goroutine per outstanding
 // watch, all on the dedicated watch thread (ThreadID Workers+2; the txn
@@ -59,8 +59,8 @@ func (s *Server) serveWatch(req Request, c *conn) {
 	switch {
 	case err == nil:
 	case errors.Is(err, gstm.ErrWouldBlock):
-		// Cannot park (empty read set — impossible for a hash-table Get, but
-		// the mapping stays total).
+		// Cannot park (empty read set — impossible here: a hash-table Get
+		// always reads its key's bucket cell — but the mapping stays total).
 		resp = Response{ID: req.ID, Status: StatusWouldBlock}
 		cause = obs.CauseSpurious
 	case errors.Is(err, gstm.ErrCanceled):

@@ -98,6 +98,64 @@ func TestWatchWakesOnCommit(t *testing.T) {
 	}
 }
 
+// TestWatchBucketNeighbour: the store's conflict unit is the bucket cell,
+// so a watch parks on its key's whole bucket. A write to another key in
+// that bucket wakes it, but it must re-run, find its own key unchanged and
+// park again without answering; only a change to the watched key answers.
+func TestWatchBucketNeighbour(t *testing.T) {
+	s := startServer(t, Config{Workers: 2, Unguided: true, Buckets: 16})
+	cl, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const watched = 5
+	if _, err := cl.Put(watched, 10); err != nil {
+		t.Fatal(err)
+	}
+
+	watcher, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watcher.Close()
+	got := make(chan uint64, 1)
+	go func() {
+		v, err := watcher.Watch(watched, 10)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- v
+	}()
+	waitParked(t, s, 1)
+
+	// 64 other keys over 16 buckets: some land in the watched key's bucket,
+	// and each of those wakes the watch into a second park.
+	for k := uint64(100); k < 164; k++ {
+		if _, err := cl.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitParked(t, s, 2)
+	select {
+	case v := <-got:
+		t.Fatalf("watch answered %d though only its bucket neighbours were written", v)
+	default:
+	}
+
+	if _, err := cl.Add(watched, 1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case v := <-got:
+		if v != 11 {
+			t.Fatalf("watch woke with %d, want 11", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("watch did not answer when its own key changed")
+	}
+}
+
 // TestWatchValueChange: a watch on a present key must not return until the
 // value differs from the client's last-seen one.
 func TestWatchValueChange(t *testing.T) {

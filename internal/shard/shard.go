@@ -114,6 +114,13 @@ func (r *Router) Shards() int { return r.cfg.Shards }
 // telemetry and health go through it).
 func (r *Router) System(i int) *gstm.System { return r.systems[i] }
 
+// Close closes every shard's System (see gstm.System.Close). Idempotent.
+func (r *Router) Close() {
+	for _, sys := range r.systems {
+		sys.Close()
+	}
+}
+
 // mix is the splitmix64 finalizer: an invertible avalanche so dense or
 // striding key patterns still spread across shards.
 func mix(x uint64) uint64 {

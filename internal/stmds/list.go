@@ -4,9 +4,12 @@
 // workload ports (internal/stamp), mirroring the C suite's lib/ directory
 // (list.c, hashtable.c, rbtree.c, queue.c, heap.c).
 //
-// Every structure is manipulated inside a *tl2.Tx; all mutable fields are
-// tl2.Var cells, so conflicts are detected at the same granularity as the
-// original benchmarks (per node / per bucket).
+// Every structure is manipulated inside a *tl2.Tx; all mutable state is
+// reached through tl2.Var cells, so conflicts are detected at the same
+// granularity as the original benchmarks: per node for the list, treap and
+// queue, per bucket for the hash table, which keeps each bucket's chain as
+// one immutable snapshot behind one cell (hashtable.go) rather than as a
+// List.
 package stmds
 
 import "gstm/internal/tl2"

@@ -1,6 +1,8 @@
 package stmds
 
 import (
+	"errors"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -146,6 +148,284 @@ func TestHashTableNoCountInsertSkipsCounter(t *testing.T) {
 		}
 		if !h.Contains(tx, 1) {
 			t.Error("InsertNoCount element missing")
+		}
+		return nil
+	})
+}
+
+// bucketMates returns n keys, counting up from 0, that hash to key 0's
+// bucket of h.
+func bucketMates[V any](h *HashTable[V], n int) []int64 {
+	var ks []int64
+	for k := int64(0); len(ks) < n; k++ {
+		if h.cell(k) == h.cell(0) {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// TestHashTableMatchesMapOracle drives every operation against a map on a
+// table so small that each one walks, and each mutation path-copies, a deep
+// chain. One transaction in eight fails after its ops and must leave no
+// trace — it would if an op wrote through a shared node.
+func TestHashTableMatchesMapOracle(t *testing.T) {
+	rt := newRT()
+	h := NewHashTable[int](16)
+	const keys = 1200 // about half live at any time: ~37 per bucket
+	ref := map[int64]int{}
+	counted := 0 // what Len tracks: Insert successes minus Remove successes
+	atomically(t, rt, func(tx *tl2.Tx) error {
+		for k := int64(0); k < keys; k += 2 {
+			h.InsertNoCount(tx, k, int(k))
+			ref[k] = int(k)
+		}
+		return nil
+	})
+	rng := xrand.New(23)
+	errDiscard := errors.New("discard")
+	for step := 0; step < 3000; step++ {
+		discard := rng.Intn(8) == 0
+		m, cnt := ref, counted
+		if discard {
+			m = maps.Clone(ref)
+		}
+		err := rt.Atomic(0, 0, func(tx *tl2.Tx) error {
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				k := int64(rng.Intn(keys))
+				old, exists := m[k]
+				switch op := rng.Intn(16); op {
+				case 0, 1, 2, 3:
+					var got bool
+					if op < 2 {
+						got = h.Insert(tx, k, step)
+					} else {
+						got = h.InsertNoCount(tx, k, step)
+					}
+					if got == exists {
+						t.Fatalf("step %d: insert(%d) = %v but exists = %v", step, k, got, exists)
+					}
+					if got {
+						m[k] = step
+						if op < 2 {
+							cnt++
+						}
+					}
+				case 4, 5:
+					if got := h.Set(tx, k, -step); got != exists {
+						t.Fatalf("step %d: Set(%d) = %v but exists = %v", step, k, got, exists)
+					}
+					if exists {
+						m[k] = -step
+					}
+				case 6, 7:
+					if v, ok := h.Get(tx, k); ok != exists || v != old {
+						t.Fatalf("step %d: Get(%d) = %d,%v; ref %d,%v", step, k, v, ok, old, exists)
+					}
+				case 8:
+					if got := h.Contains(tx, k); got != exists {
+						t.Fatalf("step %d: Contains(%d) = %v, ref %v", step, k, got, exists)
+					}
+				case 9, 10, 11, 12:
+					var got bool
+					if op < 11 {
+						got = h.Remove(tx, k)
+					} else {
+						got = h.RemoveNoCount(tx, k)
+					}
+					if got != exists {
+						t.Fatalf("step %d: remove(%d) = %v but exists = %v", step, k, got, exists)
+					}
+					if got && op < 11 {
+						cnt--
+					}
+					delete(m, k)
+				case 13:
+					if got := h.Len(tx); got != cnt {
+						t.Fatalf("step %d: Len = %d, ref %d", step, got, cnt)
+					}
+				default:
+					seen := make(map[int64]bool, len(m))
+					h.RangeAll(tx, func(k int64, v int) bool {
+						if rv, ok := m[k]; !ok || v != rv || seen[k] {
+							t.Fatalf("step %d: RangeAll visited %d→%d (again: %v); ref %d,%v", step, k, v, seen[k], rv, ok)
+						}
+						seen[k] = true
+						return true
+					})
+					if len(seen) != len(m) {
+						t.Fatalf("step %d: RangeAll visited %d keys, ref %d", step, len(seen), len(m))
+					}
+				}
+			}
+			if discard {
+				return errDiscard
+			}
+			return nil
+		})
+		if discard != (err != nil) {
+			t.Fatalf("step %d: Atomic = %v, discard = %v", step, err, discard)
+		}
+		if !discard {
+			counted = cnt
+		}
+	}
+	if len(ref) < 500 {
+		t.Fatalf("only %d live keys at the end: chains were not deep", len(ref))
+	}
+}
+
+// TestHashTableBucketSnapshotsUnderWriters: writers move value between two
+// keys deep in one bucket's chain, and toggle a third in front of them,
+// while readers assert the pair's sum through Get and through RangeAll. A
+// mutation that wrote through a shared node instead of path-copying it is a
+// data race against those readers; one that published a bucket in two steps
+// breaks the sum.
+func TestHashTableBucketSnapshotsUnderWriters(t *testing.T) {
+	rt := tl2.New(tl2.Config{Interleave: 4})
+	h := NewHashTable[int](16)
+	ks := bucketMates(h, 5)
+	a, b, toggled := ks[0], ks[1], ks[4]
+	const total = 1000
+	atomically(t, rt, func(tx *tl2.Tx) error {
+		h.Insert(tx, a, total)
+		for _, k := range ks[1:4] { // b, then two bystanders in front of both
+			h.Insert(tx, k, 0)
+		}
+		return nil
+	})
+	pairSum := func(tx *tl2.Tx) (byGet, byRange int) {
+		va, _ := h.Get(tx, a)
+		vb, _ := h.Get(tx, b)
+		h.RangeAll(tx, func(k int64, v int) bool {
+			if k == a || k == b {
+				byRange += v
+			}
+			return true
+		})
+		return va + vb, byRange
+	}
+	const writers, readers, perWriter = 3, 2, 300
+	var wg, rwg sync.WaitGroup
+	var done atomic.Bool
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(id int) {
+			defer rwg.Done()
+			for !done.Load() {
+				var byGet, byRange int
+				if err := rt.AtomicRO(txid.ThreadID(writers+id), 2, func(tx *tl2.Tx) error {
+					byGet, byRange = pairSum(tx)
+					return nil
+				}); err != nil {
+					t.Errorf("AtomicRO: %v", err)
+					return
+				}
+				if byGet != total || byRange != total {
+					t.Errorf("pair sum = %d by Get, %d by RangeAll; want %d", byGet, byRange, total)
+					return
+				}
+			}
+		}(r)
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			rng := xrand.NewThread(17, id)
+			for i := 0; i < perWriter; i++ {
+				from, to, amt := a, b, rng.Intn(10)
+				if rng.Intn(2) == 0 {
+					from, to = b, a
+				}
+				flip := rng.Intn(3) == 0
+				if err := rt.Atomic(txid.ThreadID(id), 0, func(tx *tl2.Tx) error {
+					vf, _ := h.Get(tx, from)
+					vt, _ := h.Get(tx, to)
+					h.Set(tx, from, vf-amt)
+					if flip && !h.Remove(tx, toggled) {
+						h.Insert(tx, toggled, id)
+					}
+					h.Set(tx, to, vt+amt)
+					return nil
+				}); err != nil {
+					t.Errorf("Atomic: %v", err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	done.Store(true)
+	rwg.Wait()
+	atomically(t, rt, func(tx *tl2.Tx) error {
+		if byGet, byRange := pairSum(tx); byGet != total || byRange != total {
+			t.Errorf("final pair sum = %d by Get, %d by RangeAll; want %d", byGet, byRange, total)
+		}
+		want := 4
+		if h.Contains(tx, toggled) {
+			want++
+		}
+		if got := h.Len(tx); got != want {
+			t.Errorf("Len = %d, want %d", got, want)
+		}
+		return nil
+	})
+}
+
+// TestHashTableAllocFloor pins the table's allocation floor at load factor
+// <= 1: lookups allocate nothing, and a mutation that changes a chain's head
+// allocates only the redo box tl2.Write publishes.
+func TestHashTableAllocFloor(t *testing.T) {
+	rt := newRT()
+	h := NewHashTable[int64](1 << 12)
+	mates := bucketMates(h, 3) // mates[2] heads a chain of three
+	// Keys for one insert per run, each into a bucket of its own.
+	taken := map[*tl2.Var[entry[int64]]]bool{h.cell(0): true}
+	var fresh []int64
+	for k := int64(1); len(fresh) < 256; k++ {
+		if c := h.cell(k); !taken[c] {
+			taken[c] = true
+			fresh = append(fresh, k)
+		}
+	}
+	atomically(t, rt, func(tx *tl2.Tx) error {
+		for _, k := range mates {
+			h.InsertNoCount(tx, k, k)
+		}
+		return nil
+	})
+	var i int
+	var sink int64
+	measure := func(name string, want float64, fn func(tx *tl2.Tx) error) {
+		t.Helper()
+		if avg := testing.AllocsPerRun(200, func() {
+			i++
+			if err := rt.Atomic(0, 0, fn); err != nil {
+				t.Error(err)
+			}
+		}); avg != want {
+			t.Errorf("%s = %.2f allocs/op, want %.0f", name, avg, want)
+		}
+	}
+	measure("Get at the chain's end", 0, func(tx *tl2.Tx) error {
+		v, _ := h.Get(tx, mates[0])
+		sink += v
+		return nil
+	})
+	measure("Contains", 0, func(tx *tl2.Tx) error {
+		if !h.Contains(tx, mates[1]) || h.Contains(tx, fresh[0]) {
+			t.Error("Contains wrong")
+		}
+		return nil
+	})
+	measure("Set on a chain head", 1, func(tx *tl2.Tx) error {
+		h.Set(tx, mates[2], int64(i))
+		return nil
+	})
+	i = 0
+	measure("InsertNoCount into an empty bucket", 1, func(tx *tl2.Tx) error {
+		if !h.InsertNoCount(tx, fresh[i], 1) {
+			t.Errorf("InsertNoCount(%d) found the key", fresh[i])
 		}
 		return nil
 	})

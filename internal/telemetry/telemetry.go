@@ -20,6 +20,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -164,6 +165,19 @@ func New(label string) *Metrics {
 	registry.list = append(registry.list, m)
 	registry.mu.Unlock()
 	return m
+}
+
+// Unregister removes m from the registry Gather serves, so an engine with a
+// bounded lifetime (a server under test, a benchmark's set-up) does not
+// stay reachable — rings, histograms and all — for the life of the
+// process. m itself keeps counting and Snapshot keeps working. Idempotent
+// and nil-safe.
+func (m *Metrics) Unregister() {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	if i := slices.Index(registry.list, m); i >= 0 {
+		registry.list = slices.Delete(registry.list, i, i+1)
+	}
 }
 
 // NewDetached returns a Metrics that is NOT merged into Gather — for tests

@@ -281,6 +281,27 @@ func TestGatherMergesRegisteredMetrics(t *testing.T) {
 	}
 }
 
+// TestUnregisterLeavesGather: an unregistered Metrics drops out of Gather
+// (twice over is harmless) and keeps counting for its owner.
+func TestUnregisterLeavesGather(t *testing.T) {
+	before := len(Gather().Components)
+	m := New("unregister-me")
+	if got := len(Gather().Components); got != before+1 {
+		t.Fatalf("components after New = %d, want %d", got, before+1)
+	}
+	m.Unregister()
+	m.Unregister()
+	(*Metrics)(nil).Unregister()
+	if got := len(Gather().Components); got != before {
+		t.Fatalf("components after Unregister = %d, want %d", got, before)
+	}
+	m.TxStart(0)
+	m.TxCommit(0)
+	if got := m.Snapshot().Commits; got != 1 {
+		t.Fatalf("unregistered Metrics counted %d commits, want 1", got)
+	}
+}
+
 func TestGatherComponentBreakdown(t *testing.T) {
 	before := Gather()
 	prev := make(map[string]uint64)

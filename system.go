@@ -319,6 +319,13 @@ func (s *System) Telemetry() *telemetry.Metrics { return s.rt.Telemetry() }
 // TelemetrySnapshot returns a point-in-time view of the system's metrics.
 func (s *System) TelemetrySnapshot() TelemetrySnapshot { return s.rt.Telemetry().Snapshot() }
 
+// Close takes the system out of the process-wide telemetry registry
+// (GatherTelemetry, the /metrics endpoint), which otherwise keeps every
+// System ever made reachable. Call it when a system's lifetime ends before
+// the process's; the system's own Stats, Telemetry and TelemetrySnapshot
+// keep working. Idempotent.
+func (s *System) Close() { s.rt.Telemetry().Unregister() }
+
 // ResetStats zeroes the cumulative counters.
 func (s *System) ResetStats() { s.rt.ResetStats() }
 
