@@ -28,7 +28,7 @@ func main() {
 		workers       = flag.Int("workers", 4, "execution pool size; worker i is STM thread i")
 		batch         = flag.Int("batch", 8, "max same-kind disjoint-key ops coalesced per transaction (1 disables batching)")
 		buckets       = flag.Int("buckets", 4096, "hash table buckets")
-		queueDepth    = flag.Int("queue-depth", 256, "per-worker request queue depth")
+		queueDepth    = flag.Int("queue-depth", 256, "per-worker request queue depth, in chunks of up to -batch operations")
 		profileOps    = flag.Int("profile-ops", 2048, "committed ops per profiling slice")
 		profileSlices = flag.Int("profile-slices", 4, "profiling slices before the model is trained")
 		maxAttempts   = flag.Int("max-attempts", 0, "attempt budget per transaction (0 = unlimited); exhaustion maps to StatusBudget")

@@ -19,7 +19,8 @@ import (
 //
 // Reordering this introduces is invisible to clients: responses carry
 // request IDs and per-connection ordering across workers was never
-// guaranteed (requests round-robin over the pool).
+// guaranteed (a connection's requests cross to the pool in chunks dealt
+// round-robin, and order holds only among the chunks one worker receives).
 
 // ackWait is one shard sub-transaction's durability obligation, with its
 // post-ack accounting precomputed (nops operations, delta live-key

@@ -44,16 +44,19 @@ type Config struct {
 
 	// Batch is the maximum number of queued same-site, disjoint-key
 	// operations coalesced into one transaction (default 8; 1 disables
-	// batching). A batch spanning several shards executes as one
-	// transaction per shard (see DESIGN.md "Sharding").
+	// batching), and the most a connection reader hands a worker at once
+	// (DESIGN.md "Dispatch"). A batch spanning several shards executes as
+	// one transaction per shard (see DESIGN.md "Sharding").
 	Batch int
 
 	// Buckets sizes the hash table across all shards (default 4096); each
 	// shard's partition gets Buckets/Shards of them.
 	Buckets int
 
-	// QueueDepth is the per-worker request queue depth (default 256).
-	// Full queues apply backpressure to connection readers.
+	// QueueDepth is the per-worker request queue depth (default 256),
+	// counted in chunks of up to Batch operations each — and, for the txn
+	// coordinator's queue, in transactions. Full queues apply backpressure
+	// to connection readers.
 	QueueDepth int
 
 	// ProfileOps is how many committed operations one profiling slice
@@ -167,7 +170,7 @@ type Server struct {
 	ln     net.Listener
 
 	workers []*worker
-	rr      atomic.Uint32 // round-robin dispatch cursor
+	rr      atomic.Uint32 // round-robin dispatch cursor, advanced once per chunk
 
 	// coord executes OpTxn multi-key transactions on its own thread and
 	// queue (see coordinator.go).
@@ -457,12 +460,17 @@ func (s *Server) serveConn(nc net.Conn) {
 	// cur is the reader's open burst: what it admitted since it last had to
 	// wait for input. The reader's count on it comes with an inflight slot,
 	// so a drain neither closes the connection over replies only release
-	// would flush nor sees an admission's inflight.Add start from zero.
+	// would flush nor sees a hand-off's inflight.Add start from zero.
 	var cur *burst
-	var prev time.Time // the previous frame's enqueue stamp; zero if it took none
-	// open makes sure a burst is open; false means the server is draining
-	// (draining is set under connMu: this Add is ordered before the Wait).
-	open := func() bool {
+	// pend collects the burst's single-key requests for the next hand-off;
+	// dec0 is where their decode phase starts: the return of the read that
+	// delivered them, or the previous hand-off.
+	var pend *chunk
+	var dec0 time.Time
+	// open makes sure a burst is open for request id. False means the server
+	// is draining (draining is set under connMu: this Add is ordered before
+	// the Wait) and the request has been answered with refusal.
+	open := func(id uint32, refusal Status) bool {
 		if cur == nil {
 			s.connMu.Lock()
 			if !s.draining.Load() {
@@ -471,26 +479,50 @@ func (s *Server) serveConn(nc net.Conn) {
 			}
 			s.connMu.Unlock()
 		}
+		if cur == nil {
+			c.reply(Response{ID: id, Status: refusal}, nil)
+		}
 		return cur != nil
 	}
+	// stamp takes the inflight slots and counts on cur of n tasks about to
+	// be handed off together, and returns the span stamps they share.
+	stamp := func(n int) (enq, decNs int64) {
+		s.inflight.Add(n)
+		cur.n.Add(int32(n))
+		now := time.Now()
+		decNs = now.Sub(dec0).Nanoseconds()
+		dec0 = now
+		return now.UnixNano(), decNs
+	}
+	// flush hands pend to the next worker: the one send onto a worker queue.
+	// False means the server stopped first and the chunk will never run.
+	flush := func() bool {
+		ch := pend
+		if ch == nil {
+			return true
+		}
+		pend = nil
+		enq, decNs := stamp(len(ch.tasks))
+		for i := range ch.tasks {
+			ch.tasks[i].enq, ch.tasks[i].decNs = enq, decNs
+		}
+		select {
+		case s.workers[int(s.rr.Add(1))%len(s.workers)].queue <- ch:
+			return true
+		case <-s.stop:
+			s.abandon(ch.tasks)
+			return false
+		}
+	}
+	// release ends the burst. The flush comes first: pend's replies settle on
+	// cur, and nothing may wait for a chunk to fill while the reader blocks.
 	release := func() {
+		flush()
 		if cur != nil {
 			c.settle(cur)
 			s.inflight.Done()
 			cur = nil
 		}
-	}
-	// admit turns a data request into a task — inflight slot, count on cur,
-	// span stamps — or refuses it mid-drain.
-	admit := func(req Request, dec0 time.Time) (task, bool) {
-		if !open() {
-			c.reply(Response{ID: req.ID, Status: StatusShutdown}, nil)
-			return task{}, false
-		}
-		s.inflight.Add(1)
-		cur.n.Add(1)
-		prev = time.Now()
-		return task{req: req, c: c, b: cur, enq: prev.UnixNano(), decNs: prev.Sub(dec0).Nanoseconds()}, true
 	}
 	defer func() {
 		release()
@@ -514,14 +546,12 @@ func (s *Server) serveConn(nc net.Conn) {
 			return // EOF or forced close
 		}
 		// The span's decode phase starts here: the frame header has
-		// arrived, so everything until dispatch is the server's own work
-		// (payload read off the bufio buffer, decode, routing). A frame that
-		// was already buffered starts where the previous one was enqueued.
-		dec0 := prev
-		if !buffered || dec0.IsZero() {
+		// arrived, so everything until the hand-off is the server's own work
+		// (payload read off the bufio buffer, decode, routing) — for every
+		// frame the read delivered, up to the chunk's hand-off.
+		if !buffered {
 			dec0 = time.Now()
 		}
-		prev = time.Time{}
 		n := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
 		if n == 0 || n > MaxFrame {
 			return // stream out of sync: drop the connection
@@ -541,12 +571,13 @@ func (s *Server) serveConn(nc net.Conn) {
 			if err != nil {
 				return // undecodable: cannot trust framing anymore
 			}
-			if t, ok := admit(req, dec0); ok {
+			if open(req.ID, StatusShutdown) {
+				t := task{req: req, c: c, b: cur}
+				t.enq, t.decNs = stamp(1)
 				select {
 				case s.coord.queue <- txnTask{task: t, ops: ops}:
-				case <-s.stop: // never to run: give back what admit took
-					c.settle(t.b)
-					s.inflight.Done()
+				case <-s.stop: // never to run: give back what stamp took
+					s.abandon([]task{t})
 					return
 				}
 			}
@@ -566,8 +597,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			// thousand idle watches occupy zero workers. A watch arriving
 			// mid-drain is refused before it can park. It takes no count on
 			// the burst: a parked watch must never hold another reply back.
-			if !open() {
-				c.reply(Response{ID: req.ID, Status: StatusWouldBlock}, nil)
+			if !open(req.ID, StatusWouldBlock) {
 				continue
 			}
 			s.inflight.Add(1)
@@ -577,16 +607,26 @@ func (s *Server) serveConn(nc net.Conn) {
 				s.serveWatch(req, c)
 			}(req)
 		default:
-			if t, ok := admit(req, dec0); ok {
-				select {
-				case s.workers[int(s.rr.Add(1))%len(s.workers)].queue <- t:
-				case <-s.stop: // never to run: give back what admit took
-					c.settle(t.b)
-					s.inflight.Done()
-					return
-				}
+			if !open(req.ID, StatusShutdown) {
+				continue
+			}
+			if pend == nil {
+				pend = chunkPool.Get().(*chunk)
+			}
+			pend.tasks = append(pend.tasks, task{req: req, c: c, b: cur})
+			if len(pend.tasks) == s.cfg.Batch && !flush() {
+				return
 			}
 		}
+	}
+}
+
+// abandon gives back the inflight slots and burst counts of handed-off
+// tasks that will never run (the server stopped first).
+func (s *Server) abandon(tasks []task) {
+	for i := range tasks {
+		tasks[i].c.settle(tasks[i].b)
+		s.inflight.Done()
 	}
 }
 
@@ -825,6 +865,17 @@ func (s *Server) Crash() {
 	}
 	s.connMu.Unlock()
 	s.wg.Wait()
+	// Readers and workers are gone: give back what they never batched — the
+	// rest of the chunk under each cursor and every chunk still queued — so
+	// the inflight count reads zero once the acker has drained too.
+	for _, w := range s.workers {
+		if w.in != nil {
+			s.abandon(w.in.tasks[w.pos:])
+		}
+		for len(w.queue) > 0 {
+			s.abandon((<-w.queue).tasks)
+		}
+	}
 	s.stopAcker()
 	s.router.Close()
 }

@@ -474,11 +474,23 @@ func TestServerMalformedFrameDropsConnection(t *testing.T) {
 // opens the burst, so a drain from here on waits for the reader), an OpInfo
 // (answered at once — any reply proves the reader has the burst and has
 // opened it), an OpWatch on an absent key that must park, then
-// Gets/Puts/Adds over both shards and two OpTxn transfers. Returns the
-// frames and the watch's id.
+// Gets/Puts/Adds over both shards and two OpTxn transfers. The keys the Gets
+// read are preloaded over a second connection first: requests of one burst
+// run in no promised order across workers, so a Get may well overtake the
+// burst's own Put of its key. Returns the frames and the watch's id.
 func livenessBurst(t *testing.T, s *Server) (buf []byte, ids []uint32, watchID uint32) {
 	t.Helper()
 	const watchKey = 9001
+	cl, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for k := uint64(1); k <= 8; k++ {
+		if _, err := cl.Put(k, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
 	next := func() uint32 { ids = append(ids, uint32(len(ids)+1)); return ids[len(ids)-1] }
 	buf = AppendRequest(buf, Request{Op: OpPut, ID: next(), Key: 200, Arg: 1})
 	buf = AppendRequest(buf, Request{Op: OpInfo, ID: next(), Key: uint64(InfoShards)})

@@ -215,3 +215,55 @@ func TestServerTraceDiffTable(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkSpansShareStamps pins what a span's first two phases mean now that
+// requests cross to a worker by chunk: the tasks of one chunk share their
+// hand-off stamp, so the spans born of it — one per shard the batch touched —
+// start their decode phase at the same instant (the read's return) and their
+// queue phase at the same instant (the chunk's hand-off), and each still
+// reads decode, then queue, then the commit phases, summing to no more than
+// its total.
+func TestChunkSpansShareStamps(t *testing.T) {
+	s := startServer(t, Config{Shards: 2, Workers: 2, Batch: 4, Unguided: true, TraceSampleEvery: 1})
+	var buf []byte
+	homes := map[int]bool{}
+	for k := uint64(1); k <= 4; k++ {
+		homes[s.Router().HomeOf(k)] = true
+		buf = AppendRequest(buf, Request{Op: OpAdd, ID: uint32(k), Key: k, Arg: 1, Trace: true})
+	}
+	if len(homes) != 2 {
+		t.Fatalf("keys 1..4 live on shards %v, want both", homes)
+	}
+	fc := attach(s)
+	fc.in <- buf // exactly Batch frames in one Read: one chunk, one batch
+	fc.await(t, 4)
+
+	forced := s.Observatory().Snapshot().Forced
+	if len(forced) != 2 {
+		t.Fatalf("%d forced spans for one chunk over two shards, want 2", len(forced))
+	}
+	for _, sp := range forced {
+		if len(sp.Events) < 3 || sp.Events[0].Phase != "decode" || sp.Events[1].Phase != "queue" {
+			t.Fatalf("span %d: timeline %+v does not start decode, queue, commit", sp.ID, sp.Events)
+		}
+		dec, q := sp.Events[0], sp.Events[1]
+		if dec.StartNs != 0 || q.StartNs != dec.DurNs {
+			t.Fatalf("span %d: decode %+v and queue %+v are not back to back from the span's start", sp.ID, dec, q)
+		}
+		var sum uint64
+		for _, e := range sp.Events {
+			sum += uint64(e.DurNs)
+		}
+		if sum > uint64(sp.TotalNs) {
+			t.Fatalf("span %d: phases sum to %d ns, more than its total %d ns", sp.ID, sum, sp.TotalNs)
+		}
+	}
+	a, b := forced[0], forced[1]
+	if a.Shard == b.Shard {
+		t.Fatalf("both spans on shard %d", a.Shard)
+	}
+	if a.BeginUnix != b.BeginUnix || a.Events[1].StartNs != b.Events[1].StartNs {
+		t.Fatalf("spans of one chunk disagree on their stamps: begin %d vs %d, queue start +%d vs +%d",
+			a.BeginUnix, b.BeginUnix, a.Events[1].StartNs, b.Events[1].StartNs)
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"gstm"
@@ -51,10 +52,11 @@ func site(op Op) gstm.TxnID {
 }
 
 // task is one queued data operation awaiting a worker. enq/decNs carry the
-// reader's span timestamps: when the task was queued (unix nanos) and how
-// long the frame read + decode took, so the worker can reconstruct the
-// request's decode and queue-wait phases without another clock read. b is
-// the burst the reply settles a count on.
+// reader's span timestamps: when the task was handed off (unix nanos) and
+// how long the server's own work before that took, so the worker can
+// reconstruct the request's decode and queue-wait phases without another
+// clock read. Tasks handed off together share both. b is the burst the reply
+// settles a count on.
 type task struct {
 	req   Request
 	c     *conn
@@ -62,6 +64,13 @@ type task struct {
 	enq   int64
 	decNs int64
 }
+
+// chunk is the unit a connection reader hands a worker: up to Batch
+// consecutive single-key requests of one burst, in arrival order. The
+// worker that exhausts it puts it back, emptied, capacity kept.
+type chunk struct{ tasks []task }
+
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
 // opResult is one operation's outcome, filled inside the batch
 // transaction body (and therefore overwritten wholesale when the body
@@ -80,10 +89,12 @@ type opResult struct {
 type worker struct {
 	srv   *Server
 	id    gstm.ThreadID
-	queue chan task
+	queue chan *chunk
 
-	pending    task // holdover that closed the previous batch
-	hasPending bool
+	// in.tasks[pos] is the next task to batch; in is nil between chunks. A
+	// task that closes a batch is simply not advanced past.
+	in  *chunk
+	pos int
 
 	batch   []task
 	results []opResult
@@ -114,7 +125,7 @@ func newWorker(s *Server, id int) *worker {
 	w := &worker{
 		srv:     s,
 		id:      gstm.ThreadID(id),
-		queue:   make(chan task, s.cfg.QueueDepth),
+		queue:   make(chan *chunk, s.cfg.QueueDepth),
 		batch:   make([]task, 0, s.cfg.Batch),
 		results: make([]opResult, s.cfg.Batch),
 		plan:    s.router.NewPlan(),
@@ -139,36 +150,37 @@ func (w *worker) loop() {
 	}
 }
 
-// fillBatch blocks for the first operation (the holdover from the last
-// round, if any), then greedily drains already-queued operations into the
-// batch while they share the first one's kind and touch pairwise-disjoint
-// keys. The first operation violating either rule is held over — never
-// reordered past, so per-connection request order is preserved within a
-// worker. Returns false when the server is stopping.
+// fillBatch blocks for the first operation, then greedily takes what is
+// already queued — the rest of its chunk, then further chunks — while the
+// operations share the first one's kind and touch pairwise-disjoint keys.
+// The first operation violating either rule stays under the cursor to lead
+// the next batch — never reordered past, so request order is preserved
+// within a worker. Returns false when the server is stopping.
 func (w *worker) fillBatch() bool {
 	w.batch = w.batch[:0]
-	if w.hasPending {
-		w.batch = append(w.batch, w.pending)
-		w.hasPending = false
-	} else {
-		select {
-		case t := <-w.queue:
-			w.batch = append(w.batch, t)
-		case <-w.srv.stop:
-			return false
-		}
-	}
-	kind := w.batch[0].req.Op
 	for len(w.batch) < w.srv.cfg.Batch {
-		select {
-		case t := <-w.queue:
-			if t.req.Op != kind || w.batchHasKey(t.req.Key) {
-				w.pending, w.hasPending = t, true
+		if w.in == nil && len(w.batch) == 0 {
+			select {
+			case w.in = <-w.queue:
+			case <-w.srv.stop:
+				return false
+			}
+		} else if w.in == nil {
+			select {
+			case w.in = <-w.queue:
+			default:
 				return true
 			}
-			w.batch = append(w.batch, t)
-		default:
+		}
+		t := &w.in.tasks[w.pos]
+		if len(w.batch) > 0 && (t.req.Op != w.batch[0].req.Op || w.batchHasKey(t.req.Key)) {
 			return true
+		}
+		w.batch = append(w.batch, *t)
+		if w.pos++; w.pos == len(w.in.tasks) {
+			w.in.tasks = w.in.tasks[:0]
+			chunkPool.Put(w.in)
+			w.in, w.pos = nil, 0
 		}
 	}
 	return true
