@@ -6,14 +6,12 @@
 // BENCH_server.json. With -once it performs a single run in whatever mode
 // the server is in (used by CI's server-smoke job), reporting aggregate
 // and — against a sharded server — per-shard completion spread. With
-// -shard-bench it ignores -addr, boots in-process servers itself, and
-// sweeps shard counts × workloads into BENCH_shard.json. With
 // -speed-bench it sweeps the STM engine's hot-path variants (unboxed
 // slot protocol over per-location lock words vs over striped lock
-// tables) across workloads and GOMAXPROCS into BENCH_speed.json. With
-// -xshard-bench it sweeps cross-shard transfer percentages into
-// BENCH_xshard.json; standalone runs can mix transfers into any load via
-// -transfer-pct and assert conservation with -check-balance.
+// tables) across workloads and GOMAXPROCS into BENCH_speed.json. Any run
+// can mix cross-shard transfers into its load via -transfer-pct and
+// assert conservation with -check-balance. The serving benchmark proper
+// is bench/ (bash bench/run.sh).
 package main
 
 import (
@@ -42,35 +40,20 @@ func main() {
 		seed     = flag.Uint64("seed", 0xC0FFEE, "workload seed")
 		window   = flag.Int("window", 0, "pipeline depth per connection (0/1 = synchronous request/response)")
 		once     = flag.Bool("once", false, "single run in the server's current mode; skip the guided/unguided comparison")
-		shBench  = flag.Bool("shard-bench", false, "sweep shard counts x workloads against in-process servers (ignores -addr)")
 		spBench  = flag.Bool("speed-bench", false, "sweep engine hot-path variants (unboxed/unboxed+stripes) x workloads x GOMAXPROCS in-process (ignores -addr; BENCH_speed.json)")
-		durBench = flag.Bool("durability", false, "sweep WAL fsync windows vs a non-durable baseline against in-process servers (ignores -addr; BENCH_wal.json)")
-		xsBench  = flag.Bool("xshard-bench", false, "sweep cross-shard transfer percentages against an in-process sharded server (ignores -addr; BENCH_xshard.json)")
 		xferPct  = flag.Int("transfer-pct", 0, "percent of ops issued as two-key cross-shard transfers (one OpTxn each, zero-sum)")
 		balance  = flag.Bool("check-balance", false, "after the run, sum the signed key-space total and fail unless it is zero (transfers conserve balance)")
 		ledger   = flag.String("ledger", "", "drive an add-only load and write the acked/in-flight ledger JSON here; tolerates the server dying mid-run (kill-and-recover chaos)")
 		verify   = flag.String("verify-ledger", "", "check a recovered server against a ledger file: acked <= value <= acked+inflight for every key")
-		out      = flag.String("out", "", "write the report as JSON to this file (BENCH_server.json / BENCH_shard.json / BENCH_wal.json)")
+		out      = flag.String("out", "", "write the report as JSON to this file (BENCH_server.json / BENCH_speed.json)")
 		trace    = flag.Bool("trace", false, "set the protocol trace-request bit on every op (server retains a span per op on /debug/trace)")
 		subs     = flag.Int("subscribers", 0, "long-poll watch connections riding alongside the load (each chains OpWatch on one hot key; wakeups reported as sub_wakeups)")
 		traceTab = flag.String("trace-addr", "", "server telemetry address (host:port): scrape /debug/trace?format=agg around the run and print the per-shard per-phase tail-attribution table")
 	)
 	flag.Parse()
 
-	if *shBench {
-		shardBench(*runs, *out)
-		return
-	}
 	if *spBench {
 		speedBench(*out)
-		return
-	}
-	if *durBench {
-		durabilityBench(*runs, *out)
-		return
-	}
-	if *xsBench {
-		xshardBench(*runs, *out)
 		return
 	}
 	if *verify != "" {
@@ -223,86 +206,6 @@ func speedBench(out string) {
 	fmt.Fprintln(os.Stderr, "gstm-loadgen: engine speed sweep (unboxed vs unboxed+stripes x read-only,mixed,write-heavy x GOMAXPROCS 1,2,4,8)")
 	rep := speedbench.Run(speedbench.Config{Progress: os.Stderr})
 	fmt.Printf("striped within bound of per-location on read-only and mixed at every core count: %v\n", rep.StripedWithinBound)
-	if out != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gstm-loadgen: wrote %s\n", out)
-	}
-}
-
-// durabilityBench runs the WAL cost sweep and writes BENCH_wal.json.
-func durabilityBench(runs int, out string) {
-	fmt.Fprintln(os.Stderr, "gstm-loadgen: durability sweep (WAL off vs strict vs relaxed fsync windows; pipelined write-heavy fixed-work runs)")
-	rep, err := server.BenchDurability(server.WALBenchConfig{Runs: runs, Progress: os.Stderr})
-	if err != nil {
-		fatal(err)
-	}
-	for _, pt := range rep.Points {
-		fmt.Printf("%-14s %9.0f ops/s (cv %5.2f%%)  rel %.2fx  appends %d fsyncs %d\n",
-			pt.Name, pt.ThroughputMean, pt.ThroughputCVPct, pt.RelativeThroughput,
-			pt.WALAppends, pt.WALFsyncs)
-	}
-	fmt.Printf("relaxed >= 70%% of baseline: %v\n", rep.RelaxedTargetMet)
-	if out != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gstm-loadgen: wrote %s\n", out)
-	}
-}
-
-// xshardBench runs the in-process cross-shard transfer sweep and writes
-// BENCH_xshard.json.
-func xshardBench(runs int, out string) {
-	fmt.Fprintln(os.Stderr, "gstm-loadgen: cross-shard transfer sweep (transfer-pct 0/10/20/30/50 on 4 shards; pipelined fixed-work runs)")
-	rep, err := server.BenchXShard(server.XShardBenchConfig{Runs: runs, Progress: os.Stderr})
-	if err != nil {
-		fatal(err)
-	}
-	print := func(name string, pt server.XShardPoint) {
-		fmt.Printf("%-12s %9.0f ops/s  transfers %8d  xshard commits %8d aborts %6d (ratio %.3f)\n",
-			name, pt.ThroughputMedian, pt.Transfers, pt.XShardCommits, pt.XShardAborts, pt.XShardAbortRatio)
-	}
-	print("baseline/0", rep.Baseline)
-	print("check/0", rep.Check)
-	for _, pt := range rep.Points {
-		print(fmt.Sprintf("transfer/%d", pt.TransferPct), pt)
-	}
-	fmt.Printf("single-shard path within 3%% (pct-0 ratio %.4f): %v; balance conserved: %v\n",
-		rep.BaselineRatio, rep.SingleShardWithin3Pct, rep.BalanceConserved)
-	if out != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gstm-loadgen: wrote %s\n", out)
-	}
-}
-
-// shardBench runs the in-process shard sweep and writes BENCH_shard.json.
-func shardBench(runs int, out string) {
-	cfg := server.ShardBenchConfig{Runs: runs, Progress: os.Stderr}
-	fmt.Fprintln(os.Stderr, "gstm-loadgen: shard sweep (1/2/4/8 shards x write-heavy,mixed; pipelined fixed-work runs)")
-	rep, err := server.BenchShards(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, wr := range rep.Workloads {
-		fmt.Printf("%s: guided 4-shard speedup %.2fx, unguided %.2fx\n",
-			wr.Workload.Name, wr.GuidedSpeedup4x, wr.UnguidedSpeedup4x)
-	}
 	if out != "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

@@ -24,14 +24,17 @@ import (
 
 // ackWait is one shard sub-transaction's durability obligation, with its
 // post-ack accounting precomputed (nops operations, delta live-key
-// adjustment). When spanned is set the sub-transaction's span rides along
-// by value: the acker stamps its WAL-ack phase (the time the response was
-// withheld for durability), finishes it with the terminal cause and hands
-// it to the observatory. A cross-shard transaction produces one wait per
-// participant shard but carries its single span on only one of them.
+// adjustment). refused is set when the log already refused the record at
+// commit: there is nothing to wait for, only a failure to report. When
+// spanned is set the sub-transaction's span rides along by value: the
+// acker stamps its WAL-ack phase (the time the response was withheld for
+// durability), finishes it with the terminal cause and hands it to the
+// observatory. A cross-shard transaction produces one wait per participant
+// shard but carries its single span on only one of them.
 type ackWait struct {
 	sh      int
 	seq     uint64 // 0: commit carried no record; nothing to wait for
+	refused error
 	span    obs.Span
 	spanned bool
 	nops    int
@@ -39,16 +42,14 @@ type ackWait struct {
 }
 
 // shardAll is the wildcard in ackItem.shardOf for an operation that spans
-// every participant shard (a cross-shard OpTxn): any failed wait demotes
-// it.
+// every participant shard (an OpTxn): any failed wait demotes it.
 const shardAll int32 = -1
 
-// ackItem is one durable batch in flight between its worker (or the txn
-// coordinator) and the acker. tasks/results are copies (the producer
-// reuses its own slices); shardOf[i] is task i's home shard — or shardAll
-// for a cross-shard transaction — for mapping a failed shard's wait back
-// onto exactly its operations; worker attributes the spans to the
-// producer's observatory ring.
+// ackItem is one durable batch in flight between its worker and the
+// acker. tasks/results are copies (the worker reuses its own slices);
+// shardOf[i] is task i's home shard — or shardAll for a transaction — for
+// mapping a failed shard's wait back onto exactly its operations; worker
+// attributes the spans to the producer's observatory ring.
 type ackItem struct {
 	tasks   []task
 	results []opResult
@@ -92,37 +93,37 @@ func (s *Server) finishDurable(it *ackItem) {
 		if !wt.spanned {
 			sp = nil // secondary wait of a cross-shard txn: span rides elsewhere
 		}
-		if wt.seq > 0 {
+		err := wt.refused
+		if err == nil && wt.seq > 0 {
 			w0 := time.Now()
-			if werr := s.wals[wt.sh].WaitAcked(wt.seq); werr != nil {
-				// The commit executed in memory but its record never became
-				// durable; the ack must not happen. (After a crash the replay
-				// won't have it — exactly what StatusUnavailable promises.)
-				sp.AddSince(obs.PhaseWALAck, obs.CauseWALUnavailable, 0, w0)
-				sp.Finish(obs.CauseWALUnavailable, time.Now().UnixNano())
-				if sp != nil {
-					s.obs.Collect(it.worker, sp)
-				}
-				s.router.System(wt.sh).Telemetry().WALRefused(uint64(it.worker))
-				for i := range it.tasks {
-					if it.shardOf[i] == shardAll || int(it.shardOf[i]) == wt.sh {
-						it.results[i] = opResult{status: StatusUnavailable}
-					}
-				}
-				continue
+			err = s.wals[wt.sh].WaitAcked(wt.seq)
+			cause := obs.CauseNone
+			if err != nil {
+				cause = obs.CauseWALUnavailable
 			}
-			sp.AddSince(obs.PhaseWALAck, obs.CauseNone, 0, w0)
+			sp.AddSince(obs.PhaseWALAck, cause, 0, w0)
+		}
+		if err != nil {
+			// The commit executed in memory but its record never became
+			// durable; the ack must not happen. (After a crash the replay
+			// won't have it — exactly what StatusUnavailable promises.)
+			sp.Finish(obs.CauseWALUnavailable, time.Now().UnixNano())
+			if sp != nil {
+				s.obs.Collect(it.worker, sp)
+			}
+			s.router.System(wt.sh).Telemetry().WALRefused(uint64(it.worker))
+			for i := range it.tasks {
+				if it.shardOf[i] == shardAll || int(it.shardOf[i]) == wt.sh {
+					it.results[i] = opResult{status: StatusUnavailable}
+				}
+			}
+			continue
 		}
 		sp.Finish(obs.CauseNone, time.Now().UnixNano())
 		if sp != nil {
 			s.obs.Collect(it.worker, sp)
 		}
-		if wt.delta != 0 {
-			s.liveKeys.Add(wt.delta)
-		}
-		s.batches.Add(1)
-		s.batchedOps.Add(uint64(wt.nops))
-		s.lcs[wt.sh].noteOps(wt.nops)
+		s.account(wt.sh, wt.nops, wt.delta)
 	}
 
 	s.answer(it.tasks, it.results)

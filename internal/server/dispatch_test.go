@@ -102,9 +102,10 @@ func seq(lo, n uint64) []uint64 {
 
 // TestFillBatchWalksChunks drives fillBatch with hand-built chunks on a
 // worker that is not running: the batching rule — same kind, disjoint keys,
-// at most Batch — holds across chunk boundaries, the task that closes a
-// batch stays under the cursor and leads the next, and a chunk goes back to
-// the pool, emptied, exactly when its last task is batched.
+// at most Batch, a transaction alone — holds across chunk boundaries, the
+// task that closes a batch stays under the cursor and leads the next, and a
+// chunk goes back to the pool, emptied, exactly when its last task is
+// batched.
 func TestFillBatchWalksChunks(t *testing.T) {
 	s := New(Config{Workers: 1, Batch: 4, Unguided: true})
 	defer s.router.Close()
@@ -121,6 +122,9 @@ func TestFillBatchWalksChunks(t *testing.T) {
 	}
 	get := func(id uint32, k uint64) Request { return Request{Op: OpGet, ID: id, Key: k} }
 	put := func(id uint32, k uint64) Request { return Request{Op: OpPut, ID: id, Key: k} }
+	// A transaction's Key is its sub-op count; distinct here, so only the
+	// batch-of-one rule can keep two adjacent transactions apart.
+	txn := func(id uint32) Request { return Request{Op: OpTxn, ID: id, Key: uint64(id)} }
 	want := func(step string, ids ...uint32) {
 		t.Helper()
 		if !w.fillBatch() {
@@ -182,6 +186,26 @@ func TestFillBatchWalksChunks(t *testing.T) {
 	want("after full", 17, 18)
 	returned("after full", e, true)
 
+	// A transaction closes an open Get batch, then runs alone.
+	f := push(get(19, 1), get(20, 2), txn(21))
+	want("txn closes gets", 19, 20)
+	returned("txn closes gets", f, false)
+	want("txn after gets", 21)
+	returned("txn after gets", f, true)
+
+	// A transaction is a batch of one: what follows it waits for the next.
+	g := push(txn(22), get(23, 1))
+	want("txn alone", 22)
+	returned("txn alone", g, false)
+	want("get after txn", 23)
+
+	// Two adjacent transactions, across a chunk boundary too, are two batches.
+	push(txn(24), txn(25))
+	push(txn(26))
+	want("first txn", 24)
+	want("second txn", 25)
+	want("txn of its own chunk", 26)
+
 	// Each chunk went back at most once: none comes out of the pool twice.
 	// (The pool may drop a Put, so "exactly once" is pinned by the emptied
 	// checks above plus this.)
@@ -238,10 +262,11 @@ func TestReaderDispatchesByChunk(t *testing.T) {
 	}
 }
 
-// TestNoChunkStrandedByOtherFrames: control frames, a watch that parks and a
-// transaction interleaved with Gets take their own paths without flushing
-// the pending chunk, and the chunk still goes out when the reader blocks —
-// every request but the parked watch is answered.
+// TestNoChunkStrandedByOtherFrames: control frames and a watch that parks,
+// interleaved with Gets and a transaction, take their own paths without
+// flushing the pending chunk; the transaction rides in the chunk in its
+// place among the Gets, and the chunk still goes out when the reader blocks
+// — every request but the parked watch is answered.
 func TestNoChunkStrandedByOtherFrames(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, Unguided: true})
 	fc := attach(s)
@@ -273,7 +298,12 @@ func TestNoChunkStrandedByOtherFrames(t *testing.T) {
 		t.Fatalf("%d distinct replies, want 8 (all but the parked watch)", len(seen))
 	}
 	if got := s.rr.Load(); got != 1 {
-		t.Fatalf("%d hand-offs to workers, want the 5 Gets in one chunk", got)
+		t.Fatalf("%d hand-offs to workers, want the 5 Gets and the transaction in one chunk", got)
+	}
+	// Gets 1, 3, 5 | transaction 6 | Gets 7, 8: the transaction splits the
+	// chunk's Get run, so one worker ran three batches of 3 + 2 + 2 ops.
+	if b, ops := s.batches.Load(), s.batchedOps.Load(); b != 3 || ops != 7 {
+		t.Fatalf("%d batches of %d ops in all, want 3 of 7: the chunk's six tasks in order", b, ops)
 	}
 }
 
@@ -299,7 +329,12 @@ func TestCrashReturnsQueuedChunks(t *testing.T) {
 		}
 		s.ln = ln
 		fc := attach(s)
-		fc.in <- gets(1, seq(1, 19)...) // two full chunks and one of three
+		buf := gets(1, seq(1, 19)...)
+		for id := uint32(20); id <= 22; id++ {
+			buf = AppendTxnRequest(buf, Request{Op: OpTxn, ID: id}, []TxnOp{
+				{Op: OpAdd, Key: 7, Arg: ^uint64(0)}, {Op: OpAdd, Key: 8, Arg: 1}})
+		}
+		fc.in <- buf // two full chunks and one of three Gets and three transactions
 		fc.blocked()
 		if got := len(s.workers[0].queue) + len(s.workers[1].queue); got != 3 {
 			t.Fatalf("%d chunks queued, want 3", got)
@@ -307,8 +342,8 @@ func TestCrashReturnsQueuedChunks(t *testing.T) {
 		ch := <-s.workers[0].queue
 		b := ch.tasks[0].b
 		s.workers[0].queue <- ch
-		if got := b.n.Load(); got != 19 {
-			t.Fatalf("burst owes %d replies with 19 requests queued", got)
+		if got := b.n.Load(); got != 22 {
+			t.Fatalf("burst owes %d replies with 22 requests queued", got)
 		}
 		s.Crash()
 		if got := b.n.Load(); got != 0 {

@@ -49,11 +49,9 @@ func (s *Server) openDurability() error {
 		sys := s.router.System(sh)
 		l, rec, err := wal.Open(wal.Config{
 			Dir: filepath.Join(s.cfg.WALDir, fmt.Sprintf("shard%d", sh)),
-			// One stager per worker plus one for the cross-shard txn
-			// coordinator (ThreadID Workers); the scan and watch threads
-			// (Workers+1, Workers+2) stay outside the range, so their events
-			// are ignored as before.
-			Threads:       s.cfg.Workers + 1,
+			// One stager per worker; the scan and watch threads stay outside
+			// the range, so the log ignores their events.
+			Threads:       s.cfg.Workers,
 			FsyncInterval: s.cfg.FsyncInterval,
 			SnapshotEvery: s.cfg.SnapshotEvery,
 			LogAborts:     s.cfg.GuidedWarmup,
@@ -157,9 +155,8 @@ func (s *Server) replayShard(sh int, rec *wal.Recovery) error {
 
 // shardSource adapts one shard to wal.SnapshotSource. ClockNow reads the
 // shard's version clock; Scan is a read-only STM full-table scan run on
-// the dedicated scan thread — ThreadID(Workers+1), outside the WAL stager
-// range, so its commit event never touches a staging slot and the log
-// ignores it.
+// the scan thread — outside the WAL stager range, so its commit event
+// never touches a staging slot and the log ignores it.
 type shardSource struct {
 	srv   *Server
 	shard int
@@ -174,7 +171,7 @@ func (ss *shardSource) ClockNow() uint64 { return ss.srv.router.System(ss.shard)
 func (ss *shardSource) Scan() (keys, vals []uint64, err error) {
 	sys := ss.srv.router.System(ss.shard)
 	st := ss.srv.stores[ss.shard]
-	err = sys.Run(context.Background(), gstm.ThreadID(ss.srv.cfg.Workers+1), siteScan, func(tx *gstm.Tx) error {
+	err = sys.Run(context.Background(), ss.srv.scanThread(), siteScan, func(tx *gstm.Tx) error {
 		ss.keys, ss.vals = ss.keys[:0], ss.vals[:0]
 		st.RangeAll(tx, func(k int64, v uint64) bool {
 			ss.keys = append(ss.keys, uint64(k))

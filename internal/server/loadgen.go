@@ -43,8 +43,8 @@ type LoadConfig struct {
 	// Window > 1 switches a connection from synchronous request/response
 	// to pipelining: up to Window requests outstanding per connection.
 	// Pipelining takes the network round-trip off the critical path, so
-	// throughput measures the server's STM, not the wire — it is how the
-	// shard bench saturates the commit path. Per-op latency quantiles are
+	// throughput measures the server's STM, not the wire — it is how a
+	// load saturates the commit path. Per-op latency quantiles are
 	// not recorded in this mode (a frame's wait time measures queue depth,
 	// not service time).
 	Window int

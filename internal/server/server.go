@@ -37,9 +37,10 @@ type Config struct {
 	Shards int
 
 	// Workers sizes the execution pool. Worker i runs every one of its
-	// transactions as gstm.ThreadID(i) — on whichever shard a key routes
-	// to — so each shard's profiled Thread State Automaton keeps the
-	// paper's thread identity over live traffic.
+	// transactions — batches and OpTxn multi-key transactions alike — as
+	// gstm.ThreadID(i) on whichever shards its keys route to, so each
+	// shard's profiled Thread State Automaton keeps the paper's thread
+	// identity over live traffic.
 	Workers int
 
 	// Batch is the maximum number of queued same-site, disjoint-key
@@ -54,9 +55,8 @@ type Config struct {
 	Buckets int
 
 	// QueueDepth is the per-worker request queue depth (default 256),
-	// counted in chunks of up to Batch operations each — and, for the txn
-	// coordinator's queue, in transactions. Full queues apply backpressure
-	// to connection readers.
+	// counted in chunks of up to Batch requests each. Full queues apply
+	// backpressure to connection readers.
 	QueueDepth int
 
 	// ProfileOps is how many committed operations one profiling slice
@@ -172,10 +172,6 @@ type Server struct {
 	workers []*worker
 	rr      atomic.Uint32 // round-robin dispatch cursor, advanced once per chunk
 
-	// coord executes OpTxn multi-key transactions on its own thread and
-	// queue (see coordinator.go).
-	coord *coordinator
-
 	// wals[s] is shard s's write-ahead log (nil slice when durability is
 	// off); warmed[s] records that recovery already installed a guided
 	// model on shard s, so Start leaves its lifecycle alone.
@@ -242,12 +238,8 @@ func New(cfg Config) *Server {
 		stop:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 		obs: obs.New(obs.Config{
-			Shards: cfg.Shards,
-			// Three rings beyond the worker pool: the txn coordinator
-			// (Workers), the WAL scan thread (Workers+1) and the watch
-			// thread (Workers+2), so their spans land in their own rings
-			// instead of clamping into worker 0's.
-			Workers:     cfg.Workers + 3,
+			Shards:      cfg.Shards,
+			Workers:     cfg.threads(), // one ring per STM thread
 			SampleEvery: cfg.TraceSampleEvery,
 		}),
 	}
@@ -274,7 +266,6 @@ func New(cfg Config) *Server {
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers = append(s.workers, newWorker(s, i))
 	}
-	s.coord = newCoordinator(s)
 	return s
 }
 
@@ -333,12 +324,6 @@ func (s *Server) Start() error {
 				func(context.Context) { w.loop() })
 		}(w)
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		pprof.Do(context.Background(), pprof.Labels("gstm", "server-coordinator"),
-			func(context.Context) { s.coord.loop() })
-	}()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -462,9 +447,9 @@ func (s *Server) serveConn(nc net.Conn) {
 	// so a drain neither closes the connection over replies only release
 	// would flush nor sees a hand-off's inflight.Add start from zero.
 	var cur *burst
-	// pend collects the burst's single-key requests for the next hand-off;
-	// dec0 is where their decode phase starts: the return of the read that
-	// delivered them, or the previous hand-off.
+	// pend collects the burst's data requests for the next hand-off; dec0 is
+	// where their decode phase starts: the return of the read that delivered
+	// them, or the previous hand-off.
 	var pend *chunk
 	var dec0 time.Time
 	// open makes sure a burst is open for request id. False means the server
@@ -484,25 +469,21 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		return cur != nil
 	}
-	// stamp takes the inflight slots and counts on cur of n tasks about to
-	// be handed off together, and returns the span stamps they share.
-	stamp := func(n int) (enq, decNs int64) {
-		s.inflight.Add(n)
-		cur.n.Add(int32(n))
-		now := time.Now()
-		decNs = now.Sub(dec0).Nanoseconds()
-		dec0 = now
-		return now.UnixNano(), decNs
-	}
-	// flush hands pend to the next worker: the one send onto a worker queue.
-	// False means the server stopped first and the chunk will never run.
+	// flush hands pend to the next worker: the one send onto an execution
+	// queue. It takes the chunk's inflight slots and counts on cur, and
+	// stamps its tasks with the span stamps they share. False means the
+	// server stopped first and the chunk will never run.
 	flush := func() bool {
 		ch := pend
 		if ch == nil {
 			return true
 		}
 		pend = nil
-		enq, decNs := stamp(len(ch.tasks))
+		s.inflight.Add(len(ch.tasks))
+		cur.n.Add(int32(len(ch.tasks)))
+		now := time.Now()
+		enq, decNs := now.UnixNano(), now.Sub(dec0).Nanoseconds()
+		dec0 = now
 		for i := range ch.tasks {
 			ch.tasks[i].enq, ch.tasks[i].decNs = enq, decNs
 		}
@@ -562,28 +543,18 @@ func (s *Server) serveConn(nc net.Conn) {
 		if _, err := io.ReadFull(br, payload[:n]); err != nil {
 			return
 		}
+		var req Request
+		var body *txnBody
+		var err error
 		if Op(payload[0]&^TraceBit) == OpTxn {
-			// The protocol's only variable-length request: decode the
-			// header + sub-ops and queue it for the txn coordinator. The
-			// sub-op slice is freshly allocated per transaction — it must
-			// outlive this reusable payload buffer.
-			req, ops, err := DecodeTxnRequest(payload[:n], nil)
-			if err != nil {
-				return // undecodable: cannot trust framing anymore
-			}
-			if open(req.ID, StatusShutdown) {
-				t := task{req: req, c: c, b: cur}
-				t.enq, t.decNs = stamp(1)
-				select {
-				case s.coord.queue <- txnTask{task: t, ops: ops}:
-				case <-s.stop: // never to run: give back what stamp took
-					s.abandon([]task{t})
-					return
-				}
-			}
-			continue
+			// The protocol's only variable-length request: its sub-ops must
+			// outlive this reusable payload buffer, so they go into a pooled
+			// body that the worker running the transaction puts back.
+			body = txnPool.Get().(*txnBody)
+			req, body.ops, err = DecodeTxnRequest(payload[:n], body.ops[:0])
+		} else {
+			req, err = DecodeRequest(payload[:n])
 		}
-		req, err := DecodeRequest(payload[:n])
 		if err != nil {
 			return // undecodable: cannot trust framing anymore
 		}
@@ -613,7 +584,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			if pend == nil {
 				pend = chunkPool.Get().(*chunk)
 			}
-			pend.tasks = append(pend.tasks, task{req: req, c: c, b: cur})
+			pend.tasks = append(pend.tasks, task{req: req, c: c, b: cur, txn: body})
 			if len(pend.tasks) == s.cfg.Batch && !flush() {
 				return
 			}

@@ -535,8 +535,8 @@ func readReplies(t *testing.T, nc net.Conn, n int, ids []uint32, got map[uint32]
 }
 
 // TestReplyLiveness: burst coalescing must never hold a reply behind a
-// parked watch, nor lose one to a drain. In-memory the workers and the
-// coordinator reply inline; with a WAL the acker does.
+// parked watch, nor lose one to a drain. In-memory the workers reply
+// inline; with a WAL the acker does.
 func TestReplyLiveness(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		name := "memory"

@@ -16,22 +16,16 @@ import (
 // with no server-side polling loop and no periodic revalidation.
 //
 // Watches run outside the worker pool, one goroutine per outstanding
-// watch, all on the dedicated watch thread (ThreadID Workers+2; the txn
-// coordinator owns Workers and the WAL scan Workers+1). Concurrent
-// transactions on one ThreadID are
-// safe — telemetry stripes are atomic and the guidance gate is lock-free —
-// they only share a telemetry stripe and a TSA site, which is the point:
-// the watch site is a single stable label instead of Workers noisy ones.
+// watch, all on the watch thread (see the thread table in worker.go).
+// Concurrent transactions on one ThreadID are safe — telemetry stripes are
+// atomic and the guidance gate is lock-free — they only share a telemetry
+// stripe and a TSA site, which is the point: the watch site is a single
+// stable label instead of Workers noisy ones.
 //
 // Drain: Shutdown and Crash cancel watchCtx before waiting out inflight,
 // so every parked watch wakes with gstm.ErrCanceled and answers
 // StatusShutdown; a watch arriving while draining is refused with
 // StatusWouldBlock without ever parking (see serveConn).
-
-// watchThread is the STM thread every watch transaction runs as.
-func (s *Server) watchThread() gstm.ThreadID {
-	return gstm.ThreadID(s.cfg.Workers + 2)
-}
 
 // serveWatch runs one OpWatch/OpWaitKey long-poll to completion and writes
 // its response. Called on a dedicated goroutine holding one inflight slot.

@@ -281,22 +281,6 @@ func (p *Plan) Run(ctx context.Context, thread gstm.ThreadID, txn gstm.TxnID, bo
 	return ok
 }
 
-// RunEach executes the planned batch with one option slice for every
-// shard.
-//
-// Deprecated: use Run, whose variadic PlanOptions subsume both RunEach
-// (WithTxOptions) and RunEachOpts (WithShardOptions).
-func (p *Plan) RunEach(ctx context.Context, thread gstm.ThreadID, txn gstm.TxnID, body func(tx *gstm.Tx, s int, idxs []int) error, opts ...gstm.TxOption) bool {
-	return p.Run(ctx, thread, txn, body, WithTxOptions(opts...))
-}
-
-// RunEachOpts executes the planned batch with per-shard option slices.
-//
-// Deprecated: use Run with WithShardOptions.
-func (p *Plan) RunEachOpts(ctx context.Context, thread gstm.ThreadID, txn gstm.TxnID, body func(tx *gstm.Tx, s int, idxs []int) error, optsFor func(s int) []gstm.TxOption) bool {
-	return p.Run(ctx, thread, txn, body, WithShardOptions(optsFor))
-}
-
 // MultiTx is the cross-shard transaction handle RunMulti passes to its
 // body: one sub-transaction per participant shard, all committing
 // atomically. Valid only inside the body invocation it was passed to.
