@@ -128,14 +128,15 @@ func TestTL2WriteFastPathZeroAllocs(t *testing.T) {
 
 // TestSingleShardCommitAllocFloor gates the WHOLE single-shard
 // transaction — begin, typed read and write, lock, validate, publish,
-// release — now that the cross-shard commit machinery (MultiGroup fence,
-// exchanged-timestamp publish sweep) is compiled into the runtime. A
-// read-only transaction must stay at zero allocations end to end; a write
-// transaction at exactly one (the redo box its first write to the
-// location allocates — the write-back floor, unchanged from before the
-// cross-shard protocol existed). A transaction with one home shard never
-// loads the fence words or takes the exchange path, so the multi-shard
-// protocol's cost to the fast path has to stay exactly nothing.
+// release — now that one attempt loop serves single- and cross-shard
+// transactions alike (the participant list, the exchanged-timestamp
+// publish sweep). A read-only transaction must stay at zero allocations end
+// to end; a write transaction at exactly one (the redo box its first write
+// to the location allocates — the write-back floor, unchanged from before
+// the cross-shard protocol existed). A transaction with one home shard
+// runs over its pooled Tx's own one-element list and never takes the
+// exchange path, so the multi-shard protocol's cost to the fast path has to
+// stay exactly nothing.
 func TestSingleShardCommitAllocFloor(t *testing.T) {
 	rt := tl2.New(tl2.Config{})
 	arr := tl2.NewArray[int64](64)

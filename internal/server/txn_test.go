@@ -266,3 +266,50 @@ func TestTxnRunsOnAWorker(t *testing.T) {
 		t.Fatalf("%d forced transaction spans, want 8", n)
 	}
 }
+
+// TestTxnSpanRecordsGate: once both shards are guided, a traced cross-shard
+// OpTxn's span shows the gate phase. The transaction passes every
+// participant's gate in the same attempt loop a single-shard transaction
+// uses, and that loop records the wait on the span.
+func TestTxnSpanRecordsGate(t *testing.T) {
+	s := startServer(t, Config{Shards: 2, Workers: 2, ProfileOps: 48, ProfileSlices: 2, ForceGuidance: true, TraceSampleEvery: 1})
+	cl, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	a, b := keysOn(s, 0, 1)[0], keysOn(s, 1, 1)[0]
+	for deadline := time.Now().Add(30 * time.Second); !s.Router().System(0).Guided() || !s.Router().System(1).Guided(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("shards never both guided (modes %v, %v)", s.ShardMode(0), s.ShardMode(1))
+		}
+		for _, k := range []uint64{a, b} {
+			if _, err := cl.Add(k, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cl.SetTrace(true)
+	for i := 0; i < 4; i++ {
+		if err := cl.Transfer(a, b, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	for _, sp := range s.Observatory().Snapshot().Forced {
+		if Op(sp.Op) != OpTxn {
+			continue
+		}
+		n++
+		gated := false
+		for _, e := range sp.Events {
+			gated = gated || e.Phase == "gate"
+		}
+		if !gated {
+			t.Fatalf("transaction %d on a guided server: no gate phase in %+v", sp.ID, sp.Events)
+		}
+	}
+	if n != 4 {
+		t.Fatalf("%d forced transaction spans, want 4", n)
+	}
+}

@@ -26,6 +26,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"gstm"
 )
@@ -71,10 +72,6 @@ func (cfg Config) normalize() Config {
 type Router struct {
 	cfg     Config
 	systems []*gstm.System
-
-	// group is the cross-shard coordination state shared by every RunMulti
-	// over this router's shards. Single-shard transactions never touch it.
-	group *gstm.MultiGroup
 }
 
 // New builds a Router with cfg.Shards independent Systems. Each shard
@@ -82,7 +79,7 @@ type Router struct {
 // a single-shard router behaves exactly like a bare System.
 func New(cfg Config) *Router {
 	cfg = cfg.normalize()
-	r := &Router{cfg: cfg, group: gstm.NewMultiGroup()}
+	r := &Router{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		label := cfg.LabelPrefix
 		if cfg.Shards > 1 {
@@ -315,28 +312,47 @@ func (m *MultiTx) On(s int) *gstm.Tx {
 // deadlock-free. body must route each location's access through
 // m.On(home shard); it may be re-executed like any transaction body.
 //
-// A single-shard call degenerates to exactly Run's fast path — no
-// cross-shard coordination state is touched. Options follow Run;
-// blocking is unsupported cross-shard (a tx.Retry returns
-// gstm.ErrWouldBlock).
+// A single-shard call commits through the plain single-shard commit, with
+// no exchange. Options follow Run; blocking is unsupported (a tx.Retry
+// returns gstm.ErrWouldBlock). m is valid only inside body: the router
+// reuses it for later calls.
 func (r *Router) RunMulti(ctx context.Context, shards []int, thread gstm.ThreadID, txn gstm.TxnID, body func(m *MultiTx) error, opts ...gstm.TxOption) error {
-	norm := normalizeShards(shards, len(r.systems))
-	systems := make([]*gstm.System, len(norm))
-	for i, s := range norm {
-		systems[i] = r.systems[s]
+	c := multiCalls.Get().(*multiCall)
+	c.m.shards = normalizeShards(c.m.shards[:0], shards, len(r.systems))
+	for _, s := range c.m.shards {
+		c.systems = append(c.systems, r.systems[s])
 	}
-	m := &MultiTx{shards: norm}
-	return gstm.RunMulti(ctx, r.group, systems, thread, txn, func(txs []*gstm.Tx) error {
-		m.txs = txs
-		return body(m)
-	}, opts...)
+	c.body = body
+	err := gstm.RunMulti(ctx, c.systems, thread, txn, c.run, opts...)
+	clear(c.systems)
+	c.systems, c.body, c.m.txs = c.systems[:0], nil, nil
+	multiCalls.Put(c)
+	return err
 }
 
-// normalizeShards returns the participant list deduplicated and sorted
-// ascending, panicking on an out-of-range index (a programming error,
-// like indexing System out of range).
-func normalizeShards(shards []int, n int) []int {
-	norm := make([]int, 0, len(shards))
+// multiCall is RunMulti's pooled per-call scratch: the participant list,
+// the body's handle and the closure binding them, so a cross-shard call
+// allocates nothing beyond its redo boxes.
+type multiCall struct {
+	m       MultiTx
+	systems []*gstm.System
+	body    func(*MultiTx) error
+	run     func(txs []*gstm.Tx) error
+}
+
+var multiCalls = sync.Pool{New: func() any {
+	c := new(multiCall)
+	c.run = func(txs []*gstm.Tx) error {
+		c.m.txs = txs
+		return c.body(&c.m)
+	}
+	return c
+}}
+
+// normalizeShards appends the participant list to norm deduplicated and
+// sorted ascending, panicking on an out-of-range index (a programming
+// error, like indexing System out of range).
+func normalizeShards(norm, shards []int, n int) []int {
 	for _, s := range shards {
 		if s < 0 || s >= n {
 			panic(fmt.Sprintf("shard: RunMulti shard %d out of range [0,%d)", s, n))

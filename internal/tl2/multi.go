@@ -3,12 +3,9 @@ package tl2
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gstm/internal/obs"
-	"gstm/internal/retry"
 	"gstm/internal/txid"
 )
 
@@ -16,8 +13,10 @@ import (
 //
 // MultiRun executes one transaction spanning several Runtimes (shards),
 // each with its own private version clock, and commits it atomically on
-// all of them or none. The protocol is the TL2 commit with the lock set
-// widened across shards:
+// all of them or none. It runs through the same attempt loop as every
+// single-shard transaction (Runtime.run); only the commit step differs,
+// commitMulti in place of tx.commit. That step is the TL2 commit with the
+// lock set widened across shards:
 //
 //  1. prepare — acquire every participant's write-set locks, walking the
 //     participants in the caller-given order (the router passes ascending
@@ -36,9 +35,11 @@ import (
 //     then publish its write set at commitWV and release its locks.
 //
 // Any prepare failure aborts all participants with no writes published
-// (cause: cross-shard-validation). Single-shard transactions never touch
-// any of this — no shared word, no extra branch — which keeps the
-// cross-shard tax entirely off the fast path.
+// (cause: cross-shard-validation). No word is shared between shards: a
+// reader cannot see a sweep half-applied because every sweep holds all its
+// locks before it ticks any clock and the loop samples every participant's
+// rv before the body runs (DESIGN.md, "Why cross-shard commit needs no
+// fence"; TestCrossShardOpacity pins it).
 //
 // Two cross-shard commits may publish the same commitWV on a shard they
 // share only when their write sets on that shard are disjoint (an
@@ -49,262 +50,94 @@ import (
 // ErrNoShards reports a MultiRun call with an empty runtime list.
 var ErrNoShards = errors.New("tl2: MultiRun with no runtimes")
 
-// MultiGroup is the publish fence shared by every cross-shard transaction
-// of one shard group (the router owns one). Per-shard locks make
-// conflicting cross-shard writers mutually exclusive, but a transaction
-// whose footprint is disjoint from a publish sweep could still observe it
-// half-applied — shard i already at commitWV, shard j not yet — because
-// the sweep publishes its shards one at a time. The fence closes that
-// window seqlock-style: sweeps bump seq before their first store and done
-// after their last, and every MultiRun attempt (a) waits for in-flight
-// sweeps to drain before sampling its read versions and (b) aborts after
-// validation if any sweep started since. Single-shard commits never load
-// or store either word.
-type MultiGroup struct {
-	_    [7]uint64 // keep the two hot words off shared cache lines
-	seq  atomic.Uint64
-	_    [7]uint64
-	done atomic.Uint64
-	_    [7]uint64
-}
-
-// enterQuiescent waits until no publish sweep is in flight and returns
-// the sweep count to compare against after validation. Sweeps are a few
-// pointer stores per shard, so the wait is short and yield-bounded.
-func (g *MultiGroup) enterQuiescent() uint64 {
-	for {
-		s := g.seq.Load()
-		if g.done.Load() >= s {
-			return s
-		}
-		spinYield()
-	}
-}
-
-// multiState is the pooled per-call scratch of MultiRun.
-type multiState struct{ txs []*Tx }
-
-var multiPool = sync.Pool{New: func() any { return &multiState{} }}
-
 // MultiRun executes fn as one atomic transaction across rts — one
 // sub-transaction per runtime, handed to fn as txs aligned with rts. The
 // runtimes must be distinct and ordered by the caller's deterministic
 // rule (the shard router passes ascending shard index); every concurrent
-// MultiRun over overlapping runtime sets must use the same order and the
-// same MultiGroup.
+// MultiRun over overlapping runtime sets must use the same order.
 //
-// fn may be re-executed like any transaction body. The read-write
-// discipline always applies (reads are tracked and re-validated at
-// commit on every participant, even under RunOpts.ReadOnly, which only
-// keeps rejecting writes); blocking is not supported — a tx.Retry
-// returns retry.ErrWouldBlock regardless of RunOpts.Block.
-func MultiRun(ctx context.Context, g *MultiGroup, rts []*Runtime, thread txid.ThreadID, txn txid.TxnID, fn func(txs []*Tx) error, o RunOpts) error {
-	switch len(rts) {
-	case 0:
+// fn may be re-executed like any transaction body. With several runtimes
+// the read-write discipline always applies (reads are tracked and
+// re-validated at commit on every participant, even under RunOpts.ReadOnly,
+// which only keeps rejecting writes). Blocking is not supported: a
+// tx.Retry returns retry.ErrWouldBlock regardless of RunOpts.Block.
+func MultiRun(ctx context.Context, rts []*Runtime, thread txid.ThreadID, txn txid.TxnID, fn func(txs []*Tx) error, o RunOpts) error {
+	if len(rts) == 0 {
 		return ErrNoShards
-	case 1:
-		// One participant: the plain single-shard commit is the same
-		// protocol, without the fence or the exchange.
-		rt := rts[0]
-		one := [1]*Tx{}
-		return rt.RunOpt(ctx, thread, txn, func(tx *Tx) error {
-			one[0] = tx
-			return fn(one[:])
-		}, RunOpts{ReadOnly: o.ReadOnly, MaxAttempts: o.MaxAttempts, Span: o.Span})
 	}
+	txs := rts[0].one()
+	for _, rt := range rts[1:] {
+		txs = append(txs, rt.pool.Get().(*Tx))
+	}
+	txs[0].group = txs
+	o.Block, o.BlockCtx = false, nil
+	return rts[0].run(ctx, txs, pair(thread, txn), nil, fn, o)
+}
 
-	self := txid.Pair{Txn: txn, Thread: thread}
-	ms := multiPool.Get().(*multiState)
-	for len(ms.txs) < len(rts) {
-		ms.txs = append(ms.txs, nil)
+// commitMulti is the cross-shard commit step, with tx.commit's result
+// shape: prepare, exchange and publish sweep over txs (see the protocol
+// above), the span's xprepare/xpublish phases recorded on txs[0]'s span.
+// On failure every lock is released, nothing is published, and each
+// participant counts a cross-shard abort.
+//
+// The fault injector's CommitDelay, consulted once, spins between
+// consecutive participants' publishes — the window in which one shard
+// already carries commitWV and the next does not yet.
+func commitMulti(txs []*Tx) (wv, byWV uint64, cause obs.Cause, ok bool) {
+	lead := txs[0]
+	span, att, thread := lead.span, lead.attempt+1, uint64(lead.self.Thread)
+	var t0, mark time.Time
+	if span != nil {
+		t0 = time.Now()
 	}
-	ms.txs = ms.txs[:len(rts)]
-	for i, rt := range rts {
-		ms.txs[i] = rt.pool.Get().(*Tx)
-	}
-	release := func() {
-		for _, tx := range ms.txs {
-			tx.releaseLocks(0)
+	ok = true
+	for _, tx := range txs {
+		if !tx.lockWriteSet() {
+			ok = false
+			break
 		}
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			// A panic escaped the transaction body: release every lock any
-			// participant still holds and pool clean Txs, then re-panic.
-			for i, tx := range ms.txs {
-				tx.releaseLocks(0)
-				tx.scrub()
-				rts[i].pool.Put(tx)
-			}
-			ms.txs = ms.txs[:0]
-			multiPool.Put(ms)
-			panic(r)
-		}
-		for i, tx := range ms.txs {
-			rts[i].pool.Put(tx)
-		}
-		ms.txs = ms.txs[:0]
-		multiPool.Put(ms)
-	}()
-
-	budget := o.MaxAttempts
-	if budget <= 0 {
-		budget = retry.Budget(ctx)
-	}
-	span := o.Span
-	spanned := span != nil
-	shard := uint64(thread)
-	for attempt := 0; ; attempt++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				rts[0].tel.TxCanceled(shard)
-				return &multiErr{retry.ErrCanceled, err}
-			}
-		}
-		// Wait out in-flight publish sweeps before sampling read versions,
-		// so no shard is observed mid-sweep.
-		f0 := g.enterQuiescent()
-		for _, rt := range rts {
-			if gb := rt.gate.Load(); gb != nil {
-				gb.g.Arrive(self)
-			}
-		}
-		for i, rt := range rts {
-			rt.tel.TxStart(shard)
-			ms.txs[i].reset(rt, self, attempt, o.ReadOnly, true)
-		}
-		span.NoteAttempt()
-		attStart := span.LastEndNs()
-
-		err, conflict, retried := runMultiBody(ms.txs, fn)
-		if retried {
-			release()
-			return retry.ErrWouldBlock
-		}
-		if conflict != nil {
-			release()
-			span.AddSinceNs(obs.PhaseRetry, conflict.cause, attempt+1, attStart)
-			for _, rt := range rts {
-				rt.noteAbort(self, conflict.byWV, conflict.cause)
-			}
-			if rts[0].budgetSpent(shard, budget, attempt) {
-				return retry.ErrBudgetExceeded
-			}
-			backoff(attempt)
-			continue
-		}
-		if err != nil {
-			release()
-			return err
-		}
-
-		// Prepare: every participant's write-set locks in list order, then
-		// every participant's read-set validation, then the fence check —
-		// an overlapping publish sweep may have left this attempt's reads
-		// straddling another cross-shard commit even though no single
-		// shard's validation can tell.
-		var t0 time.Time
-		if spanned {
-			t0 = time.Now()
-		}
-		prepared, byWV := true, uint64(0)
-		for _, tx := range ms.txs {
-			if !tx.lockWriteSet() {
-				prepared = false
+	if ok {
+		for _, tx := range txs {
+			if byWV, _, ok = tx.validateReads(); !ok {
 				break
 			}
 		}
-		if prepared {
-			for _, tx := range ms.txs {
-				if v, _, ok := tx.validateReads(); !ok {
-					prepared, byWV = false, v
-					break
-				}
-			}
-		}
-		if prepared && g.seq.Load() != f0 {
-			prepared = false
-		}
-		if !prepared {
-			release()
-			span.AddSince(obs.PhaseXPrepare, obs.CauseXShardValidation, attempt+1, t0)
-			for _, rt := range rts {
-				rt.tel.XShardAborts.Inc(shard)
-				rt.noteAbort(self, byWV, obs.CauseXShardValidation)
-			}
-			if rts[0].budgetSpent(shard, budget, attempt) {
-				return retry.ErrBudgetExceeded
-			}
-			backoff(attempt)
-			continue
-		}
-		var mark time.Time
-		if spanned {
-			mark = time.Now()
-			span.Add(obs.PhaseXPrepare, obs.CauseNone, attempt+1, t0.UnixNano(), mark.Sub(t0).Nanoseconds())
-		}
-
-		// Exchange: tick every home clock, agree on the maximum.
-		commitWV := uint64(0)
-		for _, rt := range rts {
-			if wv := rt.clk().tick(); wv > commitWV {
-				commitWV = wv
-			}
-		}
-		// Publish sweep, fenced: every participant's clock advances to the
-		// agreed commit point before its locations carry it.
-		g.seq.Add(1)
-		for i, rt := range rts {
-			rt.clk().advanceTo(commitWV)
-			ms.txs[i].publishAt(commitWV)
-		}
-		g.done.Add(1)
-		if spanned {
-			span.AddSinceNs(obs.PhaseXPublish, obs.CauseNone, attempt+1, mark.UnixNano())
-		}
-		for _, rt := range rts {
-			rt.tel.TxCommit(shard)
-			rt.tel.XShardCommits.Inc(shard)
-			// Sinks (per-shard WAL taps, trace collectors) see the exchanged
-			// timestamp, so every shard's log records this commit at
-			// commitWV and recovery replays the shards consistently.
-			if sb := rt.sink.Load(); sb != nil {
-				sb.s.TxCommit(self, commitWV, attempt)
-			}
-		}
-		return nil
 	}
-}
-
-// runMultiBody executes fn over the participant transactions, converting
-// the engine's control-flow panics exactly like runBody.
-func runMultiBody(txs []*Tx, fn func([]*Tx) error) (err error, conflict *conflictSignal, retried bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if c, ok := r.(*conflictSignal); ok {
-				conflict = c
-				return
-			}
-			if _, ok := r.(retrySignal); ok {
-				retried = true
-				return
-			}
-			if e, ok := r.(errWriteInReadOnly); ok {
-				err = e
-				return
-			}
-			panic(r)
+	if !ok {
+		for _, tx := range txs {
+			tx.releaseLocks(0)
+			tx.rt.tel.XShardAborts.Inc(thread)
 		}
-	}()
-	return fn(txs), nil, false
-}
+		span.AddSince(obs.PhaseXPrepare, obs.CauseXShardValidation, att, t0)
+		return 0, byWV, obs.CauseXShardValidation, false
+	}
+	if span != nil {
+		mark = time.Now()
+		span.Add(obs.PhaseXPrepare, obs.CauseNone, att, t0.UnixNano(), mark.Sub(t0).Nanoseconds())
+	}
 
-// multiErr wraps a sentinel and its underlying cause without the
-// fmt.Errorf allocation cost varying by message.
-type multiErr struct{ sentinel, cause error }
-
-func (e *multiErr) Error() string { return e.sentinel.Error() + ": " + e.cause.Error() }
-func (e *multiErr) Is(target error) bool {
-	return errors.Is(e.sentinel, target) || errors.Is(e.cause, target)
+	// Exchange: tick every home clock, agree on the maximum.
+	for _, tx := range txs {
+		if v := tx.rt.clk().tick(); v > wv {
+			wv = v
+		}
+	}
+	// Publish sweep: every participant's clock advances to the agreed
+	// commit point before its locations carry it.
+	delay := 0
+	if fi := lead.rt.injector(); fi != nil {
+		delay = fi.CommitDelay(lead.self, lead.attempt)
+	}
+	for i, tx := range txs {
+		for j := 0; i > 0 && j < delay; j++ {
+			spinYield()
+		}
+		tx.rt.clk().advanceTo(wv)
+		tx.publishAt(wv)
+	}
+	if span != nil {
+		span.AddSinceNs(obs.PhaseXPublish, obs.CauseNone, att, mark.UnixNano())
+	}
+	return wv, 0, obs.CauseNone, true
 }
-func (e *multiErr) Unwrap() error { return e.cause }

@@ -177,7 +177,11 @@ func New(cfg Config) *Runtime {
 		rt.stripes = newStripeTable(rt.cfg.LockStripes)
 	}
 	rt.reg = commitreg.New(rt.cfg.RegistryCapacity)
-	rt.pool.New = func() any { return &Tx{} }
+	rt.pool.New = func() any {
+		tx := &Tx{rt: rt}
+		tx.group = []*Tx{tx}
+		return tx
+	}
 	return rt
 }
 
@@ -302,7 +306,7 @@ type RunOpts struct {
 //
 // Atomic must not be nested.
 func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(nil, thread, txn, fn, RunOpts{})
+	return rt.run(nil, rt.one(), pair(thread, txn), fn, nil, RunOpts{})
 }
 
 // AtomicRO executes fn as a read-only transaction: TL2's fast path, which
@@ -310,7 +314,7 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 // access time and a read-only commit validates nothing further. A Write
 // inside fn returns an error without retrying.
 func (rt *Runtime) AtomicRO(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(nil, thread, txn, fn, RunOpts{ReadOnly: true})
+	return rt.run(nil, rt.one(), pair(thread, txn), fn, nil, RunOpts{ReadOnly: true})
 }
 
 // AtomicCtx is Atomic honoring ctx: cancellation or deadline expiry is
@@ -320,12 +324,12 @@ func (rt *Runtime) AtomicRO(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) e
 // budgeted attempt aborts, AtomicCtx returns retry.ErrBudgetExceeded. In
 // both cases no locks remain held and no writes were published.
 func (rt *Runtime) AtomicCtx(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(ctx, thread, txn, fn, RunOpts{})
+	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{})
 }
 
 // AtomicROCtx is AtomicRO honoring ctx like AtomicCtx.
 func (rt *Runtime) AtomicROCtx(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(ctx, thread, txn, fn, RunOpts{ReadOnly: true})
+	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{ReadOnly: true})
 }
 
 // Run is the unified entrypoint behind gstm's System.Run: one code path
@@ -335,7 +339,7 @@ func (rt *Runtime) AtomicROCtx(ctx context.Context, thread txid.ThreadID, txn tx
 // allocation, overriding any retry.WithBudget budget carried by ctx;
 // maxAttempts <= 0 defers to the context budget (0 = unlimited).
 func (rt *Runtime) Run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, readOnly bool, maxAttempts int) error {
-	return rt.run(ctx, thread, txn, fn, RunOpts{ReadOnly: readOnly, MaxAttempts: maxAttempts})
+	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{ReadOnly: readOnly, MaxAttempts: maxAttempts})
 }
 
 // RunSpan is Run with a variance-observatory span attached: gate waits,
@@ -343,38 +347,76 @@ func (rt *Runtime) Run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 // lock/validate/publish phases are recorded into span's timeline. span may
 // be nil, in which case RunSpan is exactly Run.
 func (rt *Runtime) RunSpan(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, readOnly bool, maxAttempts int, span *obs.Span) error {
-	return rt.run(ctx, thread, txn, fn, RunOpts{ReadOnly: readOnly, MaxAttempts: maxAttempts, Span: span})
+	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{ReadOnly: readOnly, MaxAttempts: maxAttempts, Span: span})
 }
 
 // RunOpt is Run taking the full options struct — the entrypoint gstm's
 // System.Run uses, and the only one exposing blocking mode.
 func (rt *Runtime) RunOpt(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, o RunOpts) error {
-	return rt.run(ctx, thread, txn, fn, o)
+	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, o)
 }
 
-func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, o RunOpts) error {
-	readOnly, maxAttempts, span := o.ReadOnly, o.MaxAttempts, o.Span
-	self := txid.Pair{Txn: txn, Thread: thread}
-	tx := rt.pool.Get().(*Tx)
+func pair(thread txid.ThreadID, txn txid.TxnID) txid.Pair {
+	return txid.Pair{Txn: txn, Thread: thread}
+}
+
+// one returns a pooled Tx of rt as a participant list of one: the head of
+// the Tx's own group, so a single-shard run allocates nothing for its list.
+func (rt *Runtime) one() []*Tx { return rt.pool.Get().(*Tx).group[:1] }
+
+// run is the engine's one attempt loop, behind every entrypoint. txs are
+// the transaction's participants, one pooled Tx per Runtime, rt being
+// txs[0]'s: a single-shard call passes rt.one() and its body as fn, a
+// cross-shard call (MultiRun) passes every participant and its body as
+// many. Each attempt, in order:
+//
+//  1. check ctx;
+//  2. consult every participant's gate, recording the span's gate phase;
+//  3. reset every participant, sampling every rv before the body's first
+//     read — the rule cross-shard opacity rests on (DESIGN.md, "Why
+//     cross-shard commit needs no fence");
+//  4. run the body once;
+//  5. settle retry, error, conflict and the spurious-abort fault point;
+//  6. commit: tx.commit for one participant, commitMulti for several;
+//  7. the abort bookkeeping, or the commit bookkeeping, on every
+//     participant.
+//
+// Every participant goes back to its pool when run returns, and a panic
+// out of the body releases every lock first.
+func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*Tx) error, many func([]*Tx) error, o RunOpts) error {
+	span := o.Span
+	multi := len(txs) > 1
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if r != nil {
 			// A panic escaped the user's transaction body. Release every
-			// lock this attempt still holds (eager mode takes them at
-			// encounter time) and scrub the read/write sets so a clean Tx
-			// goes back to the pool, then let the panic continue.
-			tx.releaseLocks(0)
-			tx.scrub()
-			rt.pool.Put(tx)
+			// lock the attempt still holds (eager mode takes them at
+			// encounter time) and scrub the read/write sets so clean Txs go
+			// back to the pools, then let the panic continue.
+			for _, tx := range txs {
+				tx.releaseLocks(0)
+				tx.scrub()
+			}
+		}
+		// txs is txs[0]'s own group slice, which the next user of txs[0]
+		// rewrites: it goes back to its pool last.
+		for _, tx := range txs[1:] {
+			tx.rt.pool.Put(tx)
+		}
+		rt.pool.Put(txs[0])
+		if r != nil {
 			panic(r)
 		}
-		rt.pool.Put(tx)
 	}()
 
-	budget := maxAttempts
+	budget := o.MaxAttempts
 	if budget <= 0 {
 		budget = retry.Budget(ctx)
 	}
-	shard := uint64(thread)
+	shard := uint64(self.Thread)
+	// Cross-shard reads are always tracked: the prepare step validates
+	// every participant's read set.
+	track := o.Block || multi
 	for attempt := 0; ; attempt++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -382,23 +424,15 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 				return fmt.Errorf("%w: %w", retry.ErrCanceled, err)
 			}
 		}
-		if gb := rt.gate.Load(); gb != nil {
-			if span != nil {
-				g0 := time.Now()
-				outcome := gb.g.Arrive(self)
-				gc := obs.CauseNone
-				if outcome == telemetry.GateEscape {
-					gc = obs.CauseGateTimeout
-				}
-				span.AddSince(obs.PhaseGate, gc, attempt+1, g0)
-			} else {
-				gb.g.Arrive(self)
+		for _, tx := range txs {
+			if gb := tx.rt.gate.Load(); gb != nil {
+				arrive(gb.g, self, span, attempt)
 			}
 		}
-		sampled := rt.tel.TxStart(shard)
-		tx.reset(rt, self, attempt, readOnly, o.Block)
-		tx.measure = sampled
-		tx.span = span
+		sampled := false
+		for _, tx := range txs {
+			sampled = tx.reset(self, attempt, o.ReadOnly, track, span) || sampled
+		}
 		span.NoteAttempt()
 		// The attempt's start boundary is the end of the last recorded event
 		// (gate wait, queue, or the previous retry) — a field read, not a
@@ -406,11 +440,11 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 		// backoff gaps fold into the retry event that caused them.
 		attStart := span.LastEndNs()
 
-		err, conflict, retried := runBody(tx, fn)
+		err, conflict, retried := runBody(txs, fn, many)
 		if retried {
 			// The body called Retry: the attempt is abandoned (not an abort
 			// — the state simply wasn't usable yet).
-			tx.releaseLocks(0) // eager mode may hold encounter-time locks
+			releaseAll(txs) // eager mode may hold encounter-time locks
 			if !o.Block {
 				return retry.ErrWouldBlock
 			}
@@ -418,7 +452,7 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 			if parkCtx == nil {
 				parkCtx = ctx
 			}
-			parked, perr := tx.parkOnReads(parkCtx)
+			parked, perr := txs[0].parkOnReads(parkCtx)
 			if perr != nil {
 				if perr == retry.ErrWouldBlock {
 					// Empty read set: no commit could ever wake us.
@@ -434,27 +468,21 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 			continue
 		}
 		if conflict != nil {
-			tx.releaseLocks(0) // eager mode may hold encounter-time locks
 			span.AddSinceNs(obs.PhaseRetry, conflict.cause, attempt+1, attStart)
-			rt.noteAbort(self, conflict.byWV, conflict.cause)
-			if rt.budgetSpent(shard, budget, attempt) {
+			if rt.aborted(txs, self, conflict.byWV, conflict.cause, budget, attempt) {
 				return retry.ErrBudgetExceeded
 			}
-			backoff(attempt)
 			continue
 		}
 		if err != nil {
-			tx.releaseLocks(0)
+			releaseAll(txs)
 			return err
 		}
 		if fi := rt.injector(); fi != nil && fi.SpuriousAbort(self, attempt) {
-			tx.releaseLocks(0)
 			span.AddSinceNs(obs.PhaseRetry, obs.CauseSpurious, attempt+1, attStart)
-			rt.noteAbort(self, 0, obs.CauseSpurious)
-			if rt.budgetSpent(shard, budget, attempt) {
+			if rt.aborted(txs, self, 0, obs.CauseSpurious, budget, attempt) {
 				return retry.ErrBudgetExceeded
 			}
-			backoff(attempt)
 			continue
 		}
 		var t0 time.Time
@@ -465,24 +493,78 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 		// (unique ticks vs GV4/tick elision) matches the delivery decision;
 		// installs racing the commit are picked up by the next transaction.
 		sb := rt.sink.Load()
-		wv, byWV, cause, ok := tx.commit(sb != nil)
+		var wv, byWV uint64
+		var cause obs.Cause
+		var ok bool
+		if multi {
+			wv, byWV, cause, ok = commitMulti(txs)
+		} else {
+			wv, byWV, cause, ok = txs[0].commit(sb != nil)
+		}
 		if !ok {
 			span.AddSinceNs(obs.PhaseRetry, cause, attempt+1, attStart)
-			rt.noteAbort(self, byWV, cause)
-			if rt.budgetSpent(shard, budget, attempt) {
+			if rt.aborted(txs, self, byWV, cause, budget, attempt) {
 				return retry.ErrBudgetExceeded
 			}
-			backoff(attempt)
 			continue
 		}
-		if sampled {
-			rt.tel.ObserveCommit(shard, time.Since(t0), tx.valDur, tx.validated)
-		}
-		rt.tel.TxCommit(shard)
-		if sb != nil {
-			sb.s.TxCommit(self, wv, attempt)
+		for i, tx := range txs {
+			if tx.measure {
+				tx.rt.tel.ObserveCommit(shard, time.Since(t0), tx.valDur, tx.validated)
+			}
+			tx.rt.tel.TxCommit(shard)
+			if multi {
+				tx.rt.tel.XShardCommits.Inc(shard)
+			}
+			// Every participant's sink (per-shard WAL taps, trace
+			// collectors) sees the one wv, so every shard's log records a
+			// cross-shard commit at its exchanged timestamp.
+			if i > 0 {
+				sb = tx.rt.sink.Load()
+			}
+			if sb != nil {
+				sb.s.TxCommit(self, wv, attempt)
+			}
 		}
 		return nil
+	}
+}
+
+// aborted does an aborted attempt's bookkeeping on every participant —
+// release any lock still held (eager mode takes them at encounter time),
+// count and report the abort — then reports whether the call's budget is
+// spent, backing off before the next attempt when it is not.
+func (rt *Runtime) aborted(txs []*Tx, self txid.Pair, byWV uint64, cause obs.Cause, budget, attempt int) bool {
+	for _, tx := range txs {
+		tx.releaseLocks(0)
+		tx.rt.noteAbort(self, byWV, cause)
+	}
+	if rt.budgetSpent(uint64(self.Thread), budget, attempt) {
+		return true
+	}
+	backoff(attempt)
+	return false
+}
+
+// arrive consults gate g on behalf of self, recording the wait into span's
+// gate phase when the call is traced.
+func arrive(g Gate, self txid.Pair, span *obs.Span, attempt int) {
+	if span == nil {
+		g.Arrive(self)
+		return
+	}
+	g0 := time.Now()
+	gc := obs.CauseNone
+	if g.Arrive(self) == telemetry.GateEscape {
+		gc = obs.CauseGateTimeout
+	}
+	span.AddSince(obs.PhaseGate, gc, attempt+1, g0)
+}
+
+// releaseAll restores every lock any participant holds.
+func releaseAll(txs []*Tx) {
+	for _, tx := range txs {
+		tx.releaseLocks(0)
 	}
 }
 
@@ -546,10 +628,11 @@ func backoff(attempt int) {
 	}
 }
 
-// runBody executes fn, converting a conflictSignal panic into a conflict
-// result and a retrySignal (tx.Retry) into the retried flag, while letting
-// every other panic propagate.
-func runBody(tx *Tx, fn func(*Tx) error) (err error, conflict *conflictSignal, retried bool) {
+// runBody executes the attempt's body — many over every participant when
+// it is set, otherwise fn over the only one — converting a conflictSignal
+// panic into a conflict result and a retrySignal (tx.Retry) into the
+// retried flag, while letting every other panic propagate.
+func runBody(txs []*Tx, fn func(*Tx) error, many func([]*Tx) error) (err error, conflict *conflictSignal, retried bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if c, ok := r.(*conflictSignal); ok {
@@ -567,5 +650,8 @@ func runBody(tx *Tx, fn func(*Tx) error) (err error, conflict *conflictSignal, r
 			panic(r)
 		}
 	}()
-	return fn(tx), nil, false
+	if many != nil {
+		return many(txs), nil, false
+	}
+	return fn(txs[0]), nil, false
 }

@@ -78,6 +78,12 @@ type Tx struct {
 	// (lock / validate / publish). It is owned by the caller of Run and all
 	// Span methods are nil-safe, so the untraced path stays branch-cheap.
 	span *obs.Span
+
+	// group is the participant list of a run this Tx leads: itself first
+	// (set at construction, never overwritten), then, cross-shard, one
+	// pooled Tx of every other participant. It keeps its capacity across
+	// pooling, so building it allocates nothing in steady state.
+	group []*Tx
 }
 
 // errWriteInReadOnly reports a Write inside a read-only transaction.
@@ -87,21 +93,24 @@ func (errWriteInReadOnly) Error() string {
 	return "tl2: Write inside a read-only transaction"
 }
 
-func (tx *Tx) reset(rt *Runtime, self txid.Pair, attempt int, readOnly, blockable bool) {
-	tx.rt = rt
+// reset starts attempt number attempt of self on tx.rt, sampling rv, and
+// reports whether this attempt samples its commit latency. track keeps the
+// read set even on the read-only path (blocking parks and cross-shard
+// prepare both need it); span receives the commit's phases.
+func (tx *Tx) reset(self txid.Pair, attempt int, readOnly, track bool, span *obs.Span) bool {
 	tx.self = self
 	tx.readOnly = readOnly
-	tx.trackReads = !readOnly || blockable
-	tx.rv = rt.clk().now()
+	tx.trackReads = !readOnly || track
+	tx.rv = tx.rt.clk().now()
 	tx.reads = tx.reads[:0]
 	tx.ws.Reset()
 	tx.stripes = tx.stripes[:0]
 	tx.stripePlan = tx.stripePlan[:0]
 	tx.attempt = attempt
-	tx.measure = false
+	tx.measure = tx.rt.tel.TxStart(uint64(self.Thread))
 	tx.valDur = 0
 	tx.validated = false
-	tx.span = nil
+	tx.span = span
 	if tx.tag == 0 {
 		tx.tag = tagSeq.Add(1)
 	}
@@ -115,6 +124,7 @@ func (tx *Tx) reset(rt *Runtime, self txid.Pair, attempt int, readOnly, blockabl
 		tx.rng = rngSeq.Add(0x9e3779b97f4a7c15) | 1
 	}
 	tx.ops = 0
+	return tx.measure
 }
 
 // Self returns the (transaction, thread) pair of this attempt.

@@ -2,27 +2,27 @@ package gstm
 
 import (
 	"context"
+	"sync"
 
 	"gstm/internal/tl2"
 )
 
-// MultiGroup is the shared coordination word set of one group of Systems
-// that run cross-shard transactions against each other (see
-// tl2.MultiGroup). Every RunMulti call over systems drawn from one group
-// must pass the same MultiGroup; the shard router owns one per Router.
-// Single-system transactions never touch it.
-type MultiGroup = tl2.MultiGroup
+// multiCall is RunMulti's pooled per-call scratch: the runtimes list and
+// the resolved options, which would otherwise cost an allocation each.
+type multiCall struct {
+	rts []*tl2.Runtime
+	set txSettings
+}
 
-// NewMultiGroup returns a fresh coordination group for RunMulti.
-func NewMultiGroup() *MultiGroup { return new(MultiGroup) }
+var multiCalls = sync.Pool{New: func() any { return new(multiCall) }}
 
 // RunMulti executes fn as one atomic transaction spanning several
 // Systems: one sub-transaction per system, handed to fn as txs aligned
 // with systems, all committing at one exchanged write version or none
 // committing at all. The systems must be distinct, each with its own
 // clock (Config.PrivateClock), and every concurrent RunMulti over
-// overlapping systems must list them in the same order and share g —
-// the shard router's RunMulti arranges all three.
+// overlapping systems must list them in the same order — the shard
+// router's RunMulti arranges both.
 //
 // Options: WithReadOnly rejects writes but (unlike single-system runs)
 // still tracks and validates reads — cross-shard consistency always
@@ -30,18 +30,21 @@ func NewMultiGroup() *MultiGroup { return new(MultiGroup) }
 // Run (the span records cross-shard commits under the xprepare/xpublish
 // phases). Blocking is not supported: a tx.Retry returns ErrWouldBlock
 // even with WithBlocking.
-func RunMulti(ctx context.Context, g *MultiGroup, systems []*System, thread ThreadID, txn TxnID, fn func(txs []*Tx) error, opts ...TxOption) error {
-	var set txSettings
+func RunMulti(ctx context.Context, systems []*System, thread ThreadID, txn TxnID, fn func(txs []*Tx) error, opts ...TxOption) error {
+	c := multiCalls.Get().(*multiCall)
 	for _, o := range opts {
-		o(&set)
+		o(&c.set)
 	}
-	rts := make([]*tl2.Runtime, len(systems))
-	for i, s := range systems {
-		rts[i] = s.rt
+	for _, s := range systems {
+		c.rts = append(c.rts, s.rt)
 	}
-	return tl2.MultiRun(ctx, g, rts, thread, txn, fn, tl2.RunOpts{
-		ReadOnly:    set.readOnly,
-		MaxAttempts: set.maxAttempts,
-		Span:        set.span,
+	err := tl2.MultiRun(ctx, c.rts, thread, txn, fn, tl2.RunOpts{
+		ReadOnly:    c.set.readOnly,
+		MaxAttempts: c.set.maxAttempts,
+		Span:        c.set.span,
 	})
+	clear(c.rts)
+	c.rts, c.set = c.rts[:0], txSettings{}
+	multiCalls.Put(c)
+	return err
 }
