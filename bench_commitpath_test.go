@@ -1,7 +1,7 @@
 // Commit-path microbenchmarks and allocation gates: the write-set lookup
 // fast path, global-clock contention, and the traced (sink-installed) commit
-// discipline. Paired with BENCH_commitpath.json, the committed before/after
-// record of the commit-path overhaul these benches guard.
+// discipline. The before/after record of the commit-path overhaul these
+// benches guard is kept in EXPERIMENTS.md "Historical serving sweeps".
 package gstm_test
 
 import (

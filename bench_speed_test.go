@@ -1,7 +1,7 @@
 // Typed hot-path microbenchmarks and allocation gates for the unboxed
-// slot protocol and the striped lock table. Paired with BENCH_speed.json,
-// the committed per-location-vs-striped sweep (cmd/gstm-loadgen
-// -speed-bench).
+// slot protocol and the striped lock table. The zero-alloc tests are
+// CI-gated; the engine sweep these benches once backed is kept as history
+// in EXPERIMENTS.md "Historical serving sweeps".
 package gstm_test
 
 import (

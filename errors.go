@@ -3,7 +3,7 @@ package gstm
 import (
 	"errors"
 
-	"gstm/internal/retry"
+	"gstm/internal/tl2"
 )
 
 // This file is the package's stable error surface. Every sentinel here is
@@ -16,13 +16,13 @@ import (
 // allowed attempt (see MaxAttempts and WithRetryBudget) also aborted on a
 // conflict. It is a policy outcome, not corruption: no partial effects are
 // visible and the call may be retried with a fresh budget.
-var ErrRetryBudgetExhausted = retry.ErrBudgetExceeded
+var ErrRetryBudgetExhausted = tl2.ErrBudgetExceeded
 
 // ErrCanceled is returned (wrapped around the context's own error) by Run
 // when its context is canceled or its deadline passes between attempts.
 // errors.Is also matches context.Canceled / context.DeadlineExceeded on
 // the same error. No locks remain held and no writes were published.
-var ErrCanceled = retry.ErrCanceled
+var ErrCanceled = tl2.ErrCanceled
 
 // ErrWouldBlock is returned by Run when the transaction body called
 // tx.Retry (directly or via Select) and blocking was not enabled for the
@@ -30,7 +30,7 @@ var ErrCanceled = retry.ErrCanceled
 // — a transaction that read nothing can never be woken, so parking it
 // would sleep forever. No partial effects are visible; enable WithBlocking
 // or handle the sentinel as "not ready yet".
-var ErrWouldBlock = retry.ErrWouldBlock
+var ErrWouldBlock = tl2.ErrWouldBlock
 
 // ErrGuidanceRejected is returned by EnableGuidance when the model fails
 // the analyzer's validation (not enough bias to guide — the paper's

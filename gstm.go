@@ -50,7 +50,6 @@ import (
 
 	"gstm/internal/model"
 	"gstm/internal/obs"
-	"gstm/internal/retry"
 	"gstm/internal/telemetry"
 	"gstm/internal/tl2"
 	"gstm/internal/trace"
@@ -198,5 +197,5 @@ func TraceHandler(o *obs.Observatory) http.Handler { return o.Handler() }
 // context; a context budget is useful when the budget must travel through
 // call layers that only pass ctx.
 func WithRetryBudget(ctx context.Context, attempts int) context.Context {
-	return retry.WithBudget(ctx, attempts)
+	return tl2.WithBudget(ctx, attempts)
 }

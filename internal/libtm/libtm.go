@@ -19,7 +19,10 @@
 //
 // Like internal/tl2, the runtime exposes the commit/abort event stream and
 // a start gate so the tracing and guidance layers plug in unchanged —
-// "guided STM ported for our experiments" (Section VIII).
+// "guided STM ported for our experiments" (Section VIII). It serves only
+// the paper harness (internal/synquake, internal/harness): no context,
+// retry budget, span, blocking or cross-shard commit — the serving path
+// runs on internal/tl2.
 package libtm
 
 import (

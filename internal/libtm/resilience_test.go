@@ -1,19 +1,9 @@
 package libtm
 
 import (
-	"context"
-	"errors"
 	"testing"
 	"time"
-
-	"gstm/internal/retry"
-	"gstm/internal/txid"
 )
-
-type alwaysAbort struct{}
-
-func (alwaysAbort) SpuriousAbort(txid.Pair, int) bool { return true }
-func (alwaysAbort) CommitDelay(txid.Pair, int) int    { return 0 }
 
 // TestPanicReleasesLocksAndReaders: a panic out of the body must release
 // the encounter-time write lock and the visible-reader registration before
@@ -60,75 +50,5 @@ func TestPanicReleasesLocksAndReaders(t *testing.T) {
 	}
 	if got := o.Peek(); got != 41 {
 		t.Fatalf("panicked write leaked: got %d, want 41", got)
-	}
-}
-
-// TestAtomicCtxCanceled covers the context path: pre-canceled contexts
-// return immediately, and cancellation breaks an injected retry livelock.
-func TestAtomicCtxCanceled(t *testing.T) {
-	rt := New(Config{})
-	o := NewObj(0)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := rt.AtomicCtx(ctx, 0, 0, func(tx *Tx) error { return nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-
-	rt.SetFaultInjector(alwaysAbort{})
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- rt.AtomicCtx(ctx2, 0, 0, func(tx *Tx) error {
-			Write(tx, o, Read(tx, o)+1)
-			return nil
-		})
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel2()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("AtomicCtx did not stop after cancel")
-	}
-	if held, readers := o.LockState(); held || readers != 0 {
-		t.Fatalf("canceled transaction leaked: writerHeld=%v readers=%d", held, readers)
-	}
-	if _, canceled := rt.ResilienceStats(); canceled != 2 {
-		_, c := rt.ResilienceStats()
-		t.Fatalf("canceled counter = %d, want 2", c)
-	}
-}
-
-// TestAtomicCtxRetryBudget mirrors the tl2 budget semantics on LibTM.
-func TestAtomicCtxRetryBudget(t *testing.T) {
-	rt := New(Config{})
-	rt.SetFaultInjector(alwaysAbort{})
-	o := NewObj(0)
-
-	const budget = 3
-	attempts := 0
-	err := rt.AtomicCtx(retry.WithBudget(context.Background(), budget), 0, 0, func(tx *Tx) error {
-		attempts++
-		Write(tx, o, Read(tx, o)+1)
-		return nil
-	})
-	if !errors.Is(err, retry.ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-	if attempts != budget {
-		t.Fatalf("body ran %d times, want %d", attempts, budget)
-	}
-	if exceeded, _ := rt.ResilienceStats(); exceeded != 1 {
-		t.Fatalf("budgetExceeded = %d, want 1", exceeded)
-	}
-	if held, readers := o.LockState(); held || readers != 0 {
-		t.Fatalf("budget-exhausted transaction leaked: writerHeld=%v readers=%d", held, readers)
-	}
-	if got := o.Peek(); got != 0 {
-		t.Fatalf("aborted attempts published writes: %d", got)
 	}
 }

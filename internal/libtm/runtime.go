@@ -1,8 +1,6 @@
 package libtm
 
 import (
-	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,7 +8,6 @@ import (
 
 	"gstm/internal/commitreg"
 	"gstm/internal/obs"
-	"gstm/internal/retry"
 	"gstm/internal/telemetry"
 	"gstm/internal/txid"
 )
@@ -96,44 +93,10 @@ func (rt *Runtime) ResetStats() {
 	rt.tel.Reset()
 }
 
-// ResilienceStats returns how many transactions were abandoned on a spent
-// retry budget and on context cancellation (see tl2.Runtime.ResilienceStats).
-func (rt *Runtime) ResilienceStats() (budgetExceeded, canceled uint64) {
-	return rt.tel.RetryBudgetExceeded.Load(), rt.tel.ContextCanceled.Load()
-}
-
 // Atomic executes fn transactionally as transaction site txn on worker
 // thread, retrying on conflicts. A non-nil error from fn aborts the attempt
 // and is returned without retry. Atomic must not be nested.
 func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(nil, thread, txn, fn, 0, nil)
-}
-
-// AtomicCtx is Atomic honoring ctx: cancellation/deadline is checked
-// between retry attempts and surfaces as ctx.Err(); a per-call attempt
-// budget attached with retry.WithBudget bounds retries, returning
-// retry.ErrBudgetExceeded when spent. Either way every write lock and
-// reader registration has been released.
-func (rt *Runtime) AtomicCtx(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(ctx, thread, txn, fn, 0, nil)
-}
-
-// Run mirrors tl2.Runtime.Run for this engine: ctx may be nil, and
-// maxAttempts > 0 bounds attempts without a context allocation (overriding
-// any retry.WithBudget budget; <= 0 defers to it). LibTM has no read-only
-// fast path, so there is no readOnly parameter.
-func (rt *Runtime) Run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, maxAttempts int) error {
-	return rt.run(ctx, thread, txn, fn, maxAttempts, nil)
-}
-
-// RunSpan is Run with a variance-observatory span attached: gate waits and
-// per-attempt retries (with their abort causes) are recorded into span's
-// timeline. span may be nil, in which case RunSpan is exactly Run.
-func (rt *Runtime) RunSpan(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, maxAttempts int, span *obs.Span) error {
-	return rt.run(ctx, thread, txn, fn, maxAttempts, span)
-}
-
-func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, maxAttempts int, span *obs.Span) error {
 	self := txid.Pair{Txn: txn, Thread: thread}
 	tx := rt.pool.Get().(*Tx)
 	defer func() {
@@ -149,47 +112,18 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 		rt.pool.Put(tx)
 	}()
 
-	budget := maxAttempts
-	if budget <= 0 {
-		budget = retry.Budget(ctx)
-	}
 	shard := uint64(thread)
 	for attempt := 0; ; attempt++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				rt.tel.TxCanceled(shard)
-				return fmt.Errorf("%w: %w", retry.ErrCanceled, err)
-			}
-		}
 		if gb := rt.gate.Load(); gb != nil {
-			if span != nil {
-				g0 := time.Now()
-				outcome := gb.g.Arrive(self)
-				gc := obs.CauseNone
-				if outcome == telemetry.GateEscape {
-					gc = obs.CauseGateTimeout
-				}
-				span.AddSince(obs.PhaseGate, gc, attempt+1, g0)
-			} else {
-				gb.g.Arrive(self)
-			}
+			gb.g.Arrive(self)
 		}
 		sampled := rt.tel.TxStart(shard)
 		tx.reset(rt, self, attempt)
-		span.NoteAttempt()
-		// Attempt start = end of the last recorded event (gate, queue, or
-		// the previous retry): a field read instead of a clock read, so the
-		// committing fast path pays no time.Now for abort attribution.
-		attStart := span.LastEndNs()
 
 		err, c := runBody(tx, fn)
 		if c != nil {
 			tx.cleanup()
-			span.AddSinceNs(obs.PhaseRetry, c.cause, attempt+1, attStart)
 			rt.noteAbort(self, c)
-			if rt.budgetSpent(shard, budget, attempt) {
-				return retry.ErrBudgetExceeded
-			}
 			backoff(attempt)
 			continue
 		}
@@ -199,11 +133,7 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 		}
 		if fi := rt.injector(); fi != nil && fi.SpuriousAbort(self, attempt) {
 			tx.cleanup()
-			span.AddSinceNs(obs.PhaseRetry, obs.CauseSpurious, attempt+1, attStart)
 			rt.noteAbort(self, &conflict{cause: obs.CauseSpurious})
-			if rt.budgetSpent(shard, budget, attempt) {
-				return retry.ErrBudgetExceeded
-			}
 			backoff(attempt)
 			continue
 		}
@@ -214,11 +144,7 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 		wv, c, ok := tx.commit()
 		if !ok {
 			tx.cleanup()
-			span.AddSinceNs(obs.PhaseRetry, c.cause, attempt+1, attStart)
 			rt.noteAbort(self, c)
-			if rt.budgetSpent(shard, budget, attempt) {
-				return retry.ErrBudgetExceeded
-			}
 			backoff(attempt)
 			continue
 		}
@@ -233,16 +159,6 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 		}
 		return nil
 	}
-}
-
-// budgetSpent reports whether the aborted attempt was the last budgeted
-// one, counting the exhaustion when it was.
-func (rt *Runtime) budgetSpent(shard uint64, budget, attempt int) bool {
-	if budget > 0 && attempt+1 >= budget {
-		rt.tel.TxBudgetExceeded(shard)
-		return true
-	}
-	return false
 }
 
 // noteAbort counts and reports an abort. Dooming gives exact attribution;

@@ -6,9 +6,10 @@
 // why it aborted), commit lock/validate/publish, WAL ack wait.
 //
 // The package is deliberately a leaf (stdlib only): the abort-cause
-// taxonomy defined here is shared by the engines (internal/tl2,
-// internal/libtm), the telemetry counters, and the serving layer without
-// import cycles.
+// taxonomy defined here is shared by internal/tl2, the telemetry counters,
+// and the serving layer without import cycles. Spans are recorded by tl2
+// alone; internal/libtm, which serves only the paper harness (SynQuake),
+// borrows just the causes for its abort counters.
 //
 // Recording discipline: a Span is a fixed-size value owned by exactly one
 // goroutine while it is being recorded (a worker's per-shard scratch slot).
@@ -21,7 +22,7 @@
 // reservoir that keeps the K slowest spans per window.
 package obs
 
-// Cause is the abort/failure taxonomy threaded through both engines, the
+// Cause is the abort/failure taxonomy threaded through the engines, the
 // serving layer and telemetry. CauseNone marks success.
 type Cause uint8
 

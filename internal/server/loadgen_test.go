@@ -29,9 +29,11 @@ func TestRunLoadFixedWork(t *testing.T) {
 	}
 }
 
-// TestBenchModesEndToEnd drives the whole comparison pipeline against a
-// small server: warmup through the lifecycle flip, then alternating
-// unguided/guided pairs via CtlModeGuided, producing a complete report.
+// TestBenchModesEndToEnd drives the guided-vs-unguided pipeline against a
+// small server: fixed-work load carries it through the lifecycle flip,
+// then unguided/guided pairs alternate via the control plane.
+// CtlModeGuided re-installs the trained model without re-profiling, and
+// gate decisions accrue only while the server is guided.
 func TestBenchModesEndToEnd(t *testing.T) {
 	s := startServer(t, Config{
 		Workers:       2,
@@ -39,40 +41,61 @@ func TestBenchModesEndToEnd(t *testing.T) {
 		ProfileSlices: 2,
 		ForceGuidance: true,
 	})
-	rep, err := BenchModes(BenchConfig{
-		Load: LoadConfig{
-			Addr:       s.Addr().String(),
-			Conns:      4,
-			OpsPerConn: 200,
-			Keys:       32,
-		},
-		Runs:         2,
-		GuideTimeout: 30 * time.Second,
-	})
+	load := LoadConfig{Addr: s.Addr().String(), Conns: 4, OpsPerConn: 200, Keys: 32}
+	ctl, err := Dial(load.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.GuidedMode != "guided" && rep.GuidedMode != "degraded" {
-		t.Fatalf("guided mode = %q", rep.GuidedMode)
-	}
-	if len(rep.Unguided.Runs) != 2 || len(rep.Guided.Runs) != 2 {
-		t.Fatalf("runs: unguided %d guided %d, want 2 each", len(rep.Unguided.Runs), len(rep.Guided.Runs))
-	}
-	for _, m := range []ModeReport{rep.Unguided, rep.Guided} {
-		if m.Commits == 0 {
-			t.Fatalf("%s: no commits recorded", m.Mode)
+	defer ctl.Close()
+	mode := func() ServingMode {
+		m, err := ctl.Info(InfoMode)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, r := range m.Runs {
-			if r.Ops != 800 {
-				t.Fatalf("%s: run ops = %d, want 4x200", m.Mode, r.Ops)
-			}
+		return ServingMode(m)
+	}
+	run := func() {
+		st, err := RunLoad(load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Ops != 800 {
+			t.Fatalf("run ops = %d, want 4x200", st.Ops)
 		}
 	}
-	// The unguided side of each pair must actually have served unguided,
-	// and the guided side guided: guided execution gates transactions, so
-	// gate decisions accumulate only there.
-	if passed, held, _ := s.System().GateStats(); passed+held == 0 {
-		t.Fatal("no gate activity recorded during guided runs")
+
+	deadline := time.Now().Add(30 * time.Second)
+	for m := mode(); m != ModeGuided && m != ModeDegraded; m = mode() {
+		if time.Now().After(deadline) {
+			t.Fatalf("server never reached guided mode (stuck in %v)", m)
+		}
+		run()
+	}
+
+	gateDecisions := func() uint64 {
+		passed, held, _ := s.System().GateStats()
+		return passed + held
+	}
+	for pair := 0; pair < 2; pair++ {
+		if err := ctl.Ctl(CtlModeUnguided, 0); err != nil {
+			t.Fatal(err)
+		}
+		g0 := gateDecisions()
+		run()
+		if d := gateDecisions() - g0; d != 0 {
+			t.Fatalf("pair %d: %d gate decisions while unguided, want 0", pair, d)
+		}
+		if err := ctl.Ctl(CtlModeGuided, 0); err != nil {
+			t.Fatal(err)
+		}
+		if m := mode(); m != ModeGuided && m != ModeDegraded {
+			t.Fatalf("pair %d: mode after CtlModeGuided = %v, want guided or degraded", pair, m)
+		}
+		g0 = gateDecisions()
+		run()
+		if gateDecisions() == g0 {
+			t.Fatalf("pair %d: no gate decisions while re-guided", pair)
+		}
 	}
 }
 

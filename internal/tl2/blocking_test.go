@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gstm/internal/obs"
-	"gstm/internal/retry"
 )
 
 // TestRetryWithoutBlockReturnsErrWouldBlock: outside blocking mode a
@@ -23,7 +22,7 @@ func TestRetryWithoutBlockReturnsErrWouldBlock(t *testing.T) {
 		}
 		return nil
 	})
-	if !errors.Is(err, retry.ErrWouldBlock) {
+	if !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("got %v, want ErrWouldBlock", err)
 	}
 }
@@ -36,7 +35,7 @@ func TestRetryEmptyReadSetWouldBlock(t *testing.T) {
 		tx.Retry()
 		return nil
 	}, RunOpts{Block: true})
-	if !errors.Is(err, retry.ErrWouldBlock) {
+	if !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("got %v, want ErrWouldBlock", err)
 	}
 }
@@ -134,7 +133,7 @@ func TestBlockCtxCancelEndsPark(t *testing.T) {
 	cancel()
 	select {
 	case err := <-errc:
-		if !errors.Is(err, retry.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 			t.Fatalf("got %v, want ErrCanceled wrapping context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):

@@ -60,7 +60,7 @@ var ErrNoShards = errors.New("tl2: MultiRun with no runtimes")
 // the read-write discipline always applies (reads are tracked and
 // re-validated at commit on every participant, even under RunOpts.ReadOnly,
 // which only keeps rejecting writes). Blocking is not supported: a
-// tx.Retry returns retry.ErrWouldBlock regardless of RunOpts.Block.
+// tx.Retry returns ErrWouldBlock regardless of RunOpts.Block.
 func MultiRun(ctx context.Context, rts []*Runtime, thread txid.ThreadID, txn txid.TxnID, fn func(txs []*Tx) error, o RunOpts) error {
 	if len(rts) == 0 {
 		return ErrNoShards

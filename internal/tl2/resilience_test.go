@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"gstm/internal/retry"
 	"gstm/internal/txid"
 )
 
@@ -153,13 +152,13 @@ func TestAtomicCtxRetryBudget(t *testing.T) {
 
 	const budget = 5
 	attempts := 0
-	ctx := retry.WithBudget(context.Background(), budget)
+	ctx := WithBudget(context.Background(), budget)
 	err := rt.AtomicCtx(ctx, 0, 0, func(tx *Tx) error {
 		attempts++
 		Write(tx, v, Read(tx, v)+1)
 		return nil
 	})
-	if !errors.Is(err, retry.ErrBudgetExceeded) {
+	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 	if attempts != budget {

@@ -2,6 +2,7 @@ package tl2
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,7 +10,6 @@ import (
 
 	"gstm/internal/commitreg"
 	"gstm/internal/obs"
-	"gstm/internal/retry"
 	"gstm/internal/telemetry"
 	"gstm/internal/txid"
 )
@@ -268,6 +268,49 @@ func (rt *Runtime) ResilienceStats() (budgetExceeded, canceled uint64) {
 	return rt.tel.RetryBudgetExceeded.Load(), rt.tel.ContextCanceled.Load()
 }
 
+// Retry budgets and the engine's policy sentinels. A budget bounds the
+// number of *attempts* a single call may make: a budget of 1 means "no
+// retries", a budget of 5 allows the initial attempt plus four retries. A
+// zero or negative budget means unlimited, the classic STM contract. The
+// public gstm package re-exports the sentinels; none of them marks
+// corruption — no partial effects are visible and the call may be retried.
+var (
+	// ErrBudgetExceeded: the transaction's last budgeted attempt also
+	// aborted on a conflict.
+	ErrBudgetExceeded = errors.New("stm: transaction retry budget exceeded")
+	// ErrWouldBlock: the body called Retry (the composable-blocking
+	// primitive) while blocking was not enabled for the call, or while its
+	// read set was empty so no commit could ever wake it.
+	ErrWouldBlock = errors.New("stm: transaction would block")
+	// ErrCanceled: the transaction was abandoned because its context was
+	// canceled or its deadline passed. It wraps the context's own error, so
+	// errors.Is matches this sentinel as well as context.Canceled /
+	// context.DeadlineExceeded.
+	ErrCanceled = errors.New("stm: transaction canceled")
+)
+
+type budgetKey struct{}
+
+// WithBudget returns a context carrying a per-call attempt budget.
+// attempts <= 0 removes any budget (unlimited retries).
+func WithBudget(ctx context.Context, attempts int) context.Context {
+	if attempts <= 0 {
+		attempts = 0
+	}
+	return context.WithValue(ctx, budgetKey{}, attempts)
+}
+
+// Budget extracts the attempt budget from ctx; 0 means unlimited.
+func Budget(ctx context.Context) int {
+	if ctx == nil {
+		return 0
+	}
+	if n, ok := ctx.Value(budgetKey{}).(int); ok {
+		return n
+	}
+	return 0
+}
+
 // RunOpts bundles the per-call execution options of RunOpt, the options
 // form of Run. The zero value is a plain read-write, non-blocking,
 // unbounded, untraced transaction.
@@ -277,7 +320,7 @@ type RunOpts struct {
 	ReadOnly bool
 
 	// MaxAttempts > 0 bounds attempts without a context allocation,
-	// overriding any retry.WithBudget budget carried by ctx; <= 0 defers to
+	// overriding any WithBudget budget carried by ctx; <= 0 defers to
 	// the context budget (0 = unlimited).
 	MaxAttempts int
 
@@ -288,13 +331,13 @@ type RunOpts struct {
 	// Block enables composable blocking: a tx.Retry parks the goroutine on
 	// the attempt's read set until a commit changes one of those locations,
 	// then the transaction re-runs. Without Block a Retry returns
-	// retry.ErrWouldBlock. Blocking forces read-set tracking even when
+	// ErrWouldBlock. Blocking forces read-set tracking even when
 	// ReadOnly is set.
 	Block bool
 
 	// BlockCtx, when non-nil, bounds parks separately from the run context:
 	// its cancellation or deadline ends a park (and the Run call) with
-	// retry.ErrCanceled wrapping the context's error. When nil, parks are
+	// ErrCanceled wrapping the context's error. When nil, parks are
 	// bounded by the run ctx; with neither, a park waits indefinitely.
 	BlockCtx context.Context
 }
@@ -320,8 +363,8 @@ func (rt *Runtime) AtomicRO(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) e
 // AtomicCtx is Atomic honoring ctx: cancellation or deadline expiry is
 // checked between retry attempts (never mid-attempt — an attempt either
 // aborts cleanly or commits) and surfaces as ctx.Err(). A per-call attempt
-// budget attached with retry.WithBudget bounds retries; when the last
-// budgeted attempt aborts, AtomicCtx returns retry.ErrBudgetExceeded. In
+// budget attached with WithBudget bounds retries; when the last
+// budgeted attempt aborts, AtomicCtx returns ErrBudgetExceeded. In
 // both cases no locks remain held and no writes were published.
 func (rt *Runtime) AtomicCtx(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
 	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{})
@@ -336,7 +379,7 @@ func (rt *Runtime) AtomicROCtx(ctx context.Context, thread txid.ThreadID, txn tx
 // for all four Atomic* shapes. ctx may be nil (never canceled, checked
 // between attempts otherwise). readOnly selects the validation-free
 // read-only fast path. maxAttempts > 0 bounds attempts without a context
-// allocation, overriding any retry.WithBudget budget carried by ctx;
+// allocation, overriding any WithBudget budget carried by ctx;
 // maxAttempts <= 0 defers to the context budget (0 = unlimited).
 func (rt *Runtime) Run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, readOnly bool, maxAttempts int) error {
 	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{ReadOnly: readOnly, MaxAttempts: maxAttempts})
@@ -411,7 +454,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 
 	budget := o.MaxAttempts
 	if budget <= 0 {
-		budget = retry.Budget(ctx)
+		budget = Budget(ctx)
 	}
 	shard := uint64(self.Thread)
 	// Cross-shard reads are always tracked: the prepare step validates
@@ -421,7 +464,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				rt.tel.TxCanceled(shard)
-				return fmt.Errorf("%w: %w", retry.ErrCanceled, err)
+				return fmt.Errorf("%w: %w", ErrCanceled, err)
 			}
 		}
 		for _, tx := range txs {
@@ -446,7 +489,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 			// — the state simply wasn't usable yet).
 			releaseAll(txs) // eager mode may hold encounter-time locks
 			if !o.Block {
-				return retry.ErrWouldBlock
+				return ErrWouldBlock
 			}
 			parkCtx := o.BlockCtx
 			if parkCtx == nil {
@@ -454,13 +497,13 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 			}
 			parked, perr := txs[0].parkOnReads(parkCtx)
 			if perr != nil {
-				if perr == retry.ErrWouldBlock {
+				if perr == ErrWouldBlock {
 					// Empty read set: no commit could ever wake us.
 					return perr
 				}
 				span.AddSinceNs(obs.PhasePark, obs.CauseCanceled, attempt+1, attStart)
 				rt.tel.TxCanceled(shard)
-				return fmt.Errorf("%w: %w", retry.ErrCanceled, perr)
+				return fmt.Errorf("%w: %w", ErrCanceled, perr)
 			}
 			if parked {
 				span.AddSinceNs(obs.PhasePark, obs.CauseWakeup, attempt+1, attStart)
@@ -470,7 +513,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 		if conflict != nil {
 			span.AddSinceNs(obs.PhaseRetry, conflict.cause, attempt+1, attStart)
 			if rt.aborted(txs, self, conflict.byWV, conflict.cause, budget, attempt) {
-				return retry.ErrBudgetExceeded
+				return ErrBudgetExceeded
 			}
 			continue
 		}
@@ -481,7 +524,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 		if fi := rt.injector(); fi != nil && fi.SpuriousAbort(self, attempt) {
 			span.AddSinceNs(obs.PhaseRetry, obs.CauseSpurious, attempt+1, attStart)
 			if rt.aborted(txs, self, 0, obs.CauseSpurious, budget, attempt) {
-				return retry.ErrBudgetExceeded
+				return ErrBudgetExceeded
 			}
 			continue
 		}
@@ -504,7 +547,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 		if !ok {
 			span.AddSinceNs(obs.PhaseRetry, cause, attempt+1, attStart)
 			if rt.aborted(txs, self, byWV, cause, budget, attempt) {
-				return retry.ErrBudgetExceeded
+				return ErrBudgetExceeded
 			}
 			continue
 		}

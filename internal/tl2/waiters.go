@@ -3,8 +3,6 @@ package tl2
 import (
 	"context"
 	"sync/atomic"
-
-	"gstm/internal/retry"
 )
 
 // Composable blocking (tx.Retry / Select / Compose).
@@ -123,11 +121,11 @@ func (tx *Tx) Retry() {
 // set. It returns parked=true when the goroutine actually slept and was
 // woken by a commit; parked=false when validation found a change already
 // published (retry immediately). A non-nil error is terminal for the Run
-// call: retry.ErrWouldBlock for an empty read set (nothing could ever wake
+// call: ErrWouldBlock for an empty read set (nothing could ever wake
 // us), or the park context's error.
 func (tx *Tx) parkOnReads(ctx context.Context) (parked bool, err error) {
 	if len(tx.reads) == 0 {
-		return false, retry.ErrWouldBlock
+		return false, ErrWouldBlock
 	}
 	w := &tx.parkW
 	w.prepare()
