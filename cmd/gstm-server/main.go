@@ -33,12 +33,11 @@ func main() {
 		profileSlices = flag.Int("profile-slices", 4, "profiling slices before the model is trained")
 		maxAttempts   = flag.Int("max-attempts", 0, "attempt budget per transaction (0 = unlimited); exhaustion maps to StatusBudget")
 		force         = flag.Bool("force-guidance", false, "install the trained model even if the analyzer rejects it")
-		watchdog      = flag.Bool("watchdog", true, "arm the guidance watchdog on the hot-swapped gate")
+		watchdog      = flag.Bool("watchdog", true, "arm the guidance watchdog on the hot-swapped model")
 		unguided      = flag.Bool("unguided", false, "start with the lifecycle parked (plain TL2); CtlModeAuto can still start it")
 		interleave    = flag.Int("interleave", 0, "yield 1-in-N transactional operations (0 = never; exposes real interleaving on few cores)")
 		lockStripes   = flag.Int("lock-stripes", 0, "striped lock-table engine mode: versioned write-locks in a table of this many stripes per shard, rounded up to a power of two (0 = per-location locks)")
-		tfactor       = flag.Float64("tfactor", 0, "guidance gate Tfactor (0 = default)")
-		gateK         = flag.Int("k", 0, "guidance gate re-check bound (0 = default)")
+		tfactor       = flag.Float64("tfactor", 0, "guidance Tfactor (0 = default)")
 		metrics       = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. :9100 or :0): /metrics (Prometheus), /debug/vars (JSON), /debug/pprof")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 		procs         = flag.Int("gomaxprocs", 0, "GOMAXPROCS (0 = runtime default)")
@@ -64,7 +63,6 @@ func main() {
 		MaxAttempts:   *maxAttempts,
 		ForceGuidance: *force,
 		Tfactor:       *tfactor,
-		GateRetries:   *gateK,
 		Unguided:      *unguided,
 		Interleave:    *interleave,
 		LockStripes:   *lockStripes,

@@ -11,6 +11,7 @@ type guidanceSettings struct {
 	gateRetries    int
 	watchdog       *WatchdogOptions
 	recompileEvery int
+	dequeue        bool
 }
 
 func applyGuidanceOptions(opts []GuidanceOption) guidanceSettings {
@@ -47,6 +48,16 @@ func WithWatchdog(w WatchdogOptions) GuidanceOption {
 		wd := w
 		s.watchdog = &wd
 	}
+}
+
+// WithDequeueCheck installs guidance without the transaction-start gate:
+// the controller (or its watchdog) still tracks the automaton's state from
+// the event stream, and the caller asks System.CheckDequeue about each piece
+// of work as it takes it up, so no transaction ever waits at TM_BEGIN. It
+// suits callers that own a queue — the server's workers — not threads with
+// nothing else to run.
+func WithDequeueCheck() GuidanceOption {
+	return func(s *guidanceSettings) { s.dequeue = true }
 }
 
 // WithRecompileEvery sets how many automaton state changes adaptive

@@ -4,6 +4,10 @@
 // state of the automaton's current state, re-checking up to K times before
 // letting the thread proceed (the deadlock/progress escape hatch).
 //
+// A caller that owns a queue of work need not wait at all: it can ask the
+// same membership test without blocking (Check) as it takes up each piece
+// of work; internal/server's workers do this (DESIGN.md "Dispatch").
+//
 // The controller tracks the STM's current thread transactional state
 // online: it observes the commit/abort event stream and finalizes each
 // commit's state one commit late, so that aborts attributed to a commit —
@@ -27,10 +31,10 @@ import (
 // held-back thread before forcing progress.
 const DefaultGateRetries = 16
 
-// Controller implements tl2.Gate and tl2.EventSink. Install it as both on
-// a runtime (SetGate/SetSink) to obtain guided execution; it forwards
-// events to an optional inner sink so measurement can continue during
-// guided runs.
+// Controller implements tl2.Gate and tl2.EventSink. Install it as gate and
+// sink on a runtime (SetGate/SetSink) to obtain guided execution, or as sink
+// only when the caller asks Check itself; it forwards events to an optional
+// inner sink so measurement can continue during guided runs.
 type Controller struct {
 	table   atomic.Pointer[model.GuideTable]
 	retries int
@@ -38,12 +42,22 @@ type Controller struct {
 	onState func(trace.Key) // optional hook: fires when the tracked state updates
 
 	cur atomic.Pointer[stateBox] // current TTS key; nil until first commit
+	// latest is the pending commit's state as known so far: its pair and
+	// the aborts reported against it yet. It becomes cur at the next commit,
+	// so it runs one commit ahead; Check, which cannot wait for cur to catch
+	// up, judges it. Nil until the first commit.
+	latest atomic.Pointer[stateBox]
 
 	mu      sync.Mutex
 	pending pendingCommit
 	hasPend bool
 	aborts  map[uint64][]txid.Packed // byWV → aborted pairs (recent window)
 	seen    uint64                   // commits processed, for periodic pruning
+	// keyBuf is the scratch buffer each published state's key is built in,
+	// and boxes interns one box per distinct key (at most maxInterned), so
+	// a commit of a state already seen allocates nothing.
+	keyBuf []byte
+	boxes  map[string]*stateBox
 
 	held    atomic.Uint64 // gate decisions that delayed a thread
 	passed  atomic.Uint64 // gate decisions that let a thread through at once
@@ -55,6 +69,11 @@ type Controller struct {
 }
 
 type stateBox struct{ key trace.Key }
+
+// maxInterned bounds the interned state boxes. A workload whose automaton
+// outgrows it still tracks every state; the states past the bound just
+// allocate their box each time they recur.
+const maxInterned = 4096
 
 type pendingCommit struct {
 	wv   uint64
@@ -104,6 +123,7 @@ func NewController(table *model.GuideTable, opts ...Option) *Controller {
 	c := &Controller{
 		retries: DefaultGateRetries,
 		aborts:  make(map[uint64][]txid.Packed),
+		boxes:   make(map[string]*stateBox),
 	}
 	c.table.Store(table)
 	for _, o := range opts {
@@ -134,6 +154,19 @@ func (c *Controller) GateStats() (passed, held, escaped uint64) {
 	return c.passed.Load(), c.held.Load(), c.escaped.Load()
 }
 
+// admits is the membership test behind Arrive and Check alike: whether pk
+// lies in a high-probability destination of state b. Before the first
+// state, and in a state the table does not know, everything is admitted
+// (Section V progress rule). It also returns the state it judged, for
+// telemetry.
+func (c *Controller) admits(b *stateBox, pk txid.Packed) (bool, trace.Key) {
+	if b == nil {
+		return true, "" // no state observed yet: execution has just begun
+	}
+	allowed, known := c.table.Load().Allowed(b.key, pk)
+	return allowed || !known, b.key
+}
+
 // Arrive implements the gate (tl2.Gate). It blocks the calling thread for
 // up to retries re-checks while its pair is outside every high-probability
 // destination of the current state; an unknown current state, or exhausting
@@ -144,20 +177,13 @@ func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
 	var stateKey string
 	var t0 time.Time // first-hold timestamp; hold time spans all re-checks
 	for i := 0; ; i++ {
-		b := c.cur.Load()
-		if b == nil {
-			// No state observed yet: execution has just begun.
-			break
-		}
-		stateKey = string(b.key)
-		allowed, known := c.table.Load().Allowed(b.key, pk)
-		if !known || allowed {
+		ok, k := c.admits(c.cur.Load(), pk)
+		stateKey = string(k)
+		if ok {
 			break
 		}
 		if i >= c.retries {
-			c.escaped.Add(1)
-			c.tel.GateArrival(stateKey, telemetry.GateEscape, uint64(p.Thread), time.Since(t0))
-			return telemetry.GateEscape
+			return c.count(p, telemetry.GateEscape, stateKey, time.Since(t0))
 		}
 		if !heldOnce {
 			t0 = time.Now()
@@ -174,13 +200,45 @@ func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
 		heldYield(i)
 	}
 	if heldOnce {
-		c.held.Add(1)
-		c.tel.GateArrival(stateKey, telemetry.GateHold, uint64(p.Thread), time.Since(t0))
-		return telemetry.GateHold
+		return c.count(p, telemetry.GateHold, stateKey, time.Since(t0))
 	}
-	c.passed.Add(1)
-	c.tel.GateArrival(stateKey, telemetry.GatePass, uint64(p.Thread), 0)
-	return telemetry.GatePass
+	return c.count(p, telemetry.GatePass, stateKey, 0)
+}
+
+// count books one gate decision for p, taken in state, in GateStats and
+// the per-state telemetry, and returns it.
+func (c *Controller) count(p txid.Pair, o telemetry.GateOutcome, state string, hold time.Duration) telemetry.GateOutcome {
+	switch o {
+	case telemetry.GateHold:
+		c.held.Add(1)
+	case telemetry.GateEscape:
+		c.escaped.Add(1)
+	default:
+		c.passed.Add(1)
+	}
+	c.tel.GateArrival(state, o, uint64(p.Thread), hold)
+	return o
+}
+
+// Check is the gate's membership test without the wait, for a caller that
+// runs p whatever the answer (gstm's CheckDequeue): GatePass when p is
+// admitted, GateEscape when it is not. It is booked like a gate decision
+// with no hold time, so GateStats, the per-state gate telemetry and the
+// watchdog's windows read the same on either path; an escape here means the
+// model's destination sets missed the work, not that anything waited.
+//
+// Arrive judges cur, the newest state whose aborts are all in, and a thread
+// it holds re-checks once cur moves on. Check gets one look, so it judges
+// latest, the commit p's transaction will actually follow: against cur it
+// would ask which transaction follows the commit before that one, and on a
+// pair of workers taking turns would refuse nearly every batch.
+func (c *Controller) Check(p txid.Pair) telemetry.GateOutcome {
+	o := telemetry.GatePass
+	ok, k := c.admits(c.latest.Load(), p.Pack())
+	if !ok {
+		o = telemetry.GateEscape
+	}
+	return c.count(p, o, string(k), 0)
 }
 
 // heldYield yields the processor with the same tiered schedule as
@@ -206,17 +264,18 @@ func heldYield(round int) {
 func (c *Controller) TxCommit(p txid.Pair, wv uint64, aborts int) {
 	c.mu.Lock()
 	if c.hasPend {
-		ab := c.aborts[c.pending.wv]
+		// latest already holds the pending commit with every abort
+		// reported against it.
 		delete(c.aborts, c.pending.wv)
-		st := trace.NewState(ab, c.pending.pair)
-		k := st.Key()
-		c.cur.Store(&stateBox{key: k})
+		b := c.latest.Load()
+		c.cur.Store(b)
 		if c.onState != nil {
-			c.onState(k)
+			c.onState(b.key)
 		}
 	}
 	c.pending = pendingCommit{wv: wv, pair: p.Pack()}
 	c.hasPend = true
+	c.latest.Store(c.box(c.aborts[wv], c.pending.pair))
 	c.seen++
 	if c.seen%1024 == 0 {
 		c.prune(wv)
@@ -228,11 +287,30 @@ func (c *Controller) TxCommit(p txid.Pair, wv uint64, aborts int) {
 	}
 }
 
+// box returns the published box of state {aborted, commit}: the interned
+// one when the key was seen before, else a new one, interned while the
+// table has room. Called with mu held; aborted is sorted in place.
+func (c *Controller) box(aborted []txid.Packed, commit txid.Packed) *stateBox {
+	c.keyBuf = trace.AppendKey(c.keyBuf[:0], aborted, commit)
+	if b, ok := c.boxes[string(c.keyBuf)]; ok {
+		return b
+	}
+	b := &stateBox{key: trace.Key(c.keyBuf)}
+	if len(c.boxes) < maxInterned {
+		c.boxes[string(b.key)] = b
+	}
+	return b
+}
+
 // TxAbort implements tl2.EventSink: it records the abort against the
-// commit that caused it so the state finalized for that commit includes it.
+// commit that caused it so the state finalized for that commit includes it,
+// and, when that commit is the pending one, republishes latest.
 func (c *Controller) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
 	c.mu.Lock()
 	c.aborts[byWV] = append(c.aborts[byWV], p.Pack())
+	if c.hasPend && byWV == c.pending.wv {
+		c.latest.Store(c.box(c.aborts[byWV], c.pending.pair))
+	}
 	c.mu.Unlock()
 
 	if c.inner != nil {

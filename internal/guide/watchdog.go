@@ -37,8 +37,10 @@ type WatchdogConfig struct {
 	// MaxEscapeRate trips the breaker when more than this fraction of the
 	// window's gate arrivals were forced through by the K-retry escape
 	// hatch — the signature of a model whose destination sets no longer
-	// match the running workload (every hold is wasted delay). Zero
-	// selects DefaultMaxEscapeRate; negative disables the check.
+	// match the running workload (every hold is wasted delay). Under Check
+	// an escape is a pair the model refused at first sight, so the rate is
+	// the model's miss rate and nothing waited. Zero selects
+	// DefaultMaxEscapeRate; negative disables the check.
 	MaxEscapeRate float64
 
 	// MaxHoldRate, when positive, trips the breaker when more than this
@@ -151,7 +153,7 @@ type WatchdogSnapshot struct {
 // controller so its current-state tracking stays warm for a re-arm).
 //
 // Install the Watchdog — not the inner controller — as both the runtime's
-// Gate and EventSink.
+// Gate and EventSink, or as the EventSink with callers asking Check.
 type Watchdog struct {
 	ctrl *Controller
 	cfg  WatchdogConfig
@@ -212,6 +214,15 @@ func (w *Watchdog) Arrive(p txid.Pair) telemetry.GateOutcome {
 		return telemetry.GatePass
 	}
 	return w.ctrl.Arrive(p)
+}
+
+// Check is the controller's Check while armed; tripped, every pair passes
+// and, as with the pass-through Arrive, nothing is counted.
+func (w *Watchdog) Check(p txid.Pair) telemetry.GateOutcome {
+	if w.tripped.Load() {
+		return telemetry.GatePass
+	}
+	return w.ctrl.Check(p)
 }
 
 // TxCommit implements the event sink: state tracking first, then window

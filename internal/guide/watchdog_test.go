@@ -276,3 +276,36 @@ func TestWatchdogTelemetryEvents(t *testing.T) {
 		t.Fatalf("no trip event with reason in ring: %+v", snap.Events)
 	}
 }
+
+// TestCheckCountsDecisionsAndTrips drives guidance the way a caller with a
+// queue does — Check never waits and books one decision per call — on the
+// adversarial table: Check refuses every real pair in a known state, its
+// escapes trip the watchdog, and from then on every pair passes uncounted.
+func TestCheckCountsDecisionsAndTrips(t *testing.T) {
+	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
+	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, pairOf(9, 9)))
+	w := NewWatchdog(ctrl, WatchdogConfig{Window: 8, MinGateSamples: 2, MaxEscapeRate: 0.25})
+	if o := w.Check(c); o != telemetry.GatePass {
+		t.Fatalf("no state yet, but Check said %v", o)
+	}
+	w.TxCommit(a, 1, 0)
+	w.TxCommit(b, 2, 0) // latest state {<b1>}: only the ghost is admitted
+	for i := 0; i < 6; i++ {
+		if o := w.Check(c); o != telemetry.GateEscape {
+			t.Fatalf("Check took a pair outside every destination set: %v", o)
+		}
+		w.TxCommit(b, uint64(3+i), 0)
+	}
+	if !w.Tripped() {
+		t.Fatalf("6 escapes in 7 decisions did not trip the watchdog: %+v", w.Snapshot())
+	}
+	if p, h, e := ctrl.GateStats(); p != 1 || h != 0 || e != 6 {
+		t.Fatalf("GateStats = %d/%d/%d, want 1/0/6", p, h, e)
+	}
+	if o := w.Check(c); o != telemetry.GatePass {
+		t.Fatalf("a tripped watchdog's Check said %v", o)
+	}
+	if p, _, e := ctrl.GateStats(); p != 1 || e != 6 {
+		t.Fatalf("a tripped watchdog's Check counted a decision (%d passed, %d escaped)", p, e)
+	}
+}

@@ -26,8 +26,8 @@ const (
 	// ModeTraining: profiling finished; the model is being built and
 	// analyzed in the background while serving continues unguided.
 	ModeTraining = gstm.ModeTraining
-	// ModeGuided: a model passed (or was forced) and the guidance gate is
-	// installed — the hot-swap happened under load.
+	// ModeGuided: a model passed (or was forced) and guidance is installed
+	// behind the workers' dequeue check — the hot-swap happened under load.
 	ModeGuided = gstm.ModeGuided
 	// ModeRejected: the analyzer rejected the trained model
 	// (gstm.ErrGuidanceRejected); serving stays unguided. The reason is
@@ -151,7 +151,7 @@ func (lc *lifecycle) noteOps(n int) {
 
 // train builds and analyzes the model off the serving path, then — if it
 // passes (or ForceGuidance) and no reconfiguration intervened — hot-swaps
-// the guidance gate under load.
+// guidance in under load.
 func (lc *lifecycle) train(gen uint64, traces []*gstm.Trace) {
 	m := gstm.BuildModel(lc.cfg.Workers, traces)
 	opts := lc.guidanceOptions()
@@ -176,10 +176,13 @@ func (lc *lifecycle) train(gen uint64, traces []*gstm.Trace) {
 	lc.mode.Store(uint32(ModeGuided))
 }
 
+// guidanceOptions installs every model behind the workers' dequeue check:
+// the controller (or its watchdog) observes the shard's events, and no
+// transaction is held at the gate (DESIGN.md "Dispatch").
 func (lc *lifecycle) guidanceOptions() []gstm.GuidanceOption {
 	opts := []gstm.GuidanceOption{
 		gstm.WithTfactor(lc.cfg.Tfactor),
-		gstm.WithGateRetries(lc.cfg.GateRetries),
+		gstm.WithDequeueCheck(),
 	}
 	if lc.cfg.Watchdog != nil {
 		opts = append(opts, gstm.WithWatchdog(*lc.cfg.Watchdog))

@@ -78,11 +78,11 @@ type Config struct {
 	// ModeRejected on that shard and it keeps serving unguided.
 	ForceGuidance bool
 
-	// Tfactor and GateRetries tune guidance (zero = defaults); Watchdog,
-	// when non-nil, arms the guidance watchdog on every hot-swapped gate.
-	Tfactor     float64
-	GateRetries int
-	Watchdog    *gstm.WatchdogOptions
+	// Tfactor tunes guidance (zero = default); the library's k has no use
+	// here, as no worker waits at a gate (DESIGN.md "Dispatch"). Watchdog,
+	// when non-nil, arms the guidance watchdog on every hot-swapped model.
+	Tfactor  float64
+	Watchdog *gstm.WatchdogOptions
 
 	// Unguided starts the server with every shard's lifecycle parked in
 	// ModeUnguided instead of profiling toward guidance (CtlModeAuto can

@@ -58,6 +58,8 @@ func site(op Op) gstm.TxnID {
 		return sitePut
 	case OpAdd:
 		return siteAdd
+	case OpTxn:
+		return siteTxn
 	default:
 		return siteDel
 	}
@@ -260,6 +262,9 @@ func (w *worker) execBatch() {
 			}
 		}
 		w.openSpan(sh, &w.batch[idxs[0]], len(idxs), forced, deq)
+		if idxs[0] == 0 {
+			w.checkGuidance(sh, deq) // the batch's lead homes here
+		}
 		w.spanOpts[sh][0] = runOpt
 	}
 
@@ -310,7 +315,9 @@ func (w *worker) execTxn() {
 	}
 	parts := w.plan.Active()
 	first := parts[0]
-	w.openSpan(first, t, len(ops), t.req.Trace, time.Now().UnixNano())
+	deq := time.Now().UnixNano()
+	w.openSpan(first, t, len(ops), t.req.Trace, deq)
+	w.checkGuidance(first, deq)
 	w.spanOpts[first][0] = w.updOpt
 	err := s.router.RunMulti(nil, parts, w.id, siteTxn, w.multi, w.spanOpts[first]...)
 	txnPool.Put(t.txn)
@@ -341,6 +348,26 @@ func (w *worker) openSpan(sh int, t *task, n int, forced bool, deq int64) {
 	sp.Start(t.req.ID, uint8(t.req.Op), uint8(sh), uint8(w.id), n, forced, begin)
 	sp.Add(obs.PhaseDecode, obs.CauseNone, 0, begin, t.decNs)
 	sp.Add(obs.PhaseQueue, obs.CauseNone, 0, t.enq, deq-t.enq)
+}
+
+// checkGuidance is guidance on the serving path, in place of the gate at
+// transaction start: one non-blocking check of the batch's lead pair (site,
+// worker) against shard sh's newest state, sh being where the lead's span
+// opens — an OpTxn's first participant. The batch runs whatever the answer;
+// the decision is counted (pass, or escape when the model refused the lead)
+// and lands on the span as a zero-length gate event at deq, an escape with
+// the gate-timeout cause a gate's escape hatch carries. On an unguided shard
+// it costs one atomic load (DESIGN.md "Dispatch").
+func (w *worker) checkGuidance(sh int, deq int64) {
+	o, ok := w.srv.router.System(sh).CheckDequeue(gstm.Pair{Txn: site(w.batch[0].req.Op), Thread: w.id})
+	if !ok {
+		return
+	}
+	cause := obs.CauseNone
+	if o == gstm.GateEscape {
+		cause = obs.CauseGateTimeout
+	}
+	w.spans[sh].Add(obs.PhaseGate, cause, 1, deq, 0)
 }
 
 // fail closes span sh of a transaction that did not commit and returns

@@ -13,6 +13,7 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,12 +53,23 @@ func NewState(aborted []txid.Packed, commit txid.Packed) State {
 
 // Key returns the state's compact encoding.
 func (s State) Key() Key {
-	buf := make([]byte, 0, 4*(len(s.Aborted)+1))
-	for _, p := range s.Aborted {
-		buf = appendPacked(buf, p)
+	return Key(AppendKey(make([]byte, 0, 4*(len(s.Aborted)+1)), s.Aborted, s.Commit))
+}
+
+// AppendKey appends the key of NewState(aborted, commit) to buf without
+// building the State: aborted is sorted in place unless it already is, and
+// de-duplicated as it is encoded. It lets an online tracker reuse one buffer
+// for every state.
+func AppendKey(buf []byte, aborted []txid.Packed, commit txid.Packed) []byte {
+	if !slices.IsSorted(aborted) {
+		slices.Sort(aborted)
 	}
-	buf = appendPacked(buf, s.Commit)
-	return Key(buf)
+	for i, p := range aborted {
+		if i == 0 || p != aborted[i-1] {
+			buf = appendPacked(buf, p)
+		}
+	}
+	return appendPacked(buf, commit)
 }
 
 func appendPacked(buf []byte, p txid.Packed) []byte {

@@ -3,6 +3,7 @@ package gstm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"gstm/internal/guide"
 	"gstm/internal/model"
@@ -79,7 +80,20 @@ type System struct {
 	schedGate tl2.Gate        // non-guidance scheduler, if any
 	schedSink tl2.EventSink   // its observer, if any
 	tap       tl2.EventSink   // persistent observer (WAL), survives hot-swaps
+
+	// check is guidance installed WithDequeueCheck (the controller or its
+	// watchdog); nil otherwise. Read without mu, once per CheckDequeue.
+	check atomic.Pointer[guidanceBox]
 }
+
+// guidance is what a guidance install puts in place: the controller or its
+// watchdog, as the gate or as the check behind CheckDequeue.
+type guidance interface {
+	tl2.Gate
+	Check(p Pair) GateOutcome
+}
+
+type guidanceBox struct{ g guidance }
 
 // Scheduler is consulted at every transaction start and may delay the
 // caller; it must eventually return. Guided execution is one Scheduler;
@@ -149,7 +163,8 @@ func (s *System) StopProfiling() *Trace {
 // EnableGuidance validates m, compiles it into a guide table and installs
 // the guided-execution gate. It returns ErrGuidanceRejected (wrapped with
 // the analyzer's reason) when the model fails validation. Options follow
-// the TxOption style of Run: WithTfactor, WithGateRetries, WithWatchdog.
+// the TxOption style of Run: WithTfactor, WithGateRetries, WithWatchdog,
+// WithDequeueCheck.
 func (s *System) EnableGuidance(m *Model, opts ...GuidanceOption) error {
 	set := applyGuidanceOptions(opts)
 	an := model.DefaultAnalyzer()
@@ -186,11 +201,40 @@ func (s *System) forceGuidance(m *Model, set guidanceSettings) {
 	}
 	s.schedGate, s.schedSink = nil, nil
 	s.installSinks()
+	var g guidance = s.ctrl
 	if s.dog != nil {
-		s.rt.SetGate(s.dog)
-	} else {
-		s.rt.SetGate(s.ctrl)
+		g = s.dog
 	}
+	s.installGuidance(g, set.dequeue)
+}
+
+// installGuidance puts g on the transaction-start gate or, dequeue set,
+// behind CheckDequeue with no gate. Called with mu held.
+func (s *System) installGuidance(g guidance, dequeue bool) {
+	if dequeue {
+		s.rt.SetGate(nil)
+		s.check.Store(&guidanceBox{g})
+		return
+	}
+	s.check.Store(nil)
+	s.rt.SetGate(g)
+}
+
+// CheckDequeue judges pair p, work the caller is about to run whatever the
+// answer, without waiting, against the automaton's newest state — the last
+// commit with the aborts reported against it so far — and counts the
+// decision like a gate arrival: GatePass when p lies in a high-probability
+// destination (or no known state has been reached yet), GateEscape when it
+// does not. Under a tripped watchdog every pair passes
+// and nothing is counted. ok is false when no guidance is installed
+// WithDequeueCheck — unguided, gated, or a custom scheduler — at the cost of
+// one atomic load.
+func (s *System) CheckDequeue(p Pair) (o GateOutcome, ok bool) {
+	b := s.check.Load()
+	if b == nil {
+		return GatePass, false
+	}
+	return b.g.Check(p), true
 }
 
 // DisableGuidance removes the guided-execution gate (and its watchdog).
@@ -200,6 +244,7 @@ func (s *System) DisableGuidance() {
 	s.ctrl = nil
 	s.dog = nil
 	s.rt.SetGate(nil)
+	s.check.Store(nil)
 	s.installSinks()
 }
 
@@ -212,6 +257,7 @@ func (s *System) SetScheduler(gate Scheduler, obs Observer) {
 	defer s.mu.Unlock()
 	s.ctrl = nil
 	s.dog = nil
+	s.check.Store(nil)
 	s.schedGate = gate
 	s.schedSink = obs
 	if gate == nil {
@@ -365,7 +411,7 @@ func (s *System) EnableAdaptiveGuidance(seed *Model, opts ...GuidanceOption) *Ad
 	s.dog = nil
 	s.schedGate, s.schedSink = nil, nil
 	s.installSinks()
-	s.rt.SetGate(a.Controller)
+	s.installGuidance(a.Controller, set.dequeue)
 	return a
 }
 

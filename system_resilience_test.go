@@ -335,3 +335,57 @@ func TestHealthSnapshotShape(t *testing.T) {
 		t.Fatal("health still guided after DisableGuidance")
 	}
 }
+
+// TestDequeueCheckInstallsNoGate: guidance installed WithDequeueCheck puts
+// no gate in front of Run — on the adversarial model a transaction would
+// otherwise spin the whole retry ladder — and is reachable only through
+// CheckDequeue, whose decisions feed GateStats and the watchdog like gate
+// arrivals. Uninstalling clears it.
+func TestDequeueCheckInstallsNoGate(t *testing.T) {
+	pairs := []txid.Pair{{Txn: 0, Thread: 0}, {Txn: 1, Thread: 1}}
+	sys := NewSystem(Config{Threads: 2})
+	if _, ok := sys.CheckDequeue(pairs[0]); ok {
+		t.Fatal("unguided system answered CheckDequeue")
+	}
+	sys.ForceGuidance(adversarialModel(2, pairs), WithGateRetries(1<<30),
+		WithWatchdog(WatchdogOptions{Window: 16, MinGateSamples: 4}), WithDequeueCheck())
+	if !sys.Guided() {
+		t.Fatal("not guided after WithDequeueCheck")
+	}
+	v := NewVar(0)
+	for i := 0; sys.Mode() != ModeDegraded; i++ {
+		if i == 64 {
+			t.Fatalf("64 checks did not trip the watchdog: %+v", sys.Health().Watchdog)
+		}
+		// With a gate each of these would spin 2^30 re-checks.
+		if err := sys.Run(nil, 0, 0, func(tx *Tx) error {
+			Write(tx, v, Read(tx, v)+1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if sys.Mode() == ModeDegraded {
+			break // this commit closed the window
+		}
+		o, ok := sys.CheckDequeue(pairs[0])
+		if !ok || (i > 0 && o != GateEscape) {
+			t.Fatalf("check %d: %v, %v; the adversarial model admitted a real pair in a known state", i, o, ok)
+		}
+	}
+	h := sys.Health()
+	if h.GateHeld != 0 || h.GateEscaped == 0 || h.GatePassed > 1 {
+		t.Fatalf("gate stats %d/%d/%d, want at most the first check passed and escapes after",
+			h.GatePassed, h.GateHeld, h.GateEscaped)
+	}
+	if o, ok := sys.CheckDequeue(pairs[0]); !ok || o != GatePass {
+		t.Fatalf("a tripped watchdog's check said %v, %v", o, ok)
+	}
+	sys.DisableGuidance()
+	if _, ok := sys.CheckDequeue(pairs[0]); ok {
+		t.Fatal("DisableGuidance left the dequeue check installed")
+	}
+	sys.ForceGuidance(adversarialModel(2, pairs))
+	if _, ok := sys.CheckDequeue(pairs[0]); ok {
+		t.Fatal("a gated install answers CheckDequeue")
+	}
+}
