@@ -563,99 +563,3 @@ func BenchmarkPolicyComparison(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationEagerVsLazy compares TL2's lazy (commit-time) conflict
-// detection against the eager (encounter-time) variant on a contended
-// read-modify-write workload — Section II argues guided-execution results
-// on lazy detection imply the eager case because lazy minimizes retries.
-func BenchmarkAblationEagerVsLazy(b *testing.B) {
-	for _, eager := range []bool{false, true} {
-		name := "lazy"
-		if eager {
-			name = "eager"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(1)
-			defer runtime.GOMAXPROCS(prev)
-			for i := 0; i < b.N; i++ {
-				rt := tl2.New(tl2.Config{Interleave: 4, EagerWriteLock: eager})
-				v := tl2.NewVar(0)
-				var wg sync.WaitGroup
-				for w := 0; w < 4; w++ {
-					wg.Add(1)
-					go func(id txid.ThreadID) {
-						defer wg.Done()
-						for j := 0; j < 250; j++ {
-							_ = rt.Atomic(id, 0, func(tx *tl2.Tx) error {
-								tl2.Write(tx, v, tl2.Read(tx, v)+1)
-								return nil
-							})
-						}
-					}(txid.ThreadID(w))
-				}
-				wg.Wait()
-				if i == b.N-1 {
-					c, a := rt.Stats()
-					b.ReportMetric(float64(a)/float64(c), "abort_ratio")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationAdaptiveGuidance compares offline-trained guidance
-// against the online-learning adaptive controller (cold start and
-// pre-seeded) on kmeans: the adaptive extension's promise is recovering
-// the paper's offline-model benefits without a separate profiling phase.
-func BenchmarkAblationAdaptiveGuidance(b *testing.B) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	w, err := stamp.ByName("kmeans")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const threads = 8
-	for _, mode := range []string{"default", "offline", "adaptive-cold"} {
-		b.Run(mode, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sys := gstm.NewSystem(gstm.Config{Threads: threads, Interleave: 6})
-				switch mode {
-				case "offline":
-					var traces []*gstm.Trace
-					for r := 0; r < 4; r++ {
-						inst, err := w.NewInstance(stamp.Params{Threads: threads, Size: stamp.Small, Seed: uint64(r)})
-						if err != nil {
-							b.Fatal(err)
-						}
-						sys.StartProfiling()
-						if _, err := inst.Run(sys); err != nil {
-							b.Fatal(err)
-						}
-						traces = append(traces, sys.StopProfiling())
-					}
-					sys.ForceGuidance(gstm.BuildModel(threads, traces), gstm.WithTfactor(2))
-				case "adaptive-cold":
-					sys.EnableAdaptiveGuidance(nil, gstm.WithTfactor(2), gstm.WithRecompileEvery(1024))
-				}
-				sys.ResetStats()
-				var measured []*gstm.Trace
-				for r := 0; r < 4; r++ {
-					inst, err := w.NewInstance(stamp.Params{Threads: threads, Size: stamp.Small, Seed: uint64(100 + r)})
-					if err != nil {
-						b.Fatal(err)
-					}
-					sys.StartProfiling()
-					if _, err := inst.Run(sys); err != nil {
-						b.Fatal(err)
-					}
-					measured = append(measured, sys.StopProfiling())
-				}
-				if i == b.N-1 {
-					commits, aborts := sys.Stats()
-					b.ReportMetric(float64(aborts)/float64(commits), "abort_ratio")
-					b.ReportMetric(float64(trace.DistinctStatesAcross(measured)), "nd_states")
-				}
-			}
-		})
-	}
-}

@@ -36,7 +36,6 @@ func main() {
 		watchdog      = flag.Bool("watchdog", true, "arm the guidance watchdog on the hot-swapped model")
 		unguided      = flag.Bool("unguided", false, "start with the lifecycle parked (plain TL2); CtlModeAuto can still start it")
 		interleave    = flag.Int("interleave", 0, "yield 1-in-N transactional operations (0 = never; exposes real interleaving on few cores)")
-		lockStripes   = flag.Int("lock-stripes", 0, "striped lock-table engine mode: versioned write-locks in a table of this many stripes per shard, rounded up to a power of two (0 = per-location locks)")
 		tfactor       = flag.Float64("tfactor", 0, "guidance Tfactor (0 = default)")
 		metrics       = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. :9100 or :0): /metrics (Prometheus), /debug/vars (JSON), /debug/pprof")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
@@ -65,7 +64,6 @@ func main() {
 		Tfactor:       *tfactor,
 		Unguided:      *unguided,
 		Interleave:    *interleave,
-		LockStripes:   *lockStripes,
 		WALDir:        *walDir,
 		FsyncInterval: *fsyncInterval,
 		SnapshotEvery: *snapshotEvery,

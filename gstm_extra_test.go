@@ -9,15 +9,6 @@ import (
 	"gstm/internal/cm"
 )
 
-func TestEagerConfigThroughPublicAPI(t *testing.T) {
-	sys := gstm.NewSystem(gstm.Config{Threads: 2, Interleave: 4, EagerWriteLock: true})
-	v := gstm.NewVar(0)
-	runCounterWorkload(sys, 2, 100, v)
-	if got := v.Peek(); got != 200 {
-		t.Fatalf("eager counter = %d, want 200", got)
-	}
-}
-
 type spyScheduler struct {
 	arrivals atomic.Int64
 	commits  atomic.Int64
@@ -144,32 +135,5 @@ func TestAnalyzeMatchesEnableDecision(t *testing.T) {
 	}
 	if !rep.Guidable && err == nil {
 		t.Fatal("analyzer rejects but EnableGuidance succeeded")
-	}
-}
-
-func TestAdaptiveGuidanceThroughPublicAPI(t *testing.T) {
-	sys := gstm.NewSystem(gstm.Config{Threads: 4, Interleave: 4})
-	ad := sys.EnableAdaptiveGuidance(nil, gstm.WithTfactor(2), gstm.WithRecompileEvery(128))
-	if ad == nil {
-		t.Fatal("nil adaptive controller")
-	}
-	if !sys.Guided() {
-		t.Fatal("adaptive guidance not reported as guided")
-	}
-	v := gstm.NewVar(0)
-	runCounterWorkload(sys, 4, 200, v)
-	if got := v.Peek(); got != 800 {
-		t.Fatalf("counter = %d, want 800", got)
-	}
-	if ad.ModelStates() == 0 {
-		t.Fatal("adaptive controller learned nothing")
-	}
-	snap := ad.Snapshot()
-	if snap.NumStates() != ad.ModelStates() {
-		t.Fatal("snapshot size mismatch")
-	}
-	sys.DisableGuidance()
-	if sys.Guided() {
-		t.Fatal("still guided after disable")
 	}
 }

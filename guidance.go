@@ -1,17 +1,15 @@
 package gstm
 
-// GuidanceOption configures one guidance installation (EnableGuidance,
-// ForceGuidance or EnableAdaptiveGuidance), mirroring the TxOption style of
-// Run. Options are plain values; a []GuidanceOption built once may be
-// reused across installs.
+// GuidanceOption configures one guidance installation (EnableGuidance or
+// ForceGuidance), mirroring the TxOption style of Run. Options are plain
+// values; a []GuidanceOption built once may be reused across installs.
 type GuidanceOption func(*guidanceSettings)
 
 type guidanceSettings struct {
-	tfactor        float64
-	gateRetries    int
-	watchdog       *WatchdogOptions
-	recompileEvery int
-	dequeue        bool
+	tfactor     float64
+	gateRetries int
+	watchdog    *WatchdogOptions
+	dequeue     bool
 }
 
 func applyGuidanceOptions(opts []GuidanceOption) guidanceSettings {
@@ -58,12 +56,4 @@ func WithWatchdog(w WatchdogOptions) GuidanceOption {
 // nothing else to run.
 func WithDequeueCheck() GuidanceOption {
 	return func(s *guidanceSettings) { s.dequeue = true }
-}
-
-// WithRecompileEvery sets how many automaton state changes adaptive
-// guidance accumulates before recompiling its guide table (0 selects the
-// default). Only EnableAdaptiveGuidance consults it; the offline installs
-// ignore it.
-func WithRecompileEvery(n int) GuidanceOption {
-	return func(s *guidanceSettings) { s.recompileEvery = n }
 }

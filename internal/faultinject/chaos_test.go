@@ -22,67 +22,62 @@ func chaosIters(t *testing.T) int {
 // increments), and a post-run sweep of every lock word finds nothing still
 // locked.
 func TestChaosTL2(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		eager bool
-	}{{"lazy", false}, {"eager", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			const workers = 8
-			iters := chaosIters(t)
-			rt := tl2.New(tl2.Config{EagerWriteLock: mode.eager})
-			inj := New(Config{Seed: 0xC4A05, SpuriousAbortProb: 0.3, CommitDelayProb: 0.3, CommitDelayYields: 8})
-			rt.SetFaultInjector(inj)
+	t.Run("lazy", func(t *testing.T) {
+		const workers = 8
+		iters := chaosIters(t)
+		rt := tl2.New(tl2.Config{})
+		inj := New(Config{Seed: 0xC4A05, SpuriousAbortProb: 0.3, CommitDelayProb: 0.3, CommitDelayYields: 8})
+		rt.SetFaultInjector(inj)
 
-			vars := make([]*tl2.Var[int], 4)
-			for i := range vars {
-				vars[i] = tl2.NewVar(0)
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						err := rt.Atomic(txid.ThreadID(w), txid.TxnID(i%1024), func(tx *tl2.Tx) error {
-							// Touch two vars per txn so write sets overlap
-							// across workers and commit-time locking orders
-							// multiple locks under injected delays.
-							a, b := vars[w%len(vars)], vars[(w+1)%len(vars)]
-							tl2.Write(tx, a, tl2.Read(tx, a)+1)
-							tl2.Write(tx, b, tl2.Read(tx, b)+1)
-							return nil
-						})
-						if err != nil {
-							t.Errorf("worker %d iter %d: %v", w, i, err)
-							return
-						}
+		vars := make([]*tl2.Var[int], 4)
+		for i := range vars {
+			vars[i] = tl2.NewVar(0)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					err := rt.Atomic(txid.ThreadID(w), txid.TxnID(i%1024), func(tx *tl2.Tx) error {
+						// Touch two vars per txn so write sets overlap
+						// across workers and commit-time locking orders
+						// multiple locks under injected delays.
+						a, b := vars[w%len(vars)], vars[(w+1)%len(vars)]
+						tl2.Write(tx, a, tl2.Read(tx, a)+1)
+						tl2.Write(tx, b, tl2.Read(tx, b)+1)
+						return nil
+					})
+					if err != nil {
+						t.Errorf("worker %d iter %d: %v", w, i, err)
+						return
 					}
-				}(w)
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-
-			total := 0
-			for i, v := range vars {
-				if _, locked := v.LockState(); locked {
-					t.Errorf("var %d left locked after chaos run", i)
 				}
-				total += v.Peek()
+			}(w)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+
+		total := 0
+		for i, v := range vars {
+			if _, locked := v.LockState(); locked {
+				t.Errorf("var %d left locked after chaos run", i)
 			}
-			if want := workers * iters * 2; total != want {
-				t.Fatalf("lost updates under injected faults: total %d, want %d", total, want)
-			}
-			aborts, delays := inj.Counts()
-			if aborts == 0 || delays == 0 {
-				t.Fatalf("injector never fired (aborts=%d delays=%d): chaos run proves nothing", aborts, delays)
-			}
-			if _, engineAborts := rt.Stats(); engineAborts < aborts {
-				t.Fatalf("engine counted %d aborts but injector forced %d", engineAborts, aborts)
-			}
-		})
-	}
+			total += v.Peek()
+		}
+		if want := workers * iters * 2; total != want {
+			t.Fatalf("lost updates under injected faults: total %d, want %d", total, want)
+		}
+		aborts, delays := inj.Counts()
+		if aborts == 0 || delays == 0 {
+			t.Fatalf("injector never fired (aborts=%d delays=%d): chaos run proves nothing", aborts, delays)
+		}
+		if _, engineAborts := rt.Stats(); engineAborts < aborts {
+			t.Fatalf("engine counted %d aborts but injector forced %d", engineAborts, aborts)
+		}
+	})
 }
 
 // TestChaosLibTM is the LibTM equivalent: object-granularity engine, both

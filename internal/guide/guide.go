@@ -8,8 +8,10 @@
 // same membership test without blocking (Check) as it takes up each piece
 // of work; internal/server's workers do this (DESIGN.md "Dispatch").
 //
-// The controller tracks the STM's current thread transactional state
-// online: it observes the commit/abort event stream and finalizes each
+// The guide table is compiled once, from a model trained offline before the
+// guided run (PAPER.md phases 1–4), and stays fixed while installed. The
+// controller tracks the STM's current thread transactional state online: it
+// observes the commit/abort event stream and finalizes each
 // commit's state one commit late, so that aborts attributed to a commit —
 // which are reported by the aborting threads shortly *after* the commit —
 // have time to arrive before the state is published.
@@ -36,10 +38,9 @@ const DefaultGateRetries = 16
 // only when the caller asks Check itself; it forwards events to an optional
 // inner sink so measurement can continue during guided runs.
 type Controller struct {
-	table   atomic.Pointer[model.GuideTable]
+	table   *model.GuideTable
 	retries int
 	inner   innerSink
-	onState func(trace.Key) // optional hook: fires when the tracked state updates
 
 	cur atomic.Pointer[stateBox] // current TTS key; nil until first commit
 	// latest is the pending commit's state as known so far: its pair and
@@ -104,13 +105,6 @@ func WithInnerSink(s innerSink) Option {
 	return func(c *Controller) { c.inner = s }
 }
 
-// WithStateCallback registers fn to be called (synchronously, under the
-// controller's lock) each time the tracked current state changes. The
-// adaptive controller uses it to learn transitions online.
-func WithStateCallback(fn func(trace.Key)) Option {
-	return func(c *Controller) { c.onState = fn }
-}
-
 // WithTelemetry routes per-state gate telemetry (visits, holds, escapes,
 // hold-time samples, watchdog events) into m — typically the guided
 // runtime's own Metrics so gate and engine telemetry land in one snapshot.
@@ -121,21 +115,15 @@ func WithTelemetry(m *telemetry.Metrics) Option {
 // NewController returns a Controller over a compiled guide table.
 func NewController(table *model.GuideTable, opts ...Option) *Controller {
 	c := &Controller{
+		table:   table,
 		retries: DefaultGateRetries,
 		aborts:  make(map[uint64][]txid.Packed),
 		boxes:   make(map[string]*stateBox),
 	}
-	c.table.Store(table)
 	for _, o := range opts {
 		o(c)
 	}
 	return c
-}
-
-// SetTable atomically replaces the guide table; in-flight gate checks see
-// either the old or the new table.
-func (c *Controller) SetTable(table *model.GuideTable) {
-	c.table.Store(table)
 }
 
 // CurrentState returns the tracked current state key and whether any state
@@ -163,7 +151,7 @@ func (c *Controller) admits(b *stateBox, pk txid.Packed) (bool, trace.Key) {
 	if b == nil {
 		return true, "" // no state observed yet: execution has just begun
 	}
-	allowed, known := c.table.Load().Allowed(b.key, pk)
+	allowed, known := c.table.Allowed(b.key, pk)
 	return allowed || !known, b.key
 }
 
@@ -267,11 +255,7 @@ func (c *Controller) TxCommit(p txid.Pair, wv uint64, aborts int) {
 		// latest already holds the pending commit with every abort
 		// reported against it.
 		delete(c.aborts, c.pending.wv)
-		b := c.latest.Load()
-		c.cur.Store(b)
-		if c.onState != nil {
-			c.onState(b.key)
-		}
+		c.cur.Store(c.latest.Load())
 	}
 	c.pending = pendingCommit{wv: wv, pair: p.Pack()}
 	c.hasPend = true

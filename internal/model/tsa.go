@@ -178,8 +178,8 @@ func (m *TSA) Destinations(k trace.Key, tfactor float64) []Edge {
 }
 
 // AddTransitionKeys records a single observed transition between two
-// already-encoded states. It is the online-learning entry point used by
-// guide.Adaptive; Build/AddRun remain the offline path.
+// already-encoded states, for building small models by hand (tests and
+// adversarial fixtures); Build/AddRun build models from traces.
 func (m *TSA) AddTransitionKeys(from, to trace.Key) {
 	n := m.nodes[from]
 	if n == nil {

@@ -33,8 +33,9 @@ const (
 	// CauseReadValidation: commit-time (or read-time) version validation
 	// observed a word newer than the transaction's read version.
 	CauseReadValidation
-	// CauseLockBusy: a lock word (read spin, eager write lock, or the
-	// commit's write-set lock sweep) stayed busy past the spin bound.
+	// CauseLockBusy: a lock word (a read's spin, the commit's write-set
+	// lock sweep, or its read-set validation) stayed busy past the spin
+	// bound or was held by another transaction.
 	CauseLockBusy
 	// CauseClockCAS: the GV4 clock CAS lost and the adopted winner's wv
 	// forced a validation pass that then failed.

@@ -92,12 +92,6 @@ type Config struct {
 	// Interleave is forwarded to gstm.Config (test machines).
 	Interleave int
 
-	// LockStripes is forwarded to every shard's gstm.Config: positive
-	// selects the striped lock-table engine mode (versioned write-locks
-	// live in a fixed cache-line-padded table per shard instead of one
-	// word per location). Zero keeps per-location locks.
-	LockStripes int
-
 	// WALDir, when non-empty, turns durability on: each shard keeps a
 	// write-ahead log of its commit sequence under WALDir/shard<i>, Start
 	// recovers snapshot+log before serving, and mutating operations are
@@ -230,10 +224,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		router: shard.New(shard.Config{
-			Shards:      cfg.Shards,
-			Threads:     cfg.Workers,
-			Interleave:  cfg.Interleave,
-			LockStripes: cfg.LockStripes,
+			Shards:     cfg.Shards,
+			Threads:    cfg.Workers,
+			Interleave: cfg.Interleave,
 		}),
 		stop:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),

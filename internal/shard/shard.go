@@ -50,12 +50,6 @@ type Config struct {
 	// "<prefix><i>" (default prefix "shard"). With a single shard the
 	// prefix is used bare, so an unsharded deployment keeps its label.
 	LabelPrefix string
-
-	// LockStripes is forwarded to each shard's gstm.Config: positive
-	// selects the striped lock-table engine mode per shard (each shard
-	// gets its own table, so striping never couples shards). Zero keeps
-	// per-location locks.
-	LockStripes int
 }
 
 func (cfg Config) normalize() Config {
@@ -90,7 +84,6 @@ func New(cfg Config) *Router {
 			Interleave:   cfg.Interleave,
 			Label:        label,
 			PrivateClock: cfg.Shards > 1,
-			LockStripes:  cfg.LockStripes,
 		}))
 	}
 	return r

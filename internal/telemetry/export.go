@@ -44,7 +44,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	counter("gstm_clock_cas_fallbacks_total", "GV4 pass-on-failure adoptions of a winner's clock value.", s.ClockCASFallbacks)
 	counter("gstm_write_set_spills_total", "Write sets that outgrew the inline fast path.", s.WriteSetSpills)
 	counter("gstm_write_filter_false_positives_total", "Write-set filter hits that found no entry.", s.FilterFalsePositives)
-	counter("gstm_stripe_collisions_total", "Distinct written locations that shared one stripe lock (striped mode).", s.StripeCollisions)
 	counter("gstm_watchdog_trips_total", "Guidance watchdog armed-to-tripped transitions.", s.WatchdogTrips)
 	counter("gstm_watchdog_rearms_total", "Guidance watchdog tripped-to-armed transitions.", s.WatchdogRearms)
 	counter("gstm_wal_appends_total", "Records appended to the write-ahead log.", s.WALAppends)

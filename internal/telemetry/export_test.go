@@ -26,9 +26,6 @@ func sampleSnapshot() Snapshot {
 	m.GateArrival("s0/w2", GateHold, 1, 3*time.Microsecond)
 	m.GateArrival(`s1"quoted\`, GateEscape, 2, 8*time.Microsecond)
 	m.WatchdogTrip("s0/w2", "escape-rate 0.80>0.25")
-	m.StripeCollisions.Inc(0)
-	m.StripeCollisions.Inc(1)
-	m.StripeCollisions.Inc(1)
 	return m.Snapshot()
 }
 
@@ -44,7 +41,6 @@ func TestWritePrometheusFamilies(t *testing.T) {
 		"gstm_tx_aborts_total 1",
 		"gstm_tx_retry_budget_exceeded_total 1",
 		"gstm_tx_context_canceled_total 0",
-		"gstm_stripe_collisions_total 3",
 		"gstm_watchdog_trips_total 1",
 		`gstm_gate_decisions_total{outcome="passed"} 1`,
 		`gstm_gate_decisions_total{outcome="held"} 1`,

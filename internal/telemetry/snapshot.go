@@ -107,7 +107,6 @@ type Snapshot struct {
 	ClockCASFallbacks    uint64 `json:"clock_cas_fallbacks"`
 	WriteSetSpills       uint64 `json:"write_set_spills"`
 	FilterFalsePositives uint64 `json:"write_filter_false_positives"`
-	StripeCollisions     uint64 `json:"stripe_collisions"`
 
 	GatePassed  uint64 `json:"gate_passed"`
 	GateHeld    uint64 `json:"gate_held"`
@@ -177,7 +176,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.ClockCASFallbacks += o.ClockCASFallbacks
 	s.WriteSetSpills += o.WriteSetSpills
 	s.FilterFalsePositives += o.FilterFalsePositives
-	s.StripeCollisions += o.StripeCollisions
 	s.GatePassed += o.GatePassed
 	s.GateHeld += o.GateHeld
 	s.GateEscaped += o.GateEscaped

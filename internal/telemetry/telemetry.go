@@ -109,7 +109,6 @@ type Metrics struct {
 	ClockCASFallbacks    Counter // GV4 pass-on-failure: commits that adopted a winner's clock value
 	WriteSetSpills       Counter // write sets that outgrew the inline fast path
 	FilterFalsePositives Counter // write-set filter hits that found no entry
-	StripeCollisions     Counter // striped mode: distinct written locations sharing one stripe lock
 
 	// Guidance-gate decision counters.
 	GatePassed  Counter
@@ -412,7 +411,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		ClockCASFallbacks:    m.ClockCASFallbacks.Load(),
 		WriteSetSpills:       m.WriteSetSpills.Load(),
 		FilterFalsePositives: m.FilterFalsePositives.Load(),
-		StripeCollisions:     m.StripeCollisions.Load(),
 		GatePassed:           m.GatePassed.Load(),
 		GateHeld:             m.GateHeld.Load(),
 		GateEscaped:          m.GateEscaped.Load(),
@@ -468,8 +466,7 @@ func (m *Metrics) Reset() {
 		&m.Commits, &m.Aborts, &m.RetryBudgetExceeded,
 		&m.ContextCanceled, &m.WALUnavailable, &m.Parked,
 		&m.XShardCommits, &m.XShardAborts, &m.ClockCASFallbacks,
-		&m.WriteSetSpills,
-		&m.FilterFalsePositives, &m.StripeCollisions,
+		&m.WriteSetSpills, &m.FilterFalsePositives,
 		&m.GatePassed, &m.GateHeld, &m.GateEscaped,
 		&m.WatchdogTrips, &m.WatchdogRearms,
 		&m.WALAppends, &m.WALFsyncs, &m.WALBytes, &m.WALSnapshots,

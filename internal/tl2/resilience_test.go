@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gstm/internal/txid"
+	"gstm/internal/wset"
 )
 
 // alwaysAbort is a FaultInjector that spuriously aborts every attempt,
@@ -16,56 +17,9 @@ type alwaysAbort struct{}
 func (alwaysAbort) SpuriousAbort(txid.Pair, int) bool { return true }
 func (alwaysAbort) CommitDelay(txid.Pair, int) int    { return 0 }
 
-// TestPanicReleasesEagerLocks is the regression test for the lock-leak on
-// user panic: under encounter-time locking a panic out of the transaction
-// body used to skip releaseLocks and pool a Tx still holding locks, so the
-// location stayed locked forever.
-func TestPanicReleasesEagerLocks(t *testing.T) {
-	rt := New(Config{EagerWriteLock: true})
-	v := NewVar(0)
-
-	func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("user panic did not propagate out of Atomic")
-			} else if r != "boom" {
-				t.Fatalf("panic value changed: %v", r)
-			}
-		}()
-		_ = rt.Atomic(0, 0, func(tx *Tx) error {
-			Write(tx, v, 1) // takes the encounter-time lock
-			panic("boom")
-		})
-	}()
-
-	if _, locked := v.LockState(); locked {
-		t.Fatal("lock leaked: location still locked after panic")
-	}
-	// The pooled Tx must be clean and the location usable: a fresh
-	// transaction on the same Var must commit promptly.
-	done := make(chan error, 1)
-	go func() {
-		done <- rt.Atomic(1, 1, func(tx *Tx) error {
-			Write(tx, v, Read(tx, v)+41)
-			return nil
-		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("follow-up transaction failed: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("follow-up transaction hung: leaked lock or dirty pooled Tx")
-	}
-	if got := v.Peek(); got != 41 {
-		t.Fatalf("panicked attempt's write leaked: got %d, want 41", got)
-	}
-}
-
-// TestPanicReleasesLazyState checks the same panic path under the default
-// commit-time locking: no locks are held mid-body, but the pooled Tx must
-// still come back clean.
+// TestPanicReleasesLazyState checks the user-panic path under commit-time
+// locking: no locks are held mid-body, but the pooled Tx must still come
+// back clean.
 func TestPanicReleasesLazyState(t *testing.T) {
 	rt := New(Config{})
 	v := NewVar(0)
@@ -111,7 +65,7 @@ func TestAtomicCtxPreCanceled(t *testing.T) {
 // abort/retry livelock (every attempt spuriously aborted) and requires it
 // to stop within one retry iteration, leaving no locks held.
 func TestAtomicCtxCancelStopsRetryLoop(t *testing.T) {
-	rt := New(Config{EagerWriteLock: true})
+	rt := New(Config{})
 	rt.SetFaultInjector(alwaysAbort{})
 	v := NewVar(0)
 
@@ -202,5 +156,61 @@ func TestAtomicROCtx(t *testing.T) {
 	cancel()
 	if err := rt.AtomicROCtx(ctx, 0, 0, func(tx *Tx) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCommitLockFailureRestoresAcquiredLocks holds the lock of the last
+// location of a spilled write set, so the commit acquires every other lock
+// before it gives up: each acquired lock must be restored to its pre-lock
+// word, and no value published.
+func TestCommitLockFailureRestoresAcquiredLocks(t *testing.T) {
+	rt := New(Config{})
+	const n = wset.InlineSize + 4
+	arr := NewArray[int](n)
+	// Commit once so every element has a nonzero pre-version to restore.
+	if err := rt.Atomic(0, 0, func(tx *Tx) error {
+		for i := 0; i < n; i++ {
+			WriteAt(tx, arr, i, i)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pre := make([]uint64, n)
+	for i := 0; i < n; i++ {
+		pre[i], _ = arr.At(i).LockState()
+	}
+	// Array cells sit at ascending addresses, so the last one is locked
+	// last.
+	last := &arr.At(n - 1).b.lk.word
+	held := last.Load()
+	last.Store(held | lockedBit)
+	err := rt.Run(nil, 0, 0, func(tx *Tx) error {
+		for i := 0; i < n; i++ {
+			WriteAt(tx, arr, i, 100+i)
+		}
+		return nil
+	}, false, 1)
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	last.Store(held)
+	for i := 0; i < n; i++ {
+		version, locked := arr.At(i).LockState()
+		if locked || version != pre[i] {
+			t.Fatalf("element %d = (version %d, locked %v), want (%d, false)", i, version, locked, pre[i])
+		}
+		if got := arr.Peek(i); got != i {
+			t.Fatalf("element %d value %d leaked from the failed commit", i, got)
+		}
+	}
+	if err := rt.Atomic(0, 0, func(tx *Tx) error {
+		WriteAt(tx, arr, 0, 42)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := arr.Peek(0); got != 42 {
+		t.Fatalf("follow-up write = %d", got)
 	}
 }

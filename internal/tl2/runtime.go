@@ -14,32 +14,12 @@ import (
 	"gstm/internal/txid"
 )
 
-// Config parameterizes a Runtime. The zero value is usable; Normalize fills
-// in defaults.
+// Config parameterizes a Runtime. The zero value is usable.
 type Config struct {
 	// Interleave, when positive, makes each transactional operation yield
 	// the processor with probability 1/Interleave. It substitutes for true
 	// multi-core interleaving on the single-core test machine (DESIGN.md).
 	Interleave int
-
-	// MaxReadSpin bounds how many times a read spins on a locked location
-	// before declaring a conflict.
-	MaxReadSpin int
-
-	// MaxLockSpin bounds how many times commit-time lock acquisition spins
-	// per location before aborting, TL2's deadlock-avoidance rule.
-	MaxLockSpin int
-
-	// RegistryCapacity sizes the wv→committer attribution ring.
-	RegistryCapacity int
-
-	// EagerWriteLock switches conflict detection on writes from lazy
-	// (commit-time, the TL2 default the paper evaluates) to eager
-	// (encounter-time): the versioned lock is taken at the first Write, so
-	// write-write conflicts and writer/reader conflicts surface
-	// immediately. Section II argues results on lazy detection imply the
-	// eager case; this knob lets the ablation benches check that claim.
-	EagerWriteLock bool
 
 	// Label names this runtime's telemetry registration (default "tl2").
 	// Sharded deployments label each shard's runtime distinctly so Gather
@@ -54,41 +34,18 @@ type Config struct {
 	// router relies on this to keep unrelated transactions off a shared
 	// clock cache line entirely.
 	PrivateClock bool
-
-	// LockStripes, when positive, replaces per-location versioned lock
-	// words with a striped lock table of that many cache-line-padded
-	// stripes (rounded up to a power of two): location addresses hash to
-	// stripes, so Array elements share lock words instead of carrying one
-	// each. Aliased locations conflict falsely but never unsafely (see
-	// stripe.go). Like PrivateClock, a striped runtime's Vars must be used
-	// exclusively under that runtime. Zero keeps the per-location default.
-	LockStripes int
 }
 
-// Normalize returns cfg with defaults applied to zero fields.
-func (cfg Config) Normalize() Config {
-	if cfg.MaxReadSpin <= 0 {
-		cfg.MaxReadSpin = 64
-	}
-	if cfg.MaxLockSpin <= 0 {
-		cfg.MaxLockSpin = 64
-	}
-	if cfg.RegistryCapacity <= 0 {
-		cfg.RegistryCapacity = 1 << 16
-	}
-	if cfg.LockStripes < 0 {
-		cfg.LockStripes = 0
-	}
-	if cfg.LockStripes > 0 {
-		// Round up to a power of two so stripe selection is a mask.
-		n := 1
-		for n < cfg.LockStripes {
-			n <<= 1
-		}
-		cfg.LockStripes = n
-	}
-	return cfg
-}
+const (
+	// maxReadSpin bounds how many times a read spins on a locked location
+	// before declaring a conflict.
+	maxReadSpin = 64
+	// maxLockSpin bounds how many times commit-time lock acquisition spins
+	// per location before aborting, TL2's deadlock-avoidance rule.
+	maxLockSpin = 64
+	// registryCapacity sizes the wv→committer attribution ring.
+	registryCapacity = 1 << 16
+)
 
 // EventSink receives the instrumentation stream the paper adds to TL2
 // (TX_commit / TX_abort): every commit with its global sequence number wv,
@@ -150,10 +107,6 @@ type Runtime struct {
 	fault atomic.Pointer[faultBox]
 	pool  sync.Pool
 
-	// stripes is the striped lock table (Config.LockStripes), or nil in
-	// the default per-location mode. Immutable after New.
-	stripes *stripeTable
-
 	// tel holds all runtime counters and latency histograms (sharded by
 	// worker thread), registered in the process-wide telemetry registry.
 	tel *telemetry.Metrics
@@ -163,20 +116,17 @@ type sinkBox struct{ s EventSink }
 type gateBox struct{ g Gate }
 type faultBox struct{ f FaultInjector }
 
-// New returns a Runtime with cfg (zero fields defaulted).
+// New returns a Runtime with cfg.
 func New(cfg Config) *Runtime {
 	label := cfg.Label
 	if label == "" {
 		label = "tl2"
 	}
-	rt := &Runtime{cfg: cfg.Normalize(), tel: telemetry.New(label), clock: &globalClock}
+	rt := &Runtime{cfg: cfg, tel: telemetry.New(label), clock: &globalClock}
 	if cfg.PrivateClock {
 		rt.clock = new(clock)
 	}
-	if rt.cfg.LockStripes > 0 {
-		rt.stripes = newStripeTable(rt.cfg.LockStripes)
-	}
-	rt.reg = commitreg.New(rt.cfg.RegistryCapacity)
+	rt.reg = commitreg.New(registryCapacity)
 	rt.pool.New = func() any {
 		tx := &Tx{rt: rt}
 		tx.group = []*Tx{tx}
@@ -432,10 +382,10 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 	defer func() {
 		r := recover()
 		if r != nil {
-			// A panic escaped the user's transaction body. Release every
-			// lock the attempt still holds (eager mode takes them at
-			// encounter time) and scrub the read/write sets so clean Txs go
-			// back to the pools, then let the panic continue.
+			// A panic escaped the user's transaction body. Locks are only
+			// taken inside the commit, but release defensively anyway, and
+			// scrub the read/write sets so clean Txs go back to the pools,
+			// then let the panic continue.
 			for _, tx := range txs {
 				tx.releaseLocks(0)
 				tx.scrub()
@@ -487,7 +437,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 		if retried {
 			// The body called Retry: the attempt is abandoned (not an abort
 			// — the state simply wasn't usable yet).
-			releaseAll(txs) // eager mode may hold encounter-time locks
+			releaseAll(txs)
 			if !o.Block {
 				return ErrWouldBlock
 			}
@@ -574,9 +524,9 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 }
 
 // aborted does an aborted attempt's bookkeeping on every participant —
-// release any lock still held (eager mode takes them at encounter time),
-// count and report the abort — then reports whether the call's budget is
-// spent, backing off before the next attempt when it is not.
+// release any lock still held, count and report the abort — then reports
+// whether the call's budget is spent, backing off before the next attempt
+// when it is not.
 func (rt *Runtime) aborted(txs []*Tx, self txid.Pair, byWV uint64, cause obs.Cause, budget, attempt int) bool {
 	for _, tx := range txs {
 		tx.releaseLocks(0)

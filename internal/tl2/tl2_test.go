@@ -362,17 +362,6 @@ func TestVersionedLockWord(t *testing.T) {
 	}
 }
 
-func TestConfigNormalize(t *testing.T) {
-	cfg := Config{}.Normalize()
-	if cfg.MaxReadSpin <= 0 || cfg.MaxLockSpin <= 0 || cfg.RegistryCapacity <= 0 {
-		t.Fatalf("Normalize left zero defaults: %+v", cfg)
-	}
-	custom := Config{MaxReadSpin: 5, MaxLockSpin: 6, RegistryCapacity: 2048}.Normalize()
-	if custom.MaxReadSpin != 5 || custom.MaxLockSpin != 6 || custom.RegistryCapacity != 2048 {
-		t.Fatalf("Normalize clobbered explicit values: %+v", custom)
-	}
-}
-
 func TestQuickSequentialTransfersConserve(t *testing.T) {
 	// Property: any sequence of (from, to, amount) transfers leaves the
 	// total balance unchanged.
@@ -404,154 +393,5 @@ func TestQuickSequentialTransfersConserve(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEagerModeBasicOps(t *testing.T) {
-	rt := New(Config{EagerWriteLock: true})
-	v := NewVar(1)
-	if err := rt.Atomic(0, 0, func(tx *Tx) error {
-		Write(tx, v, Read(tx, v)+10)
-		if got := Read(tx, v); got != 11 {
-			t.Fatalf("read-after-write = %d", got)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.Peek(); got != 11 {
-		t.Fatalf("Peek = %d", got)
-	}
-}
-
-func TestEagerModeCounterUnderContention(t *testing.T) {
-	rt := New(Config{EagerWriteLock: true, Interleave: 4})
-	v := NewVar(0)
-	const workers, per = 6, 150
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id txid.ThreadID) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if err := rt.Atomic(id, 0, func(tx *Tx) error {
-					Write(tx, v, Read(tx, v)+1)
-					return nil
-				}); err != nil {
-					t.Errorf("Atomic: %v", err)
-					return
-				}
-			}
-		}(txid.ThreadID(w))
-	}
-	wg.Wait()
-	if got := v.Peek(); got != workers*per {
-		t.Fatalf("counter = %d, want %d", got, workers*per)
-	}
-}
-
-func TestEagerModeReleasesLocksOnUserError(t *testing.T) {
-	rt := New(Config{EagerWriteLock: true})
-	v := NewVar(0)
-	sentinel := errors.New("bail")
-	if err := rt.Atomic(0, 0, func(tx *Tx) error {
-		Write(tx, v, 7)
-		return sentinel
-	}); !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-	// The lock must be free: a following transaction succeeds without
-	// spinning out.
-	if err := rt.Atomic(1, 0, func(tx *Tx) error {
-		Write(tx, v, 9)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if v.Peek() != 9 {
-		t.Fatal("follow-up write failed")
-	}
-}
-
-func TestEagerModeBankTransfers(t *testing.T) {
-	rt := New(Config{EagerWriteLock: true, Interleave: 4})
-	const accounts = 8
-	arr := NewArray[int](accounts)
-	for i := 0; i < accounts; i++ {
-		arr.Reset(i, 100)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id txid.ThreadID) {
-			defer wg.Done()
-			rng := uint64(id)*2654435761 + 5
-			next := func(n int) int {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				return int(rng % uint64(n))
-			}
-			for i := 0; i < 100; i++ {
-				from, to := next(accounts), next(accounts)
-				if from == to {
-					continue
-				}
-				if err := rt.Atomic(id, 0, func(tx *Tx) error {
-					WriteAt(tx, arr, from, ReadAt(tx, arr, from)-1)
-					WriteAt(tx, arr, to, ReadAt(tx, arr, to)+1)
-					return nil
-				}); err != nil {
-					t.Errorf("Atomic: %v", err)
-					return
-				}
-			}
-		}(txid.ThreadID(w))
-	}
-	wg.Wait()
-	total := 0
-	for i := 0; i < accounts; i++ {
-		total += arr.Peek(i)
-	}
-	if total != accounts*100 {
-		t.Fatalf("total = %d, want %d", total, accounts*100)
-	}
-}
-
-func TestEagerModeStaleVersionConflicts(t *testing.T) {
-	// An eager write to a location whose version is newer than rv must
-	// conflict immediately (encounter-time detection).
-	rt := New(Config{EagerWriteLock: true})
-	v := NewVar(0)
-	attempts := 0
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = rt.Atomic(0, 0, func(tx *Tx) error {
-			attempts++
-			if attempts == 1 {
-				close(started)
-				<-release // let another commit advance v's version past rv
-			}
-			Write(tx, v, 1)
-			return nil
-		})
-	}()
-	<-started
-	if err := rt.Atomic(1, 1, func(tx *Tx) error {
-		Write(tx, v, 2)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	<-done
-	if attempts < 2 {
-		t.Fatalf("attempts = %d, want >= 2 (eager write should have conflicted)", attempts)
-	}
-	if v.Peek() != 1 {
-		t.Fatalf("final value = %d, want 1 (thread 0 commits last)", v.Peek())
 	}
 }

@@ -55,18 +55,6 @@ type Tx struct {
 	// parkW is the reusable wakeup record for blocking parks (waiters.go).
 	parkW parkWaiter
 
-	// Striped-mode lock bookkeeping: every stripeRef in stripes is a
-	// stripe lock this attempt currently holds (appended only after a
-	// successful CAS); stripePlan is the reusable scratch list of stripes
-	// the commit still needs, kept sorted by slot address for the
-	// deterministic acquisition order striping takes away from the
-	// write set's address sort. Both retain capacity across attempts (the
-	// per-Tx arena pattern), so steady-state striped commits allocate
-	// nothing for lock bookkeeping. Unused (always empty) in per-location
-	// mode, where the write-set entries carry Pre/Locked instead.
-	stripes    []stripeRef
-	stripePlan []*lockSlot
-
 	// Latency-sampling state: when measure is set (1 in telemetry.SampleEvery
 	// commits per shard) the commit protocol times its read-set validation
 	// phase into valDur; validated records whether validation ran at all.
@@ -104,8 +92,6 @@ func (tx *Tx) reset(self txid.Pair, attempt int, readOnly, track bool, span *obs
 	tx.rv = tx.rt.clk().now()
 	tx.reads = tx.reads[:0]
 	tx.ws.Reset()
-	tx.stripes = tx.stripes[:0]
-	tx.stripePlan = tx.stripePlan[:0]
 	tx.attempt = attempt
 	tx.measure = tx.rt.tel.TxStart(uint64(self.Thread))
 	tx.valDur = 0
@@ -157,12 +143,8 @@ func (tx *Tx) conflict(byWV uint64, cause obs.Cause) {
 }
 
 // baseAddr is the write-set key of b: its address, which is also the
-// deterministic commit-time lock ordering key (and, under striping, the
-// stripe hash input).
+// deterministic commit-time lock ordering key.
 func baseAddr(b *base) uintptr { return uintptr(unsafe.Pointer(b)) }
-
-// slotAddr is the striped-mode lock acquisition ordering key.
-func slotAddr(lk *lockSlot) uintptr { return uintptr(unsafe.Pointer(lk)) }
 
 // readBase performs the TL2 post-validated read protocol on b and returns
 // the consistent value snapshot as a raw pointer (a *T the generic Read
@@ -179,27 +161,13 @@ func (tx *Tx) readBase(b *base) unsafe.Pointer {
 	} else if fp {
 		tx.rt.tel.FilterFalsePositives.Inc(uint64(tx.self.Thread))
 	}
-	lk := tx.rt.lockFor(b)
+	// Locks are only taken at commit, after the body, so a locked word
+	// here is always another transaction's.
+	lk := &b.lk
 	for spins := 0; ; spins++ {
 		w1 := lk.word.Load()
 		if wordLocked(w1) {
-			// Under striping an eager writer can hold the stripe of a
-			// location it never wrote (an alias of something it did write);
-			// the RAW lookup above cannot catch that, so check ownership
-			// here. Holding the stripe freezes its word and excludes
-			// publishers, so the snapshot is consistent against the
-			// pre-lock version, which eager acquisition validated ≤ rv.
-			if pre, mine := tx.ownedPre(lk, b); mine {
-				if v := wordVersion(pre); v > tx.rv {
-					tx.conflict(v, obs.CauseReadValidation)
-				}
-				p := b.loadPtr()
-				if tx.trackReads {
-					tx.reads = append(tx.reads, b)
-				}
-				return p
-			}
-			if spins < tx.rt.cfg.MaxReadSpin {
+			if spins < maxReadSpin {
 				spinYield()
 				continue
 			}
@@ -245,9 +213,8 @@ func box[T any](val T) *T {
 }
 
 // Write buffers val as the transaction's pending write to v. The write
-// becomes visible to other transactions only if this attempt commits.
-// Under eager detection (Config.EagerWriteLock) the location's versioned
-// lock is acquired here, at encounter time.
+// becomes visible to other transactions only if this attempt commits; its
+// versioned lock is taken at commit time.
 //
 // A rewrite of an already-buffered location updates the redo box in place
 // through the raw entry pointer (the box is private until commit publishes
@@ -274,48 +241,6 @@ func Write[T any](tx *Tx, v *Var[T], val T) {
 	if spilled {
 		tx.rt.tel.WriteSetSpills.Inc(uint64(tx.self.Thread))
 	}
-	if tx.rt.cfg.EagerWriteLock {
-		tx.lockEager(e, b)
-	}
-}
-
-// lockEager acquires b's versioned lock at encounter time with bounded
-// spinning, validating the version against rv (a newer version means a
-// conflicting commit already happened). In per-location mode the lock
-// bookkeeping is recorded in b's write-set entry e; in striped mode it goes
-// to the transaction's stripe list, and a stripe already held (an aliased
-// second write) is counted and reused rather than re-acquired.
-func (tx *Tx) lockEager(e *wset.Entry[*base], b *base) {
-	lk := tx.rt.lockFor(b)
-	striped := tx.rt.stripes != nil
-	if striped && lk.owner.Load() == tx.tag {
-		// Two written locations share this stripe; one lock covers both.
-		tx.rt.tel.StripeCollisions.Inc(uint64(tx.self.Thread))
-		return
-	}
-	for spins := 0; ; spins++ {
-		w := lk.word.Load()
-		if wordLocked(w) {
-			if spins >= tx.rt.cfg.MaxLockSpin {
-				tx.conflict(0, obs.CauseLockBusy)
-			}
-			spinYield()
-			continue
-		}
-		if v := wordVersion(w); v > tx.rv {
-			tx.conflict(v, obs.CauseReadValidation)
-		}
-		if lk.word.CompareAndSwap(w, w|lockedBit) {
-			lk.owner.Store(tx.tag)
-			if striped {
-				tx.stripes = append(tx.stripes, stripeRef{lk: lk, pre: w})
-			} else {
-				e.Pre = w
-				e.Locked = true
-			}
-			return
-		}
-	}
 }
 
 // ReadAt is shorthand for Read on an Array element.
@@ -328,28 +253,18 @@ func WriteAt[T any](tx *Tx, a *Array[T], i int, val T) { Write(tx, a.At(i), val)
 // bounded spinning. It reports failure (and releases everything acquired)
 // when some lock cannot be taken, the TL2 deadlock-avoidance rule.
 //
-// In per-location mode locks are acquired in ascending location address
-// order (the write set is sorted), so any two transactions acquire the
-// locks they share in the same global order: the random-map-iteration
-// livelock window — two commits each holding a lock the other spins on,
-// both aborting, retrying, and colliding again in a new random order —
-// cannot occur. In striped mode the stripe hash destroys that ordering, so
-// the needed stripes are first deduplicated (counting aliases) and sorted
-// by slot address to restore a global acquisition order.
+// Locks are acquired in ascending location address order (the write set is
+// sorted), so any two transactions acquire the locks they share in the same
+// global order: the random-map-iteration livelock window — two commits each
+// holding a lock the other spins on, both aborting, retrying, and colliding
+// again in a new random order — cannot occur.
 func (tx *Tx) lockWriteSet() bool {
-	if tx.rt.stripes != nil {
-		return tx.lockStripedWriteSet()
-	}
 	ents := tx.ws.Entries()
 	for i := range ents {
 		e := &ents[i]
-		if e.Locked {
-			continue // already taken at encounter time (eager mode)
-		}
-		b := e.Key
-		lk := &b.lk
+		lk := &e.Key.lk
 		acquired := false
-		for spins := 0; spins <= tx.rt.cfg.MaxLockSpin; spins++ {
+		for spins := 0; spins <= maxLockSpin; spins++ {
 			w := lk.word.Load()
 			if wordLocked(w) {
 				spinYield()
@@ -359,65 +274,6 @@ func (tx *Tx) lockWriteSet() bool {
 				lk.owner.Store(tx.tag)
 				e.Pre = w
 				e.Locked = true
-				acquired = true
-				break
-			}
-		}
-		if !acquired {
-			tx.releaseLocks(0)
-			return false
-		}
-	}
-	return true
-}
-
-// lockStripedWriteSet is the striped-mode commit lock phase: map every
-// write-set entry to its stripe, drop duplicates (two entries on one
-// stripe — the aliasing telemetry), skip stripes already taken at
-// encounter time, sort the remainder by slot address for a deterministic
-// global acquisition order, then acquire each with bounded spinning.
-func (tx *Tx) lockStripedWriteSet() bool {
-	t := tx.rt.stripes
-	ents := tx.ws.Entries()
-	tx.stripePlan = tx.stripePlan[:0]
-plan:
-	for i := range ents {
-		lk := t.of(ents[i].Addr())
-		for j := range tx.stripes {
-			if tx.stripes[j].lk == lk {
-				// Held since encounter time (eager) — an alias only if a
-				// previous *entry* mapped here, which eager counting
-				// already recorded; nothing to plan either way.
-				continue plan
-			}
-		}
-		for j := range tx.stripePlan {
-			if tx.stripePlan[j] == lk {
-				tx.rt.tel.StripeCollisions.Inc(uint64(tx.self.Thread))
-				continue plan
-			}
-		}
-		tx.stripePlan = append(tx.stripePlan, lk)
-	}
-	// Insertion sort by slot address: write sets are small (InlineSize 8
-	// before spilling) and sort.Slice's reflection would allocate on every
-	// striped commit.
-	for i := 1; i < len(tx.stripePlan); i++ {
-		for j := i; j > 0 && slotAddr(tx.stripePlan[j]) < slotAddr(tx.stripePlan[j-1]); j-- {
-			tx.stripePlan[j], tx.stripePlan[j-1] = tx.stripePlan[j-1], tx.stripePlan[j]
-		}
-	}
-	for _, lk := range tx.stripePlan {
-		acquired := false
-		for spins := 0; spins <= tx.rt.cfg.MaxLockSpin; spins++ {
-			w := lk.word.Load()
-			if wordLocked(w) {
-				spinYield()
-				continue
-			}
-			if lk.word.CompareAndSwap(w, w|lockedBit) {
-				lk.owner.Store(tx.tag)
-				tx.stripes = append(tx.stripes, stripeRef{lk: lk, pre: w})
 				acquired = true
 				break
 			}
@@ -435,19 +291,6 @@ plan:
 // published at version wv (commit path). The owner tag is cleared before
 // the unlocking store so no later lock holder's tag is ever clobbered.
 func (tx *Tx) releaseLocks(wv uint64) {
-	if tx.rt != nil && tx.rt.stripes != nil {
-		for i := range tx.stripes {
-			r := &tx.stripes[i]
-			r.lk.owner.Store(0)
-			if wv == 0 {
-				r.lk.word.Store(r.pre)
-			} else {
-				r.lk.word.Store(makeWord(wv, false))
-			}
-		}
-		tx.stripes = tx.stripes[:0]
-		return
-	}
 	ents := tx.ws.Entries()
 	for i := range ents {
 		e := &ents[i]
@@ -471,26 +314,15 @@ func (tx *Tx) releaseLocks(wv uint64) {
 func (tx *Tx) scrub() {
 	tx.reads = tx.reads[:0]
 	tx.ws.Reset()
-	tx.stripes = tx.stripes[:0]
-	tx.stripePlan = tx.stripePlan[:0]
 }
 
-// ownedPre returns the pre-lock word of lk (the slot guarding b) if this
-// transaction holds its lock. The ownership test is one atomic load of the
-// slot's owner tag — O(1), replacing the linear lock-list scan that made
-// read-set validation O(reads×locks) — and only a positive answer (rare: a
-// location both read and written by this transaction, or an alias of one
-// under striping) pays the lookup for the pre-lock word.
-func (tx *Tx) ownedPre(lk *lockSlot, b *base) (uint64, bool) {
-	if lk.owner.Load() != tx.tag {
-		return 0, false
-	}
-	if tx.rt.stripes != nil {
-		for i := range tx.stripes {
-			if tx.stripes[i].lk == lk {
-				return tx.stripes[i].pre, true
-			}
-		}
+// ownedPre returns the pre-lock word of b if this transaction holds its
+// lock: a location it both read and wrote, met again by commit-time read-set
+// validation. The ownership test is one atomic load of the slot's owner tag
+// — O(1), replacing the linear lock-list scan that made validation
+// O(reads×locks) — and only a positive answer pays the write-set lookup.
+func (tx *Tx) ownedPre(b *base) (uint64, bool) {
+	if b.lk.owner.Load() != tx.tag {
 		return 0, false
 	}
 	e, _ := tx.ws.Lookup(baseAddr(b))
@@ -500,18 +332,18 @@ func (tx *Tx) ownedPre(lk *lockSlot, b *base) (uint64, bool) {
 	return e.Pre, true
 }
 
-// validateReads re-validates the attempt's full read set against rv: a
-// location locked by someone else or carrying a version newer than rv
-// fails. Unlike the inline validation in commit it never elides on clock
-// evidence — the cross-shard prepare path calls it after every
-// participant's locks are down, and a sibling participant's clock tells
-// this shard nothing. The caller owns lock release on failure.
+// validateReads re-validates the attempt's full read set against rv while
+// the write-set locks are held: a location locked by someone else (cause
+// lock-busy) or carrying a version newer than rv (cause read-validation,
+// with that version as byWV) fails. commit calls it only when the clock
+// shows another commit since rv; the cross-shard prepare always does, since
+// a sibling participant's clock tells this shard nothing. The caller owns
+// lock release on failure.
 func (tx *Tx) validateReads() (byWV uint64, cause obs.Cause, ok bool) {
 	for _, b := range tx.reads {
-		lk := tx.rt.lockFor(b)
-		w := lk.word.Load()
+		w := b.lk.word.Load()
 		if wordLocked(w) {
-			pre, mine := tx.ownedPre(lk, b)
+			pre, mine := tx.ownedPre(b)
 			if !mine {
 				return 0, obs.CauseLockBusy, false
 			}
@@ -620,23 +452,13 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 		} else if tx.measure {
 			vt0 = time.Now()
 		}
-		for _, b := range tx.reads {
-			lk := tx.rt.lockFor(b)
-			w := lk.word.Load()
-			if wordLocked(w) {
-				pre, mine := tx.ownedPre(lk, b)
-				if !mine {
-					tx.releaseLocks(0)
-					tx.span.AddSince(obs.PhaseValidate, obs.CauseLockBusy, att, vt0)
-					return 0, 0, obs.CauseLockBusy, false
-				}
-				w = pre
+		if byWV, c, ok := tx.validateReads(); !ok {
+			if c == obs.CauseReadValidation {
+				c = valCause
 			}
-			if v := wordVersion(w); v > tx.rv {
-				tx.releaseLocks(0)
-				tx.span.AddSince(obs.PhaseValidate, valCause, att, vt0)
-				return 0, v, valCause, false
-			}
+			tx.releaseLocks(0)
+			tx.span.AddSince(obs.PhaseValidate, c, att, vt0)
+			return 0, byWV, c, false
 		}
 		if tx.measure || spanned {
 			end := time.Now()

@@ -7,9 +7,7 @@ import (
 
 // lockSlot is one TL2 versioned write-lock: the lock word (version<<1 |
 // lockedBit) plus the ownership tag of the transaction currently holding
-// the lock bit. In the default per-location mode every base embeds its own
-// slot; in striped mode (Config.LockStripes) the runtime hashes base
-// addresses onto a shared stripe table and the embedded slot is unused.
+// the lock bit. Every base embeds its own slot.
 type lockSlot struct {
 	word atomic.Uint64
 	// owner is the ownership tag (Tx.tag) of the transaction currently
@@ -76,10 +74,7 @@ func NewVar[T any](val T) *Var[T] {
 
 // Reset stores val non-transactionally. It must only be used during
 // single-threaded setup or teardown phases (the paper's benchmarks
-// initialize shared data before the timed transactional region). On a
-// striped runtime Reset does not touch the shared stripe table — stripe
-// versions stay monotone across resets, which is exactly what readers
-// validating `version > rv` require.
+// initialize shared data before the timed transactional region).
 func (v *Var[T]) Reset(val T) {
 	v.b.storePtr(unsafe.Pointer(&val))
 	v.b.lk.word.Store(0)
@@ -94,20 +89,15 @@ func (v *Var[T]) Peek() T { return *(*T)(v.b.loadPtr()) }
 // LockState reports v's embedded versioned lock word split into version
 // and lock bit. It is a diagnostic for tests and fault-injection sweeps: at
 // any quiescent point every location must report locked == false, or an
-// abort path leaked a lock. On a striped runtime the embedded word is
-// unused (always 0/false); use Runtime.LockedStripes for the equivalent
-// quiescence check there.
+// abort path leaked a lock.
 func (v *Var[T]) LockState() (version uint64, locked bool) {
 	w := v.b.lk.word.Load()
 	return wordVersion(w), wordLocked(w)
 }
 
-// Array is a fixed-length sequence of transactional locations of type T,
-// the analogue of a striped TL2 array: in per-location mode every element
-// has its own versioned lock word, so disjoint-index accesses never
-// conflict; under Config.LockStripes elements share the runtime's stripe
-// table, trading occasional false conflicts for a lock-metadata footprint
-// independent of array length.
+// Array is a fixed-length sequence of transactional locations of type T.
+// Every element has its own versioned lock word, so disjoint-index accesses
+// never conflict.
 type Array[T any] struct {
 	cells []Var[T]
 }

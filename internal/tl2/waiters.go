@@ -14,7 +14,7 @@ import (
 // (SNIPPETS.md §2–3 shows the anacrolix/stm surface) with one deliberate
 // departure: wakeup tracking is a per-base waiter list riding the existing
 // lock-word publish path, not a global broadcast. A commit already walks
-// its write set holding the stripe/lock words; waking the waiters of
+// its write set holding the lock words; waking the waiters of
 // exactly the bases it wrote costs one atomic nil-check per written
 // location on the non-blocking fast path (CI-gated zero-alloc) and scales
 // with real conflicts, not with the number of parked connections — the
@@ -133,10 +133,10 @@ func (tx *Tx) parkOnReads(ctx context.Context) (parked bool, err error) {
 		b.registerWaiter(&waiterNode{w: w})
 	}
 	for _, b := range tx.reads {
-		wd := tx.rt.lockFor(b).word.Load()
-		// A held lock is a commit in flight on this base (or, striped, an
-		// alias of one); skip the sleep rather than reason about whether its
-		// publish will cover our registration.
+		wd := b.lk.word.Load()
+		// A held lock is a commit in flight on this base; skip the sleep
+		// rather than reason about whether its publish will cover our
+		// registration.
 		if wordLocked(wd) || wordVersion(wd) > tx.rv {
 			return false, nil
 		}

@@ -1,9 +1,7 @@
 package tl2
 
 import (
-	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -79,182 +77,5 @@ func TestWriteSetMatchesMapOracle(t *testing.T) {
 	}
 	if err := quick.Check(run, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestStripedWriteSetMatchesMapOracle re-runs the map-oracle equivalence
-// property on a two-stripe runtime, the maximal-aliasing configuration:
-// 24 distinct locations share 2 lock words, so nearly every multi-location
-// commit dedups stripes. Aliasing must be invisible to single-transaction
-// semantics — last write wins, read-after-write sees the buffer — and must
-// leave the stripe table fully unlocked and the collision counter hot.
-func TestStripedWriteSetMatchesMapOracle(t *testing.T) {
-	type op struct {
-		Kind uint8
-		Idx  uint8
-		Val  int16
-	}
-	const n = 24
-	rt := New(Config{LockStripes: 2})
-	rt.Telemetry().Reset()
-	run := func(ops []op) bool {
-		arr := NewArray[int](n)
-		for i := 0; i < n; i++ {
-			arr.Reset(i, i*100)
-		}
-		model := make(map[int]int)
-		if err := rt.Atomic(0, 0, func(tx *Tx) error {
-			for _, o := range ops {
-				i := int(o.Idx) % n
-				switch o.Kind % 3 {
-				case 0:
-					got := ReadAt(tx, arr, i)
-					want, buffered := model[i]
-					if !buffered {
-						want = i * 100
-					}
-					if got != want {
-						t.Errorf("read[%d] = %d, oracle %d (buffered=%v)", i, got, want, buffered)
-					}
-				default:
-					WriteAt(tx, arr, i, int(o.Val))
-					model[i] = int(o.Val)
-				}
-			}
-			return nil
-		}); err != nil {
-			t.Errorf("atomic failed: %v", err)
-			return false
-		}
-		for i := 0; i < n; i++ {
-			want, written := model[i]
-			if !written {
-				want = i * 100
-			}
-			if got := arr.Peek(i); got != want {
-				t.Errorf("post-commit arr[%d] = %d, oracle %d (written=%v)", i, got, want, written)
-				return false
-			}
-		}
-		if locked, _ := rt.LockedStripes(); locked != 0 {
-			t.Errorf("%d stripes left locked after commit", locked)
-			return false
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(0x5eed))}
-	if err := quick.Check(run, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Telemetry().StripeCollisions.Load() == 0 {
-		t.Fatal("two-stripe runtime committed 24-location write sets without counting a single stripe collision")
-	}
-}
-
-// TestStripedEagerAbortRestoresStripes locks aliased locations at
-// encounter time, aborts on a user error, and requires every stripe
-// restored to its pre-lock word: values untouched, table quiescent, and
-// the runtime still able to commit.
-func TestStripedEagerAbortRestoresStripes(t *testing.T) {
-	rt := New(Config{LockStripes: 2, EagerWriteLock: true})
-	const n = 16
-	arr := NewArray[int](n)
-	if err := rt.Atomic(0, 0, func(tx *Tx) error {
-		for i := 0; i < n; i++ {
-			WriteAt(tx, arr, i, i)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sentinel := errors.New("abort with eager stripe locks held")
-	err := rt.Atomic(0, 0, func(tx *Tx) error {
-		for i := 0; i < n; i++ {
-			WriteAt(tx, arr, i, 1000+i)
-			// Read-after-write through the stripe: must come from the
-			// buffer even though our own stripe lock is held.
-			if got := ReadAt(tx, arr, i); got != 1000+i {
-				t.Errorf("read-own-striped-lock[%d] = %d, want %d", i, got, 1000+i)
-			}
-		}
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if locked, total := rt.LockedStripes(); locked != 0 {
-		t.Fatalf("%d/%d stripes left locked by eager abort", locked, total)
-	}
-	for i := 0; i < n; i++ {
-		if got := arr.Peek(i); got != i {
-			t.Fatalf("arr[%d] = %d leaked from aborted eager tx", i, got)
-		}
-	}
-	if err := rt.Atomic(0, 0, func(tx *Tx) error {
-		WriteAt(tx, arr, 0, 42)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := arr.Peek(0); got != 42 {
-		t.Fatalf("follow-up commit wrote %d", got)
-	}
-}
-
-// TestStripedConcurrentAliasedTransfers hammers a two-stripe runtime with
-// concurrent transfers between aliased accounts, in both lazy and eager
-// write modes. False conflicts from aliasing may abort attempts but must
-// never break atomicity: the account sum is invariant, and the table is
-// quiescent afterwards. Run under -race this is also the memory-model
-// check on the shared stripe words.
-func TestStripedConcurrentAliasedTransfers(t *testing.T) {
-	for _, eager := range []bool{false, true} {
-		name := "lazy"
-		if eager {
-			name = "eager"
-		}
-		t.Run(name, func(t *testing.T) {
-			rt := New(Config{LockStripes: 2, EagerWriteLock: eager, Interleave: 3})
-			const accounts, workers, transfers, initial = 32, 4, 300, 1000
-			arr := NewArray[int](accounts)
-			for i := 0; i < accounts; i++ {
-				arr.Reset(i, initial)
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w + 1)))
-					for k := 0; k < transfers; k++ {
-						from, to := rng.Intn(accounts), rng.Intn(accounts)
-						if from == to {
-							to = (to + 1) % accounts
-						}
-						if err := rt.Atomic(0, 0, func(tx *Tx) error {
-							a := ReadAt(tx, arr, from)
-							b := ReadAt(tx, arr, to)
-							WriteAt(tx, arr, from, a-1)
-							WriteAt(tx, arr, to, b+1)
-							return nil
-						}); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			sum := 0
-			for i := 0; i < accounts; i++ {
-				sum += arr.Peek(i)
-			}
-			if sum != accounts*initial {
-				t.Fatalf("sum = %d, want %d: aliased transfer broke atomicity", sum, accounts*initial)
-			}
-			if locked, total := rt.LockedStripes(); locked != 0 {
-				t.Fatalf("%d/%d stripes locked at quiescence", locked, total)
-			}
-		})
 	}
 }

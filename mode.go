@@ -24,8 +24,8 @@ const (
 	// analyzed in the background while execution continues unguided. A
 	// System never reports this itself; lifecycle drivers overlay it.
 	ModeTraining Mode = 2
-	// ModeGuided: a guidance controller is installed (EnableGuidance,
-	// ForceGuidance or EnableAdaptiveGuidance).
+	// ModeGuided: a guidance controller is installed (EnableGuidance or
+	// ForceGuidance).
 	ModeGuided Mode = 3
 	// ModeRejected: the analyzer rejected the trained model
 	// (ErrGuidanceRejected) and execution stays unguided. A System never

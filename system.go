@@ -25,15 +25,6 @@ type Config struct {
 	// threads (see DESIGN.md). Zero disables forced yields.
 	Interleave int
 
-	// MaxReadSpin / MaxLockSpin bound the TL2 spin loops; zero means the
-	// engine defaults.
-	MaxReadSpin int
-	MaxLockSpin int
-
-	// EagerWriteLock selects encounter-time write locking instead of TL2's
-	// default commit-time (lazy) locking. See tl2.Config.EagerWriteLock.
-	EagerWriteLock bool
-
 	// Label names the system's telemetry registration (default "tl2").
 	// Sharded deployments label each shard distinctly so GatherTelemetry
 	// and the /metrics endpoint can report per-shard series alongside the
@@ -46,16 +37,6 @@ type Config struct {
 	// another system. The shard router sets this so unrelated transactions
 	// stop contending on one clock cache line.
 	PrivateClock bool
-
-	// LockStripes, when positive, selects the striped lock-table engine
-	// mode: versioned write-locks live in a fixed cache-line-padded table
-	// of that many stripes (rounded up to a power of two) instead of one
-	// lock word per location, so Array elements and data-structure nodes
-	// share lock metadata. Locations hashing to one stripe conflict
-	// falsely but never unsafely. Vars used under a striped system must be
-	// used exclusively by it (the same ownership contract as
-	// PrivateClock). Zero keeps per-location locks.
-	LockStripes int
 }
 
 // WatchdogOptions configures the guidance watchdog (see
@@ -122,13 +103,9 @@ func NewSystem(cfg Config) *System {
 		cfg.Threads = 1
 	}
 	rt := tl2.New(tl2.Config{
-		Interleave:     cfg.Interleave,
-		MaxReadSpin:    cfg.MaxReadSpin,
-		MaxLockSpin:    cfg.MaxLockSpin,
-		EagerWriteLock: cfg.EagerWriteLock,
-		Label:          cfg.Label,
-		PrivateClock:   cfg.PrivateClock,
-		LockStripes:    cfg.LockStripes,
+		Interleave:   cfg.Interleave,
+		Label:        cfg.Label,
+		PrivateClock: cfg.PrivateClock,
 	})
 	return &System{cfg: cfg, rt: rt}
 }
@@ -386,33 +363,6 @@ func (s *System) GateStats() (passed, held, escaped uint64) {
 		return 0, 0, 0
 	}
 	return ctrl.GateStats()
-}
-
-// AdaptiveGuidance is the online-learning guidance controller returned by
-// EnableAdaptiveGuidance; it exposes the live model's size and snapshot.
-type AdaptiveGuidance = guide.Adaptive
-
-// EnableAdaptiveGuidance installs guidance that keeps learning the Thread
-// State Automaton from the live event stream, recompiling its guide table
-// every WithRecompileEvery state changes (unset selects the default). seed
-// may be nil for a cold start — the gate then passes everything until
-// evidence accumulates. This is an extension beyond the paper, whose
-// models are trained strictly offline.
-func (s *System) EnableAdaptiveGuidance(seed *Model, opts ...GuidanceOption) *AdaptiveGuidance {
-	set := applyGuidanceOptions(opts)
-	gopts := []guide.Option{guide.WithTelemetry(s.rt.Telemetry())}
-	if set.gateRetries > 0 {
-		gopts = append(gopts, guide.WithGateRetries(set.gateRetries))
-	}
-	a := guide.NewAdaptive(s.cfg.Threads, seed, set.tfactor, set.recompileEvery, gopts...)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ctrl = a.Controller
-	s.dog = nil
-	s.schedGate, s.schedSink = nil, nil
-	s.installSinks()
-	s.installGuidance(a.Controller, set.dequeue)
-	return a
 }
 
 // Health is a point-in-time view of the system's runtime resilience state:

@@ -39,7 +39,7 @@ func adversarialModel(threads int, pairs []txid.Pair) *Model {
 // canceled context stops a high-contention Run within one retry
 // iteration, with no locks held, and Health counts the abandonment.
 func TestSystemRunCancelUnderLivelock(t *testing.T) {
-	sys := NewSystem(Config{Threads: 2, EagerWriteLock: true})
+	sys := NewSystem(Config{Threads: 2})
 	// A permanent spurious-abort schedule turns the transaction into an
 	// abort/retry livelock that only cancellation can end.
 	sys.rt.SetFaultInjector(faultinject.New(faultinject.Config{Seed: 1, SpuriousAbortProb: 1.01}))
@@ -226,9 +226,10 @@ func TestWatchdogFallbackOnAdversarialModel(t *testing.T) {
 
 // TestReconfigureUnderLoad toggles every sink/gate reconfiguration entry
 // point — profiling on/off, guidance on/off (with and without watchdog),
-// custom scheduler, adaptive guidance — while workers keep committing.
-// Run under -race this checks the atomic gate/sink swap paths; the final
-// counts check that no increment was lost across any reconfiguration.
+// custom scheduler, guidance behind the dequeue check — while workers keep
+// committing and a checker keeps calling CheckDequeue. Run under -race this
+// checks the atomic gate/sink/check swap paths; the final counts check that
+// no increment was lost across any reconfiguration.
 func TestReconfigureUnderLoad(t *testing.T) {
 	const threads = 4
 	iters := 2000
@@ -267,6 +268,19 @@ func TestReconfigureUnderLoad(t *testing.T) {
 	m := adversarialModel(threads, pairs)
 	stop := make(chan struct{})
 	go func() { wg.Wait(); close(stop) }()
+	checked := make(chan struct{})
+	go func() {
+		defer close(checked)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sys.CheckDequeue(pairs[i%threads])
+		}
+	}()
+	defer func() { <-checked }()
 	for i := 0; ; i++ {
 		select {
 		case <-stop:
@@ -287,7 +301,7 @@ func TestReconfigureUnderLoad(t *testing.T) {
 		case 3:
 			sys.SetScheduler(faultinject.NewStarvingGate(nil, 2), faultinject.NewStallingSink(nil, 2))
 		case 4:
-			sys.EnableAdaptiveGuidance(nil, WithTfactor(4), WithGateRetries(1), WithRecompileEvery(64))
+			sys.ForceGuidance(m, WithDequeueCheck())
 		case 5:
 			sys.DisableGuidance()
 		}
