@@ -68,9 +68,7 @@ func main() {
 		FsyncInterval: *fsyncInterval,
 		SnapshotEvery: *snapshotEvery,
 		GuidedWarmup:  *guidedWarmup,
-	}
-	if *watchdog {
-		cfg.Watchdog = &gstm.WatchdogOptions{}
+		Watchdog:      *watchdog,
 	}
 
 	s := server.New(cfg)

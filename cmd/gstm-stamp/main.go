@@ -34,7 +34,7 @@ func main() {
 		csvOut     = flag.String("csv", "", "also write a machine-readable CSV of all results to this path")
 		fig        = flag.Int("fig", 0, "print only this figure (4, 5, 6, 7, 9 or 10); 0 prints everything")
 		procs      = flag.Int("gomaxprocs", 1, "GOMAXPROCS for the experiment (1 gives the least timing noise on one core)")
-		watchdog   = flag.Bool("watchdog", false, "arm the guidance watchdog on the guided side (default thresholds); the RESILIENCE report section then records degraded-mode transitions")
+		watchdog   = flag.Bool("watchdog", false, "arm the guidance watchdog on the guided side; the RESILIENCE report section then records degraded-mode transitions")
 		metrics    = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. :9100 or :0 for an ephemeral port): /metrics (Prometheus), /debug/vars (JSON), /debug/pprof")
 	)
 	flag.Parse()
@@ -53,11 +53,6 @@ func main() {
 	exitOn(err)
 	threadCounts, err := parseThreads(*threads)
 	exitOn(err)
-
-	var wdOpts *gstm.WatchdogOptions
-	if *watchdog {
-		wdOpts = &gstm.WatchdogOptions{} // zero value = sound defaults
-	}
 
 	var workloads []stamp.Workload
 	if *benchFlag == "all" {
@@ -83,7 +78,7 @@ func main() {
 				Tfactor:     *tfactor,
 				GateRetries: *gateK,
 				Seed:        *seed,
-				Watchdog:    wdOpts,
+				Watchdog:    *watchdog,
 			})
 			exitOn(err)
 			suite.Add(res)

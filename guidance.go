@@ -8,7 +8,7 @@ type GuidanceOption func(*guidanceSettings)
 type guidanceSettings struct {
 	tfactor     float64
 	gateRetries int
-	watchdog    *WatchdogOptions
+	watchdog    bool
 	dequeue     bool
 }
 
@@ -35,17 +35,14 @@ func WithGateRetries(k int) GuidanceOption {
 }
 
 // WithWatchdog arms the guidance watchdog: a circuit breaker that samples
-// gate escape/hold rates and the abort rate over sliding windows and trips
-// guidance into pass-through mode when the model is degrading execution —
-// the runtime analogue of the analyzer's offline rejection. The zero
-// WatchdogOptions value selects sound defaults; System.Health reports the
-// breaker state and System.Mode refines ModeGuided to ModeDegraded while
-// it is tripped.
-func WithWatchdog(w WatchdogOptions) GuidanceOption {
-	return func(s *guidanceSettings) {
-		wd := w
-		s.watchdog = &wd
-	}
+// gate escape/hold rates and the abort rate over windows of 512 events and
+// trips guidance into pass-through mode for good when more than a quarter
+// of a window's gate decisions (at least 32) escaped — the runtime analogue
+// of the analyzer's offline rejection. System.Health reports the breaker
+// state and System.Mode refines ModeGuided to ModeDegraded once it has
+// tripped.
+func WithWatchdog() GuidanceOption {
+	return func(s *guidanceSettings) { s.watchdog = true }
 }
 
 // WithDequeueCheck installs guidance without the transaction-start gate:

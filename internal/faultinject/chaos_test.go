@@ -80,62 +80,58 @@ func TestChaosTL2(t *testing.T) {
 	})
 }
 
-// TestChaosLibTM is the LibTM equivalent: object-granularity engine, both
-// write modes, with a visible-reader sweep on top of the writer-lock sweep.
+// TestChaosLibTM is the LibTM equivalent: object-granularity engine with
+// commit-time write locks, with a visible-reader sweep on top of the
+// writer-lock sweep.
 func TestChaosLibTM(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		wm   libtm.WriteMode
-	}{{"commit-time", libtm.WriteCommitTime}, {"encounter-time", libtm.WriteEncounterTime}} {
-		t.Run(mode.name, func(t *testing.T) {
-			const workers = 8
-			iters := chaosIters(t)
-			rt := libtm.New(libtm.Config{WriteMode: mode.wm})
-			inj := New(Config{Seed: 0x11B7, SpuriousAbortProb: 0.3, CommitDelayProb: 0.3})
-			rt.SetFaultInjector(inj)
+	t.Run("commit-time", func(t *testing.T) {
+		const workers = 8
+		iters := chaosIters(t)
+		rt := libtm.New(libtm.Config{})
+		inj := New(Config{Seed: 0x11B7, SpuriousAbortProb: 0.3, CommitDelayProb: 0.3})
+		rt.SetFaultInjector(inj)
 
-			objs := make([]*libtm.Obj[int], 4)
-			for i := range objs {
-				objs[i] = libtm.NewObj(0)
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						err := rt.Atomic(txid.ThreadID(w), txid.TxnID(i%1024), func(tx *libtm.Tx) error {
-							o := objs[(w+i)%len(objs)]
-							libtm.Write(tx, o, libtm.Read(tx, o)+1)
-							return nil
-						})
-						if err != nil {
-							t.Errorf("worker %d iter %d: %v", w, i, err)
-							return
-						}
+		objs := make([]*libtm.Obj[int], 4)
+		for i := range objs {
+			objs[i] = libtm.NewObj(0)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					err := rt.Atomic(txid.ThreadID(w), txid.TxnID(i%1024), func(tx *libtm.Tx) error {
+						o := objs[(w+i)%len(objs)]
+						libtm.Write(tx, o, libtm.Read(tx, o)+1)
+						return nil
+					})
+					if err != nil {
+						t.Errorf("worker %d iter %d: %v", w, i, err)
+						return
 					}
-				}(w)
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-
-			total := 0
-			for i, o := range objs {
-				if held, readers := o.LockState(); held || readers != 0 {
-					t.Errorf("obj %d leaked after chaos run: writerHeld=%v readers=%d", i, held, readers)
 				}
-				total += o.Peek()
+			}(w)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+
+		total := 0
+		for i, o := range objs {
+			if held, readers := o.LockState(); held || readers != 0 {
+				t.Errorf("obj %d leaked after chaos run: writerHeld=%v readers=%d", i, held, readers)
 			}
-			if want := workers * iters; total != want {
-				t.Fatalf("lost updates under injected faults: total %d, want %d", total, want)
-			}
-			if aborts, _ := inj.Counts(); aborts == 0 {
-				t.Fatal("injector never fired: chaos run proves nothing")
-			}
-		})
-	}
+			total += o.Peek()
+		}
+		if want := workers * iters; total != want {
+			t.Fatalf("lost updates under injected faults: total %d, want %d", total, want)
+		}
+		if aborts, _ := inj.Counts(); aborts == 0 {
+			t.Fatal("injector never fired: chaos run proves nothing")
+		}
+	})
 }
 
 // TestChaosInstrumentationPlane degrades the measurement plane instead of

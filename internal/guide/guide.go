@@ -35,12 +35,10 @@ const DefaultGateRetries = 16
 
 // Controller implements tl2.Gate and tl2.EventSink. Install it as gate and
 // sink on a runtime (SetGate/SetSink) to obtain guided execution, or as sink
-// only when the caller asks Check itself; it forwards events to an optional
-// inner sink so measurement can continue during guided runs.
+// only when the caller asks Check itself.
 type Controller struct {
 	table   *model.GuideTable
 	retries int
-	inner   innerSink
 
 	cur atomic.Pointer[stateBox] // current TTS key; nil until first commit
 	// latest is the pending commit's state as known so far: its pair and
@@ -81,13 +79,6 @@ type pendingCommit struct {
 	pair txid.Packed
 }
 
-// innerSink mirrors tl2.EventSink without importing tl2 (avoids a cycle if
-// tl2 ever grows a dependency on guide configuration types).
-type innerSink interface {
-	TxCommit(p txid.Pair, wv uint64, aborts int)
-	TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool)
-}
-
 // Option configures a Controller.
 type Option func(*Controller)
 
@@ -98,11 +89,6 @@ func WithGateRetries(k int) Option {
 			c.retries = k
 		}
 	}
-}
-
-// WithInnerSink tees all events to s after state tracking.
-func WithInnerSink(s innerSink) Option {
-	return func(c *Controller) { c.inner = s }
 }
 
 // WithTelemetry routes per-state gate telemetry (visits, holds, escapes,
@@ -265,10 +251,6 @@ func (c *Controller) TxCommit(p txid.Pair, wv uint64, aborts int) {
 		c.prune(wv)
 	}
 	c.mu.Unlock()
-
-	if c.inner != nil {
-		c.inner.TxCommit(p, wv, aborts)
-	}
 }
 
 // box returns the published box of state {aborted, commit}: the interned
@@ -296,10 +278,6 @@ func (c *Controller) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown boo
 		c.latest.Store(c.box(c.aborts[byWV], c.pending.pair))
 	}
 	c.mu.Unlock()
-
-	if c.inner != nil {
-		c.inner.TxAbort(p, byWV, by, byKnown)
-	}
 }
 
 // prune drops abort records for commits far older than wv; their states

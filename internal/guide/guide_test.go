@@ -119,33 +119,6 @@ func TestUnknownStateNeverBlocks(t *testing.T) {
 	<-done
 }
 
-type countSink struct {
-	mu              sync.Mutex
-	commits, aborts int
-}
-
-func (s *countSink) TxCommit(p txid.Pair, wv uint64, aborts int) {
-	s.mu.Lock()
-	s.commits++
-	s.mu.Unlock()
-}
-
-func (s *countSink) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, known bool) {
-	s.mu.Lock()
-	s.aborts++
-	s.mu.Unlock()
-}
-
-func TestInnerSinkTee(t *testing.T) {
-	inner := &countSink{}
-	c := NewController(buildTable(t), WithInnerSink(inner))
-	c.TxCommit(pair(0, 0), 1, 0)
-	c.TxAbort(pair(1, 1), 1, pair(0, 0), true)
-	if inner.commits != 1 || inner.aborts != 1 {
-		t.Fatalf("tee lost events: %d/%d", inner.commits, inner.aborts)
-	}
-}
-
 func TestPruneDropsStaleAborts(t *testing.T) {
 	c := NewController(buildTable(t))
 	c.TxAbort(pair(1, 1), 1, pair(0, 0), true)
@@ -197,8 +170,7 @@ func TestGuidedEndToEnd(t *testing.T) {
 	}
 	table := model.Compile(m, 4)
 	guidedRT := tl2.New(tl2.Config{Interleave: 4})
-	inner := &countSink{}
-	ctrl := NewController(table, WithInnerSink(inner))
+	ctrl := NewController(table)
 	guidedRT.SetSink(ctrl)
 	guidedRT.SetGate(ctrl)
 
@@ -207,8 +179,8 @@ func TestGuidedEndToEnd(t *testing.T) {
 	if got := v2.Peek(); got != 400 {
 		t.Fatalf("guided counter = %d, want 400 (guidance broke correctness)", got)
 	}
-	if inner.commits != 400 {
-		t.Fatalf("inner sink commits = %d", inner.commits)
+	if commits, _ := guidedRT.Stats(); commits != 400 {
+		t.Fatalf("guided runtime commits = %d, want 400", commits)
 	}
 }
 

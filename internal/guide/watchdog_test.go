@@ -30,6 +30,135 @@ func adversarialTable(realPairs []txid.Pair, ghost txid.Pair) *model.GuideTable 
 	return model.Compile(m, 4)
 }
 
+// sink counts the commit/abort events it feeds a watchdog, so a test can
+// close a window at a known event.
+type sink struct {
+	dog    *Watchdog
+	wv     uint64
+	events int
+}
+
+func (s *sink) commit(p txid.Pair) {
+	s.wv++
+	s.events++
+	s.dog.TxCommit(p, s.wv, 0)
+}
+
+// abort reports an abort against no known commit, leaving the tracked
+// state as it is.
+func (s *sink) abort(p txid.Pair) {
+	s.events++
+	s.dog.TxAbort(p, 0, txid.Pair{}, false)
+}
+
+// fill commits p until the sink has fed n events.
+func (s *sink) fill(p txid.Pair, n int) {
+	for s.events < n {
+		s.commit(p)
+	}
+}
+
+// TestWatchdogFixedThresholds pins the breaker's three constants by
+// driving the sink directly: a window is 512 events, fewer than 32 gate
+// decisions leave it inconclusive, and only an escape rate above 0.25
+// trips. Each window below is built so a different value of any constant
+// changes the outcome.
+func TestWatchdogFixedThresholds(t *testing.T) {
+	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
+	// In state {<b1>} the model admits a and refuses c, so Check(a) passes
+	// and Check(c) escapes.
+	m := model.New(3)
+	m.AddTransitionKeys(soloStateKey(b), soloStateKey(a))
+	table := model.Compile(m, 4)
+
+	// window feeds one 512-event window to s with the given gate decisions
+	// and aborts, and reports whether the watchdog tripped. It fails the
+	// test if the window closed (tripped) before its 512th event.
+	window := func(s *sink, escapes, passes, aborts int) bool {
+		t.Helper()
+		start := s.events
+		s.commit(b) // the pending commit all decisions judge: {<b1>}
+		for i := 0; i < escapes; i++ {
+			if o := s.dog.Check(c); o != telemetry.GateEscape {
+				t.Fatalf("Check(c) = %v, want escape", o)
+			}
+		}
+		for i := 0; i < passes; i++ {
+			if o := s.dog.Check(a); o != telemetry.GatePass {
+				t.Fatalf("Check(a) = %v, want pass", o)
+			}
+		}
+		for i := 0; i < aborts; i++ {
+			s.abort(c)
+		}
+		s.fill(b, start+511)
+		if s.dog.Tripped() {
+			t.Fatalf("tripped after %d events of a 512-event window", s.events-start)
+		}
+		s.commit(b)
+		return s.dog.Tripped()
+	}
+	newSink := func(tel *telemetry.Metrics) *sink {
+		return &sink{dog: NewWatchdog(NewController(table, WithTelemetry(tel)))}
+	}
+
+	tel := telemetry.NewDetached("watchdog-thresholds")
+	s := newSink(tel)
+	if window(s, 31, 0, 0) {
+		t.Fatal("31 gate decisions, all escapes, tripped: the window must be inconclusive")
+	}
+	if snap := s.dog.Snapshot(); snap.EscapeRate != 0 {
+		t.Fatalf("inconclusive window set the escape rate to %v", snap.EscapeRate)
+	}
+	if window(s, 2500, 7500, 0) {
+		t.Fatal("escape rate exactly 0.25 tripped")
+	}
+	if snap := s.dog.Snapshot(); snap.EscapeRate != 0.25 || snap.Trips != 0 {
+		t.Fatalf("snapshot after a 0.25 window = %+v", snap)
+	}
+	if !window(s, 2501, 7499, 0) {
+		t.Fatal("escape rate 0.2501 did not trip")
+	}
+	r := s.dog.Snapshot().LastTrip
+	if r == nil || r.Window != 512 || r.GateSamples != 10000 || r.EscapeRate != 0.2501 {
+		t.Fatalf("trip reason = %+v, want window 512, 10000 decisions, escape rate 0.2501", r)
+	}
+
+	// A trip is final: ten more healthy windows leave it tripped, and the
+	// only watchdog event in the ring is the trip.
+	for i := 0; i < 10; i++ {
+		s.fill(b, s.events+512)
+	}
+	if snap := s.dog.Snapshot(); snap.State != WatchdogTripped || snap.Trips != 1 {
+		t.Fatalf("after ten more windows: %+v, want tripped once", snap)
+	}
+	var watchdogEvents []string
+	for _, ev := range tel.Snapshot().Events {
+		if strings.HasPrefix(ev.Kind, "watchdog") {
+			watchdogEvents = append(watchdogEvents, ev.Kind)
+		}
+	}
+	if len(watchdogEvents) != 1 || watchdogEvents[0] != telemetry.KindWatchdogTrip {
+		t.Fatalf("watchdog events = %v, want one trip", watchdogEvents)
+	}
+	if got := tel.Snapshot().WatchdogTrips; got != 1 {
+		t.Fatalf("telemetry trips = %d, want 1", got)
+	}
+
+	// Exactly 32 decisions are conclusive; aborts do not enter the verdict.
+	s = newSink(telemetry.NewDetached("watchdog-min-samples"))
+	if !window(s, 9, 23, 128) {
+		t.Fatal("9 escapes in 32 decisions did not trip")
+	}
+	if r := s.dog.Snapshot().LastTrip; r.GateSamples != 32 || r.AbortRate != 0.25 {
+		t.Fatalf("trip reason = %+v, want 32 decisions and abort rate 0.25", r)
+	}
+	s = newSink(telemetry.NewDetached("watchdog-aborts"))
+	if window(s, 0, 32, 500) {
+		t.Fatal("a window of aborts with no escapes tripped")
+	}
+}
+
 // TestWatchdogTripsOnEscapeRate drives an adversarial model: every gate
 // arrival escapes, so the first full window must trip the breaker into
 // pass-through mode.
@@ -37,25 +166,26 @@ func TestWatchdogTripsOnEscapeRate(t *testing.T) {
 	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
 	ghost := pairOf(9, 9)
 	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, ghost), WithGateRetries(2))
-	w := NewWatchdog(ctrl, WatchdogConfig{Window: 8, MinGateSamples: 2, MaxEscapeRate: 0.25})
+	s := &sink{dog: NewWatchdog(ctrl)}
 
 	// Two commits establish a tracked current state (key {<a>}).
-	w.TxCommit(a, 1, 0)
-	w.TxCommit(b, 2, 0)
+	s.commit(a)
+	s.commit(b)
 	if k, ok := ctrl.CurrentState(); !ok || k != soloStateKey(a) {
 		t.Fatalf("current state not established: %q ok=%v", k, ok)
 	}
 
-	// Six arrivals by a disallowed pair, six more events: closes the
-	// 8-event window with a 100% escape rate.
-	for i := 0; i < 6; i++ {
-		w.Arrive(c) // held twice, then forced through
-		w.TxCommit(b, uint64(3+i), 0)
+	// Arrivals by a disallowed pair, then enough events to close the
+	// window with a 100% escape rate.
+	for i := 0; i < 40; i++ {
+		s.dog.Arrive(c) // held twice, then forced through
+		s.commit(b)
 	}
-	if !w.Tripped() {
+	s.fill(b, 512)
+	if !s.dog.Tripped() {
 		t.Fatal("watchdog did not trip on 100% escape rate")
 	}
-	snap := w.Snapshot()
+	snap := s.dog.Snapshot()
 	if snap.State != WatchdogTripped || snap.Trips != 1 {
 		t.Fatalf("snapshot = %+v, want tripped with 1 trip", snap)
 	}
@@ -69,81 +199,15 @@ func TestWatchdogTripsOnEscapeRate(t *testing.T) {
 	// Pass-through: arrivals short-circuit, so gate stats stop moving.
 	p0, h0, e0 := ctrl.GateStats()
 	for i := 0; i < 10; i++ {
-		w.Arrive(c)
+		s.dog.Arrive(c)
 	}
 	if p1, h1, e1 := ctrl.GateStats(); p1 != p0 || h1 != h0 || e1 != e0 {
 		t.Fatalf("tripped watchdog still consulted the gate: %d/%d/%d → %d/%d/%d", p0, h0, e0, p1, h1, e1)
 	}
-	// Cooldown is 0: the trip is final.
-	for i := 0; i < 50; i++ {
-		w.TxCommit(b, uint64(100+i), 0)
-	}
-	if !w.Tripped() {
-		t.Fatal("watchdog re-armed despite Cooldown=0")
-	}
-}
-
-// TestWatchdogRearmsAfterCooldown verifies the tripped → armed transition
-// and that a still-bad model trips it again.
-func TestWatchdogRearmsAfterCooldown(t *testing.T) {
-	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
-	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, pairOf(9, 9)), WithGateRetries(1))
-	dog := NewWatchdog(ctrl, WatchdogConfig{Window: 4, MinGateSamples: 1, MaxEscapeRate: 0.5, Cooldown: 3})
-
-	wv := uint64(0)
-	commit := func(p txid.Pair) { wv++; dog.TxCommit(p, wv, 0) }
-
-	commit(a)
-	commit(b)
-	for i := 0; i < 2; i++ { // closes the first 4-event window
-		dog.Arrive(c)
-		commit(b)
-	}
-	if !dog.Tripped() {
-		t.Fatal("watchdog did not trip")
-	}
-	for i := 0; i < 3; i++ { // cooldown events
-		commit(b)
-	}
-	if dog.Tripped() {
-		t.Fatal("watchdog did not re-arm after cooldown")
-	}
-	snap := dog.Snapshot()
-	if snap.Trips != 1 || snap.Rearms != 1 {
-		t.Fatalf("trips/rearms = %d/%d, want 1/1", snap.Trips, snap.Rearms)
-	}
-	// Model is still adversarial: next window trips again.
-	for i := 0; i < 4; i++ {
-		dog.Arrive(c)
-		commit(b)
-	}
-	if !dog.Tripped() {
-		t.Fatal("re-armed watchdog failed to trip on a still-bad model")
-	}
-	if s := dog.Snapshot(); s.Trips != 2 {
-		t.Fatalf("trips = %d, want 2", s.Trips)
-	}
-}
-
-// TestWatchdogTripsOnAbortRate covers the opt-in abort-rate breaker,
-// which needs no gate samples at all.
-func TestWatchdogTripsOnAbortRate(t *testing.T) {
-	a, b := pairOf(0, 0), pairOf(1, 1)
-	ctrl := NewController(adversarialTable([]txid.Pair{a, b}, pairOf(9, 9)))
-	dog := NewWatchdog(ctrl, WatchdogConfig{
-		Window:        4,
-		MaxEscapeRate: -1,  // disabled
-		MaxAbortRate:  0.5, // trip when >50% of events are aborts
-	})
-	dog.TxCommit(a, 1, 0)
-	dog.TxAbort(b, 1, a, true)
-	dog.TxAbort(b, 1, a, true)
-	dog.TxAbort(b, 1, a, true)
-	if !dog.Tripped() {
-		t.Fatal("watchdog did not trip on 75% abort rate")
-	}
-	if s := dog.Snapshot(); s.AbortRate != 0.75 {
-		t.Fatalf("abort rate = %v, want 0.75", s.AbortRate)
+	// The trip is final.
+	s.fill(b, 2048)
+	if !s.dog.Tripped() {
+		t.Fatal("watchdog re-armed")
 	}
 }
 
@@ -157,111 +221,95 @@ func TestWatchdogHealthyModelStaysArmed(t *testing.T) {
 	m := model.New(2)
 	m.AddTransitionKeys(soloStateKey(a), soloStateKey(a))
 	m.AddTransitionKeys(soloStateKey(b), soloStateKey(b))
-	ctrl := NewController(model.Compile(m, 4))
-	dog := NewWatchdog(ctrl, WatchdogConfig{Window: 8, MinGateSamples: 1})
+	s := &sink{dog: NewWatchdog(NewController(model.Compile(m, 4)))}
 
-	wv := uint64(0)
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 4*512; i++ {
 		p := a
 		if i%2 == 1 {
 			p = b
 		}
-		dog.Arrive(p)
-		wv++
-		dog.TxCommit(p, wv, 0)
+		s.dog.Arrive(p)
+		s.commit(p)
 	}
-	if dog.Tripped() {
+	if s.dog.Tripped() {
 		t.Fatal("watchdog tripped on a healthy model")
 	}
-	if s := dog.Snapshot(); s.EscapeRate != 0 || s.Trips != 0 {
-		t.Fatalf("snapshot = %+v, want zero escapes and trips", s)
+	if snap := s.dog.Snapshot(); snap.EscapeRate != 0 || snap.Trips != 0 {
+		t.Fatalf("snapshot = %+v, want zero escapes and trips", snap)
 	}
 }
 
-// TestWatchdogTripReason verifies the typed trip-reason record: window
-// rates, thresholds, firing causes, and the injected-clock timestamp.
+// TestWatchdogTripReason verifies the typed trip-reason record: the
+// window's size, its rates, and the trip's timestamp.
 func TestWatchdogTripReason(t *testing.T) {
 	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
 	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, pairOf(9, 9)), WithGateRetries(1))
-	fakeNow := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
-	dog := NewWatchdog(ctrl, WatchdogConfig{
-		Window:         4,
-		MinGateSamples: 1,
-		MaxEscapeRate:  0.5,
-		MaxAbortRate:   0.1,
-		Clock:          func() time.Time { return fakeNow },
-	})
+	s := &sink{dog: NewWatchdog(ctrl)}
 
-	if dog.Snapshot().LastTrip != nil {
+	if s.dog.Snapshot().LastTrip != nil {
 		t.Fatal("LastTrip non-nil before any trip")
 	}
-	wv := uint64(0)
-	commit := func(p txid.Pair) { wv++; dog.TxCommit(p, wv, 0) }
-	commit(a)
-	commit(b)
-	dog.Arrive(c) // escapes (retries=1)
-	dog.TxAbort(c, wv, b, true)
-	commit(b) // closes the 4-event window: escape rate 1.0, abort rate 0.25
+	before := time.Now()
+	s.commit(a)
+	s.commit(b)
+	for i := 0; i < 32; i++ {
+		s.dog.Arrive(c) // escapes (retries=1)
+	}
+	for i := 0; i < 128; i++ {
+		s.abort(c)
+	}
+	s.fill(b, 512) // closes the window: escape rate 1.0, abort rate 0.25
+	after := time.Now()
 
-	if !dog.Tripped() {
+	if !s.dog.Tripped() {
 		t.Fatal("watchdog did not trip")
 	}
-	r := dog.Snapshot().LastTrip
+	r := s.dog.Snapshot().LastTrip
 	if r == nil {
 		t.Fatal("LastTrip nil after trip")
 	}
-	if !r.At.Equal(fakeNow) {
-		t.Fatalf("At = %v, want injected clock %v", r.At, fakeNow)
+	if r.At.Before(before) || r.At.After(after) {
+		t.Fatalf("At = %v, outside [%v, %v]", r.At, before, after)
 	}
-	if r.Window != 4 || r.GateSamples != 1 {
-		t.Fatalf("window/samples = %d/%d, want 4/1", r.Window, r.GateSamples)
+	if r.Window != 512 || r.GateSamples != 32 {
+		t.Fatalf("window/samples = %d/%d, want 512/32", r.Window, r.GateSamples)
 	}
-	if r.EscapeRate != 1.0 || r.AbortRate != 0.25 {
-		t.Fatalf("escape/abort rate = %v/%v, want 1.0/0.25", r.EscapeRate, r.AbortRate)
+	if r.EscapeRate != 1.0 || r.HoldRate != 1.0 || r.AbortRate != 0.25 {
+		t.Fatalf("escape/hold/abort rate = %v/%v/%v, want 1.0/1.0/0.25", r.EscapeRate, r.HoldRate, r.AbortRate)
 	}
-	if r.MaxEscapeRate != 0.5 || r.MaxAbortRate != 0.1 {
-		t.Fatalf("thresholds = %v/%v", r.MaxEscapeRate, r.MaxAbortRate)
-	}
-	if len(r.Causes) != 2 {
-		t.Fatalf("causes = %v, want escape-rate and abort-rate", r.Causes)
-	}
-	s := r.String()
-	for _, want := range []string{"escape-rate 1.00>0.50", "abort-rate 0.25>0.10", "window=4"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() = %q missing %q", s, want)
+	str := r.String()
+	for _, want := range []string{"escape-rate 1.00>0.25", "window=512", "gate=32"} {
+		if !strings.Contains(str, want) {
+			t.Fatalf("String() = %q missing %q", str, want)
 		}
 	}
 }
 
-// TestWatchdogTelemetryEvents verifies trips and re-arms land in the
-// attached Metrics: counters plus ring events carrying the trip reason.
+// TestWatchdogTelemetryEvents verifies a trip lands in the attached
+// Metrics: the counter plus a ring event carrying the trip reason.
 func TestWatchdogTelemetryEvents(t *testing.T) {
 	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
 	tel := telemetry.NewDetached("guide-test")
 	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, pairOf(9, 9)),
 		WithGateRetries(1), WithTelemetry(tel))
-	dog := NewWatchdog(ctrl, WatchdogConfig{Window: 4, MinGateSamples: 1, MaxEscapeRate: 0.5, Cooldown: 3})
+	s := &sink{dog: NewWatchdog(ctrl)}
 
-	wv := uint64(0)
-	commit := func(p txid.Pair) { wv++; dog.TxCommit(p, wv, 0) }
-	commit(a)
-	commit(b)
-	for i := 0; i < 2; i++ {
-		dog.Arrive(c)
-		commit(b)
+	s.commit(a)
+	s.commit(b)
+	for i := 0; i < 32; i++ {
+		s.dog.Arrive(c)
+		s.commit(b)
 	}
-	for i := 0; i < 3; i++ { // cooldown → re-arm
-		commit(b)
-	}
+	s.fill(b, 512)
 	snap := tel.Snapshot()
-	if snap.WatchdogTrips != 1 || snap.WatchdogRearms != 1 {
-		t.Fatalf("telemetry trips/rearms = %d/%d, want 1/1", snap.WatchdogTrips, snap.WatchdogRearms)
+	if snap.WatchdogTrips != 1 {
+		t.Fatalf("telemetry trips = %d, want 1", snap.WatchdogTrips)
 	}
-	if snap.GateEscaped != 2 {
-		t.Fatalf("gate escapes = %d, want 2", snap.GateEscaped)
+	if snap.GateEscaped != 32 {
+		t.Fatalf("gate escapes = %d, want 32", snap.GateEscaped)
 	}
-	if snap.GateHoldTime.Count != 2 {
-		t.Fatalf("gate hold-time samples = %d, want 2 (escapes were first held)", snap.GateHoldTime.Count)
+	if snap.GateHoldTime.Count != 32 {
+		t.Fatalf("gate hold-time samples = %d, want 32 (escapes were first held)", snap.GateHoldTime.Count)
 	}
 	if len(snap.GateStates) == 0 {
 		t.Fatal("no per-state gate telemetry recorded")
@@ -284,28 +332,29 @@ func TestWatchdogTelemetryEvents(t *testing.T) {
 func TestCheckCountsDecisionsAndTrips(t *testing.T) {
 	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
 	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, pairOf(9, 9)))
-	w := NewWatchdog(ctrl, WatchdogConfig{Window: 8, MinGateSamples: 2, MaxEscapeRate: 0.25})
-	if o := w.Check(c); o != telemetry.GatePass {
+	s := &sink{dog: NewWatchdog(ctrl)}
+	if o := s.dog.Check(c); o != telemetry.GatePass {
 		t.Fatalf("no state yet, but Check said %v", o)
 	}
-	w.TxCommit(a, 1, 0)
-	w.TxCommit(b, 2, 0) // latest state {<b1>}: only the ghost is admitted
-	for i := 0; i < 6; i++ {
-		if o := w.Check(c); o != telemetry.GateEscape {
+	s.commit(a)
+	s.commit(b) // latest state {<b1>}: only the ghost is admitted
+	for i := 0; i < 40; i++ {
+		if o := s.dog.Check(c); o != telemetry.GateEscape {
 			t.Fatalf("Check took a pair outside every destination set: %v", o)
 		}
-		w.TxCommit(b, uint64(3+i), 0)
+		s.commit(b)
 	}
-	if !w.Tripped() {
-		t.Fatalf("6 escapes in 7 decisions did not trip the watchdog: %+v", w.Snapshot())
+	s.fill(b, 512)
+	if !s.dog.Tripped() {
+		t.Fatalf("40 escapes in 41 decisions did not trip the watchdog: %+v", s.dog.Snapshot())
 	}
-	if p, h, e := ctrl.GateStats(); p != 1 || h != 0 || e != 6 {
-		t.Fatalf("GateStats = %d/%d/%d, want 1/0/6", p, h, e)
+	if p, h, e := ctrl.GateStats(); p != 1 || h != 0 || e != 40 {
+		t.Fatalf("GateStats = %d/%d/%d, want 1/0/40", p, h, e)
 	}
-	if o := w.Check(c); o != telemetry.GatePass {
+	if o := s.dog.Check(c); o != telemetry.GatePass {
 		t.Fatalf("a tripped watchdog's Check said %v", o)
 	}
-	if p, _, e := ctrl.GateStats(); p != 1 || e != 6 {
+	if p, _, e := ctrl.GateStats(); p != 1 || e != 40 {
 		t.Fatalf("a tripped watchdog's Check counted a decision (%d passed, %d escaped)", p, e)
 	}
 }

@@ -31,10 +31,10 @@ type Config struct {
 	GateRetries int     // the paper's k
 	Seed        uint64
 
-	// Watchdog, when non-nil, arms the guidance watchdog on the guided
-	// side; the result then records the degraded-mode transitions it
-	// observed (see Result.GuidedHealth and Suite.WriteResilience).
-	Watchdog *gstm.WatchdogOptions
+	// Watchdog arms the guidance watchdog on the guided side; the result
+	// then records whether it tripped (see Result.GuidedHealth and
+	// Suite.WriteResilience).
+	Watchdog bool
 }
 
 // Normalize fills defaults matching the paper's protocol.
@@ -109,7 +109,7 @@ type Result struct {
 
 	// GuidedHealth is the guided system's resilience snapshot taken after
 	// its measured runs: gate decision counts and, when Config.Watchdog
-	// armed a watchdog, its state, trip/re-arm counts and window rates.
+	// armed a watchdog, its state, trip count and window rates.
 	GuidedHealth gstm.Health
 }
 
@@ -176,8 +176,8 @@ func RunBenchmark(w stamp.Workload, cfg Config) (*Result, error) {
 
 	guidedSys := gstm.NewSystem(gstm.Config{Threads: cfg.Threads, Interleave: cfg.Interleave})
 	gopts := []gstm.GuidanceOption{gstm.WithTfactor(cfg.Tfactor), gstm.WithGateRetries(cfg.GateRetries)}
-	if cfg.Watchdog != nil {
-		gopts = append(gopts, gstm.WithWatchdog(*cfg.Watchdog))
+	if cfg.Watchdog {
+		gopts = append(gopts, gstm.WithWatchdog())
 	}
 	guidedSys.ForceGuidance(res.Model, gopts...)
 	g, err := measureSide(guidedSys, w, cfg)

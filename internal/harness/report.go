@@ -160,8 +160,8 @@ func (s *Suite) WriteSlowdownFigure(w io.Writer) {
 
 // WriteResilience prints each guided run's resilience outcome: gate
 // decision counts and — when a watchdog was armed — its final state, the
-// degraded-mode transitions (trips to pass-through, re-arms back) and the
-// window rates it last sampled.
+// degraded-mode transition (a trip to pass-through) and the window rates
+// it last sampled.
 func (s *Suite) WriteResilience(w io.Writer) {
 	fmt.Fprintln(w, "RESILIENCE (guided side): watchdog state, degraded-mode transitions, gate/abort rates")
 	for _, th := range s.threadCounts() {
@@ -177,8 +177,8 @@ func (s *Suite) WriteResilience(w io.Writer) {
 				fmt.Fprintln(w, " watchdog=off")
 				continue
 			}
-			fmt.Fprintf(w, " watchdog=%s trips=%d rearms=%d esc=%.2f hold=%.2f abort=%.2f\n",
-				h.Watchdog.State, h.Watchdog.Trips, h.Watchdog.Rearms,
+			fmt.Fprintf(w, " watchdog=%s trips=%d esc=%.2f hold=%.2f abort=%.2f\n",
+				h.Watchdog.State, h.Watchdog.Trips,
 				h.Watchdog.EscapeRate, h.Watchdog.HoldRate, h.Watchdog.AbortRate)
 		}
 	}

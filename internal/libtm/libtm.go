@@ -6,16 +6,14 @@
 //
 //   - object-granularity conflict detection with visible readers: every
 //     transactional read registers in the object's reader list;
-//   - four conflict-detection modes, from fully pessimistic (read and
-//     write locks acquired at access time) to fully optimistic (write
-//     locks acquired at commit, reads proceed without blocking);
-//   - two conflict-resolution policies for the writer/reader edge:
-//     abort-readers (the committing writer dooms every registered reader)
-//     and wait-for-readers (the writer waits for readers to drain).
+//   - fully optimistic detection: write locks are acquired at commit, and
+//     reads proceed without blocking while a writer holds the object;
+//   - abort-readers resolution: the committing writer dooms every
+//     registered reader of the objects it writes.
 //
-// The paper's experiments use fully-optimistic detection with
-// abort-readers resolution; the other modes exist for completeness and are
-// covered by tests and ablation benches.
+// That is the one configuration the paper's experiments use. LibTM's
+// pessimistic detection modes and its wait-for-readers resolution are not
+// implemented.
 //
 // Like internal/tl2, the runtime exposes the commit/abort event stream and
 // a start gate so the tracing and guidance layers plug in unchanged —
@@ -32,70 +30,22 @@ import (
 	"gstm/internal/txid"
 )
 
-// ReadMode selects how reads detect conflicts.
-type ReadMode int
-
-// Read modes.
-const (
-	// ReadOptimistic registers the reader and proceeds even when a writer
-	// holds the object.
-	ReadOptimistic ReadMode = iota
-	// ReadPessimistic blocks (bounded) while a writer holds the object.
-	ReadPessimistic
-)
-
-// WriteMode selects when write locks are acquired.
-type WriteMode int
-
-// Write modes.
-const (
-	// WriteCommitTime acquires write locks during commit (optimistic).
-	WriteCommitTime WriteMode = iota
-	// WriteEncounterTime acquires write locks at the first Write
-	// (pessimistic); write-write conflicts surface immediately.
-	WriteEncounterTime
-)
-
-// Resolution selects how a committing writer treats registered readers.
-type Resolution int
-
-// Resolution policies.
-const (
-	// AbortReaders dooms every conflicting reader (they abort and retry).
-	AbortReaders Resolution = iota
-	// WaitForReaders stalls the writer (bounded) until readers drain.
-	WaitForReaders
-)
-
-// Config parameterizes a Runtime. The zero value is the paper's
-// configuration: fully optimistic with abort-readers.
+// Config parameterizes a Runtime.
 type Config struct {
-	ReadMode   ReadMode
-	WriteMode  WriteMode
-	Resolution Resolution
-
-	// MaxSpin bounds every wait loop (writer locks, reader drains) before
-	// the waiter aborts itself, the deadlock-avoidance rule.
-	MaxSpin int
-
 	// Interleave, when positive, yields the processor with probability
 	// 1/Interleave per transactional operation (see tl2.Config).
 	Interleave int
-
-	// RegistryCapacity sizes the wv→committer attribution ring.
-	RegistryCapacity int
 }
 
-// Normalize returns cfg with defaults applied.
-func (cfg Config) Normalize() Config {
-	if cfg.MaxSpin <= 0 {
-		cfg.MaxSpin = 64
-	}
-	if cfg.RegistryCapacity <= 0 {
-		cfg.RegistryCapacity = 1 << 14
-	}
-	return cfg
-}
+const (
+	// maxSpin bounds every wait loop (reader registration, commit-time
+	// writer locks) before the waiter aborts itself, the
+	// deadlock-avoidance rule.
+	maxSpin = 64
+
+	// registryCapacity sizes the wv→committer attribution ring.
+	registryCapacity = 1 << 14
+)
 
 // EventSink mirrors tl2.EventSink: the same tracing and guidance
 // implementations satisfy both.

@@ -46,68 +46,16 @@ func TestReadOnlyTxLeavesVersion(t *testing.T) {
 	}
 }
 
-func TestPessimisticReadBlocksOnWriter(t *testing.T) {
-	rt := New(Config{ReadMode: ReadPessimistic, WriteMode: WriteEncounterTime, MaxSpin: 4})
-	o := NewObj(0)
-	inWrite := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	first := true
-	go func() {
-		defer wg.Done()
-		_ = rt.Atomic(0, 0, func(tx *Tx) error {
-			Write(tx, o, 1)
-			if first {
-				first = false
-				close(inWrite)
-				<-release
-			}
-			return nil
-		})
-	}()
-	<-inWrite
-	// A pessimistic reader must abort (bounded spin) while the writer
-	// holds the object.
-	sawAbort := false
-	_ = rt.Atomic(1, 1, func(tx *Tx) error {
-		if tx.Attempt() >= 2 {
-			sawAbort = true
-			return nil // give up without reading
-		}
-		_ = Read(tx, o)
-		return nil
-	})
-	if !sawAbort {
-		t.Fatal("pessimistic reader never aborted on writer-held object")
-	}
-	close(release)
-	wg.Wait()
-}
-
 func TestOptimisticReadProceedsUnderWriter(t *testing.T) {
-	rt := New(Config{ReadMode: ReadOptimistic, WriteMode: WriteEncounterTime, MaxSpin: 1 << 16})
+	rt := New(Config{})
 	o := NewObj(7)
-	inWrite := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	first := true
-	go func() {
-		defer wg.Done()
-		_ = rt.Atomic(0, 0, func(tx *Tx) error {
-			Write(tx, o, 8)
-			if first {
-				first = false
-				close(inWrite)
-				<-release
-			}
-			return nil
-		})
-	}()
-	<-inWrite
-	// An optimistic reader sees the last committed value even while the
-	// writer holds its encounter-time lock.
+	writer := &txState{self: txid.Pair{Txn: 0, Thread: 0}}
+	if !o.b.tryLockWriter(writer) {
+		t.Fatal("free object refused its write lock")
+	}
+	// A reader sees the last committed value while another transaction
+	// holds the object's write lock, as long as that writer has not entered
+	// its commit's resolve→publish window.
 	var got int
 	if err := rt.Atomic(1, 1, func(tx *Tx) error {
 		got = Read(tx, o)
@@ -118,10 +66,15 @@ func TestOptimisticReadProceedsUnderWriter(t *testing.T) {
 	if got != 7 {
 		t.Fatalf("optimistic read = %d, want pre-commit 7", got)
 	}
-	close(release)
-	wg.Wait()
-	if o.Peek() != 8 {
-		t.Fatal("writer's commit lost")
+	// Inside the window the registration is refused, and the reader retries.
+	writer.committing.Store(true)
+	if o.b.registerReader(&txState{}) {
+		t.Fatal("reader registered on an object whose writer is publishing")
+	}
+	writer.committing.Store(false)
+	o.b.unlockWriter(writer)
+	if held, readers := o.LockState(); held || readers != 0 {
+		t.Fatalf("leaked state: writerHeld=%v readers=%d", held, readers)
 	}
 }
 
@@ -178,19 +131,6 @@ func TestStatsAndReset(t *testing.T) {
 	rt.ResetStats()
 	if c, a := rt.Stats(); c != 0 || a != 0 {
 		t.Fatalf("after reset %d/%d", c, a)
-	}
-}
-
-func TestConfigNormalizeDefaults(t *testing.T) {
-	cfg := Config{}.Normalize()
-	if cfg.MaxSpin <= 0 || cfg.RegistryCapacity <= 0 {
-		t.Fatalf("defaults missing: %+v", cfg)
-	}
-	if cfg.ReadMode != ReadOptimistic || cfg.WriteMode != WriteCommitTime || cfg.Resolution != AbortReaders {
-		t.Fatal("zero config must be the paper's fully-optimistic abort-readers")
-	}
-	if rt := New(Config{}); rt.Config().MaxSpin == 0 {
-		t.Fatal("runtime did not normalize config")
 	}
 }
 

@@ -2,7 +2,6 @@ package libtm
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -10,82 +9,51 @@ import (
 	"gstm/internal/txid"
 )
 
-// allConfigs enumerates the four detection modes × two resolutions.
-func allConfigs() []Config {
-	var out []Config
-	for _, rm := range []ReadMode{ReadOptimistic, ReadPessimistic} {
-		for _, wm := range []WriteMode{WriteCommitTime, WriteEncounterTime} {
-			for _, res := range []Resolution{AbortReaders, WaitForReaders} {
-				out = append(out, Config{ReadMode: rm, WriteMode: wm, Resolution: res, Interleave: 4})
-			}
-		}
-	}
-	return out
-}
-
-func cfgName(c Config) string {
-	return fmt.Sprintf("r%d-w%d-res%d", c.ReadMode, c.WriteMode, c.Resolution)
-}
+// The *AllModes tests predate the removal of LibTM's pessimistic and
+// wait-for-readers modes; they now cover the one configuration there is,
+// with forced interleaving.
 
 func TestBasicReadWriteAllModes(t *testing.T) {
-	for _, cfg := range allConfigs() {
-		cfg := cfg
-		t.Run(cfgName(cfg), func(t *testing.T) {
-			rt := New(cfg)
-			o := NewObj(10)
-			if err := rt.Atomic(0, 0, func(tx *Tx) error {
-				Write(tx, o, Read(tx, o)+5)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if got := o.Peek(); got != 15 {
-				t.Fatalf("Peek = %d, want 15", got)
-			}
-		})
+	rt := New(Config{Interleave: 4})
+	o := NewObj(10)
+	if err := rt.Atomic(0, 0, func(tx *Tx) error {
+		Write(tx, o, Read(tx, o)+5)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Peek(); got != 15 {
+		t.Fatalf("Peek = %d, want 15", got)
 	}
 }
 
 func TestCounterUnderContentionAllModes(t *testing.T) {
-	for _, cfg := range allConfigs() {
-		cfg := cfg
-		if cfg.ReadMode == ReadOptimistic && cfg.Resolution == WaitForReaders {
-			// Known property of this combination: on a read-modify-write
-			// hot spot, new optimistic readers keep registering while the
-			// committing writer waits for the reader list to drain, so the
-			// writer starves. SynQuake pairs optimistic reads with
-			// abort-readers for exactly this reason.
-			continue
-		}
-		t.Run(cfgName(cfg), func(t *testing.T) {
-			rt := New(cfg)
-			o := NewObj(0)
-			const workers, per = 6, 150
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(id txid.ThreadID) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						if err := rt.Atomic(id, 0, func(tx *Tx) error {
-							Write(tx, o, Read(tx, o)+1)
-							return nil
-						}); err != nil {
-							t.Errorf("Atomic: %v", err)
-							return
-						}
-					}
-				}(txid.ThreadID(w))
+	rt := New(Config{Interleave: 4})
+	o := NewObj(0)
+	const workers, per = 6, 150
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(id txid.ThreadID) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := rt.Atomic(id, 0, func(tx *Tx) error {
+					Write(tx, o, Read(tx, o)+1)
+					return nil
+				}); err != nil {
+					t.Errorf("Atomic: %v", err)
+					return
+				}
 			}
-			wg.Wait()
-			if got := o.Peek(); got != workers*per {
-				t.Fatalf("counter = %d, want %d", got, workers*per)
-			}
-			commits, _ := rt.Stats()
-			if commits != workers*per {
-				t.Fatalf("commits = %d", commits)
-			}
-		})
+		}(txid.ThreadID(w))
+	}
+	wg.Wait()
+	if got := o.Peek(); got != workers*per {
+		t.Fatalf("counter = %d, want %d", got, workers*per)
+	}
+	commits, _ := rt.Stats()
+	if commits != workers*per {
+		t.Fatalf("commits = %d", commits)
 	}
 }
 
@@ -158,7 +126,7 @@ func TestNoTornReads(t *testing.T) {
 }
 
 func TestAbortReadersDoomsReader(t *testing.T) {
-	rt := New(Config{Resolution: AbortReaders})
+	rt := New(Config{})
 	o := NewObj(0)
 	readerStarted := make(chan struct{})
 	writerDone := make(chan struct{})
@@ -192,48 +160,6 @@ func TestAbortReadersDoomsReader(t *testing.T) {
 	_, aborts := rt.Stats()
 	if aborts == 0 {
 		t.Fatal("no abort recorded")
-	}
-}
-
-func TestWaitForReadersWriterWaits(t *testing.T) {
-	rt := New(Config{Resolution: WaitForReaders, MaxSpin: 1 << 20})
-	o := NewObj(0)
-	readerIn := make(chan struct{})
-	releaseReader := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	first := true
-	go func() {
-		defer wg.Done()
-		_ = rt.Atomic(1, 1, func(tx *Tx) error {
-			_ = Read(tx, o)
-			if first {
-				first = false
-				close(readerIn)
-				<-releaseReader
-			}
-			return nil
-		})
-	}()
-	<-readerIn
-	done := make(chan struct{})
-	go func() {
-		_ = rt.Atomic(0, 0, func(tx *Tx) error {
-			Write(tx, o, 7)
-			return nil
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("writer committed while a reader was registered")
-	default:
-	}
-	close(releaseReader)
-	<-done
-	wg.Wait()
-	if o.Peek() != 7 {
-		t.Fatal("write lost")
 	}
 }
 
@@ -320,101 +246,49 @@ func TestGateConsulted(t *testing.T) {
 	}
 }
 
-func TestEncounterTimeWriteBlocksSecondWriter(t *testing.T) {
-	rt := New(Config{WriteMode: WriteEncounterTime, MaxSpin: 4})
-	o := NewObj(0)
-	inWrite := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	first := true
-	go func() {
-		defer wg.Done()
-		_ = rt.Atomic(0, 0, func(tx *Tx) error {
-			Write(tx, o, 1)
-			if first {
-				first = false
-				close(inWrite)
-				<-release
-			}
-			return nil
-		})
-	}()
-	<-inWrite
-	// The second writer must abort on the held lock (bounded spin) rather
-	// than buffer freely: encounter-time locking surfaces write-write
-	// conflicts at the Write call. Bail out via user error after observing
-	// a few aborted attempts so the test terminates.
-	errSeen := errors.New("seen enough attempts")
-	err := rt.Atomic(1, 1, func(tx *Tx) error {
-		if tx.Attempt() >= 3 {
-			return errSeen
-		}
-		Write(tx, o, 2) // aborts while the lock is held elsewhere
-		return errSeen
-	})
-	if !errors.Is(err, errSeen) {
-		t.Fatalf("err = %v", err)
-	}
-	_, aborts := rt.Stats()
-	if aborts == 0 {
-		t.Fatal("second writer never aborted on the held write lock")
-	}
-	close(release)
-	wg.Wait()
-}
-
 func TestBankTransfersAllModes(t *testing.T) {
-	for _, cfg := range allConfigs() {
-		cfg := cfg
-		if cfg.ReadMode == ReadOptimistic && cfg.Resolution == WaitForReaders {
-			continue // writer starvation; see TestCounterUnderContentionAllModes
-		}
-		t.Run(cfgName(cfg), func(t *testing.T) {
-			rt := New(cfg)
-			const n = 8
-			accounts := make([]*Obj[int], n)
-			for i := range accounts {
-				accounts[i] = NewObj(100)
+	rt := New(Config{Interleave: 4})
+	const n = 8
+	accounts := make([]*Obj[int], n)
+	for i := range accounts {
+		accounts[i] = NewObj(100)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(id txid.ThreadID) {
+			defer wg.Done()
+			rng := uint64(id)*2654435761 + 7
+			next := func(m int) int {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				return int(rng % uint64(m))
 			}
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(id txid.ThreadID) {
-					defer wg.Done()
-					rng := uint64(id)*2654435761 + 7
-					next := func(m int) int {
-						rng ^= rng << 13
-						rng ^= rng >> 7
-						rng ^= rng << 17
-						return int(rng % uint64(m))
-					}
-					for i := 0; i < 100; i++ {
-						from, to := next(n), next(n)
-						if from == to {
-							continue
-						}
-						if err := rt.Atomic(id, 0, func(tx *Tx) error {
-							bf := Read(tx, accounts[from])
-							bt := Read(tx, accounts[to])
-							Write(tx, accounts[from], bf-1)
-							Write(tx, accounts[to], bt+1)
-							return nil
-						}); err != nil {
-							t.Errorf("Atomic: %v", err)
-							return
-						}
-					}
-				}(txid.ThreadID(w))
+			for i := 0; i < 100; i++ {
+				from, to := next(n), next(n)
+				if from == to {
+					continue
+				}
+				if err := rt.Atomic(id, 0, func(tx *Tx) error {
+					bf := Read(tx, accounts[from])
+					bt := Read(tx, accounts[to])
+					Write(tx, accounts[from], bf-1)
+					Write(tx, accounts[to], bt+1)
+					return nil
+				}); err != nil {
+					t.Errorf("Atomic: %v", err)
+					return
+				}
 			}
-			wg.Wait()
-			total := 0
-			for _, a := range accounts {
-				total += a.Peek()
-			}
-			if total != n*100 {
-				t.Fatalf("total = %d, want %d", total, n*100)
-			}
-		})
+		}(txid.ThreadID(w))
+	}
+	wg.Wait()
+	total := 0
+	for _, a := range accounts {
+		total += a.Peek()
+	}
+	if total != n*100 {
+		t.Fatalf("total = %d, want %d", total, n*100)
 	}
 }

@@ -60,20 +60,17 @@ func (o *Obj[T]) LockState() (writerHeld bool, readers int) {
 	return o.b.writer != nil, len(o.b.readers)
 }
 
-// registerReader adds tx to the object's visible-reader list. In
-// pessimistic read mode it refuses while a writer holds the object; in
-// optimistic mode it refuses only while the holder is inside its commit's
+// registerReader adds tx to the object's visible-reader list. It refuses
+// only while a writer holding the object is inside its commit's
 // resolve→publish window (txState.committing), which is what guarantees
-// every registered reader of a pre-publish value is either doomed or
-// waited for — a registration during the window could otherwise load a
-// stale snapshot the resolution pass never saw.
-func (b *objBase) registerReader(tx *txState, pessimistic bool) (ok bool) {
+// every registered reader of a pre-publish value is doomed — a
+// registration during the window could otherwise load a stale snapshot the
+// resolution pass never saw.
+func (b *objBase) registerReader(tx *txState) (ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.writer != nil && b.writer != tx {
-		if pessimistic || b.writer.committing.Load() {
-			return false
-		}
+	if b.writer != nil && b.writer != tx && b.writer.committing.Load() {
+		return false
 	}
 	b.readers[tx] = struct{}{}
 	return true
@@ -107,22 +104,14 @@ func (b *objBase) unlockWriter(tx *txState) {
 	b.mu.Unlock()
 }
 
-// resolveReaders applies the writer/reader resolution policy for writer tx:
-// with abortReaders it dooms every other registered reader (recording tx's
-// commit sequence as the cause) and reports success; with wait-for-readers
-// it reports whether the reader list (excluding tx) is empty, leaving the
-// waiting to the caller's bounded loop.
-func (b *objBase) resolveReaders(tx *txState, abortReaders bool, wv uint64) bool {
+// resolveReaders dooms every registered reader other than writer tx,
+// recording tx's commit sequence as the cause.
+func (b *objBase) resolveReaders(tx *txState, wv uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for r := range b.readers {
-		if r == tx {
-			continue
+		if r != tx {
+			r.doom(wv, tx.self)
 		}
-		if !abortReaders {
-			return false
-		}
-		r.doom(wv, tx.self)
 	}
-	return true
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // TestPanicReleasesLocksAndReaders: a panic out of the body must release
-// the encounter-time write lock and the visible-reader registration before
+// the visible-reader registration and discard the buffered write before
 // propagating, and must not pool a dirty Tx.
 func TestPanicReleasesLocksAndReaders(t *testing.T) {
-	rt := New(Config{WriteMode: WriteEncounterTime})
+	rt := New(Config{})
 	o := NewObj(0)
 	r := NewObj(0)
 
@@ -21,7 +21,7 @@ func TestPanicReleasesLocksAndReaders(t *testing.T) {
 		}()
 		_ = rt.Atomic(0, 0, func(tx *Tx) error {
 			_ = Read(tx, r) // registers as visible reader
-			Write(tx, o, 1) // takes encounter-time write lock
+			Write(tx, o, 1) // buffered; the lock waits for commit
 			panic("boom")
 		})
 	}()
@@ -46,7 +46,7 @@ func TestPanicReleasesLocksAndReaders(t *testing.T) {
 			t.Fatalf("follow-up transaction failed: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("follow-up transaction hung on leaked write lock")
+		t.Fatal("follow-up transaction hung on leaked state")
 	}
 	if got := o.Peek(); got != 41 {
 		t.Fatalf("panicked write leaked: got %d, want 41", got)

@@ -30,11 +30,10 @@ type sinkBox struct{ s EventSink }
 type gateBox struct{ g Gate }
 type faultBox struct{ f FaultInjector }
 
-// New returns a Runtime with cfg (zero fields defaulted: the paper's fully
-// optimistic detection with abort-readers resolution).
+// New returns a Runtime with cfg.
 func New(cfg Config) *Runtime {
-	rt := &Runtime{cfg: cfg.Normalize(), tel: telemetry.New("libtm")}
-	rt.reg = commitreg.New(rt.cfg.RegistryCapacity)
+	rt := &Runtime{cfg: cfg, tel: telemetry.New("libtm")}
+	rt.reg = commitreg.New(registryCapacity)
 	rt.pool.New = func() any { return &Tx{} }
 	return rt
 }
@@ -162,7 +161,7 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 }
 
 // noteAbort counts and reports an abort. Dooming gives exact attribution;
-// lock-wait conflicts fall back to the most recent commit.
+// lock-busy conflicts fall back to the most recent commit.
 func (rt *Runtime) noteAbort(self txid.Pair, c *conflict) {
 	rt.tel.TxAbort(uint64(self.Thread), c.cause)
 	sb := rt.sink.Load()

@@ -24,8 +24,8 @@ type txState struct {
 	// slipping in after the object's resolveReaders pass but before its
 	// publish would read a stale value without ever being doomed (the torn
 	// read the resolution pass exists to prevent). Readers registered
-	// before resolution are doomed/waited as usual; readers arriving
-	// during the window retry until the writer finishes.
+	// before resolution are doomed as usual; readers arriving during the
+	// window retry until the writer finishes.
 	committing atomic.Bool
 }
 
@@ -143,9 +143,9 @@ func (tx *Tx) checkDoomed() {
 func objAddr(b *objBase) uintptr { return uintptr(unsafe.Pointer(b)) }
 
 // readBase implements the LibTM read protocol: register as a visible
-// reader (blocking while a writer holds the object in pessimistic read
-// mode), load the value, then re-check the doom flag so a value published
-// after our registration can never enter the read set unnoticed. The
+// reader (retrying while a writer is publishing the object), load the
+// value, then re-check the doom flag so a value published after our
+// registration can never enter the read set unnoticed. The
 // snapshot is returned as a raw pointer for the generic Read to
 // dereference — no closure, no interface conversion (the unboxed protocol
 // mirrored from tl2).
@@ -157,9 +157,8 @@ func (tx *Tx) readBase(b *objBase) unsafe.Pointer {
 	} else if fp {
 		tx.rt.tel.FilterFalsePositives.Inc(uint64(tx.st.self.Thread))
 	}
-	pess := tx.rt.cfg.ReadMode == ReadPessimistic
-	for spins := 0; !b.registerReader(tx.st, pess); spins++ {
-		if spins >= tx.rt.cfg.MaxSpin {
+	for spins := 0; !b.registerReader(tx.st); spins++ {
+		if spins >= maxSpin {
 			tx.abort(&conflict{cause: obs.CauseLockBusy})
 		}
 		runtime.Gosched()
@@ -183,10 +182,9 @@ func box[T any](val T) *T {
 	return &v
 }
 
-// Write buffers val as tx's pending write to o. In encounter-time write
-// mode the object's write lock is acquired immediately. Rewrites of an
-// already-buffered object update the private redo box in place without
-// allocating.
+// Write buffers val as tx's pending write to o; the object's write lock is
+// taken at commit. Rewrites of an already-buffered object update the
+// private redo box in place without allocating.
 func Write[T any](tx *Tx, o *Obj[T], val T) {
 	tx.maybeYield()
 	tx.checkDoomed()
@@ -204,25 +202,6 @@ func Write[T any](tx *Tx, o *Obj[T], val T) {
 	e.Val = unsafe.Pointer(box(val))
 	if spilled {
 		tx.rt.tel.WriteSetSpills.Inc(uint64(tx.st.self.Thread))
-	}
-	if tx.rt.cfg.WriteMode == WriteEncounterTime {
-		tx.lockOne(e, b)
-	}
-}
-
-// lockOne acquires b's write lock with bounded spinning, aborting the
-// transaction on exhaustion.
-func (tx *Tx) lockOne(e *wset.Entry[*objBase], b *objBase) {
-	for spins := 0; ; spins++ {
-		if b.tryLockWriter(tx.st) {
-			e.Locked = true
-			return
-		}
-		if spins >= tx.rt.cfg.MaxSpin {
-			tx.abort(&conflict{cause: obs.CauseLockBusy})
-		}
-		runtime.Gosched()
-		tx.checkDoomed()
 	}
 }
 
@@ -248,10 +227,10 @@ func (tx *Tx) scrub() {
 	tx.ws.Reset()
 }
 
-// commit runs the LibTM commit protocol: acquire outstanding write locks
-// (in ascending object address order, the same deterministic rule as tl2's
-// commit locking), draw the commit sequence number, resolve readers per the
-// configured policy, re-check our own doom flag, publish, release.
+// commit runs the LibTM commit protocol: acquire the write locks (in
+// ascending object address order, the same deterministic rule as tl2's
+// commit locking), draw the commit sequence number, doom the registered
+// readers, re-check our own doom flag, publish, release.
 func (tx *Tx) commit() (wv uint64, c *conflict, ok bool) {
 	if tx.st.doomed.Load() {
 		return 0, doomConflict(tx.st), false
@@ -261,21 +240,16 @@ func (tx *Tx) commit() (wv uint64, c *conflict, ok bool) {
 		tx.cleanup()
 		return seq.Add(1), nil, true
 	}
-	if tx.rt.cfg.WriteMode == WriteCommitTime {
-		for i := range ents {
-			if ents[i].Locked {
-				continue
-			}
-			if !tx.tryLockBounded(&ents[i], ents[i].Key) {
-				return 0, &conflict{cause: obs.CauseLockBusy}, false
-			}
+	for i := range ents {
+		if !tx.tryLockBounded(&ents[i], ents[i].Key) {
+			return 0, &conflict{cause: obs.CauseLockBusy}, false
 		}
 	}
 	// Enter the resolve→publish window: from here until the publish loop
-	// finishes, optimistic readers cannot register on our locked objects
+	// finishes, readers cannot register on our locked objects
 	// (registerReader refuses), so every reader that could observe a
-	// pre-publish value is already registered and will be doomed or
-	// drained below. Cleared on every exit path.
+	// pre-publish value is already registered and will be doomed below.
+	// Cleared on every exit path.
 	tx.st.committing.Store(true)
 	defer tx.st.committing.Store(false)
 	if fi := tx.rt.injector(); fi != nil {
@@ -285,19 +259,8 @@ func (tx *Tx) commit() (wv uint64, c *conflict, ok bool) {
 		}
 	}
 	wv = seq.Add(1)
-	abortReaders := tx.rt.cfg.Resolution == AbortReaders
 	for i := range ents {
-		b := ents[i].Key
-		for spins := 0; !b.resolveReaders(tx.st, abortReaders, wv); spins++ {
-			// wait-for-readers: stall until this object's readers drain.
-			if spins >= tx.rt.cfg.MaxSpin {
-				return 0, &conflict{cause: obs.CauseLockBusy}, false
-			}
-			runtime.Gosched()
-			if tx.st.doomed.Load() {
-				return 0, doomConflict(tx.st), false
-			}
-		}
+		ents[i].Key.resolveReaders(tx.st, wv)
 	}
 	// A concurrent committer may have doomed us through an object we read;
 	// our dooms above are only undone by those readers retrying, which is
@@ -315,15 +278,15 @@ func (tx *Tx) commit() (wv uint64, c *conflict, ok bool) {
 	return wv, nil, true
 }
 
-// tryLockBounded is lockOne without the panic path, for use during commit
-// where the caller owns cleanup.
+// tryLockBounded acquires b's write lock with bounded spinning, reporting
+// false on exhaustion; the committing caller owns cleanup.
 func (tx *Tx) tryLockBounded(e *wset.Entry[*objBase], b *objBase) bool {
 	for spins := 0; ; spins++ {
 		if b.tryLockWriter(tx.st) {
 			e.Locked = true
 			return true
 		}
-		if spins >= tx.rt.cfg.MaxSpin {
+		if spins >= maxSpin {
 			return false
 		}
 		runtime.Gosched()

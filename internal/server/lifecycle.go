@@ -154,26 +154,32 @@ func (lc *lifecycle) noteOps(n int) {
 // guidance in under load.
 func (lc *lifecycle) train(gen uint64, traces []*gstm.Trace) {
 	m := gstm.BuildModel(lc.cfg.Workers, traces)
-	opts := lc.guidanceOptions()
 
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	if lc.gen != gen {
 		return // a control command reconfigured the server mid-training
 	}
-	if lc.cfg.ForceGuidance {
-		lc.lastModel = m
-		lc.sys.ForceGuidance(m, opts...)
-		lc.mode.Store(uint32(ModeGuided))
-		return
-	}
-	if err := lc.sys.EnableGuidance(m, opts...); err != nil {
-		lc.reason = err.Error()
+	if lc.install(m) != nil {
 		lc.mode.Store(uint32(ModeRejected))
-		return
+	}
+}
+
+// install puts m in as the shard's guidance — forced under
+// Config.ForceGuidance, otherwise only if the analyzer passes it — and
+// records it for CtlModeGuided. A rejection leaves guidance off, keeps the
+// reason for RejectReason and returns the error. Called with mu held.
+func (lc *lifecycle) install(m *gstm.Model) error {
+	opts := lc.guidanceOptions()
+	if lc.cfg.ForceGuidance {
+		lc.sys.ForceGuidance(m, opts...)
+	} else if err := lc.sys.EnableGuidance(m, opts...); err != nil {
+		lc.reason = err.Error()
+		return err
 	}
 	lc.lastModel = m
 	lc.mode.Store(uint32(ModeGuided))
+	return nil
 }
 
 // guidanceOptions installs every model behind the workers' dequeue check:
@@ -184,8 +190,8 @@ func (lc *lifecycle) guidanceOptions() []gstm.GuidanceOption {
 		gstm.WithTfactor(lc.cfg.Tfactor),
 		gstm.WithDequeueCheck(),
 	}
-	if lc.cfg.Watchdog != nil {
-		opts = append(opts, gstm.WithWatchdog(*lc.cfg.Watchdog))
+	if lc.cfg.Watchdog {
+		opts = append(opts, gstm.WithWatchdog())
 	}
 	return opts
 }
@@ -196,23 +202,10 @@ func (lc *lifecycle) guidanceOptions() []gstm.GuidanceOption {
 // Reports false when the analyzer rejects the model (and ForceGuidance is
 // off) — the caller falls back to the normal cold start.
 func (lc *lifecycle) warmStart(m *gstm.Model) bool {
-	opts := lc.guidanceOptions()
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	lc.gen++
-	if lc.cfg.ForceGuidance {
-		lc.lastModel = m
-		lc.sys.ForceGuidance(m, opts...)
-		lc.mode.Store(uint32(ModeGuided))
-		return true
-	}
-	if err := lc.sys.EnableGuidance(m, opts...); err != nil {
-		lc.reason = err.Error()
-		return false
-	}
-	lc.lastModel = m
-	lc.mode.Store(uint32(ModeGuided))
-	return true
+	return lc.install(m) == nil
 }
 
 // reinstallGuided force-installs the most recently trained model without

@@ -136,7 +136,7 @@ func TestWatchdogDegradesAdversarialModel(t *testing.T) {
 		Workers:       workers,
 		Unguided:      true,
 		ForceGuidance: true,
-		Watchdog:      &gstm.WatchdogOptions{Window: 64, MinGateSamples: 8},
+		Watchdog:      true,
 	})
 	solo := func(site gstm.TxnID, thread int) trace.Key {
 		return trace.NewState(nil, gstm.Pair{Txn: site, Thread: gstm.ThreadID(thread)}.Pack()).Key()
@@ -184,7 +184,7 @@ func TestTrainedModelStaysGuidedUnderDefaultWatchdog(t *testing.T) {
 		ProfileOps:    1024,
 		ProfileSlices: 2,
 		ForceGuidance: true,
-		Watchdog:      &gstm.WatchdogOptions{},
+		Watchdog:      true,
 	})
 	load := LoadConfig{Addr: s.Addr().String(), Conns: 8, OpsPerConn: 250, Keys: 1 << 16, PutPct: 100}
 	run := func() {

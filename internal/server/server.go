@@ -79,10 +79,10 @@ type Config struct {
 	ForceGuidance bool
 
 	// Tfactor tunes guidance (zero = default); the library's k has no use
-	// here, as no worker waits at a gate (DESIGN.md "Dispatch"). Watchdog,
-	// when non-nil, arms the guidance watchdog on every hot-swapped model.
+	// here, as no worker waits at a gate (DESIGN.md "Dispatch"). Watchdog
+	// arms the guidance watchdog on every hot-swapped model.
 	Tfactor  float64
-	Watchdog *gstm.WatchdogOptions
+	Watchdog bool
 
 	// Unguided starts the server with every shard's lifecycle parked in
 	// ModeUnguided instead of profiling toward guidance (CtlModeAuto can

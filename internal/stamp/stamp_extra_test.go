@@ -232,77 +232,13 @@ func TestWorkloadDocNamesMatchTable(t *testing.T) {
 	}
 }
 
-func TestBayesRunsAndLearnsAcyclicGraph(t *testing.T) {
-	w := NewBayes()
-	sys := gstm.NewSystem(gstm.Config{Threads: 4, Interleave: 6})
-	inst, err := w.NewInstance(Params{Threads: 4, Size: Small, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.Run(sys); err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Validate(sys); err != nil {
-		t.Fatal(err)
-	}
-	b := inst.(*bayesInstance)
-	if b.inserted.Peek() == 0 {
-		t.Fatal("no edges learned; scoring path untested")
-	}
-	_, aborts := sys.Stats()
-	if aborts == 0 {
-		t.Error("bayes produced no conflicts; its long transactions should contend")
-	}
-}
-
 func TestBayesExcludedFromAllButAvailable(t *testing.T) {
 	for _, w := range All() {
 		if w.Name() == "bayes" {
 			t.Fatal("bayes must not be in All() (the paper excludes it)")
 		}
 	}
-	found := false
-	for _, w := range AllWithBayes() {
-		if w.Name() == "bayes" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("AllWithBayes must include bayes")
-	}
 	if _, err := ByName("bayes"); err == nil {
 		t.Fatal("ByName must reject bayes to keep the harness faithful")
-	}
-}
-
-func TestBayesGuidedStaysValid(t *testing.T) {
-	w := NewBayes()
-	const threads = 4
-	sys := gstm.NewSystem(gstm.Config{Threads: threads, Interleave: 6})
-	var traces []*gstm.Trace
-	for i := 0; i < 2; i++ {
-		inst, err := w.NewInstance(Params{Threads: threads, Size: Small, Seed: uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.StartProfiling()
-		if _, err := inst.Run(sys); err != nil {
-			t.Fatal(err)
-		}
-		traces = append(traces, sys.StopProfiling())
-		if err := inst.Validate(sys); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sys.ForceGuidance(gstm.BuildModel(threads, traces), gstm.WithTfactor(2))
-	inst, err := w.NewInstance(Params{Threads: threads, Size: Small, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.Run(sys); err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Validate(sys); err != nil {
-		t.Fatalf("guided bayes invalid: %v", err)
 	}
 }

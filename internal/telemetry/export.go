@@ -45,7 +45,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	counter("gstm_write_set_spills_total", "Write sets that outgrew the inline fast path.", s.WriteSetSpills)
 	counter("gstm_write_filter_false_positives_total", "Write-set filter hits that found no entry.", s.FilterFalsePositives)
 	counter("gstm_watchdog_trips_total", "Guidance watchdog armed-to-tripped transitions.", s.WatchdogTrips)
-	counter("gstm_watchdog_rearms_total", "Guidance watchdog tripped-to-armed transitions.", s.WatchdogRearms)
 	counter("gstm_wal_appends_total", "Records appended to the write-ahead log.", s.WALAppends)
 	counter("gstm_wal_fsyncs_total", "Physical fsync calls issued by the write-ahead log.", s.WALFsyncs)
 	counter("gstm_wal_bytes_total", "Bytes appended to the write-ahead log.", s.WALBytes)

@@ -8,7 +8,6 @@ import (
 // Event kinds recorded in the ring buffer.
 const (
 	KindWatchdogTrip    = "watchdog-trip"
-	KindWatchdogRearm   = "watchdog-rearm"
 	KindGateEscape      = "gate-escape"
 	KindBudgetExhausted = "retry-budget-exhausted"
 	KindContextCanceled = "context-canceled"

@@ -112,8 +112,7 @@ type Snapshot struct {
 	GateHeld    uint64 `json:"gate_held"`
 	GateEscaped uint64 `json:"gate_escaped"`
 
-	WatchdogTrips  uint64 `json:"watchdog_trips"`
-	WatchdogRearms uint64 `json:"watchdog_rearms"`
+	WatchdogTrips uint64 `json:"watchdog_trips"`
 
 	WALAppends       uint64 `json:"wal_appends"`
 	WALFsyncs        uint64 `json:"wal_fsyncs"`
@@ -180,7 +179,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.GateHeld += o.GateHeld
 	s.GateEscaped += o.GateEscaped
 	s.WatchdogTrips += o.WatchdogTrips
-	s.WatchdogRearms += o.WatchdogRearms
 	s.WALAppends += o.WALAppends
 	s.WALFsyncs += o.WALFsyncs
 	s.WALBytes += o.WALBytes

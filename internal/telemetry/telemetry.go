@@ -115,9 +115,8 @@ type Metrics struct {
 	GateHeld    Counter
 	GateEscaped Counter
 
-	// Watchdog transitions.
-	WatchdogTrips  Counter
-	WatchdogRearms Counter
+	// Watchdog trips (a trip is final).
+	WatchdogTrips Counter
 
 	// Durability counters (internal/wal). Appends and bytes count records
 	// accepted into the log buffer; fsyncs count physical fsync(2) calls
@@ -381,15 +380,6 @@ func (m *Metrics) WatchdogTrip(state, reason string) {
 	m.Events.Record(KindWatchdogTrip, state, reason)
 }
 
-// WatchdogRearm records a watchdog re-arm after cooldown.
-func (m *Metrics) WatchdogRearm(state string) {
-	if m == nil {
-		return
-	}
-	m.WatchdogRearms.Inc(0)
-	m.Events.Record(KindWatchdogRearm, state, "")
-}
-
 // Snapshot returns a point-in-time view of this Metrics. Safe to call
 // while recording continues; the snapshot is internally consistent per
 // metric but not across metrics (monitoring semantics).
@@ -415,7 +405,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		GateHeld:             m.GateHeld.Load(),
 		GateEscaped:          m.GateEscaped.Load(),
 		WatchdogTrips:        m.WatchdogTrips.Load(),
-		WatchdogRearms:       m.WatchdogRearms.Load(),
 		WALAppends:           m.WALAppends.Load(),
 		WALFsyncs:            m.WALFsyncs.Load(),
 		WALBytes:             m.WALBytes.Load(),
@@ -468,7 +457,7 @@ func (m *Metrics) Reset() {
 		&m.XShardCommits, &m.XShardAborts, &m.ClockCASFallbacks,
 		&m.WriteSetSpills, &m.FilterFalsePositives,
 		&m.GatePassed, &m.GateHeld, &m.GateEscaped,
-		&m.WatchdogTrips, &m.WatchdogRearms,
+		&m.WatchdogTrips,
 		&m.WALAppends, &m.WALFsyncs, &m.WALBytes, &m.WALSnapshots,
 		&m.RecoveryReplayed, &m.RecoveryNanos,
 	} {

@@ -173,7 +173,6 @@ func TestMetricsLifecycleAndSnapshot(t *testing.T) {
 	m.GateArrival("stateA", GateHold, 0, 5*time.Microsecond)
 	m.GateArrival("stateB", GateEscape, 0, 10*time.Microsecond)
 	m.WatchdogTrip("stateB", "escape-rate 1.00>0.25")
-	m.WatchdogRearm("stateB")
 
 	if sampled != 64/SampleEvery {
 		t.Fatalf("sampled %d of 64 starts, want %d", sampled, 64/SampleEvery)
@@ -189,8 +188,8 @@ func TestMetricsLifecycleAndSnapshot(t *testing.T) {
 	if s.GatePassed != 1 || s.GateHeld != 1 || s.GateEscaped != 1 {
 		t.Fatalf("gate = %d/%d/%d", s.GatePassed, s.GateHeld, s.GateEscaped)
 	}
-	if s.WatchdogTrips != 1 || s.WatchdogRearms != 1 {
-		t.Fatalf("watchdog = %d/%d", s.WatchdogTrips, s.WatchdogRearms)
+	if s.WatchdogTrips != 1 {
+		t.Fatalf("watchdog trips = %d", s.WatchdogTrips)
 	}
 	if s.CommitLatency.Count != 1 || s.ValidationLatency.Count != 1 {
 		t.Fatalf("latency counts = %d/%d", s.CommitLatency.Count, s.ValidationLatency.Count)
@@ -204,8 +203,8 @@ func TestMetricsLifecycleAndSnapshot(t *testing.T) {
 	if len(s.GateStates) != 2 || s.GateStates[0].State != "stateA" || s.GateStates[0].Visits != 2 {
 		t.Fatalf("gate states = %+v", s.GateStates)
 	}
-	// Trip + rearm + escape + budget + cancel = 5 ring events.
-	if len(s.Events) != 5 {
+	// Trip + escape + budget + cancel = 4 ring events.
+	if len(s.Events) != 4 {
 		t.Fatalf("events = %d: %+v", len(s.Events), s.Events)
 	}
 
@@ -254,7 +253,6 @@ func TestNilMetricsSafe(t *testing.T) {
 	m.ObserveCommit(0, time.Microsecond, 0, false)
 	m.GateArrival("s", GatePass, 0, 0)
 	m.WatchdogTrip("s", "r")
-	m.WatchdogRearm("s")
 	m.Reset()
 	if s := m.Snapshot(); s.Commits != 0 {
 		t.Fatal("nil snapshot non-zero")

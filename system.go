@@ -39,11 +39,6 @@ type Config struct {
 	PrivateClock bool
 }
 
-// WatchdogOptions configures the guidance watchdog (see
-// guide.WatchdogConfig for field semantics; the zero value selects sound
-// defaults).
-type WatchdogOptions = guide.WatchdogConfig
-
 // WatchdogSnapshot is a point-in-time view of the watchdog, reported by
 // System.Health.
 type WatchdogSnapshot = guide.WatchdogSnapshot
@@ -173,8 +168,8 @@ func (s *System) forceGuidance(m *Model, set guidanceSettings) {
 	defer s.mu.Unlock()
 	s.ctrl = guide.NewController(table, gopts...)
 	s.dog = nil
-	if set.watchdog != nil {
-		s.dog = guide.NewWatchdog(s.ctrl, *set.watchdog)
+	if set.watchdog {
+		s.dog = guide.NewWatchdog(s.ctrl)
 	}
 	s.schedGate, s.schedSink = nil, nil
 	s.installSinks()

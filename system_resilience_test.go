@@ -184,18 +184,13 @@ func TestWatchdogFallbackOnAdversarialModel(t *testing.T) {
 	sys.ForceGuidance(adversarialModel(threads, pairs),
 		WithTfactor(4),
 		WithGateRetries(1),
-		WithWatchdog(WatchdogOptions{
-			Window:         64,
-			MinGateSamples: 8,
-			MaxEscapeRate:  0.25,
-			// Cooldown 0: the trip is final — the model cannot improve.
-		}),
+		WithWatchdog(), // the trip is final — the model cannot improve
 	)
 	guided := run(sys)
 
 	h := sys.Health()
 	if !h.WatchdogEnabled {
-		t.Fatal("Health.WatchdogEnabled = false under ForceGuidance with Watchdog options")
+		t.Fatal("Health.WatchdogEnabled = false under ForceGuidance WithWatchdog")
 	}
 	if h.Watchdog.State != guide.WatchdogTripped || h.Watchdog.Trips < 1 {
 		t.Fatalf("watchdog did not trip on the adversarial model: %+v", h.Watchdog)
@@ -297,7 +292,7 @@ func TestReconfigureUnderLoad(t *testing.T) {
 			// install path is exercised either way, ForceGuidance regardless.
 			_ = sys.EnableGuidance(m, WithTfactor(4), WithGateRetries(1))
 			sys.ForceGuidance(m, WithTfactor(4), WithGateRetries(1),
-				WithWatchdog(WatchdogOptions{Window: 32, MinGateSamples: 4}))
+				WithWatchdog())
 		case 3:
 			sys.SetScheduler(faultinject.NewStarvingGate(nil, 2), faultinject.NewStallingSink(nil, 2))
 		case 4:
@@ -362,14 +357,14 @@ func TestDequeueCheckInstallsNoGate(t *testing.T) {
 		t.Fatal("unguided system answered CheckDequeue")
 	}
 	sys.ForceGuidance(adversarialModel(2, pairs), WithGateRetries(1<<30),
-		WithWatchdog(WatchdogOptions{Window: 16, MinGateSamples: 4}), WithDequeueCheck())
+		WithWatchdog(), WithDequeueCheck())
 	if !sys.Guided() {
 		t.Fatal("not guided after WithDequeueCheck")
 	}
 	v := NewVar(0)
 	for i := 0; sys.Mode() != ModeDegraded; i++ {
-		if i == 64 {
-			t.Fatalf("64 checks did not trip the watchdog: %+v", sys.Health().Watchdog)
+		if i == 2*512 {
+			t.Fatalf("two watchdog windows of checks did not trip it: %+v", sys.Health().Watchdog)
 		}
 		// With a gate each of these would spin 2^30 re-checks.
 		if err := sys.Run(nil, 0, 0, func(tx *Tx) error {
