@@ -31,11 +31,9 @@ func main() {
 		queueDepth    = flag.Int("queue-depth", 256, "per-worker request queue depth, in chunks of up to -batch operations")
 		profileOps    = flag.Int("profile-ops", 2048, "committed ops per profiling slice")
 		profileSlices = flag.Int("profile-slices", 4, "profiling slices before the model is trained")
-		maxAttempts   = flag.Int("max-attempts", 0, "attempt budget per transaction (0 = unlimited); exhaustion maps to StatusBudget")
 		force         = flag.Bool("force-guidance", false, "install the trained model even if the analyzer rejects it")
 		watchdog      = flag.Bool("watchdog", true, "arm the guidance watchdog on the hot-swapped model")
-		unguided      = flag.Bool("unguided", false, "start with the lifecycle parked (plain TL2); CtlModeAuto can still start it")
-		interleave    = flag.Int("interleave", 0, "yield 1-in-N transactional operations (0 = never; exposes real interleaving on few cores)")
+		unguided      = flag.Bool("unguided", false, "serve plain TL2 for the server's life: no profiling, no model")
 		tfactor       = flag.Float64("tfactor", 0, "guidance Tfactor (0 = default)")
 		metrics       = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. :9100 or :0): /metrics (Prometheus), /debug/vars (JSON), /debug/pprof")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
@@ -59,11 +57,9 @@ func main() {
 		QueueDepth:    *queueDepth,
 		ProfileOps:    *profileOps,
 		ProfileSlices: *profileSlices,
-		MaxAttempts:   *maxAttempts,
 		ForceGuidance: *force,
 		Tfactor:       *tfactor,
 		Unguided:      *unguided,
-		Interleave:    *interleave,
 		WALDir:        *walDir,
 		FsyncInterval: *fsyncInterval,
 		SnapshotEvery: *snapshotEvery,

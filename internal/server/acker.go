@@ -10,8 +10,8 @@ import (
 // batch does not block until the batch's WAL records are flushed — it
 // captures each touched shard's record seq, hands the batch to the
 // server's acker goroutine, and immediately starts its next batch. The
-// acker waits for the seqs per the durability mode, performs the
-// post-commit accounting, and writes the client responses. Decoupling the
+// acker waits for the seqs per the durability mode, credits the shards'
+// lifecycles, and writes the client responses. Decoupling the
 // wait from the worker lets group commit batch adaptively: while one
 // flush is in flight the workers keep appending, so the next write(2)
 // carries everything that accumulated, instead of each worker stalling
@@ -22,15 +22,15 @@ import (
 // guaranteed (a connection's requests cross to the pool in chunks dealt
 // round-robin, and order holds only among the chunks one worker receives).
 
-// ackWait is one shard sub-transaction's durability obligation, with its
-// post-ack accounting precomputed (nops operations, delta live-key
-// adjustment). refused is set when the log already refused the record at
-// commit: there is nothing to wait for, only a failure to report. When
-// spanned is set the sub-transaction's span rides along by value: the
-// acker stamps its WAL-ack phase (the time the response was withheld for
-// durability), finishes it with the terminal cause and hands it to the
-// observatory. A cross-shard transaction produces one wait per participant
-// shard but carries its single span on only one of them.
+// ackWait is one shard sub-transaction's durability obligation, with the
+// nops operations it credits to the shard's lifecycle once acked. refused
+// is set when the log already refused the record at commit: there is
+// nothing to wait for, only a failure to report. When spanned is set the
+// sub-transaction's span rides along by value: the acker stamps its
+// WAL-ack phase (the time the response was withheld for durability),
+// finishes it with the terminal cause and hands it to the observatory. A
+// cross-shard transaction produces one wait per participant shard but
+// carries its single span on only one of them.
 type ackWait struct {
 	sh      int
 	seq     uint64 // 0: commit carried no record; nothing to wait for
@@ -38,7 +38,6 @@ type ackWait struct {
 	span    obs.Span
 	spanned bool
 	nops    int
-	delta   int64
 }
 
 // shardAll is the wildcard in ackItem.shardOf for an operation that spans
@@ -85,7 +84,7 @@ func (s *Server) ackLoop() {
 
 // finishDurable settles one durable batch: wait out each shard's
 // obligation, demote a failed shard's operations to StatusUnavailable,
-// account the survivors, reply, release the in-flight slots.
+// credit the survivors, reply, release the in-flight slots.
 func (s *Server) finishDurable(it *ackItem) {
 	for wi := range it.waits {
 		wt := &it.waits[wi]
@@ -123,7 +122,7 @@ func (s *Server) finishDurable(it *ackItem) {
 		if sp != nil {
 			s.obs.Collect(it.worker, sp)
 		}
-		s.account(wt.sh, wt.nops, wt.delta)
+		s.lcs[wt.sh].noteOps(wt.nops)
 	}
 
 	s.answer(it.tasks, it.results)

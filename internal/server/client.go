@@ -202,27 +202,9 @@ func (c *Client) longPoll(op Op, key, arg uint64) (uint64, error) {
 	}
 }
 
-// Ctl issues a control command.
-func (c *Client) Ctl(cmd CtlCommand, arg uint64) error {
-	st, _, err := c.Do(OpCtl, uint64(cmd), arg)
-	if err != nil {
-		return err
-	}
-	if st != StatusOK {
-		return fmt.Errorf("server: ctl %d status %d", cmd, st)
-	}
-	return nil
-}
-
-// Info reads one server gauge.
+// Info reads one server fact (see InfoSelector).
 func (c *Client) Info(sel InfoSelector) (uint64, error) {
-	return c.InfoArg(sel, 0)
-}
-
-// InfoArg reads one server gauge with an argument — the shard index for
-// the per-shard selectors (InfoShardMode, InfoShardCommits, ...).
-func (c *Client) InfoArg(sel InfoSelector, arg uint64) (uint64, error) {
-	st, v, err := c.Do(OpInfo, uint64(sel), arg)
+	st, v, err := c.Do(OpInfo, uint64(sel), 0)
 	if err != nil {
 		return 0, err
 	}

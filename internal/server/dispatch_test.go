@@ -226,14 +226,15 @@ func TestFillBatchWalksChunks(t *testing.T) {
 }
 
 // TestReaderDispatchesByChunk: 16 Gets delivered by one Read cross to the
-// workers as 16/Batch chunks — two hand-offs, two transactions, one Write —
+// workers as 16/Batch chunks — two hand-offs, two commits, one Write —
 // and a request that arrives after the reader blocked is a chunk of one,
 // answered without waiting for company.
 func TestReaderDispatchesByChunk(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, Unguided: true})
 	fc := attach(s)
-	counts := func() [3]uint64 {
-		return [3]uint64{uint64(s.rr.Load()), s.batches.Load(), s.batchedOps.Load()}
+	counts := func() [2]uint64 {
+		commits, _ := s.Router().Stats()
+		return [2]uint64{uint64(s.rr.Load()), commits}
 	}
 
 	fc.in <- gets(1, seq(1, 16)...)
@@ -248,8 +249,8 @@ func TestReaderDispatchesByChunk(t *testing.T) {
 		}
 		seen[r.ID] = true
 	}
-	if got, want := counts(), [3]uint64{2, 2, 16}; got != want {
-		t.Fatalf("hand-offs, batches, batched ops = %v after 16 Gets at Batch 8, want %v", got, want)
+	if got, want := counts(), [2]uint64{2, 2}; got != want {
+		t.Fatalf("hand-offs, commits = %v after 16 Gets at Batch 8, want %v", got, want)
 	}
 
 	fc.in <- gets(17, 17) // accepted only once the reader is blocked in Read
@@ -257,8 +258,8 @@ func TestReaderDispatchesByChunk(t *testing.T) {
 	if f := fc.frames(t, 1); len(f) != 1 || f[0].ID != 17 {
 		t.Fatalf("second write carried %+v, want id 17 alone", f)
 	}
-	if got, want := counts(), [3]uint64{3, 3, 17}; got != want {
-		t.Fatalf("hand-offs, batches, batched ops = %v after a lone 17th Get, want %v", got, want)
+	if got, want := counts(), [2]uint64{3, 3}; got != want {
+		t.Fatalf("hand-offs, commits = %v after a lone 17th Get, want %v", got, want)
 	}
 }
 
@@ -301,9 +302,9 @@ func TestNoChunkStrandedByOtherFrames(t *testing.T) {
 		t.Fatalf("%d hand-offs to workers, want the 5 Gets and the transaction in one chunk", got)
 	}
 	// Gets 1, 3, 5 | transaction 6 | Gets 7, 8: the transaction splits the
-	// chunk's Get run, so one worker ran three batches of 3 + 2 + 2 ops.
-	if b, ops := s.batches.Load(), s.batchedOps.Load(); b != 3 || ops != 7 {
-		t.Fatalf("%d batches of %d ops in all, want 3 of 7: the chunk's six tasks in order", b, ops)
+	// chunk's Get run, so one worker ran three batches, one commit each.
+	if commits, _ := s.Router().Stats(); commits != 3 {
+		t.Fatalf("%d commits in all, want 3: the chunk's six tasks in order", commits)
 	}
 }
 

@@ -44,7 +44,6 @@ const (
 // commits are not re-logged.
 func (s *Server) openDurability() error {
 	s.wals = make([]*wal.Log, s.cfg.Shards)
-	s.warmed = make([]bool, s.cfg.Shards)
 	for sh := 0; sh < s.cfg.Shards; sh++ {
 		sys := s.router.System(sh)
 		l, rec, err := wal.Open(wal.Config{
@@ -69,9 +68,10 @@ func (s *Server) openDurability() error {
 			return errors.Join(err, s.closeWALs())
 		}
 		if s.cfg.GuidedWarmup && !s.cfg.Unguided {
+			// A rejected model leaves the shard unguided: Start profiles it
+			// from cold.
 			if tr := rec.BuildTrace(); tr != nil && tr.Commits >= warmupMinCommits {
-				m := gstm.BuildModel(s.cfg.Workers, []*gstm.Trace{tr})
-				s.warmed[sh] = s.lcs[sh].warmStart(m)
+				s.lcs[sh].install(gstm.BuildModel(s.cfg.Workers, []*gstm.Trace{tr}))
 			}
 		}
 		// Install the tap last: everything from here on is logged, and
@@ -84,8 +84,7 @@ func (s *Server) openDurability() error {
 // replayShard applies one shard's recovery — snapshot image first, then
 // the salvaged commit records in wv order — to the shard's store, then
 // advances the shard's version clock past the highest durable wv so new
-// commits sort strictly after recovered ones, and recounts liveKeys from
-// the recovered state.
+// commits sort strictly after recovered ones.
 func (s *Server) replayShard(sh int, rec *wal.Recovery) error {
 	t0 := time.Now()
 	sys := s.router.System(sh)
@@ -134,17 +133,6 @@ func (s *Server) replayShard(sh int, rec *wal.Recovery) error {
 			return err
 		}
 	}
-
-	var live int64
-	err := sys.Run(ctx, 0, siteScan, func(tx *gstm.Tx) error {
-		live = 0
-		st.RangeAll(tx, func(int64, uint64) bool { live++; return true })
-		return nil
-	}, gstm.WithReadOnly())
-	if err != nil {
-		return err
-	}
-	s.liveKeys.Add(live)
 
 	sys.AdvanceClock(rec.MaxWV)
 	m := sys.Telemetry()

@@ -12,7 +12,7 @@ import (
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(AppendRequest(nil, Request{Op: OpGet, ID: 1, Key: 42})[4:])
 	f.Add(AppendRequest(nil, Request{Op: OpPut, ID: 0xFFFFFFFF, Key: ^uint64(0), Arg: 7})[4:])
-	f.Add(AppendRequest(nil, Request{Op: OpCtl, ID: 3, Key: uint64(CtlModeAuto), Arg: 512})[4:])
+	f.Add(AppendRequest(nil, Request{Op: OpInfo, ID: 3, Key: uint64(InfoShards)})[4:])
 	f.Add(AppendRequest(nil, Request{Op: OpWatch, ID: 9, Key: 17, Arg: 3, Trace: true})[4:])
 	f.Add(AppendRequest(nil, Request{Op: OpWaitKey, ID: 10, Key: 99})[4:])
 	f.Add([]byte{})
@@ -27,7 +27,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if len(payload) != reqPayloadLen {
 			t.Fatalf("accepted %d-byte payload, want exactly %d", len(payload), reqPayloadLen)
 		}
-		if req.Op < OpGet || req.Op > OpWaitKey {
+		if req.Op < OpGet || req.Op > OpWaitKey || req.Op == opRetired {
 			t.Fatalf("accepted invalid op %d", req.Op)
 		}
 		frame := AppendRequest(nil, req)

@@ -9,16 +9,15 @@ import (
 	"gstm"
 )
 
-// ServingMode is the lifecycle's externally visible state, reported by
-// OpInfo(InfoMode). It is the package-level gstm.Mode: the server overlays
+// ServingMode is the lifecycle's externally visible state (Server.Mode,
+// Server.ShardMode). It is the package-level gstm.Mode: the server overlays
 // the two transitional states only a lifecycle driver can know
 // (ModeTraining, ModeRejected) on top of the states gstm.System.Mode
 // derives itself.
 type ServingMode = gstm.Mode
 
 const (
-	// ModeUnguided: plain TL2, no profiling (forced via CtlModeUnguided,
-	// or configured at start).
+	// ModeUnguided: plain TL2, no profiling (Config.Unguided).
 	ModeUnguided = gstm.ModeUnguided
 	// ModeProfiling: serving unguided while the collector captures the
 	// transaction sequence of live traffic.
@@ -30,8 +29,7 @@ const (
 	// behind the workers' dequeue check — the hot-swap happened under load.
 	ModeGuided = gstm.ModeGuided
 	// ModeRejected: the analyzer rejected the trained model
-	// (gstm.ErrGuidanceRejected); serving stays unguided. The reason is
-	// kept for RejectReason.
+	// (gstm.ErrGuidanceRejected); serving stays unguided.
 	ModeRejected = gstm.ModeRejected
 	// ModeDegraded: guided, but the watchdog has tripped guidance into
 	// pass-through. Derived in Server.Mode, never stored.
@@ -39,81 +37,30 @@ const (
 )
 
 // lifecycle drives the paper's profile → model → analyze → guided flow
-// over live traffic for ONE shard's System. Workers call noteOps on every
-// committed batch; the worker that crosses a slice boundary finalizes the
-// trace, and the one that completes the last slice kicks off background
-// training. Control commands can reset the machine at any time; a
-// generation counter makes stale background training results no-ops. Each
-// shard owns an independent lifecycle, so one shard's rejected model never
-// holds back a neighbor's hot-swap.
+// over live traffic for ONE shard's System, once. Workers call noteOps on
+// every committed batch; the worker that crosses a slice boundary
+// finalizes the trace, and the one that completes the last slice kicks off
+// background training, which installs or rejects the model. Each shard
+// owns an independent lifecycle, so one shard's rejected model never holds
+// back a neighbor's hot-swap.
 type lifecycle struct {
 	sys *gstm.System
 	cfg *Config
 
 	mode    atomic.Uint32
 	counted atomic.Int64 // committed ops in the current profiling slice
-	target  atomic.Int64 // ops per slice for the current auto cycle
 
-	mu        sync.Mutex
-	gen       uint64 // bumped on every reconfiguration
-	traces    []*gstm.Trace
-	reason    string
-	lastModel *gstm.Model // most recently trained model, for CtlModeGuided
-}
-
-func (lc *lifecycle) init(sys *gstm.System, cfg *Config) {
-	lc.sys = sys
-	lc.cfg = cfg
+	mu     sync.Mutex // closes one slice at a time
+	traces []*gstm.Trace
 }
 
 func (lc *lifecycle) currentMode() ServingMode { return ServingMode(lc.mode.Load()) }
 
-func (lc *lifecycle) rejectReason() string {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return lc.reason
-}
-
-// forceUnguided parks the lifecycle: guidance uninstalled, profiling off.
-func (lc *lifecycle) forceUnguided() {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	lc.gen++
-	lc.sys.StopProfiling() // discard a partial trace, if any
-	lc.sys.DisableGuidance()
-	lc.traces = nil
-	lc.reason = ""
-	lc.mode.Store(uint32(ModeUnguided))
-}
-
-// startAuto (re)starts the profile→guide cycle with the given slice size.
-func (lc *lifecycle) startAuto(profileOps int) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	lc.gen++
-	lc.sys.StopProfiling()
-	lc.sys.DisableGuidance()
-	lc.traces = nil
-	lc.reason = ""
-	lc.target.Store(int64(profileOps))
-	lc.counted.Store(0)
+// start begins the first profiling slice. Called once, before any worker
+// runs.
+func (lc *lifecycle) start() {
 	lc.sys.StartProfiling()
 	lc.mode.Store(uint32(ModeProfiling))
-}
-
-// forceReject parks the shard in ModeRejected with the given reason:
-// guidance uninstalled, profiling off, serving continues unguided. Used by
-// the CtlShardReject control command (and tests) to exercise the
-// one-shard-rejected-neighbors-guided topology on demand.
-func (lc *lifecycle) forceReject(reason string) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	lc.gen++
-	lc.sys.StopProfiling()
-	lc.sys.DisableGuidance()
-	lc.traces = nil
-	lc.reason = reason
-	lc.mode.Store(uint32(ModeRejected))
 }
 
 // noteOps credits n committed operations to the current profiling slice.
@@ -122,14 +69,14 @@ func (lc *lifecycle) noteOps(n int) {
 	if lc.currentMode() != ModeProfiling {
 		return
 	}
-	if lc.counted.Add(int64(n)) < lc.target.Load() {
+	slice := int64(lc.cfg.ProfileOps)
+	if lc.counted.Add(int64(n)) < slice {
 		return
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	// Re-check under the lock: another worker may have closed the slice,
-	// or a control command reconfigured everything.
-	if lc.currentMode() != ModeProfiling || lc.counted.Load() < lc.target.Load() {
+	// Re-check under the lock: another worker may have closed the slice.
+	if lc.currentMode() != ModeProfiling || lc.counted.Load() < slice {
 		return
 	}
 	tr := lc.sys.StopProfiling()
@@ -144,48 +91,26 @@ func (lc *lifecycle) noteOps(n int) {
 	traces := lc.traces
 	lc.traces = nil
 	lc.mode.Store(uint32(ModeTraining))
-	gen := lc.gen
 	go pprof.Do(context.Background(), pprof.Labels("gstm", "lifecycle-train"),
-		func(context.Context) { lc.train(gen, traces) })
+		func(context.Context) { lc.train(traces) })
 }
 
-// train builds and analyzes the model off the serving path, then — if it
-// passes (or ForceGuidance) and no reconfiguration intervened — hot-swaps
-// guidance in under load.
-func (lc *lifecycle) train(gen uint64, traces []*gstm.Trace) {
-	m := gstm.BuildModel(lc.cfg.Workers, traces)
-
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.gen != gen {
-		return // a control command reconfigured the server mid-training
-	}
-	if lc.install(m) != nil {
+// train builds and analyzes the model off the serving path, then
+// hot-swaps guidance in under load — or latches ModeRejected.
+func (lc *lifecycle) train(traces []*gstm.Trace) {
+	if !lc.install(gstm.BuildModel(lc.cfg.Workers, traces)) {
 		lc.mode.Store(uint32(ModeRejected))
 	}
 }
 
 // install puts m in as the shard's guidance — forced under
-// Config.ForceGuidance, otherwise only if the analyzer passes it — and
-// records it for CtlModeGuided. A rejection leaves guidance off, keeps the
-// reason for RejectReason and returns the error. Called with mu held.
-func (lc *lifecycle) install(m *gstm.Model) error {
-	opts := lc.guidanceOptions()
-	if lc.cfg.ForceGuidance {
-		lc.sys.ForceGuidance(m, opts...)
-	} else if err := lc.sys.EnableGuidance(m, opts...); err != nil {
-		lc.reason = err.Error()
-		return err
-	}
-	lc.lastModel = m
-	lc.mode.Store(uint32(ModeGuided))
-	return nil
-}
-
-// guidanceOptions installs every model behind the workers' dequeue check:
-// the controller (or its watchdog) observes the shard's events, and no
-// transaction is held at the gate (DESIGN.md "Dispatch").
-func (lc *lifecycle) guidanceOptions() []gstm.GuidanceOption {
+// Config.ForceGuidance, otherwise only if the analyzer passes it — behind
+// the workers' dequeue check: the controller (or its watchdog) observes
+// the shard's events, and no transaction is held at the gate (DESIGN.md
+// "Dispatch"). It is the one install, for a trained model (train) and for
+// one recovered from the write-ahead log (guided warmup). Reports false,
+// leaving guidance off, when the analyzer rejects m.
+func (lc *lifecycle) install(m *gstm.Model) bool {
 	opts := []gstm.GuidanceOption{
 		gstm.WithTfactor(lc.cfg.Tfactor),
 		gstm.WithDequeueCheck(),
@@ -193,32 +118,11 @@ func (lc *lifecycle) guidanceOptions() []gstm.GuidanceOption {
 	if lc.cfg.Watchdog {
 		opts = append(opts, gstm.WithWatchdog())
 	}
-	return opts
-}
-
-// warmStart installs a model reconstructed from the shard's recovered
-// write-ahead log before serving begins (guided warmup): the same
-// install path as train, minus the profiling that produced the traces.
-// Reports false when the analyzer rejects the model (and ForceGuidance is
-// off) — the caller falls back to the normal cold start.
-func (lc *lifecycle) warmStart(m *gstm.Model) bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	lc.gen++
-	return lc.install(m) == nil
-}
-
-// reinstallGuided force-installs the most recently trained model without
-// re-profiling. Reports false when no model has been trained yet.
-func (lc *lifecycle) reinstallGuided() bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.lastModel == nil {
+	if lc.cfg.ForceGuidance {
+		lc.sys.ForceGuidance(m, opts...)
+	} else if lc.sys.EnableGuidance(m, opts...) != nil {
 		return false
 	}
-	lc.gen++
-	lc.sys.StopProfiling()
-	lc.sys.ForceGuidance(lc.lastModel, lc.guidanceOptions()...)
 	lc.mode.Store(uint32(ModeGuided))
 	return true
 }

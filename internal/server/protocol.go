@@ -31,11 +31,13 @@ const (
 	OpAdd Op = 3
 	// OpDel removes Key (StatusNotFound when absent).
 	OpDel Op = 4
-	// OpCtl is the control plane: Key selects a CtlCommand, Arg its
-	// argument. Control requests bypass the STM entirely.
-	OpCtl Op = 5
-	// OpInfo reads one server gauge: Key selects an InfoSelector; the
-	// response carries the value. Bypasses the STM.
+	// opRetired (5) is never reassigned, so an old client's control request
+	// cannot be read as something else: DecodeRequest rejects it like any
+	// unknown op.
+	opRetired Op = 5
+	// OpInfo reads one server fact: Key selects an InfoSelector; the
+	// response carries the value (StatusBadRequest for any other selector).
+	// Bypasses the STM.
 	OpInfo Op = 6
 	// OpWatch long-polls Key for a change: it blocks while the key is
 	// absent or its value equals Arg (the client's last-seen value), and
@@ -63,64 +65,21 @@ const (
 	OpTxn Op = 9
 )
 
-// CtlCommand values travel in the Key field of an OpCtl request.
-type CtlCommand uint64
-
-const (
-	// CtlModeUnguided forces plain unguided execution: guidance off,
-	// profiling off. The serving mode latches to ModeUnguided.
-	CtlModeUnguided CtlCommand = 0
-	// CtlModeAuto (re)starts the paper's lifecycle: profile Arg committed
-	// operations (0 = the server's configured default), then build and
-	// analyze the model in the background and hot-swap into guided mode if
-	// it passes.
-	CtlModeAuto CtlCommand = 1
-	// CtlReset zeroes the system's cumulative counters (commits, aborts,
-	// latency histograms) so a load run measures only itself.
-	CtlReset CtlCommand = 2
-	// CtlModeGuided re-installs the most recently trained model without
-	// re-profiling (StatusUnguidable when none has been trained yet on any
-	// shard). With CtlModeUnguided this lets a benchmark alternate modes
-	// run by run, so both sample the same machine-noise window.
-	CtlModeGuided CtlCommand = 3
-	// CtlShardReject force-rejects shard Arg's guidance lifecycle: its
-	// model is dropped and the shard latches ModeRejected, serving
-	// unguided while its neighbors keep their gates. StatusBadRequest for
-	// an out-of-range shard. Exists to exercise the partial-degradation
-	// topology on a live server (chaos drills, tests).
-	CtlShardReject CtlCommand = 4
-)
-
 // InfoSelector values travel in the Key field of an OpInfo request.
+// Selectors 0-5 and 7-9 are retired and answer StatusBadRequest.
 type InfoSelector uint64
 
-const (
-	InfoCommits    InfoSelector = 0 // cumulative committed transactions, all shards
-	InfoAborts     InfoSelector = 1 // cumulative aborted attempts, all shards
-	InfoMode       InfoSelector = 2 // aggregate ServingMode (see Server.Mode)
-	InfoBatches    InfoSelector = 3 // transactions executed by workers
-	InfoBatchedOps InfoSelector = 4 // operations carried by those transactions
-	InfoKeys       InfoSelector = 5 // live keys in the store
+// InfoShards reads the server's shard count.
+const InfoShards InfoSelector = 6
 
-	// Per-shard selectors: Arg carries the shard index (StatusBadRequest
-	// when out of range).
-	InfoShards       InfoSelector = 6 // shard count
-	InfoShardMode    InfoSelector = 7 // shard Arg's ServingMode
-	InfoShardCommits InfoSelector = 8 // shard Arg's committed transactions
-	InfoShardAborts  InfoSelector = 9 // shard Arg's aborted attempts
-)
-
-// Status is a response status code. The server maps gstm's error
-// sentinels onto these: ErrRetryBudgetExhausted → StatusBudget,
-// ErrCanceled → StatusCanceled, ErrGuidanceRejected → StatusUnguidable.
+// Status is a response status code. The server maps gstm's
+// ErrCanceled onto StatusCanceled. Codes 3 and 4 are retired.
 type Status uint8
 
 const (
 	StatusOK         Status = 0
 	StatusNotFound   Status = 1
 	StatusCanceled   Status = 2
-	StatusBudget     Status = 3
-	StatusUnguidable Status = 4
 	StatusBadRequest Status = 5
 	StatusShutdown   Status = 6
 	// StatusUnavailable: the operation's durability could not be promised —
@@ -204,7 +163,7 @@ func DecodeRequest(buf []byte) (Request, error) {
 		Arg:   binary.BigEndian.Uint64(buf[13:21]),
 		Trace: buf[0]&TraceBit != 0,
 	}
-	if r.Op < OpGet || r.Op > OpWaitKey {
+	if r.Op < OpGet || r.Op > OpWaitKey || r.Op == opRetired {
 		return Request{}, fmt.Errorf("%w: %d", ErrBadOp, r.Op)
 	}
 	return r, nil

@@ -11,8 +11,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpPut, ID: 0xFFFFFFFF, Key: 0xFFFFFFFFFFFFFFFF, Arg: 7},
 		{Op: OpAdd, ID: 7, Key: 0, Arg: 0x8000000000000000},
 		{Op: OpDel, ID: 1 << 30, Key: 1 << 60},
-		{Op: OpCtl, ID: 3, Key: uint64(CtlModeAuto), Arg: 512},
-		{Op: OpInfo, ID: 9, Key: uint64(InfoMode)},
+		{Op: OpInfo, ID: 9, Key: uint64(InfoShards)},
 	}
 	for _, want := range cases {
 		buf := AppendRequest(nil, want)
@@ -62,6 +61,10 @@ func TestDecodeRequestErrors(t *testing.T) {
 	bad[4] = byte(OpWaitKey) + 1
 	if _, err := DecodeRequest(bad[4:]); !errors.Is(err, ErrBadOp) {
 		t.Fatalf("op out of range: got %v, want ErrBadOp", err)
+	}
+	bad[4] = 5 // retired: no op may reuse its wire value
+	if _, err := DecodeRequest(bad[4:]); !errors.Is(err, ErrBadOp) {
+		t.Fatalf("op 5: got %v, want ErrBadOp", err)
 	}
 	if _, err := DecodeResponse(make([]byte, respPayloadLen-1)); !errors.Is(err, ErrShortFrame) {
 		t.Fatalf("short response: got %v, want ErrShortFrame", err)

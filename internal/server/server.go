@@ -68,11 +68,6 @@ type Config struct {
 	ProfileOps    int
 	ProfileSlices int
 
-	// MaxAttempts bounds attempts per batch transaction; exhaustion maps
-	// to StatusBudget on every operation of that shard's sub-batch. 0 =
-	// unlimited.
-	MaxAttempts int
-
 	// ForceGuidance installs the trained model even when the analyzer
 	// rejects it (experiments and tests); otherwise rejection latches
 	// ModeRejected on that shard and it keeps serving unguided.
@@ -84,13 +79,9 @@ type Config struct {
 	Tfactor  float64
 	Watchdog bool
 
-	// Unguided starts the server with every shard's lifecycle parked in
-	// ModeUnguided instead of profiling toward guidance (CtlModeAuto can
-	// still start it later).
+	// Unguided keeps every shard in ModeUnguided for the server's life:
+	// no profiling, no model, plain TL2.
 	Unguided bool
-
-	// Interleave is forwarded to gstm.Config (test machines).
-	Interleave int
 
 	// WALDir, when non-empty, turns durability on: each shard keeps a
 	// write-ahead log of its commit sequence under WALDir/shard<i>, Start
@@ -167,10 +158,8 @@ type Server struct {
 	rr      atomic.Uint32 // round-robin dispatch cursor, advanced once per chunk
 
 	// wals[s] is shard s's write-ahead log (nil slice when durability is
-	// off); warmed[s] records that recovery already installed a guided
-	// model on shard s, so Start leaves its lifecycle alone.
-	wals   []*wal.Log
-	warmed []bool
+	// off).
+	wals []*wal.Log
 
 	// acks hands committed durable batches to the acker goroutine, which
 	// waits out their WAL obligations and writes the responses (see
@@ -199,13 +188,6 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	// liveKeys approximates the store's cardinality from acknowledged
-	// creates minus deletes (exact under this protocol: every mutation is
-	// acked exactly once).
-	liveKeys   atomic.Int64
-	batches    atomic.Uint64
-	batchedOps atomic.Uint64
-
 	// obs is the variance observatory: every batch sub-transaction records
 	// a span (decode, queue wait, attempts with abort causes, commit
 	// phases, WAL ack wait) into it. Always on; retention is sampled.
@@ -224,9 +206,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		router: shard.New(shard.Config{
-			Shards:     cfg.Shards,
-			Threads:    cfg.Workers,
-			Interleave: cfg.Interleave,
+			Shards:  cfg.Shards,
+			Threads: cfg.Workers,
 		}),
 		stop:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
@@ -252,9 +233,7 @@ func New(cfg Config) *Server {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s.stores = append(s.stores, stmds.NewHashTable[uint64](buckets))
-		lc := &lifecycle{}
-		lc.init(s.router.System(i), &s.cfg)
-		s.lcs = append(s.lcs, lc)
+		s.lcs = append(s.lcs, &lifecycle{sys: s.router.System(i), cfg: &s.cfg})
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers = append(s.workers, newWorker(s, i))
@@ -297,14 +276,10 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	for i, lc := range s.lcs {
-		if s.warmed != nil && s.warmed[i] {
-			continue // recovery already installed a guided model
-		}
-		if s.cfg.Unguided {
-			lc.forceUnguided()
-		} else {
-			lc.startAuto(s.cfg.ProfileOps)
+	for _, lc := range s.lcs {
+		// A shard recovery installed a guided model on keeps it.
+		if !s.cfg.Unguided && lc.currentMode() == ModeUnguided {
+			lc.start()
 		}
 	}
 	s.registerGauges()
@@ -408,7 +383,7 @@ func openBurst() *burst {
 }
 
 // reply buffers r and settles its count on b. Replies outside any burst —
-// control, watches, drain-time refusals — pass nil and flush at once.
+// OpInfo, watches, drain-time refusals — pass nil and flush at once.
 func (c *conn) reply(r Response, b *burst) {
 	c.wmu.Lock()
 	c.out = AppendResponse(c.out, r)
@@ -553,8 +528,8 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 
 		switch req.Op {
-		case OpCtl, OpInfo:
-			c.reply(s.handleControl(req), nil)
+		case OpInfo:
+			c.reply(s.info(req), nil)
 		case OpWatch, OpWaitKey:
 			// Long-polls bypass the worker queue: each gets its own
 			// goroutine that parks inside a blocking transaction, so a
@@ -594,96 +569,12 @@ func (s *Server) abandon(tasks []task) {
 	}
 }
 
-// handleControl serves the non-transactional control plane. Mode commands
-// fan out to every shard's lifecycle; per-shard selectors take the shard
-// index in Arg.
-func (s *Server) handleControl(req Request) Response {
-	resp := Response{ID: req.ID}
-	switch req.Op {
-	case OpCtl:
-		switch CtlCommand(req.Key) {
-		case CtlModeUnguided:
-			for _, lc := range s.lcs {
-				lc.forceUnguided()
-			}
-		case CtlModeAuto:
-			ops := int(req.Arg)
-			if ops <= 0 {
-				ops = s.cfg.ProfileOps
-			}
-			for _, lc := range s.lcs {
-				lc.startAuto(ops)
-			}
-		case CtlModeGuided:
-			any := false
-			for _, lc := range s.lcs {
-				if lc.reinstallGuided() {
-					any = true
-				}
-			}
-			if !any {
-				resp.Status = StatusUnguidable
-			}
-		case CtlShardReject:
-			sh := int(req.Arg)
-			if sh < 0 || sh >= len(s.lcs) {
-				resp.Status = StatusBadRequest
-				break
-			}
-			s.lcs[sh].forceReject("forced by CtlShardReject")
-		case CtlReset:
-			s.router.ResetStats()
-			s.batches.Store(0)
-			s.batchedOps.Store(0)
-		default:
-			resp.Status = StatusBadRequest
-		}
-	case OpInfo:
-		switch InfoSelector(req.Key) {
-		case InfoCommits:
-			c, _ := s.router.Stats()
-			resp.Value = c
-		case InfoAborts:
-			_, a := s.router.Stats()
-			resp.Value = a
-		case InfoMode:
-			resp.Value = uint64(s.Mode())
-		case InfoBatches:
-			resp.Value = s.batches.Load()
-		case InfoBatchedOps:
-			resp.Value = s.batchedOps.Load()
-		case InfoKeys:
-			resp.Value = uint64(s.liveKeys.Load())
-		case InfoShards:
-			resp.Value = uint64(s.Shards())
-		case InfoShardMode:
-			sh := int(req.Arg)
-			if sh < 0 || sh >= len(s.lcs) {
-				resp.Status = StatusBadRequest
-				break
-			}
-			resp.Value = uint64(s.ShardMode(sh))
-		case InfoShardCommits:
-			sh := int(req.Arg)
-			if sh < 0 || sh >= len(s.lcs) {
-				resp.Status = StatusBadRequest
-				break
-			}
-			c, _ := s.router.System(sh).Stats()
-			resp.Value = c
-		case InfoShardAborts:
-			sh := int(req.Arg)
-			if sh < 0 || sh >= len(s.lcs) {
-				resp.Status = StatusBadRequest
-				break
-			}
-			_, a := s.router.System(sh).Stats()
-			resp.Value = a
-		default:
-			resp.Status = StatusBadRequest
-		}
+// info answers an OpInfo request; InfoShards is its one selector.
+func (s *Server) info(req Request) Response {
+	if InfoSelector(req.Key) != InfoShards {
+		return Response{ID: req.ID, Status: StatusBadRequest}
 	}
-	return resp
+	return Response{ID: req.ID, Value: uint64(s.Shards())}
 }
 
 // ShardMode reports shard sh's serving mode, refining ModeGuided to
@@ -717,17 +608,6 @@ func (s *Server) Mode() ServingMode {
 		}
 	}
 	return ModeUnguided
-}
-
-// RejectReason returns the first shard's analyzer reason when a lifecycle
-// latched ModeRejected ("" when none did).
-func (s *Server) RejectReason() string {
-	for _, lc := range s.lcs {
-		if r := lc.rejectReason(); r != "" {
-			return r
-		}
-	}
-	return ""
 }
 
 // Shutdown drains the server: the listener closes immediately, queued and

@@ -10,8 +10,7 @@ import (
 
 // TestShardedServerOracle runs the sequential-oracle workload shape
 // against a 4-shard server: shared keys take only commutative adds,
-// private keys are tracked exactly, and the per-shard commit gauges must
-// sum to the aggregate.
+// private keys are tracked exactly, and every shard commits.
 func TestShardedServerOracle(t *testing.T) {
 	s := startServer(t, Config{Shards: 4, Workers: 4, Batch: 8, Unguided: true})
 	addr := s.Addr().String()
@@ -116,31 +115,14 @@ func TestShardedServerOracle(t *testing.T) {
 		}
 	}
 
-	// Per-shard gauges: every shard saw traffic (8 shared keys + privates
-	// spread by hash), and the shard commit counters sum to the aggregate.
+	// Every shard saw traffic: 8 shared keys + privates spread by hash.
 	if n, err := cl.Info(InfoShards); err != nil || n != 4 {
 		t.Fatalf("InfoShards = %d (err %v), want 4", n, err)
 	}
-	total, err := cl.Info(InfoCommits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum uint64
-	for sh := uint64(0); sh < 4; sh++ {
-		c, err := cl.InfoArg(InfoShardCommits, sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c == 0 {
+	for sh := 0; sh < 4; sh++ {
+		if c, _ := s.Router().System(sh).Stats(); c == 0 {
 			t.Fatalf("shard %d committed nothing", sh)
 		}
-		sum += c
-	}
-	if sum != total {
-		t.Fatalf("shard commits sum %d != aggregate %d", sum, total)
-	}
-	if _, err := cl.InfoArg(InfoShardCommits, 4); err == nil {
-		t.Fatal("out-of-range shard index accepted")
 	}
 }
 
@@ -159,10 +141,10 @@ func (e *mismatchError) Error() string {
 }
 
 // TestShardedLifecycleIndependence drives a 2-shard server through the
-// live lifecycle, then force-rejects shard 0 mid-run: shard 0 must latch
-// ModeRejected and serve unguided while shard 1 stays guided, the
-// aggregate mode must keep reporting guided, and traffic must stay
-// correct throughout.
+// live lifecycle, each shard at its own pace, then puts shard 0 in the
+// state an analyzer rejection leaves (guidance off, ModeRejected) mid-run:
+// shard 1 must stay guided, the aggregate mode must keep reporting guided,
+// and traffic must stay correct throughout.
 func TestShardedLifecycleIndependence(t *testing.T) {
 	s := startServer(t, Config{
 		Shards:        2,
@@ -214,43 +196,29 @@ func TestShardedLifecycleIndependence(t *testing.T) {
 	// Wait for BOTH shards to go guided: each counts its own ProfileOps.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		m0, err := ctl.InfoArg(InfoShardMode, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m1, err := ctl.InfoArg(InfoShardMode, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ServingMode(m0) == ModeGuided && ServingMode(m1) == ModeGuided {
+		m0, m1 := s.ShardMode(0), s.ShardMode(1)
+		if m0 == ModeGuided && m1 == ModeGuided {
 			break
 		}
 		if time.Now().After(deadline) {
 			close(stopLoad)
 			wg.Wait()
-			t.Fatalf("shards never both guided (shard0 %v, shard1 %v)", ServingMode(m0), ServingMode(m1))
+			t.Fatalf("shards never both guided (shard0 %v, shard1 %v)", m0, m1)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Force-reject shard 0 under load; shard 1 must not notice.
-	if err := ctl.Ctl(CtlShardReject, 0); err != nil {
-		t.Fatal(err)
+	// Reject shard 0 under load; shard 1 must not notice.
+	s.Router().System(0).DisableGuidance()
+	s.lcs[0].mode.Store(uint32(ModeRejected))
+	if m := s.ShardMode(0); m != ModeRejected {
+		t.Fatalf("shard 0 mode = %v, want rejected", m)
 	}
-	if m, err := ctl.InfoArg(InfoShardMode, 0); err != nil || ServingMode(m) != ModeRejected {
-		t.Fatalf("shard 0 mode = %v (err %v), want rejected", ServingMode(m), err)
+	if m := s.ShardMode(1); m != ModeGuided {
+		t.Fatalf("shard 1 mode = %v, want guided", m)
 	}
-	if m, err := ctl.InfoArg(InfoShardMode, 1); err != nil || ServingMode(m) != ModeGuided {
-		t.Fatalf("shard 1 mode = %v (err %v), want guided", ServingMode(m), err)
-	}
-	if m, err := ctl.Info(InfoMode); err != nil || ServingMode(m) != ModeGuided {
-		t.Fatalf("aggregate mode = %v (err %v), want guided (rejected neighbor must not demote)", ServingMode(m), err)
-	}
-	if s.RejectReason() == "" {
-		t.Fatal("RejectReason empty after CtlShardReject")
-	}
-	if s.Router().System(0).Guided() {
-		t.Fatal("shard 0 gate still installed after forced rejection")
+	if m := s.Mode(); m != ModeGuided {
+		t.Fatalf("aggregate mode = %v, want guided (rejected neighbor must not demote)", m)
 	}
 	if !s.Router().System(1).Guided() {
 		t.Fatal("shard 1 lost its gate when shard 0 was rejected")
@@ -279,10 +247,5 @@ func TestShardedLifecycleIndependence(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("sum across keys = %d, want %d acknowledged adds", got, want)
-	}
-
-	// Out-of-range reject is a bad request, not a crash.
-	if st, _, err := ctl.Do(OpCtl, uint64(CtlShardReject), 99); err != nil || st != StatusBadRequest {
-		t.Fatalf("out-of-range reject: status %d (err %v), want bad request", st, err)
 	}
 }

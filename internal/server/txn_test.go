@@ -26,8 +26,7 @@ func keysOn(s *Server, sh, n int) []uint64 {
 // each step seeing the state the previous ones left: every transaction
 // answers OK with its last sub-op's value, a sub-Put reports its argument, a
 // sub-Get of an absent key reads 0, a sub-Del of an absent key is a no-op,
-// and InfoKeys follows every create and delete — on one shard and across
-// both.
+// and Gets see every create and delete — on one shard and across both.
 func TestTxnSemantics(t *testing.T) {
 	s := startServer(t, Config{Shards: 2, Workers: 2, Unguided: true})
 	cl, err := Dial(s.Addr().String())
@@ -45,18 +44,18 @@ func TestTxnSemantics(t *testing.T) {
 		name  string
 		ops   []TxnOp
 		value uint64
-		keys  uint64 // InfoKeys afterwards
+		live  []uint64 // the keys present afterwards
 	}{
-		{"single/put-then-get", []TxnOp{put(a[0], 5), get(a[0])}, 5, 1},
-		{"single/get-absent", []TxnOp{get(a[1])}, 0, 1},
-		{"single/del-absent", []TxnOp{del(a[1])}, 0, 1},
-		{"single/put-twice", []TxnOp{put(a[2], 1), put(a[2], 2)}, 2, 2},
-		{"cross/add-then-put-new", []TxnOp{add(a[0], 3), put(b[0], 7)}, 7, 3},
-		{"cross/put-existing-then-get", []TxnOp{put(b[0], 9), get(a[0])}, 8, 3},
-		{"cross/get-absent-last", []TxnOp{add(b[0], 1), get(b[1])}, 0, 3},
-		{"cross/del-then-create", []TxnOp{del(a[0]), add(b[1], 4)}, 4, 3},
-		{"cross/del-then-get-deleted", []TxnOp{del(b[0]), get(a[0])}, 0, 2},
-		{"cross/del-absent-then-put", []TxnOp{del(a[0]), put(b[0], 6)}, 6, 3},
+		{"single/put-then-get", []TxnOp{put(a[0], 5), get(a[0])}, 5, []uint64{a[0]}},
+		{"single/get-absent", []TxnOp{get(a[1])}, 0, []uint64{a[0]}},
+		{"single/del-absent", []TxnOp{del(a[1])}, 0, []uint64{a[0]}},
+		{"single/put-twice", []TxnOp{put(a[2], 1), put(a[2], 2)}, 2, []uint64{a[0], a[2]}},
+		{"cross/add-then-put-new", []TxnOp{add(a[0], 3), put(b[0], 7)}, 7, []uint64{a[0], a[2], b[0]}},
+		{"cross/put-existing-then-get", []TxnOp{put(b[0], 9), get(a[0])}, 8, []uint64{a[0], a[2], b[0]}},
+		{"cross/get-absent-last", []TxnOp{add(b[0], 1), get(b[1])}, 0, []uint64{a[0], a[2], b[0]}},
+		{"cross/del-then-create", []TxnOp{del(a[0]), add(b[1], 4)}, 4, []uint64{a[2], b[0], b[1]}},
+		{"cross/del-then-get-deleted", []TxnOp{del(b[0]), get(a[0])}, 0, []uint64{a[2], b[1]}},
+		{"cross/del-absent-then-put", []TxnOp{del(a[0]), put(b[0], 6)}, 6, []uint64{a[2], b[0], b[1]}},
 	}
 	for _, st := range steps {
 		status, v, err := cl.Txn(st.ops)
@@ -66,8 +65,14 @@ func TestTxnSemantics(t *testing.T) {
 		if status != StatusOK || v != st.value {
 			t.Fatalf("%s: status %d value %d, want OK and %d", st.name, status, v, st.value)
 		}
-		if n, err := cl.Info(InfoKeys); err != nil || n != st.keys {
-			t.Fatalf("%s: InfoKeys %d (err %v), want %d", st.name, n, err, st.keys)
+		live := map[uint64]bool{}
+		for _, k := range st.live {
+			live[k] = true
+		}
+		for _, k := range []uint64{a[0], a[1], a[2], b[0], b[1]} {
+			if _, ok, err := cl.Get(k); err != nil || ok != live[k] {
+				t.Fatalf("%s: key %d present %v (err %v), want %v", st.name, k, ok, err, live[k])
+			}
 		}
 	}
 

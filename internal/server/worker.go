@@ -99,7 +99,6 @@ var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 type opResult struct {
 	status Status
 	value  uint64
-	delta  int64 // liveKeys adjustment, applied only after commit
 }
 
 // worker executes batches of operations as transactions on a fixed STM
@@ -121,20 +120,18 @@ type worker struct {
 	batch   []task
 	results []opResult
 	plan    *shard.Plan
-	deltas  []int64 // deltas[sh]: the current OpTxn's live-key change on shard sh
 
-	// body (runShard), multi (runTxn), updOpt (MaxAttempts) and planOpt
-	// (the spanOpts lookup) depend only on the worker, so they are built
-	// once: each would otherwise be a heap allocation per batch.
+	// body (runShard), multi (runTxn) and planOpt (the txOpts lookup)
+	// depend only on the worker, so they are built once: each would
+	// otherwise be a heap allocation per batch.
 	body    func(tx *gstm.Tx, sh int, idxs []int) error
 	multi   func(m *shard.MultiTx) error
-	updOpt  gstm.TxOption
 	planOpt shard.PlanOption
 
 	// spans[sh] is the scratch span for shard sh's sub-transaction of the
 	// current batch; spanOpts[sh] is the prebuilt option slice threading it
-	// into that shard's Run call (slot 0 is refilled per batch with the
-	// ReadOnly/MaxAttempts option). Reused every batch: the observatory
+	// into that shard's Run call behind a WithReadOnly that only Get
+	// batches pass (see txOpts). Reused every batch: the observatory
 	// retains spans by value, so the record path never allocates.
 	spans    []obs.Span
 	spanOpts [][]gstm.TxOption
@@ -155,19 +152,26 @@ func newWorker(s *Server, id int) *worker {
 		batch:   make([]task, 0, s.cfg.Batch),
 		results: make([]opResult, s.cfg.Batch),
 		plan:    s.router.NewPlan(),
-		deltas:  make([]int64, s.cfg.Shards),
 		spans:   make([]obs.Span, s.cfg.Shards),
 		stgs:    make([]wal.Staging, s.cfg.Shards),
-		updOpt:  gstm.WithMaxAttempts(s.cfg.MaxAttempts),
 	}
 	w.body = w.runShard
 	w.multi = w.runTxn
-	w.planOpt = shard.WithShardOptions(func(sh int) []gstm.TxOption { return w.spanOpts[sh] })
+	w.planOpt = shard.WithShardOptions(w.txOpts)
 	w.spanOpts = make([][]gstm.TxOption, s.cfg.Shards)
 	for sh := range w.spanOpts {
-		w.spanOpts[sh] = []gstm.TxOption{gstm.WithMaxAttempts(0), gstm.WithSpan(&w.spans[sh])}
+		w.spanOpts[sh] = []gstm.TxOption{gstm.WithReadOnly(), gstm.WithSpan(&w.spans[sh])}
 	}
 	return w
+}
+
+// txOpts is the current batch's Run options on shard sh: its span, on
+// TL2's read-only fast path when the batch is Gets.
+func (w *worker) txOpts(sh int) []gstm.TxOption {
+	if w.batch[0].req.Op == OpGet {
+		return w.spanOpts[sh]
+	}
+	return w.spanOpts[sh][1:]
 }
 
 func (w *worker) loop() {
@@ -244,10 +248,6 @@ func (w *worker) execBatch() {
 		return
 	}
 	w.plan.Build(len(w.batch), func(i int) uint64 { return w.batch[i].req.Key })
-	runOpt := w.updOpt
-	if kind == OpGet {
-		runOpt = gstm.WithReadOnly()
-	}
 
 	// Open one span per touched shard before running, from the first homed
 	// task's stamps; the STM run appends gate/retry/commit events.
@@ -265,7 +265,6 @@ func (w *worker) execBatch() {
 		if idxs[0] == 0 {
 			w.checkGuidance(sh, deq) // the batch's lead homes here
 		}
-		w.spanOpts[sh][0] = runOpt
 	}
 
 	w.durable = s.wals != nil && kind != OpGet
@@ -290,11 +289,7 @@ func (w *worker) execBatch() {
 			}
 			continue
 		}
-		var delta int64
-		for _, i := range idxs {
-			delta += w.results[i].delta
-		}
-		w.settle(it, sh, len(idxs), delta, true)
+		w.settle(it, sh, len(idxs), true)
 	}
 	w.deliver(it)
 }
@@ -318,8 +313,7 @@ func (w *worker) execTxn() {
 	deq := time.Now().UnixNano()
 	w.openSpan(first, t, len(ops), t.req.Trace, deq)
 	w.checkGuidance(first, deq)
-	w.spanOpts[first][0] = w.updOpt
-	err := s.router.RunMulti(nil, parts, w.id, siteTxn, w.multi, w.spanOpts[first]...)
+	err := s.router.RunMulti(nil, parts, w.id, siteTxn, w.multi, w.txOpts(first)...)
 	txnPool.Put(t.txn)
 	t.txn = nil
 
@@ -334,7 +328,7 @@ func (w *worker) execTxn() {
 		it.shardOf[0] = shardAll
 	}
 	for _, sh := range parts {
-		w.settle(it, sh, len(w.plan.Group(sh)), w.deltas[sh], sh == first)
+		w.settle(it, sh, len(w.plan.Group(sh)), sh == first)
 	}
 	w.deliver(it)
 }
@@ -394,8 +388,6 @@ func failure(err error) (Status, obs.Cause) {
 	switch {
 	case errors.Is(err, errWALUnavailable) || errors.Is(err, wal.ErrFailed):
 		return StatusUnavailable, obs.CauseWALUnavailable
-	case errors.Is(err, gstm.ErrRetryBudgetExhausted):
-		return StatusBudget, obs.CauseRetryBudget
 	case errors.Is(err, gstm.ErrCanceled):
 		return StatusCanceled, obs.CauseCanceled
 	default:
@@ -405,22 +397,23 @@ func failure(err error) (Status, obs.Cause) {
 	}
 }
 
-// settle books shard sh's committed sub-transaction of nops operations and
-// delta live keys; spanned says sh's span belongs to it. In memory (it is
-// nil) the booking happens at once. Durable, the sub-transaction becomes a
-// wait on item it: the acker withholds the replies until the record is
-// durable per the mode — written (relaxed) or fsynced (strict) — while this
-// worker moves on, then books it and stamps the span's WAL-ack phase.
-func (w *worker) settle(it *ackItem, sh, nops int, delta int64, spanned bool) {
+// settle books shard sh's committed sub-transaction of nops operations on
+// that shard's lifecycle; spanned says sh's span belongs to it. In memory
+// (it is nil) the booking happens at once. Durable, the sub-transaction
+// becomes a wait on item it: the acker withholds the replies until the
+// record is durable per the mode — written (relaxed) or fsynced (strict) —
+// while this worker moves on, then books it and stamps the span's WAL-ack
+// phase.
+func (w *worker) settle(it *ackItem, sh, nops int, spanned bool) {
 	if it == nil {
-		w.srv.account(sh, nops, delta)
+		w.srv.lcs[sh].noteOps(nops)
 		if spanned {
 			w.finishSpan(sh, obs.CauseNone)
 		}
 		return
 	}
 	seq, err := w.srv.wals[sh].ThreadSeq(int(w.id))
-	wt := ackWait{sh: sh, seq: seq, refused: err, nops: nops, delta: delta}
+	wt := ackWait{sh: sh, seq: seq, refused: err, nops: nops}
 	if spanned {
 		wt.span, wt.spanned = w.spans[sh], true
 	}
@@ -488,7 +481,6 @@ func (w *worker) runTxn(m *shard.MultiTx) error {
 	}
 	for _, sh := range m.Shards() {
 		tx := m.On(sh)
-		w.deltas[sh] = 0
 		for _, i := range w.plan.Group(sh) {
 			op := &ops[i]
 			r := w.applyOp(tx, sh, op.Op, op.Key, op.Arg)
@@ -498,7 +490,6 @@ func (w *worker) runTxn(m *shard.MultiTx) error {
 			if i == len(ops)-1 {
 				w.results[0] = opResult{value: r.value}
 			}
-			w.deltas[sh] += r.delta
 		}
 	}
 	return nil
@@ -512,17 +503,6 @@ func (s *Server) answer(tasks []task, results []opResult) {
 		t.c.reply(Response{ID: t.req.ID, Status: results[i].status, Value: results[i].value}, t.b)
 		s.inflight.Done()
 	}
-}
-
-// account books one committed shard sub-transaction of nops operations:
-// its live-key change, the batch counters and the shard lifecycle's count.
-func (s *Server) account(sh, nops int, delta int64) {
-	if delta != 0 {
-		s.liveKeys.Add(delta)
-	}
-	s.batches.Add(1)
-	s.batchedOps.Add(uint64(nops))
-	s.lcs[sh].noteOps(nops)
 }
 
 // applyOp performs one operation inside shard sh's sub-transaction,
@@ -543,7 +523,7 @@ func (w *worker) applyOp(tx *gstm.Tx, sh int, op Op, key, arg uint64) opResult {
 		}
 		st.InsertNoCount(tx, k, arg)
 		w.stagePut(sh, key, arg)
-		return opResult{value: 0, delta: 1}
+		return opResult{value: 0}
 	case OpAdd:
 		if v, ok := st.Get(tx, k); ok {
 			nv := uint64(int64(v) + int64(arg))
@@ -553,7 +533,7 @@ func (w *worker) applyOp(tx *gstm.Tx, sh int, op Op, key, arg uint64) opResult {
 		}
 		st.InsertNoCount(tx, k, arg)
 		w.stagePut(sh, key, arg)
-		return opResult{value: arg, delta: 1}
+		return opResult{value: arg}
 	default: // OpDel
 		if !st.RemoveNoCount(tx, k) {
 			return opResult{status: StatusNotFound}
@@ -561,7 +541,7 @@ func (w *worker) applyOp(tx *gstm.Tx, sh int, op Op, key, arg uint64) opResult {
 		if w.logging {
 			w.stgs[sh].Del(key)
 		}
-		return opResult{delta: -1}
+		return opResult{}
 	}
 }
 

@@ -149,13 +149,6 @@ func (r *Router) Stats() (commits, aborts uint64) {
 	return commits, aborts
 }
 
-// ResetStats resets every shard's counters.
-func (r *Router) ResetStats() {
-	for _, sys := range r.systems {
-		sys.ResetStats()
-	}
-}
-
 // Plan is a reusable scatter-gather of one multi-key batch: item indices
 // grouped by home shard, each group preserving the batch's relative
 // order. A worker keeps one Plan and rebuilds it per batch; steady-state

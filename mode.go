@@ -55,13 +55,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Settled reports whether the mode is a resting state of the lifecycle
-// rather than a transitional one: everything except ModeProfiling and
-// ModeTraining.
-func (m Mode) Settled() bool {
-	return m != ModeProfiling && m != ModeTraining
-}
-
 // Mode derives the System's current execution mode from what is installed:
 // guided (refined to degraded while the watchdog holds guidance tripped)
 // when a guidance controller is present, profiling when only a collector

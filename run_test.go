@@ -152,12 +152,4 @@ func TestSystemModeLifecycle(t *testing.T) {
 	if got := sys.Mode(); got != ModeUnguided {
 		t.Fatalf("mode after DisableGuidance = %v, want unguided", got)
 	}
-	for _, m := range []Mode{ModeUnguided, ModeGuided, ModeRejected, ModeDegraded} {
-		if !m.Settled() {
-			t.Fatalf("%v.Settled() = false", m)
-		}
-	}
-	if ModeProfiling.Settled() || ModeTraining.Settled() {
-		t.Fatal("transitional modes report Settled")
-	}
 }
