@@ -6,18 +6,22 @@ import (
 	"gstm/internal/obs"
 )
 
-// Asynchronous durability acknowledgment. A worker that commits a durable
-// batch does not block until the batch's WAL records are flushed — it
-// captures each touched shard's record seq, hands the batch to the
-// server's acker goroutine, and immediately starts its next batch. The
-// acker waits for the seqs per the durability mode, credits the shards'
-// lifecycles, and writes the client responses. Decoupling the
-// wait from the worker lets group commit batch adaptively: while one
-// flush is in flight the workers keep appending, so the next write(2)
-// carries everything that accumulated, instead of each worker stalling
-// for one flush cycle per batch.
+// Strict-mode durability acknowledgment. In strict mode (FsyncInterval 0)
+// an ack waits on an fsync, so a worker that commits a durable batch does
+// not block until the batch's WAL records are synced — it captures each
+// touched shard's record seq, hands the batch to the server's acker
+// goroutine, and immediately starts its next batch. The acker waits for the
+// seqs, credits the shards' lifecycles, and writes the client responses.
+// Decoupling the wait from the worker lets group commit batch adaptively:
+// while one fsync is in flight the workers keep appending, so the next one
+// covers everything that accumulated, instead of each worker stalling for
+// one fsync per batch.
 //
-// Reordering this introduces is invisible to clients: responses carry
+// Relaxed mode has no acker: an ack waits only on a write(2), which the
+// waiting worker performs itself (wal.Log.WaitAcked), so its batch settles
+// on the worker like an in-memory one (see worker.settle).
+//
+// Reordering the acker introduces is invisible to clients: responses carry
 // request IDs and per-connection ordering across workers was never
 // guaranteed (a connection's requests cross to the pool in chunks dealt
 // round-robin, and order holds only among the chunks one worker receives).
@@ -79,12 +83,13 @@ func (s *Server) ackLoop() {
 	defer close(s.ackDone)
 	for it := range s.acks {
 		s.finishDurable(it)
+		s.ackPool.Put(it)
 	}
 }
 
 // finishDurable settles one durable batch: wait out each shard's
 // obligation, demote a failed shard's operations to StatusUnavailable,
-// credit the survivors, reply, release the in-flight slots.
+// reply, release the in-flight slots.
 func (s *Server) finishDurable(it *ackItem) {
 	for wi := range it.waits {
 		wt := &it.waits[wi]
@@ -92,46 +97,57 @@ func (s *Server) finishDurable(it *ackItem) {
 		if !wt.spanned {
 			sp = nil // secondary wait of a cross-shard txn: span rides elsewhere
 		}
-		err := wt.refused
-		if err == nil && wt.seq > 0 {
-			w0 := time.Now()
-			err = s.wals[wt.sh].WaitAcked(wt.seq)
-			cause := obs.CauseNone
-			if err != nil {
-				cause = obs.CauseWALUnavailable
-			}
-			sp.AddSince(obs.PhaseWALAck, cause, 0, w0)
-		}
-		if err != nil {
-			// The commit executed in memory but its record never became
-			// durable; the ack must not happen. (After a crash the replay
-			// won't have it — exactly what StatusUnavailable promises.)
-			sp.Finish(obs.CauseWALUnavailable, time.Now().UnixNano())
-			if sp != nil {
-				s.obs.Collect(it.worker, sp)
-			}
-			s.router.System(wt.sh).Telemetry().WALRefused(uint64(it.worker))
-			for i := range it.tasks {
-				if it.shardOf[i] == shardAll || int(it.shardOf[i]) == wt.sh {
-					it.results[i] = opResult{status: StatusUnavailable}
-				}
-			}
+		if s.ackShard(it.worker, wt.sh, wt.seq, wt.refused, sp, wt.nops) {
 			continue
 		}
-		sp.Finish(obs.CauseNone, time.Now().UnixNano())
-		if sp != nil {
-			s.obs.Collect(it.worker, sp)
+		for i := range it.tasks {
+			if it.shardOf[i] == shardAll || int(it.shardOf[i]) == wt.sh {
+				it.results[i] = opResult{status: StatusUnavailable}
+			}
 		}
-		s.lcs[wt.sh].noteOps(wt.nops)
 	}
-
 	s.answer(it.tasks, it.results)
-	s.ackPool.Put(it)
+}
+
+// ackShard settles shard sh's committed sub-transaction on behalf of
+// worker: it waits until record seq is acked on the shard's log (seq 0:
+// nothing was logged), or takes refused — the log's refusal at commit — as
+// the outcome. The wait is sp's WAL-ack phase; sp (nil when the span rides
+// elsewhere) is then closed with the outcome and handed to worker's ring.
+// An acked sub-transaction books its nops operations on the shard's
+// lifecycle; a failed one is counted as refused and reports false: its
+// record never became durable, so its operations must not ack. (After a
+// crash the replay won't have it — exactly what StatusUnavailable
+// promises.)
+func (s *Server) ackShard(worker, sh int, seq uint64, refused error, sp *obs.Span, nops int) bool {
+	err := refused
+	cause := obs.CauseNone
+	if err == nil && seq > 0 {
+		w0 := time.Now()
+		err = s.wals[sh].WaitAcked(seq)
+		if err != nil {
+			cause = obs.CauseWALUnavailable
+		}
+		sp.AddSince(obs.PhaseWALAck, cause, 0, w0)
+	}
+	if err != nil {
+		cause = obs.CauseWALUnavailable
+	}
+	sp.Finish(cause, time.Now().UnixNano())
+	if sp != nil {
+		s.obs.Collect(worker, sp)
+	}
+	if err != nil {
+		s.router.System(sh).Telemetry().WALRefused(uint64(worker))
+		return false
+	}
+	s.lcs[sh].noteOps(nops)
+	return true
 }
 
 // stopAcker closes the hand-off channel (all workers must have exited)
-// and waits for the acker to drain. Safe to call multiple times and with
-// durability off.
+// and waits for the acker to drain. Safe to call multiple times and without
+// an acker.
 func (s *Server) stopAcker() {
 	if s.acks == nil {
 		return

@@ -162,8 +162,9 @@ type Server struct {
 	wals []*wal.Log
 
 	// acks hands committed durable batches to the acker goroutine, which
-	// waits out their WAL obligations and writes the responses (see
-	// acker.go). Nil when durability is off.
+	// waits out their fsyncs and writes the responses (see acker.go). Nil
+	// unless durability is on in strict mode (FsyncInterval 0): a relaxed
+	// batch settles on its worker.
 	acks    chan *ackItem
 	ackDone chan struct{}
 	ackOnce sync.Once
@@ -194,7 +195,8 @@ type Server struct {
 	obs *obs.Observatory
 
 	// unregGauges unhooks the telemetry gauges Start registered (WAL queue
-	// depth per shard, acker backlog); dropped once by dropGauges.
+	// depth per shard, strict mode's acker backlog); dropped once by
+	// dropGauges.
 	unregGauges []func()
 	gaugeOnce   sync.Once
 }
@@ -218,7 +220,7 @@ func New(cfg Config) *Server {
 		}),
 	}
 	s.watchCtx, s.watchCancel = context.WithCancel(context.Background())
-	if cfg.WALDir != "" {
+	if cfg.WALDir != "" && cfg.FsyncInterval == 0 {
 		s.acks = make(chan *ackItem, 8*cfg.Workers)
 		s.ackDone = make(chan struct{})
 		// The acker lives from New to stopAcker, outside s.wg: it outlives
@@ -303,8 +305,9 @@ func (s *Server) Start() error {
 
 // registerGauges hooks the server's point-in-time depths into the
 // process-wide telemetry registry: each shard WAL's unflushed queue depth
-// and the acker's backlog of durable batches awaiting their flush. They
-// appear on /metrics until dropGauges (Shutdown/Crash) unhooks them.
+// and, in strict mode, the acker's backlog of durable batches awaiting
+// their fsync. They appear on /metrics until dropGauges (Shutdown/Crash)
+// unhooks them.
 func (s *Server) registerGauges() {
 	label := func(i int) string {
 		if s.cfg.Shards > 1 {
@@ -649,10 +652,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		// Workers have exited (no new records, no new ack items) and the
-		// drain above already saw every pending ack written, so the acker
-		// stops immediately; then Close drains and fsyncs everything
-		// staged, which is the clean-shutdown guarantee — every acked
-		// record is on disk before the process exits.
+		// drain above already saw every pending ack written, so the strict
+		// mode acker stops immediately; then Close drains and fsyncs
+		// everything staged, which is the clean-shutdown guarantee — every
+		// acked record is on disk before the process exits.
 		s.stopAcker()
 		return errors.Join(err, s.closeWALs())
 	case <-ctx.Done():
@@ -695,9 +698,9 @@ func (s *Server) Crash() {
 		_ = s.ln.Close()
 	}
 	s.stopOnce.Do(func() { close(s.stop) })
-	// Crash the logs before waiting: the acker's pending WaitAcked calls
-	// must be released (with ErrCrashed) so it keeps draining and no
-	// worker stays blocked handing a batch off.
+	// Crash the logs before waiting: pending WaitAcked calls — a relaxed
+	// worker's, or the strict acker's — must be released (with ErrCrashed)
+	// so workers can exit and none stays blocked handing a batch off.
 	for _, l := range s.wals {
 		if l != nil {
 			l.Crash()

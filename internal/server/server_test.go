@@ -483,18 +483,17 @@ func readReplies(t *testing.T, nc net.Conn, n int, ids []uint32, got map[uint32]
 }
 
 // TestReplyLiveness: burst coalescing must never hold a reply behind a
-// parked watch, nor lose one to a drain. In-memory the workers reply
-// inline; with a WAL the acker does.
+// parked watch, nor lose one to a drain. In memory and with a relaxed WAL
+// the workers reply inline; with a strict WAL the acker does.
 func TestReplyLiveness(t *testing.T) {
-	for _, durable := range []bool{false, true} {
-		name := "memory"
-		if durable {
-			name = "wal"
-		}
+	for _, name := range []string{"memory", "wal", "wal-relaxed"} {
 		config := func(t *testing.T) Config {
 			cfg := Config{Workers: 2, Shards: 2, Unguided: true}
-			if durable {
+			if name != "memory" {
 				cfg.WALDir = t.TempDir()
+			}
+			if name == "wal-relaxed" {
+				cfg.FsyncInterval = 5 * time.Millisecond
 			}
 			return cfg
 		}

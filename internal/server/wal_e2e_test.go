@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gstm/internal/faultinject"
+	"gstm/internal/obs"
 )
 
 // TestDurableCleanShutdown: every operation acknowledged before a
@@ -208,41 +209,99 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestWALFailureMapsToUnavailable: when a shard's log dies (injected
-// fsync failure in strict mode), mutating operations answer
-// StatusUnavailable rather than acking unlogged state; reads keep
-// working.
+// TestWALFailureMapsToUnavailable: when a shard's log dies — an injected
+// fsync failure in strict mode, where the acker sees it, or a torn write in
+// relaxed mode, where the worker that writes its batch's record through
+// sees it — mutating operations answer StatusUnavailable rather than acking
+// unlogged state; reads keep working.
 func TestWALFailureMapsToUnavailable(t *testing.T) {
-	inj := faultinject.NewDisk(faultinject.DiskConfig{Seed: 11, FsyncErrorProb: 1})
-	s := startServer(t, Config{
-		Workers: 2, Batch: 4, Unguided: true,
-		WALDir: t.TempDir(), DiskFaults: inj,
-	})
-	cl, err := Dial(s.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer cl.Close()
+	for _, tc := range []struct {
+		name     string
+		interval time.Duration
+		faults   faultinject.DiskConfig
+	}{
+		{"strict-fsync", 0, faultinject.DiskConfig{Seed: 11, FsyncErrorProb: 1}},
+		{"relaxed-torn", 5 * time.Millisecond, faultinject.DiskConfig{Seed: 11, TornWriteProb: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := faultinject.NewDisk(tc.faults)
+			s := startServer(t, Config{
+				Workers: 2, Batch: 4, Unguided: true,
+				WALDir: t.TempDir(), FsyncInterval: tc.interval, DiskFaults: inj,
+			})
+			cl, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer cl.Close()
 
-	sawUnavailable := false
-	for i := uint64(0); i < 50; i++ {
-		st, _, err := cl.Do(OpAdd, i, 1)
-		if err != nil {
-			t.Fatalf("add: %v", err)
-		}
-		if st == StatusUnavailable {
-			sawUnavailable = true
-			break
-		}
+			sawUnavailable := false
+			for i := uint64(0); i < 50; i++ {
+				st, _, err := cl.Do(OpAdd, i, 1)
+				if err != nil {
+					t.Fatalf("add: %v", err)
+				}
+				if st == StatusUnavailable {
+					sawUnavailable = true
+					break
+				}
+			}
+			if !sawUnavailable {
+				t.Fatal("no StatusUnavailable despite every write or fsync failing")
+			}
+			if st, _, err := cl.Do(OpGet, 0, 0); err != nil || (st != StatusOK && st != StatusNotFound) {
+				t.Fatalf("read after WAL failure: status %d err %v", st, err)
+			}
+			fsyncErrs, torn, _ := inj.DiskCounts()
+			if fsyncErrs+torn == 0 {
+				t.Fatal("injector never fired")
+			}
+		})
 	}
-	if !sawUnavailable {
-		t.Fatal("no StatusUnavailable despite every fsync failing")
-	}
-	if st, _, err := cl.Do(OpGet, 0, 0); err != nil || (st != StatusOK && st != StatusNotFound) {
-		t.Fatalf("read after WAL failure: status %d err %v", st, err)
-	}
-	fsyncErrs, _, _ := inj.DiskCounts()
-	if fsyncErrs == 0 {
-		t.Fatal("injector never fired")
+}
+
+// TestDurableSpansStampWALAck: a durable write's span ends with its WAL-ack
+// phase whichever goroutine settles it — the acker in strict mode, the
+// worker that wrote the record through in relaxed mode, which starts no
+// acker at all.
+func TestDurableSpansStampWALAck(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		interval time.Duration
+	}{
+		{"strict", 0},
+		{"relaxed", 5 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startServer(t, Config{
+				Shards: 2, Workers: 2, Batch: 4, Unguided: true,
+				WALDir: t.TempDir(), FsyncInterval: tc.interval,
+			})
+			if hasAcker := s.acks != nil; hasAcker != (tc.interval == 0) {
+				t.Fatalf("acker started: %v, want only in strict mode", hasAcker)
+			}
+			cl, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			cl.SetTrace(true)
+			const ops = 40
+			for i := uint64(0); i < ops; i++ {
+				if _, err := cl.Add(i, 1); err != nil {
+					t.Fatalf("add %d: %v", i, err)
+				}
+			}
+			spans := s.Observatory().Snapshot().Forced
+			if len(spans) != ops {
+				t.Fatalf("%d forced spans, want %d", len(spans), ops)
+			}
+			for _, sp := range spans {
+				ev := sp.Events
+				if sp.Cause != obs.CauseNone.String() || len(ev) == 0 || ev[len(ev)-1].Phase != "walack" {
+					t.Fatalf("span %d: cause %q, events %+v; want a clean span ending in walack", sp.ID, sp.Cause, ev)
+				}
+			}
+		})
 	}
 }

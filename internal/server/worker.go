@@ -271,7 +271,7 @@ func (w *worker) execBatch() {
 	w.plan.Run(nil, w.id, site(kind), w.body, w.planOpt)
 
 	var it *ackItem
-	if w.durable {
+	if w.durable && s.acks != nil { // strict mode: the acker answers
 		it = s.getAckItem(len(w.batch))
 	}
 	act := w.plan.Active()
@@ -289,7 +289,11 @@ func (w *worker) execBatch() {
 			}
 			continue
 		}
-		w.settle(it, sh, len(idxs), true)
+		if !w.settle(it, sh, len(idxs), true) {
+			for _, i := range idxs {
+				w.results[i] = opResult{status: StatusUnavailable}
+			}
+		}
 	}
 	w.deliver(it)
 }
@@ -323,12 +327,14 @@ func (w *worker) execTxn() {
 		return
 	}
 	var it *ackItem
-	if w.durable {
+	if w.durable && s.acks != nil {
 		it = s.getAckItem(1)
 		it.shardOf[0] = shardAll
 	}
 	for _, sh := range parts {
-		w.settle(it, sh, len(w.plan.Group(sh)), sh == first)
+		if !w.settle(it, sh, len(w.plan.Group(sh)), sh == first) {
+			w.results[0] = opResult{status: StatusUnavailable} // demoted whole
+		}
 	}
 	w.deliver(it)
 }
@@ -398,30 +404,37 @@ func failure(err error) (Status, obs.Cause) {
 }
 
 // settle books shard sh's committed sub-transaction of nops operations on
-// that shard's lifecycle; spanned says sh's span belongs to it. In memory
-// (it is nil) the booking happens at once. Durable, the sub-transaction
-// becomes a wait on item it: the acker withholds the replies until the
-// record is durable per the mode — written (relaxed) or fsynced (strict) —
-// while this worker moves on, then books it and stamps the span's WAL-ack
-// phase.
-func (w *worker) settle(it *ackItem, sh, nops int, spanned bool) {
-	if it == nil {
-		w.srv.lcs[sh].noteOps(nops)
+// that shard's lifecycle; spanned says sh's span belongs to it. Without an
+// acker item it settles here: a durable sub-transaction first waits until
+// its record is written (relaxed mode) — this worker writes it, see
+// acker.go — and stamps the span's WAL-ack phase. It reports false when the
+// record never became durable: the caller demotes the operations to
+// StatusUnavailable. With item it (strict mode) the sub-transaction becomes
+// a wait on it: the acker withholds the replies until the record is fsynced
+// while this worker moves on, then books it and stamps the span.
+func (w *worker) settle(it *ackItem, sh, nops int, spanned bool) bool {
+	var seq uint64
+	var err error
+	if w.durable {
+		seq, err = w.srv.wals[sh].ThreadSeq(int(w.id))
+	}
+	if it != nil {
+		wt := ackWait{sh: sh, seq: seq, refused: err, nops: nops}
 		if spanned {
-			w.finishSpan(sh, obs.CauseNone)
+			wt.span, wt.spanned = w.spans[sh], true
 		}
-		return
+		it.waits = append(it.waits, wt)
+		return true
 	}
-	seq, err := w.srv.wals[sh].ThreadSeq(int(w.id))
-	wt := ackWait{sh: sh, seq: seq, refused: err, nops: nops}
+	var sp *obs.Span
 	if spanned {
-		wt.span, wt.spanned = w.spans[sh], true
+		sp = &w.spans[sh]
 	}
-	it.waits = append(it.waits, wt)
+	return w.srv.ackShard(int(w.id), sh, seq, err, sp, nops)
 }
 
-// deliver answers the batch — through the acker when it is durable (copies:
-// the batch's slices are reused by the next one).
+// deliver answers the batch — through the acker when it has an item
+// (copies: the batch's slices are reused by the next one).
 func (w *worker) deliver(it *ackItem) {
 	if it == nil {
 		w.srv.answer(w.batch, w.results)

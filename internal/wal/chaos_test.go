@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"gstm/internal/faultinject"
 )
@@ -35,10 +36,16 @@ func TestFsyncErrorFailsClosed(t *testing.T) {
 // on disk; the log fails closed and recovery salvages exactly the records
 // whose frames survived intact — an append-order prefix, never a partial
 // record.
-func TestTornWriteRecoversPrefix(t *testing.T) {
+func TestTornWriteRecoversPrefix(t *testing.T) { tornWriteRecoversPrefix(t, 0) }
+
+// TestRelaxedTornWriteRecoversPrefix: the same with the torn write made by
+// the waiter itself, which must get the failure back from its own wait.
+func TestRelaxedTornWriteRecoversPrefix(t *testing.T) { tornWriteRecoversPrefix(t, time.Hour) }
+
+func tornWriteRecoversPrefix(t *testing.T, fsyncInterval time.Duration) {
 	dir := t.TempDir()
 	inj := faultinject.NewDisk(faultinject.DiskConfig{Seed: 7, TornWriteProb: 1})
-	l, _ := openT(t, Config{Dir: dir, Threads: 1, Faults: inj})
+	l, _ := openT(t, Config{Dir: dir, Threads: 1, FsyncInterval: fsyncInterval, Faults: inj})
 	var wvs []uint64
 	for wv := uint64(1); wv <= 16; wv++ {
 		commitOne(l, 0, wv, Op{Key: wv, Val: wv * 2})
@@ -69,10 +76,16 @@ func TestTornWriteRecoversPrefix(t *testing.T) {
 
 // TestENOSPCFailsClosed: the deterministic disk-full cliff fails the log;
 // everything acked before the cliff recovers.
-func TestENOSPCFailsClosed(t *testing.T) {
+func TestENOSPCFailsClosed(t *testing.T) { enospcFailsClosed(t, 0) }
+
+// TestRelaxedENOSPCFailsClosed: the same with the waiters writing their
+// own records.
+func TestRelaxedENOSPCFailsClosed(t *testing.T) { enospcFailsClosed(t, time.Hour) }
+
+func enospcFailsClosed(t *testing.T, fsyncInterval time.Duration) {
 	dir := t.TempDir()
 	inj := faultinject.NewDisk(faultinject.DiskConfig{Seed: 3, ENOSPCAfterBytes: 256})
-	l, _ := openT(t, Config{Dir: dir, Threads: 1})
+	l, _ := openT(t, Config{Dir: dir, Threads: 1, FsyncInterval: fsyncInterval})
 	// First fill a healthy log, then reopen it with the cliff armed: the
 	// acked records predate the failure.
 	for wv := uint64(1); wv <= 4; wv++ {
@@ -85,7 +98,7 @@ func TestENOSPCFailsClosed(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	l2, rec := openT(t, Config{Dir: dir, Threads: 1, Faults: inj})
+	l2, rec := openT(t, Config{Dir: dir, Threads: 1, FsyncInterval: fsyncInterval, Faults: inj})
 	if rec.Replayed() != 4 {
 		t.Fatalf("recovered %d, want 4", rec.Replayed())
 	}

@@ -135,6 +135,8 @@ type Log struct {
 	closing    bool
 	crashed    bool
 
+	commitsSinceSnap int // commit records written since the last snapshot cycle
+
 	// fileMu serializes all file I/O (flusher, Sync, Snapshot) and guards
 	// the fields below.
 	fileMu   sync.Mutex
@@ -146,8 +148,6 @@ type Log struct {
 	fsyncOps uint64
 	unsynced int64
 	lastSync time.Time
-
-	commitsSinceSnap int
 
 	kick        chan struct{}
 	flusherDone chan struct{}
@@ -281,7 +281,9 @@ func (l *Log) TxCommit(p txid.Pair, wv uint64, aborts int) {
 	l.mu.Unlock()
 	l.cfg.Metrics.WALAppends.Inc(uint64(t))
 	l.cfg.Metrics.WALBytes.Add(uint64(t), uint64(grew))
-	l.kickFlusher()
+	if l.strict {
+		l.kickFlusher() // the ack waits on the flusher's fsync
+	}
 }
 
 // TxAbort implements the event sink: with LogAborts on, the abort is
@@ -316,13 +318,13 @@ func (l *Log) kickFlusher() {
 }
 
 // ThreadSeq returns the record seq of thread's last appended commit, for
-// asynchronous acknowledgment via WaitAcked: the committing worker grabs
-// the seq and moves on, and a separate acker goroutine blocks on it
-// before the client response is written. Seq 0 means the commit carried
-// no record (nothing to wait for). The error is terminal: the log refused
-// the record, so its durability can never be promised and the caller must
-// fail the operation. Call it on the staging thread, between the commit
-// and the thread's next Stage.
+// acknowledgment via WaitAcked — on the committing goroutine, or (strict
+// mode) on a separate acker goroutine, so the worker can move on while the
+// fsync runs. Seq 0 means the commit carried no record (nothing to wait
+// for). The error is terminal: the log refused the record, so its
+// durability can never be promised and the caller must fail the operation.
+// Call it on the staging thread, between the commit and the thread's next
+// Stage.
 func (l *Log) ThreadSeq(thread int) (uint64, error) {
 	st := &l.stagers[thread]
 	if st.dropped {
@@ -351,10 +353,20 @@ func (l *Log) WaitThread(thread int) error {
 }
 
 // WaitAcked blocks until record seq is acknowledged, or the log reaches a
-// terminal state first.
+// terminal state first. In relaxed mode the caller writes the record
+// itself when it is not yet acked: group commit with no hand-off, since
+// concurrent waiters queue on the file lock and whichever goes first writes
+// every record appended so far, its queue-mates' included. A write error
+// latches the terminal state reported here. Strict mode waits for the
+// flusher's fsync.
 func (l *Log) WaitAcked(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if !l.strict && l.acked < seq && l.err == nil && !l.crashed {
+		l.mu.Unlock()
+		_ = l.flush(false)
+		l.mu.Lock()
+	}
 	for l.acked < seq && l.err == nil && !l.crashed {
 		l.ackCond.Wait()
 	}
@@ -413,11 +425,16 @@ func (l *Log) fail(cause error) {
 	l.mu.Unlock()
 }
 
-// flushLoop is the group-commit flusher: it drains the staging buffer to
-// the active segment in batches, fsyncs per the mode, and runs snapshot
-// cycles. One goroutine per Log.
+// flushLoop is the log's background goroutine. In strict mode it is the
+// group-commit flusher: it drains the staging buffer to the active segment
+// in batches and fsyncs each before acking. In relaxed mode waiters write
+// their own records (WaitAcked), and the flusher only writes what nobody
+// waits on (abort records), runs the interval fsync once a write leaves the
+// segment unsynced, and runs snapshot cycles. One goroutine per Log.
 func (l *Log) flushLoop() {
 	defer close(l.flusherDone)
+	idle := time.NewTimer(time.Hour) // the interval fsync's deadline, re-armed per wait
+	idle.Stop()
 	for {
 		l.mu.Lock()
 		closing, failed, crashed := l.closing, l.err != nil, l.crashed
@@ -431,31 +448,31 @@ func (l *Log) flushLoop() {
 			_ = l.flush(true) // final drain + fsync
 			return
 		case hasData:
-			sync := l.strict || l.syncDue()
-			if l.flush(sync) != nil {
+			if l.flush(l.strict || l.syncDue()) != nil {
 				return
 			}
-			l.maybeSnapshot()
 		default:
 			l.fileMu.Lock()
 			unsynced := l.unsynced
 			due := l.cfg.FsyncInterval - time.Since(l.lastSync)
 			l.fileMu.Unlock()
-			if !l.strict && unsynced > 0 {
-				if due <= 0 {
-					if l.flush(true) != nil {
-						return
-					}
-					continue
+			switch {
+			case l.strict || unsynced == 0:
+				<-l.kick
+			case due <= 0:
+				if l.flush(true) != nil {
+					return
 				}
+			default:
+				idle.Reset(due)
 				select {
 				case <-l.kick:
-				case <-time.After(due):
+					idle.Stop()
+				case <-idle.C:
 				}
-				continue
 			}
-			<-l.kick
 		}
+		l.maybeSnapshot()
 	}
 }
 
@@ -467,7 +484,9 @@ func (l *Log) syncDue() bool {
 
 // flush writes the staged buffer to the active segment and, when sync is
 // set (always, in strict mode), fsyncs it; then it acknowledges the
-// drained records. On I/O failure the log fails terminally.
+// drained records. On I/O failure the log fails terminally. An unsynced
+// write to a synced segment, or crossing the snapshot budget, wakes the
+// flusher: it owns the interval fsync and the snapshot cycle.
 func (l *Log) flush(sync bool) error {
 	l.fileMu.Lock()
 	defer l.fileMu.Unlock()
@@ -489,11 +508,13 @@ func (l *Log) flush(sync bool) error {
 	l.commitsBuf = 0
 	l.mu.Unlock()
 
+	wake := false
 	if len(take) > 0 {
 		if err := l.writeSegment(take); err != nil {
 			l.fail(err)
 			return err
 		}
+		wake = !sync && l.unsynced == 0
 		l.unsynced += int64(len(take))
 	}
 	if sync && l.unsynced > 0 {
@@ -506,11 +527,17 @@ func (l *Log) flush(sync bool) error {
 	l.mu.Lock()
 	l.spare = take[:0]
 	l.commitsSinceSnap += commits
+	if l.snapDue() {
+		wake = true
+	}
 	if seqHi > l.acked {
 		l.acked = seqHi
 		l.ackCond.Broadcast()
 	}
 	l.mu.Unlock()
+	if wake {
+		l.kickFlusher()
+	}
 	return nil
 }
 
@@ -607,14 +634,17 @@ func (l *Log) Crash() {
 	l.fileMu.Unlock()
 }
 
+// snapDue reports whether the configured commit budget for a snapshot
+// cycle has elapsed. Called with mu held.
+func (l *Log) snapDue() bool {
+	return l.cfg.SnapshotEvery > 0 && l.cfg.Source != nil && l.commitsSinceSnap >= l.cfg.SnapshotEvery
+}
+
 // maybeSnapshot runs a snapshot+truncate cycle when the configured commit
 // budget has elapsed. Called from the flusher only.
 func (l *Log) maybeSnapshot() {
-	if l.cfg.SnapshotEvery <= 0 || l.cfg.Source == nil {
-		return
-	}
 	l.mu.Lock()
-	due := l.commitsSinceSnap >= l.cfg.SnapshotEvery
+	due := l.snapDue()
 	if due {
 		l.commitsSinceSnap = 0
 	}

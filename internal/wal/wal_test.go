@@ -3,6 +3,8 @@ package wal
 import (
 	"errors"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,5 +356,201 @@ func TestAppendZeroAlloc(t *testing.T) {
 	avg := testing.AllocsPerRun(200, commit)
 	if avg != 0 {
 		t.Fatalf("staged commit allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// writeProbe is a fault-free DiskFaults hook that records which write
+// ordinals ran while the test goroutine sat inside WaitThread, and when
+// each fsync started.
+type writeProbe struct {
+	inWait atomic.Bool
+	writes atomic.Uint64
+	inside atomic.Uint64 // writes seen while inWait was set
+
+	mu     sync.Mutex
+	fsyncs []time.Time
+}
+
+func (p *writeProbe) WriteFault(op uint64, off int64, n int) (int, error) {
+	p.writes.Add(1)
+	if p.inWait.Load() {
+		p.inside.Add(1)
+	}
+	return n, nil
+}
+
+func (p *writeProbe) FsyncFault(op uint64) error {
+	p.mu.Lock()
+	p.fsyncs = append(p.fsyncs, time.Now())
+	p.mu.Unlock()
+	return nil
+}
+
+// TestRelaxedWaitWritesThrough: in relaxed mode a commit alone leaves its
+// record staged — nothing wakes the flusher — and the goroutine that waits
+// for the record writes it, inside its WaitThread call.
+func TestRelaxedWaitWritesThrough(t *testing.T) {
+	probe := &writeProbe{}
+	l, _ := openT(t, Config{Dir: t.TempDir(), Threads: 1, FsyncInterval: time.Hour, Faults: probe})
+	defer l.Close()
+	time.Sleep(20 * time.Millisecond) // the flusher's first pass parks it
+	commitOne(l, 0, 1, Op{Key: 1, Val: 1})
+	time.Sleep(20 * time.Millisecond) // room for a woken flusher to write
+	if w := probe.writes.Load(); w != 0 || l.QueueDepth() != 1 {
+		t.Fatalf("after TxCommit alone: %d writes, queue depth %d; want 0 and 1", w, l.QueueDepth())
+	}
+	probe.inWait.Store(true)
+	err := l.WaitThread(0)
+	probe.inWait.Store(false)
+	if err != nil {
+		t.Fatalf("WaitThread: %v", err)
+	}
+	if w, in := probe.writes.Load(), probe.inside.Load(); w != 1 || in != 1 {
+		t.Fatalf("%d writes, %d of them inside WaitThread; want write ordinal 0 inside it", w, in)
+	}
+	if d := l.QueueDepth(); d != 0 {
+		t.Fatalf("queue depth %d after the ack", d)
+	}
+}
+
+// TestRelaxedIntervalFsync: write-through waiters never fsync, so the
+// flusher must still run the interval fsync once their writes leave the
+// segment unsynced — and no more than once per interval.
+func TestRelaxedIntervalFsync(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	probe := &writeProbe{}
+	l, _ := openT(t, Config{Dir: t.TempDir(), Threads: 1, FsyncInterval: interval, Faults: probe})
+	time.Sleep(20 * time.Millisecond) // the flusher's first pass parks it
+	start := time.Now()
+	wv := uint64(0)
+	for time.Since(start) < 60*time.Millisecond {
+		wv++
+		commitOne(l, 0, wv, Op{Key: wv, Val: wv})
+		if err := l.WaitThread(0); err != nil {
+			t.Fatalf("WaitThread: %v", err)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	time.Sleep(3 * interval) // the last write's fsync comes due
+	elapsed := time.Since(start)
+	l.Crash() // no final fsync: the count below is the flusher's alone
+
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	n := len(probe.fsyncs)
+	if n == 0 {
+		t.Fatal("no interval fsync after write-through writes")
+	}
+	if max := int(elapsed/interval) + 1; n > max {
+		t.Fatalf("%d fsyncs in %v, want at most %d", n, elapsed, max)
+	}
+	for i := 1; i < n; i++ {
+		if gap := probe.fsyncs[i].Sub(probe.fsyncs[i-1]); gap < interval {
+			t.Fatalf("fsyncs %d and %d only %v apart, interval %v", i-1, i, gap, interval)
+		}
+	}
+}
+
+// TestRelaxedWriteThroughSnapshots: the write that crosses the
+// SnapshotEvery budget is a waiter's, not the flusher's, and must still
+// start a snapshot cycle.
+func TestRelaxedWriteThroughSnapshots(t *testing.T) {
+	src := &fakeSource{clock: 10, state: map[uint64]uint64{1: 10}}
+	l, _ := openT(t, Config{Dir: t.TempDir(), Threads: 1, FsyncInterval: time.Hour, SnapshotEvery: 10, Source: src})
+	defer l.Close()
+	for wv := uint64(1); wv <= 10; wv++ {
+		if wv == 10 {
+			// The first write's wake-up (it armed the interval fsync) is
+			// long over: the flusher sleeps on its hour-long deadline.
+			time.Sleep(20 * time.Millisecond)
+			if _, _, _, snaps := l.Stats(); snaps != 0 {
+				t.Fatalf("%d snapshots before the budget was reached", snaps)
+			}
+		}
+		commitOne(l, 0, wv, Op{Key: 1, Val: wv})
+		if err := l.WaitThread(0); err != nil {
+			t.Fatalf("WaitThread: %v", err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, _, _, snaps := l.Stats(); snaps > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no snapshot after write-through reached the SnapshotEvery budget")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRelaxedConcurrentWaiters: waiters on four threads race to write each
+// other's records; every wait must be acked, and every acked record must
+// survive a crash.
+func TestRelaxedConcurrentWaiters(t *testing.T) {
+	const threads, perThread = 4, 200
+	dir := t.TempDir()
+	l, _ := openT(t, Config{Dir: dir, Threads: threads, FsyncInterval: time.Hour})
+	var wv atomic.Uint64
+	errs := make(chan error, threads)
+	for th := 0; th < threads; th++ {
+		go func(th int) {
+			for i := 0; i < perThread; i++ {
+				v := wv.Add(1)
+				commitOne(l, th, v, Op{Key: v, Val: v})
+				if err := l.WaitThread(th); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(th)
+	}
+	for th := 0; th < threads; th++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("WaitThread: %v", err)
+		}
+	}
+	l.Crash()
+	_, rec := openT(t, Config{Dir: dir, Threads: threads})
+	if got := rec.Replayed(); got != threads*perThread {
+		t.Fatalf("recovered %d of %d acked records after crash", got, threads*perThread)
+	}
+	m := rec.Apply()
+	for v := uint64(1); v <= threads*perThread; v++ {
+		if m[v] != v {
+			t.Fatalf("acked key %d lost across crash", v)
+		}
+	}
+}
+
+// TestRelaxedAckZeroAlloc is the allocation gate on the relaxed ack path:
+// once warm, a staged commit plus the wait that writes it through (Stage +
+// Put + TxCommit + WaitThread) must not allocate.
+func TestRelaxedAckZeroAlloc(t *testing.T) {
+	l, _ := openT(t, Config{Dir: t.TempDir(), Threads: 1, FsyncInterval: time.Hour})
+	defer l.Close()
+	p := txid.Pair{Txn: 1, Thread: 0}
+	wv := uint64(0)
+	var err error
+	commit := func() {
+		wv++
+		stg := l.Stage(0, 1)
+		stg.Put(wv%64, wv)
+		stg.Put((wv+1)%64, wv)
+		l.TxCommit(p, wv, 1)
+		if e := l.WaitThread(0); e != nil {
+			err = e
+		}
+	}
+	for i := 0; i < 256; i++ {
+		commit() // warm the staging slice and both group buffers
+	}
+	avg := testing.AllocsPerRun(200, commit)
+	if err != nil {
+		t.Fatalf("WaitThread: %v", err)
+	}
+	if avg != 0 {
+		t.Fatalf("relaxed commit+ack allocates %.1f allocs/op, want 0", avg)
 	}
 }
