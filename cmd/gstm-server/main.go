@@ -25,10 +25,9 @@ func main() {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:7900", "TCP listen address (\":0\" picks a free port)")
 		shards        = flag.Int("shards", 1, "independent STM shards the keyspace is hash-partitioned across")
-		workers       = flag.Int("workers", 4, "execution pool size; worker i is STM thread i")
-		batch         = flag.Int("batch", 8, "max same-kind disjoint-key ops coalesced per transaction (1 disables batching)")
+		workers       = flag.Int("workers", 4, "STM thread slots; each connection is homed on one, round-robin, and runs as its thread")
+		batch         = flag.Int("batch", 8, "most requests a connection runs on its slot at once; same-kind disjoint-key ops among them share a transaction (1 disables batching)")
 		buckets       = flag.Int("buckets", 4096, "hash table buckets")
-		queueDepth    = flag.Int("queue-depth", 256, "per-worker request queue depth, in chunks of up to -batch operations")
 		profileOps    = flag.Int("profile-ops", 2048, "committed ops per profiling slice")
 		profileSlices = flag.Int("profile-slices", 4, "profiling slices before the model is trained")
 		force         = flag.Bool("force-guidance", false, "install the trained model even if the analyzer rejects it")
@@ -54,7 +53,6 @@ func main() {
 		Workers:       *workers,
 		Batch:         *batch,
 		Buckets:       *buckets,
-		QueueDepth:    *queueDepth,
 		ProfileOps:    *profileOps,
 		ProfileSlices: *profileSlices,
 		ForceGuidance: *force,

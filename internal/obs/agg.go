@@ -50,7 +50,7 @@ func aggBucketHigh(i int) uint64 {
 }
 
 // phaseHist is one (shard, phase) latency distribution. Writers are the
-// worker/acker goroutines; contention is negligible next to the request
+// connection readers; contention is negligible next to the request
 // work, so it is unsharded.
 type phaseHist struct {
 	counts [aggBuckets]atomic.Uint64

@@ -2,7 +2,7 @@
 // per-transaction span tracer with tail attribution. Where the telemetry
 // package answers "how is the system doing in aggregate", obs answers the
 // paper's sharper question for a single slow request — *where did the time
-// go*: server decode, worker queue wait, gate hold, each STM attempt (and
+// go*: server decode, thread-slot wait, gate hold, each STM attempt (and
 // why it aborted), commit lock/validate/publish, WAL ack wait.
 //
 // The package is deliberately a leaf (stdlib only): the abort-cause
@@ -12,7 +12,7 @@
 // borrows just the causes for its abort counters.
 //
 // Recording discipline: a Span is a fixed-size value owned by exactly one
-// goroutine while it is being recorded (a worker's per-shard scratch slot).
+// goroutine while it is being recorded (a thread slot's per-shard scratch span).
 // Every record method is nil-safe — engine hot paths hold a possibly-nil
 // *Span and pay one predictable branch when tracing is off — and none of
 // them allocates; the zero-alloc property is CI-gated like internal/wset.

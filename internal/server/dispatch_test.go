@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,141 +103,83 @@ func seq(lo, n uint64) []uint64 {
 	return out
 }
 
-// TestFillBatchWalksChunks drives fillBatch with hand-built chunks on a
-// worker that is not running: the batching rule — same kind, disjoint keys,
-// at most Batch, a transaction alone — holds across chunk boundaries, the
-// task that closes a batch stays under the cursor and leads the next, and a
-// chunk goes back to the pool, emptied, exactly when its last task is
-// batched.
-func TestFillBatchWalksChunks(t *testing.T) {
-	s := New(Config{Workers: 1, Batch: 4, Unguided: true})
+// TestChunkBatchesInOrder drives worker.run with hand-built chunks on a
+// server that is not serving: the batching rule — same kind, disjoint keys,
+// a transaction alone — cuts each chunk into runs in arrival order, the
+// operation that closes a batch leads the next, and nothing carries over
+// from one chunk of a burst to the next. Each batch is one traced span, led
+// by its first request, so the forced ring lists the batches.
+func TestChunkBatchesInOrder(t *testing.T) {
+	s := New(Config{Workers: 1, Batch: 4, Unguided: true, TraceSampleEvery: 1})
 	defer s.router.Close()
 	w := s.workers[0]
-	var built []*chunk
-	push := func(reqs ...Request) *chunk {
-		ch := &chunk{tasks: make([]task, 0, 6)}
-		for _, r := range reqs {
-			ch.tasks = append(ch.tasks, task{req: r})
-		}
-		built = append(built, ch)
-		w.queue <- ch
-		return ch
+	get := func(id uint32, k uint64) task { return task{req: Request{Op: OpGet, ID: id, Key: k, Trace: true}} }
+	put := func(id uint32, k uint64) task {
+		return task{req: Request{Op: OpPut, ID: id, Key: k, Arg: 1, Trace: true}}
 	}
-	get := func(id uint32, k uint64) Request { return Request{Op: OpGet, ID: id, Key: k} }
-	put := func(id uint32, k uint64) Request { return Request{Op: OpPut, ID: id, Key: k} }
-	// A transaction's Key is its sub-op count; distinct here, so only the
-	// batch-of-one rule can keep two adjacent transactions apart.
-	txn := func(id uint32) Request { return Request{Op: OpTxn, ID: id, Key: uint64(id)} }
-	want := func(step string, ids ...uint32) {
+	// A transaction's Key is its sub-op count; the same here, so only the
+	// batch-of-one rule keeps two adjacent transactions apart.
+	txn := func(id uint32) task {
+		return task{req: Request{Op: OpTxn, ID: id, Key: 2, Trace: true},
+			txn: []TxnOp{{Op: OpAdd, Key: 7, Arg: ^uint64(0)}, {Op: OpAdd, Key: 8, Arg: 1}}}
+	}
+	var pend pending
+	seen := 0
+	// run appends tasks to the burst as its next chunk, runs it and checks
+	// the (id, ops) of the batches it was cut into.
+	run := func(step string, tasks []task, batches ...[2]int) {
 		t.Helper()
-		if !w.fillBatch() {
-			t.Fatalf("%s: fillBatch reported a stop", step)
+		pend.tasks = append(pend.tasks, tasks...)
+		w.run(&pend, time.Now().UnixNano(), 0)
+		if len(pend.waits) != 0 || pend.ran != len(pend.tasks) {
+			t.Fatalf("%s: %d durability waits on an in-memory server, %d of %d tasks run",
+				step, len(pend.waits), pend.ran, len(pend.tasks))
 		}
-		if len(w.batch) != len(ids) {
-			t.Fatalf("%s: batch of %d, want ids %v", step, len(w.batch), ids)
+		forced := s.Observatory().Snapshot().Forced[seen:]
+		seen += len(forced)
+		if len(forced) != len(batches) {
+			t.Fatalf("%s: %d batches, want %v (id, ops)", step, len(forced), batches)
 		}
-		for i, id := range ids {
-			if w.batch[i].req.ID != id {
-				t.Fatalf("%s: batch[%d] is id %d, want ids %v", step, i, w.batch[i].req.ID, ids)
+		for i, b := range batches {
+			if got := [2]int{int(forced[i].ID), forced[i].Ops}; got != b {
+				t.Fatalf("%s: batch %d is (id, ops) %v, want %v", step, i, got, b)
 			}
 		}
 	}
-	returned := func(step string, ch *chunk, yes bool) {
+	each := func(step string, tasks []task, batches ...[2]int) {
 		t.Helper()
-		if yes && (len(ch.tasks) != 0 || cap(ch.tasks) != 6 || w.in == ch) {
-			t.Fatalf("%s: exhausted chunk not put back emptied with its capacity (len %d cap %d, under cursor %v)",
-				step, len(ch.tasks), cap(ch.tasks), w.in == ch)
-		}
-		if !yes && (len(ch.tasks) == 0 || w.in != ch) {
-			t.Fatalf("%s: chunk with tasks left is no longer under the cursor", step)
-		}
+		pend.reset()
+		run(step, tasks, batches...)
 	}
 
-	// Across a boundary, up to a kind change; the Put stays under the cursor.
-	a := push(get(1, 1), get(2, 2))
-	b := push(get(3, 3), put(4, 4), put(5, 5))
-	want("boundary", 1, 2, 3)
-	returned("boundary", a, true)
-	returned("boundary", b, false)
-	if w.pos != 1 {
-		t.Fatalf("cursor at %d, want 1 (the held-over Put)", w.pos)
+	each("kind change", []task{get(1, 1), get(2, 2), put(3, 3), put(4, 4)}, [2]int{1, 2}, [2]int{3, 2})
+	if r := pend.results; r[0].status != StatusNotFound || r[2] != (opResult{value: 0}) {
+		t.Fatalf("results %+v: want the Gets of absent keys not found, the first Put an insert", r)
 	}
-	want("hold-over leads", 4, 5)
-	returned("hold-over leads", b, true)
-
-	// A repeated key closes the batch; the repeat leads the next one.
-	c := push(get(6, 1), get(7, 2), get(8, 1), get(9, 3))
-	want("repeated key", 6, 7)
-	returned("repeated key", c, false)
-	want("repeat leads", 8, 9)
-	returned("repeat leads", c, true)
-
-	// Chunks of one — many depth-1 connections — coalesce into one batch.
-	push(get(10, 1))
-	push(get(11, 2))
-	push(get(12, 3))
-	want("chunks of one", 10, 11, 12)
-
-	// A full batch stops at Batch and leaves the next chunk queued.
-	d := push(get(13, 1), get(14, 2), get(15, 3), get(16, 4))
-	e := push(get(17, 5), get(18, 6))
-	want("full", 13, 14, 15, 16)
-	returned("full", d, true)
-	if w.in != nil || len(w.queue) != 1 {
-		t.Fatalf("full batch took more than Batch: cursor %v, %d chunks queued", w.in, len(w.queue))
-	}
-	want("after full", 17, 18)
-	returned("after full", e, true)
-
-	// A transaction closes an open Get batch, then runs alone.
-	f := push(get(19, 1), get(20, 2), txn(21))
-	want("txn closes gets", 19, 20)
-	returned("txn closes gets", f, false)
-	want("txn after gets", 21)
-	returned("txn after gets", f, true)
-
-	// A transaction is a batch of one: what follows it waits for the next.
-	g := push(txn(22), get(23, 1))
-	want("txn alone", 22)
-	returned("txn alone", g, false)
-	want("get after txn", 23)
-
-	// Two adjacent transactions, across a chunk boundary too, are two batches.
-	push(txn(24), txn(25))
-	push(txn(26))
-	want("first txn", 24)
-	want("second txn", 25)
-	want("txn of its own chunk", 26)
-
-	// Each chunk went back at most once: none comes out of the pool twice.
-	// (The pool may drop a Put, so "exactly once" is pinned by the emptied
-	// checks above plus this.)
-	seen := map[*chunk]int{}
-	for i := 0; i < 4*len(built); i++ {
-		seen[chunkPool.Get().(*chunk)]++
-	}
-	for _, ch := range built {
-		if seen[ch] > 1 {
-			t.Fatalf("a chunk came out of the pool %d times: put back twice", seen[ch])
-		}
-	}
-
-	close(s.stop)
-	if w.fillBatch() {
-		t.Fatal("fillBatch on an empty queue ignored the stop")
+	each("repeated key", []task{get(5, 1), get(6, 2), get(7, 1), get(8, 3)}, [2]int{5, 2}, [2]int{7, 2})
+	// A transaction's span counts its two sub-ops.
+	each("txn closes gets", []task{get(9, 1), get(10, 2), txn(11)}, [2]int{9, 2}, [2]int{11, 2})
+	each("txn alone", []task{txn(12), get(13, 1)}, [2]int{12, 2}, [2]int{13, 1})
+	each("adjacent txns", []task{txn(14), txn(15)}, [2]int{14, 2}, [2]int{15, 2})
+	// Two chunks of one burst never coalesce: each is its own batch, and
+	// the first keeps its result while the second runs.
+	each("chunk of one", []task{put(16, 1)}, [2]int{16, 1})
+	run("next chunk of one", []task{put(17, 2)}, [2]int{17, 1})
+	if r := pend.results; len(r) != 2 || r[0] != (opResult{value: 0}) || r[1] != (opResult{value: 0}) {
+		t.Fatalf("burst results %+v, want two inserts", r)
 	}
 }
 
-// TestReaderDispatchesByChunk: 16 Gets delivered by one Read cross to the
-// workers as 16/Batch chunks — two hand-offs, two commits, one Write —
-// and a request that arrives after the reader blocked is a chunk of one,
-// answered without waiting for company.
+// TestReaderDispatchesByChunk: 16 Gets delivered by one Read run as 16/Batch
+// chunks — two batches, two commits, one Write — and a request that arrives
+// after the reader blocked is a chunk of one, answered without waiting for
+// company.
 func TestReaderDispatchesByChunk(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, Unguided: true})
 	fc := attach(s)
-	counts := func() [2]uint64 {
-		commits, _ := s.Router().Stats()
-		return [2]uint64{uint64(s.rr.Load()), commits}
+	commits := func() uint64 {
+		c, _ := s.Router().Stats()
+		return c
 	}
 
 	fc.in <- gets(1, seq(1, 16)...)
@@ -249,8 +194,8 @@ func TestReaderDispatchesByChunk(t *testing.T) {
 		}
 		seen[r.ID] = true
 	}
-	if got, want := counts(), [2]uint64{2, 2}; got != want {
-		t.Fatalf("hand-offs, commits = %v after 16 Gets at Batch 8, want %v", got, want)
+	if got := commits(); got != 2 {
+		t.Fatalf("%d commits after 16 Gets at Batch 8, want 2", got)
 	}
 
 	fc.in <- gets(17, 17) // accepted only once the reader is blocked in Read
@@ -258,16 +203,16 @@ func TestReaderDispatchesByChunk(t *testing.T) {
 	if f := fc.frames(t, 1); len(f) != 1 || f[0].ID != 17 {
 		t.Fatalf("second write carried %+v, want id 17 alone", f)
 	}
-	if got, want := counts(), [2]uint64{3, 3}; got != want {
-		t.Fatalf("hand-offs, commits = %v after a lone 17th Get, want %v", got, want)
+	if got := commits(); got != 3 {
+		t.Fatalf("%d commits after a lone 17th Get, want 3", got)
 	}
 }
 
 // TestNoChunkStrandedByOtherFrames: control frames and a watch that parks,
 // interleaved with Gets and a transaction, take their own paths without
 // flushing the pending chunk; the transaction rides in the chunk in its
-// place among the Gets, and the chunk still goes out when the reader blocks
-// — every request but the parked watch is answered.
+// place among the Gets, and the chunk still runs when the reader blocks —
+// every request but the parked watch is answered.
 func TestNoChunkStrandedByOtherFrames(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, Unguided: true})
 	fc := attach(s)
@@ -298,65 +243,176 @@ func TestNoChunkStrandedByOtherFrames(t *testing.T) {
 	if len(seen) != 8 {
 		t.Fatalf("%d distinct replies, want 8 (all but the parked watch)", len(seen))
 	}
-	if got := s.rr.Load(); got != 1 {
-		t.Fatalf("%d hand-offs to workers, want the 5 Gets and the transaction in one chunk", got)
-	}
-	// Gets 1, 3, 5 | transaction 6 | Gets 7, 8: the transaction splits the
-	// chunk's Get run, so one worker ran three batches, one commit each.
+	// Gets 1, 3, 5 | transaction 6 | Gets 7, 8: one chunk of six tasks, and
+	// the transaction splits its Get run, so three batches, one commit each.
 	if commits, _ := s.Router().Stats(); commits != 3 {
 		t.Fatalf("%d commits in all, want 3: the chunk's six tasks in order", commits)
 	}
 }
 
-// TestCrashReturnsQueuedChunks: chunks a crash finds still queued give back
-// their inflight slots and burst counts, so a Shutdown after it has nothing
-// to wait for.
-func TestCrashReturnsQueuedChunks(t *testing.T) {
+// TestPipelinedPutThenGetKeepsOrder: a connection's chunks run one after
+// another on its home slot, so a Put that closes one chunk is visible to a
+// Get of the same key that opens the next — never reordered past it, on any
+// of the rounds. At Batch 2 each four-frame round is two chunks: [Get, Put
+// k] and [Get k, Get].
+func TestPipelinedPutThenGetKeepsOrder(t *testing.T) {
+	s := startServer(t, Config{Workers: 2, Batch: 2, Unguided: true})
+	fc := attach(s)
+	const rounds, k = 200, 42
+	for r := uint32(1); r <= rounds; r++ {
+		id := 4 * (r - 1)
+		var buf []byte
+		buf = AppendRequest(buf, Request{Op: OpGet, ID: id + 1, Key: 1})
+		buf = AppendRequest(buf, Request{Op: OpPut, ID: id + 2, Key: k, Arg: uint64(r)})
+		buf = AppendRequest(buf, Request{Op: OpGet, ID: id + 3, Key: k})
+		buf = AppendRequest(buf, Request{Op: OpGet, ID: id + 4, Key: 2})
+		fc.in <- buf
+		fc.await(t, int(id)+4)
+		var got *Response
+		for i := fc.nwrites() - 1; i >= 0 && got == nil; i-- {
+			for _, resp := range fc.frames(t, i) {
+				if resp.ID == id+3 {
+					got = &resp
+				}
+			}
+		}
+		if got == nil || got.Status != StatusOK || got.Value != uint64(r) {
+			t.Fatalf("round %d: Get after the pipelined Put answered %+v, want value %d", r, got, r)
+		}
+	}
+}
+
+// TestMoreConnsThanSlots: connections outnumber the slots; every pipelined
+// request is answered, each connection's spans carry one thread — its home
+// slot, for its life — and with several slots the connections are spread
+// over all of them.
+func TestMoreConnsThanSlots(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := startServer(t, Config{Workers: workers, Unguided: true, TraceSampleEvery: 1})
+			const conns, window, rounds = 8, 16, 8
+			var wg sync.WaitGroup
+			for c := 0; c < conns; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					nc, err := net.Dial("tcp", s.Addr().String())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer nc.Close()
+					_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+					frame := make([]byte, RespFrameLen)
+					for r := 0; r < rounds; r++ {
+						var buf []byte
+						for i := 0; i < window; i++ {
+							// Request ids carry the connection: c<<16 | seq.
+							id := uint32(c)<<16 | uint32(r*window+i+1)
+							buf = AppendRequest(buf, Request{Op: OpAdd, ID: id, Key: uint64(c*window + i), Arg: 1})
+						}
+						if _, err := nc.Write(buf); err != nil {
+							t.Error(err)
+							return
+						}
+						for i := 0; i < window; i++ {
+							if _, err := io.ReadFull(nc, frame); err != nil {
+								t.Errorf("conn %d: reply %d of round %d: %v", c, i, r, err)
+								return
+							}
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			thread := map[uint32]int{}
+			slots := map[int]bool{}
+			for _, sp := range s.Observatory().Snapshot().Sampled {
+				c := sp.ID >> 16
+				if w, ok := thread[c]; ok && w != sp.Worker {
+					t.Fatalf("conn %d ran as threads %d and %d", c, w, sp.Worker)
+				}
+				thread[c] = sp.Worker
+				slots[sp.Worker] = true
+			}
+			if len(thread) != conns || len(slots) != workers {
+				t.Fatalf("spans of %d connections on %d slots, want %d on %d", len(thread), len(slots), conns, workers)
+			}
+		})
+	}
+}
+
+// waitSlotWaiter returns once some goroutine is blocked taking a slot's
+// mutex in worker.run.
+func waitSlotWaiter(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "(*worker).run(") {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no reader waiting for its slot after 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCrashMidChunk: whatever a crash catches readers doing — running a
+// chunk, waiting for their slot, holding decoded requests not yet run — each
+// ends its burst, so the inflight count reads zero and a Shutdown after the
+// crash has nothing to wait for.
+func TestCrashMidChunk(t *testing.T) {
 	shutdown := func(s *Server) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
-			t.Fatalf("shutdown after crash: %v (inflight slots were not returned)", err)
+			t.Fatalf("shutdown after crash: %v (a burst never ended)", err)
 		}
 	}
 
-	// Workers never started: what the reader hands off stays queued for sure.
-	t.Run("queued", func(t *testing.T) {
+	// A reader waits for its slot with a whole burst decoded and buffered:
+	// the crash lands, then the slot frees. The chunk that had its turn runs
+	// to its end and is answered; the rest is dropped unrun.
+	t.Run("slot-wait", func(t *testing.T) {
 		s := New(Config{Workers: 2, Unguided: true})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.ln = ln
+		for _, w := range s.workers {
+			w.mu.Lock()
+		}
 		fc := attach(s)
-		buf := gets(1, seq(1, 19)...)
-		for id := uint32(20); id <= 22; id++ {
-			buf = AppendTxnRequest(buf, Request{Op: OpTxn, ID: id}, []TxnOp{
-				{Op: OpAdd, Key: 7, Arg: ^uint64(0)}, {Op: OpAdd, Key: 8, Arg: 1}})
+		fc.in <- gets(1, seq(1, 19)...) // two full chunks and one of three
+		waitSlotWaiter(t)
+		crashed := make(chan struct{})
+		go func() { s.Crash(); close(crashed) }()
+		for !s.stopped.Load() {
+			time.Sleep(time.Millisecond)
 		}
-		fc.in <- buf // two full chunks and one of three Gets and three transactions
-		fc.blocked()
-		if got := len(s.workers[0].queue) + len(s.workers[1].queue); got != 3 {
-			t.Fatalf("%d chunks queued, want 3", got)
+		for _, w := range s.workers {
+			w.mu.Unlock()
 		}
-		ch := <-s.workers[0].queue
-		b := ch.tasks[0].b
-		s.workers[0].queue <- ch
-		if got := b.n.Load(); got != 22 {
-			t.Fatalf("burst owes %d replies with 22 requests queued", got)
+		select {
+		case <-crashed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("crash still waiting for the reader 5s after its slot freed")
 		}
-		s.Crash()
-		if got := b.n.Load(); got != 0 {
-			t.Fatalf("burst still owes %d replies after the crash", got)
+		if got := fc.nframes(); got != 8 {
+			t.Fatalf("%d replies written, want the 8 of the chunk that held the slot's turn", got)
 		}
 		shutdown(s)
 	})
 
-	// Live: pipelining clients race the crash; wherever each chunk was —
-	// pending, in a send, queued, under a cursor — its slots come back.
+	// Live: pipelining clients race the crash; wherever each reader was —
+	// decoding, waiting for its slot, running, answering — its burst ends.
 	t.Run("live", func(t *testing.T) {
-		s := New(Config{Workers: 2, Shards: 2, QueueDepth: 2, Unguided: true})
+		s := New(Config{Workers: 2, Shards: 2, Unguided: true})
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gstm"
+	"gstm/internal/obs"
 	"gstm/internal/wal"
 )
 
@@ -39,16 +40,16 @@ const (
 // recovery into the shard's store, advances the shard clock past the last
 // durable commit, optionally pre-trains the shard's model from the
 // replayed Tseq (guided warmup), and installs the log as the System's
-// persistent event tap. Called from Start before workers exist, so replay
-// runs with no concurrent transactions and no sink installed — replay
-// commits are not re-logged.
+// persistent event tap. Called from Start before any connection is
+// served, so replay runs with no concurrent transactions and no sink
+// installed — replay commits are not re-logged.
 func (s *Server) openDurability() error {
 	s.wals = make([]*wal.Log, s.cfg.Shards)
 	for sh := 0; sh < s.cfg.Shards; sh++ {
 		sys := s.router.System(sh)
 		l, rec, err := wal.Open(wal.Config{
 			Dir: filepath.Join(s.cfg.WALDir, fmt.Sprintf("shard%d", sh)),
-			// One stager per worker; the scan and watch threads stay outside
+			// One stager per slot; the scan and watch threads stay outside
 			// the range, so the log ignores their events.
 			Threads:       s.cfg.Workers,
 			FsyncInterval: s.cfg.FsyncInterval,
@@ -181,4 +182,40 @@ func (s *Server) WAL(sh int) *wal.Log {
 		return nil
 	}
 	return s.wals[sh]
+}
+
+// ackShard settles shard sh's committed sub-transaction on behalf of slot
+// worker: it waits until record seq is acked on the shard's log (seq 0:
+// nothing was logged), or takes refused — the log's refusal at commit — as
+// the outcome. The wait is sp's WAL-ack phase; sp (nil when the span rides
+// elsewhere) is then closed with the outcome and handed to worker's ring.
+// An acked sub-transaction books its nops operations on the shard's
+// lifecycle; a failed one is counted as refused and reports false: its
+// record never became durable, so its operations must not ack. (After a
+// crash the replay won't have it — exactly what StatusUnavailable
+// promises.)
+func (s *Server) ackShard(worker, sh int, seq uint64, refused error, sp *obs.Span, nops int) bool {
+	err := refused
+	cause := obs.CauseNone
+	if err == nil && seq > 0 {
+		w0 := time.Now()
+		err = s.wals[sh].WaitAcked(seq)
+		if err != nil {
+			cause = obs.CauseWALUnavailable
+		}
+		sp.AddSince(obs.PhaseWALAck, cause, 0, w0)
+	}
+	if err != nil {
+		cause = obs.CauseWALUnavailable
+	}
+	sp.Finish(cause, time.Now().UnixNano())
+	if sp != nil {
+		s.obs.Collect(worker, sp)
+	}
+	if err != nil {
+		s.router.System(sh).Telemetry().WALRefused(uint64(worker))
+		return false
+	}
+	s.lcs[sh].noteOps(nops)
+	return true
 }

@@ -26,7 +26,7 @@ const (
 	// analyzed in the background while serving continues unguided.
 	ModeTraining = gstm.ModeTraining
 	// ModeGuided: a model passed (or was forced) and guidance is installed
-	// behind the workers' dequeue check — the hot-swap happened under load.
+	// behind the readers' per-batch check — the hot-swap happened under load.
 	ModeGuided = gstm.ModeGuided
 	// ModeRejected: the analyzer rejected the trained model
 	// (gstm.ErrGuidanceRejected); serving stays unguided.
@@ -37,8 +37,8 @@ const (
 )
 
 // lifecycle drives the paper's profile → model → analyze → guided flow
-// over live traffic for ONE shard's System, once. Workers call noteOps on
-// every committed batch; the worker that crosses a slice boundary
+// over live traffic for ONE shard's System, once. Readers call noteOps on
+// every committed batch; the reader that crosses a slice boundary
 // finalizes the trace, and the one that completes the last slice kicks off
 // background training, which installs or rejects the model. Each shard
 // owns an independent lifecycle, so one shard's rejected model never holds
@@ -56,8 +56,8 @@ type lifecycle struct {
 
 func (lc *lifecycle) currentMode() ServingMode { return ServingMode(lc.mode.Load()) }
 
-// start begins the first profiling slice. Called once, before any worker
-// runs.
+// start begins the first profiling slice. Called once, before any
+// connection is served.
 func (lc *lifecycle) start() {
 	lc.sys.StartProfiling()
 	lc.mode.Store(uint32(ModeProfiling))
@@ -75,7 +75,7 @@ func (lc *lifecycle) noteOps(n int) {
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	// Re-check under the lock: another worker may have closed the slice.
+	// Re-check under the lock: another reader may have closed the slice.
 	if lc.currentMode() != ModeProfiling || lc.counted.Load() < slice {
 		return
 	}
@@ -105,7 +105,7 @@ func (lc *lifecycle) train(traces []*gstm.Trace) {
 
 // install puts m in as the shard's guidance — forced under
 // Config.ForceGuidance, otherwise only if the analyzer passes it — behind
-// the workers' dequeue check: the controller (or its watchdog) observes
+// the readers' per-batch check: the controller (or its watchdog) observes
 // the shard's events, and no transaction is held at the gate (DESIGN.md
 // "Dispatch"). It is the one install, for a trained model (train) and for
 // one recovered from the write-ahead log (guided warmup). Reports false,

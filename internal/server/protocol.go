@@ -1,9 +1,10 @@
 // Package server is gstm's network-facing transactional serving layer: a
-// length-prefixed binary KV protocol decoded per connection, a worker pool
-// whose workers map 1:1 onto STM ThreadIDs (so the Thread State Automaton
-// trained on live traffic stays meaningful), and disjoint-key request
-// batching that coalesces up to Batch queued operations into one
-// transaction per worker. The server drives the paper's full lifecycle
+// length-prefixed binary KV protocol decoded per connection, whose reader
+// runs the connection's requests itself on a thread slot fixed at accept —
+// slots map 1:1 onto STM ThreadIDs, so the Thread State Automaton trained on
+// live traffic stays meaningful — and disjoint-key request batching that
+// coalesces a chunk of up to Batch pipelined operations into few
+// transactions. The server drives the paper's full lifecycle
 // over live traffic: serve unguided while profiling, build and analyze
 // the TSA in the background, and hot-swap into guided mode when the model
 // passes (watchdog armed). See DESIGN.md "Serving layer".

@@ -36,28 +36,27 @@ type Config struct {
 	// neighbor.
 	Shards int
 
-	// Workers sizes the execution pool. Worker i runs every one of its
-	// transactions — batches and OpTxn multi-key transactions alike — as
-	// gstm.ThreadID(i) on whichever shards its keys route to, so each
-	// shard's profiled Thread State Automaton keeps the paper's thread
-	// identity over live traffic.
+	// Workers is the number of STM thread slots (default 4). Each
+	// connection is homed on one slot at accept, round-robin, and its reader
+	// runs every transaction the connection sends — batches and OpTxn
+	// multi-key transactions alike — as that slot's gstm.ThreadID on
+	// whichever shards its keys route to, one reader at a time per slot. So
+	// each shard's profiled Thread State Automaton keeps the paper's thread
+	// identity over live traffic: a thread is a fixed share of the
+	// connections (DESIGN.md "Dispatch").
 	Workers int
 
-	// Batch is the maximum number of queued same-site, disjoint-key
-	// operations coalesced into one transaction (default 8; 1 disables
-	// batching), and the most a connection reader hands a worker at once
-	// (DESIGN.md "Dispatch"). A batch spanning several shards executes as
-	// one transaction per shard (see DESIGN.md "Sharding").
+	// Batch is the most data requests a connection reader runs on its slot
+	// at once, a chunk (default 8; 1 disables batching). Within a chunk,
+	// consecutive same-kind operations on disjoint keys coalesce into one
+	// transaction (DESIGN.md "Batching rules"). A batch spanning several
+	// shards executes as one transaction per shard (see DESIGN.md
+	// "Sharding").
 	Batch int
 
 	// Buckets sizes the hash table across all shards (default 4096); each
 	// shard's partition gets Buckets/Shards of them.
 	Buckets int
-
-	// QueueDepth is the per-worker request queue depth (default 256),
-	// counted in chunks of up to Batch requests each. Full queues apply
-	// backpressure to connection readers.
-	QueueDepth int
 
 	// ProfileOps is how many committed operations one profiling slice
 	// spans (default 2048); ProfileSlices is how many sliced traces are
@@ -74,8 +73,8 @@ type Config struct {
 	ForceGuidance bool
 
 	// Tfactor tunes guidance (zero = default); the library's k has no use
-	// here, as no worker waits at a gate (DESIGN.md "Dispatch"). Watchdog
-	// arms the guidance watchdog on every hot-swapped model.
+	// here, as no transaction waits at a gate (DESIGN.md "Dispatch").
+	// Watchdog arms the guidance watchdog on every hot-swapped model.
 	Tfactor  float64
 	Watchdog bool
 
@@ -111,7 +110,7 @@ type Config struct {
 	DiskFaults wal.DiskFaults
 
 	// TraceSampleEvery is the variance observatory's retention sampling
-	// rate: every Nth finished span is kept in its worker's ring (0 =
+	// rate: every Nth finished span is kept in its slot's ring (0 =
 	// obs.DefaultSampleEvery; 1 keeps every span — tests). Aggregation and
 	// the K-slowest tail reservoir see every span regardless.
 	TraceSampleEvery int
@@ -133,9 +132,6 @@ func (cfg Config) normalize() Config {
 	if cfg.Buckets <= 0 {
 		cfg.Buckets = 4096
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
 	if cfg.ProfileOps <= 0 {
 		cfg.ProfileOps = 2048
 	}
@@ -154,28 +150,18 @@ type Server struct {
 	lcs    []*lifecycle               // lcs[s]: shard s's guidance lifecycle
 	ln     net.Listener
 
-	workers []*worker
-	rr      atomic.Uint32 // round-robin dispatch cursor, advanced once per chunk
+	workers []*worker     // the STM thread slots
+	rr      atomic.Uint32 // round-robin home-slot cursor, advanced once per connection
 
 	// wals[s] is shard s's write-ahead log (nil slice when durability is
 	// off).
 	wals []*wal.Log
 
-	// acks hands committed durable batches to the acker goroutine, which
-	// waits out their fsyncs and writes the responses (see acker.go). Nil
-	// unless durability is on in strict mode (FsyncInterval 0): a relaxed
-	// batch settles on its worker.
-	acks    chan *ackItem
-	ackDone chan struct{}
-	ackOnce sync.Once
-	ackPool sync.Pool
-
-	// inflight tracks accepted data operations from enqueue to response
-	// write; Shutdown drains it.
+	// inflight counts open read bursts and parked watches, each of which
+	// owes replies; Shutdown drains it.
 	inflight sync.WaitGroup
 	draining atomic.Bool
-	stop     chan struct{} // closed after drain: workers exit
-	stopOnce sync.Once
+	stopped  atomic.Bool // set after drain or at a crash: readers run no further chunk
 	wg       sync.WaitGroup
 
 	// watchCtx is the park context of every blocking watch transaction
@@ -195,8 +181,7 @@ type Server struct {
 	obs *obs.Observatory
 
 	// unregGauges unhooks the telemetry gauges Start registered (WAL queue
-	// depth per shard, strict mode's acker backlog); dropped once by
-	// dropGauges.
+	// depth per shard); dropped once by dropGauges.
 	unregGauges []func()
 	gaugeOnce   sync.Once
 }
@@ -211,7 +196,6 @@ func New(cfg Config) *Server {
 			Shards:  cfg.Shards,
 			Threads: cfg.Workers,
 		}),
-		stop:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 		obs: obs.New(obs.Config{
 			Shards:      cfg.Shards,
@@ -220,15 +204,6 @@ func New(cfg Config) *Server {
 		}),
 	}
 	s.watchCtx, s.watchCancel = context.WithCancel(context.Background())
-	if cfg.WALDir != "" && cfg.FsyncInterval == 0 {
-		s.acks = make(chan *ackItem, 8*cfg.Workers)
-		s.ackDone = make(chan struct{})
-		// The acker lives from New to stopAcker, outside s.wg: it outlives
-		// the workers (its producers) and must drain after they exit even
-		// when Start itself fails.
-		go pprof.Do(context.Background(), pprof.Labels("gstm", "server-acker"),
-			func(context.Context) { s.ackLoop() })
-	}
 	buckets := cfg.Buckets / cfg.Shards
 	if buckets < 16 {
 		buckets = 16
@@ -262,10 +237,9 @@ func (s *Server) Observatory() *obs.Observatory { return s.obs }
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Start opens durability (when configured) and recovers each shard from
-// its write-ahead log, binds the listener, launches the worker pool and
-// the accept loop, and starts every shard's guidance lifecycle
-// (profiling, unless cfg.Unguided; shards guided-warmed by recovery keep
-// their recovered model).
+// its write-ahead log, binds the listener, launches the accept loop, and
+// starts every shard's guidance lifecycle (profiling, unless cfg.Unguided;
+// shards guided-warmed by recovery keep their recovered model).
 func (s *Server) Start() error {
 	if s.cfg.WALDir != "" && s.wals == nil {
 		if err := s.openDurability(); err != nil {
@@ -285,15 +259,6 @@ func (s *Server) Start() error {
 		}
 	}
 	s.registerGauges()
-	for _, w := range s.workers {
-		s.wg.Add(1)
-		go func(w *worker) {
-			defer s.wg.Done()
-			pprof.Do(context.Background(),
-				pprof.Labels("gstm", "server-worker", "worker", strconv.Itoa(int(w.id))),
-				func(context.Context) { w.loop() })
-		}(w)
-	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -303,31 +268,17 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// registerGauges hooks the server's point-in-time depths into the
-// process-wide telemetry registry: each shard WAL's unflushed queue depth
-// and, in strict mode, the acker's backlog of durable batches awaiting
-// their fsync. They appear on /metrics until dropGauges (Shutdown/Crash)
-// unhooks them.
+// registerGauges hooks each shard WAL's unflushed queue depth into the
+// process-wide telemetry registry. The gauges appear on /metrics until
+// dropGauges (Shutdown/Crash) unhooks them.
 func (s *Server) registerGauges() {
-	label := func(i int) string {
-		if s.cfg.Shards > 1 {
-			return "shard" + strconv.Itoa(i)
-		}
-		return "shard"
-	}
 	for i, l := range s.wals {
-		if l == nil {
-			continue
+		label := "shard"
+		if s.cfg.Shards > 1 {
+			label += strconv.Itoa(i)
 		}
-		l := l
 		s.unregGauges = append(s.unregGauges, telemetry.RegisterGauge(
-			"gstm_wal_queue_depth", label(i),
-			func() float64 { return float64(l.QueueDepth()) }))
-	}
-	if s.acks != nil {
-		s.unregGauges = append(s.unregGauges, telemetry.RegisterGauge(
-			"gstm_acker_backlog", "server",
-			func() float64 { return float64(len(s.acks)) }))
+			"gstm_wal_queue_depth", label, func() float64 { return float64(l.QueueDepth()) }))
 	}
 }
 
@@ -357,7 +308,11 @@ func (s *Server) acceptLoop() {
 		s.conns[nc] = struct{}{}
 		s.connMu.Unlock()
 		s.wg.Add(1)
-		go func() { defer s.wg.Done(); s.serveConn(nc) }()
+		go func() {
+			defer s.wg.Done()
+			pprof.Do(context.Background(), pprof.Labels("gstm", "server-conn"),
+				func(context.Context) { s.serveConn(nc) })
+		}()
 	}
 }
 
@@ -413,15 +368,18 @@ func (c *conn) settle(b *burst) {
 
 func (s *Server) serveConn(nc net.Conn) {
 	c := &conn{nc: nc}
+	// home is the connection's thread slot for its life: every chunk it
+	// sends runs as that STM thread (DESIGN.md "Dispatch").
+	home := s.workers[int(s.rr.Add(1))%len(s.workers)]
 	// cur is the reader's open burst: what it admitted since it last had to
 	// wait for input. The reader's count on it comes with an inflight slot,
-	// so a drain neither closes the connection over replies only release
-	// would flush nor sees a hand-off's inflight.Add start from zero.
+	// so a drain waits until every reply of the burst is buffered and
+	// written.
 	var cur *burst
-	// pend collects the burst's data requests for the next hand-off; dec0 is
-	// where their decode phase starts: the return of the read that delivered
-	// them, or the previous hand-off.
-	var pend *chunk
+	// pend collects the burst's data requests; dec0 is where the decode
+	// phase of those not yet run starts: the return of the read that
+	// delivered them, or the previous chunk's run.
+	var pend pending
 	var dec0 time.Time
 	// open makes sure a burst is open for request id. False means the server
 	// is draining (draining is set under connMu: this Add is ordered before
@@ -440,41 +398,33 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		return cur != nil
 	}
-	// flush hands pend to the next worker: the one send onto an execution
-	// queue. It takes the chunk's inflight slots and counts on cur, and
-	// stamps its tasks with the span stamps they share. False means the
-	// server stopped first and the chunk will never run.
+	// flush runs the chunk decoded since the last run on the home slot,
+	// stamped with the span stamps its tasks share. False means the server
+	// stopped first: the chunk is dropped unrun, and the reader must stop.
 	flush := func() bool {
-		ch := pend
-		if ch == nil {
+		if pend.ran == len(pend.tasks) {
 			return true
 		}
-		pend = nil
-		s.inflight.Add(len(ch.tasks))
-		cur.n.Add(int32(len(ch.tasks)))
-		now := time.Now()
-		enq, decNs := now.UnixNano(), now.Sub(dec0).Nanoseconds()
-		dec0 = now
-		for i := range ch.tasks {
-			ch.tasks[i].enq, ch.tasks[i].decNs = enq, decNs
-		}
-		select {
-		case s.workers[int(s.rr.Add(1))%len(s.workers)].queue <- ch:
-			return true
-		case <-s.stop:
-			s.abandon(ch.tasks)
+		if s.stopped.Load() {
 			return false
 		}
+		now := time.Now()
+		home.run(&pend, now.UnixNano(), now.Sub(dec0).Nanoseconds())
+		dec0 = time.Now()
+		return true
 	}
-	// release ends the burst. The flush comes first: pend's replies settle on
-	// cur, and nothing may wait for a chunk to fill while the reader blocks.
+	// release ends the burst: it runs the last chunk — nothing may wait for
+	// a chunk to fill while the reader blocks — answers everything that ran,
+	// and drops the reader's hold, which writes the replies.
 	release := func() {
 		flush()
 		if cur != nil {
+			s.answer(int(home.id), c, cur, &pend)
 			c.settle(cur)
 			s.inflight.Done()
 			cur = nil
 		}
+		pend.reset()
 	}
 	defer func() {
 		release()
@@ -498,9 +448,9 @@ func (s *Server) serveConn(nc net.Conn) {
 			return // EOF or forced close
 		}
 		// The span's decode phase starts here: the frame header has
-		// arrived, so everything until the hand-off is the server's own work
-		// (payload read off the bufio buffer, decode, routing) — for every
-		// frame the read delivered, up to the chunk's hand-off.
+		// arrived, so everything until the chunk runs is the server's own
+		// work (payload read off the bufio buffer, decode, routing) — for
+		// every frame the read delivered, up to the chunk's run.
 		if !buffered {
 			dec0 = time.Now()
 		}
@@ -514,18 +464,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		if _, err := io.ReadFull(br, payload[:n]); err != nil {
 			return
 		}
-		var req Request
-		var body *txnBody
-		var err error
-		if Op(payload[0]&^TraceBit) == OpTxn {
-			// The protocol's only variable-length request: its sub-ops must
-			// outlive this reusable payload buffer, so they go into a pooled
-			// body that the worker running the transaction puts back.
-			body = txnPool.Get().(*txnBody)
-			req, body.ops, err = DecodeTxnRequest(payload[:n], body.ops[:0])
-		} else {
-			req, err = DecodeRequest(payload[:n])
-		}
+		req, txn, err := pend.decode(payload[:n])
 		if err != nil {
 			return // undecodable: cannot trust framing anymore
 		}
@@ -534,11 +473,11 @@ func (s *Server) serveConn(nc net.Conn) {
 		case OpInfo:
 			c.reply(s.info(req), nil)
 		case OpWatch, OpWaitKey:
-			// Long-polls bypass the worker queue: each gets its own
-			// goroutine that parks inside a blocking transaction, so a
-			// thousand idle watches occupy zero workers. A watch arriving
-			// mid-drain is refused before it can park. It takes no count on
-			// the burst: a parked watch must never hold another reply back.
+			// Long-polls bypass the slots: each gets its own goroutine that
+			// parks inside a blocking transaction, so a thousand idle
+			// watches occupy no slot. A watch arriving mid-drain is refused
+			// before it can park. It takes no count on the burst: a parked
+			// watch must never hold another reply back.
 			if !open(req.ID, StatusWouldBlock) {
 				continue
 			}
@@ -552,23 +491,40 @@ func (s *Server) serveConn(nc net.Conn) {
 			if !open(req.ID, StatusShutdown) {
 				continue
 			}
-			if pend == nil {
-				pend = chunkPool.Get().(*chunk)
-			}
-			pend.tasks = append(pend.tasks, task{req: req, c: c, b: cur, txn: body})
-			if len(pend.tasks) == s.cfg.Batch && !flush() {
+			pend.tasks = append(pend.tasks, task{req: req, txn: txn})
+			if len(pend.tasks)-pend.ran == s.cfg.Batch && !flush() {
 				return
 			}
 		}
 	}
 }
 
-// abandon gives back the inflight slots and burst counts of handed-off
-// tasks that will never run (the server stopped first).
-func (s *Server) abandon(tasks []task) {
-	for i := range tasks {
-		tasks[i].c.settle(tasks[i].b)
-		s.inflight.Done()
+// answer settles the requests of pd that ran on slot worker, on the
+// reader: it waits out each durability obligation (ackShard), demotes the
+// operations of a shard whose record never became durable to
+// StatusUnavailable, and buffers every reply on c, settling one count each
+// on burst b. The reader holds b open, so the replies go down together when
+// it drops its hold.
+func (s *Server) answer(worker int, c *conn, b *burst, pd *pending) {
+	for wi := range pd.waits {
+		wt := &pd.waits[wi]
+		sp := &wt.span
+		if !wt.spanned {
+			sp = nil // secondary wait of a cross-shard txn: span rides elsewhere
+		}
+		if s.ackShard(worker, wt.sh, wt.seq, nil, sp, wt.nops) {
+			continue
+		}
+		for i := wt.lo; i < wt.hi; i++ {
+			if t := &pd.tasks[i]; t.req.Op == OpTxn || s.router.HomeOf(t.req.Key) == wt.sh {
+				pd.results[i] = opResult{status: StatusUnavailable}
+			}
+		}
+	}
+	b.n.Add(int32(pd.ran))
+	for i := range pd.tasks[:pd.ran] {
+		r := &pd.results[i]
+		c.reply(Response{ID: pd.tasks[i].req.ID, Status: r.status, Value: r.value}, b)
 	}
 }
 
@@ -613,12 +569,11 @@ func (s *Server) Mode() ServingMode {
 	return ModeUnguided
 }
 
-// Shutdown drains the server: the listener closes immediately, queued and
-// in-flight operations finish and their responses are written, then the
-// workers stop and every connection is closed. A read burst that starts
-// mid-drain is answered with StatusShutdown; one already open is served to
-// its end. ctx bounds the drain; on expiry remaining work is abandoned and
-// ctx.Err() returned.
+// Shutdown drains the server: the listener closes immediately, in-flight
+// operations finish and their responses are written, then every connection
+// is closed. A read burst that starts mid-drain is answered with
+// StatusShutdown; one already open is served to its end. ctx bounds the
+// drain; on expiry remaining work is abandoned and ctx.Err() returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// The shards leave /metrics last: a scrape mid-drain still sees them.
 	defer s.router.Close()
@@ -640,7 +595,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.stopped.Store(true)
 	s.connMu.Lock()
 	for nc := range s.conns {
 		_ = nc.Close()
@@ -651,19 +606,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	go func() { s.wg.Wait(); close(done) }()
 	select {
 	case <-done:
-		// Workers have exited (no new records, no new ack items) and the
-		// drain above already saw every pending ack written, so the strict
-		// mode acker stops immediately; then Close drains and fsyncs
-		// everything staged, which is the clean-shutdown guarantee — every
-		// acked record is on disk before the process exits.
-		s.stopAcker()
-		return errors.Join(err, s.closeWALs())
 	case <-ctx.Done():
-		// Abandoning the drain: workers may still be live, so the acks
-		// channel cannot be closed safely; the acker is left to die with
-		// the process. Closing the WALs releases anything it still waits on.
-		return errors.Join(err, s.closeWALs(), fmt.Errorf("server: shutdown wait: %w", ctx.Err()))
+		err = errors.Join(err, fmt.Errorf("server: shutdown wait: %w", ctx.Err()))
 	}
+	// Once readers have exited (no new records), Close drains and fsyncs
+	// everything staged, which is the clean-shutdown guarantee — every acked
+	// record is on disk before the process exits. A reader still live past
+	// ctx is released from any durability wait it is in.
+	return errors.Join(err, s.closeWALs())
 }
 
 // closeWALs flushes and closes every shard's log (nil-safe, idempotent).
@@ -686,7 +636,7 @@ func (s *Server) Close() error {
 }
 
 // Crash force-stops the server the way SIGKILL would, for in-process
-// kill-and-recover chaos tests: no drain, no final WAL fsync. Queued and
+// kill-and-recover chaos tests: no drain, no final WAL fsync. Pending and
 // in-flight operations are abandoned; each shard's log keeps exactly what
 // was already written — which covers every acked record — and loses its
 // staged buffer. The store's in-memory state is discarded with the Server.
@@ -697,10 +647,10 @@ func (s *Server) Crash() {
 	if s.ln != nil {
 		_ = s.ln.Close()
 	}
-	s.stopOnce.Do(func() { close(s.stop) })
-	// Crash the logs before waiting: pending WaitAcked calls — a relaxed
-	// worker's, or the strict acker's — must be released (with ErrCrashed)
-	// so workers can exit and none stays blocked handing a batch off.
+	s.stopped.Store(true)
+	// Crash the logs before waiting: a reader's pending WaitAcked must be
+	// released (with ErrCrashed) so it can exit; the operations it waits
+	// for answer StatusUnavailable, never acked.
 	for _, l := range s.wals {
 		if l != nil {
 			l.Crash()
@@ -711,18 +661,9 @@ func (s *Server) Crash() {
 		_ = nc.Close()
 	}
 	s.connMu.Unlock()
+	// Each reader finishes the chunk it is running, drops what it had not
+	// run, and ends its burst: the inflight count reads zero once they are
+	// gone.
 	s.wg.Wait()
-	// Readers and workers are gone: give back what they never batched — the
-	// rest of the chunk under each cursor and every chunk still queued — so
-	// the inflight count reads zero once the acker has drained too.
-	for _, w := range s.workers {
-		if w.in != nil {
-			s.abandon(w.in.tasks[w.pos:])
-		}
-		for len(w.queue) > 0 {
-			s.abandon((<-w.queue).tasks)
-		}
-	}
-	s.stopAcker()
 	s.router.Close()
 }

@@ -483,8 +483,9 @@ func readReplies(t *testing.T, nc net.Conn, n int, ids []uint32, got map[uint32]
 }
 
 // TestReplyLiveness: burst coalescing must never hold a reply behind a
-// parked watch, nor lose one to a drain. In memory and with a relaxed WAL
-// the workers reply inline; with a strict WAL the acker does.
+// parked watch, nor lose one to a drain. In memory the reader waits for
+// nothing; with a relaxed WAL it writes its chunks' records through itself;
+// with a strict WAL it waits for the flusher's fsync.
 func TestReplyLiveness(t *testing.T) {
 	for _, name := range []string{"memory", "wal", "wal-relaxed"} {
 		config := func(t *testing.T) Config {

@@ -217,10 +217,10 @@ func TestServerTraceDiffTable(t *testing.T) {
 }
 
 // TestChunkSpansShareStamps pins what a span's first two phases mean now that
-// requests cross to a worker by chunk: the tasks of one chunk share their
-// hand-off stamp, so the spans born of it — one per shard the batch touched —
-// start their decode phase at the same instant (the read's return) and their
-// queue phase at the same instant (the chunk's hand-off), and each still
+// a reader runs its requests by chunk: the tasks of one chunk share their
+// stamps, so the spans born of it — one per shard the batch touched — start
+// their decode phase at the same instant (the read's return) and their queue
+// phase at the same instant (the reader's turn for its slot), and each still
 // reads decode, then queue, then the commit phases, summing to no more than
 // its total.
 func TestChunkSpansShareStamps(t *testing.T) {

@@ -237,8 +237,8 @@ func TestTxnTransferMixRecovers(t *testing.T) {
 	checkTransfers(t, s2, keys, moved)
 }
 
-// TestTxnRunsOnAWorker: a traced OpTxn's span names the worker that ran it —
-// one of the pool's threads, not a thread beyond it.
+// TestTxnRunsOnAWorker: a traced OpTxn's span names the slot that ran it —
+// one of the Workers threads, not a thread beyond them.
 func TestTxnRunsOnAWorker(t *testing.T) {
 	const workers = 2
 	s := startServer(t, Config{Shards: 2, Workers: workers, Unguided: true, TraceSampleEvery: 1})

@@ -2,6 +2,9 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,9 +213,9 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 }
 
 // TestWALFailureMapsToUnavailable: when a shard's log dies — an injected
-// fsync failure in strict mode, where the acker sees it, or a torn write in
-// relaxed mode, where the worker that writes its batch's record through
-// sees it — mutating operations answer StatusUnavailable rather than acking
+// fsync failure in strict mode, which the flusher hits, or a torn write in
+// relaxed mode, which the reader that writes its chunk's record through
+// hits — mutating operations answer StatusUnavailable rather than acking
 // unlogged state; reads keep working.
 func TestWALFailureMapsToUnavailable(t *testing.T) {
 	for _, tc := range []struct {
@@ -261,9 +264,8 @@ func TestWALFailureMapsToUnavailable(t *testing.T) {
 }
 
 // TestDurableSpansStampWALAck: a durable write's span ends with its WAL-ack
-// phase whichever goroutine settles it — the acker in strict mode, the
-// worker that wrote the record through in relaxed mode, which starts no
-// acker at all.
+// phase in both modes: the reader waits for the flusher's fsync in strict
+// mode, and writes the record through itself in relaxed mode.
 func TestDurableSpansStampWALAck(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -277,9 +279,6 @@ func TestDurableSpansStampWALAck(t *testing.T) {
 				Shards: 2, Workers: 2, Batch: 4, Unguided: true,
 				WALDir: t.TempDir(), FsyncInterval: tc.interval,
 			})
-			if hasAcker := s.acks != nil; hasAcker != (tc.interval == 0) {
-				t.Fatalf("acker started: %v, want only in strict mode", hasAcker)
-			}
 			cl, err := Dial(s.Addr().String())
 			if err != nil {
 				t.Fatal(err)
@@ -304,4 +303,128 @@ func TestDurableSpansStampWALAck(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gateFsync is a DiskFaults hook that, once armed, holds every fsync until
+// release is closed, signalling entered at the first one it holds.
+type gateFsync struct {
+	armed   atomic.Bool
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGateFsync() *gateFsync {
+	return &gateFsync{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gateFsync) WriteFault(op uint64, off int64, n int) (int, error) { return n, nil }
+
+func (g *gateFsync) FsyncFault(op uint64) error {
+	if g.armed.Load() {
+		g.once.Do(func() { close(g.entered) })
+		<-g.release
+	}
+	return nil
+}
+
+// TestStrictAckWaitsForFsync: in strict mode a write is answered only once
+// its record is fsynced — while the fsync is held the client's Add does not
+// return — and a crash taken while a reader waits on that fsync does not
+// hang on the reader, nor lets it ack the write. A burst's chunks all run
+// before its reader waits: the wait is taken once, for the whole burst.
+func TestStrictAckWaitsForFsync(t *testing.T) {
+	start := func(t *testing.T) (*Server, *gateFsync, chan error) {
+		t.Helper()
+		g := newGateFsync()
+		s := New(Config{Workers: 2, Unguided: true, WALDir: t.TempDir(), DiskFaults: g})
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		g.armed.Store(true)
+		done := make(chan error, 1)
+		go func() {
+			st, _, err := cl.Do(OpAdd, 1, 1)
+			if err == nil && st != StatusOK {
+				err = fmt.Errorf("status %d", st)
+			}
+			done <- err
+		}()
+		<-g.entered
+		select {
+		case err := <-done:
+			t.Fatalf("Add returned (err %v) while its record's fsync is held", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		return s, g, done
+	}
+
+	t.Run("release", func(t *testing.T) {
+		s, g, done := start(t)
+		close(g.release)
+		if err := <-done; err != nil {
+			t.Fatalf("Add after the fsync completed: %v", err)
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("burst", func(t *testing.T) {
+		g := newGateFsync()
+		s := startServer(t, Config{Workers: 2, Unguided: true, WALDir: t.TempDir(), DiskFaults: g})
+		fc := attach(s)
+		g.armed.Store(true)
+		var buf []byte
+		for id := uint32(1); id <= 16; id++ {
+			buf = AppendRequest(buf, Request{Op: OpAdd, ID: id, Key: uint64(id), Arg: 1})
+		}
+		fc.in <- buf // two chunks at Batch 8
+		<-g.entered
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if commits, _ := s.Router().Stats(); commits == 2 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the burst's second chunk did not run while the first one's fsync was held")
+			}
+		}
+		if got := fc.nframes(); got != 0 {
+			t.Fatalf("%d replies written while the fsync is held", got)
+		}
+		close(g.release)
+		fc.await(t, 16)
+		if got := fc.nwrites(); got != 1 {
+			t.Fatalf("%d writes for one burst of 16, want 1", got)
+		}
+	})
+
+	t.Run("crash", func(t *testing.T) {
+		s, g, done := start(t)
+		crashed := make(chan struct{})
+		go func() { s.Crash(); close(crashed) }()
+		// The log's crash releases the reader's wait: the Add is answered
+		// (StatusUnavailable) or its connection closed, never acked.
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("Add acked although its record's fsync never completed")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Add still waiting 5s into the crash")
+		}
+		// The flusher is still inside the held fsync; once it returns, the
+		// crash completes.
+		close(g.release)
+		select {
+		case <-crashed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("crash hung with a reader waiting on an fsync")
+		}
+	})
 }

@@ -15,7 +15,7 @@ import (
 // tl2's per-base waiter lists — it parks again unless its own key changed —
 // with no server-side polling loop and no periodic revalidation.
 //
-// Watches run outside the worker pool, one goroutine per outstanding
+// Watches run outside the thread slots, one goroutine per outstanding
 // watch, all on the watch thread (see the thread table in worker.go).
 // Concurrent transactions on one ThreadID are safe — telemetry stripes are
 // atomic and the guidance gate is lock-free — they only share a telemetry

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,16 +30,16 @@ const (
 	// the watch thread — any number of watches may be parked on it
 	// concurrently (see watch.go).
 	siteWatch
-	// siteTxn is the multi-key transaction site (OpTxn). Whichever worker
-	// receives the transaction runs it as itself, staging redo on every
+	// siteTxn is the multi-key transaction site (OpTxn). The slot its
+	// connection is homed on runs it as itself, staging redo on every
 	// participant shard's log (see execTxn).
 	siteTxn
 )
 
-// STM threads. Worker i runs everything it executes as gstm.ThreadID(i),
+// STM threads. Slot i runs everything it executes as gstm.ThreadID(i),
 // 0 <= i < Workers, and owns stager slot i on every shard's WAL
-// (wal.Config.Threads = Workers). Two more sit beyond the pool, each with
-// its own observatory ring so their spans never land in a worker's:
+// (wal.Config.Threads = Workers). Two more sit beyond the slots, each with
+// its own observatory ring so their spans never land in a slot's:
 //   - the scan thread runs the WAL's snapshot scans. It is outside the
 //     stager range, so the log ignores its commit events.
 //   - the watch thread runs every OpWatch/OpWaitKey long-poll, any number
@@ -47,7 +48,7 @@ const (
 func (s *Server) scanThread() gstm.ThreadID  { return gstm.ThreadID(s.cfg.Workers) }
 func (s *Server) watchThread() gstm.ThreadID { return gstm.ThreadID(s.cfg.Workers + 1) }
 
-// threads counts every STM thread: the pool and the two above it.
+// threads counts every STM thread: the slots and the two above them.
 func (cfg Config) threads() int { return cfg.Workers + 2 }
 
 func site(op Op) gstm.TxnID {
@@ -65,33 +66,69 @@ func site(op Op) gstm.TxnID {
 	}
 }
 
-// task is one queued data request awaiting a worker. enq/decNs carry the
-// reader's span timestamps: when the task was handed off (unix nanos) and
-// how long the server's own work before that took, so the worker can
-// reconstruct the request's decode and queue-wait phases without another
-// clock read. Tasks handed off together share both. b is the burst the reply
-// settles a count on. txn holds an OpTxn's sub-operations (nil otherwise).
+// task is one data request a reader has decoded and not yet answered. txn
+// holds an OpTxn's sub-operations (nil otherwise), in its pending storage.
 type task struct {
-	req   Request
-	c     *conn
-	b     *burst
-	enq   int64
-	decNs int64
-	txn   *txnBody
+	req Request
+	txn []TxnOp
 }
 
-// txnBody carries one OpTxn's sub-operations from the reader that decoded
-// them to the worker that runs them, which puts it back.
-type txnBody struct{ ops []TxnOp }
+// pending is a connection reader's decoded, unanswered data requests: those
+// of its open burst, in arrival order. The reader runs them on its home slot
+// a chunk at a time — tasks[ran:], at most Batch — as they arrive
+// (worker.run), and answers them all when the burst ends (Server.answer).
+// The burst's replies go out together anyway, so its durability waits are
+// taken together too, once its last chunk has run and the slot is free: one
+// write(2) or fsync wait can cover every chunk. The reader owns one pending
+// for the connection's life and reuses it, capacities kept.
+type pending struct {
+	tasks []task
+	ops   []TxnOp // the sub-ops of the OpTxns; their tasks slice into it
+	ran   int     // tasks[:ran] have run
 
-var txnPool = sync.Pool{New: func() any { return new(txnBody) }}
+	// results[i] is task i's outcome. waits are the committed
+	// sub-transactions whose WAL records the reader must wait for before it
+	// answers.
+	results []opResult
+	waits   []ackWait
+}
 
-// chunk is the unit a connection reader hands a worker: up to Batch
-// consecutive data requests of one burst, in arrival order. The worker
-// that exhausts it puts it back, emptied, capacity kept.
-type chunk struct{ tasks []task }
+// decode decodes one request payload. An OpTxn — the protocol's only
+// variable-length request — keeps its sub-ops in pd's storage, since they
+// must outlive the reader's reusable payload buffer until the transaction
+// has run.
+func (pd *pending) decode(p []byte) (Request, []TxnOp, error) {
+	if Op(p[0]&^TraceBit) != OpTxn {
+		req, err := DecodeRequest(p)
+		return req, nil, err
+	}
+	n0 := len(pd.ops)
+	req, ops, err := DecodeTxnRequest(p, pd.ops)
+	pd.ops = ops
+	return req, ops[n0:], err
+}
 
-var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+// reset empties pd for the next burst, keeping every capacity.
+func (pd *pending) reset() {
+	pd.tasks, pd.ops, pd.ran, pd.waits = pd.tasks[:0], pd.ops[:0], 0, pd.waits[:0]
+}
+
+// ackWait is one committed sub-transaction's durability obligation: shard
+// sh's record seq, and the nops operations it credits to the shard's
+// lifecycle once acked. lo and hi bound its batch in the tasks: a failed
+// wait demotes the batch's operations homed on sh, or its transaction. When
+// spanned is set the sub-transaction's span rides along by value: the
+// reader stamps its WAL-ack phase, finishes it and hands it to the
+// observatory. A cross-shard transaction produces one wait per logged
+// participant but carries its single span on only one of them.
+type ackWait struct {
+	sh      int
+	seq     uint64
+	nops    int
+	lo, hi  int
+	span    obs.Span
+	spanned bool
+}
 
 // opResult is one operation's outcome, filled inside the batch
 // transaction body (and therefore overwritten wholesale when the body
@@ -101,25 +138,33 @@ type opResult struct {
 	value  uint64
 }
 
-// worker executes batches of operations as transactions on a fixed STM
-// thread: worker w is gstm.ThreadID(w) on every shard it touches. A batch
-// is scatter-gathered by home shard — one sub-transaction per shard, in
-// ascending shard order — so a batch that happens to live on one shard
-// runs exactly as the unsharded server ran it. An OpTxn is a batch of one,
-// run as one transaction across its shards.
+// worker is STM thread slot w: every transaction run on it — batches and
+// OpTxn multi-key transactions alike — runs as gstm.ThreadID(w) on whichever
+// shards its keys route to, staging on WAL stager slot w and recording into
+// observatory ring w. The slot has no goroutine of its own: a connection
+// reader runs its chunk here under mu (run), so at most one transaction per
+// slot is live and the engine, the model and telemetry see the same bounded
+// thread set as a pool of Workers threads. A batch is scatter-gathered by
+// home shard — one sub-transaction per shard, in ascending shard order — so
+// a batch that happens to live on one shard runs exactly as the unsharded
+// server ran it. An OpTxn is a batch of one, run as one transaction across
+// its shards.
 type worker struct {
-	srv   *Server
-	id    gstm.ThreadID
-	queue chan *chunk
+	srv *Server
+	id  gstm.ThreadID
+	mu  sync.Mutex // held by the reader running a chunk on this slot
 
-	// in.tasks[pos] is the next task to batch; in is nil between chunks. A
-	// task that closes a batch is simply not advanced past.
-	in  *chunk
-	pos int
-
-	batch   []task
-	results []opResult
-	plan    *shard.Plan
+	// pend holds the chunk being run, enq/decNs its span stamps: when the
+	// reader had it ready to run (unix nanos) and how long the server's own
+	// work before that took, so each span reconstructs its decode and
+	// queue-wait phases without another clock read. batch and results are
+	// the current batch's run of pend.tasks and pend.results, lo its offset.
+	pend       *pending
+	enq, decNs int64
+	batch      []task
+	results    []opResult
+	lo         int
+	plan       *shard.Plan
 
 	// body (runShard), multi (runTxn) and planOpt (the txOpts lookup)
 	// depend only on the worker, so they are built once: each would
@@ -146,14 +191,11 @@ type worker struct {
 
 func newWorker(s *Server, id int) *worker {
 	w := &worker{
-		srv:     s,
-		id:      gstm.ThreadID(id),
-		queue:   make(chan *chunk, s.cfg.QueueDepth),
-		batch:   make([]task, 0, s.cfg.Batch),
-		results: make([]opResult, s.cfg.Batch),
-		plan:    s.router.NewPlan(),
-		spans:   make([]obs.Span, s.cfg.Shards),
-		stgs:    make([]wal.Staging, s.cfg.Shards),
+		srv:   s,
+		id:    gstm.ThreadID(id),
+		plan:  s.router.NewPlan(),
+		spans: make([]obs.Span, s.cfg.Shards),
+		stgs:  make([]wal.Staging, s.cfg.Shards),
 	}
 	w.body = w.runShard
 	w.multi = w.runTxn
@@ -174,66 +216,42 @@ func (w *worker) txOpts(sh int) []gstm.TxOption {
 	return w.spanOpts[sh][1:]
 }
 
-func (w *worker) loop() {
-	for {
-		if !w.fillBatch() {
-			return
+// run executes pd's pending chunk, pd.tasks[pd.ran:], on this slot, its
+// batches in order: each batch is the longest run of operations that share
+// the first one's kind and touch pairwise-disjoint keys, an OpTxn always
+// alone. The operation that breaks a run leads the next batch, so nothing is
+// reordered. A chunk holds at most Batch operations, which bounds a batch.
+// enq and decNs are the chunk's span stamps. What the batches commit with a
+// WAL record still to wait for is left in pd.waits for the reader, which
+// waits after it lets go of the slot (Server.answer): a strict fsync never
+// holds a slot.
+func (w *worker) run(pd *pending, enq, decNs int64) {
+	lo, n := pd.ran, len(pd.tasks)
+	pd.results = slices.Grow(pd.results[:lo], n-lo)[:n]
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.pend, w.enq, w.decNs = pd, enq, decNs
+	for lo < n {
+		hi := lo + 1
+		if kind := pd.tasks[lo].req.Op; kind != OpTxn {
+			for hi < n && pd.tasks[hi].req.Op == kind {
+				k := pd.tasks[hi].req.Key
+				if slices.ContainsFunc(pd.tasks[lo:hi], func(t task) bool { return t.req.Key == k }) {
+					break
+				}
+				hi++
+			}
 		}
+		w.lo, w.batch, w.results = lo, pd.tasks[lo:hi], pd.results[lo:hi]
 		w.execBatch()
+		lo = hi
 	}
-}
-
-// fillBatch blocks for the first operation, then greedily takes what is
-// already queued — the rest of its chunk, then further chunks — while the
-// operations share the first one's kind and touch pairwise-disjoint keys.
-// An OpTxn is always a batch of one. The first operation violating a rule
-// stays under the cursor to lead the next batch — never reordered past, so
-// request order is preserved within a worker. Returns false when the server
-// is stopping.
-func (w *worker) fillBatch() bool {
-	w.batch = w.batch[:0]
-	for len(w.batch) < w.srv.cfg.Batch {
-		if w.in == nil && len(w.batch) == 0 {
-			select {
-			case w.in = <-w.queue:
-			case <-w.srv.stop:
-				return false
-			}
-		} else if w.in == nil {
-			select {
-			case w.in = <-w.queue:
-			default:
-				return true
-			}
-		}
-		t := &w.in.tasks[w.pos]
-		if len(w.batch) > 0 && (t.req.Op != w.batch[0].req.Op || w.batchHasKey(t.req.Key)) {
-			return true
-		}
-		w.batch = append(w.batch, *t)
-		if w.pos++; w.pos == len(w.in.tasks) {
-			w.in.tasks = w.in.tasks[:0]
-			chunkPool.Put(w.in)
-			w.in, w.pos = nil, 0
-		}
-		if w.batch[0].req.Op == OpTxn {
-			return true
-		}
-	}
-	return true
-}
-
-func (w *worker) batchHasKey(k uint64) bool {
-	for i := range w.batch {
-		if w.batch[i].req.Key == k {
-			return true
-		}
-	}
-	return false
+	pd.ran = n
+	w.pend, w.batch, w.results = nil, nil, nil
 }
 
 // execBatch scatter-gathers the batch by home shard, runs one transaction
-// per touched shard, and replies to every operation. Operations against
+// per touched shard, and fills every operation's result. Operations against
 // disjoint keys are independent, so folding a shard's sub-batch into one
 // atomic block changes neither their results nor the store's final state
 // versus running them back to back — it only spends one commit (and one
@@ -270,18 +288,9 @@ func (w *worker) execBatch() {
 	w.durable = s.wals != nil && kind != OpGet
 	w.plan.Run(nil, w.id, site(kind), w.body, w.planOpt)
 
-	var it *ackItem
-	if w.durable && s.acks != nil { // strict mode: the acker answers
-		it = s.getAckItem(len(w.batch))
-	}
 	act := w.plan.Active()
 	for j, sh := range act {
 		idxs := w.plan.Group(sh)
-		if it != nil {
-			for _, i := range idxs {
-				it.shardOf[i] = int32(sh)
-			}
-		}
 		if err := w.plan.Err(sh); err != nil {
 			st := w.fail(err, sh, act[j:j+1])
 			for _, i := range idxs {
@@ -289,13 +298,12 @@ func (w *worker) execBatch() {
 			}
 			continue
 		}
-		if !w.settle(it, sh, len(idxs), true) {
+		if !w.settle(sh, len(idxs), true) {
 			for _, i := range idxs {
 				w.results[i] = opResult{status: StatusUnavailable}
 			}
 		}
 	}
-	w.deliver(it)
 }
 
 // execTxn runs the batch's one OpTxn as a single transaction over every
@@ -304,7 +312,7 @@ func (w *worker) execBatch() {
 // One span, opened on the first participant, covers the whole transaction.
 func (w *worker) execTxn() {
 	s, t := w.srv, &w.batch[0]
-	ops := t.txn.ops
+	ops := t.txn
 	w.plan.Build(len(ops), func(i int) uint64 { return ops[i].Key })
 	w.durable = false
 	for i := range ops {
@@ -318,36 +326,28 @@ func (w *worker) execTxn() {
 	w.openSpan(first, t, len(ops), t.req.Trace, deq)
 	w.checkGuidance(first, deq)
 	err := s.router.RunMulti(nil, parts, w.id, siteTxn, w.multi, w.txOpts(first)...)
-	txnPool.Put(t.txn)
-	t.txn = nil
-
 	if err != nil {
 		w.results[0] = opResult{status: w.fail(err, first, parts)}
-		s.answer(w.batch, w.results)
 		return
 	}
-	var it *ackItem
-	if w.durable && s.acks != nil {
-		it = s.getAckItem(1)
-		it.shardOf[0] = shardAll
-	}
 	for _, sh := range parts {
-		if !w.settle(it, sh, len(w.plan.Group(sh)), sh == first) {
+		if !w.settle(sh, len(w.plan.Group(sh)), sh == first) {
 			w.results[0] = opResult{status: StatusUnavailable} // demoted whole
 		}
 	}
-	w.deliver(it)
 }
 
 // openSpan starts shard sh's scratch span for a (sub-)transaction of n
 // operations led by task t: its decode and queue-wait phases are
-// reconstructed from t's stamps, deq being when the worker took it up.
+// reconstructed from the chunk's stamps, deq being when the batch started.
+// The queue-wait phase is the reader's wait for the slot plus the batches
+// ahead of this one in the chunk.
 func (w *worker) openSpan(sh int, t *task, n int, forced bool, deq int64) {
 	sp := &w.spans[sh]
-	begin := t.enq - t.decNs
+	begin := w.enq - w.decNs
 	sp.Start(t.req.ID, uint8(t.req.Op), uint8(sh), uint8(w.id), n, forced, begin)
-	sp.Add(obs.PhaseDecode, obs.CauseNone, 0, begin, t.decNs)
-	sp.Add(obs.PhaseQueue, obs.CauseNone, 0, t.enq, deq-t.enq)
+	sp.Add(obs.PhaseDecode, obs.CauseNone, 0, begin, w.decNs)
+	sp.Add(obs.PhaseQueue, obs.CauseNone, 0, w.enq, deq-w.enq)
 }
 
 // checkGuidance is guidance on the serving path, in place of the gate at
@@ -403,47 +403,32 @@ func failure(err error) (Status, obs.Cause) {
 	}
 }
 
-// settle books shard sh's committed sub-transaction of nops operations on
-// that shard's lifecycle; spanned says sh's span belongs to it. Without an
-// acker item it settles here: a durable sub-transaction first waits until
-// its record is written (relaxed mode) — this worker writes it, see
-// acker.go — and stamps the span's WAL-ack phase. It reports false when the
-// record never became durable: the caller demotes the operations to
-// StatusUnavailable. With item it (strict mode) the sub-transaction becomes
-// a wait on it: the acker withholds the replies until the record is fsynced
-// while this worker moves on, then books it and stamps the span.
-func (w *worker) settle(it *ackItem, sh, nops int, spanned bool) bool {
+// settle books shard sh's committed sub-transaction of nops operations;
+// spanned says sh's span belongs to it. With no WAL record to wait for it
+// settles at once (Server.ackShard) and reports false when the log had
+// already refused the record: the caller demotes the operations to
+// StatusUnavailable. A logged sub-transaction becomes an obligation on the
+// reader's pending requests instead, its span copied along, which the
+// reader waits out once it has let go of the slot.
+func (w *worker) settle(sh, nops int, spanned bool) bool {
 	var seq uint64
 	var err error
 	if w.durable {
 		seq, err = w.srv.wals[sh].ThreadSeq(int(w.id))
 	}
-	if it != nil {
-		wt := ackWait{sh: sh, seq: seq, refused: err, nops: nops}
-		if spanned {
-			wt.span, wt.spanned = w.spans[sh], true
-		}
-		it.waits = append(it.waits, wt)
-		return true
-	}
 	var sp *obs.Span
 	if spanned {
 		sp = &w.spans[sh]
 	}
-	return w.srv.ackShard(int(w.id), sh, seq, err, sp, nops)
-}
-
-// deliver answers the batch — through the acker when it has an item
-// (copies: the batch's slices are reused by the next one).
-func (w *worker) deliver(it *ackItem) {
-	if it == nil {
-		w.srv.answer(w.batch, w.results)
-		return
+	if seq == 0 {
+		return w.srv.ackShard(int(w.id), sh, 0, err, sp, nops)
 	}
-	it.worker = int(w.id)
-	it.tasks = append(it.tasks[:0], w.batch...)
-	it.results = append(it.results[:0], w.results[:len(w.batch)]...)
-	w.srv.acks <- it
+	wt := ackWait{sh: sh, seq: seq, nops: nops, lo: w.lo, hi: w.lo + len(w.batch)}
+	if spanned {
+		wt.span, wt.spanned = *sp, true
+	}
+	w.pend.waits = append(w.pend.waits, wt)
+	return true
 }
 
 // stage opens this attempt's redo staging on shard sh's log — inside the
@@ -483,7 +468,7 @@ func (w *worker) runShard(tx *gstm.Tx, sh int, idxs []int) error {
 // 0, a Del of one is a no-op — so only the whole transaction has a status;
 // its value is the last sub-op's, a sub-Put reporting its argument.
 func (w *worker) runTxn(m *shard.MultiTx) error {
-	ops := w.batch[0].txn.ops
+	ops := w.batch[0].txn
 	w.logging = false
 	if w.durable {
 		for _, sh := range m.Shards() {
@@ -506,16 +491,6 @@ func (w *worker) runTxn(m *shard.MultiTx) error {
 		}
 	}
 	return nil
-}
-
-// answer replies to every task with its result and releases its in-flight
-// slot.
-func (s *Server) answer(tasks []task, results []opResult) {
-	for i := range tasks {
-		t := &tasks[i]
-		t.c.reply(Response{ID: t.req.ID, Status: results[i].status, Value: results[i].value}, t.b)
-		s.inflight.Done()
-	}
 }
 
 // applyOp performs one operation inside shard sh's sub-transaction,

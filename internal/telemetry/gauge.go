@@ -8,8 +8,8 @@ import (
 // Gauges are point-in-time readings (queue depths, backlogs) sampled at
 // scrape time rather than counted on a hot path: a component registers a
 // closure and the exporter calls it during Gather. Unlike Counters they
-// are not owned by a Metrics — a gauge usually spans one (the acker's
-// backlog belongs to the server, not any shard's engine) — so they live in
+// are not owned by a Metrics — a gauge usually spans one (a shard WAL's
+// queue depth belongs to the log, not the shard's engine) — so they live in
 // their own process-wide registry keyed by (name, component).
 
 // GaugeSample is one evaluated gauge reading.

@@ -318,9 +318,8 @@ func (l *Log) kickFlusher() {
 }
 
 // ThreadSeq returns the record seq of thread's last appended commit, for
-// acknowledgment via WaitAcked — on the committing goroutine, or (strict
-// mode) on a separate acker goroutine, so the worker can move on while the
-// fsync runs. Seq 0 means the commit carried no record (nothing to wait
+// acknowledgment via WaitAcked, which the caller may call later, after it
+// has let go of whatever it held while committing. Seq 0 means the commit carried no record (nothing to wait
 // for). The error is terminal: the log refused the record, so its
 // durability can never be promised and the caller must fail the operation.
 // Call it on the staging thread, between the commit and the thread's next
