@@ -13,9 +13,9 @@ import (
 // onto protocol status codes.
 
 // ErrRetryBudgetExhausted is returned by Run when the transaction's last
-// allowed attempt (see MaxAttempts and WithRetryBudget) also aborted on a
-// conflict. It is a policy outcome, not corruption: no partial effects are
-// visible and the call may be retried with a fresh budget.
+// allowed attempt (see WithMaxAttempts) also aborted on a conflict. It is a
+// policy outcome, not corruption: no partial effects are visible and the
+// call may be retried with a fresh budget.
 var ErrRetryBudgetExhausted = tl2.ErrBudgetExceeded
 
 // ErrCanceled is returned (wrapped around the context's own error) by Run

@@ -45,7 +45,6 @@
 package gstm
 
 import (
-	"context"
 	"net/http"
 
 	"gstm/internal/model"
@@ -189,13 +188,3 @@ func ServeTelemetry(addr string, mounts ...TelemetryMount) (*telemetry.Server, e
 // per-phase histogram buckets, ?format=chrome for a Chrome trace_event
 // file loadable in chrome://tracing or Perfetto.
 func TraceHandler(o *obs.Observatory) http.Handler { return o.Handler() }
-
-// WithRetryBudget returns a context carrying a per-call attempt budget for
-// Run: a budget of n allows the initial attempt plus n-1 retries.
-// attempts <= 0 removes the budget (unlimited retries, the classic STM
-// contract). Prefer the MaxAttempts option, which needs no derived
-// context; a context budget is useful when the budget must travel through
-// call layers that only pass ctx.
-func WithRetryBudget(ctx context.Context, attempts int) context.Context {
-	return tl2.WithBudget(ctx, attempts)
-}

@@ -207,12 +207,27 @@ func TestAggQuantilesAndDiff(t *testing.T) {
 	}
 }
 
-func TestAggBucketLayoutMatchesTelemetry(t *testing.T) {
-	// The layout contract: bucketLow(bucketOf(v)) <= v < bucketHigh(bucketOf(v)).
-	for _, v := range []uint64{0, 1, 3, 4, 5, 100, 1023, 1024, 1 << 20, 1 << 40} {
-		b := aggBucketOf(v)
-		if aggBucketLow(b) > v || (b < aggBuckets-1 && v >= aggBucketHigh(b)) {
-			t.Fatalf("v=%d bucket=%d low=%d high=%d", v, b, aggBucketLow(b), aggBucketHigh(b))
+// TestBucketLayout pins the one latency bucket layout (telemetry's
+// histograms use it too): monotone, in range, every value inside its
+// bucket, and every bucket's lower bound mapping back to it.
+func TestBucketLayout(t *testing.T) {
+	prev := -1
+	for _, v := range []uint64{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 100, 1000, 1023, 1024, 1e6, 1 << 20, 1e9, 60e9, 1e12, 1 << 40, 1 << 62} {
+		b := BucketOf(v)
+		if b < prev {
+			t.Fatalf("BucketOf not monotone at %d: %d < %d", v, b, prev)
+		}
+		prev = b
+		if b < 0 || b >= NumBuckets {
+			t.Fatalf("BucketOf(%d) = %d out of range", v, b)
+		}
+		if low := BucketLow(b); low > v || (b < NumBuckets-1 && v >= BucketHigh(b)) {
+			t.Fatalf("value %d outside its bucket %d: [%d, %d)", v, b, low, BucketHigh(b))
+		}
+	}
+	for i := 0; i < NumBuckets; i++ {
+		if got := BucketOf(BucketLow(i)); got != i {
+			t.Fatalf("BucketOf(BucketLow(%d)) = %d", i, got)
 		}
 	}
 }

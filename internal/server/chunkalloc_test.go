@@ -27,10 +27,11 @@ func payloads(buf []byte) [][]byte {
 // TestReaderChunkZeroAlloc is the allocation gate run by CI's bench-smoke:
 // once warm, the reader's own share of a chunk costs no heap allocation —
 // neither decoding a burst into it, transaction sub-ops included, nor
-// settling a run chunk and writing its replies. (The engine's Run calls in
-// between are the commit path's business; their floors are gated at the
-// root package.) The race detector's instrumentation allocates on its own,
-// hence this file's build tag.
+// settling a run chunk and writing its replies — and neither does an
+// immediate reply. (The engine's Run calls in between are the commit path's
+// business; their floors are gated at the root package.) The race
+// detector's instrumentation allocates on its own, hence this file's build
+// tag.
 func TestReaderChunkZeroAlloc(t *testing.T) {
 	s := New(Config{Workers: 1, Unguided: true})
 	defer s.router.Close()
@@ -64,11 +65,14 @@ func TestReaderChunkZeroAlloc(t *testing.T) {
 
 	add(payloads(gets(1, seq(1, uint64(s.cfg.Batch))...)))
 	w.run(&pend, time.Now().UnixNano(), 0)
+	var out []byte
 	if n := testing.AllocsPerRun(100, func() {
-		b := openBurst()
-		s.answer(int(w.id), c, b, &pend)
-		c.settle(b)
+		out = s.answer(int(w.id), out[:0], &pend)
+		c.write(out)
 	}); n != 0 {
 		t.Fatalf("answering a run chunk and writing its replies allocates %.1f times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.reply(Response{ID: 1}) }); n != 0 {
+		t.Fatalf("an immediate reply allocates %.1f times", n)
 	}
 }

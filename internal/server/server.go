@@ -316,53 +316,31 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// conn is a client connection's reply side, the only path a response takes
-// to the socket: frames collect in out and go down in one Write when the
-// burst they belong to is settled (DESIGN.md "Reply coalescing").
+// conn is a client connection's socket side. Its reader writes a read
+// burst's replies in one Write when the burst ends; a reply outside any
+// burst — OpInfo, watches, drain-time refusals — writes its own frame at
+// once (DESIGN.md "Reply coalescing"). wmu orders the two: watch goroutines
+// write concurrently with the reader.
 type conn struct {
 	nc  net.Conn
 	wmu sync.Mutex
-	out []byte // frames not yet written; guarded by wmu
+	one [RespFrameLen]byte // an immediate reply's frame; guarded by wmu
 }
 
-// burst counts the replies still owed to the requests one socket read
-// delivered, plus one for the reader while it is still decoding that read.
-// Each count is settled exactly once; the last writes the buffer.
-type burst struct{ n atomic.Int32 }
-
-var burstPool = sync.Pool{New: func() any { return new(burst) }}
-
-// openBurst returns a burst holding the reader's count. A recycled record
-// was put back at zero, so Add keeps the count exact.
-func openBurst() *burst {
-	b := burstPool.Get().(*burst)
-	b.n.Add(1)
-	return b
-}
-
-// reply buffers r and settles its count on b. Replies outside any burst —
-// OpInfo, watches, drain-time refusals — pass nil and flush at once.
-func (c *conn) reply(r Response, b *burst) {
+// reply writes r alone, at once.
+func (c *conn) reply(r Response) {
 	c.wmu.Lock()
-	c.out = AppendResponse(c.out, r)
+	_, _ = c.nc.Write(AppendResponse(c.one[:0], r)) // write errors surface as reader EOF/close
 	c.wmu.Unlock()
-	c.settle(b)
 }
 
-// settle drops one count of b and, if it was the last (or b is nil), writes
-// everything buffered.
-func (c *conn) settle(b *burst) {
-	if b != nil {
-		if b.n.Add(-1) != 0 {
-			return
-		}
-		burstPool.Put(b)
+// write sends p, a burst's replies, in one Write.
+func (c *conn) write(p []byte) {
+	if len(p) == 0 {
+		return
 	}
 	c.wmu.Lock()
-	if len(c.out) > 0 {
-		_, _ = c.nc.Write(c.out) // write errors surface as reader EOF/close
-		c.out = c.out[:0]
-	}
+	_, _ = c.nc.Write(p)
 	c.wmu.Unlock()
 }
 
@@ -371,11 +349,12 @@ func (s *Server) serveConn(nc net.Conn) {
 	// home is the connection's thread slot for its life: every chunk it
 	// sends runs as that STM thread (DESIGN.md "Dispatch").
 	home := s.workers[int(s.rr.Add(1))%len(s.workers)]
-	// cur is the reader's open burst: what it admitted since it last had to
-	// wait for input. The reader's count on it comes with an inflight slot,
-	// so a drain waits until every reply of the burst is buffered and
-	// written.
-	var cur *burst
+	// inBurst is set while the reader has a burst open: requests it admitted
+	// since it last had to wait for input. The burst holds an inflight slot,
+	// so a drain waits until its replies are written. out is where the
+	// burst's replies collect before that one Write.
+	var inBurst bool
+	var out []byte
 	// pend collects the burst's data requests; dec0 is where the decode
 	// phase of those not yet run starts: the return of the read that
 	// delivered them, or the previous chunk's run.
@@ -385,18 +364,18 @@ func (s *Server) serveConn(nc net.Conn) {
 	// is draining (draining is set under connMu: this Add is ordered before
 	// the Wait) and the request has been answered with refusal.
 	open := func(id uint32, refusal Status) bool {
-		if cur == nil {
+		if !inBurst {
 			s.connMu.Lock()
 			if !s.draining.Load() {
-				cur = openBurst()
+				inBurst = true
 				s.inflight.Add(1)
 			}
 			s.connMu.Unlock()
 		}
-		if cur == nil {
-			c.reply(Response{ID: id, Status: refusal}, nil)
+		if !inBurst {
+			c.reply(Response{ID: id, Status: refusal})
 		}
-		return cur != nil
+		return inBurst
 	}
 	// flush runs the chunk decoded since the last run on the home slot,
 	// stamped with the span stamps its tasks share. False means the server
@@ -414,15 +393,15 @@ func (s *Server) serveConn(nc net.Conn) {
 		return true
 	}
 	// release ends the burst: it runs the last chunk — nothing may wait for
-	// a chunk to fill while the reader blocks — answers everything that ran,
-	// and drops the reader's hold, which writes the replies.
+	// a chunk to fill while the reader blocks — answers everything that ran
+	// in one Write, and gives the burst's inflight slot back.
 	release := func() {
 		flush()
-		if cur != nil {
-			s.answer(int(home.id), c, cur, &pend)
-			c.settle(cur)
+		if inBurst {
+			out = s.answer(int(home.id), out[:0], &pend)
+			c.write(out)
 			s.inflight.Done()
-			cur = nil
+			inBurst = false
 		}
 		pend.reset()
 	}
@@ -471,12 +450,12 @@ func (s *Server) serveConn(nc net.Conn) {
 
 		switch req.Op {
 		case OpInfo:
-			c.reply(s.info(req), nil)
+			c.reply(s.info(req))
 		case OpWatch, OpWaitKey:
 			// Long-polls bypass the slots: each gets its own goroutine that
 			// parks inside a blocking transaction, so a thousand idle
 			// watches occupy no slot. A watch arriving mid-drain is refused
-			// before it can park. It takes no count on the burst: a parked
+			// before it can park. Its reply is not the burst's: a parked
 			// watch must never hold another reply back.
 			if !open(req.ID, StatusWouldBlock) {
 				continue
@@ -502,10 +481,9 @@ func (s *Server) serveConn(nc net.Conn) {
 // answer settles the requests of pd that ran on slot worker, on the
 // reader: it waits out each durability obligation (ackShard), demotes the
 // operations of a shard whose record never became durable to
-// StatusUnavailable, and buffers every reply on c, settling one count each
-// on burst b. The reader holds b open, so the replies go down together when
-// it drops its hold.
-func (s *Server) answer(worker int, c *conn, b *burst, pd *pending) {
+// StatusUnavailable, and appends every reply's frame to out, which it
+// returns for the reader to write.
+func (s *Server) answer(worker int, out []byte, pd *pending) []byte {
 	for wi := range pd.waits {
 		wt := &pd.waits[wi]
 		sp := &wt.span
@@ -521,11 +499,11 @@ func (s *Server) answer(worker int, c *conn, b *burst, pd *pending) {
 			}
 		}
 	}
-	b.n.Add(int32(pd.ran))
 	for i := range pd.tasks[:pd.ran] {
 		r := &pd.results[i]
-		c.reply(Response{ID: pd.tasks[i].req.ID, Status: r.status, Value: r.value}, b)
+		out = AppendResponse(out, Response{ID: pd.tasks[i].req.ID, Status: r.status, Value: r.value})
 	}
+	return out
 }
 
 // info answers an OpInfo request; InfoShards is its one selector.

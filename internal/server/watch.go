@@ -67,5 +67,5 @@ func (s *Server) serveWatch(req Request, c *conn) {
 	}
 	sp.Finish(cause, time.Now().UnixNano())
 	s.obs.Collect(int(s.watchThread()), &sp)
-	c.reply(resp, nil)
+	c.reply(resp)
 }

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"sort"
 	"time"
+
+	"gstm/internal/obs"
 )
 
 // HistBucket is one non-empty histogram bucket: Count observations at most
@@ -44,10 +46,10 @@ func (h HistSnapshot) merge(o HistSnapshot) HistSnapshot {
 	if h.Count == 0 {
 		return o
 	}
-	var merged [numBuckets]uint64
+	var merged [obs.NumBuckets]uint64
 	for _, hs := range []HistSnapshot{h, o} {
 		for _, b := range hs.Buckets {
-			merged[bucketOf(uint64(b.Le-1))] += b.Count
+			merged[obs.BucketOf(uint64(b.Le-1))] += b.Count
 		}
 	}
 	out := HistSnapshot{Count: h.Count + o.Count, Sum: h.Sum + o.Sum, Max: h.Max}
@@ -65,7 +67,7 @@ func (h HistSnapshot) merge(o HistSnapshot) HistSnapshot {
 	}
 	for b, n := range merged {
 		if n > 0 {
-			out.Buckets = append(out.Buckets, HistBucket{Le: time.Duration(bucketHigh(b)), Count: n})
+			out.Buckets = append(out.Buckets, HistBucket{Le: time.Duration(obs.BucketHigh(b)), Count: n})
 		}
 	}
 	return out

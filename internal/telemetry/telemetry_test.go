@@ -43,25 +43,33 @@ func TestCounterIncReturnsShardLocalCount(t *testing.T) {
 	}
 }
 
+// TestBucketMappingMonotoneAndConsistent checks the bucket bounds a
+// Histogram reports: they grow with the observed value, hold it, and
+// survive merge's re-binning of a snapshot bound back to its bucket for
+// every bucket of the layout, the open-ended last one included.
 func TestBucketMappingMonotoneAndConsistent(t *testing.T) {
-	prev := -1
+	var prev time.Duration
 	for _, v := range []uint64{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 100, 1000, 1e6, 1e9, 60e9, 1e12, 1 << 62} {
-		b := bucketOf(v)
-		if b < prev {
-			t.Fatalf("bucketOf not monotone at %d: %d < %d", v, b, prev)
+		var h Histogram
+		h.Observe(0, time.Duration(v))
+		s := h.Snapshot()
+		if len(s.Buckets) != 1 || s.Buckets[0].Count != 1 {
+			t.Fatalf("Observe(%d): buckets %+v", v, s.Buckets)
 		}
-		prev = b
-		if b < 0 || b >= numBuckets {
-			t.Fatalf("bucketOf(%d) = %d out of range", v, b)
+		le := s.Buckets[0].Le
+		if le < prev {
+			t.Fatalf("bucket bound not monotone at %d: %d < %d", v, le, prev)
 		}
-		if low := bucketLow(b); b < numBuckets-1 && (v < low || v >= bucketHigh(b)) {
-			t.Fatalf("value %d outside its bucket %d: [%d, %d)", v, b, low, bucketHigh(b))
+		prev = le
+		if b := obs.BucketOf(v); b < obs.NumBuckets-1 && uint64(le) <= v {
+			t.Fatalf("value %d not below its bucket bound %d", v, le)
 		}
 	}
-	// Every bucket's lower bound maps back to itself.
-	for i := 0; i < numBuckets; i++ {
-		if got := bucketOf(bucketLow(i)); got != i {
-			t.Fatalf("bucketOf(bucketLow(%d)) = %d", i, got)
+	for i := 0; i < obs.NumBuckets; i++ {
+		one := HistSnapshot{Count: 1, Buckets: []HistBucket{{Le: time.Duration(obs.BucketHigh(i)), Count: 1}}}
+		m := one.merge(one)
+		if len(m.Buckets) != 1 || m.Buckets[0] != (HistBucket{Le: one.Buckets[0].Le, Count: 2}) {
+			t.Fatalf("bucket %d (le %d) merged into %+v", i, one.Buckets[0].Le, m.Buckets)
 		}
 	}
 }

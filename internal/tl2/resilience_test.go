@@ -96,9 +96,10 @@ func TestAtomicCtxCancelStopsRetryLoop(t *testing.T) {
 	}
 }
 
-// TestAtomicCtxRetryBudget exhausts a per-call budget against permanent
-// spurious aborts: exactly budget attempts run, the call returns
-// ErrBudgetExceeded, and the exhaustion is counted separately from aborts.
+// TestAtomicCtxRetryBudget exhausts a per-call budget (maxAttempts) on a
+// context-honoring call against permanent spurious aborts: exactly budget
+// attempts run, the call returns ErrBudgetExceeded, and the exhaustion is
+// counted separately from aborts.
 func TestAtomicCtxRetryBudget(t *testing.T) {
 	rt := New(Config{})
 	rt.SetFaultInjector(alwaysAbort{})
@@ -106,12 +107,11 @@ func TestAtomicCtxRetryBudget(t *testing.T) {
 
 	const budget = 5
 	attempts := 0
-	ctx := WithBudget(context.Background(), budget)
-	err := rt.AtomicCtx(ctx, 0, 0, func(tx *Tx) error {
+	err := rt.Run(context.Background(), 0, 0, func(tx *Tx) error {
 		attempts++
 		Write(tx, v, Read(tx, v)+1)
 		return nil
-	})
+	}, false, budget)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}

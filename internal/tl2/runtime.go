@@ -239,28 +239,6 @@ var (
 	ErrCanceled = errors.New("stm: transaction canceled")
 )
 
-type budgetKey struct{}
-
-// WithBudget returns a context carrying a per-call attempt budget.
-// attempts <= 0 removes any budget (unlimited retries).
-func WithBudget(ctx context.Context, attempts int) context.Context {
-	if attempts <= 0 {
-		attempts = 0
-	}
-	return context.WithValue(ctx, budgetKey{}, attempts)
-}
-
-// Budget extracts the attempt budget from ctx; 0 means unlimited.
-func Budget(ctx context.Context) int {
-	if ctx == nil {
-		return 0
-	}
-	if n, ok := ctx.Value(budgetKey{}).(int); ok {
-		return n
-	}
-	return 0
-}
-
 // RunOpts bundles the per-call execution options of RunOpt, the options
 // form of Run. The zero value is a plain read-write, non-blocking,
 // unbounded, untraced transaction.
@@ -269,9 +247,8 @@ type RunOpts struct {
 	// returns an error without retrying.
 	ReadOnly bool
 
-	// MaxAttempts > 0 bounds attempts without a context allocation,
-	// overriding any WithBudget budget carried by ctx; <= 0 defers to
-	// the context budget (0 = unlimited).
+	// MaxAttempts > 0 bounds attempts: when the last one aborts, the call
+	// returns ErrBudgetExceeded. <= 0 is unlimited.
 	MaxAttempts int
 
 	// Span, when non-nil, receives the variance-observatory timeline: gate
@@ -312,10 +289,8 @@ func (rt *Runtime) AtomicRO(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) e
 
 // AtomicCtx is Atomic honoring ctx: cancellation or deadline expiry is
 // checked between retry attempts (never mid-attempt — an attempt either
-// aborts cleanly or commits) and surfaces as ctx.Err(). A per-call attempt
-// budget attached with WithBudget bounds retries; when the last
-// budgeted attempt aborts, AtomicCtx returns ErrBudgetExceeded. In
-// both cases no locks remain held and no writes were published.
+// aborts cleanly or commits) and surfaces as ctx.Err(), with no locks held
+// and no writes published.
 func (rt *Runtime) AtomicCtx(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
 	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{})
 }
@@ -328,9 +303,8 @@ func (rt *Runtime) AtomicROCtx(ctx context.Context, thread txid.ThreadID, txn tx
 // Run is the unified entrypoint behind gstm's System.Run: one code path
 // for all four Atomic* shapes. ctx may be nil (never canceled, checked
 // between attempts otherwise). readOnly selects the validation-free
-// read-only fast path. maxAttempts > 0 bounds attempts without a context
-// allocation, overriding any WithBudget budget carried by ctx;
-// maxAttempts <= 0 defers to the context budget (0 = unlimited).
+// read-only fast path. maxAttempts > 0 bounds attempts (RunOpts.MaxAttempts);
+// <= 0 is unlimited.
 func (rt *Runtime) Run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, readOnly bool, maxAttempts int) error {
 	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{ReadOnly: readOnly, MaxAttempts: maxAttempts})
 }
@@ -403,9 +377,6 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 	}()
 
 	budget := o.MaxAttempts
-	if budget <= 0 {
-		budget = Budget(ctx)
-	}
 	shard := uint64(self.Thread)
 	// Cross-shard reads are always tracked: the prepare step validates
 	// every participant's read set.

@@ -12,7 +12,7 @@ import (
 // when passed as a pre-built slice.
 //
 // All constructors follow the With* naming convention (WithReadOnly,
-// WithMaxAttempts, WithSpan, WithBlocking, WithNoBlock). The pre-v1
+// WithMaxAttempts, WithSpan, WithBlocking). The pre-v1
 // spellings ReadOnly and MaxAttempts are gone; see the README migration
 // table.
 type TxOption func(*txSettings)
@@ -37,9 +37,7 @@ func WithReadOnly() TxOption {
 // WithMaxAttempts bounds the attempts one Run call may make: n allows the
 // initial attempt plus n-1 retries; when the last allowed attempt aborts
 // on a conflict Run returns ErrRetryBudgetExhausted. n <= 0 means
-// unlimited (the classic STM contract). It subsumes WithRetryBudget
-// without the context allocation, and overrides a context-carried budget
-// when both are present.
+// unlimited (the classic STM contract).
 func WithMaxAttempts(n int) TxOption {
 	return func(s *txSettings) { s.maxAttempts = n }
 }
@@ -73,17 +71,6 @@ func WithBlocking(ctx context.Context) TxOption {
 	}
 }
 
-// WithNoBlock restores the default fail-fast behavior (a tx.Retry returns
-// ErrWouldBlock immediately), overriding an earlier WithBlocking in the
-// same option list — useful when a call site layers options over a shared
-// pre-built slice.
-func WithNoBlock() TxOption {
-	return func(s *txSettings) {
-		s.block = false
-		s.blockCtx = nil
-	}
-}
-
 // Run executes fn transactionally as transaction site txn on worker
 // thread — the package's single transactional entrypoint.
 //
@@ -96,8 +83,8 @@ func WithNoBlock() TxOption {
 // between attempts (an in-flight attempt always finishes aborting or
 // committing first) and surfaces as an error matching both ErrCanceled
 // and the context's own error, with no locks held and no writes
-// published. A retry bound set with WithMaxAttempts (or carried by ctx via
-// WithRetryBudget) turns budget exhaustion into ErrRetryBudgetExhausted.
+// published. A retry bound set with WithMaxAttempts turns budget
+// exhaustion into ErrRetryBudgetExhausted.
 //
 // A tx.Retry inside fn returns ErrWouldBlock unless WithBlocking enabled
 // parking for this call.

@@ -94,14 +94,14 @@ func TestSystemRetryBudgetDeterministicConflict(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- sys.Run(WithRetryBudget(context.Background(), budget), 0, 0, func(tx *Tx) error {
+		done <- sys.Run(context.Background(), 0, 0, func(tx *Tx) error {
 			attempts.Add(1)
 			_ = Read(tx, x) // records x's version in the read set
 			bodyRead <- struct{}{}
 			<-conflictDone // test now commits a newer x
 			Write(tx, y, 1)
 			return nil
-		})
+		}, WithMaxAttempts(budget))
 	}()
 	for i := 0; i < budget; i++ {
 		<-bodyRead
