@@ -126,48 +126,6 @@ func TestTL2WriteFastPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSingleShardCommitAllocFloor gates the WHOLE single-shard
-// transaction — begin, typed read and write, lock, validate, publish,
-// release — now that one attempt loop serves single- and cross-shard
-// transactions alike (the participant list, the exchanged-timestamp
-// publish sweep). A read-only transaction must stay at zero allocations end
-// to end; a write transaction at exactly one (the redo box its first write
-// to the location allocates — the write-back floor, unchanged from before
-// the cross-shard protocol existed). A transaction with one home shard
-// runs over its pooled Tx's own one-element list and never takes the
-// exchange path, so the multi-shard protocol's cost to the fast path has to
-// stay exactly nothing.
-func TestSingleShardCommitAllocFloor(t *testing.T) {
-	rt := tl2.New(tl2.Config{})
-	arr := tl2.NewArray[int64](64)
-	var i int
-	read := func(tx *tl2.Tx) error {
-		sinkI64 += tl2.ReadAt(tx, arr, i&63)
-		return nil
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		i++
-		if err := rt.Atomic(0, 0, read); err != nil {
-			t.Error(err)
-		}
-	}); avg != 0 {
-		t.Errorf("single-shard read-only commit loop = %.2f allocs/op, want 0", avg)
-	}
-	write := func(tx *tl2.Tx) error {
-		v := tl2.ReadAt(tx, arr, i&63)
-		tl2.WriteAt(tx, arr, i&63, v+1)
-		return nil
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		i++
-		if err := rt.Atomic(0, 0, write); err != nil {
-			t.Error(err)
-		}
-	}); avg > 1 {
-		t.Errorf("single-shard write commit loop = %.2f allocs/op, want <= 1 (the redo box)", avg)
-	}
-}
-
 var sinkI64 int64
 
 // TestLibTMWriteFastPathZeroAllocs: same gate for the libtm engine, which

@@ -1,8 +1,9 @@
 package gstm
 
 // GuidanceOption configures one guidance installation (EnableGuidance or
-// ForceGuidance), mirroring the TxOption style of Run. Options are plain
-// values; a []GuidanceOption built once may be reused across installs.
+// ForceGuidance) through With* constructors, like Run's TxOption. Installs
+// are rare, so unlike TxOption it is a function; a []GuidanceOption built
+// once may be reused across installs.
 type GuidanceOption func(*guidanceSettings)
 
 type guidanceSettings struct {

@@ -8,7 +8,8 @@ import (
 // Per-shard, per-phase latency aggregation. Every finished span feeds it —
 // sampling only affects which whole spans are *retained*, never the
 // aggregate — so the loadgen tail-attribution table is exact regardless of
-// ring sizes.
+// ring sizes. Writers record into their own slot's histograms; a scrape
+// sums the slots.
 
 // The latency bucket layout, shared with internal/telemetry's histograms so
 // the two surfaces report comparable quantiles: HDR-style, values
@@ -62,22 +63,22 @@ func BucketHigh(i int) uint64 {
 	return BucketLow(i + 1)
 }
 
-// phaseHist is one (shard, phase) latency distribution. Writers are the
-// connection readers; contention is negligible next to the request
-// work, so it is unsharded.
+// phaseHist is one slot's share of a (shard, phase) latency distribution.
+// The observatory keeps one per (ring, shard) pair, so the thread slot that
+// records a span adds into histograms no other slot writes, and its atomic
+// adds stay on cache lines its own core holds.
 type phaseHist struct {
 	counts [NumBuckets]atomic.Uint64
-	count  atomic.Uint64
 	sum    atomic.Uint64
 }
 
 func (h *phaseHist) observe(ns uint64) {
 	h.counts[BucketOf(ns)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(ns)
 }
 
-// shardAgg is one shard's per-phase histograms plus the whole-span total.
+// shardAgg is one slot's per-phase histograms of one shard plus the
+// whole-span total.
 type shardAgg struct {
 	phases [NumPhases]phaseHist
 	total  phaseHist
@@ -95,6 +96,25 @@ func (a *shardAgg) observeSpan(sp *Span) {
 		}
 	}
 	a.total.observe(uint64(sp.TotalNs))
+}
+
+// merge adds o's counts into a; Agg folds a shard's slots into one with it.
+// Counts add bucket by bucket — every slot shares the one layout — so the
+// fold is exact.
+func (a *shardAgg) merge(o *shardAgg) {
+	for ph := range a.phases {
+		a.phases[ph].merge(&o.phases[ph])
+	}
+	a.total.merge(&o.total)
+}
+
+func (h *phaseHist) merge(o *phaseHist) {
+	for i := range h.counts {
+		if n := o.counts[i].Load(); n > 0 {
+			h.counts[i].Add(n)
+		}
+	}
+	h.sum.Add(o.sum.Load())
 }
 
 // HistCounts is a raw bucket dump of one (shard, phase) distribution.

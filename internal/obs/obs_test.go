@@ -3,6 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -96,7 +100,7 @@ func TestNilSpanSafe(t *testing.T) {
 	var sp *Span
 	sp.Start(1, 1, 0, 0, 1, false, 0)
 	sp.Add(PhaseRetry, CauseLockBusy, 1, 0, 1)
-	sp.AddSince(PhaseGate, CauseNone, 0, time.Now())
+	sp.AddSince(PhaseGate, CauseNone, 0, Now())
 	sp.NoteAttempt()
 	sp.Finish(CauseNone, 0)
 	if sp.Len() != 0 || sp.Events() != nil {
@@ -205,6 +209,123 @@ func TestAggQuantilesAndDiff(t *testing.T) {
 	if got := after.Shards[0].Total.Count; got != 0 {
 		t.Fatalf("shard 0 saw %d spans, want 0", got)
 	}
+}
+
+// TestAggMergesSlots collects spans from several goroutines, each into its
+// own worker's slot, and requires Agg — which sums the slots at scrape time
+// — to report exactly what one slot fed the same spans serially reports:
+// the same counts, sums and buckets for every shard and phase.
+func TestAggMergesSlots(t *testing.T) {
+	const workers, per = 4, 2000
+	spanOf := func(w, i int) Span {
+		var sp Span
+		begin := int64(w*per+i) * 1e4
+		sp.Start(uint32(i), 1, uint8(i%2), uint8(w), 1, false, begin)
+		sp.Add(PhaseQueue, CauseNone, 0, begin, int64(i%97)*13)
+		if i%3 == 0 {
+			sp.Add(PhaseRetry, CauseLockBusy, 1, begin, int64(w+1)*int64(i))
+		}
+		sp.Add(PhaseLock, CauseNone, 1, begin, int64(i*i%5000))
+		sp.Finish(CauseNone, begin+int64(i)*7+int64(w))
+		return sp
+	}
+	par := New(Config{Shards: 2, Workers: workers})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				sp := spanOf(w, i)
+				par.Collect(w, &sp)
+			}
+		}(w)
+	}
+	wg.Wait()
+	serial := New(Config{Shards: 2, Workers: 1})
+	for w := 0; w < workers; w++ {
+		for i := 0; i < per; i++ {
+			sp := spanOf(w, i)
+			serial.Collect(0, &sp)
+		}
+	}
+	got, want := par.Agg(), serial.Agg()
+	if got.Shards[0].Total.Count+got.Shards[1].Total.Count != workers*per {
+		t.Fatalf("merged totals count %d+%d spans, want %d", got.Shards[0].Total.Count, got.Shards[1].Total.Count, workers*per)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("slot-merged aggregation differs from the serial fold:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSpanClock pins the span clock: Now never goes backwards, within one
+// goroutine or across a hand-off between goroutines, it reads unix
+// nanoseconds (within 1 ms of the wall clock), and spans stamped with it
+// never close before an event they hold.
+func TestSpanClock(t *testing.T) {
+	prev := Now()
+	for i := 0; i < 100000; i++ {
+		now := Now()
+		if now < prev {
+			t.Fatalf("Now went backwards: %d after %d", now, prev)
+		}
+		prev = now
+	}
+	if d := Now() - time.Now().UnixNano(); d > int64(time.Millisecond) || d < -int64(time.Millisecond) {
+		t.Fatalf("Now is %v off the wall clock, want within 1ms", time.Duration(d))
+	}
+
+	// Ping-pong a reading between goroutines: the receiver's reading is
+	// never earlier than the sender's.
+	ping, pong := make(chan int64), make(chan int64)
+	go func() {
+		for v := range ping {
+			if now := Now(); now < v {
+				t.Errorf("reading %d on the receiver, %d on the sender", now, v)
+			}
+			pong <- Now()
+		}
+		close(pong)
+	}()
+	for i := 0; i < 2000; i++ {
+		ping <- Now()
+		if v, now := <-pong, Now(); now < v {
+			t.Errorf("reading %d on the receiver, %d on the sender", now, v)
+			break
+		}
+	}
+	close(ping)
+	<-pong
+
+	// Spans recorded concurrently, stamped only with Now: no phase starts
+	// before Begin, and none ends after Finish.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sp Span
+			for i := 0; i < 2000; i++ {
+				begin := Now()
+				sp.Start(uint32(i), 1, 0, 0, 1, false, begin)
+				sp.AddSince(PhaseQueue, CauseNone, 0, begin)
+				sp.AddSince(PhaseLock, CauseNone, 1, sp.LastEndNs())
+				end := Now()
+				sp.Finish(CauseNone, end)
+				if end < begin || sp.LastEndNs() > end {
+					t.Errorf("span [%d, %d] holds an event ending at %d", begin, end, sp.LastEndNs())
+					return
+				}
+				for _, e := range sp.Events() {
+					if uint64(e.StartNs)+uint64(e.DurNs) > uint64(sp.TotalNs) {
+						t.Errorf("event %+v outside the span's %dns", e, sp.TotalNs)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestBucketLayout pins the one latency bucket layout (telemetry's
@@ -320,4 +441,19 @@ func BenchmarkSpanRecordTraced(b *testing.B) {
 		sp.Finish(CauseNone, int64(i)+100)
 		o.Collect(0, &sp)
 	}
+}
+
+// BenchmarkCollectParallel is the serving path's Collect: every goroutine a
+// worker of its own, all spans on one shard.
+func BenchmarkCollectParallel(b *testing.B) {
+	o := New(Config{Shards: 1, Workers: runtime.GOMAXPROCS(0)})
+	var next atomic.Int32
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		w := int(next.Add(1) - 1)
+		sp := mkSpan(1, 0, 1000, false)
+		for pb.Next() {
+			o.Collect(w, &sp)
+		}
+	})
 }

@@ -167,12 +167,12 @@ func (t *reservoir) collect(dst []Span) []Span {
 
 // Observatory is the process-wide span retention: per-worker sampled
 // rings, a forced-trace ring, the K-slowest tail reservoir, and the
-// per-shard per-phase aggregation.
+// per-shard per-phase aggregation, kept per (worker, shard) slot.
 type Observatory struct {
 	cfg Config
 
 	rings  []ring
-	agg    []shardAgg
+	agg    []shardAgg // agg[worker*Shards+shard]
 	tail   reservoir
 	forced ring
 }
@@ -183,7 +183,7 @@ func New(cfg Config) *Observatory {
 	o := &Observatory{
 		cfg:   cfg,
 		rings: make([]ring, cfg.Workers),
-		agg:   make([]shardAgg, cfg.Shards),
+		agg:   make([]shardAgg, cfg.Workers*cfg.Shards),
 	}
 	for i := range o.rings {
 		o.rings[i].slots = make([]Span, cfg.RingSize)
@@ -198,20 +198,21 @@ func New(cfg Config) *Observatory {
 
 // Collect retains one finished span recorded by the given worker. It is
 // allocation-free: retention copies the span by value into preallocated
-// slots. Nil-safe (a nil Observatory drops the span), so callers can keep
-// one unconditional call site.
+// slots. The worker's own histograms take the span's phases, so workers
+// aggregate without sharing a cache line. Nil-safe (a nil Observatory drops
+// the span), so callers can keep one unconditional call site.
 func (o *Observatory) Collect(worker int, sp *Span) {
 	if o == nil || sp == nil {
 		return
 	}
 	sh := int(sp.Shard)
-	if sh >= len(o.agg) {
-		sh = len(o.agg) - 1
+	if sh >= o.cfg.Shards {
+		sh = o.cfg.Shards - 1
 	}
-	o.agg[sh].observeSpan(sp)
 	if worker < 0 || worker >= len(o.rings) {
 		worker = 0
 	}
+	o.agg[worker*o.cfg.Shards+sh].observeSpan(sp)
 	o.rings[worker].offer(sp, o.cfg.SampleEvery)
 	if sp.Forced {
 		o.forced.offer(sp, 1)
@@ -317,14 +318,20 @@ func (o *Observatory) Snapshot() Snapshot {
 	}
 }
 
-// Agg gathers the per-shard per-phase aggregation. Safe while writers run.
+// Agg gathers the per-shard per-phase aggregation, summing every worker's
+// slot of each shard. Safe while writers run.
 func (o *Observatory) Agg() AggSnapshot {
 	if o == nil {
 		return AggSnapshot{}
 	}
-	out := AggSnapshot{Shards: make([]ShardAggSnapshot, 0, len(o.agg))}
-	for sh := range o.agg {
-		out.Shards = append(out.Shards, o.agg[sh].snapshot(sh))
+	n := o.cfg.Shards
+	out := AggSnapshot{Shards: make([]ShardAggSnapshot, 0, n)}
+	for sh := 0; sh < n; sh++ {
+		var sum shardAgg
+		for w := range o.rings {
+			sum.merge(&o.agg[w*n+sh])
+		}
+		out.Shards = append(out.Shards, sum.snapshot(sh))
 	}
 	return out
 }

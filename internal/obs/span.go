@@ -2,6 +2,18 @@ package obs
 
 import "time"
 
+// The span clock: the wall time captured once at start-up plus the monotonic
+// time elapsed since. A stamp costs one monotonic read, about half of
+// time.Now's wall-and-monotonic pair, and stamps never go backwards.
+var (
+	clockBase     = time.Now()
+	clockBaseUnix = clockBase.UnixNano()
+)
+
+// Now returns the span clock in unix nanoseconds. Every span stamp — Begin,
+// event boundaries, Finish — is a reading of it.
+func Now() int64 { return clockBaseUnix + int64(time.Since(clockBase)) }
+
 // MaxEvents bounds a span's inline timeline. A request that retries more
 // than the array holds keeps its totals exact and drops the oldest retry
 // events (Truncated is set) — attribution degrades gracefully instead of
@@ -31,7 +43,7 @@ type Span struct {
 	Ops       uint16 // operations coalesced into this sub-transaction
 	Attempts  uint16 // STM attempts (1 = first try committed)
 	Cause     Cause  // terminal cause (CauseNone = success)
-	Begin     int64  // wall clock, unix nanos
+	Begin     int64  // span clock (Now), unix nanos
 	TotalNs   uint32 // Begin → Finish, ns (saturating)
 
 	n  uint16
@@ -101,23 +113,14 @@ func (s *Span) Add(ph Phase, cause Cause, attempt int, startUnixNs, durNs int64)
 	}
 }
 
-// AddSince records an event spanning [start, now). Nil-safe.
-func (s *Span) AddSince(ph Phase, cause Cause, attempt int, start time.Time) {
+// AddSince records an event spanning [startNs, now), startNs being a span
+// clock reading (Now) — often LastEndNs, which spares a clock read. Nil-safe:
+// a nil span reads no clock.
+func (s *Span) AddSince(ph Phase, cause Cause, attempt int, startNs int64) {
 	if s == nil {
 		return
 	}
-	ns := start.UnixNano()
-	s.Add(ph, cause, attempt, ns, time.Since(start).Nanoseconds())
-}
-
-// AddSinceNs records an event spanning [startUnixNs, now) — the variant for
-// callers that carry a nanosecond boundary (often LastEndNs) instead of a
-// time.Time, sparing one clock read. Nil-safe: a nil span reads no clock.
-func (s *Span) AddSinceNs(ph Phase, cause Cause, attempt int, startUnixNs int64) {
-	if s == nil {
-		return
-	}
-	s.Add(ph, cause, attempt, startUnixNs, time.Now().UnixNano()-startUnixNs)
+	s.Add(ph, cause, attempt, startNs, Now()-startNs)
 }
 
 // LastEndNs returns the absolute end (unix ns) of the most recently

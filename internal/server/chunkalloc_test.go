@@ -5,7 +5,8 @@ package server
 import (
 	"net"
 	"testing"
-	"time"
+
+	"gstm/internal/obs"
 )
 
 // discardConn accepts every Write without keeping it.
@@ -64,7 +65,7 @@ func TestReaderChunkZeroAlloc(t *testing.T) {
 	}
 
 	add(payloads(gets(1, seq(1, uint64(s.cfg.Batch))...)))
-	w.run(&pend, time.Now().UnixNano(), 0)
+	w.run(&pend, obs.Now(), 0)
 	var out []byte
 	if n := testing.AllocsPerRun(100, func() {
 		out = s.answer(int(w.id), out[:0], &pend)

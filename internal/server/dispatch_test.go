@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gstm/internal/obs"
 )
 
 // feedConn is a recConn that can also be read: every send on in arrives as
@@ -130,7 +132,7 @@ func TestChunkBatchesInOrder(t *testing.T) {
 	run := func(step string, tasks []task, batches ...[2]int) {
 		t.Helper()
 		pend.tasks = append(pend.tasks, tasks...)
-		w.run(&pend, time.Now().UnixNano(), 0)
+		w.run(&pend, obs.Now(), 0)
 		if len(pend.waits) != 0 || pend.ran != len(pend.tasks) {
 			t.Fatalf("%s: %d durability waits on an in-memory server, %d of %d tasks run",
 				step, len(pend.waits), pend.ran, len(pend.tasks))

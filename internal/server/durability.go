@@ -198,7 +198,7 @@ func (s *Server) ackShard(worker, sh int, seq uint64, refused error, sp *obs.Spa
 	err := refused
 	cause := obs.CauseNone
 	if err == nil && seq > 0 {
-		w0 := time.Now()
+		w0 := obs.Now()
 		err = s.wals[sh].WaitAcked(seq)
 		if err != nil {
 			cause = obs.CauseWALUnavailable
@@ -208,8 +208,8 @@ func (s *Server) ackShard(worker, sh int, seq uint64, refused error, sp *obs.Spa
 	if err != nil {
 		cause = obs.CauseWALUnavailable
 	}
-	sp.Finish(cause, time.Now().UnixNano())
 	if sp != nil {
+		sp.Finish(cause, obs.Now())
 		s.obs.Collect(worker, sp)
 	}
 	if err != nil {

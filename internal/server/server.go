@@ -359,7 +359,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	// phase of those not yet run starts: the return of the read that
 	// delivered them, or the previous chunk's run.
 	var pend pending
-	var dec0 time.Time
+	var dec0 int64
 	// open makes sure a burst is open for request id. False means the server
 	// is draining (draining is set under connMu: this Add is ordered before
 	// the Wait) and the request has been answered with refusal.
@@ -387,9 +387,9 @@ func (s *Server) serveConn(nc net.Conn) {
 		if s.stopped.Load() {
 			return false
 		}
-		now := time.Now()
-		home.run(&pend, now.UnixNano(), now.Sub(dec0).Nanoseconds())
-		dec0 = time.Now()
+		now := obs.Now()
+		home.run(&pend, now, now-dec0)
+		dec0 = obs.Now()
 		return true
 	}
 	// release ends the burst: it runs the last chunk — nothing may wait for
@@ -431,7 +431,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		// work (payload read off the bufio buffer, decode, routing) — for
 		// every frame the read delivered, up to the chunk's run.
 		if !buffered {
-			dec0 = time.Now()
+			dec0 = obs.Now()
 		}
 		n := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
 		if n == 0 || n > MaxFrame {

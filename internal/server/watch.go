@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"time"
 
 	"gstm"
 	"gstm/internal/obs"
@@ -35,7 +34,7 @@ func (s *Server) serveWatch(req Request, c *conn) {
 	st := s.stores[sh]
 
 	var sp obs.Span
-	begin := time.Now().UnixNano()
+	begin := obs.Now()
 	sp.Start(req.ID, uint8(req.Op), uint8(sh), uint8(s.watchThread()), 1, req.Trace, begin)
 
 	var val uint64
@@ -65,7 +64,7 @@ func (s *Server) serveWatch(req Request, c *conn) {
 		resp = Response{ID: req.ID, Status: StatusBadRequest}
 		cause = obs.CauseSpurious
 	}
-	sp.Finish(cause, time.Now().UnixNano())
+	sp.Finish(cause, obs.Now())
 	s.obs.Collect(int(s.watchThread()), &sp)
 	c.reply(resp)
 }

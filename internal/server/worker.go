@@ -4,7 +4,6 @@ import (
 	"errors"
 	"slices"
 	"sync"
-	"time"
 
 	"gstm"
 	"gstm/internal/obs"
@@ -269,7 +268,7 @@ func (w *worker) execBatch() {
 
 	// Open one span per touched shard before running, from the first homed
 	// task's stamps; the STM run appends gate/retry/commit events.
-	deq := time.Now().UnixNano()
+	deq := obs.Now()
 	for _, sh := range w.plan.Active() {
 		idxs := w.plan.Group(sh)
 		forced := false
@@ -322,7 +321,7 @@ func (w *worker) execTxn() {
 	}
 	parts := w.plan.Active()
 	first := parts[0]
-	deq := time.Now().UnixNano()
+	deq := obs.Now()
 	w.openSpan(first, t, len(ops), t.req.Trace, deq)
 	w.checkGuidance(first, deq)
 	err := s.router.RunMulti(nil, parts, w.id, siteTxn, w.multi, w.txOpts(first)...)
@@ -543,6 +542,6 @@ func (w *worker) stagePut(sh int, key, val uint64) {
 // terminal cause and hands it to the observatory (which copies it out).
 func (w *worker) finishSpan(sh int, cause obs.Cause) {
 	sp := &w.spans[sh]
-	sp.Finish(cause, time.Now().UnixNano())
+	sp.Finish(cause, obs.Now())
 	w.srv.obs.Collect(int(w.id), sp)
 }

@@ -206,10 +206,8 @@ func (p *Plan) Group(s int) []int { return p.groups[s] }
 func (p *Plan) Err(s int) error { return p.errs[s] }
 
 // PlanOption configures one Plan.Run call, mirroring the TxOption style
-// of gstm.System.Run.
-type PlanOption func(*planSettings)
-
-type planSettings struct {
+// of gstm.System.Run: a plain value, so passing one allocates nothing.
+type PlanOption struct {
 	opts    []gstm.TxOption
 	optsFor func(s int) []gstm.TxOption
 }
@@ -217,7 +215,7 @@ type planSettings struct {
 // WithTxOptions applies the same transaction options to every shard's
 // sub-transaction.
 func WithTxOptions(opts ...gstm.TxOption) PlanOption {
-	return func(ps *planSettings) { ps.opts = opts }
+	return PlanOption{opts: opts}
 }
 
 // WithShardOptions supplies per-shard transaction options: optsFor(s) is
@@ -227,7 +225,7 @@ func WithTxOptions(opts ...gstm.TxOption) PlanOption {
 // combined with WithTxOptions, the shared options apply first and
 // optsFor(s)'s after, so per-shard options win on conflict.
 func WithShardOptions(optsFor func(s int) []gstm.TxOption) PlanOption {
-	return func(ps *planSettings) { ps.optsFor = optsFor }
+	return PlanOption{optsFor: optsFor}
 }
 
 // Run executes the planned batch: one transaction per active shard,
@@ -238,16 +236,22 @@ func WithShardOptions(optsFor func(s int) []gstm.TxOption) PlanOption {
 // atomic only; callers needing whole-batch atomicity use
 // Router.RunMulti. Returns true when every active shard committed.
 func (p *Plan) Run(ctx context.Context, thread gstm.ThreadID, txn gstm.TxnID, body func(tx *gstm.Tx, s int, idxs []int) error, opts ...PlanOption) bool {
-	var set planSettings
+	var shared []gstm.TxOption
+	var optsFor func(s int) []gstm.TxOption
 	for _, o := range opts {
-		o(&set)
+		if o.opts != nil {
+			shared = o.opts
+		}
+		if o.optsFor != nil {
+			optsFor = o.optsFor
+		}
 	}
 	ok := true
 	for _, s := range p.active {
 		s, idxs := s, p.groups[s]
-		shardOpts := set.opts
-		if set.optsFor != nil {
-			if extra := set.optsFor(s); len(shardOpts) == 0 {
+		shardOpts := shared
+		if optsFor != nil {
+			if extra := optsFor(s); len(shardOpts) == 0 {
 				shardOpts = extra
 			} else if len(extra) > 0 {
 				shardOpts = append(append([]gstm.TxOption(nil), shardOpts...), extra...)

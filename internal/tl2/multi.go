@@ -3,7 +3,6 @@ package tl2
 import (
 	"context"
 	"errors"
-	"time"
 
 	"gstm/internal/obs"
 	"gstm/internal/txid"
@@ -86,9 +85,9 @@ func MultiRun(ctx context.Context, rts []*Runtime, thread txid.ThreadID, txn txi
 func commitMulti(txs []*Tx) (wv, byWV uint64, cause obs.Cause, ok bool) {
 	lead := txs[0]
 	span, att, thread := lead.span, lead.attempt+1, uint64(lead.self.Thread)
-	var t0, mark time.Time
+	var t0, mark int64
 	if span != nil {
-		t0 = time.Now()
+		t0 = obs.Now()
 	}
 	ok = true
 	for _, tx := range txs {
@@ -113,8 +112,8 @@ func commitMulti(txs []*Tx) (wv, byWV uint64, cause obs.Cause, ok bool) {
 		return 0, byWV, obs.CauseXShardValidation, false
 	}
 	if span != nil {
-		mark = time.Now()
-		span.Add(obs.PhaseXPrepare, obs.CauseNone, att, t0.UnixNano(), mark.Sub(t0).Nanoseconds())
+		mark = obs.Now()
+		span.Add(obs.PhaseXPrepare, obs.CauseNone, att, t0, mark-t0)
 	}
 
 	// Exchange: tick every home clock, agree on the maximum.
@@ -137,7 +136,7 @@ func commitMulti(txs []*Tx) (wv, byWV uint64, cause obs.Cause, ok bool) {
 		tx.publishAt(wv)
 	}
 	if span != nil {
-		span.AddSinceNs(obs.PhaseXPublish, obs.CauseNone, att, mark.UnixNano())
+		span.AddSince(obs.PhaseXPublish, obs.CauseNone, att, mark)
 	}
 	return wv, 0, obs.CauseNone, true
 }

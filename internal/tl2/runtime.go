@@ -400,7 +400,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 		span.NoteAttempt()
 		// The attempt's start boundary is the end of the last recorded event
 		// (gate wait, queue, or the previous retry) — a field read, not a
-		// clock read, so the committing fast path pays no time.Now here and
+		// clock read, so the committing fast path pays no obs.Now here and
 		// backoff gaps fold into the retry event that caused them.
 		attStart := span.LastEndNs()
 
@@ -422,17 +422,17 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 					// Empty read set: no commit could ever wake us.
 					return perr
 				}
-				span.AddSinceNs(obs.PhasePark, obs.CauseCanceled, attempt+1, attStart)
+				span.AddSince(obs.PhasePark, obs.CauseCanceled, attempt+1, attStart)
 				rt.tel.TxCanceled(shard)
 				return fmt.Errorf("%w: %w", ErrCanceled, perr)
 			}
 			if parked {
-				span.AddSinceNs(obs.PhasePark, obs.CauseWakeup, attempt+1, attStart)
+				span.AddSince(obs.PhasePark, obs.CauseWakeup, attempt+1, attStart)
 			}
 			continue
 		}
 		if conflict != nil {
-			span.AddSinceNs(obs.PhaseRetry, conflict.cause, attempt+1, attStart)
+			span.AddSince(obs.PhaseRetry, conflict.cause, attempt+1, attStart)
 			if rt.aborted(txs, self, conflict.byWV, conflict.cause, budget, attempt) {
 				return ErrBudgetExceeded
 			}
@@ -443,7 +443,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 			return err
 		}
 		if fi := rt.injector(); fi != nil && fi.SpuriousAbort(self, attempt) {
-			span.AddSinceNs(obs.PhaseRetry, obs.CauseSpurious, attempt+1, attStart)
+			span.AddSince(obs.PhaseRetry, obs.CauseSpurious, attempt+1, attStart)
 			if rt.aborted(txs, self, 0, obs.CauseSpurious, budget, attempt) {
 				return ErrBudgetExceeded
 			}
@@ -466,7 +466,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 			wv, byWV, cause, ok = txs[0].commit(sb != nil)
 		}
 		if !ok {
-			span.AddSinceNs(obs.PhaseRetry, cause, attempt+1, attStart)
+			span.AddSince(obs.PhaseRetry, cause, attempt+1, attStart)
 			if rt.aborted(txs, self, byWV, cause, budget, attempt) {
 				return ErrBudgetExceeded
 			}
@@ -517,7 +517,7 @@ func arrive(g Gate, self txid.Pair, span *obs.Span, attempt int) {
 		g.Arrive(self)
 		return
 	}
-	g0 := time.Now()
+	g0 := obs.Now()
 	gc := obs.CauseNone
 	if g.Arrive(self) == telemetry.GateEscape {
 		gc = obs.CauseGateTimeout

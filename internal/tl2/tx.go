@@ -401,20 +401,20 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 	}
 	att := tx.attempt + 1
 	spanned := tx.span != nil
-	// The traced commit shares one clock read per phase boundary (lock end
-	// doubles as validate start, validate end as publish start), so a fully
-	// validated commit costs four time.Now calls, not per-phase pairs.
-	var lockStart, mark time.Time
+	// The traced commit shares one span clock read per phase boundary (lock
+	// end doubles as validate start, validate end as publish start), so a
+	// fully validated commit costs four obs.Now calls, not per-phase pairs.
+	var lockStart, mark int64
 	if spanned {
-		lockStart = time.Now()
+		lockStart = obs.Now()
 	}
 	if !tx.lockWriteSet() {
 		tx.span.AddSince(obs.PhaseLock, obs.CauseLockBusy, att, lockStart)
 		return 0, 0, obs.CauseLockBusy, false
 	}
 	if spanned {
-		mark = time.Now()
-		tx.span.Add(obs.PhaseLock, obs.CauseNone, att, lockStart.UnixNano(), mark.Sub(lockStart).Nanoseconds())
+		mark = obs.Now()
+		tx.span.Add(obs.PhaseLock, obs.CauseNone, att, lockStart, mark-lockStart)
 	}
 	if fi := tx.rt.injector(); fi != nil {
 		// Fault point: hold the write-set locks longer, widening the
@@ -423,7 +423,7 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 			spinYield()
 		}
 		if spanned {
-			mark = time.Now() // the injected hold is not a validate cost
+			mark = obs.Now() // the injected hold is not a validate cost
 		}
 	}
 	needValidate := true
@@ -446,11 +446,11 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 		if adopted {
 			valCause = obs.CauseClockCAS
 		}
-		var vt0 time.Time
+		var vt0 int64
 		if spanned {
 			vt0 = mark
 		} else if tx.measure {
-			vt0 = time.Now()
+			vt0 = obs.Now()
 		}
 		if byWV, c, ok := tx.validateReads(); !ok {
 			if c == obs.CauseReadValidation {
@@ -461,13 +461,13 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 			return 0, byWV, c, false
 		}
 		if tx.measure || spanned {
-			end := time.Now()
+			end := obs.Now()
 			if tx.measure {
-				tx.valDur = end.Sub(vt0)
+				tx.valDur = time.Duration(end - vt0)
 				tx.validated = true
 			}
 			if spanned {
-				tx.span.Add(obs.PhaseValidate, obs.CauseNone, att, vt0.UnixNano(), end.Sub(vt0).Nanoseconds())
+				tx.span.Add(obs.PhaseValidate, obs.CauseNone, att, vt0, end-vt0)
 				mark = end
 			}
 		}
@@ -482,7 +482,7 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 	tx.rt.reg.Record(wv, tx.self)
 	tx.releaseLocks(wv)
 	if spanned {
-		tx.span.AddSinceNs(obs.PhasePublish, obs.CauseNone, att, mark.UnixNano())
+		tx.span.AddSince(obs.PhasePublish, obs.CauseNone, att, mark)
 	}
 	// Wake transactions parked on any written location (waiters.go). The
 	// versions published above are already observable, so a parker that

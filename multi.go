@@ -2,19 +2,9 @@ package gstm
 
 import (
 	"context"
-	"sync"
 
 	"gstm/internal/tl2"
 )
-
-// multiCall is RunMulti's pooled per-call scratch: the runtimes list and
-// the resolved options, which would otherwise cost an allocation each.
-type multiCall struct {
-	rts []*tl2.Runtime
-	set txSettings
-}
-
-var multiCalls = sync.Pool{New: func() any { return new(multiCall) }}
 
 // RunMulti executes fn as one atomic transaction spanning several
 // Systems: one sub-transaction per system, handed to fn as txs aligned
@@ -31,20 +21,13 @@ var multiCalls = sync.Pool{New: func() any { return new(multiCall) }}
 // phases). Blocking is not supported: a tx.Retry returns ErrWouldBlock
 // even with WithBlocking.
 func RunMulti(ctx context.Context, systems []*System, thread ThreadID, txn TxnID, fn func(txs []*Tx) error, opts ...TxOption) error {
-	c := multiCalls.Get().(*multiCall)
-	for _, o := range opts {
-		o(&c.set)
-	}
+	// The participants' runtimes, on the stack for up to eight systems.
+	var buf [8]*tl2.Runtime
+	rts := buf[:0]
 	for _, s := range systems {
-		c.rts = append(c.rts, s.rt)
+		rts = append(rts, s.rt)
 	}
-	err := tl2.MultiRun(ctx, c.rts, thread, txn, fn, tl2.RunOpts{
-		ReadOnly:    c.set.readOnly,
-		MaxAttempts: c.set.maxAttempts,
-		Span:        c.set.span,
-	})
-	clear(c.rts)
-	c.rts, c.set = c.rts[:0], txSettings{}
-	multiCalls.Put(c)
-	return err
+	var o tl2.RunOpts
+	applyTxOptions(&o, opts)
+	return tl2.MultiRun(ctx, rts, thread, txn, fn, o)
 }

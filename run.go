@@ -7,22 +7,45 @@ import (
 	"gstm/internal/tl2"
 )
 
-// TxOption configures one Run call. Options are plain values; building a
-// []TxOption once and reusing it across calls is fine and allocation-free
-// when passed as a pre-built slice.
+// TxOption configures one Run call. Options are plain values — a kind and
+// its argument, applied straight onto the engine's run options — so passing
+// them allocates nothing, whether built inline or kept in a reused slice.
 //
 // All constructors follow the With* naming convention (WithReadOnly,
 // WithMaxAttempts, WithSpan, WithBlocking). The pre-v1
 // spellings ReadOnly and MaxAttempts are gone; see the README migration
 // table.
-type TxOption func(*txSettings)
+type TxOption struct {
+	kind txOptionKind
+	n    int
+	span *obs.Span
+	ctx  context.Context
+}
 
-type txSettings struct {
-	readOnly    bool
-	maxAttempts int
-	span        *obs.Span
-	block       bool
-	blockCtx    context.Context
+type txOptionKind uint8
+
+const (
+	optReadOnly txOptionKind = iota + 1
+	optMaxAttempts
+	optSpan
+	optBlocking
+)
+
+// applyTxOptions sets each option on o; a later option of the same kind
+// wins.
+func applyTxOptions(o *tl2.RunOpts, opts []TxOption) {
+	for i := range opts {
+		switch opt := &opts[i]; opt.kind {
+		case optReadOnly:
+			o.ReadOnly = true
+		case optMaxAttempts:
+			o.MaxAttempts = opt.n
+		case optSpan:
+			o.Span = opt.span
+		case optBlocking:
+			o.Block, o.BlockCtx = true, opt.ctx
+		}
+	}
 }
 
 // WithReadOnly selects TL2's read-only fast path: no read-set bookkeeping,
@@ -31,7 +54,7 @@ type txSettings struct {
 // (Combined with WithBlocking, reads are tracked after all — a park needs
 // to know what was read — but the commit stays validation-free.)
 func WithReadOnly() TxOption {
-	return func(s *txSettings) { s.readOnly = true }
+	return TxOption{kind: optReadOnly}
 }
 
 // WithMaxAttempts bounds the attempts one Run call may make: n allows the
@@ -39,7 +62,7 @@ func WithReadOnly() TxOption {
 // on a conflict Run returns ErrRetryBudgetExhausted. n <= 0 means
 // unlimited (the classic STM contract).
 func WithMaxAttempts(n int) TxOption {
-	return func(s *txSettings) { s.maxAttempts = n }
+	return TxOption{kind: optMaxAttempts, n: n}
 }
 
 // WithSpan attaches a variance-observatory span to the Run call: gate
@@ -50,7 +73,7 @@ func WithMaxAttempts(n int) TxOption {
 // events. The untraced path (no WithSpan) records nothing and allocates
 // nothing.
 func WithSpan(sp *Span) TxOption {
-	return func(s *txSettings) { s.span = sp }
+	return TxOption{kind: optSpan, span: sp}
 }
 
 // WithBlocking enables composable blocking for the Run call: when the
@@ -65,10 +88,7 @@ func WithSpan(sp *Span) TxOption {
 // Parked time is visible in the variance observatory as the PhasePark
 // phase ("wakeup" cause) and counted by gstm_tx_parked_total.
 func WithBlocking(ctx context.Context) TxOption {
-	return func(s *txSettings) {
-		s.block = true
-		s.blockCtx = ctx
-	}
+	return TxOption{kind: optBlocking, ctx: ctx}
 }
 
 // Run executes fn transactionally as transaction site txn on worker
@@ -89,15 +109,7 @@ func WithBlocking(ctx context.Context) TxOption {
 // A tx.Retry inside fn returns ErrWouldBlock unless WithBlocking enabled
 // parking for this call.
 func (s *System) Run(ctx context.Context, thread ThreadID, txn TxnID, fn func(*Tx) error, opts ...TxOption) error {
-	var set txSettings
-	for _, o := range opts {
-		o(&set)
-	}
-	return s.rt.RunOpt(ctx, thread, txn, fn, tl2.RunOpts{
-		ReadOnly:    set.readOnly,
-		MaxAttempts: set.maxAttempts,
-		Span:        set.span,
-		Block:       set.block,
-		BlockCtx:    set.blockCtx,
-	})
+	var o tl2.RunOpts
+	applyTxOptions(&o, opts)
+	return s.rt.RunOpt(ctx, thread, txn, fn, o)
 }

@@ -134,8 +134,8 @@ func (s *System) StopProfiling() *Trace {
 
 // EnableGuidance validates m, compiles it into a guide table and installs
 // the guided-execution gate. It returns ErrGuidanceRejected (wrapped with
-// the analyzer's reason) when the model fails validation. Options follow
-// the TxOption style of Run: WithTfactor, WithGateRetries, WithWatchdog,
+// the analyzer's reason) when the model fails validation. Options use
+// With* constructors like Run's: WithTfactor, WithGateRetries, WithWatchdog,
 // WithDequeueCheck.
 func (s *System) EnableGuidance(m *Model, opts ...GuidanceOption) error {
 	set := applyGuidanceOptions(opts)

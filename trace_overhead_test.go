@@ -1,9 +1,10 @@
 // Traced-overhead gate for the variance observatory: attaching a span to a
 // Run call must stay cheap enough to leave on in production serving. The
-// traced commit takes three clock reads (lock start, lock end / publish
-// start shared, publish end — four when validation runs), so its fixed cost
-// is a few hundred nanoseconds; against a transaction with a non-trivial
-// footprint that must stay under 5%.
+// traced commit reads the span clock (obs.Now, one monotonic read each)
+// three times — lock start, lock end / publish start shared, publish end;
+// four when validation runs — so its fixed cost is well under a
+// microsecond; against a transaction with a non-trivial footprint that must
+// stay under 5%.
 //
 // The comparison is noisy on shared runners, so the gate is opt-in
 // (GSTM_OVERHEAD_GATE=1, set by CI's bench-smoke job) and takes the best of
