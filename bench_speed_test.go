@@ -21,13 +21,13 @@ func BenchmarkTypedReadWrite(b *testing.B) {
 		arr := tl2.NewArray[int64](cells)
 		b.ReportAllocs()
 		var sum int64
-		if err := rt.AtomicRO(0, 0, func(tx *tl2.Tx) error {
+		if err := rt.Run(nil, 0, 0, func(tx *tl2.Tx) error {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sum += tl2.ReadAt(tx, arr, i&(cells-1))
 			}
 			return nil
-		}); err != nil {
+		}, true, 0); err != nil {
 			b.Fatal(err)
 		}
 		sinkVal = sum
@@ -64,7 +64,7 @@ var sinkVal int64 // defeats dead-code elimination of benchmark read loops
 func TestTypedReadWriteZeroAllocs(t *testing.T) {
 	rt := tl2.New(tl2.Config{})
 	arr := tl2.NewArray[int64](64)
-	if err := rt.AtomicRO(0, 0, func(tx *tl2.Tx) error {
+	if err := rt.Run(nil, 0, 0, func(tx *tl2.Tx) error {
 		var sum int64
 		if avg := testing.AllocsPerRun(200, func() {
 			for j := 0; j < 64; j++ {
@@ -75,7 +75,7 @@ func TestTypedReadWriteZeroAllocs(t *testing.T) {
 		}
 		sinkVal = sum
 		return nil
-	}); err != nil {
+	}, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Atomic(0, 0, func(tx *tl2.Tx) error {

@@ -45,8 +45,6 @@
 package gstm
 
 import (
-	"net/http"
-
 	"gstm/internal/model"
 	"gstm/internal/obs"
 	"gstm/internal/telemetry"
@@ -168,23 +166,10 @@ type SpanCause = obs.Cause
 // into one snapshot — the view the -metrics-addr HTTP endpoint serves.
 func GatherTelemetry() TelemetrySnapshot { return telemetry.Gather() }
 
-// TelemetryMount is an extra route served by the telemetry endpoint
-// alongside /metrics, /debug/vars and /debug/pprof — the server mounts
-// /debug/trace (the variance observatory) this way.
-type TelemetryMount = telemetry.Mount
-
 // ServeTelemetry starts the observability HTTP endpoint on addr (":0" picks
 // a free port), serving /metrics (Prometheus text format), /debug/vars
-// (JSON) and /debug/pprof for the whole process, plus any extra mounts. It
-// returns the bound address; shut the server down with its Close or
-// Shutdown method.
-func ServeTelemetry(addr string, mounts ...TelemetryMount) (*telemetry.Server, error) {
-	return telemetry.ServeAddr(addr, mounts...)
+// (JSON) and /debug/pprof for the whole process. It returns the bound
+// address; shut the server down with its Close or Shutdown method.
+func ServeTelemetry(addr string) (*telemetry.Server, error) {
+	return telemetry.ServeAddr(addr)
 }
-
-// TraceHandler returns the /debug/trace HTTP handler for an observatory
-// owned by a serving layer (see internal/obs): ?format=json (default) for
-// the K-slowest / forced / sampled spans, ?format=agg for per-shard
-// per-phase histogram buckets, ?format=chrome for a Chrome trace_event
-// file loadable in chrome://tracing or Perfetto.
-func TraceHandler(o *obs.Observatory) http.Handler { return o.Handler() }

@@ -141,26 +141,38 @@ func (r *Result) TailImprovement() float64 {
 	return stats.TailImprovement(r.Default.AbortHist, r.Guided.AbortHist)
 }
 
+// Train is the pipeline's phases 1 and 2 (the artifact's mcmc_data mode):
+// cfg.TrainRuns profiled runs of w on the training input, seeded
+// cfg.Seed + run*7919 and each validated, then the model built from their
+// traces. It returns the traces in run order beside the model.
+func Train(w stamp.Workload, cfg Config) ([]*gstm.Trace, *gstm.Model, error) {
+	cfg = cfg.Normalize()
+	sys := gstm.NewSystem(gstm.Config{Threads: cfg.Threads, Interleave: cfg.Interleave})
+	traces := make([]*gstm.Trace, 0, cfg.TrainRuns)
+	for run := 0; run < cfg.TrainRuns; run++ {
+		tr, _, _, err := measuredRun(sys, w, stamp.Params{
+			Threads: cfg.Threads,
+			Size:    cfg.TrainSize,
+			Seed:    cfg.Seed + uint64(run)*7919,
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: training run %d: %w", w.Name(), run, err)
+		}
+		traces = append(traces, tr)
+	}
+	return traces, gstm.BuildModel(cfg.Threads, traces), nil
+}
+
 // RunBenchmark executes the full pipeline for one STAMP workload.
 func RunBenchmark(w stamp.Workload, cfg Config) (*Result, error) {
 	cfg = cfg.Normalize()
 	res := &Result{App: w.Name(), Config: cfg}
 
 	// Phase 1+2: profile on the training input and build the model.
-	trainSys := gstm.NewSystem(gstm.Config{Threads: cfg.Threads, Interleave: cfg.Interleave})
-	var traces []*gstm.Trace
-	for run := 0; run < cfg.TrainRuns; run++ {
-		tr, _, _, err := measuredRun(trainSys, w, stamp.Params{
-			Threads: cfg.Threads,
-			Size:    cfg.TrainSize,
-			Seed:    cfg.Seed + uint64(run)*7919,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: training run %d: %w", w.Name(), run, err)
-		}
-		traces = append(traces, tr)
+	var err error
+	if _, res.Model, err = Train(w, cfg); err != nil {
+		return nil, err
 	}
-	res.Model = gstm.BuildModel(cfg.Threads, traces)
 
 	// Phase 3: analyze.
 	res.Report = gstm.Analyze(res.Model)

@@ -8,7 +8,7 @@ import (
 )
 
 // jsonModel is the human-readable export schema used by
-// `gstm-model -inspect -json`: states render in the paper's notation.
+// `gstm model -inspect -json`: states render in the paper's notation.
 type jsonModel struct {
 	Threads int         `json:"threads"`
 	States  []jsonState `json:"states"`

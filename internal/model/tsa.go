@@ -172,7 +172,7 @@ func (m *TSA) destinations(k trace.Key, tfactor float64) []Edge {
 }
 
 // Destinations exposes the Tfactor-thresholded destination set (used by the
-// analyzer, the compiler and the cmd/gstm-model inspector).
+// analyzer, the compiler and the gstm model inspector).
 func (m *TSA) Destinations(k trace.Key, tfactor float64) []Edge {
 	return m.destinations(k, tfactor)
 }

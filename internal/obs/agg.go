@@ -120,7 +120,7 @@ func (h *phaseHist) merge(o *phaseHist) {
 // HistCounts is a raw bucket dump of one (shard, phase) distribution.
 // Bucket i covers [Low(i), High(i)) per the shared layout; only non-zero
 // buckets are emitted. Raw counts (not quantiles) let a scraper diff two
-// snapshots and compute run-local quantiles — that is how gstm-loadgen
+// snapshots and compute run-local quantiles — that is how gstm load
 // builds its tail-attribution table.
 type HistCounts struct {
 	Count   uint64   `json:"count"`

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -27,7 +28,7 @@ type Client struct {
 // regardless of its sampling rate.
 func (c *Client) SetTrace(on bool) { c.trace = on }
 
-// Dial connects to a gstm-server at addr.
+// Dial connects to a gstm serve at addr.
 func Dial(addr string) (*Client, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -43,25 +44,7 @@ func (c *Client) Close() error { return c.nc.Close() }
 func (c *Client) Do(op Op, key, arg uint64) (Status, uint64, error) {
 	c.id++
 	c.buf = AppendRequest(c.buf[:0], Request{Op: op, ID: c.id, Key: key, Arg: arg, Trace: c.trace})
-	if _, err := c.nc.Write(c.buf); err != nil {
-		return 0, 0, err
-	}
-	var frame [RespFrameLen]byte
-	if _, err := io.ReadFull(c.br, frame[:]); err != nil {
-		return 0, 0, err
-	}
-	n := uint32(frame[0])<<24 | uint32(frame[1])<<16 | uint32(frame[2])<<8 | uint32(frame[3])
-	if n != RespFrameLen-4 {
-		return 0, 0, fmt.Errorf("server: bad response frame length %d", n)
-	}
-	resp, err := DecodeResponse(frame[4:])
-	if err != nil {
-		return 0, 0, err
-	}
-	if resp.ID != c.id {
-		return 0, 0, fmt.Errorf("server: response id %d for request %d", resp.ID, c.id)
-	}
-	return resp.Status, resp.Value, nil
+	return c.roundTrip()
 }
 
 // Get reads key ((value, true) when present).
@@ -131,18 +114,16 @@ func (c *Client) Txn(ops []TxnOp) (Status, uint64, error) {
 	}
 	c.id++
 	c.buf = AppendTxnRequest(c.buf[:0], Request{ID: c.id, Trace: c.trace}, ops)
+	return c.roundTrip()
+}
+
+// roundTrip writes the encoded request in c.buf and reads its reply.
+func (c *Client) roundTrip() (Status, uint64, error) {
 	if _, err := c.nc.Write(c.buf); err != nil {
 		return 0, 0, err
 	}
 	var frame [RespFrameLen]byte
-	if _, err := io.ReadFull(c.br, frame[:]); err != nil {
-		return 0, 0, err
-	}
-	n := uint32(frame[0])<<24 | uint32(frame[1])<<16 | uint32(frame[2])<<8 | uint32(frame[3])
-	if n != RespFrameLen-4 {
-		return 0, 0, fmt.Errorf("server: bad response frame length %d", n)
-	}
-	resp, err := DecodeResponse(frame[4:])
+	resp, err := readResponse(c.br, frame[:])
 	if err != nil {
 		return 0, 0, err
 	}
@@ -150,6 +131,18 @@ func (c *Client) Txn(ops []TxnOp) (Status, uint64, error) {
 		return 0, 0, fmt.Errorf("server: response id %d for request %d", resp.ID, c.id)
 	}
 	return resp.Status, resp.Value, nil
+}
+
+// readResponse reads one response frame from br into frame, which must
+// hold RespFrameLen bytes, and decodes it.
+func readResponse(br *bufio.Reader, frame []byte) (Response, error) {
+	if _, err := io.ReadFull(br, frame); err != nil {
+		return Response{}, err
+	}
+	if n := binary.BigEndian.Uint32(frame); n != RespFrameLen-4 {
+		return Response{}, fmt.Errorf("server: bad response frame length %d", n)
+	}
+	return DecodeResponse(frame[4:])
 }
 
 // Transfer atomically moves amt from one key's balance to another's: two

@@ -3,12 +3,8 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
-	"sync"
 	"time"
-
-	"gstm/internal/xrand"
 )
 
 // Ledger is the client-side record of an add-only load run, kept for
@@ -56,87 +52,61 @@ func ReadLedger(path string) (*Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Ledger{}
+	l := newLedger()
 	if err := json.Unmarshal(buf, l); err != nil {
 		return nil, err
 	}
-	if l.Acked == nil {
-		l.Acked = map[uint64]uint64{}
-	}
-	if l.Inflight == nil {
-		l.Inflight = map[uint64]uint64{}
-	}
 	return l, nil
+}
+
+func newLedger() *Ledger {
+	return &Ledger{Acked: map[uint64]uint64{}, Inflight: map[uint64]uint64{}}
 }
 
 // RunLedgerLoad drives an add-only load (Arg always 1) against cfg.Addr,
 // recording every acknowledged add. Unlike RunLoad it expects the server
 // to die mid-run: a connection error ends that connection's work with its
-// last unanswered add recorded as in-flight, not as a run failure. The
-// run ends when every connection has finished its fixed work, hit the
-// deadline, or lost its connection.
+// outstanding adds (up to Window of them) recorded as in-flight, not as a
+// run failure. The run ends when every connection has finished its fixed
+// work, hit the deadline, or lost its connection.
 func RunLedgerLoad(cfg LoadConfig) *Ledger {
 	cfg = cfg.normalize()
+	cfg.GetPct, cfg.PutPct, cfg.DelPct, cfg.TransferPct = 0, 0, 0, 0 // every op an Add of 1
 	leds := make([]*Ledger, cfg.Conns)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Conns; i++ {
-		leds[i] = &Ledger{Acked: map[uint64]uint64{}, Inflight: map[uint64]uint64{}}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ledgerConn(cfg, i, leds[i])
-		}(i)
+	sinks := make([]sink, cfg.Conns)
+	for i := range leds {
+		leds[i] = newLedger()
+		sinks[i] = leds[i]
 	}
-	wg.Wait()
-	total := &Ledger{Acked: map[uint64]uint64{}, Inflight: map[uint64]uint64{}}
+	runConns(cfg, sinks, make(chan struct{}))
+	total := newLedger()
 	for _, l := range leds {
 		total.merge(l)
 	}
 	return total
 }
 
-func ledgerConn(cfg LoadConfig, i int, led *Ledger) {
-	cl, err := Dial(cfg.Addr)
-	if err != nil {
-		return // server already gone: nothing sent, nothing owed
+// reply makes Ledger a load sink: an answered add is acked on StatusOK.
+// Any other status (StatusShutdown, StatusUnavailable, ...) is answered
+// and explicitly NOT acknowledged; the server may still have committed it
+// in memory (Unavailable), but durability makes no promise either way —
+// the same contract as in-flight.
+func (l *Ledger) reply(p sentReq, st Status, _ time.Duration) {
+	l.Ops++
+	if st == StatusOK {
+		l.Acked[p.key]++
+		return
 	}
-	defer cl.Close()
-	r := xrand.NewThread(cfg.Seed, i)
-	deadline := time.Now().Add(cfg.Duration)
-	for n := 0; ; n++ {
-		if cfg.OpsPerConn > 0 {
-			if n >= cfg.OpsPerConn {
-				return
-			}
-		} else if !time.Now().Before(deadline) {
-			return
-		}
-		key := skewKey(r, cfg)
-		st, _, err := cl.Do(OpAdd, key, 1)
-		if err != nil {
-			// Connection died mid-request: the add was sent (or partially
-			// sent) and never answered — in-flight, outcome unknown.
-			led.Inflight[key]++
-			return
-		}
-		led.Ops++
-		if st == StatusOK {
-			led.Acked[key]++
-		} else {
-			// StatusShutdown, StatusUnavailable, ...: answered and
-			// explicitly NOT acknowledged; the server may still have
-			// committed it in memory (Unavailable), but durability makes no
-			// promise either way — same contract as in-flight.
-			led.Errors++
-			led.Inflight[key]++
-		}
-	}
+	l.Errors++
+	l.Inflight[p.key]++
 }
 
-// skewKey mirrors nextOp's key draw (add-only runs share the keyspace
-// shape of the mixed workload).
-func skewKey(r *xrand.Rand, cfg LoadConfig) uint64 {
-	return uint64(float64(cfg.Keys-1) * math.Pow(r.Float64(), cfg.Skew))
+// lost credits every add a dead connection left unanswered to in-flight:
+// each was sent (or partly sent) and its outcome is unknown.
+func (l *Ledger) lost(outstanding []sentReq, _ error) {
+	for _, p := range outstanding {
+		l.Inflight[p.key]++
+	}
 }
 
 // VerifyLedger checks a recovered server against a ledger: for every key,

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"sort"
@@ -40,13 +39,15 @@ type LoadConfig struct {
 	// Get/Put/Del/Add mix.
 	TransferPct int
 	Seed        uint64
-	// Window > 1 switches a connection from synchronous request/response
-	// to pipelining: up to Window requests outstanding per connection.
-	// Pipelining takes the network round-trip off the critical path, so
-	// throughput measures the server's STM, not the wire — it is how a
-	// load saturates the commit path. Per-op latency quantiles are
-	// not recorded in this mode (a frame's wait time measures queue depth,
-	// not service time).
+	// Window is how many requests a connection keeps outstanding (values
+	// below 1 mean 1). At 1 a connection is synchronous request/response.
+	// Above 1 it pipelines, which takes the network round-trip off the
+	// critical path, so throughput measures the server's STM, not the wire:
+	// it is how a load saturates the commit path. Latency is recorded for
+	// every op at any window, from the request's encoding to its reply's
+	// arrival. Above 1 that is client-observed latency behind the window,
+	// which includes the wait behind the requests ahead of it on the
+	// connection, not service time alone.
 	Window int
 	// Shards, when > 0, makes the run attribute each issued operation to
 	// its home shard (the router's hash) and fill RunStats.ShardOps /
@@ -123,10 +124,19 @@ func RunLoad(cfg LoadConfig) (RunStats, error) {
 	cfg = cfg.normalize()
 
 	outs := make([]connOut, cfg.Conns)
+	sinks := make([]sink, cfg.Conns)
+	for i := range outs {
+		outs[i].lats = make([]float64, 0, 1<<14)
+		if cfg.Shards > 0 {
+			outs[i].shardOps = make([]uint64, cfg.Shards)
+			outs[i].routing = shard.NewRouting(cfg.Shards)
+		}
+		sinks[i] = &outs[i]
+	}
 	subOuts := make([]connOut, cfg.Subscribers)
 	start := make(chan struct{})
 	done := make(chan struct{})
-	var wg, subWG sync.WaitGroup
+	var subWG sync.WaitGroup
 	for i := 0; i < cfg.Subscribers; i++ {
 		subWG.Add(1)
 		go func(i int) {
@@ -134,21 +144,7 @@ func RunLoad(cfg LoadConfig) (RunStats, error) {
 			subConn(cfg, i, &subOuts[i], start, done)
 		}(i)
 	}
-	for i := 0; i < cfg.Conns; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if cfg.Window > 1 {
-				pipeConn(cfg, i, &outs[i], start)
-			} else {
-				syncConn(cfg, i, &outs[i], start)
-			}
-		}(i)
-	}
-	close(start)
-	t0 := time.Now()
-	wg.Wait()
-	elapsed := time.Since(t0)
+	elapsed := runConns(cfg, sinks, start)
 	close(done)
 	subWG.Wait()
 
@@ -196,161 +192,146 @@ func RunLoad(cfg LoadConfig) (RunStats, error) {
 	return res, nil
 }
 
-// connOut is one connection's contribution to a run.
+// sentReq is one request on the wire awaiting its reply. key is the op's
+// key, or a transfer's from key (to is its other key); sent is when it was
+// encoded, measured from the connection's start.
+type sentReq struct {
+	id      uint32
+	xfer    bool
+	key, to uint64
+	sent    time.Duration
+}
+
+// sink takes one connection's outcomes: reply for each answered request,
+// in request order, with the time since the connection's start; lost once
+// if the connection fails, with the requests it left unanswered.
+type sink interface {
+	reply(p sentReq, st Status, now time.Duration)
+	lost(outstanding []sentReq, err error)
+}
+
+// connOut is the stats sink: one connection's contribution to a run.
 type connOut struct {
 	ops, errs uint64
 	transfers uint64
-	lats      []float64     // µs, synchronous mode only
-	took      float64       // seconds, fixed-work mode
+	lats      []float64     // µs
+	took      float64       // seconds to the last reply, fixed-work mode
 	shardOps  []uint64      // ops by home shard, when LoadConfig.Shards > 0
-	routing   *shard.Router // routing-only, lazily built with shardOps
+	routing   *shard.Router // routing-only, built with shardOps
 	err       error
 }
 
-func (o *connOut) noteShard(cfg LoadConfig, key uint64) {
-	if cfg.Shards > 0 {
-		if o.shardOps == nil {
-			o.shardOps = make([]uint64, cfg.Shards)
-			o.routing = shard.NewRouting(cfg.Shards)
-		}
+func (o *connOut) reply(p sentReq, st Status, now time.Duration) {
+	o.ops++
+	if st != StatusOK && st != StatusNotFound {
+		o.errs++
+	}
+	o.lats = append(o.lats, float64(now-p.sent)/1e3)
+	o.took = now.Seconds()
+	if p.xfer {
+		o.transfers++
+		o.noteShard(p.to)
+	}
+	o.noteShard(p.key)
+}
+
+func (o *connOut) lost(_ []sentReq, err error) { o.err = err }
+
+func (o *connOut) noteShard(key uint64) {
+	if o.routing != nil {
 		o.shardOps[o.routing.HomeOf(key)]++
 	}
 }
 
-// syncConn is the classic one-outstanding-request connection loop.
-func syncConn(cfg LoadConfig, i int, out *connOut, start <-chan struct{}) {
-	cl, err := Dial(cfg.Addr)
-	if err != nil {
-		out.err = err
-		return
+// runConns runs one connection loop per sink, releases them together by
+// closing start, and returns the wall time until the last one finished.
+func runConns(cfg LoadConfig, sinks []sink, start chan struct{}) time.Duration {
+	var wg sync.WaitGroup
+	for i, s := range sinks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			connLoop(cfg, i, s, start)
+		}()
 	}
-	defer cl.Close()
-	cl.SetTrace(cfg.Trace)
-	r := xrand.NewThread(cfg.Seed, i)
-	out.lats = make([]float64, 0, 1<<14)
-	txn := make([]TxnOp, 2)
-	<-start
-	begin := time.Now()
-	deadline := begin.Add(cfg.Duration)
-	for {
-		if cfg.OpsPerConn > 0 {
-			if out.ops >= uint64(cfg.OpsPerConn) {
-				break
-			}
-		} else if !time.Now().Before(deadline) {
-			break
-		}
-		var st Status
-		var err error
-		t0 := time.Now()
-		if cfg.TransferPct > 0 && r.Intn(100) < cfg.TransferPct {
-			from, to := transferKeys(r, cfg)
-			out.noteShard(cfg, from)
-			out.noteShard(cfg, to)
-			out.transfers++
-			txn[0] = TxnOp{Op: OpAdd, Key: from, Arg: ^uint64(0)} // -1
-			txn[1] = TxnOp{Op: OpAdd, Key: to, Arg: 1}
-			st, _, err = cl.Txn(txn)
-		} else {
-			op, key, arg := nextOp(r, cfg)
-			out.noteShard(cfg, key)
-			st, _, err = cl.Do(op, key, arg)
-		}
-		if err != nil {
-			out.err = err
-			return
-		}
-		out.lats = append(out.lats, float64(time.Since(t0).Nanoseconds())/1e3)
-		out.ops++
-		if st != StatusOK && st != StatusNotFound {
-			out.errs++
-		}
-	}
-	out.took = time.Since(begin).Seconds()
+	close(start)
+	t0 := time.Now()
+	wg.Wait()
+	return time.Since(t0)
 }
 
-// pipeConn keeps up to cfg.Window requests in flight on one connection:
-// fill the window with encoded frames in one write, block for one
-// response, then opportunistically drain whatever else has arrived. In
-// timed mode it stops issuing at the deadline and drains the window
-// before returning, so every counted op has a received response.
-func pipeConn(cfg LoadConfig, i int, out *connOut, start <-chan struct{}) {
+// connLoop is the one load-connection loop. It keeps up to cfg.Window
+// requests outstanding in a FIFO: it tops the window up with one write,
+// blocks for one reply, then takes whatever other replies have arrived.
+// Replies to data ops come back in request order (DESIGN.md "Reply
+// coalescing"), so each must carry the FIFO head's ID; a reply that does
+// not fails the connection. Issuing stops after OpsPerConn requests, or
+// at the deadline in timed mode, and the loop drains the window before
+// returning, so every issued request is answered or handed to s.lost.
+func connLoop(cfg LoadConfig, i int, s sink, start <-chan struct{}) {
 	nc, err := net.Dial("tcp", cfg.Addr)
 	if err != nil {
-		out.err = err
+		s.lost(nil, err)
 		return
 	}
 	defer nc.Close()
-	br := bufio.NewReaderSize(nc, 2*cfg.Window*RespFrameLen)
+	window := max(cfg.Window, 1)
+	br := bufio.NewReaderSize(nc, 2*window*RespFrameLen)
 	r := xrand.NewThread(cfg.Seed, i)
-	var buf []byte
-	txn := make([]TxnOp, 2)
+	fifo := make([]sentReq, 0, window)
 	frame := make([]byte, RespFrameLen)
-	sent, recvd := 0, 0
+	txn := make([]TxnOp, 2)
+	var buf []byte
+	issued := 0
 	<-start
 	begin := time.Now()
-	deadline := begin.Add(cfg.Duration)
-	recvOne := func() bool {
-		if _, err := io.ReadFull(br, frame); err != nil {
-			out.err = err
-			return false
-		}
-		if resp, err := DecodeResponse(frame[4:]); err != nil {
-			out.err = err
-			return false
-		} else if resp.Status != StatusOK && resp.Status != StatusNotFound {
-			out.errs++
-		}
-		recvd++
-		return true
-	}
 	for {
-		issuing := true
-		if cfg.OpsPerConn > 0 {
-			if recvd >= cfg.OpsPerConn {
-				break
-			}
-			issuing = sent < cfg.OpsPerConn
-		} else if !time.Now().Before(deadline) {
-			if sent == recvd {
-				break
-			}
-			issuing = false
-		}
 		buf = buf[:0]
-		for issuing && sent-recvd < cfg.Window {
-			sent++
-			if cfg.TransferPct > 0 && r.Intn(100) < cfg.TransferPct {
-				from, to := transferKeys(r, cfg)
-				out.noteShard(cfg, from)
-				out.noteShard(cfg, to)
-				out.transfers++
-				txn[0] = TxnOp{Op: OpAdd, Key: from, Arg: ^uint64(0)} // -1
-				txn[1] = TxnOp{Op: OpAdd, Key: to, Arg: 1}
-				buf = AppendTxnRequest(buf, Request{ID: uint32(sent), Trace: cfg.Trace}, txn)
-				continue
+		for len(fifo) < window {
+			now := time.Since(begin)
+			if cfg.OpsPerConn > 0 && issued == cfg.OpsPerConn || cfg.OpsPerConn <= 0 && now >= cfg.Duration {
+				break
 			}
-			op, key, arg := nextOp(r, cfg)
-			out.noteShard(cfg, key)
-			buf = AppendRequest(buf, Request{Op: op, ID: uint32(sent), Key: key, Arg: arg, Trace: cfg.Trace})
+			issued++
+			p := sentReq{id: uint32(issued), sent: now}
+			req := Request{ID: p.id, Trace: cfg.Trace}
+			if cfg.TransferPct > 0 && r.Intn(100) < cfg.TransferPct {
+				p.xfer = true
+				p.key, p.to = transferKeys(r, cfg)
+				txn[0] = TxnOp{Op: OpAdd, Key: p.key, Arg: ^uint64(0)} // -1
+				txn[1] = TxnOp{Op: OpAdd, Key: p.to, Arg: 1}
+				buf = AppendTxnRequest(buf, req, txn)
+			} else {
+				req.Op, req.Key, req.Arg = nextOp(r, cfg)
+				p.key = req.Key
+				buf = AppendRequest(buf, req)
+			}
+			fifo = append(fifo, p)
+		}
+		if len(fifo) == 0 {
+			return
 		}
 		if len(buf) > 0 {
 			if _, err := nc.Write(buf); err != nil {
-				out.err = err
+				s.lost(fifo, err)
 				return
 			}
 		}
-		if !recvOne() {
-			return
-		}
-		for br.Buffered() >= RespFrameLen && recvd < sent {
-			if !recvOne() {
+		n := 0
+		for n < len(fifo) && (n == 0 || br.Buffered() >= RespFrameLen) {
+			resp, err := readResponse(br, frame)
+			if err == nil && resp.ID != fifo[n].id {
+				err = fmt.Errorf("reply id %d, want %d: replies out of request order", resp.ID, fifo[n].id)
+			}
+			if err != nil {
+				s.lost(fifo[n:], err)
 				return
 			}
+			s.reply(fifo[n], resp.Status, time.Since(begin))
+			n++
 		}
+		fifo = fifo[:copy(fifo, fifo[n:])]
 	}
-	out.ops = uint64(recvd)
-	out.took = time.Since(begin).Seconds()
 }
 
 // subConn chains long-poll watches on one skew-drawn key until the load
@@ -398,6 +379,11 @@ func transferKeys(r *xrand.Rand, cfg LoadConfig) (uint64, uint64) {
 		to = (from + 1) % uint64(cfg.Keys)
 	}
 	return from, to
+}
+
+// skewKey draws one key: Keys * u^Skew.
+func skewKey(r *xrand.Rand, cfg LoadConfig) uint64 {
+	return uint64(float64(cfg.Keys-1) * math.Pow(r.Float64(), cfg.Skew))
 }
 
 // nextOp draws one operation from the configured mix and key skew.

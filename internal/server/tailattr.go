@@ -1,6 +1,6 @@
 package server
 
-// Client-side tail attribution: gstm-loadgen scrapes the variance
+// Client-side tail attribution: gstm load scrapes the variance
 // observatory's aggregation (/debug/trace?format=agg) before and after a
 // measured run, diffs the raw bucket counts, and renders a per-shard
 // per-phase latency table. Diffing snapshots makes the table run-local —
@@ -19,7 +19,7 @@ import (
 )
 
 // TraceAgg aliases the observatory's aggregation snapshot for callers
-// (gstm-loadgen) that hold scrapes without importing internal/obs.
+// (gstm load) that hold scrapes without importing internal/obs.
 type TraceAgg = obs.AggSnapshot
 
 // FetchTraceAgg scrapes /debug/trace?format=agg from the telemetry

@@ -74,8 +74,17 @@ func TestDurableCleanShutdown(t *testing.T) {
 // ledgered load is cut short by Crash (the in-process SIGKILL), the
 // server recovers from the same WAL directory with guided warmup on, and
 // every acknowledged write must be present — with the recovered Tseq
-// pre-training the shard models so the server restarts guided.
+// pre-training the shard models so the server restarts guided. It runs
+// synchronous and pipelined: at window 8 every add outstanding at the
+// crash must be in the ledger's in-flight set, or an add that committed
+// unanswered reads as a recovered value above acked+inflight.
 func TestKillAndRecoverChaos(t *testing.T) {
+	for _, window := range []int{1, 8} {
+		t.Run(fmt.Sprintf("window%d", window), func(t *testing.T) { killAndRecover(t, window) })
+	}
+}
+
+func killAndRecover(t *testing.T, window int) {
 	dir := t.TempDir()
 	// SnapshotEvery stays 0 here: truncation discards Tseq history, and the
 	// warmup assertion below needs the full commit trace in the log. The
@@ -93,7 +102,7 @@ func TestKillAndRecoverChaos(t *testing.T) {
 	load := LoadConfig{
 		Addr:  s.Addr().String(),
 		Conns: 4, Duration: 30 * time.Second, // cut short by the crash
-		Keys: 64, Skew: 2, Seed: 0xDEAD,
+		Keys: 64, Skew: 2, Seed: 0xDEAD, Window: window,
 	}
 	ledCh := make(chan *Ledger, 1)
 	go func() { ledCh <- RunLedgerLoad(load) }()
@@ -120,6 +129,18 @@ func TestKillAndRecoverChaos(t *testing.T) {
 	led := <-ledCh
 	if led.Ops < 100 {
 		t.Fatalf("only %d ops before the crash; load never got going", led.Ops)
+	}
+	// Every add is Arg 1 and an answered non-OK add is an error, so the
+	// in-flight sum less the errors is what the crash left unanswered: at
+	// least one per connection, at most a window each, and with a window
+	// above 1, more than one on some connection.
+	var inflight uint64
+	for _, n := range led.Inflight {
+		inflight += n
+	}
+	unanswered, conns := inflight-led.Errors, uint64(load.Conns)
+	if unanswered < conns || unanswered > conns*uint64(window) || window > 1 && unanswered == conns {
+		t.Fatalf("%d adds unanswered at the crash over %d connections at window %d", unanswered, conns, window)
 	}
 
 	// Recover. Unguided stays false now so warmup can install guidance.

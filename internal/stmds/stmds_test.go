@@ -314,11 +314,11 @@ func TestHashTableBucketSnapshotsUnderWriters(t *testing.T) {
 			defer rwg.Done()
 			for !done.Load() {
 				var byGet, byRange int
-				if err := rt.AtomicRO(txid.ThreadID(writers+id), 2, func(tx *tl2.Tx) error {
+				if err := rt.Run(nil, txid.ThreadID(writers+id), 2, func(tx *tl2.Tx) error {
 					byGet, byRange = pairSum(tx)
 					return nil
-				}); err != nil {
-					t.Errorf("AtomicRO: %v", err)
+				}, true, 0); err != nil {
+					t.Errorf("read-only Run: %v", err)
 					return
 				}
 				if byGet != total || byRange != total {

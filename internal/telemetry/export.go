@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -15,13 +14,6 @@ import (
 // maxExportedGateStates bounds the per-state series the Prometheus encoding
 // emits (states are sorted by visits, so the hottest survive the cut).
 const maxExportedGateStates = 16
-
-// WriteJSON writes s as indented JSON.
-func WriteJSON(w io.Writer, s Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
 
 // WritePrometheus writes s in the Prometheus text exposition format
 // (version 0.0.4): counters as *_total, latency histograms as conventional

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"gstm/internal/obs"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -122,14 +124,15 @@ func TestPrometheusHistogramCumulative(t *testing.T) {
 
 func TestWriteJSONRoundTrip(t *testing.T) {
 	s := sampleSnapshot()
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, s); err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	Handler(func() Snapshot { return s }).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+	var vars struct {
+		Gstm Snapshot `json:"gstm"`
 	}
-	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("round-trip unmarshal: %v\n%s", err, buf.String())
+	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+		t.Fatalf("round-trip unmarshal: %v\n%s", err, rec.Body.String())
 	}
+	back := vars.Gstm
 	if back.Commits != s.Commits || back.Aborts != s.Aborts {
 		t.Fatalf("round-trip lost counters: %+v", back)
 	}

@@ -58,20 +58,6 @@ func Handler(src func() Snapshot, mounts ...Mount) http.Handler {
 	return mux
 }
 
-// Serve starts the telemetry endpoint on addr (":0" picks a free port) and
-// returns the server and its bound address. The server runs until Close or
-// Shutdown; serving errors after startup are dropped (the endpoint is
-// auxiliary to the workload, never the other way round).
-func Serve(addr string, src func() Snapshot) (*http.Server, net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := &http.Server{Handler: Handler(src)}
-	go func() { _ = srv.Serve(ln) }()
-	return srv, ln.Addr(), nil
-}
-
 // Server is a running telemetry endpoint: the underlying http.Server plus
 // the address it actually bound (which differs from the requested one for
 // ":0"). Stop it with Close (immediate) or Shutdown (graceful).
@@ -109,7 +95,7 @@ func (s *Server) Close() error { return s.srv.Close() }
 // writing — or for ctx to expire, whichever comes first, in which case the
 // remaining connections are dropped and ctx.Err() is returned. Drained
 // this way, the port is safe to rebind immediately; tests and the
-// gstm-server drain sequence rely on that.
+// gstm serve drain sequence rely on that.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.srv.Shutdown(ctx)
 	done := make(chan struct{})

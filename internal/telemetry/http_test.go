@@ -79,24 +79,31 @@ func TestHandlerEndpoints(t *testing.T) {
 }
 
 func TestServeBindsEphemeralPort(t *testing.T) {
-	m := NewDetached("test")
-	m.TxCommit(0)
-	srv, addr, err := Serve("127.0.0.1:0", m.Snapshot)
+	srv, err := ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	addr := srv.BoundAddr
 	if !strings.Contains(addr.String(), ":") || strings.HasSuffix(addr.String(), ":0") {
 		t.Fatalf("bound addr = %q, want a real port", addr)
 	}
 	code, body, _ := get(t, "http://"+addr.String()+"/metrics")
-	if code != http.StatusOK || !strings.Contains(body, "gstm_tx_commits_total 1") {
-		t.Fatalf("scrape via Serve failed: %d\n%s", code, body)
+	if code != http.StatusOK || !strings.Contains(body, "gstm_tx_commits_total ") {
+		t.Fatalf("scrape via ServeAddr failed: %d\n%s", code, body)
+	}
+	// A component's own snapshot through the same handler.
+	m := NewDetached("test")
+	m.TxCommit(0)
+	rec := httptest.NewRecorder()
+	Handler(m.Snapshot).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "gstm_tx_commits_total 1") {
+		t.Fatalf("scrape via Handler failed: %d\n%s", rec.Code, rec.Body.String())
 	}
 }
 
 func TestServeBadAddr(t *testing.T) {
-	if _, _, err := Serve("256.0.0.1:bad", Gather); err == nil {
+	if _, err := ServeAddr("256.0.0.1:bad"); err == nil {
 		t.Fatal("want listen error")
 	}
 }

@@ -236,7 +236,7 @@ func TestComposeChainsAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ga, gb int
-	_ = rt.AtomicRO(0, 0, func(tx *Tx) error { ga, gb = Read(tx, a), Read(tx, b); return nil })
+	_ = rt.Run(nil, 0, 0, func(tx *Tx) error { ga, gb = Read(tx, a), Read(tx, b); return nil }, true, 0)
 	if ga != 1 || gb != 2 {
 		t.Fatalf("composed state = (%d,%d), want (1,2)", ga, gb)
 	}
@@ -253,7 +253,7 @@ func TestComposeChainsAtomically(t *testing.T) {
 	if ran {
 		t.Fatal("Compose ran past a failing part")
 	}
-	_ = rt.AtomicRO(0, 0, func(tx *Tx) error { ga = Read(tx, a); return nil })
+	_ = rt.Run(nil, 0, 0, func(tx *Tx) error { ga = Read(tx, a); return nil }, true, 0)
 	if ga != 1 {
 		t.Fatalf("failed composition published a write: a = %d, want 1", ga)
 	}
@@ -282,7 +282,7 @@ func TestSelectConflictStillRetries(t *testing.T) {
 	}
 	wg.Wait()
 	var got int
-	_ = rt.AtomicRO(0, 0, func(tx *Tx) error { got = Read(tx, v); return nil })
+	_ = rt.Run(nil, 0, 0, func(tx *Tx) error { got = Read(tx, v); return nil }, true, 0)
 	if got != 800 {
 		t.Fatalf("counter = %d, want 800 (conflicts lost under Select)", got)
 	}

@@ -49,7 +49,7 @@ func TestAtomicCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := rt.AtomicCtx(ctx, 0, 0, func(tx *Tx) error { ran = true; return nil })
+	err := rt.Run(ctx, 0, 0, func(tx *Tx) error { ran = true; return nil }, false, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -72,10 +72,10 @@ func TestAtomicCtxCancelStopsRetryLoop(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- rt.AtomicCtx(ctx, 0, 0, func(tx *Tx) error {
+		done <- rt.Run(ctx, 0, 0, func(tx *Tx) error {
 			Write(tx, v, Read(tx, v)+1)
 			return nil
-		})
+		}, false, 0)
 	}()
 	time.Sleep(10 * time.Millisecond) // let it spin through some aborts
 	cancel()
@@ -85,7 +85,7 @@ func TestAtomicCtxCancelStopsRetryLoop(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("AtomicCtx did not stop after cancel")
+		t.Fatal("Run did not stop after cancel")
 	}
 	if _, locked := v.LockState(); locked {
 		t.Fatal("lock held after canceled transaction")
@@ -130,10 +130,10 @@ func TestAtomicCtxRetryBudget(t *testing.T) {
 	// Without a budget the same runtime still retries: clear the injector
 	// and the transaction must succeed.
 	rt.SetFaultInjector(nil)
-	if err := rt.AtomicCtx(context.Background(), 0, 0, func(tx *Tx) error {
+	if err := rt.Run(context.Background(), 0, 0, func(tx *Tx) error {
 		Write(tx, v, Read(tx, v)+1)
 		return nil
-	}); err != nil {
+	}, false, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,10 +143,10 @@ func TestAtomicROCtx(t *testing.T) {
 	rt := New(Config{})
 	v := NewVar(7)
 	var got int
-	if err := rt.AtomicROCtx(context.Background(), 0, 0, func(tx *Tx) error {
+	if err := rt.Run(context.Background(), 0, 0, func(tx *Tx) error {
 		got = Read(tx, v)
 		return nil
-	}); err != nil {
+	}, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got != 7 {
@@ -154,7 +154,7 @@ func TestAtomicROCtx(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := rt.AtomicROCtx(ctx, 0, 0, func(tx *Tx) error { return nil }); !errors.Is(err, context.Canceled) {
+	if err := rt.Run(ctx, 0, 0, func(tx *Tx) error { return nil }, true, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

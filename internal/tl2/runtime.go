@@ -279,42 +279,17 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 	return rt.run(nil, rt.one(), pair(thread, txn), fn, nil, RunOpts{})
 }
 
-// AtomicRO executes fn as a read-only transaction: TL2's fast path, which
-// skips read-set bookkeeping entirely because reads are fully validated at
-// access time and a read-only commit validates nothing further. A Write
-// inside fn returns an error without retrying.
-func (rt *Runtime) AtomicRO(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(nil, rt.one(), pair(thread, txn), fn, nil, RunOpts{ReadOnly: true})
-}
-
-// AtomicCtx is Atomic honoring ctx: cancellation or deadline expiry is
-// checked between retry attempts (never mid-attempt — an attempt either
-// aborts cleanly or commits) and surfaces as ctx.Err(), with no locks held
-// and no writes published.
-func (rt *Runtime) AtomicCtx(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{})
-}
-
-// AtomicROCtx is AtomicRO honoring ctx like AtomicCtx.
-func (rt *Runtime) AtomicROCtx(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{ReadOnly: true})
-}
-
-// Run is the unified entrypoint behind gstm's System.Run: one code path
-// for all four Atomic* shapes. ctx may be nil (never canceled, checked
-// between attempts otherwise). readOnly selects the validation-free
-// read-only fast path. maxAttempts > 0 bounds attempts (RunOpts.MaxAttempts);
-// <= 0 is unlimited.
+// Run is Atomic with a context, the read-only fast path and a retry
+// budget. ctx may be nil (never canceled); otherwise cancellation or
+// deadline expiry is checked between attempts (never mid-attempt — an
+// attempt either aborts cleanly or commits) and surfaces as ctx.Err(),
+// with no locks held and no writes published. readOnly selects TL2's
+// fast path, which skips read-set bookkeeping because reads are validated
+// at access time and a read-only commit validates nothing further; a
+// Write inside fn then returns an error without retrying. maxAttempts > 0
+// bounds attempts (RunOpts.MaxAttempts); <= 0 is unlimited.
 func (rt *Runtime) Run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, readOnly bool, maxAttempts int) error {
 	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{ReadOnly: readOnly, MaxAttempts: maxAttempts})
-}
-
-// RunSpan is Run with a variance-observatory span attached: gate waits,
-// per-attempt retries (with their abort causes) and the commit protocol's
-// lock/validate/publish phases are recorded into span's timeline. span may
-// be nil, in which case RunSpan is exactly Run.
-func (rt *Runtime) RunSpan(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, readOnly bool, maxAttempts int, span *obs.Span) error {
-	return rt.run(ctx, rt.one(), pair(thread, txn), fn, nil, RunOpts{ReadOnly: readOnly, MaxAttempts: maxAttempts, Span: span})
 }
 
 // RunOpt is Run taking the full options struct — the entrypoint gstm's

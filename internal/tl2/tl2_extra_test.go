@@ -287,12 +287,12 @@ func TestAtomicROReadsConsistently(t *testing.T) {
 		defer wg.Done()
 		defer close(stop)
 		for j := 0; j < 2000; j++ {
-			_ = rt.AtomicRO(1, 1, func(tx *Tx) error {
+			_ = rt.Run(nil, 1, 1, func(tx *Tx) error {
 				if Read(tx, a) != Read(tx, b) {
 					torn++
 				}
 				return nil
-			})
+			}, true, 0)
 		}
 	}()
 	wg.Wait()
@@ -304,12 +304,12 @@ func TestAtomicROReadsConsistently(t *testing.T) {
 func TestAtomicRORejectsWrites(t *testing.T) {
 	rt := New(Config{})
 	v := NewVar(5)
-	err := rt.AtomicRO(0, 0, func(tx *Tx) error {
+	err := rt.Run(nil, 0, 0, func(tx *Tx) error {
 		Write(tx, v, 6)
 		return nil
-	})
+	}, true, 0)
 	if err == nil {
-		t.Fatal("Write inside AtomicRO succeeded")
+		t.Fatal("Write inside a read-only Run succeeded")
 	}
 	if v.Peek() != 5 {
 		t.Fatal("write leaked")
@@ -335,10 +335,10 @@ func TestAtomicROStillCommitsAndCounts(t *testing.T) {
 	v := NewVar(1)
 	before, _ := rt.Stats()
 	clock := rt.Clock()
-	if err := rt.AtomicRO(0, 0, func(tx *Tx) error {
+	if err := rt.Run(nil, 0, 0, func(tx *Tx) error {
 		_ = Read(tx, v)
 		return nil
-	}); err != nil {
+	}, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := rt.Stats()

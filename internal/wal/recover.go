@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"gstm/internal/stats"
 	"gstm/internal/trace"
 	"gstm/internal/txid"
 )
@@ -103,43 +102,25 @@ func recoverDir(dir string) (*Recovery, int, int, error) {
 // Replayed returns how many commit records replay will apply.
 func (r *Recovery) Replayed() int { return len(r.Commits) }
 
-// BuildTrace reconstructs the durable Tseq as a profiling trace: commits
-// in wv order, each paired with the aborts attributed to it — exactly
-// what trace.Collector.Finalize produces from a live run. Feeding it to
+// BuildTrace reconstructs the durable Tseq as a profiling trace: the
+// recovered commits and aborts are fed through a trace.Collector, so the
+// result is exactly what Finalize produces from a live run — commits in wv
+// order, each paired with the aborts attributed to it. Feeding it to
 // gstm.BuildModel lets a recovering shard pre-train its TSA from the log
-// and restart guided instead of cold (guided warmup). Returns nil when
-// the log holds no commits.
+// and restart guided instead of cold (guided warmup). Returns nil when the
+// log holds no commits.
 func (r *Recovery) BuildTrace() *trace.Trace {
 	if len(r.Commits) == 0 {
 		return nil
 	}
-	byCommit := make(map[uint64][]txid.Packed)
-	unattributed := 0
+	c := trace.NewCollector()
+	for _, cr := range r.Commits {
+		c.TxCommit(txid.Pair{Txn: txid.TxnID(cr.Site), Thread: txid.ThreadID(cr.Thread)}, cr.WV, int(cr.Aborts))
+	}
 	for _, a := range r.Aborts {
-		if !a.Known {
-			unattributed++
-		}
-		p := txid.Pair{Txn: txid.TxnID(a.Site), Thread: txid.ThreadID(a.Thread)}
-		byCommit[a.ByWV] = append(byCommit[a.ByWV], p.Pack())
+		c.TxAbort(txid.Pair{Txn: txid.TxnID(a.Site), Thread: txid.ThreadID(a.Thread)}, a.ByWV, txid.Pair{}, a.Known)
 	}
-	tr := &trace.Trace{
-		Seq:          make([]trace.State, 0, len(r.Commits)),
-		AbortHist:    make(map[txid.ThreadID]*stats.Histogram),
-		Commits:      len(r.Commits),
-		Aborts:       len(r.Aborts),
-		Unattributed: unattributed,
-	}
-	for _, c := range r.Commits {
-		p := txid.Pair{Txn: txid.TxnID(c.Site), Thread: txid.ThreadID(c.Thread)}
-		tr.Seq = append(tr.Seq, trace.NewState(byCommit[c.WV], p.Pack()))
-		h := tr.AbortHist[txid.ThreadID(c.Thread)]
-		if h == nil {
-			h = stats.NewHistogram()
-			tr.AbortHist[txid.ThreadID(c.Thread)] = h
-		}
-		_ = h.Add(int(c.Aborts))
-	}
-	return tr
+	return c.Finalize()
 }
 
 // Apply folds the recovery into a fresh KV map — the sequential oracle

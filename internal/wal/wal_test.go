@@ -3,11 +3,13 @@ package wal
 import (
 	"errors"
 	"os"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gstm/internal/trace"
 	"gstm/internal/txid"
 )
 
@@ -328,6 +330,55 @@ func TestAbortLoggingBuildsTrace(t *testing.T) {
 	}
 	if len(tr.Seq[0].Aborted) != 1 {
 		t.Fatalf("wv-7 commit should carry the abort, got %v", tr.Seq[0].Aborted)
+	}
+}
+
+// TestBuildTraceMatchesCollector: the Tseq rebuilt from a recovered log is
+// the trace a live Collector finalizes from the same commit and abort
+// events — commits appended out of wv order, known and unattributed
+// aborts, several per commit, and per-thread abort counts included.
+func TestBuildTraceMatchesCollector(t *testing.T) {
+	dir := t.TempDir()
+	const threads = 3
+	l, _ := openT(t, Config{Dir: dir, Threads: threads, LogAborts: true})
+	live := trace.NewCollector()
+	pair := func(thread int, site uint16) txid.Pair {
+		return txid.Pair{Txn: txid.TxnID(site), Thread: txid.ThreadID(thread)}
+	}
+	abort := func(thread int, site uint16, byWV uint64, known bool) {
+		l.Stage(thread, site)
+		l.TxAbort(pair(thread, site), byWV, txid.Pair{}, known)
+		l.Abandon(thread)
+		live.TxAbort(pair(thread, site), byWV, txid.Pair{}, known)
+	}
+	commit := func(thread int, site uint16, wv uint64, aborts int) {
+		l.Stage(thread, site).Put(wv, wv)
+		l.TxCommit(pair(thread, site), wv, aborts)
+		live.TxCommit(pair(thread, site), wv, aborts)
+	}
+	abort(0, 3, 7, true)
+	abort(2, 5, 7, true)
+	commit(1, 1, 7, 0)
+	abort(1, 2, 9, false)
+	commit(2, 5, 10, 1)
+	commit(0, 3, 9, 1)
+	abort(2, 4, 12, true)
+	commit(1, 2, 8, 1)
+	commit(0, 3, 12, 0)
+	commit(2, 4, 11, 2)
+	for th := 0; th < threads; th++ {
+		if err := l.WaitThread(th); err != nil {
+			t.Fatalf("WaitThread(%d): %v", th, err)
+		}
+	}
+	l.Crash()
+	_, rec := openT(t, Config{Dir: dir, Threads: threads})
+	got, want := rec.BuildTrace(), live.Finalize()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered trace\n%+v\nlive collector\n%+v", got, want)
+	}
+	if got.Commits != 6 || got.Aborts != 4 || got.Unattributed != 1 {
+		t.Fatalf("trace totals %d commits, %d aborts, %d unattributed", got.Commits, got.Aborts, got.Unattributed)
 	}
 }
 
