@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"gstm/internal/trace"
@@ -156,6 +157,42 @@ func TestSerializeRoundTrip(t *testing.T) {
 			if gn.Out[to] != f {
 				t.Fatalf("edge %q→%q freq %d, want %d", k, to, gn.Out[to], f)
 			}
+		}
+	}
+}
+
+// TestBuildIsDeterministic: training is a pure function of the runs — the
+// same runs, built again, serialize to identical bytes — however the
+// maps the automaton is built from happen to iterate. The runs draw
+// from a pool of states, some carrying aborts, so many edges tie on
+// frequency and only the order Write imposes keeps the bytes fixed.
+func TestBuildIsDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var pool []trace.State
+	for i := 0; i < 48; i++ {
+		var aborted []txid.Packed
+		for j := 0; j < i%3; j++ {
+			aborted = append(aborted, pk(rng.IntN(5), rng.IntN(4)))
+		}
+		pool = append(pool, st(pk(i%5, i%4), aborted...))
+	}
+	runs := make([][]trace.State, 4)
+	for r := range runs {
+		for i := 0; i < 600; i++ {
+			runs[r] = append(runs[r], pool[rng.IntN(len(pool))])
+		}
+	}
+	serialize := func() []byte {
+		var buf bytes.Buffer
+		if err := Build(4, runs).Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := serialize()
+	for i := 0; i < 5; i++ {
+		if got := serialize(); !bytes.Equal(got, want) {
+			t.Fatalf("build %d serialized to %d bytes differing from the first build's %d", i+2, len(got), len(want))
 		}
 	}
 }

@@ -28,11 +28,11 @@ func payloads(buf []byte) [][]byte {
 // TestReaderChunkZeroAlloc is the allocation gate run by CI's bench-smoke:
 // once warm, the reader's own share of a chunk costs no heap allocation —
 // neither decoding a burst into it, transaction sub-ops included, nor
-// settling a run chunk and writing its replies — and neither does an
-// immediate reply. (The engine's Run calls in between are the commit path's
-// business; their floors are gated at the root package.) The race
-// detector's instrumentation allocates on its own, hence this file's build
-// tag.
+// cutting it into key-disjoint segments, nor settling a run chunk and
+// writing its replies — and neither does an immediate reply. (The engine's
+// Run calls in between are the commit path's business; their floors are
+// gated at the root package.) The race detector's instrumentation
+// allocates on its own, hence this file's build tag.
 func TestReaderChunkZeroAlloc(t *testing.T) {
 	s := New(Config{Workers: 1, Unguided: true})
 	defer s.router.Close()
@@ -63,16 +63,28 @@ func TestReaderChunkZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { add(decode); pend.reset() }); n != 0 {
 		t.Fatalf("decoding a burst into a warm chunk allocates %.1f times", n)
 	}
-
-	add(payloads(gets(1, seq(1, uint64(s.cfg.Batch))...)))
-	w.run(&pend, obs.Now(), 0)
-	var out []byte
-	if n := testing.AllocsPerRun(100, func() {
-		out = s.answer(int(w.id), out[:0], &pend)
-		c.write(out)
-	}); n != 0 {
-		t.Fatalf("answering a run chunk and writing its replies allocates %.1f times", n)
+	// Cutting that interleaved Get/OpTxn chunk into segments reuses the
+	// reader's key set.
+	add(decode)
+	if n := testing.AllocsPerRun(100, pend.cut); n != 0 {
+		t.Fatalf("cutting a warm Get/OpTxn chunk allocates %.1f times", n)
 	}
+
+	var out []byte
+	answer := func(step string) {
+		t.Helper()
+		w.run(&pend, obs.Now(), 0)
+		if n := testing.AllocsPerRun(100, func() {
+			out = s.answer(int(w.id), out[:0], &pend)
+			c.write(out)
+		}); n != 0 {
+			t.Fatalf("answering a run %s chunk and writing its replies allocates %.1f times", step, n)
+		}
+		pend.reset()
+	}
+	answer("Get/OpTxn")
+	add(payloads(gets(1, seq(1, uint64(s.cfg.Batch))...)))
+	answer("Get")
 	if n := testing.AllocsPerRun(100, func() { c.reply(Response{ID: 1}) }); n != 0 {
 		t.Fatalf("an immediate reply allocates %.1f times", n)
 	}

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gstm/internal/obs"
+	"gstm/internal/wal"
 )
 
 // feedConn is a recConn that can also be read: every send on in arrives as
@@ -106,11 +108,12 @@ func seq(lo, n uint64) []uint64 {
 }
 
 // TestChunkBatchesInOrder drives worker.run with hand-built chunks on a
-// server that is not serving: the batching rule — same kind, disjoint keys,
-// a transaction alone — cuts each chunk into runs in arrival order, the
-// operation that closes a batch leads the next, and nothing carries over
-// from one chunk of a burst to the next. Each batch is one traced span, led
-// by its first request, so the forced ring lists the batches.
+// server that is not serving: the segment rule cuts each chunk where a key
+// repeats, runs one batch per kind in each segment in the order the kinds
+// first appear — all the segment's transactions as one — and carries
+// nothing over from one chunk of a burst to the next. Each batch is one
+// traced span, led by its first request, so the forced ring lists the
+// batches; the results show that a key's operations kept their order.
 func TestChunkBatchesInOrder(t *testing.T) {
 	s := New(Config{Workers: 1, Batch: 4, Unguided: true, TraceSampleEvery: 1})
 	defer s.router.Close()
@@ -119,12 +122,15 @@ func TestChunkBatchesInOrder(t *testing.T) {
 	put := func(id uint32, k uint64) task {
 		return task{req: Request{Op: OpPut, ID: id, Key: k, Arg: 1, Trace: true}}
 	}
-	// A transaction's Key is its sub-op count; the same here, so only the
-	// batch-of-one rule keeps two adjacent transactions apart.
-	txn := func(id uint32) task {
-		return task{req: Request{Op: OpTxn, ID: id, Key: 2, Trace: true},
-			txn: []TxnOp{{Op: OpAdd, Key: 7, Arg: ^uint64(0)}, {Op: OpAdd, Key: 8, Arg: 1}}}
+	// A transaction's Key is its sub-op count, not a key: only its sub-ops'
+	// keys cut.
+	txn := func(id uint32, ops ...TxnOp) task {
+		return task{req: Request{Op: OpTxn, ID: id, Key: uint64(len(ops)), Trace: true}, txn: ops}
 	}
+	transfer := func(id uint32) task {
+		return txn(id, TxnOp{Op: OpAdd, Key: 7, Arg: ^uint64(0)}, TxnOp{Op: OpAdd, Key: 8, Arg: 1})
+	}
+	add := func(k, v uint64) TxnOp { return TxnOp{Op: OpAdd, Key: k, Arg: v} }
 	var pend pending
 	seen := 0
 	// run appends tasks to the burst as its next chunk, runs it and checks
@@ -160,15 +166,92 @@ func TestChunkBatchesInOrder(t *testing.T) {
 	}
 	each("repeated key", []task{get(5, 1), get(6, 2), get(7, 1), get(8, 3)}, [2]int{5, 2}, [2]int{7, 2})
 	// A transaction's span counts its two sub-ops.
-	each("txn closes gets", []task{get(9, 1), get(10, 2), txn(11)}, [2]int{9, 2}, [2]int{11, 2})
-	each("txn alone", []task{txn(12), get(13, 1)}, [2]int{12, 2}, [2]int{13, 1})
-	each("adjacent txns", []task{txn(14), txn(15)}, [2]int{14, 2}, [2]int{15, 2})
+	each("txn after gets", []task{get(9, 1), get(10, 2), transfer(11)}, [2]int{9, 2}, [2]int{11, 2})
+	each("txn first", []task{transfer(12), get(13, 1)}, [2]int{12, 2}, [2]int{13, 1})
+	each("txns sharing keys", []task{transfer(14), transfer(15)}, [2]int{14, 2}, [2]int{15, 2})
+	// Kinds interleaved on disjoint keys: one Get batch, then both
+	// transactions as one, each answering its own last sub-op.
+	each("gather by kind", []task{
+		get(18, 1), txn(19, add(100, 5), TxnOp{Op: OpPut, Key: 101, Arg: 7}),
+		get(20, 2), txn(21, TxnOp{Op: OpPut, Key: 102, Arg: 9}, add(103, 3)),
+	}, [2]int{18, 2}, [2]int{19, 4})
+	if r := pend.results; r[0].status != StatusNotFound || r[1] != (opResult{value: 7}) ||
+		r[2].status != StatusNotFound || r[3] != (opResult{value: 3}) {
+		t.Fatalf("gathered results %+v, want [not found, 7, not found, 3]", r)
+	}
+	// A key's operations keep their order: the Get sees the Put before it.
+	each("put then get", []task{put(22, 104), get(23, 104)}, [2]int{22, 1}, [2]int{23, 1})
+	if r := pend.results; r[1] != (opResult{value: 1}) {
+		t.Fatalf("Get after a Put of one key answered %+v, want the Put's value", r[1])
+	}
+	// Transactions sharing one key stay two batches, in order: the second
+	// sees the first's add. The Get joins the second segment.
+	each("txns sharing one key", []task{txn(24, add(105, 1), add(106, 1)), txn(25, add(107, 1), add(108, 1), add(106, 1)), get(26, 3)},
+		[2]int{24, 2}, [2]int{25, 3}, [2]int{26, 1})
+	if r := pend.results; r[0] != (opResult{value: 1}) || r[1] != (opResult{value: 2}) {
+		t.Fatalf("chained transactions answered %+v, want 1 then 2", r[:2])
+	}
 	// Two chunks of one burst never coalesce: each is its own batch, and
 	// the first keeps its result while the second runs.
 	each("chunk of one", []task{put(16, 1)}, [2]int{16, 1})
 	run("next chunk of one", []task{put(17, 2)}, [2]int{17, 1})
 	if r := pend.results; len(r) != 2 || r[0] != (opResult{value: 0}) || r[1] != (opResult{value: 0}) {
 		t.Fatalf("burst results %+v, want two inserts", r)
+	}
+}
+
+// TestMaxSizeTxnChunkCuts: the worst chunk the cutter sees, Batch OpTxns
+// of MaxTxnOps sub-ops each, is cut where a transaction repeats an earlier
+// one's key — never where one repeats a key of its own — and each segment
+// runs as one cross-shard transaction, every OpTxn answering its own last
+// sub-op. A run of key-disjoint transactions too large for one WAL record is
+// cut before it outgrows one.
+func TestMaxSizeTxnChunkCuts(t *testing.T) {
+	s := New(Config{Shards: 2, Workers: 1, Unguided: true, TraceSampleEvery: 1})
+	defer s.router.Close()
+	w := s.workers[0]
+	var pend pending
+	// chunk fills pend with n transactions of MaxTxnOps Adds of 1, on keys
+	// base, base+1, ... in order.
+	chunk := func(n int, base uint64) {
+		pend.reset()
+		for i := 0; i < n; i++ {
+			ops := make([]TxnOp, MaxTxnOps)
+			for j := range ops {
+				ops[j] = TxnOp{Op: OpAdd, Key: base + uint64(i*MaxTxnOps+j), Arg: 1}
+			}
+			pend.tasks = append(pend.tasks, task{req: Request{Op: OpTxn, ID: uint32(i + 1), Key: MaxTxnOps, Trace: true}, txn: ops})
+		}
+	}
+
+	chunk(s.cfg.Batch, 1000)
+	tx2, tx5 := pend.tasks[2].txn, pend.tasks[5].txn
+	tx2[1].Key = tx2[0].Key                     // a repeat within one transaction
+	tx5[MaxTxnOps-1].Key = tx2[MaxTxnOps-1].Key // a repeat of transaction 2's last key
+	w.run(&pend, obs.Now(), 0)
+	if !slices.Equal(pend.ends, []int{5, 8}) {
+		t.Fatalf("segment ends %v, want [5 8]", pend.ends)
+	}
+	forced := s.Observatory().Snapshot().Forced
+	if len(forced) != 2 || forced[0].ID != 1 || forced[0].Ops != 5*MaxTxnOps || forced[1].ID != 6 || forced[1].Ops != 3*MaxTxnOps {
+		t.Fatalf("%d batches %+v, want transactions 1-5 then 6-8 as two", len(forced), forced)
+	}
+	for i, r := range pend.results {
+		want := opResult{value: 1}
+		if i == 5 {
+			want.value = 2 // ran after transaction 2's add to the same key
+		}
+		if r != want {
+			t.Fatalf("transaction %d answered %+v, want %+v", i+1, r, want)
+		}
+	}
+
+	n := wal.MaxOps/MaxTxnOps + 10
+	chunk(n, 1<<20)
+	pend.cut()
+	if per := wal.MaxOps / MaxTxnOps; !slices.Equal(pend.ends, []int{per, n}) {
+		t.Fatalf("%d key-disjoint transactions of %d sub-ops cut at %v, want [%d %d]: no segment above wal.MaxOps",
+			n, MaxTxnOps, pend.ends, per, n)
 	}
 }
 
@@ -245,10 +328,11 @@ func TestNoChunkStrandedByOtherFrames(t *testing.T) {
 	if len(seen) != 8 {
 		t.Fatalf("%d distinct replies, want 8 (all but the parked watch)", len(seen))
 	}
-	// Gets 1, 3, 5 | transaction 6 | Gets 7, 8: one chunk of six tasks, and
-	// the transaction splits its Get run, so three batches, one commit each.
-	if commits, _ := s.Router().Stats(); commits != 3 {
-		t.Fatalf("%d commits in all, want 3: the chunk's six tasks in order", commits)
+	// Gets 1, 3, 5 | transaction 6 | Gets 7, 8: one chunk of six tasks on
+	// disjoint keys, so one segment: one batch of the five Gets, then the
+	// transaction — two batches, one commit each.
+	if commits, _ := s.Router().Stats(); commits != 2 {
+		t.Fatalf("%d commits in all, want 2: one Get batch and one transaction batch", commits)
 	}
 }
 

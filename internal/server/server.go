@@ -47,11 +47,12 @@ type Config struct {
 	Workers int
 
 	// Batch is the most data requests a connection reader runs on its slot
-	// at once, a chunk (default 8; 1 disables batching). Within a chunk,
-	// consecutive same-kind operations on disjoint keys coalesce into one
-	// transaction (DESIGN.md "Batching rules"). A batch spanning several
-	// shards executes as one transaction per shard (see DESIGN.md
-	// "Sharding").
+	// at once, a chunk (default 8; 1 disables batching). A chunk is cut
+	// where a key repeats; within each key-disjoint segment the operations
+	// of one kind coalesce into one transaction (DESIGN.md "Batching
+	// rules"). A batch of single-key operations spanning several shards
+	// executes as one transaction per shard (see DESIGN.md "Sharding"); a
+	// batch of OpTxns, as one cross-shard transaction.
 	Batch int
 
 	// Buckets sizes the hash table across all shards (default 4096); each
@@ -479,10 +480,11 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 // answer settles the requests of pd that ran on slot worker, on the
-// reader: it waits out each durability obligation (ackShard), demotes the
-// operations of a shard whose record never became durable to
-// StatusUnavailable, and appends every reply's frame to out, which it
-// returns for the reader to write.
+// reader: it waits out each durability obligation (ackShard), demotes to
+// StatusUnavailable the operations whose record never became durable — its
+// batch's operations homed on that shard, or every transaction of its OpTxn
+// batch, and nothing else in the segment — and appends every reply's frame
+// to out, which it returns for the reader to write.
 func (s *Server) answer(worker int, out []byte, pd *pending) []byte {
 	for wi := range pd.waits {
 		wt := &pd.waits[wi]
@@ -494,7 +496,7 @@ func (s *Server) answer(worker int, out []byte, pd *pending) []byte {
 			continue
 		}
 		for i := wt.lo; i < wt.hi; i++ {
-			if t := &pd.tasks[i]; t.req.Op == OpTxn || s.router.HomeOf(t.req.Key) == wt.sh {
+			if t := &pd.tasks[i]; t.req.Op == wt.kind && (t.req.Op == OpTxn || s.router.HomeOf(t.req.Key) == wt.sh) {
 				pd.results[i] = opResult{status: StatusUnavailable}
 			}
 		}

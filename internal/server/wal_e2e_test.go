@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -281,6 +282,83 @@ func TestWALFailureMapsToUnavailable(t *testing.T) {
 				t.Fatal("injector never fired")
 			}
 		})
+	}
+}
+
+// firstWriteFault is a DiskFaults hook that, once armed, fails the first
+// record write of any log that has written none yet.
+type firstWriteFault struct{ armed atomic.Bool }
+
+func (f *firstWriteFault) WriteFault(op uint64, off int64, n int) (int, error) {
+	if f.armed.Load() && op == 0 {
+		return 0, errors.New("injected write failure")
+	}
+	return n, nil
+}
+
+func (f *firstWriteFault) FsyncFault(op uint64) error { return nil }
+
+// TestRefusedRecordDemotesItsOwnBatch: on a two-shard WAL server, a refused
+// record demotes exactly the operations of its own batch on that shard.
+// Shard 1's log refuses its first write, so of one key-disjoint segment
+// holding Puts, Gets and two OpTxns on both shards, the Put homed on
+// shard 1 and both transactions — gathered into one cross-shard commit,
+// demoted whole, the one on shard 0 alone included — answer
+// StatusUnavailable. The Put on shard 0 is acked, and the Gets, one of them
+// homed on the refusing shard, are not demoted.
+func TestRefusedRecordDemotesItsOwnBatch(t *testing.T) {
+	faults := &firstWriteFault{}
+	// An hour between fsyncs keeps the flusher idle: the reader writes each
+	// record itself, while it answers.
+	s := startServer(t, Config{Shards: 2, Workers: 1, Unguided: true,
+		WALDir: t.TempDir(), FsyncInterval: time.Hour, DiskFaults: faults})
+	w := s.workers[0]
+	var keys [2][]uint64 // keys[sh]: the first keys homed on shard sh
+	for k := uint64(1); len(keys[0]) < 4 || len(keys[1]) < 4; k++ {
+		sh := s.router.HomeOf(k)
+		keys[sh] = append(keys[sh], k)
+	}
+	var pend pending
+	run := func(tasks ...task) []opResult {
+		t.Helper()
+		pend.reset()
+		pend.tasks = append(pend.tasks, tasks...)
+		w.run(&pend, obs.Now(), 0)
+		s.answer(int(w.id), nil, &pend)
+		return pend.results
+	}
+	put := func(id uint32, k uint64) task { return task{req: Request{Op: OpPut, ID: id, Key: k, Arg: 1}} }
+	get := func(id uint32, k uint64) task { return task{req: Request{Op: OpGet, ID: id, Key: k}} }
+	txn := func(id uint32, k0, k1 uint64) task {
+		return task{req: Request{Op: OpTxn, ID: id, Key: 2},
+			txn: []TxnOp{{Op: OpAdd, Key: k0, Arg: 1}, {Op: OpAdd, Key: k1, Arg: 1}}}
+	}
+
+	// Shard 0's log writes one record first, so that only shard 1's next
+	// write is a first one.
+	if r := run(put(1, keys[0][0])); r[0].status != StatusOK {
+		t.Fatalf("warm-up Put answered %+v", r[0])
+	}
+	faults.armed.Store(true)
+	got := run(
+		put(2, keys[0][1]),
+		txn(3, keys[0][2], keys[1][0]),
+		get(4, keys[1][1]),
+		put(5, keys[1][2]),
+		txn(6, keys[0][3], keys[0][0]),
+		get(7, keys[1][3]),
+	)
+	want := []Status{StatusOK, StatusUnavailable, StatusNotFound, StatusUnavailable, StatusUnavailable, StatusNotFound}
+	if len(pend.ends) != 1 {
+		t.Fatalf("segment ends %v, want one segment", pend.ends)
+	}
+	for i, r := range got {
+		if r.status != want[i] {
+			t.Fatalf("request %d answered status %d, want %d (all: %+v)", i+2, r.status, want[i], got)
+		}
+	}
+	if s.WAL(0).Failed() || !s.WAL(1).Failed() {
+		t.Fatalf("logs failed: shard 0 %v, shard 1 %v; want only shard 1's", s.WAL(0).Failed(), s.WAL(1).Failed())
 	}
 }
 

@@ -72,6 +72,14 @@ type task struct {
 	txn []TxnOp
 }
 
+// nkeys is how many keys t touches: an OpTxn's sub-ops, else one.
+func (t *task) nkeys() int {
+	if t.req.Op == OpTxn {
+		return len(t.txn)
+	}
+	return 1
+}
+
 // pending is a connection reader's decoded, unanswered data requests: those
 // of its open burst, in arrival order. The reader runs them on its home slot
 // a chunk at a time — tasks[ran:], at most Batch — as they arrive
@@ -84,6 +92,10 @@ type pending struct {
 	tasks []task
 	ops   []TxnOp // the sub-ops of the OpTxns; their tasks slice into it
 	ran   int     // tasks[:ran] have run
+
+	// ends are the chunk's segment ends (cut), keys the cutter's key set.
+	ends []int
+	keys keySet
 
 	// results[i] is task i's outcome. waits are the committed
 	// sub-transactions whose WAL records the reader must wait for before it
@@ -112,19 +124,123 @@ func (pd *pending) reset() {
 	pd.tasks, pd.ops, pd.ran, pd.waits = pd.tasks[:0], pd.ops[:0], 0, pd.waits[:0]
 }
 
+// cut splits the pending chunk, tasks[ran:], into segments, leaving each
+// segment's end in ends: walking the chunk in arrival order, a task whose
+// key, or any of its OpTxn sub-op keys, is already in the current segment
+// starts the next one. So a segment's tasks touch pairwise-disjoint keys,
+// and two tasks on one key always land in different segments, in arrival
+// order (DESIGN.md "Batching rules"). A segment also ends before it would
+// hold more than wal.MaxOps operations, so no batch outgrows a WAL record.
+// The key set makes the cut linear in the chunk's keys.
+func (pd *pending) cut() {
+	chunk := pd.tasks[pd.ran:]
+	n := 0
+	for i := range chunk {
+		n += chunk[i].nkeys()
+	}
+	pd.keys.reset(n)
+	pd.ends = pd.ends[:0]
+	segOps := 0
+	for i := range chunk {
+		t := &chunk[i]
+		if segOps+t.nkeys() > wal.MaxOps || !pd.keys.add(t) {
+			pd.ends = append(pd.ends, pd.ran+i)
+			pd.keys.clear()
+			pd.keys.add(t)
+			segOps = 0
+		}
+		segOps += t.nkeys()
+	}
+	pd.ends = append(pd.ends, len(pd.tasks))
+}
+
+// keySet is the cutter's set of the current segment's keys: open addressing
+// over a power-of-two table at most half full, each slot stamped with the
+// segment generation it was filled in, so clearing the set for the next
+// segment is one increment.
+type keySet struct {
+	slots []keySlot
+	shift uint // 64 - log2(len(slots))
+	gen   uint32
+}
+
+type keySlot struct {
+	key uint64
+	gen uint32
+}
+
+// reset sizes the set for up to n keys and empties it. The table only grows,
+// so a warm reader's cut allocates nothing.
+func (ks *keySet) reset(n int) {
+	if len(ks.slots) < 2*n {
+		size, shift := 16, uint(60)
+		for size < 2*n {
+			size, shift = size<<1, shift-1
+		}
+		ks.slots, ks.shift, ks.gen = make([]keySlot, size), shift, 0
+	}
+	ks.clear()
+}
+
+// clear empties the set.
+func (ks *keySet) clear() {
+	if ks.gen++; ks.gen == 0 { // wrapped: a stale stamp could read as current
+		clear(ks.slots)
+		ks.gen = 1
+	}
+}
+
+// slot is key's slot: the one holding it, or the empty one it would fill.
+// Fibonacci hashing spreads dense and strided keys alike.
+func (ks *keySet) slot(key uint64) *keySlot {
+	mask := uint64(len(ks.slots) - 1)
+	for i := (key * 0x9e3779b97f4a7c15) >> ks.shift; ; i = (i + 1) & mask {
+		if sl := &ks.slots[i]; sl.gen != ks.gen || sl.key == key {
+			return sl
+		}
+	}
+}
+
+// add adds every key t touches and reports true, or reports false and adds
+// nothing when one of them is in the set already. A transaction that
+// repeats a key of its own does not collide with itself: its keys are all
+// checked before any is added.
+func (ks *keySet) add(t *task) bool {
+	if t.req.Op != OpTxn {
+		sl := ks.slot(t.req.Key)
+		if sl.gen == ks.gen {
+			return false
+		}
+		*sl = keySlot{t.req.Key, ks.gen}
+		return true
+	}
+	for i := range t.txn {
+		if ks.slot(t.txn[i].Key).gen == ks.gen {
+			return false
+		}
+	}
+	for i := range t.txn {
+		*ks.slot(t.txn[i].Key) = keySlot{t.txn[i].Key, ks.gen}
+	}
+	return true
+}
+
 // ackWait is one committed sub-transaction's durability obligation: shard
 // sh's record seq, and the nops operations it credits to the shard's
-// lifecycle once acked. lo and hi bound its batch in the tasks: a failed
-// wait demotes the batch's operations homed on sh, or its transaction. When
-// spanned is set the sub-transaction's span rides along by value: the
-// reader stamps its WAL-ack phase, finishes it and hands it to the
-// observatory. A cross-shard transaction produces one wait per logged
-// participant but carries its single span on only one of them.
+// lifecycle once acked. lo and hi bound its segment in the tasks and kind is
+// its batch's, which together name the batch: a segment runs one batch per
+// kind. A failed wait demotes the batch's operations homed on sh, or every
+// transaction of an OpTxn batch. When spanned is set the sub-transaction's
+// span rides along by value: the reader stamps its WAL-ack phase, finishes
+// it and hands it to the observatory. A cross-shard transaction produces
+// one wait per logged participant but carries its single span on only one
+// of them.
 type ackWait struct {
 	sh      int
 	seq     uint64
 	nops    int
 	lo, hi  int
+	kind    Op
 	span    obs.Span
 	spanned bool
 }
@@ -143,11 +259,11 @@ type opResult struct {
 // observatory ring w. The slot has no goroutine of its own: a connection
 // reader runs its chunk here under mu (run), so at most one transaction per
 // slot is live and the engine, the model and telemetry see the same bounded
-// thread set as a pool of Workers threads. A batch is scatter-gathered by
-// home shard — one sub-transaction per shard, in ascending shard order — so
-// a batch that happens to live on one shard runs exactly as the unsharded
-// server ran it. An OpTxn is a batch of one, run as one transaction across
-// its shards.
+// thread set as a pool of Workers threads. A batch of single-key operations
+// is scatter-gathered by home shard — one sub-transaction per shard, in
+// ascending shard order — so a batch that happens to live on one shard runs
+// exactly as the unsharded server ran it. A batch of OpTxns runs as one
+// transaction across the union of their shards.
 type worker struct {
 	srv *Server
 	id  gstm.ThreadID
@@ -156,13 +272,16 @@ type worker struct {
 	// pend holds the chunk being run, enq/decNs its span stamps: when the
 	// reader had it ready to run (unix nanos) and how long the server's own
 	// work before that took, so each span reconstructs its decode and
-	// queue-wait phases without another clock read. batch and results are
-	// the current batch's run of pend.tasks and pend.results, lo its offset.
+	// queue-wait phases without another clock read. The current batch is
+	// the tasks of kind kind in the segment pend.tasks[lo:hi]; idx lists
+	// their indices in pend.tasks, ascending. subs are an OpTxn batch's
+	// sub-ops, flattened in arrival order.
 	pend       *pending
 	enq, decNs int64
-	batch      []task
-	results    []opResult
-	lo         int
+	lo, hi     int
+	kind       Op
+	idx        []int
+	subs       []txnSub
 	plan       *shard.Plan
 
 	// body (runShard), multi (runTxn) and planOpt (the txOpts lookup)
@@ -188,6 +307,15 @@ type worker struct {
 	logging bool
 }
 
+// txnSub is one sub-op of an OpTxn batch: task is its transaction's index
+// in the pending tasks, last marks the transaction's last sub-op, whose
+// value the transaction answers.
+type txnSub struct {
+	op   TxnOp
+	task int
+	last bool
+}
+
 func newWorker(s *Server, id int) *worker {
 	w := &worker{
 		srv:   s,
@@ -209,62 +337,75 @@ func newWorker(s *Server, id int) *worker {
 // txOpts is the current batch's Run options on shard sh: its span, on
 // TL2's read-only fast path when the batch is Gets.
 func (w *worker) txOpts(sh int) []gstm.TxOption {
-	if w.batch[0].req.Op == OpGet {
+	if w.kind == OpGet {
 		return w.spanOpts[sh]
 	}
 	return w.spanOpts[sh][1:]
 }
 
-// run executes pd's pending chunk, pd.tasks[pd.ran:], on this slot, its
-// batches in order: each batch is the longest run of operations that share
-// the first one's kind and touch pairwise-disjoint keys, an OpTxn always
-// alone. The operation that breaks a run leads the next batch, so nothing is
-// reordered. A chunk holds at most Batch operations, which bounds a batch.
-// enq and decNs are the chunk's span stamps. What the batches commit with a
-// WAL record still to wait for is left in pd.waits for the reader, which
-// waits after it lets go of the slot (Server.answer): a strict fsync never
-// holds a slot.
+// run executes pd's pending chunk, pd.tasks[pd.ran:], on this slot. The
+// reader cuts it into key-disjoint segments before it takes the slot
+// (pending.cut); each segment then runs one batch per operation kind, in
+// the order each kind first appears in it, all of its OpTxns together as
+// one batch. Only the execution order moves: every batch writes its results
+// in place, so the replies keep arrival order. A chunk holds at most Batch
+// requests, which bounds a batch. enq and decNs are the chunk's span
+// stamps. What the batches commit with a WAL record still to wait for is
+// left in pd.waits for the reader, which waits after it lets go of the slot
+// (Server.answer): a strict fsync never holds a slot.
 func (w *worker) run(pd *pending, enq, decNs int64) {
-	lo, n := pd.ran, len(pd.tasks)
-	pd.results = slices.Grow(pd.results[:lo], n-lo)[:n]
+	n := len(pd.tasks)
+	pd.results = slices.Grow(pd.results[:pd.ran], n-pd.ran)[:n]
+	pd.cut()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.pend, w.enq, w.decNs = pd, enq, decNs
-	for lo < n {
-		hi := lo + 1
-		if kind := pd.tasks[lo].req.Op; kind != OpTxn {
-			for hi < n && pd.tasks[hi].req.Op == kind {
-				k := pd.tasks[hi].req.Key
-				if slices.ContainsFunc(pd.tasks[lo:hi], func(t task) bool { return t.req.Key == k }) {
-					break
-				}
-				hi++
-			}
-		}
-		w.lo, w.batch, w.results = lo, pd.tasks[lo:hi], pd.results[lo:hi]
-		w.execBatch()
-		lo = hi
+	w.lo = pd.ran
+	for _, w.hi = range pd.ends {
+		w.runSegment()
+		w.lo = w.hi
 	}
 	pd.ran = n
-	w.pend, w.batch, w.results = nil, nil, nil
+	w.pend = nil
 }
 
-// execBatch scatter-gathers the batch by home shard, runs one transaction
-// per touched shard, and fills every operation's result. Operations against
-// disjoint keys are independent, so folding a shard's sub-batch into one
-// atomic block changes neither their results nor the store's final state
-// versus running them back to back — it only spends one commit (and one
-// Tseq slot) for up to Batch operations. Shards commit independently:
-// a cross-shard batch is not atomic as a whole, which is fine for the
-// same reason — its operations never share a key.
-func (w *worker) execBatch() {
-	s := w.srv
-	kind := w.batch[0].req.Op
-	if kind == OpTxn {
-		w.execTxn()
-		return
+// runSegment runs the segment pend.tasks[lo:hi], one batch per kind. Its
+// tasks touch pairwise-disjoint keys, so no order among them is observable:
+// any order yields the same results and the same store.
+func (w *worker) runSegment() {
+	seg := w.pend.tasks[w.lo:w.hi]
+	var seen uint16 // bit k: kind k has run
+	for i := range seg {
+		kind := seg[i].req.Op
+		if seen&(1<<kind) != 0 {
+			continue
+		}
+		seen |= 1 << kind
+		w.kind, w.idx = kind, w.idx[:0]
+		for j := i; j < len(seg); j++ {
+			if seg[j].req.Op == kind {
+				w.idx = append(w.idx, w.lo+j)
+			}
+		}
+		if kind == OpTxn {
+			w.execTxn()
+		} else {
+			w.execBatch()
+		}
 	}
-	w.plan.Build(len(w.batch), func(i int) uint64 { return w.batch[i].req.Key })
+}
+
+// execBatch scatter-gathers the current batch by home shard, runs one
+// transaction per touched shard, and fills every operation's result.
+// Operations against disjoint keys are independent, so folding a shard's
+// sub-batch into one atomic block changes neither their results nor the
+// store's final state versus running them back to back — it only spends
+// one commit (and one Tseq slot) for up to Batch operations. Shards commit
+// independently: a cross-shard batch is not atomic as a whole, which is
+// fine for the same reason — its operations never share a key.
+func (w *worker) execBatch() {
+	s, tasks := w.srv, w.pend.tasks
+	w.plan.Build(len(w.idx), func(i int) uint64 { return tasks[w.idx[i]].req.Key })
 
 	// Open one span per touched shard before running, from the first homed
 	// task's stamps; the STM run appends gate/retry/commit events.
@@ -273,65 +414,79 @@ func (w *worker) execBatch() {
 		idxs := w.plan.Group(sh)
 		forced := false
 		for _, i := range idxs {
-			if w.batch[i].req.Trace {
+			if tasks[w.idx[i]].req.Trace {
 				forced = true
 				break
 			}
 		}
-		w.openSpan(sh, &w.batch[idxs[0]], len(idxs), forced, deq)
+		w.openSpan(sh, &tasks[w.idx[idxs[0]]], len(idxs), forced, deq)
 		if idxs[0] == 0 {
 			w.checkGuidance(sh, deq) // the batch's lead homes here
 		}
 	}
 
-	w.durable = s.wals != nil && kind != OpGet
-	w.plan.Run(nil, w.id, site(kind), w.body, w.planOpt)
+	w.durable = s.wals != nil && w.kind != OpGet
+	w.plan.Run(nil, w.id, site(w.kind), w.body, w.planOpt)
 
 	act := w.plan.Active()
 	for j, sh := range act {
 		idxs := w.plan.Group(sh)
+		st := StatusOK
 		if err := w.plan.Err(sh); err != nil {
-			st := w.fail(err, sh, act[j:j+1])
-			for _, i := range idxs {
-				w.results[i] = opResult{status: st}
-			}
-			continue
+			st = w.fail(err, sh, act[j:j+1])
+		} else if !w.settle(sh, len(idxs), true) {
+			st = StatusUnavailable
 		}
-		if !w.settle(sh, len(idxs), true) {
+		if st != StatusOK {
 			for _, i := range idxs {
-				w.results[i] = opResult{status: StatusUnavailable}
+				w.pend.results[w.idx[i]] = opResult{status: st}
 			}
 		}
 	}
 }
 
-// execTxn runs the batch's one OpTxn as a single transaction over every
-// shard its sub-ops home to: Router.RunMulti commits all participants at
-// one exchanged write version, or none (DESIGN.md "Cross-shard commit").
-// One span, opened on the first participant, covers the whole transaction.
+// execTxn runs the current batch — the segment's OpTxns — as a single
+// transaction over every shard their sub-ops home to: Router.RunMulti
+// commits all participants at one exchanged write version, or none
+// (DESIGN.md "Cross-shard commit"). The transactions touch disjoint keys,
+// so running them as one changes no result; it spends one commit, one
+// clock exchange and one WAL record per participant on all of them. A
+// failure fails every one. One span, opened on the first participant and
+// led by the first transaction, covers the whole batch.
 func (w *worker) execTxn() {
-	s, t := w.srv, &w.batch[0]
-	ops := t.txn
-	w.plan.Build(len(ops), func(i int) uint64 { return ops[i].Key })
+	s, tasks := w.srv, w.pend.tasks
+	w.subs = w.subs[:0]
 	w.durable = false
-	for i := range ops {
-		if ops[i].Op != OpGet {
-			w.durable = s.wals != nil
+	forced := false
+	for _, ti := range w.idx {
+		t := &tasks[ti]
+		forced = forced || t.req.Trace
+		for j, op := range t.txn {
+			w.subs = append(w.subs, txnSub{op: op, task: ti, last: j == len(t.txn)-1})
+			if op.Op != OpGet {
+				w.durable = s.wals != nil
+			}
 		}
 	}
+	w.plan.Build(len(w.subs), func(i int) uint64 { return w.subs[i].op.Key })
 	parts := w.plan.Active()
 	first := parts[0]
 	deq := obs.Now()
-	w.openSpan(first, t, len(ops), t.req.Trace, deq)
+	w.openSpan(first, &tasks[w.idx[0]], len(w.subs), forced, deq)
 	w.checkGuidance(first, deq)
-	err := s.router.RunMulti(nil, parts, w.id, siteTxn, w.multi, w.txOpts(first)...)
-	if err != nil {
-		w.results[0] = opResult{status: w.fail(err, first, parts)}
-		return
+	st := StatusOK
+	if err := s.router.RunMulti(nil, parts, w.id, siteTxn, w.multi, w.txOpts(first)...); err != nil {
+		st = w.fail(err, first, parts)
+	} else {
+		for _, sh := range parts {
+			if !w.settle(sh, len(w.plan.Group(sh)), sh == first) {
+				st = StatusUnavailable // demoted whole
+			}
+		}
 	}
-	for _, sh := range parts {
-		if !w.settle(sh, len(w.plan.Group(sh)), sh == first) {
-			w.results[0] = opResult{status: StatusUnavailable} // demoted whole
+	if st != StatusOK {
+		for _, ti := range w.idx {
+			w.pend.results[ti] = opResult{status: st}
 		}
 	}
 }
@@ -358,7 +513,7 @@ func (w *worker) openSpan(sh int, t *task, n int, forced bool, deq int64) {
 // the gate-timeout cause a gate's escape hatch carries. On an unguided shard
 // it costs one atomic load (DESIGN.md "Dispatch").
 func (w *worker) checkGuidance(sh int, deq int64) {
-	o, ok := w.srv.router.System(sh).CheckDequeue(gstm.Pair{Txn: site(w.batch[0].req.Op), Thread: w.id})
+	o, ok := w.srv.router.System(sh).CheckDequeue(gstm.Pair{Txn: site(w.kind), Thread: w.id})
 	if !ok {
 		return
 	}
@@ -422,7 +577,7 @@ func (w *worker) settle(sh, nops int, spanned bool) bool {
 	if seq == 0 {
 		return w.srv.ackShard(int(w.id), sh, 0, err, sp, nops)
 	}
-	wt := ackWait{sh: sh, seq: seq, nops: nops, lo: w.lo, hi: w.lo + len(w.batch)}
+	wt := ackWait{sh: sh, seq: seq, nops: nops, lo: w.lo, hi: w.hi, kind: w.kind}
 	if spanned {
 		wt.span, wt.spanned = *sp, true
 	}
@@ -449,25 +604,25 @@ func (w *worker) stage(sh int, site gstm.TxnID) error {
 func (w *worker) runShard(tx *gstm.Tx, sh int, idxs []int) error {
 	w.logging = false
 	if w.durable {
-		if err := w.stage(sh, site(w.batch[0].req.Op)); err != nil {
+		if err := w.stage(sh, site(w.kind)); err != nil {
 			return err
 		}
 	}
 	for _, i := range idxs {
-		r := &w.batch[i].req
-		w.results[i] = w.applyOp(tx, sh, r.Op, r.Key, r.Arg)
+		ti := w.idx[i]
+		r := &w.pend.tasks[ti].req
+		w.pend.results[ti] = w.applyOp(tx, sh, r.Op, r.Key, r.Arg)
 	}
 	return nil
 }
 
-// runTxn is the current OpTxn's body: each participant's sub-ops, in
+// runTxn is the current OpTxn batch's body: each participant's sub-ops, in
 // request order, on that shard's sub-transaction. Sub-ops on different
 // shards touch different keys, so running them shard by shard changes no
 // result. Sub-op semantics are unconditional — a Get of an absent key reads
-// 0, a Del of one is a no-op — so only the whole transaction has a status;
-// its value is the last sub-op's, a sub-Put reporting its argument.
+// 0, a Del of one is a no-op — so only a whole transaction has a status;
+// its value is its last sub-op's, a sub-Put reporting its argument.
 func (w *worker) runTxn(m *shard.MultiTx) error {
-	ops := w.batch[0].txn
 	w.logging = false
 	if w.durable {
 		for _, sh := range m.Shards() {
@@ -479,13 +634,13 @@ func (w *worker) runTxn(m *shard.MultiTx) error {
 	for _, sh := range m.Shards() {
 		tx := m.On(sh)
 		for _, i := range w.plan.Group(sh) {
-			op := &ops[i]
-			r := w.applyOp(tx, sh, op.Op, op.Key, op.Arg)
-			if op.Op == OpPut {
-				r.value = op.Arg
+			sub := &w.subs[i]
+			r := w.applyOp(tx, sh, sub.op.Op, sub.op.Key, sub.op.Arg)
+			if sub.op.Op == OpPut {
+				r.value = sub.op.Arg
 			}
-			if i == len(ops)-1 {
-				w.results[0] = opResult{value: r.value}
+			if sub.last {
+				w.pend.results[sub.task] = opResult{value: r.value}
 			}
 		}
 	}

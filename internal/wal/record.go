@@ -47,14 +47,13 @@ var (
 	snapMagic = []byte("GSTMSNP1")
 )
 
-// maxOps bounds ops per commit record; the server batches at most a few
-// dozen operations per transaction, so anything near the u16 ceiling is
-// corruption, not data.
-const maxOps = 1 << 12
+// MaxOps bounds ops per commit record: recovery reads a longer record as
+// corruption, not data, so the serving layer cuts its batches to fit.
+const MaxOps = 1 << 12
 
 // maxPayload bounds one record's payload so a corrupt length prefix can
 // never make recovery allocate or scan gigabytes.
-const maxPayload = 16 + maxOps*17
+const maxPayload = 16 + MaxOps*17
 
 // castagnoli is the CRC-32C table used for record and snapshot checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -180,7 +179,7 @@ func decodePayload(payload []byte) (kind byte, c CommitRecord, a AbortRecord, er
 			return 0, c, a, fmt.Errorf("%w: commit header", ErrCorrupt)
 		}
 		nops := int(binary.BigEndian.Uint16(payload[14:16]))
-		if nops > maxOps {
+		if nops > MaxOps {
 			return 0, c, a, fmt.Errorf("%w: %d ops", ErrCorrupt, nops)
 		}
 		body := payload[16:]
