@@ -9,7 +9,7 @@
 //	gstm policies  compare scheduling policies on one STAMP workload
 //	gstm synquake  the Section VIII SynQuake experiment
 //	gstm model     profile a STAMP benchmark into a model, or inspect one
-//	gstm trace     dump or diff saved transaction sequences
+//	gstm trace     dump or diff the transaction sequences in WAL directories
 //
 // Every subcommand lists its flags with -h.
 package main
@@ -37,7 +37,7 @@ var commands = []struct {
 	{"policies", "compare scheduling policies on one STAMP workload", policies},
 	{"synquake", "the Section VIII SynQuake experiment", synquakeCmd},
 	{"model", "profile a STAMP benchmark into a model, or inspect one", modelCmd},
-	{"trace", "dump or diff saved transaction sequences", traceCmd},
+	{"trace", "dump or diff the transaction sequences in WAL directories", traceCmd},
 }
 
 // prog prefixes every diagnostic: "gstm <subcommand>".

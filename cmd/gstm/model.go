@@ -13,6 +13,7 @@ import (
 	"gstm/internal/model"
 	"gstm/internal/stamp"
 	"gstm/internal/trace"
+	"gstm/internal/wal"
 )
 
 // modelCmd builds and inspects Thread State Automaton model files (the
@@ -25,13 +26,12 @@ import (
 //	gstm model -inspect kmeans.state_data -top 20 -tfactor 4
 func modelCmd(fs *flag.FlagSet, args []string) {
 	var (
-		profile  = fs.String("profile", "", "STAMP benchmark to profile into a model")
-		inspect  = fs.String("inspect", "", "model file to inspect")
-		out      = fs.String("o", "state_data", "output path for -profile")
-		size     = fs.String("size", "medium", "training input size")
-		top      = fs.Int("top", 10, "states to print during -inspect (by visit frequency)")
-		asJSON   = fs.Bool("json", false, "emit the inspected model as JSON instead of text")
-		traceDir = fs.String("savetraces", "", "directory to also save each profiling run's transaction sequence into")
+		profile = fs.String("profile", "", "STAMP benchmark to profile into a model")
+		inspect = fs.String("inspect", "", "model file to inspect")
+		out     = fs.String("o", "state_data", "output path for -profile")
+		size    = fs.String("size", "medium", "training input size")
+		top     = fs.Int("top", 10, "states to print during -inspect (by visit frequency)")
+		asJSON  = fs.Bool("json", false, "emit the inspected model as JSON instead of text")
 	)
 	cfg := harness.Config{Threads: 8, TrainRuns: 12, Interleave: 6, Tfactor: 4, Seed: 0xC0FFEE}
 	parseExperiment(fs, args, &cfg, "runs", "k", "metrics-addr")
@@ -44,9 +44,6 @@ func modelCmd(fs *flag.FlagSet, args []string) {
 		traces, m, err := harness.Train(w, cfg)
 		exitOn(err)
 		for run, tr := range traces {
-			if *traceDir != "" {
-				exitOn(trace.SaveTrace(tr, fmt.Sprintf("%s/%s_run%02d.tseq", *traceDir, *profile, run)))
-			}
 			fmt.Fprintf(os.Stderr, "run %d: %d commits, %d aborts, %d distinct states\n",
 				run, tr.Commits, tr.Aborts, tr.DistinctStates())
 		}
@@ -112,56 +109,59 @@ func inspectModel(path string, top int, tfactor float64, asJSON bool) error {
 	return nil
 }
 
-// traceCmd inspects and compares on-disk transaction-sequence logs (.tseq
-// files written by gstm model -savetraces). It replaces the artifact's
-// post-processing scripts: dumping a run's states in the paper's notation,
-// and diffing a default group against a guided group for non-determinism
-// and abort-tail changes.
+// traceCmd replaces the artifact's post-processing scripts: it dumps and
+// diffs the Tseqs of WAL shard directories (e.g. <wal-dir>/shard0), read
+// unchanged and folded by wal.Recovery.BuildTrace (no read-only commits).
 //
-//	gstm trace -dump run00.tseq
-//	gstm trace -diff "default_*.tseq=guided_*.tseq"
+//	gstm trace -dump wal/shard0
+//	gstm trace -diff 'wal/shard0=wal/shard1'
 func traceCmd(fs *flag.FlagSet, args []string) {
 	var (
-		dump      = fs.String("dump", "", "trace file to dump")
-		diff      = fs.String("diff", "", "two glob patterns separated by '=': groupA=groupB")
+		dump      = fs.String("dump", "", "WAL shard directory to dump")
+		diff      = fs.String("diff", "", "two glob patterns of WAL shard directories separated by '=': groupA=groupB")
 		maxStates = fs.Int("n", 40, "states to print during -dump (0 = all)")
 	)
 	_ = fs.Parse(args)
 
 	switch {
 	case *dump != "":
-		t, err := trace.LoadTrace(*dump)
-		exitOn(err)
-		trace.Dump(os.Stdout, t, *maxStates)
+		recs, ts := readLogs(*dump)
+		for i, rec := range recs {
+			fmt.Printf("%d segments, %d dropped bytes, snapshot wv %d\n", rec.Segments, rec.DroppedBytes, rec.SnapWV)
+			trace.Dump(os.Stdout, ts[i], *maxStates)
+		}
 	case *diff != "":
 		a, b, ok := strings.Cut(*diff, "=")
 		if !ok {
 			exitOn(fmt.Errorf("-diff wants groupA=groupB glob patterns, got %q", *diff))
 		}
-		groupA, groupB := loadGroup(a), loadGroup(b)
-		fmt.Printf("A: %d traces (%s)\nB: %d traces (%s)\n", len(groupA), a, len(groupB), b)
+		_, groupA := readLogs(a)
+		_, groupB := readLogs(b)
+		fmt.Printf("A: %d logs (%s)\nB: %d logs (%s)\n", len(groupA), a, len(groupB), b)
 		trace.Compare(groupA, groupB).Write(os.Stdout)
 	default:
-		fmt.Fprintf(os.Stderr, "%s: need -dump <file> or -diff 'a*=b*'\n", prog)
+		fmt.Fprintf(os.Stderr, "%s: need -dump <wal-dir> or -diff 'a*=b*'\n", prog)
 		fs.Usage()
 		os.Exit(2)
 	}
 }
 
-// loadGroup loads every trace matching pattern, exiting on any failure.
-func loadGroup(pattern string) []*trace.Trace {
-	paths, err := filepath.Glob(pattern)
+// readLogs reads every WAL directory matching pattern and its Tseq (empty
+// when no commit is logged above the snapshot), exiting on any failure.
+func readLogs(pattern string) (recs []*wal.Recovery, ts []*trace.Trace) {
+	dirs, err := filepath.Glob(pattern)
 	exitOn(err)
-	if len(paths) == 0 {
-		exitOn(fmt.Errorf("no traces match %q", pattern))
+	if len(dirs) == 0 {
+		exitOn(fmt.Errorf("no WAL directories match %q", pattern))
 	}
-	out := make([]*trace.Trace, 0, len(paths))
-	for _, p := range paths {
-		t, err := trace.LoadTrace(p)
-		if err != nil {
-			exitOn(fmt.Errorf("%s: %w", p, err))
+	for _, d := range dirs {
+		rec, err := wal.Read(d)
+		exitOn(err)
+		t := rec.BuildTrace()
+		if t == nil {
+			t = &trace.Trace{}
 		}
-		out = append(out, t)
+		recs, ts = append(recs, rec), append(ts, t)
 	}
-	return out
+	return recs, ts
 }

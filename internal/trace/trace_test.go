@@ -215,65 +215,6 @@ func TestMergedAbortHist(t *testing.T) {
 	}
 }
 
-func TestTraceSerializeRoundTrip(t *testing.T) {
-	c := NewCollector()
-	t1 := txid.Pair{Txn: 0, Thread: 1}
-	t2 := txid.Pair{Txn: 1, Thread: 2}
-	c.TxAbort(t1, 5, t2, true)
-	c.TxCommit(t2, 5, 0)
-	c.TxCommit(t1, 9, 1)
-	c.TxAbort(t2, 9, t1, false)
-	tr := c.Finalize()
-
-	dir := t.TempDir()
-	path := dir + "/tseq.bin"
-	if err := SaveTrace(tr, path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Commits != tr.Commits || got.Aborts != tr.Aborts || got.Unattributed != tr.Unattributed {
-		t.Fatalf("counters: %+v vs %+v", got, tr)
-	}
-	if len(got.Seq) != len(tr.Seq) {
-		t.Fatalf("seq length %d vs %d", len(got.Seq), len(tr.Seq))
-	}
-	for i := range tr.Seq {
-		if got.Seq[i].Key() != tr.Seq[i].Key() {
-			t.Fatalf("state %d differs: %v vs %v", i, got.Seq[i], tr.Seq[i])
-		}
-	}
-	for th, h := range tr.AbortHist {
-		gh := got.AbortHist[th]
-		if gh == nil || gh.String() != h.String() {
-			t.Fatalf("thread %d hist %v vs %v", th, gh, h)
-		}
-	}
-	if got.DistinctStates() != tr.DistinctStates() {
-		t.Fatal("distinct states differ after round trip")
-	}
-}
-
-func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader("nope")); err == nil {
-		t.Fatal("accepted garbage")
-	}
-	if _, err := ReadTrace(strings.NewReader("GSTQ\x09")); err == nil {
-		t.Fatal("accepted unknown version")
-	}
-	if _, err := ReadTrace(strings.NewReader("")); err == nil {
-		t.Fatal("accepted empty input")
-	}
-}
-
-func TestLoadTraceMissingFile(t *testing.T) {
-	if _, err := LoadTrace(t.TempDir() + "/missing"); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
 func TestCompareGroups(t *testing.T) {
 	mk := func(abortsPerCommit int, threads ...int) *Trace {
 		c := NewCollector()

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,7 +11,7 @@ import (
 	"gstm/internal/txid"
 )
 
-// Recovery is everything Open salvaged from a log directory: the latest
+// Recovery is everything Read salvaged from a log directory: the latest
 // durable snapshot, every structurally valid record above the snapshot
 // stamp, and the replay bookkeeping the serving layer needs.
 type Recovery struct {
@@ -38,24 +39,34 @@ type Recovery struct {
 	// total garbage tail abandoned across them (torn final writes).
 	Segments     int
 	DroppedBytes int
+
+	// minSeg and maxSeg are the lowest and highest segment indices found
+	// (0 and -1 when there are none): where Open resumes the log.
+	minSeg, maxSeg int
 }
 
-// recoverDir loads dir's snapshot and scans every segment's valid prefix.
-// It returns the recovery plus the lowest and highest segment indices
-// found (minSeg 0 / maxSeg -1 when the directory has no segments).
-func recoverDir(dir string) (*Recovery, int, int, error) {
-	rec := &Recovery{}
+// errNoLog is Read's answer for a directory that holds neither a segment
+// nor a snapshot; Open takes it as a fresh log.
+var errNoLog = errors.New("wal: no segment and no snapshot")
+
+// Read loads dir's snapshot and scans every segment's valid prefix
+// without changing the directory: unlike Open it creates nothing, leaves
+// snapshot.tmp residue in place and starts no flusher, so it can inspect
+// a crashed log and leave it recoverable. It fails when dir holds neither
+// a segment nor a snapshot.
+func Read(dir string) (*Recovery, error) {
+	rec := &Recovery{maxSeg: -1}
+	var haveSnap bool
 	var err error
-	rec.SnapWV, rec.SnapKeys, rec.SnapVals, _, err = readSnapshotFile(dir)
+	rec.SnapWV, rec.SnapKeys, rec.SnapVals, haveSnap, err = readSnapshotFile(dir)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	rec.MaxWV = rec.SnapWV
-	_ = os.Remove(snapPath(dir) + ".tmp") // crash residue, superseded or partial
 
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	idxs := make([]int, 0, len(names))
 	for _, n := range names {
@@ -64,15 +75,17 @@ func recoverDir(dir string) (*Recovery, int, int, error) {
 			idxs = append(idxs, i)
 		}
 	}
+	if len(idxs) == 0 && !haveSnap {
+		return nil, fmt.Errorf("%w in %s", errNoLog, dir)
+	}
 	sort.Ints(idxs)
-	minSeg, maxSeg := 0, -1
 	if len(idxs) > 0 {
-		minSeg, maxSeg = idxs[0], idxs[len(idxs)-1]
+		rec.minSeg, rec.maxSeg = idxs[0], idxs[len(idxs)-1]
 	}
 	for _, i := range idxs {
 		buf, rerr := os.ReadFile(segPath(dir, i))
 		if rerr != nil {
-			return nil, 0, 0, rerr
+			return nil, rerr
 		}
 		rec.Segments++
 		rec.DroppedBytes += scanSegment(buf,
@@ -96,7 +109,7 @@ func recoverDir(dir string) (*Recovery, int, int, error) {
 	// earlier advanceTo, so its exchanged wv is strictly greater), making
 	// replay order between equal-wv records irrelevant.
 	sort.Slice(rec.Commits, func(i, j int) bool { return rec.Commits[i].WV < rec.Commits[j].WV })
-	return rec, minSeg, maxSeg, nil
+	return rec, nil
 }
 
 // Replayed returns how many commit records replay will apply.
@@ -104,11 +117,13 @@ func (r *Recovery) Replayed() int { return len(r.Commits) }
 
 // BuildTrace reconstructs the durable Tseq as a profiling trace: the
 // recovered commits and aborts are fed through a trace.Collector, so the
-// result is exactly what Finalize produces from a live run — commits in wv
-// order, each paired with the aborts attributed to it. Feeding it to
-// gstm.BuildModel lets a recovering shard pre-train its TSA from the log
-// and restart guided instead of cold (guided warmup). Returns nil when the
-// log holds no commits.
+// result is what Finalize produces from the same logged events — commits
+// in wv order, each paired with the aborts attributed to it. It is not
+// the whole live Tseq: the log records only commits that staged ops, so
+// read-only commits (every served Get batch among them) are absent.
+// Feeding it to gstm.BuildModel lets a recovering shard pre-train its TSA
+// from the log and restart guided instead of cold (guided warmup).
+// Returns nil when the log holds no commits.
 func (r *Recovery) BuildTrace() *trace.Trace {
 	if len(r.Commits) == 0 {
 		return nil

@@ -154,10 +154,11 @@ type Log struct {
 }
 
 // Open creates (or reopens) the log in cfg.Dir: it recovers whatever the
-// directory holds — snapshot plus every segment's valid prefix — into the
-// returned Recovery, starts a fresh active segment above the highest
-// existing one, and launches the group-commit flusher. The caller applies
-// the Recovery to its store before installing the Log as a tap.
+// directory holds into the returned Recovery (Read; an empty or missing
+// directory is a fresh log), removes snapshot.tmp residue, starts a fresh
+// active segment above the highest existing one, and launches the
+// group-commit flusher. The caller applies the Recovery to its store
+// before installing the Log as a tap.
 func Open(cfg Config) (*Log, *Recovery, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
@@ -168,18 +169,22 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	rec, minSeg, maxSeg, err := recoverDir(cfg.Dir)
+	rec, err := Read(cfg.Dir)
+	if errors.Is(err, errNoLog) {
+		rec, err = &Recovery{maxSeg: -1}, nil
+	}
 	if err != nil {
 		return nil, nil, err
 	}
+	_ = os.Remove(snapPath(cfg.Dir) + ".tmp") // crash residue, superseded or partial
 	l := &Log{
 		cfg:         cfg,
 		strict:      cfg.FsyncInterval == 0,
 		stagers:     make([]stager, cfg.Threads),
 		buf:         make([]byte, 0, 1<<16),
 		spare:       make([]byte, 0, 1<<16),
-		segIdx:      maxSeg + 1,
-		minSeg:      minSeg,
+		segIdx:      rec.maxSeg + 1,
+		minSeg:      rec.minSeg,
 		lastSync:    time.Now(),
 		kick:        make(chan struct{}, 1),
 		flusherDone: make(chan struct{}),

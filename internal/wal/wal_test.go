@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -315,6 +316,11 @@ func TestAbortLoggingBuildsTrace(t *testing.T) {
 	l.TxAbort(txid.Pair{Txn: 3, Thread: 0}, 7, txid.Pair{Txn: 1, Thread: 1}, true)
 	commitOne(l, 1, 7, Op{Key: 1, Val: 1})
 	commitOne(l, 0, 8, Op{Key: 2, Val: 2})
+	// A commit that staged nothing, as every served Get batch does, is not
+	// logged, so the rebuilt Tseq has no read-only commits.
+	readOnly := txid.Pair{Txn: 4, Thread: 1}
+	l.Stage(1, 4)
+	l.TxCommit(readOnly, 9, 0)
 	if err := l.WaitThread(0); err != nil {
 		t.Fatalf("WaitThread: %v", err)
 	}
@@ -330,6 +336,107 @@ func TestAbortLoggingBuildsTrace(t *testing.T) {
 	}
 	if len(tr.Seq[0].Aborted) != 1 {
 		t.Fatalf("wv-7 commit should carry the abort, got %v", tr.Seq[0].Aborted)
+	}
+	for _, st := range tr.Seq {
+		if st.Commit == readOnly.Pack() {
+			t.Fatalf("staged-but-empty commit %v is in the rebuilt Tseq %v", readOnly, tr.Seq)
+		}
+	}
+}
+
+// TestReadLeavesDirUntouched: Read recovers a crashed directory — snapshot,
+// two segments, a torn final record, snapshot.tmp residue — without
+// changing a byte of it, recovers exactly what Open then recovers, and
+// refuses a directory that holds no log.
+func TestReadLeavesDirUntouched(t *testing.T) {
+	dir := t.TempDir()
+	src := &fakeSource{state: map[uint64]uint64{}}
+	l, _ := openT(t, Config{Dir: dir, Threads: 1, Source: src})
+	for wv := uint64(1); wv <= 4; wv++ {
+		commitOne(l, 0, wv, Op{Key: wv, Val: wv})
+		src.state[wv], src.clock = wv, wv
+	}
+	if err := l.WaitThread(0); err != nil {
+		t.Fatalf("WaitThread: %v", err)
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	commitOne(l, 0, 5, Op{Key: 5, Val: 5})
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	l.Crash()
+	l, _ = openT(t, Config{Dir: dir, Threads: 1}) // the second segment
+	commitOne(l, 0, 6, Op{Key: 6, Val: 6})
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	l.Crash()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("setup left segments %v (%v), want 2", segs, err)
+	}
+	torn := appendCommit(nil, CommitRecord{WV: 7, Site: 1, Ops: []Op{{Key: 7, Val: 7}}})
+	torn = torn[:len(torn)-3]
+	f, err := os.OpenFile(segs[1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := os.WriteFile(snapPath(dir)+".tmp", []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	files := func() map[string]string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make(map[string]string, len(ents))
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[e.Name()] = string(b)
+		}
+		return m
+	}
+	before := files()
+	rec, err := Read(dir)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if after := files(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("Read changed the directory: %d entries before, %d after", len(before), len(after))
+	}
+	if rec.SnapWV != 4 || rec.Segments != 2 || rec.DroppedBytes != len(torn) || rec.Replayed() != 2 {
+		t.Fatalf("Read: snapWV %d, %d segments, %d dropped bytes, %d to replay",
+			rec.SnapWV, rec.Segments, rec.DroppedBytes, rec.Replayed())
+	}
+	l, opened := openT(t, Config{Dir: dir, Threads: 1})
+	defer l.Close()
+	if !reflect.DeepEqual(rec, opened) {
+		t.Fatalf("Read recovered\n%+v\nOpen recovered\n%+v", rec, opened)
+	}
+	if _, err := os.Stat(snapPath(dir) + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("Open left snapshot.tmp residue: %v", err)
+	}
+
+	if _, err := Read(t.TempDir()); err == nil {
+		t.Fatal("Read accepted an empty directory")
+	}
+	missing := filepath.Join(t.TempDir(), "missing")
+	if _, err := Read(missing); err == nil {
+		t.Fatal("Read accepted a missing directory")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("Read created %s: %v", missing, err)
 	}
 }
 
