@@ -145,13 +145,15 @@ func SaveModel(m *Model, path string) error { return m.Save(path) }
 func LoadModel(path string) (*Model, error) { return model.Load(path) }
 
 // TelemetrySnapshot is a point-in-time view of the runtime telemetry layer:
-// transaction lifecycle counters, sampled commit/validation latency
-// histograms with p50/p95/p99, per-automaton-state gate telemetry, and the
-// recent diagnostic event ring. See System.TelemetrySnapshot.
+// transaction lifecycle counters, sampled commit/validation latency and
+// gate hold histograms as raw bucket counts (TelemetryHist.Quantile gives
+// p50/p95/p99), and per-automaton-state gate telemetry. A guided System's
+// watchdog trip reason is Health().Watchdog.LastTrip. See
+// System.TelemetrySnapshot.
 type TelemetrySnapshot = telemetry.Snapshot
 
 // TelemetryHist is one latency histogram inside a TelemetrySnapshot.
-type TelemetryHist = telemetry.HistSnapshot
+type TelemetryHist = obs.HistCounts
 
 // Span is a per-request variance-observatory timeline (see internal/obs):
 // attach one to a Run call with WithSpan to record gate waits, aborted

@@ -21,9 +21,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gstm/internal/model"
+	"gstm/internal/obs"
 	"gstm/internal/telemetry"
 	"gstm/internal/trace"
 	"gstm/internal/txid"
@@ -92,7 +92,7 @@ func WithGateRetries(k int) Option {
 }
 
 // WithTelemetry routes per-state gate telemetry (visits, holds, escapes,
-// hold-time samples, watchdog events) into m — typically the guided
+// hold-time samples, watchdog trips) into m — typically the guided
 // runtime's own Metrics so gate and engine telemetry land in one snapshot.
 func WithTelemetry(m *telemetry.Metrics) Option {
 	return func(c *Controller) { c.tel = m }
@@ -149,7 +149,7 @@ func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
 	pk := p.Pack()
 	heldOnce := false
 	var stateKey string
-	var t0 time.Time // first-hold timestamp; hold time spans all re-checks
+	var t0 int64 // first-hold obs.Now stamp; hold time spans all re-checks
 	for i := 0; ; i++ {
 		ok, k := c.admits(c.cur.Load(), pk)
 		stateKey = string(k)
@@ -157,10 +157,10 @@ func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
 			break
 		}
 		if i >= c.retries {
-			return c.count(p, telemetry.GateEscape, stateKey, time.Since(t0))
+			return c.count(p, telemetry.GateEscape, stateKey, uint64(obs.Now()-t0))
 		}
 		if !heldOnce {
-			t0 = time.Now()
+			t0 = obs.Now()
 		}
 		heldOnce = true
 		// Step aside so a thread that *is* in the destination set can run
@@ -174,14 +174,14 @@ func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
 		heldYield(i)
 	}
 	if heldOnce {
-		return c.count(p, telemetry.GateHold, stateKey, time.Since(t0))
+		return c.count(p, telemetry.GateHold, stateKey, uint64(obs.Now()-t0))
 	}
 	return c.count(p, telemetry.GatePass, stateKey, 0)
 }
 
 // count books one gate decision for p, taken in state, in GateStats and
 // the per-state telemetry, and returns it.
-func (c *Controller) count(p txid.Pair, o telemetry.GateOutcome, state string, hold time.Duration) telemetry.GateOutcome {
+func (c *Controller) count(p txid.Pair, o telemetry.GateOutcome, state string, holdNs uint64) telemetry.GateOutcome {
 	switch o {
 	case telemetry.GateHold:
 		c.held.Add(1)
@@ -190,7 +190,7 @@ func (c *Controller) count(p txid.Pair, o telemetry.GateOutcome, state string, h
 	default:
 		c.passed.Add(1)
 	}
-	c.tel.GateArrival(state, o, uint64(p.Thread), hold)
+	c.tel.GateArrival(state, o, uint64(p.Thread), holdNs)
 	return o
 }
 

@@ -1,9 +1,11 @@
 package guide
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"gstm/internal/model"
 	"gstm/internal/trace"
@@ -54,18 +56,13 @@ func TestHeldThenAllowedCountsAsHeld(t *testing.T) {
 
 	var wg sync.WaitGroup
 	wg.Add(1)
-	entered := make(chan struct{})
 	go func() {
 		defer wg.Done()
-		close(entered)
 		c.Arrive(pair(2, 2)) // blocked until the state changes
 	}()
-	<-entered
-	// Give the arriving goroutine time to be held at least once (each
-	// blocked re-check yields back to us).
-	for i := 0; i < 200; i++ {
-		runtime.Gosched()
-	}
+	// The arrival has been refused at least once when its goroutine is
+	// inside heldYield, which Arrive reaches only after a refusal.
+	waitInHeldYield(t)
 	// Change current state to an unknown one: (2,2) becomes allowed.
 	c.TxCommit(pair(25, 9), 3, 0)
 	c.TxCommit(pair(25, 9), 4, 0)
@@ -73,6 +70,22 @@ func TestHeldThenAllowedCountsAsHeld(t *testing.T) {
 	_, held, _ := c.GateStats()
 	if held != 1 {
 		t.Fatalf("held = %d, want 1", held)
+	}
+}
+
+// waitInHeldYield polls every goroutine's stack until one is inside
+// heldYield.
+func waitInHeldYield(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("guide.heldYield(")) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the arrival was never held")
+		}
+		runtime.Gosched()
 	}
 }
 

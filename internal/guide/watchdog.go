@@ -52,7 +52,7 @@ type TripReason struct {
 	AbortRate  float64
 }
 
-// String renders the reason compactly for logs and ring events.
+// String renders the reason compactly for logs and reports.
 func (r TripReason) String() string {
 	return fmt.Sprintf("escape-rate %.2f>%.2f (window=%d gate=%d)",
 		r.EscapeRate, watchdogMaxEscapeRate, r.Window, r.GateSamples)
@@ -220,19 +220,9 @@ func (w *Watchdog) evaluateLocked() {
 			w.tripped.Store(true)
 			w.trips++
 			w.lastTrip = reason
-			w.ctrl.tel.WatchdogTrip(w.currentStateKey(), reason.String())
+			w.ctrl.tel.WatchdogTrip()
 		}
 	}
 	w.winEvents, w.winAborts = 0, 0
 	w.basePassed, w.baseHeld, w.baseEscaped = p, h, e
-}
-
-// currentStateKey returns the controller's tracked state key for event
-// annotation, or "" before the first commit.
-func (w *Watchdog) currentStateKey() string {
-	k, ok := w.ctrl.CurrentState()
-	if !ok {
-		return ""
-	}
-	return string(k)
 }

@@ -50,12 +50,12 @@ func (s *Suite) WriteCSV(w io.Writer) error {
 				fmt.Sprintf("%.6f", r.Default.MeanProgramTime()),
 				fmt.Sprintf("%.6f", r.Guided.MeanProgramTime()),
 				fmt.Sprintf("%.3f", r.Slowdown()),
-				fmt.Sprintf("%d", r.Default.Telemetry.CommitLatency.P50.Nanoseconds()),
-				fmt.Sprintf("%d", r.Default.Telemetry.CommitLatency.P95.Nanoseconds()),
-				fmt.Sprintf("%d", r.Default.Telemetry.CommitLatency.P99.Nanoseconds()),
-				fmt.Sprintf("%d", r.Guided.Telemetry.CommitLatency.P50.Nanoseconds()),
-				fmt.Sprintf("%d", r.Guided.Telemetry.CommitLatency.P95.Nanoseconds()),
-				fmt.Sprintf("%d", r.Guided.Telemetry.CommitLatency.P99.Nanoseconds()),
+				fmt.Sprintf("%d", r.Default.Telemetry.CommitLatency.Quantile(0.50)),
+				fmt.Sprintf("%d", r.Default.Telemetry.CommitLatency.Quantile(0.95)),
+				fmt.Sprintf("%d", r.Default.Telemetry.CommitLatency.Quantile(0.99)),
+				fmt.Sprintf("%d", r.Guided.Telemetry.CommitLatency.Quantile(0.50)),
+				fmt.Sprintf("%d", r.Guided.Telemetry.CommitLatency.Quantile(0.95)),
+				fmt.Sprintf("%d", r.Guided.Telemetry.CommitLatency.Quantile(0.99)),
 			}
 			if err := cw.Write(row); err != nil {
 				return err

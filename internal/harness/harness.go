@@ -82,8 +82,8 @@ type SideResult struct {
 	Commits, Aborts uint64
 
 	// Telemetry is the side's runtime-telemetry snapshot taken after its
-	// measured runs: sampled commit/validation latency quantiles, gate
-	// telemetry by automaton state, and the diagnostic event ring.
+	// measured runs: sampled commit/validation latency histograms and gate
+	// telemetry by automaton state.
 	Telemetry telemetry.Snapshot
 }
 

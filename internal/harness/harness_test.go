@@ -2,10 +2,15 @@ package harness
 
 import (
 	"encoding/csv"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"gstm"
+	"gstm/internal/guide"
 	"gstm/internal/stamp"
+	"gstm/internal/telemetry"
 )
 
 // smallCfg keeps harness tests fast: few runs on small inputs.
@@ -280,5 +285,58 @@ func TestRunSynQuakeEndToEnd(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+}
+
+// TestWriteTelemetry renders the TELEMETRY section for two results: one
+// whose guided side's watchdog tripped and one whose did not. Both sides
+// of both print the commit quantile line from the sampled histogram; only
+// the tripped result prints the trip line, with its LastTrip reason.
+func TestWriteTelemetry(t *testing.T) {
+	m := telemetry.NewDetached("report")
+	for i := 0; i < 90; i++ {
+		m.ObserveCommit(1000, 0, false)
+	}
+	for i := 0; i < 5; i++ {
+		m.ObserveCommit(10000, 0, false)
+		m.ObserveCommit(1000000, 0, false)
+	}
+	snap := m.Snapshot()
+	q := func(p float64) time.Duration { return time.Duration(snap.CommitLatency.Quantile(p)) }
+	if q(0.50) == q(0.95) || q(0.95) == q(0.99) {
+		t.Fatalf("quantiles %v/%v/%v are not distinct", q(0.50), q(0.95), q(0.99))
+	}
+	trip := &guide.TripReason{Window: 512, GateSamples: 40, EscapeRate: 0.5}
+	result := func(app string, h gstm.Health) *Result {
+		return &Result{
+			App: app, Config: Config{Threads: 2},
+			Default: SideResult{Telemetry: snap}, Guided: SideResult{Telemetry: snap},
+			GuidedHealth: h,
+		}
+	}
+	suite := NewSuite()
+	suite.Add(result("tripped", gstm.Health{
+		WatchdogEnabled: true,
+		Watchdog:        gstm.WatchdogSnapshot{State: guide.WatchdogTripped, Trips: 1, LastTrip: trip},
+	}))
+	suite.Add(result("armed", gstm.Health{WatchdogEnabled: true}))
+	var b strings.Builder
+	suite.WriteTelemetry(&b)
+	out := b.String()
+
+	commit := fmt.Sprintf("commit p50/p95/p99=%v/%v/%v (n=100)", q(0.50), q(0.95), q(0.99))
+	for _, app := range []string{"tripped", "armed"} {
+		for _, side := range []string{"default", "guided"} {
+			if want := fmt.Sprintf("%-12s %2dt %-7s %s", app, 2, side, commit); !strings.Contains(out, want) {
+				t.Errorf("missing %q in\n%s", want, out)
+			}
+		}
+	}
+	tripLine := fmt.Sprintf("%-12s %2dt %-7s   event watchdog-trip: %s\n", "tripped", 2, "guided", trip)
+	if !strings.Contains(out, tripLine) {
+		t.Errorf("missing trip line %q in\n%s", tripLine, out)
+	}
+	if n := strings.Count(out, "watchdog-trip"); n != 1 {
+		t.Errorf("%d trip lines, want 1 (the tripped result's guided side) in\n%s", n, out)
 	}
 }

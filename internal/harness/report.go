@@ -5,7 +5,9 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"time"
 
+	"gstm/internal/obs"
 	"gstm/internal/telemetry"
 )
 
@@ -186,9 +188,10 @@ func (s *Suite) WriteResilience(w io.Writer) {
 
 // WriteTelemetry prints each side's runtime telemetry: sampled commit and
 // validation latency quantiles, gate hold-time quantiles, the hottest
-// automaton states at the gate, and any diagnostic events the ring caught.
+// automaton states at the gate, and the guided side's watchdog trip, if any.
 func (s *Suite) WriteTelemetry(w io.Writer) {
 	fmt.Fprintln(w, "TELEMETRY (per app/threads): sampled latency quantiles, hot gate states, diagnostic events")
+	q := func(h obs.HistCounts, p float64) time.Duration { return time.Duration(h.Quantile(p)) }
 	for _, th := range s.threadCounts() {
 		for _, app := range s.apps() {
 			r := s.Get(app, th)
@@ -196,17 +199,18 @@ func (s *Suite) WriteTelemetry(w io.Writer) {
 				continue
 			}
 			for _, side := range []struct {
-				name string
-				snap telemetry.Snapshot
-			}{{"default", r.Default.Telemetry}, {"guided", r.Guided.Telemetry}} {
+				name   string
+				snap   telemetry.Snapshot
+				guided bool
+			}{{"default", r.Default.Telemetry, false}, {"guided", r.Guided.Telemetry, true}} {
 				t := side.snap
 				fmt.Fprintf(w, "%-12s %2dt %-7s commit p50/p95/p99=%v/%v/%v (n=%d) validation p99=%v (n=%d)\n",
 					app, th, side.name,
-					t.CommitLatency.P50, t.CommitLatency.P95, t.CommitLatency.P99, t.CommitLatency.Count,
-					t.ValidationLatency.P99, t.ValidationLatency.Count)
+					q(t.CommitLatency, 0.50), q(t.CommitLatency, 0.95), q(t.CommitLatency, 0.99), t.CommitLatency.Count,
+					q(t.ValidationLatency, 0.99), t.ValidationLatency.Count)
 				if t.GateHoldTime.Count > 0 {
 					fmt.Fprintf(w, "%-12s %2dt %-7s gate hold p50/p99=%v/%v (n=%d)\n",
-						app, th, side.name, t.GateHoldTime.P50, t.GateHoldTime.P99, t.GateHoldTime.Count)
+						app, th, side.name, q(t.GateHoldTime, 0.50), q(t.GateHoldTime, 0.99), t.GateHoldTime.Count)
 				}
 				for i, g := range t.GateStates {
 					if i >= 3 { // hottest three states suffice for the report
@@ -216,10 +220,8 @@ func (s *Suite) WriteTelemetry(w io.Writer) {
 					fmt.Fprintf(w, "%-12s %2dt %-7s   state %-24q visits=%d holds=%d escapes=%d\n",
 						app, th, side.name, g.State, g.Visits, g.Holds, g.Escapes)
 				}
-				for _, ev := range t.Events {
-					if ev.Kind == telemetry.KindWatchdogTrip {
-						fmt.Fprintf(w, "%-12s %2dt %-7s   event %s: %s\n", app, th, side.name, ev.Kind, ev.Detail)
-					}
+				if trip := r.GuidedHealth.Watchdog.LastTrip; side.guided && trip != nil {
+					fmt.Fprintf(w, "%-12s %2dt %-7s   event watchdog-trip: %s\n", app, th, side.name, trip)
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gstm/internal/commitreg"
 	"gstm/internal/obs"
@@ -38,8 +37,8 @@ func New(cfg Config) *Runtime {
 	return rt
 }
 
-// Telemetry returns this runtime's metrics: sharded lifecycle counters,
-// sampled latency histograms, and the diagnostic event ring.
+// Telemetry returns this runtime's metrics: sharded lifecycle counters
+// and sampled latency histograms.
 func (rt *Runtime) Telemetry() *telemetry.Metrics { return rt.tel }
 
 // Config returns the runtime's configuration.
@@ -86,8 +85,8 @@ func (rt *Runtime) Stats() (commits, aborts uint64) {
 	return rt.tel.Commits.Load(), rt.tel.Aborts.Load()
 }
 
-// ResetStats zeroes the cumulative telemetry — counters, latency
-// histograms and the event ring.
+// ResetStats zeroes the cumulative telemetry — counters and latency
+// histograms.
 func (rt *Runtime) ResetStats() {
 	rt.tel.Reset()
 }
@@ -136,9 +135,9 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 			backoff(attempt)
 			continue
 		}
-		var t0 time.Time
+		var t0 int64
 		if sampled {
-			t0 = time.Now()
+			t0 = obs.Now()
 		}
 		wv, c, ok := tx.commit()
 		if !ok {
@@ -150,7 +149,7 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 		if sampled {
 			// LibTM's visible readers validate at access time; there is no
 			// commit-time read-set validation phase to time separately.
-			rt.tel.ObserveCommit(shard, time.Since(t0), 0, false)
+			rt.tel.ObserveCommit(uint64(obs.Now()-t0), 0, false)
 		}
 		rt.tel.TxCommit(shard)
 		if sb := rt.sink.Load(); sb != nil {

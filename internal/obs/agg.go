@@ -11,12 +11,11 @@ import (
 // ring sizes. Writers record into their own slot's histograms; a scrape
 // sums the slots.
 
-// The latency bucket layout, shared with internal/telemetry's histograms so
-// the two surfaces report comparable quantiles: HDR-style, values
-// (nanoseconds) map to buckets whose width grows geometrically, with
-// subCount sub-buckets per power of two for ≤25% relative bucket width. One
-// layout for every histogram means histograms merge by adding bucket counts
-// — no rebinning, no allocation on the record path.
+// The latency bucket layout of every Hist, so /metrics and /debug/trace
+// report comparable quantiles: HDR-style, values (nanoseconds) map to
+// buckets whose width grows geometrically, with subCount sub-buckets per
+// power of two for ≤25% relative bucket width. One layout means histograms
+// merge by adding bucket counts, with no allocation on the record path.
 const (
 	subBits  = 2
 	subCount = 1 << subBits // sub-buckets per octave
@@ -54,8 +53,7 @@ func BucketLow(i int) uint64 {
 
 // BucketHigh returns the exclusive upper bound (ns) of bucket i, which is
 // the next bucket's lower bound. The last bucket is open-ended; doubling
-// its lower bound keeps quantile estimates finite while still mapping back
-// into the last bucket when snapshots are re-binned for merging.
+// its lower bound keeps quantile estimates finite.
 func BucketHigh(i int) uint64 {
 	if i >= NumBuckets-1 {
 		return 2 * BucketLow(NumBuckets-1)
@@ -63,25 +61,36 @@ func BucketHigh(i int) uint64 {
 	return BucketLow(i + 1)
 }
 
-// phaseHist is one slot's share of a (shard, phase) latency distribution.
-// The observatory keeps one per (ring, shard) pair, so the thread slot that
-// records a span adds into histograms no other slot writes, and its atomic
-// adds stay on cache lines its own core holds.
-type phaseHist struct {
+// Hist is the module's one latency histogram: nanosecond observations on
+// the shared bucket layout, mergeable by adding bucket counts. The
+// observatory keeps one per (slot, shard, phase), so the thread slot that
+// records a span adds into histograms no other slot writes; telemetry keeps
+// one per sampled latency series. The zero value is ready for use, and
+// neither Observe nor Reset allocates.
+type Hist struct {
 	counts [NumBuckets]atomic.Uint64
 	sum    atomic.Uint64
 }
 
-func (h *phaseHist) observe(ns uint64) {
+// Observe records one observation of ns nanoseconds.
+func (h *Hist) Observe(ns uint64) {
 	h.counts[BucketOf(ns)].Add(1)
 	h.sum.Add(ns)
+}
+
+// Reset zeroes h; observations racing it land before or after.
+func (h *Hist) Reset() {
+	for i := range h.counts {
+		h.counts[i].Store(0)
+	}
+	h.sum.Store(0)
 }
 
 // shardAgg is one slot's per-phase histograms of one shard plus the
 // whole-span total.
 type shardAgg struct {
-	phases [NumPhases]phaseHist
-	total  phaseHist
+	phases [NumPhases]Hist
+	total  Hist
 }
 
 // observeSpan folds one finished span into the aggregation: each phase's
@@ -92,10 +101,10 @@ func (a *shardAgg) observeSpan(sp *Span) {
 	tot := sp.PhaseTotals()
 	for ph, ns := range tot {
 		if ns > 0 {
-			a.phases[ph].observe(ns)
+			a.phases[ph].Observe(ns)
 		}
 	}
-	a.total.observe(uint64(sp.TotalNs))
+	a.total.Observe(uint64(sp.TotalNs))
 }
 
 // merge adds o's counts into a; Agg folds a shard's slots into one with it.
@@ -108,7 +117,7 @@ func (a *shardAgg) merge(o *shardAgg) {
 	a.total.merge(&o.total)
 }
 
-func (h *phaseHist) merge(o *phaseHist) {
+func (h *Hist) merge(o *Hist) {
 	for i := range h.counts {
 		if n := o.counts[i].Load(); n > 0 {
 			h.counts[i].Add(n)
@@ -117,18 +126,20 @@ func (h *phaseHist) merge(o *phaseHist) {
 	h.sum.Add(o.sum.Load())
 }
 
-// HistCounts is a raw bucket dump of one (shard, phase) distribution.
-// Bucket i covers [Low(i), High(i)) per the shared layout; only non-zero
-// buckets are emitted. Raw counts (not quantiles) let a scraper diff two
-// snapshots and compute run-local quantiles — that is how gstm load
-// builds its tail-attribution table.
+// HistCounts is a raw bucket dump of one Hist. Bucket i covers
+// [BucketLow(i), BucketHigh(i)); only non-zero buckets are emitted. Raw
+// counts (not quantiles) let a scraper diff two snapshots and compute
+// run-local quantiles — that is how gstm load builds its tail-attribution
+// table — and let Gather add the snapshots of many runtimes exactly.
 type HistCounts struct {
 	Count   uint64   `json:"count"`
 	SumNs   uint64   `json:"sum_ns"`
 	Buckets []uint64 `json:"buckets,omitempty"` // pairs: bucket index, count
 }
 
-func (h *phaseHist) snapshot() HistCounts {
+// Snapshot returns h's counts. Safe while writers run; Count is the sum of
+// the bucket counts read, so quantile walks stay consistent.
+func (h *Hist) Snapshot() HistCounts {
 	var out HistCounts
 	for i := range h.counts {
 		if n := h.counts[i].Load(); n > 0 {
@@ -158,6 +169,26 @@ func (h HistCounts) Sub(prev HistCounts) HistCounts {
 	}
 	if h.SumNs > prev.SumNs {
 		out.SumNs = h.SumNs - prev.SumNs
+	}
+	return out
+}
+
+// Add returns the sum of two snapshots: bucket counts add bucket by bucket.
+func (h HistCounts) Add(o HistCounts) HistCounts {
+	var counts [NumBuckets]uint64
+	for _, x := range [2]HistCounts{h, o} {
+		for i := 0; i+1 < len(x.Buckets); i += 2 {
+			if b := x.Buckets[i]; b < NumBuckets {
+				counts[b] += x.Buckets[i+1]
+			}
+		}
+	}
+	out := HistCounts{SumNs: h.SumNs + o.SumNs}
+	for b, n := range counts {
+		if n > 0 {
+			out.Buckets = append(out.Buckets, uint64(b), n)
+			out.Count += n
+		}
 	}
 	return out
 }
@@ -207,10 +238,10 @@ type AggSnapshot struct {
 func (a *shardAgg) snapshot(sh int) ShardAggSnapshot {
 	out := ShardAggSnapshot{Shard: sh, Phases: make(map[string]HistCounts, int(NumPhases))}
 	for ph := range a.phases {
-		if hc := a.phases[ph].snapshot(); hc.Count > 0 {
+		if hc := a.phases[ph].Snapshot(); hc.Count > 0 {
 			out.Phases[Phase(ph).String()] = hc
 		}
 	}
-	out.Total = a.total.snapshot()
+	out.Total = a.total.Snapshot()
 	return out
 }

@@ -3,7 +3,8 @@ package telemetry
 import (
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"gstm/internal/obs"
 )
 
 // BenchmarkTelemetryOverhead measures the record-path cost the engines pay
@@ -40,7 +41,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 	b.Run("txstart-txcommit", func(b *testing.B) {
 		m := NewDetached("bench")
-		m.TxCommit(0) // retire the one-time first-commit sample
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m.TxStart(1)
@@ -49,22 +49,21 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 
 	b.Run("histogram-observe", func(b *testing.B) {
-		var h Histogram
+		var h obs.Hist
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h.Observe(uint64(i)&3, time.Duration(500+i%1000))
+			h.Observe(uint64(500 + i%1000))
 		}
 	})
 
 	b.Run("observe-commit-sampled", func(b *testing.B) {
 		// The full per-commit cost when the attempt is the 1-in-SampleEvery
-		// sampled one: two clock reads plus two histogram observations.
+		// sampled one: obs.Now stamps plus two histogram observations.
 		m := NewDetached("bench")
-		m.TxCommit(0)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			m.ObserveCommit(1, time.Since(t0), time.Since(t0), true)
+			t0 := obs.Now()
+			m.ObserveCommit(uint64(obs.Now()-t0), uint64(obs.Now()-t0), true)
 		}
 	})
 
@@ -82,7 +81,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		for i := 0; i < 1000; i++ {
 			m.TxStart(uint64(i))
 			m.TxCommit(uint64(i))
-			m.ObserveCommit(uint64(i), time.Duration(i), 0, false)
+			m.ObserveCommit(uint64(i), 0, false)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

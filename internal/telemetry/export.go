@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"gstm/internal/obs"
 )
@@ -81,7 +82,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	histogram(bw, "gstm_commit_latency_seconds", "Commit protocol latency (sampled).", s.CommitLatency)
 	histogram(bw, "gstm_validation_latency_seconds", "Read-set validation latency when validation ran (sampled).", s.ValidationLatency)
 	histogram(bw, "gstm_gate_hold_seconds", "Time held arrivals spent delayed at the guidance gate.", s.GateHoldTime)
-	histogram(bw, "gstm_time_to_first_commit_seconds", "Time from runtime creation or reset to its first commit.", s.TimeToFirstCommit)
 
 	if len(s.Components) > 0 {
 		fmt.Fprintf(bw, "# HELP gstm_component_tx_commits_total Committed transactions by component (shard).\n# TYPE gstm_component_tx_commits_total counter\n")
@@ -160,16 +160,18 @@ func writeBuildInfo(w io.Writer) {
 	io.WriteString(w, buildInfoLine())
 }
 
-// histogram writes one histogram family with cumulative buckets in seconds.
-func histogram(w io.Writer, name, help string, h HistSnapshot) {
+// histogram writes one histogram family with cumulative buckets in seconds:
+// one series per non-empty bucket, its bound obs.BucketHigh.
+func histogram(w io.Writer, name, help string, h obs.HistCounts) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 	var cum uint64
-	for _, b := range h.Buckets {
-		cum += b.Count
-		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, formatSeconds(b.Le.Seconds()), cum)
+	for i := 0; i+1 < len(h.Buckets); i += 2 {
+		cum += h.Buckets[i+1]
+		le := time.Duration(obs.BucketHigh(int(h.Buckets[i])))
+		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, formatSeconds(le.Seconds()), cum)
 	}
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count)
-	fmt.Fprintf(w, "%s_sum %s\n", name, formatSeconds(h.Sum.Seconds()))
+	fmt.Fprintf(w, "%s_sum %s\n", name, formatSeconds(time.Duration(h.SumNs).Seconds()))
 	fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
 }
 

@@ -29,7 +29,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	m := NewDetached("test")
 	m.TxStart(0)
 	m.TxCommit(0)
-	m.ObserveCommit(0, time.Microsecond, 0, false)
+	m.ObserveCommit(1000, 0, false)
 
 	srv := httptest.NewServer(Handler(m.Snapshot))
 	defer srv.Close()

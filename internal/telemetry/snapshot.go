@@ -7,72 +7,6 @@ import (
 	"gstm/internal/obs"
 )
 
-// HistBucket is one non-empty histogram bucket: Count observations at most
-// Le (the bucket's exclusive upper bound, reported inclusively in the
-// Prometheus encoding as is conventional).
-type HistBucket struct {
-	Le    time.Duration `json:"le_ns"`
-	Count uint64        `json:"count"`
-}
-
-// HistSnapshot is a merged, point-in-time view of a latency histogram.
-type HistSnapshot struct {
-	Count uint64        `json:"count"`
-	Sum   time.Duration `json:"sum_ns"`
-	Max   time.Duration `json:"max_ns"`
-	P50   time.Duration `json:"p50_ns"`
-	P95   time.Duration `json:"p95_ns"`
-	P99   time.Duration `json:"p99_ns"`
-
-	// Buckets holds the non-empty buckets ascending by bound. Because every
-	// Histogram shares one fixed bucket layout, snapshots merge exactly.
-	Buckets []HistBucket `json:"buckets,omitempty"`
-}
-
-// Mean returns the mean observed duration.
-func (h HistSnapshot) Mean() time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / time.Duration(h.Count)
-}
-
-// merge combines two fixed-layout histogram snapshots: bucket counts add,
-// quantiles are recomputed from the merged buckets.
-func (h HistSnapshot) merge(o HistSnapshot) HistSnapshot {
-	if o.Count == 0 {
-		return h
-	}
-	if h.Count == 0 {
-		return o
-	}
-	var merged [obs.NumBuckets]uint64
-	for _, hs := range []HistSnapshot{h, o} {
-		for _, b := range hs.Buckets {
-			merged[obs.BucketOf(uint64(b.Le-1))] += b.Count
-		}
-	}
-	out := HistSnapshot{Count: h.Count + o.Count, Sum: h.Sum + o.Sum, Max: h.Max}
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	var total uint64
-	for _, n := range merged {
-		total += n
-	}
-	if total > 0 {
-		out.P50 = quantile(&merged, total, 0.50, out.Max)
-		out.P95 = quantile(&merged, total, 0.95, out.Max)
-		out.P99 = quantile(&merged, total, 0.99, out.Max)
-	}
-	for b, n := range merged {
-		if n > 0 {
-			out.Buckets = append(out.Buckets, HistBucket{Le: time.Duration(obs.BucketHigh(b)), Count: n})
-		}
-	}
-	return out
-}
-
 // GateStateSnapshot is the gate telemetry of one automaton state.
 type GateStateSnapshot struct {
 	State   string `json:"state"`
@@ -82,8 +16,8 @@ type GateStateSnapshot struct {
 }
 
 // Snapshot is the stable exported view of the telemetry layer: every
-// counter, histogram, gate-state tally and recent event, merged across
-// shards (and across components, for Gather). It marshals directly to the
+// counter, histogram and gate-state tally, merged across shards (and
+// across components, for Gather). It marshals directly to the
 // JSON encoding the /debug/vars endpoint serves.
 type Snapshot struct {
 	Label   string    `json:"label"`
@@ -123,13 +57,13 @@ type Snapshot struct {
 	RecoveryReplayed uint64 `json:"recovery_replayed_records"`
 	RecoveryNanos    uint64 `json:"recovery_duration_ns"`
 
-	CommitLatency     HistSnapshot `json:"commit_latency"`
-	ValidationLatency HistSnapshot `json:"validation_latency"`
-	GateHoldTime      HistSnapshot `json:"gate_hold"`
-	TimeToFirstCommit HistSnapshot `json:"time_to_first_commit"`
+	// Latency histograms as raw bucket counts on obs's layout; quantiles
+	// come from HistCounts.Quantile.
+	CommitLatency     obs.HistCounts `json:"commit_latency"`
+	ValidationLatency obs.HistCounts `json:"validation_latency"`
+	GateHoldTime      obs.HistCounts `json:"gate_hold"`
 
 	GateStates []GateStateSnapshot `json:"gate_states,omitempty"`
-	Events     []Event             `json:"events,omitempty"`
 
 	// Gauges are the scrape-time readings (see RegisterGauge); only the
 	// Gather aggregate carries them.
@@ -137,9 +71,7 @@ type Snapshot struct {
 
 	// Components holds the per-label breakdown when this snapshot is a
 	// Gather aggregate: one merged snapshot per distinct registration
-	// label ("shard0", "shard1", …), sorted by label. Component snapshots
-	// carry counters, histograms and gate-state tallies but not events —
-	// the aggregate's ring already interleaves every component's events.
+	// label ("shard0", "shard1", …), sorted by label.
 	Components []Snapshot `json:"components,omitempty"`
 }
 
@@ -151,9 +83,8 @@ func (s Snapshot) AbortRatio() float64 {
 	return float64(s.Aborts) / float64(s.Commits)
 }
 
-// Merge folds o into s: counters add, histograms merge bucket-wise,
-// gate-state tallies combine by state key, and events interleave by time
-// (keeping the most recent DefaultRingCapacity).
+// Merge folds o into s: counters add, histograms add bucket-wise, and
+// gate-state tallies combine by state key.
 func (s *Snapshot) Merge(o Snapshot) {
 	s.Starts += o.Starts
 	s.Commits += o.Commits
@@ -187,10 +118,9 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.WALSnapshots += o.WALSnapshots
 	s.RecoveryReplayed += o.RecoveryReplayed
 	s.RecoveryNanos += o.RecoveryNanos
-	s.CommitLatency = s.CommitLatency.merge(o.CommitLatency)
-	s.ValidationLatency = s.ValidationLatency.merge(o.ValidationLatency)
-	s.GateHoldTime = s.GateHoldTime.merge(o.GateHoldTime)
-	s.TimeToFirstCommit = s.TimeToFirstCommit.merge(o.TimeToFirstCommit)
+	s.CommitLatency = s.CommitLatency.Add(o.CommitLatency)
+	s.ValidationLatency = s.ValidationLatency.Add(o.ValidationLatency)
+	s.GateHoldTime = s.GateHoldTime.Add(o.GateHoldTime)
 
 	if len(o.GateStates) > 0 {
 		byState := make(map[string]GateStateSnapshot, len(s.GateStates)+len(o.GateStates))
@@ -215,15 +145,5 @@ func (s *Snapshot) Merge(o Snapshot) {
 			}
 			return s.GateStates[i].State < s.GateStates[j].State
 		})
-	}
-
-	if len(o.Events) > 0 {
-		s.Events = append(s.Events, o.Events...)
-		sort.SliceStable(s.Events, func(i, j int) bool {
-			return s.Events[i].At.Before(s.Events[j].At)
-		})
-		if n := len(s.Events); n > DefaultRingCapacity {
-			s.Events = s.Events[n-DefaultRingCapacity:]
-		}
 	}
 }

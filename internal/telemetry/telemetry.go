@@ -7,8 +7,10 @@
 //
 //  1. The record path must be cheap enough to leave on during the paper's
 //     variance measurements: sharded cache-line-padded counters (one
-//     uncontended atomic add), sampled latency timestamps (1 in SampleEvery
-//     commits), and zero allocation anywhere on the record path.
+//     uncontended atomic add), sampled latency stamps (1 in SampleEvery
+//     commits, read off obs.Now, the span clock) into obs.Hist, the
+//     module's one histogram type, and zero allocation anywhere on the
+//     record path.
 //  2. Reads must not perturb writers: snapshots merge per-shard values with
 //     plain atomic loads, taking no locks the record path touches.
 //  3. Everything must be mergeable, so per-runtime metrics roll up into the
@@ -31,7 +33,7 @@ import (
 
 // SampleEvery is the commit-latency sampling period: one in every
 // SampleEvery commits (per counter shard) has its commit and validation
-// phases timed. Sampling keeps the two time.Now calls and the histogram
+// phases timed. Sampling keeps the two obs.Now calls and the histogram
 // update — the only non-trivial costs on the commit path — off all but
 // 1/SampleEvery of commits, while a few hundred commits already give
 // stable p99 estimates. 64 keeps the amortized cost under ~2ns per commit
@@ -73,7 +75,7 @@ const (
 )
 
 // Metrics is one instrumented component's telemetry: sharded counters,
-// latency histograms, per-state gate telemetry and a bounded event ring.
+// latency histograms and per-state gate telemetry.
 // All record methods are safe for concurrent use and nil-safe, so optional
 // holders (the guidance controller) can call through without a check.
 type Metrics struct {
@@ -131,21 +133,13 @@ type Metrics struct {
 	RecoveryReplayed Counter
 	RecoveryNanos    Counter
 
-	// Latency histograms (nanosecond observations).
-	CommitLatency     Histogram // whole commit protocol, sampled 1/SampleEvery
-	ValidationLatency Histogram // read-set validation when it ran, same samples
-	GateHoldTime      Histogram // time a held arrival spent at the gate
-	TimeToFirstCommit Histogram // Metrics creation (or Reset) → first commit
-
-	// Events is the bounded ring of recent diagnostic events.
-	Events *Ring
+	// Latency histograms (nanosecond observations, obs.Now stamps).
+	CommitLatency     obs.Hist // whole commit protocol, sampled 1/SampleEvery
+	ValidationLatency obs.Hist // read-set validation when it ran, same samples
+	GateHoldTime      obs.Hist // time a held arrival spent at the gate
 
 	gateStates sync.Map // state key (string) → *gateStateStats
 	gateCount  atomic.Int64
-
-	firstDone atomic.Bool
-	markMu    sync.Mutex
-	mark      time.Time
 }
 
 // Process-wide registry of every live Metrics, merged by Gather for the
@@ -167,7 +161,7 @@ func New(label string) *Metrics {
 
 // Unregister removes m from the registry Gather serves, so an engine with a
 // bounded lifetime (a server under test, a benchmark's set-up) does not
-// stay reachable — rings, histograms and all — for the life of the
+// stay reachable — histograms and all — for the life of the
 // process. m itself keeps counting and Snapshot keeps working. Idempotent
 // and nil-safe.
 func (m *Metrics) Unregister() {
@@ -181,9 +175,7 @@ func (m *Metrics) Unregister() {
 // NewDetached returns a Metrics that is NOT merged into Gather — for tests
 // and benchmarks that want isolation from the process-wide view.
 func NewDetached(label string) *Metrics {
-	m := &Metrics{label: label, Events: NewRing(DefaultRingCapacity)}
-	m.mark = time.Now()
-	return m
+	return &Metrics{label: label}
 }
 
 // Label returns the diagnostic label given at creation.
@@ -223,9 +215,7 @@ func Gather() Snapshot {
 	}
 	sort.Strings(labels)
 	for _, l := range labels {
-		comp := byLabel[l]
-		comp.Events = nil // the aggregate ring already has them
-		out.Components = append(out.Components, *comp)
+		out.Components = append(out.Components, *byLabel[l])
 	}
 	out.Gauges = gatherGauges()
 	return out
@@ -245,19 +235,12 @@ func (m *Metrics) TxStart(thread uint64) bool {
 	return m.Commits.shardLoad(thread)&(SampleEvery-1) == SampleEvery-1
 }
 
-// TxCommit records one committed transaction. The first commit after
-// creation or Reset also records the time-to-first-commit sample.
+// TxCommit records one committed transaction.
 func (m *Metrics) TxCommit(thread uint64) {
 	if m == nil {
 		return
 	}
 	m.Commits.Inc(thread)
-	if !m.firstDone.Load() && m.firstDone.CompareAndSwap(false, true) {
-		m.markMu.Lock()
-		mark := m.mark
-		m.markMu.Unlock()
-		m.TimeToFirstCommit.Observe(thread, time.Since(mark))
-	}
 }
 
 // TxAbort records one aborted attempt with its taxonomy cause.
@@ -297,7 +280,6 @@ func (m *Metrics) TxBudgetExceeded(thread uint64) {
 		return
 	}
 	m.RetryBudgetExceeded.Inc(thread)
-	m.Events.Record(KindBudgetExhausted, "", "")
 }
 
 // TxCanceled records a transaction abandoned on context cancellation.
@@ -306,26 +288,26 @@ func (m *Metrics) TxCanceled(thread uint64) {
 		return
 	}
 	m.ContextCanceled.Inc(thread)
-	m.Events.Record(KindContextCanceled, "", "")
 }
 
 // ObserveCommit records a sampled commit's protocol latency and, when the
-// commit ran read-set validation, the validation latency.
-func (m *Metrics) ObserveCommit(thread uint64, total, validation time.Duration, validated bool) {
+// commit ran read-set validation, the validation latency (nanoseconds,
+// differences of obs.Now stamps).
+func (m *Metrics) ObserveCommit(totalNs, validationNs uint64, validated bool) {
 	if m == nil {
 		return
 	}
-	m.CommitLatency.Observe(thread, total)
+	m.CommitLatency.Observe(totalNs)
 	if validated {
-		m.ValidationLatency.Observe(thread, validation)
+		m.ValidationLatency.Observe(validationNs)
 	}
 }
 
 // GateArrival records one guidance-gate decision: the aggregate outcome
 // counter, the per-state visit/hold/escape tally under the automaton state
-// current at arrival, the hold-time sample for delayed arrivals, and a ring
-// event for escapes (the diagnostic signature of a stale model).
-func (m *Metrics) GateArrival(state string, outcome GateOutcome, thread uint64, hold time.Duration) {
+// current at arrival, and the hold-time sample (nanoseconds) for delayed
+// arrivals.
+func (m *Metrics) GateArrival(state string, outcome GateOutcome, thread uint64, holdNs uint64) {
 	if m == nil {
 		return
 	}
@@ -334,12 +316,11 @@ func (m *Metrics) GateArrival(state string, outcome GateOutcome, thread uint64, 
 		m.GateHeld.Inc(thread)
 	case GateEscape:
 		m.GateEscaped.Inc(thread)
-		m.Events.Record(KindGateEscape, state, "")
 	default:
 		m.GatePassed.Inc(thread)
 	}
-	if hold > 0 {
-		m.GateHoldTime.Observe(thread, hold)
+	if holdNs > 0 {
+		m.GateHoldTime.Observe(holdNs)
 	}
 	st := m.gateState(state)
 	st.visits.Add(1)
@@ -371,13 +352,13 @@ func (m *Metrics) gateState(state string) *gateStateStats {
 	return v.(*gateStateStats)
 }
 
-// WatchdogTrip records a guidance-watchdog trip with its reason.
-func (m *Metrics) WatchdogTrip(state, reason string) {
+// WatchdogTrip records a guidance-watchdog trip. Its reason is the
+// watchdog's own LastTrip.
+func (m *Metrics) WatchdogTrip() {
 	if m == nil {
 		return
 	}
 	m.WatchdogTrips.Inc(0)
-	m.Events.Record(KindWatchdogTrip, state, reason)
 }
 
 // Snapshot returns a point-in-time view of this Metrics. Safe to call
@@ -414,8 +395,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		CommitLatency:        m.CommitLatency.Snapshot(),
 		ValidationLatency:    m.ValidationLatency.Snapshot(),
 		GateHoldTime:         m.GateHoldTime.Snapshot(),
-		TimeToFirstCommit:    m.TimeToFirstCommit.Snapshot(),
-		Events:               m.Events.Snapshot(),
 	}
 	// Derived, not counted: every finished attempt committed or aborted, so
 	// their sum is the attempt-start total (in-flight attempts show up on
@@ -444,9 +423,8 @@ func (m *Metrics) Snapshot() Snapshot {
 	return s
 }
 
-// Reset zeroes all counters, histograms, gate-state telemetry and the
-// event ring, and restarts the time-to-first-commit clock. Intended between
-// measurement phases; concurrent recording races benignly.
+// Reset zeroes all counters, histograms and gate-state telemetry.
+// Intended between measurement phases; concurrent recording races benignly.
 func (m *Metrics) Reset() {
 	if m == nil {
 		return
@@ -466,19 +444,12 @@ func (m *Metrics) Reset() {
 	for i := range m.AbortsByCause {
 		m.AbortsByCause[i].reset()
 	}
-	for _, h := range []*Histogram{
-		&m.CommitLatency, &m.ValidationLatency, &m.GateHoldTime, &m.TimeToFirstCommit,
-	} {
-		h.reset()
+	for _, h := range []*obs.Hist{&m.CommitLatency, &m.ValidationLatency, &m.GateHoldTime} {
+		h.Reset()
 	}
-	m.Events.reset()
 	m.gateStates.Range(func(k, _ any) bool {
 		m.gateStates.Delete(k)
 		return true
 	})
 	m.gateCount.Store(0)
-	m.markMu.Lock()
-	m.mark = time.Now()
-	m.markMu.Unlock()
-	m.firstDone.Store(false)
 }

@@ -2,10 +2,10 @@ package telemetry
 
 import (
 	"fmt"
-	"gstm/internal/obs"
 	"sync"
 	"testing"
-	"time"
+
+	"gstm/internal/obs"
 )
 
 func TestCounterShardingAndLoad(t *testing.T) {
@@ -43,123 +43,34 @@ func TestCounterIncReturnsShardLocalCount(t *testing.T) {
 	}
 }
 
-// TestBucketMappingMonotoneAndConsistent checks the bucket bounds a
-// Histogram reports: they grow with the observed value, hold it, and
-// survive merge's re-binning of a snapshot bound back to its bucket for
-// every bucket of the layout, the open-ended last one included.
+// TestBucketMappingMonotoneAndConsistent checks the bucket bounds the
+// exporter reports (obs.BucketHigh of each non-empty bucket): they grow
+// with the observed value, hold it, and survive Snapshot.Merge for every
+// bucket of the layout, the open-ended last one included.
 func TestBucketMappingMonotoneAndConsistent(t *testing.T) {
-	var prev time.Duration
+	var prev uint64
 	for _, v := range []uint64{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 100, 1000, 1e6, 1e9, 60e9, 1e12, 1 << 62} {
-		var h Histogram
-		h.Observe(0, time.Duration(v))
-		s := h.Snapshot()
-		if len(s.Buckets) != 1 || s.Buckets[0].Count != 1 {
+		m := NewDetached("buckets")
+		m.ObserveCommit(v, 0, false)
+		s := m.Snapshot().CommitLatency
+		if s.Count != 1 || len(s.Buckets) != 2 || s.Buckets[1] != 1 {
 			t.Fatalf("Observe(%d): buckets %+v", v, s.Buckets)
 		}
-		le := s.Buckets[0].Le
+		le := obs.BucketHigh(int(s.Buckets[0]))
 		if le < prev {
 			t.Fatalf("bucket bound not monotone at %d: %d < %d", v, le, prev)
 		}
 		prev = le
-		if b := obs.BucketOf(v); b < obs.NumBuckets-1 && uint64(le) <= v {
+		if b := obs.BucketOf(v); b < obs.NumBuckets-1 && le <= v {
 			t.Fatalf("value %d not below its bucket bound %d", v, le)
 		}
 	}
-	for i := 0; i < obs.NumBuckets; i++ {
-		one := HistSnapshot{Count: 1, Buckets: []HistBucket{{Le: time.Duration(obs.BucketHigh(i)), Count: 1}}}
-		m := one.merge(one)
-		if len(m.Buckets) != 1 || m.Buckets[0] != (HistBucket{Le: one.Buckets[0].Le, Count: 2}) {
-			t.Fatalf("bucket %d (le %d) merged into %+v", i, one.Buckets[0].Le, m.Buckets)
+	for i := uint64(0); i < obs.NumBuckets; i++ {
+		one := Snapshot{CommitLatency: obs.HistCounts{Count: 1, Buckets: []uint64{i, 1}}}
+		one.Merge(one)
+		if got := one.CommitLatency; got.Count != 2 || len(got.Buckets) != 2 || got.Buckets[0] != i || got.Buckets[1] != 2 {
+			t.Fatalf("bucket %d merged into %+v", i, got)
 		}
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	// 90 fast observations at 1µs, 10 slow at 1ms.
-	for i := 0; i < 90; i++ {
-		h.Observe(uint64(i), time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(uint64(i), time.Millisecond)
-	}
-	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d, want 100", s.Count)
-	}
-	if s.Max != time.Millisecond {
-		t.Fatalf("max = %v, want 1ms", s.Max)
-	}
-	if s.P50 < 800*time.Nanosecond || s.P50 > 2*time.Microsecond {
-		t.Fatalf("p50 = %v, want ≈1µs", s.P50)
-	}
-	if s.P99 < 800*time.Microsecond || s.P99 > time.Millisecond {
-		t.Fatalf("p99 = %v, want ≈1ms (≤ max)", s.P99)
-	}
-	if s.Mean() == 0 {
-		t.Fatal("mean = 0")
-	}
-	// Bucket counts must sum to the total and be ascending in bound.
-	var sum uint64
-	var prev time.Duration
-	for _, b := range s.Buckets {
-		sum += b.Count
-		if b.Le <= prev {
-			t.Fatalf("buckets not ascending: %v after %v", b.Le, prev)
-		}
-		prev = b.Le
-	}
-	if sum != s.Count {
-		t.Fatalf("bucket sum %d != count %d", sum, s.Count)
-	}
-}
-
-func TestHistSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 50; i++ {
-		a.Observe(0, time.Microsecond)
-		b.Observe(0, time.Millisecond)
-	}
-	m := a.Snapshot().merge(b.Snapshot())
-	if m.Count != 100 {
-		t.Fatalf("merged count = %d, want 100", m.Count)
-	}
-	if m.Max != time.Millisecond {
-		t.Fatalf("merged max = %v", m.Max)
-	}
-	if m.P50 < 800*time.Nanosecond || m.P50 > 2*time.Millisecond {
-		t.Fatalf("merged p50 = %v", m.P50)
-	}
-	if m.P99 < 500*time.Microsecond {
-		t.Fatalf("merged p99 = %v, want ≈1ms", m.P99)
-	}
-	// Merging with an empty snapshot is identity.
-	if got := a.Snapshot().merge(HistSnapshot{}); got.Count != 50 {
-		t.Fatalf("identity merge count = %d", got.Count)
-	}
-}
-
-func TestRingOverwritesOldest(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		r.Record(KindGateEscape, fmt.Sprintf("s%d", i), "")
-	}
-	evs := r.Snapshot()
-	if len(evs) != 4 {
-		t.Fatalf("len = %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := fmt.Sprintf("s%d", 6+i); ev.State != want {
-			t.Fatalf("event %d state = %q, want %q (oldest-first)", i, ev.State, want)
-		}
-		if ev.Seq != uint64(6+i) {
-			t.Fatalf("event %d seq = %d, want %d", i, ev.Seq, 6+i)
-		}
-	}
-	var nilRing *Ring
-	nilRing.Record("x", "", "") // must not panic
-	if got := nilRing.Snapshot(); got != nil {
-		t.Fatalf("nil ring snapshot = %v", got)
 	}
 }
 
@@ -176,11 +87,12 @@ func TestMetricsLifecycleAndSnapshot(t *testing.T) {
 	m.TxAbort(1, obs.CauseReadValidation)
 	m.TxBudgetExceeded(2)
 	m.TxCanceled(3)
-	m.ObserveCommit(0, 2*time.Microsecond, time.Microsecond, true)
+	m.ObserveCommit(2000, 1000, true)
+	m.ObserveCommit(3000, 0, false) // a commit that did not validate
 	m.GateArrival("stateA", GatePass, 0, 0)
-	m.GateArrival("stateA", GateHold, 0, 5*time.Microsecond)
-	m.GateArrival("stateB", GateEscape, 0, 10*time.Microsecond)
-	m.WatchdogTrip("stateB", "escape-rate 1.00>0.25")
+	m.GateArrival("stateA", GateHold, 0, 5000)
+	m.GateArrival("stateB", GateEscape, 0, 10000)
+	m.WatchdogTrip()
 
 	if sampled != 64/SampleEvery {
 		t.Fatalf("sampled %d of 64 starts, want %d", sampled, 64/SampleEvery)
@@ -199,33 +111,25 @@ func TestMetricsLifecycleAndSnapshot(t *testing.T) {
 	if s.WatchdogTrips != 1 {
 		t.Fatalf("watchdog trips = %d", s.WatchdogTrips)
 	}
-	if s.CommitLatency.Count != 1 || s.ValidationLatency.Count != 1 {
+	if s.CommitLatency.Count != 2 || s.ValidationLatency.Count != 1 {
 		t.Fatalf("latency counts = %d/%d", s.CommitLatency.Count, s.ValidationLatency.Count)
 	}
-	if s.GateHoldTime.Count != 2 {
-		t.Fatalf("gate hold count = %d", s.GateHoldTime.Count)
+	if s.CommitLatency.SumNs != 5000 || s.ValidationLatency.SumNs != 1000 {
+		t.Fatalf("latency sums = %d/%d", s.CommitLatency.SumNs, s.ValidationLatency.SumNs)
 	}
-	if s.TimeToFirstCommit.Count != 1 {
-		t.Fatalf("time-to-first-commit count = %d", s.TimeToFirstCommit.Count)
+	if s.GateHoldTime.Count != 2 || s.GateHoldTime.SumNs != 15000 {
+		t.Fatalf("gate hold count/sum = %d/%d", s.GateHoldTime.Count, s.GateHoldTime.SumNs)
 	}
 	if len(s.GateStates) != 2 || s.GateStates[0].State != "stateA" || s.GateStates[0].Visits != 2 {
 		t.Fatalf("gate states = %+v", s.GateStates)
-	}
-	// Trip + escape + budget + cancel = 4 ring events.
-	if len(s.Events) != 4 {
-		t.Fatalf("events = %d: %+v", len(s.Events), s.Events)
 	}
 
 	m.Reset()
 	s = m.Snapshot()
 	if s.Starts != 0 || s.Commits != 0 || s.CommitLatency.Count != 0 ||
-		len(s.GateStates) != 0 || len(s.Events) != 0 {
+		s.ValidationLatency.Count != 0 || s.GateHoldTime.Count != 0 ||
+		s.WatchdogTrips != 0 || len(s.GateStates) != 0 {
 		t.Fatalf("snapshot after reset not empty: %+v", s)
-	}
-	// First commit after reset records a fresh time-to-first-commit.
-	m.TxCommit(0)
-	if got := m.Snapshot().TimeToFirstCommit.Count; got != 1 {
-		t.Fatalf("TTFC after reset = %d, want 1", got)
 	}
 }
 
@@ -258,9 +162,9 @@ func TestNilMetricsSafe(t *testing.T) {
 	m.TxAbort(0, obs.CauseReadValidation)
 	m.TxBudgetExceeded(0)
 	m.TxCanceled(0)
-	m.ObserveCommit(0, time.Microsecond, 0, false)
+	m.ObserveCommit(1000, 0, false)
 	m.GateArrival("s", GatePass, 0, 0)
-	m.WatchdogTrip("s", "r")
+	m.WatchdogTrip()
 	m.Reset()
 	if s := m.Snapshot(); s.Commits != 0 {
 		t.Fatal("nil snapshot non-zero")
@@ -339,9 +243,6 @@ func TestGatherComponentBreakdown(t *testing.T) {
 				after.Components[i-1].Label, after.Components[i].Label)
 		}
 	}
-	if len(got["shardA"].Events) != 0 {
-		t.Fatal("component snapshot carries events; only the aggregate should")
-	}
 }
 
 // TestConcurrentRecordSnapshotReset exercises the record path, snapshots
@@ -366,10 +267,10 @@ func TestConcurrentRecordSnapshotReset(t *testing.T) {
 				} else {
 					m.TxCommit(thread)
 					if sampled {
-						m.ObserveCommit(thread, time.Duration(i%1000), time.Duration(i%100), i%2 == 0)
+						m.ObserveCommit(uint64(i%1000), uint64(i%100), i%2 == 0)
 					}
 				}
-				m.GateArrival("s", GateOutcome(i%3), thread, time.Duration(i%50))
+				m.GateArrival("s", GateOutcome(i%3), thread, uint64(i%50))
 			}
 		}(uint64(w))
 	}
@@ -385,15 +286,16 @@ func TestConcurrentRecordSnapshotReset(t *testing.T) {
 }
 
 // TestRecordPathZeroAlloc pins the acceptance criterion: the sharded
-// counter and histogram record paths allocate nothing.
+// counter and histogram record paths allocate nothing, the sampled commit's
+// obs.Now stamps and obs.Hist observations included.
 func TestRecordPathZeroAlloc(t *testing.T) {
 	m := NewDetached("alloc")
-	m.TxCommit(0) // retire the one-time first-commit sample
 	if n := testing.AllocsPerRun(1000, func() {
 		sampled := m.TxStart(1)
 		m.TxCommit(1)
 		if sampled {
-			m.ObserveCommit(1, time.Microsecond, 100*time.Nanosecond, true)
+			t0 := obs.Now()
+			m.ObserveCommit(uint64(obs.Now()-t0), 100, true)
 		}
 		m.TxAbort(1, obs.CauseReadValidation)
 	}); n != 0 {
@@ -401,7 +303,7 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 	}
 	m.GateArrival("warm", GatePass, 0, 0) // pre-create the state cell
 	if n := testing.AllocsPerRun(1000, func() {
-		m.GateArrival("warm", GateHold, 0, time.Microsecond)
+		m.GateArrival("warm", GateHold, 0, 1000)
 	}); n != 0 {
 		t.Fatalf("gate-state record path allocates %v/op, want 0", n)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gstm/internal/commitreg"
 	"gstm/internal/obs"
@@ -135,8 +134,8 @@ func New(cfg Config) *Runtime {
 	return rt
 }
 
-// Telemetry returns this runtime's metrics: sharded lifecycle counters,
-// sampled latency histograms, and the diagnostic event ring.
+// Telemetry returns this runtime's metrics: sharded lifecycle counters
+// and sampled latency histograms.
 func (rt *Runtime) Telemetry() *telemetry.Metrics { return rt.tel }
 
 // SetSink installs (or, with nil, removes) the instrumentation sink.
@@ -203,8 +202,8 @@ func (rt *Runtime) Stats() (commits, aborts uint64) {
 }
 
 // ResetStats zeroes the cumulative telemetry — counters, latency
-// histograms, gate tallies and the event ring (the clock is never reset —
-// versions must stay monotone).
+// histograms and gate tallies (the clock is never reset — versions must
+// stay monotone).
 func (rt *Runtime) ResetStats() {
 	rt.tel.Reset()
 }
@@ -424,9 +423,9 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 			}
 			continue
 		}
-		var t0 time.Time
+		var t0 int64
 		if sampled {
-			t0 = time.Now()
+			t0 = obs.Now()
 		}
 		// The sink is sampled once so the clock discipline the commit chose
 		// (unique ticks vs GV4/tick elision) matches the delivery decision;
@@ -447,9 +446,13 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 			}
 			continue
 		}
+		var commitNs uint64
+		if sampled {
+			commitNs = uint64(obs.Now() - t0)
+		}
 		for i, tx := range txs {
 			if tx.measure {
-				tx.rt.tel.ObserveCommit(shard, time.Since(t0), tx.valDur, tx.validated)
+				tx.rt.tel.ObserveCommit(commitNs, tx.valNs, tx.validated)
 			}
 			tx.rt.tel.TxCommit(shard)
 			if multi {

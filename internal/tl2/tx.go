@@ -2,7 +2,6 @@ package tl2
 
 import (
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"gstm/internal/obs"
@@ -57,9 +56,9 @@ type Tx struct {
 
 	// Latency-sampling state: when measure is set (1 in telemetry.SampleEvery
 	// commits per shard) the commit protocol times its read-set validation
-	// phase into valDur; validated records whether validation ran at all.
+	// phase into valNs; validated records whether validation ran at all.
 	measure   bool
-	valDur    time.Duration
+	valNs     uint64
 	validated bool
 
 	// span, when non-nil, receives the commit protocol's phase timeline
@@ -94,7 +93,7 @@ func (tx *Tx) reset(self txid.Pair, attempt int, readOnly, track bool, span *obs
 	tx.ws.Reset()
 	tx.attempt = attempt
 	tx.measure = tx.rt.tel.TxStart(uint64(self.Thread))
-	tx.valDur = 0
+	tx.valNs = 0
 	tx.validated = false
 	tx.span = span
 	if tx.tag == 0 {
@@ -463,7 +462,7 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 		if tx.measure || spanned {
 			end := obs.Now()
 			if tx.measure {
-				tx.valDur = time.Duration(end - vt0)
+				tx.valNs = uint64(end - vt0)
 				tx.validated = true
 			}
 			if spanned {

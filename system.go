@@ -329,9 +329,9 @@ func (m multiSink) TxAbort(p Pair, byWV uint64, by Pair, known bool) {
 func (s *System) Stats() (commits, aborts uint64) { return s.rt.Stats() }
 
 // Telemetry returns the system's live metrics: sharded lifecycle counters,
-// sampled commit/validation latency histograms, per-state gate telemetry
-// and the diagnostic event ring. The same object feeds the process-wide
-// exporter (telemetry.Gather).
+// sampled commit/validation latency histograms and per-state gate
+// telemetry. The same object feeds the process-wide exporter
+// (telemetry.Gather).
 func (s *System) Telemetry() *telemetry.Metrics { return s.rt.Telemetry() }
 
 // TelemetrySnapshot returns a point-in-time view of the system's metrics.
