@@ -81,8 +81,8 @@ func BenchmarkClockContention(b *testing.B) {
 // guided execution and profiling run in.
 type nopSink struct{}
 
-func (nopSink) TxCommit(p txid.Pair, wv uint64, aborts int)                {}
-func (nopSink) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, known bool) {}
+func (nopSink) TxCommit(p txid.Pair, wv uint64, aborts int)  {}
+func (nopSink) TxAbort(p txid.Pair, byWV uint64, known bool) {}
 
 // BenchmarkTL2TracedReadWrite is BenchmarkTL2ReadWrite with a sink
 // installed: the commit cost guided/profiled runs pay, including the

@@ -18,7 +18,7 @@ func (s *spyScheduler) Arrive(p gstm.Pair) gstm.GateOutcome { s.arrivals.Add(1);
 func (s *spyScheduler) TxCommit(p gstm.Pair, wv uint64, aborts int) {
 	s.commits.Add(1)
 }
-func (s *spyScheduler) TxAbort(p gstm.Pair, byWV uint64, by gstm.Pair, known bool) {}
+func (s *spyScheduler) TxAbort(p gstm.Pair, byWV uint64, known bool) {}
 
 func TestSetSchedulerReceivesEventsAndComposesWithProfiling(t *testing.T) {
 	sys := gstm.NewSystem(gstm.Config{Threads: 2, Interleave: 4})

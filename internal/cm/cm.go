@@ -22,13 +22,6 @@ import (
 	"gstm/internal/txid"
 )
 
-// Sink mirrors tl2.EventSink for the policies that learn from the event
-// stream.
-type Sink interface {
-	TxCommit(p txid.Pair, wv uint64, aborts int)
-	TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool)
-}
-
 // maxThreads bounds the per-thread state arrays. ThreadIDs at or above the
 // bound share the last slot (degraded but safe).
 const maxThreads = 256
@@ -81,7 +74,7 @@ func (p *Polite) TxCommit(pair txid.Pair, wv uint64, aborts int) {
 }
 
 // TxAbort implements tl2.EventSink: an abort lengthens the streak.
-func (p *Polite) TxAbort(pair txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
+func (p *Polite) TxAbort(pair txid.Pair, byWV uint64, known bool) {
 	p.streak[slot(pair.Thread)].Add(1)
 }
 
@@ -146,7 +139,7 @@ func (k *Karma) TxCommit(pair txid.Pair, wv uint64, aborts int) {
 }
 
 // TxAbort implements tl2.EventSink: lost work raises priority.
-func (k *Karma) TxAbort(pair txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
+func (k *Karma) TxAbort(pair txid.Pair, byWV uint64, known bool) {
 	k.karma[slot(pair.Thread)].Add(1)
 }
 
@@ -210,4 +203,4 @@ func (g *Greedy) TxCommit(pair txid.Pair, wv uint64, aborts int) {
 }
 
 // TxAbort implements tl2.EventSink: seniority is retained across retries.
-func (g *Greedy) TxAbort(pair txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {}
+func (g *Greedy) TxAbort(pair txid.Pair, byWV uint64, known bool) {}

@@ -40,7 +40,7 @@ func runCounter(t *testing.T, rt *tl2.Runtime, workers, per int) int {
 // install wires a manager as both gate and sink of a fresh runtime.
 type manager interface {
 	tl2.Gate
-	Sink
+	tl2.EventSink
 }
 
 func newManagedRuntime(m manager) *tl2.Runtime {
@@ -93,8 +93,8 @@ func TestRoundRobinCorrectAndNearDeterministic(t *testing.T) {
 func TestPoliteStreakTracking(t *testing.T) {
 	p := NewPolite(3)
 	pr := pair(0, 1)
-	p.TxAbort(pr, 1, pair(0, 0), true)
-	p.TxAbort(pr, 2, pair(0, 0), true)
+	p.TxAbort(pr, 1, true)
+	p.TxAbort(pr, 2, true)
 	if got := p.streak[1].Load(); got != 2 {
 		t.Fatalf("streak = %d, want 2", got)
 	}
@@ -110,7 +110,7 @@ func TestKarmaAccumulatesAndResets(t *testing.T) {
 	k := NewKarma(4, 8)
 	pr := pair(0, 2)
 	for i := 0; i < 10; i++ {
-		k.TxAbort(pr, 1, pair(0, 0), true)
+		k.TxAbort(pr, 1, true)
 	}
 	if got := k.karma[2].Load(); got != 10 {
 		t.Fatalf("karma = %d", got)
@@ -125,7 +125,7 @@ func TestKarmaGatesLowPriorityThread(t *testing.T) {
 	k := NewKarma(2, 4)
 	rich := pair(0, 0)
 	for i := 0; i < 50; i++ {
-		k.TxAbort(rich, 1, pair(0, 1), true)
+		k.TxAbort(rich, 1, true)
 	}
 	// The poor thread must yield its bounded amount, then proceed (the
 	// call returning at all is the progress guarantee).
@@ -147,7 +147,7 @@ func TestGreedySeniorityHeldAcrossRetries(t *testing.T) {
 		t.Fatal("older transaction must have the smaller stamp")
 	}
 	// An abort keeps the stamp; a commit clears it.
-	g.TxAbort(old, 1, young, true)
+	g.TxAbort(old, 1, true)
 	if g.start[0].Load() == 0 {
 		t.Fatal("abort cleared seniority")
 	}
@@ -161,12 +161,12 @@ func TestThreadSlotClamping(t *testing.T) {
 	// ThreadIDs beyond the state arrays must not panic.
 	p := NewPolite(2)
 	big := txid.Pair{Txn: 0, Thread: 9999}
-	p.TxAbort(big, 1, pair(0, 0), true)
+	p.TxAbort(big, 1, true)
 	p.Arrive(big)
 	p.TxCommit(big, 2, 1)
 
 	k := NewKarma(0, 2)
-	k.TxAbort(big, 1, pair(0, 0), true)
+	k.TxAbort(big, 1, true)
 	k.Arrive(big)
 
 	g := NewGreedy(2)

@@ -82,5 +82,5 @@ func (rr *RoundRobin) TxCommit(pair txid.Pair, wv uint64, aborts int) {
 
 // TxAbort implements tl2.EventSink: aborts do not advance the rotation —
 // the thread retries while it still holds the token.
-func (rr *RoundRobin) TxAbort(pair txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
+func (rr *RoundRobin) TxAbort(pair txid.Pair, byWV uint64, known bool) {
 }

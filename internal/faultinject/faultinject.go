@@ -219,7 +219,7 @@ func (d *DiskInjector) DiskCounts() (fsyncErrs, tornWrites, noSpace uint64) {
 // wrappers below satisfy both.
 type Sink interface {
 	TxCommit(p txid.Pair, wv uint64, aborts int)
-	TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool)
+	TxAbort(p txid.Pair, byWV uint64, known bool)
 }
 
 // Gate mirrors tl2.Gate / libtm.Gate.
@@ -260,10 +260,10 @@ func (s *StallingSink) TxCommit(p txid.Pair, wv uint64, aborts int) {
 }
 
 // TxAbort implements Sink.
-func (s *StallingSink) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
+func (s *StallingSink) TxAbort(p txid.Pair, byWV uint64, known bool) {
 	s.stall()
 	if s.inner != nil {
-		s.inner.TxAbort(p, byWV, by, byKnown)
+		s.inner.TxAbort(p, byWV, known)
 	}
 }
 

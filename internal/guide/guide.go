@@ -271,7 +271,7 @@ func (c *Controller) box(aborted []txid.Packed, commit txid.Packed) *stateBox {
 // TxAbort implements tl2.EventSink: it records the abort against the
 // commit that caused it so the state finalized for that commit includes it,
 // and, when that commit is the pending one, republishes latest.
-func (c *Controller) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
+func (c *Controller) TxAbort(p txid.Pair, byWV uint64, known bool) {
 	c.mu.Lock()
 	c.aborts[byWV] = append(c.aborts[byWV], p.Pack())
 	if c.hasPend && byWV == c.pending.wv {

@@ -101,7 +101,7 @@ func TestConcurrentEventsAndArrivals(t *testing.T) {
 				c.Arrive(p)
 				c.TxCommit(p, uint64(id*1000+i+1), i%2)
 				if i%3 == 0 {
-					c.TxAbort(pair(1, (id+1)%4), uint64(id*1000+i+1), p, true)
+					c.TxAbort(pair(1, (id+1)%4), uint64(id*1000+i+1), true)
 				}
 			}
 		}(g)

@@ -68,9 +68,9 @@ func TestStateTrackingOneCommitDelay(t *testing.T) {
 
 func TestAbortsFoldedIntoState(t *testing.T) {
 	c := NewController(buildTable(t))
-	c.TxCommit(pair(1, 7), 5, 0)               // pending commit wv=5
-	c.TxAbort(pair(0, 6), 5, pair(1, 7), true) // abort attributed to wv=5
-	c.TxCommit(pair(0, 0), 6, 0)               // finalizes wv=5's state
+	c.TxCommit(pair(1, 7), 5, 0)   // pending commit wv=5
+	c.TxAbort(pair(0, 6), 5, true) // abort attributed to wv=5
+	c.TxCommit(pair(0, 0), 6, 0)   // finalizes wv=5's state
 	k, ok := c.CurrentState()
 	if !ok {
 		t.Fatal("no state")
@@ -121,7 +121,7 @@ func TestUnknownStateNeverBlocks(t *testing.T) {
 
 func TestPruneDropsStaleAborts(t *testing.T) {
 	c := NewController(buildTable(t))
-	c.TxAbort(pair(1, 1), 1, pair(0, 0), true)
+	c.TxAbort(pair(1, 1), 1, true)
 	for wv := uint64(2); wv < 2100; wv++ {
 		c.TxCommit(pair(0, 0), wv, 0)
 	}
@@ -230,7 +230,7 @@ func TestCheckJudgesLatestCommit(t *testing.T) {
 	ctl.TxCommit(b, 2, 0) // cur is {<a0>}, whose successor b has just run
 	want("after b", a, telemetry.GatePass)
 	want("after b", b, telemetry.GateEscape)
-	ctl.TxAbort(c, 2, b, true)
+	ctl.TxAbort(c, 2, true)
 	want("after b aborted c", c, telemetry.GatePass)
 	want("after b aborted c", a, telemetry.GateEscape)
 	ctl.TxCommit(a, 3, 0)
@@ -250,7 +250,7 @@ func TestInternedStatesMatchNewState(t *testing.T) {
 		c.TxCommit(committer, wv, 0) // finalizes wv-1, makes wv pending
 		aborted := []txid.Pair{pair(i%7, 3), pair(2, 1), pair(i%7, 3)}
 		for _, a := range aborted {
-			c.TxAbort(a, wv, committer, true)
+			c.TxAbort(a, wv, true)
 		}
 		c.TxCommit(pair(0, 0), 0, 0) // finalizes wv with its aborts
 		want := trace.NewState([]txid.Packed{pk(i%7, 3), pk(2, 1)}, committer.Pack()).Key()

@@ -174,8 +174,8 @@ func (w *Watchdog) TxCommit(p txid.Pair, wv uint64, aborts int) {
 }
 
 // TxAbort implements the event sink.
-func (w *Watchdog) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
-	w.ctrl.TxAbort(p, byWV, by, byKnown)
+func (w *Watchdog) TxAbort(p txid.Pair, byWV uint64, known bool) {
+	w.ctrl.TxAbort(p, byWV, known)
 	w.observe(true)
 }
 

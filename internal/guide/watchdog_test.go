@@ -48,7 +48,7 @@ func (s *sink) commit(p txid.Pair) {
 // state as it is.
 func (s *sink) abort(p txid.Pair) {
 	s.events++
-	s.dog.TxAbort(p, 0, txid.Pair{}, false)
+	s.dog.TxAbort(p, 0, false)
 }
 
 // fill commits p until the sink has fed n events.

@@ -42,16 +42,16 @@ const (
 	// writer locks) before the waiter aborts itself, the
 	// deadlock-avoidance rule.
 	maxSpin = 64
-
-	// registryCapacity sizes the wv→committer attribution ring.
-	registryCapacity = 1 << 14
 )
 
 // EventSink mirrors tl2.EventSink: the same tracing and guidance
-// implementations satisfy both.
+// implementations satisfy both. wv is drawn from the package-global commit
+// sequence; TxAbort names the dooming commit by its wv with known set, and
+// reports the sequence's newest wv as a guess, known false, for an abort
+// no commit doomed.
 type EventSink interface {
 	TxCommit(p txid.Pair, wv uint64, aborts int)
-	TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool)
+	TxAbort(p txid.Pair, byWV uint64, known bool)
 }
 
 // Gate mirrors tl2.Gate.

@@ -2,6 +2,7 @@ package libtm
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -167,20 +168,22 @@ type countSink struct {
 	mu      sync.Mutex
 	commits int
 	aborts  int
-	known   int
+	wvs     []uint64 // commit wvs in delivery order
+	knownBy []uint64 // the wvs known aborts named
 }
 
 func (s *countSink) TxCommit(p txid.Pair, wv uint64, aborts int) {
 	s.mu.Lock()
 	s.commits++
+	s.wvs = append(s.wvs, wv)
 	s.mu.Unlock()
 }
 
-func (s *countSink) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
+func (s *countSink) TxAbort(p txid.Pair, byWV uint64, known bool) {
 	s.mu.Lock()
 	s.aborts++
-	if byKnown {
-		s.known++
+	if known {
+		s.knownBy = append(s.knownBy, byWV)
 	}
 	s.mu.Unlock()
 }
@@ -212,8 +215,42 @@ func TestSinkReceivesEvents(t *testing.T) {
 	if int(commits) != sink.commits || int(aborts) != sink.aborts {
 		t.Fatalf("stats %d/%d vs sink %d/%d", commits, aborts, sink.commits, sink.aborts)
 	}
-	if sink.aborts > 0 && sink.known == 0 {
+	if sink.aborts > 0 && len(sink.knownBy) == 0 {
 		t.Error("no abort had known attribution (dooming should attribute exactly)")
+	}
+}
+
+// TestDoomedReaderAttributedByWV: a writer's commit at wv W dooms a
+// registered reader, whose abort reaches the sink as W, known.
+func TestDoomedReaderAttributedByWV(t *testing.T) {
+	rt := New(Config{})
+	sink := &countSink{}
+	rt.SetSink(sink)
+	o := NewObj(0)
+	err := rt.Atomic(0, 0, func(tx *Tx) error {
+		Read(tx, o)
+		if tx.Attempt() == 0 {
+			done := make(chan error)
+			go func() {
+				done <- rt.Atomic(1, 1, func(tx *Tx) error {
+					Write(tx, o, 1)
+					return nil
+				})
+			}()
+			if err := <-done; err != nil {
+				t.Errorf("writer: %v", err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink.aborts != 1 || len(sink.knownBy) != 1 || len(sink.wvs) != 2 {
+		t.Fatalf("aborts %d, known %v, commits %v: want one known abort and two commits", sink.aborts, sink.knownBy, sink.wvs)
+	}
+	if w := sink.wvs[0]; sink.knownBy[0] != w {
+		t.Fatalf("doomed reader names wv %d, want the writer's %d", sink.knownBy[0], w)
 	}
 }
 
@@ -290,5 +327,31 @@ func TestBankTransfersAllModes(t *testing.T) {
 	}
 	if total != n*100 {
 		t.Fatalf("total = %d, want %d", total, n*100)
+	}
+}
+
+// TestRuntimeFootprint bounds what a fresh Runtime keeps live: after GC,
+// eight runtimes may add at most 128 KiB of heap each.
+func TestRuntimeFootprint(t *testing.T) {
+	const n, limit = 8, 128 << 10
+	var before, after runtime.MemStats
+	// Two cycles: the first only moves pooled Txs of earlier runtimes to
+	// the pools' victim caches, the second frees them.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rts := make([]*Runtime, n)
+	for i := range rts {
+		rts[i] = New(Config{})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	for _, rt := range rts {
+		rt.Telemetry().Unregister()
+	}
+	t.Logf("%d B live per Runtime", per)
+	if per > limit {
+		t.Fatalf("a fresh Runtime holds %d B live, over the %d B bound", per, limit)
 	}
 }

@@ -111,7 +111,7 @@ func (b *objBase) resolveReaders(tx *txState, wv uint64) {
 	defer b.mu.Unlock()
 	for r := range b.readers {
 		if r != tx {
-			r.doom(wv, tx.self)
+			r.doom(wv)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gstm/internal/commitreg"
 	"gstm/internal/obs"
 	"gstm/internal/telemetry"
 	"gstm/internal/txid"
@@ -14,7 +13,6 @@ import (
 // Runtime is a LibTM STM instance.
 type Runtime struct {
 	cfg   Config
-	reg   *commitreg.Registry
 	sink  atomic.Pointer[sinkBox]
 	gate  atomic.Pointer[gateBox]
 	fault atomic.Pointer[faultBox]
@@ -32,7 +30,6 @@ type faultBox struct{ f FaultInjector }
 // New returns a Runtime with cfg.
 func New(cfg Config) *Runtime {
 	rt := &Runtime{cfg: cfg, tel: telemetry.New("libtm")}
-	rt.reg = commitreg.New(registryCapacity)
 	rt.pool.New = func() any { return &Tx{} }
 	return rt
 }
@@ -159,24 +156,19 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 	}
 }
 
-// noteAbort counts and reports an abort. Dooming gives exact attribution;
-// lock-busy conflicts fall back to the most recent commit.
+// noteAbort counts and reports an abort. A doom names its commit exactly;
+// lock-busy and injected aborts report the most recent commit as a guess.
 func (rt *Runtime) noteAbort(self txid.Pair, c *conflict) {
 	rt.tel.TxAbort(uint64(self.Thread), c.cause)
 	sb := rt.sink.Load()
 	if sb == nil {
 		return
 	}
-	if c.byKnown && c.byWV != 0 {
-		sb.s.TxAbort(self, c.byWV, c.by, true)
+	if c.byWV != 0 {
+		sb.s.TxAbort(self, c.byWV, true)
 		return
 	}
-	guessWV := seq.Load()
-	by, ok := rt.reg.Lookup(guessWV)
-	if !ok {
-		by = txid.Pair{}
-	}
-	sb.s.TxAbort(self, guessWV, by, false)
+	sb.s.TxAbort(self, seq.Load(), false)
 }
 
 // backoff mirrors tl2's yield-based contention backoff.

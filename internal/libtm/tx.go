@@ -14,10 +14,10 @@ import (
 // txState is the shared-visibility part of a transaction attempt: other
 // transactions find it in reader lists and doom it through it.
 type txState struct {
-	self     txid.Pair
-	doomed   atomic.Bool
-	doomWV   atomic.Uint64
-	doomPair atomic.Uint32 // txid.Packed of the committing writer
+	self txid.Pair
+	// doomWV is the write version of the commit that doomed this attempt,
+	// 0 while it is not doomed.
+	doomWV atomic.Uint64
 	// committing is set for the window between the commit's reader
 	// resolution and the end of publishing. Optimistic readers refuse to
 	// register on an object whose writer is in this window: a registration
@@ -29,34 +29,27 @@ type txState struct {
 	committing atomic.Bool
 }
 
-// doom marks the transaction aborted by the commit (wv, by). Only the first
-// doom records attribution.
-func (st *txState) doom(wv uint64, by txid.Pair) {
-	if st.doomed.CompareAndSwap(false, true) {
-		st.doomWV.Store(wv)
-		st.doomPair.Store(uint32(by.Pack()))
-	}
-}
+// doom marks the transaction aborted by the commit at wv (never 0). Only
+// the first doom records attribution.
+func (st *txState) doom(wv uint64) { st.doomWV.CompareAndSwap(0, wv) }
 
-// conflict carries abort attribution out of a transaction body. cause
-// classifies the conflict for the abort taxonomy: a doom is a read
-// invalidation (the committing writer invalidated our visible read), a
-// spin-bound exhaustion is lock-busy.
+// conflict carries abort attribution out of a transaction body. byWV is
+// the dooming commit's write version, 0 when the attempt cannot name the
+// commit that invalidated it. cause classifies the conflict for the abort
+// taxonomy: a doom is a read invalidation (the committing writer
+// invalidated our visible read), a spin-bound exhaustion is lock-busy.
 type conflict struct {
-	byWV    uint64
-	by      txid.Pair
-	byKnown bool
-	cause   obs.Cause
+	byWV  uint64
+	cause obs.Cause
 }
 
-// doomConflict builds the conflict describing this attempt's doom.
+// doomConflict returns the conflict describing this attempt's doom, or nil
+// while it is not doomed.
 func doomConflict(st *txState) *conflict {
-	return &conflict{
-		byWV:    st.doomWV.Load(),
-		by:      txid.Packed(st.doomPair.Load()).Unpack(),
-		byKnown: true,
-		cause:   obs.CauseReadValidation,
+	if wv := st.doomWV.Load(); wv != 0 {
+		return &conflict{byWV: wv, cause: obs.CauseReadValidation}
 	}
+	return nil
 }
 
 // Tx is one attempt of a LibTM transaction.
@@ -133,8 +126,8 @@ func (tx *Tx) Retry() {
 
 // checkDoomed aborts the attempt when a committing writer has doomed it.
 func (tx *Tx) checkDoomed() {
-	if tx.st.doomed.Load() {
-		tx.abort(doomConflict(tx.st))
+	if c := doomConflict(tx.st); c != nil {
+		tx.abort(c)
 	}
 }
 
@@ -232,8 +225,8 @@ func (tx *Tx) scrub() {
 // commit locking), draw the commit sequence number, doom the registered
 // readers, re-check our own doom flag, publish, release.
 func (tx *Tx) commit() (wv uint64, c *conflict, ok bool) {
-	if tx.st.doomed.Load() {
-		return 0, doomConflict(tx.st), false
+	if c := doomConflict(tx.st); c != nil {
+		return 0, c, false
 	}
 	ents := tx.ws.Entries()
 	if len(ents) == 0 {
@@ -265,15 +258,14 @@ func (tx *Tx) commit() (wv uint64, c *conflict, ok bool) {
 	// A concurrent committer may have doomed us through an object we read;
 	// our dooms above are only undone by those readers retrying, which is
 	// the abort-readers policy's intended behaviour.
-	if tx.st.doomed.Load() {
-		return 0, doomConflict(tx.st), false
+	if c := doomConflict(tx.st); c != nil {
+		return 0, c, false
 	}
 	for i := range ents {
 		b := ents[i].Key
 		b.storePtr(ents[i].Val)
 		b.version.Add(1)
 	}
-	tx.rt.reg.Record(wv, tx.st.self)
 	tx.cleanup()
 	return wv, nil, true
 }

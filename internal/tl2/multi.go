@@ -74,15 +74,16 @@ func MultiRun(ctx context.Context, rts []*Runtime, thread txid.ThreadID, txn txi
 }
 
 // commitMulti is the cross-shard commit step, with tx.commit's result
-// shape: prepare, exchange and publish sweep over txs (see the protocol
-// above), the span's xprepare/xpublish phases recorded on txs[0]'s span.
-// On failure every lock is released, nothing is published, and each
-// participant counts a cross-shard abort.
+// shape plus by, the participant whose read validation failed (nil when a
+// lock did): prepare, exchange and publish sweep over txs (see the
+// protocol above), the span's xprepare/xpublish phases recorded on
+// txs[0]'s span. On failure every lock is released, nothing is published,
+// and each participant counts a cross-shard abort.
 //
 // The fault injector's CommitDelay, consulted once, spins between
 // consecutive participants' publishes — the window in which one shard
 // already carries commitWV and the next does not yet.
-func commitMulti(txs []*Tx) (wv, byWV uint64, cause obs.Cause, ok bool) {
+func commitMulti(txs []*Tx) (wv, byWV uint64, by *Runtime, cause obs.Cause, ok bool) {
 	lead := txs[0]
 	span, att, thread := lead.span, lead.attempt+1, uint64(lead.self.Thread)
 	var t0, mark int64
@@ -99,6 +100,7 @@ func commitMulti(txs []*Tx) (wv, byWV uint64, cause obs.Cause, ok bool) {
 	if ok {
 		for _, tx := range txs {
 			if byWV, _, ok = tx.validateReads(); !ok {
+				by = tx.rt
 				break
 			}
 		}
@@ -109,7 +111,7 @@ func commitMulti(txs []*Tx) (wv, byWV uint64, cause obs.Cause, ok bool) {
 			tx.rt.tel.XShardAborts.Inc(thread)
 		}
 		span.AddSince(obs.PhaseXPrepare, obs.CauseXShardValidation, att, t0)
-		return 0, byWV, obs.CauseXShardValidation, false
+		return 0, byWV, by, obs.CauseXShardValidation, false
 	}
 	if span != nil {
 		mark = obs.Now()
@@ -138,5 +140,5 @@ func commitMulti(txs []*Tx) (wv, byWV uint64, cause obs.Cause, ok bool) {
 	if span != nil {
 		span.AddSince(obs.PhaseXPublish, obs.CauseNone, att, mark)
 	}
-	return wv, 0, obs.CauseNone, true
+	return wv, 0, nil, obs.CauseNone, true
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gstm/internal/commitreg"
 	"gstm/internal/obs"
 	"gstm/internal/telemetry"
 	"gstm/internal/txid"
@@ -42,26 +41,28 @@ const (
 	// maxLockSpin bounds how many times commit-time lock acquisition spins
 	// per location before aborting, TL2's deadlock-avoidance rule.
 	maxLockSpin = 64
-	// registryCapacity sizes the wv→committer attribution ring.
-	registryCapacity = 1 << 16
 )
 
 // EventSink receives the instrumentation stream the paper adds to TL2
-// (TX_commit / TX_abort): every commit with its global sequence number wv,
-// and every abort with the commit that caused it when attribution
-// succeeded. Implementations must be safe for concurrent use.
+// (TX_commit / TX_abort): every commit with its write version wv, and every
+// abort with the wv of the commit that caused it. The wv is the whole
+// attribution: a consumer pairs an abort with its commit by matching it
+// against the TxCommit that carried the same wv. Implementations must be
+// safe for concurrent use.
 type EventSink interface {
 	// TxCommit reports that p committed with write version wv after
-	// aborting `aborts` times (its failed attempts). wv values are unique
-	// and drawn from a single global clock, so sorting commits by wv
-	// reconstructs the global commit order.
+	// aborting `aborts` times (its failed attempts). While a sink is
+	// installed every single-shard commit draws a unique tick from the
+	// runtime's clock, so sorting commits by wv reconstructs the commit
+	// order.
 	TxCommit(p txid.Pair, wv uint64, aborts int)
 
-	// TxAbort reports that p aborted an attempt. byWV identifies the
-	// invalidating commit; byKnown is false when attribution failed, in
-	// which case by holds the runtime's best-effort guess (the most recent
-	// commit) and byWV is that commit's wv.
-	TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool)
+	// TxAbort reports that p aborted an attempt invalidated by the commit
+	// at byWV. known is false when the attempt could not name that commit
+	// (a lock held past the spin bound, an injected abort, or a cross-shard
+	// abort produced on another participant): byWV is then this runtime's
+	// clock, the most recent commit, as a best-effort guess.
+	TxAbort(p txid.Pair, byWV uint64, known bool)
 }
 
 // Gate is consulted at every transaction start (the paper's modified
@@ -99,7 +100,6 @@ type FaultInjector interface {
 // at the cost of that portability.
 type Runtime struct {
 	cfg   Config
-	reg   *commitreg.Registry
 	clock *clock
 	sink  atomic.Pointer[sinkBox]
 	gate  atomic.Pointer[gateBox]
@@ -125,7 +125,6 @@ func New(cfg Config) *Runtime {
 	if cfg.PrivateClock {
 		rt.clock = new(clock)
 	}
-	rt.reg = commitreg.New(registryCapacity)
 	rt.pool.New = func() any {
 		tx := &Tx{rt: rt}
 		tx.group = []*Tx{tx}
@@ -407,7 +406,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 		}
 		if conflict != nil {
 			span.AddSince(obs.PhaseRetry, conflict.cause, attempt+1, attStart)
-			if rt.aborted(txs, self, conflict.byWV, conflict.cause, budget, attempt) {
+			if rt.aborted(txs, self, conflict.byWV, conflict.by, conflict.cause, budget, attempt) {
 				return ErrBudgetExceeded
 			}
 			continue
@@ -418,7 +417,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 		}
 		if fi := rt.injector(); fi != nil && fi.SpuriousAbort(self, attempt) {
 			span.AddSince(obs.PhaseRetry, obs.CauseSpurious, attempt+1, attStart)
-			if rt.aborted(txs, self, 0, obs.CauseSpurious, budget, attempt) {
+			if rt.aborted(txs, self, 0, nil, obs.CauseSpurious, budget, attempt) {
 				return ErrBudgetExceeded
 			}
 			continue
@@ -432,16 +431,18 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 		// installs racing the commit are picked up by the next transaction.
 		sb := rt.sink.Load()
 		var wv, byWV uint64
+		var by *Runtime
 		var cause obs.Cause
 		var ok bool
 		if multi {
-			wv, byWV, cause, ok = commitMulti(txs)
+			wv, byWV, by, cause, ok = commitMulti(txs)
 		} else {
 			wv, byWV, cause, ok = txs[0].commit(sb != nil)
+			by = rt
 		}
 		if !ok {
 			span.AddSince(obs.PhaseRetry, cause, attempt+1, attStart)
-			if rt.aborted(txs, self, byWV, cause, budget, attempt) {
+			if rt.aborted(txs, self, byWV, by, cause, budget, attempt) {
 				return ErrBudgetExceeded
 			}
 			continue
@@ -475,11 +476,18 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 // aborted does an aborted attempt's bookkeeping on every participant —
 // release any lock still held, count and report the abort — then reports
 // whether the call's budget is spent, backing off before the next attempt
-// when it is not.
-func (rt *Runtime) aborted(txs []*Tx, self txid.Pair, byWV uint64, cause obs.Cause, budget, attempt int) bool {
+// when it is not. byWV names the invalidating commit only on by, the
+// participant whose location or read validation produced it; every other
+// participant reports a guess, since its private clock may have issued the
+// same wv to an unrelated commit.
+func (rt *Runtime) aborted(txs []*Tx, self txid.Pair, byWV uint64, by *Runtime, cause obs.Cause, budget, attempt int) bool {
 	for _, tx := range txs {
 		tx.releaseLocks(0)
-		tx.rt.noteAbort(self, byWV, cause)
+		if tx.rt == by {
+			tx.rt.noteAbort(self, byWV, cause)
+		} else {
+			tx.rt.noteAbort(self, 0, cause)
+		}
 	}
 	if rt.budgetSpent(uint64(self.Thread), budget, attempt) {
 		return true
@@ -520,11 +528,10 @@ func (rt *Runtime) budgetSpent(shard uint64, budget, attempt int) bool {
 	return false
 }
 
-// noteAbort counts an abort (under its taxonomy cause) and reports it,
-// resolving the invalidating commit's identity through the registry. When
-// attribution is impossible (byWV == 0 or the registry slot was recycled)
-// the most recent commit is reported as a best-effort guess, flagged
-// byKnown=false.
+// noteAbort counts an abort (under its taxonomy cause) and reports it
+// against the invalidating commit byWV. With byWV == 0 (the commit is not
+// knowable) the runtime's clock, the most recent commit, is reported as a
+// best-effort guess, flagged known=false.
 func (rt *Runtime) noteAbort(self txid.Pair, byWV uint64, cause obs.Cause) {
 	rt.tel.TxAbort(uint64(self.Thread), cause)
 	sb := rt.sink.Load()
@@ -532,17 +539,10 @@ func (rt *Runtime) noteAbort(self txid.Pair, byWV uint64, cause obs.Cause) {
 		return
 	}
 	if byWV != 0 {
-		if by, ok := rt.reg.Lookup(byWV); ok {
-			sb.s.TxAbort(self, byWV, by, true)
-			return
-		}
+		sb.s.TxAbort(self, byWV, true)
+		return
 	}
-	guessWV := rt.clk().now()
-	by, ok := rt.reg.Lookup(guessWV)
-	if !ok {
-		by = txid.Pair{}
-	}
-	sb.s.TxAbort(self, guessWV, by, false)
+	sb.s.TxAbort(self, rt.clk().now(), false)
 }
 
 // backoff applies bounded, contention-proportional backoff between retry

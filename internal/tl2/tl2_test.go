@@ -217,7 +217,7 @@ func (s *recordingSink) TxCommit(p txid.Pair, wv uint64, aborts int) {
 	s.mu.Unlock()
 }
 
-func (s *recordingSink) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
+func (s *recordingSink) TxAbort(p txid.Pair, byWV uint64, known bool) {
 	s.mu.Lock()
 	s.aborts++
 	s.mu.Unlock()

@@ -17,14 +17,15 @@ var rngSeq atomic.Uint64
 // (owner cleared) before the Tx is pooled, so reuse across attempts is safe.
 var tagSeq atomic.Uint64
 
-// conflictSignal is panicked by transactional reads/writes (and returned by
-// the commit protocol) when a conflict is detected. byWV is the write
-// version of the commit that invalidated this transaction, or 0 when the
-// invalidating commit could not be identified (e.g. the location stayed
-// locked past the spin bound). cause classifies the conflict for the abort
-// taxonomy.
+// conflictSignal is panicked by transactional reads/writes when a conflict
+// is detected. byWV is the write version of the commit that invalidated
+// this transaction, or 0 when the invalidating commit could not be
+// identified (e.g. the location stayed locked past the spin bound); by is
+// the runtime whose location carried it, the one whose clock issued byWV.
+// cause classifies the conflict for the abort taxonomy.
 type conflictSignal struct {
 	byWV  uint64
+	by    *Runtime
 	cause obs.Cause
 }
 
@@ -138,7 +139,7 @@ func (tx *Tx) maybeYield() {
 }
 
 func (tx *Tx) conflict(byWV uint64, cause obs.Cause) {
-	panic(&conflictSignal{byWV: byWV, cause: cause})
+	panic(&conflictSignal{byWV: byWV, by: tx.rt, cause: cause})
 }
 
 // baseAddr is the write-set key of b: its address, which is also the
@@ -356,8 +357,8 @@ func (tx *Tx) validateReads() (byWV uint64, cause obs.Cause, ok bool) {
 }
 
 // publishAt is the back half of the prepared-commit split: it publishes
-// the write set at the caller-chosen write version wv, records the
-// attribution, releases every lock at wv and wakes parked readers. The
+// the write set at the caller-chosen write version wv, releases every lock
+// at wv and wakes parked readers. The
 // caller must hold the write-set locks (lockWriteSet succeeded), have
 // validated the read set, and have advanced this runtime's clock to at
 // least wv — locations must never carry versions the clock has not
@@ -367,7 +368,6 @@ func (tx *Tx) publishAt(wv uint64) {
 	for i := range ents {
 		ents[i].Key.storePtr(ents[i].Val)
 	}
-	tx.rt.reg.Record(wv, tx.self)
 	tx.releaseLocks(wv)
 	for i := range ents {
 		if b := ents[i].Key; b.wtrs.Load() != nil {
@@ -477,8 +477,6 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 		// unboxed replacement for the old per-location apply closure call.
 		ents[i].Key.storePtr(ents[i].Val)
 	}
-	// Publish attribution before the new version becomes observable.
-	tx.rt.reg.Record(wv, tx.self)
 	tx.releaseLocks(wv)
 	if spanned {
 		tx.span.AddSince(obs.PhasePublish, obs.CauseNone, att, mark)

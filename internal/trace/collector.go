@@ -42,9 +42,9 @@ func (c *Collector) TxCommit(p txid.Pair, wv uint64, aborts int) {
 }
 
 // TxAbort implements tl2.EventSink.
-func (c *Collector) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
+func (c *Collector) TxAbort(p txid.Pair, byWV uint64, known bool) {
 	c.mu.Lock()
-	c.aborts = append(c.aborts, abortEvent{byWV: byWV, pair: p.Pack(), known: byKnown})
+	c.aborts = append(c.aborts, abortEvent{byWV: byWV, pair: p.Pack(), known: known})
 	c.mu.Unlock()
 }
 

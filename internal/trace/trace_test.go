@@ -112,10 +112,10 @@ func TestCollectorFinalizeOrdersAndGroups(t *testing.T) {
 
 	// Commit wv=5 by t2 aborts t1 and t3; later commit wv=9 by t1 aborts
 	// nobody. Events arrive out of order, as they would concurrently.
-	c.TxAbort(t3, 5, t2, true)
+	c.TxAbort(t3, 5, true)
 	c.TxCommit(t1, 9, 2)
 	c.TxCommit(t2, 5, 0)
-	c.TxAbort(t1, 5, t2, true)
+	c.TxAbort(t1, 5, true)
 
 	tr := c.Finalize()
 	if tr.Commits != 2 || tr.Aborts != 2 {
@@ -250,7 +250,7 @@ func TestCompareGroups(t *testing.T) {
 
 func TestDumpRendersStates(t *testing.T) {
 	c := NewCollector()
-	c.TxAbort(txid.Pair{Txn: 0, Thread: 6}, 1, txid.Pair{Txn: 1, Thread: 7}, true)
+	c.TxAbort(txid.Pair{Txn: 0, Thread: 6}, 1, true)
 	c.TxCommit(txid.Pair{Txn: 1, Thread: 7}, 1, 0)
 	tr := c.Finalize()
 	var sb strings.Builder

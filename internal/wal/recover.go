@@ -133,7 +133,7 @@ func (r *Recovery) BuildTrace() *trace.Trace {
 		c.TxCommit(txid.Pair{Txn: txid.TxnID(cr.Site), Thread: txid.ThreadID(cr.Thread)}, cr.WV, int(cr.Aborts))
 	}
 	for _, a := range r.Aborts {
-		c.TxAbort(txid.Pair{Txn: txid.TxnID(a.Site), Thread: txid.ThreadID(a.Thread)}, a.ByWV, txid.Pair{}, a.Known)
+		c.TxAbort(txid.Pair{Txn: txid.TxnID(a.Site), Thread: txid.ThreadID(a.Thread)}, a.ByWV, a.Known)
 	}
 	return c.Finalize()
 }

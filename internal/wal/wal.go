@@ -294,12 +294,12 @@ func (l *Log) TxCommit(p txid.Pair, wv uint64, aborts int) {
 // TxAbort implements the event sink: with LogAborts on, the abort is
 // logged so recovery can rebuild the full Tseq for guided warmup. Abort
 // records carry no redo and are never waited on.
-func (l *Log) TxAbort(p txid.Pair, byWV uint64, by txid.Pair, byKnown bool) {
+func (l *Log) TxAbort(p txid.Pair, byWV uint64, known bool) {
 	t := int(p.Thread)
 	if !l.cfg.LogAborts || t >= len(l.stagers) {
 		return
 	}
-	rec := AbortRecord{ByWV: byWV, Site: l.stagers[t].site, Thread: uint16(t), Known: byKnown}
+	rec := AbortRecord{ByWV: byWV, Site: uint16(p.Txn), Thread: uint16(t), Known: known}
 	l.mu.Lock()
 	if l.err != nil || l.closing || l.crashed {
 		l.mu.Unlock()

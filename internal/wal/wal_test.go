@@ -313,7 +313,7 @@ func TestAbortLoggingBuildsTrace(t *testing.T) {
 	l, _ := openT(t, Config{Dir: dir, Threads: 2, LogAborts: true})
 	// Abort attributed to the commit at wv 7, then the commit itself.
 	l.Stage(0, 3)
-	l.TxAbort(txid.Pair{Txn: 3, Thread: 0}, 7, txid.Pair{Txn: 1, Thread: 1}, true)
+	l.TxAbort(txid.Pair{Txn: 3, Thread: 0}, 7, true)
 	commitOne(l, 1, 7, Op{Key: 1, Val: 1})
 	commitOne(l, 0, 8, Op{Key: 2, Val: 2})
 	// A commit that staged nothing, as every served Get batch does, is not
@@ -341,6 +341,26 @@ func TestAbortLoggingBuildsTrace(t *testing.T) {
 		if st.Commit == readOnly.Pack() {
 			t.Fatalf("staged-but-empty commit %v is in the rebuilt Tseq %v", readOnly, tr.Seq)
 		}
+	}
+}
+
+// TestAbortRecordCarriesAbortingSite: an abort is logged under the
+// aborting pair's site, not the site the thread last staged at — a
+// read-only batch stages nothing, so its abort follows a write batch's
+// staging.
+func TestAbortRecordCarriesAbortingSite(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, Config{Dir: dir, Threads: 1, LogAborts: true})
+	l.Stage(0, 3).Put(1, 1)
+	l.TxCommit(txid.Pair{Txn: 3, Thread: 0}, 1, 0)
+	l.TxAbort(txid.Pair{Txn: 4, Thread: 0}, 1, true)
+	if err := l.WaitThread(0); err != nil {
+		t.Fatalf("WaitThread: %v", err)
+	}
+	l.Crash()
+	_, rec := openT(t, Config{Dir: dir, Threads: 1})
+	if len(rec.Aborts) != 1 || rec.Aborts[0].Site != 4 {
+		t.Fatalf("aborts = %+v, want one at site 4", rec.Aborts)
 	}
 }
 
@@ -454,9 +474,9 @@ func TestBuildTraceMatchesCollector(t *testing.T) {
 	}
 	abort := func(thread int, site uint16, byWV uint64, known bool) {
 		l.Stage(thread, site)
-		l.TxAbort(pair(thread, site), byWV, txid.Pair{}, known)
+		l.TxAbort(pair(thread, site), byWV, known)
 		l.Abandon(thread)
-		live.TxAbort(pair(thread, site), byWV, txid.Pair{}, known)
+		live.TxAbort(pair(thread, site), byWV, known)
 	}
 	commit := func(thread int, site uint16, wv uint64, aborts int) {
 		l.Stage(thread, site).Put(wv, wv)

@@ -53,8 +53,7 @@ type System struct {
 	collector *trace.Collector // non-nil while profiling/measuring
 	ctrl      *guide.Controller
 	dog       *guide.Watchdog // non-nil when guidance runs under a watchdog
-	schedGate tl2.Gate        // non-guidance scheduler, if any
-	schedSink tl2.EventSink   // its observer, if any
+	schedSink tl2.EventSink   // the custom scheduler's observer, if any
 	tap       tl2.EventSink   // persistent observer (WAL), survives hot-swaps
 
 	// check is guidance installed WithDequeueCheck (the controller or its
@@ -171,7 +170,7 @@ func (s *System) forceGuidance(m *Model, set guidanceSettings) {
 	if set.watchdog {
 		s.dog = guide.NewWatchdog(s.ctrl)
 	}
-	s.schedGate, s.schedSink = nil, nil
+	s.schedSink = nil
 	s.installSinks()
 	var g guidance = s.ctrl
 	if s.dog != nil {
@@ -230,7 +229,6 @@ func (s *System) SetScheduler(gate Scheduler, obs Observer) {
 	s.ctrl = nil
 	s.dog = nil
 	s.check.Store(nil)
-	s.schedGate = gate
 	s.schedSink = obs
 	if gate == nil {
 		s.rt.SetGate(nil)
@@ -319,9 +317,9 @@ func (m multiSink) TxCommit(p Pair, wv uint64, aborts int) {
 	}
 }
 
-func (m multiSink) TxAbort(p Pair, byWV uint64, by Pair, known bool) {
+func (m multiSink) TxAbort(p Pair, byWV uint64, known bool) {
 	for _, s := range m {
-		s.TxAbort(p, byWV, by, known)
+		s.TxAbort(p, byWV, known)
 	}
 }
 
