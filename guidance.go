@@ -47,9 +47,9 @@ func WithWatchdog() GuidanceOption {
 }
 
 // WithDequeueCheck installs guidance without the transaction-start gate:
-// the controller (or its watchdog) still tracks the automaton's state from
-// the event stream, and the caller asks System.CheckDequeue about each piece
-// of work as it takes it up, so no transaction ever waits at TM_BEGIN. It
+// the controller still tracks the automaton's state from the event stream,
+// and the caller asks System.CheckDequeue about each piece of work as it
+// takes it up, so no transaction ever waits at TM_BEGIN. It
 // suits callers that own a queue — the server's workers — not threads with
 // nothing else to run.
 func WithDequeueCheck() GuidanceOption {

@@ -35,10 +35,15 @@ const DefaultGateRetries = 16
 
 // Controller implements tl2.Gate and tl2.EventSink. Install it as gate and
 // sink on a runtime (SetGate/SetSink) to obtain guided execution, or as sink
-// only when the caller asks Check itself.
+// only when the caller asks Check itself. Armed WithWatchdog, it is also the
+// watchdog's circuit breaker (watchdog.go): once tripped, Arrive and Check
+// pass every pair uncounted.
 type Controller struct {
 	table   *model.GuideTable
 	retries int
+	armed   bool // WithWatchdog
+
+	tripped atomic.Bool // read first on every Arrive and Check
 
 	cur atomic.Pointer[stateBox] // current TTS key; nil until first commit
 	// latest is the pending commit's state as known so far: its pair and
@@ -57,6 +62,7 @@ type Controller struct {
 	// a commit of a state already seen allocates nothing.
 	keyBuf []byte
 	boxes  map[string]*stateBox
+	wd     watchdog
 
 	held    atomic.Uint64 // gate decisions that delayed a thread
 	passed  atomic.Uint64 // gate decisions that let a thread through at once
@@ -141,11 +147,15 @@ func (c *Controller) admits(b *stateBox, pk txid.Packed) (bool, trace.Key) {
 	return allowed || !known, b.key
 }
 
-// Arrive implements the gate (tl2.Gate). It blocks the calling thread for
+// Arrive implements the gate (tl2.Gate). A tripped controller lets every
+// thread through uncounted. Otherwise Arrive blocks the calling thread for
 // up to retries re-checks while its pair is outside every high-probability
 // destination of the current state; an unknown current state, or exhausting
 // the retries, lets the thread proceed (Section V progress rule).
 func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
+	if c.tripped.Load() {
+		return telemetry.GatePass
+	}
 	pk := p.Pack()
 	heldOnce := false
 	var stateKey string
@@ -199,7 +209,8 @@ func (c *Controller) count(p txid.Pair, o telemetry.GateOutcome, state string, h
 // admitted, GateEscape when it is not. It is booked like a gate decision
 // with no hold time, so GateStats, the per-state gate telemetry and the
 // watchdog's windows read the same on either path; an escape here means the
-// model's destination sets missed the work, not that anything waited.
+// model's destination sets missed the work, not that anything waited. As with
+// Arrive, a tripped controller passes every pair uncounted.
 //
 // Arrive judges cur, the newest state whose aborts are all in, and a thread
 // it holds re-checks once cur moves on. Check gets one look, so it judges
@@ -207,6 +218,9 @@ func (c *Controller) count(p txid.Pair, o telemetry.GateOutcome, state string, h
 // would ask which transaction follows the commit before that one, and on a
 // pair of workers taking turns would refuse nearly every batch.
 func (c *Controller) Check(p txid.Pair) telemetry.GateOutcome {
+	if c.tripped.Load() {
+		return telemetry.GatePass
+	}
 	o := telemetry.GatePass
 	ok, k := c.admits(c.latest.Load(), p.Pack())
 	if !ok {
@@ -234,7 +248,8 @@ func heldYield(round int) {
 }
 
 // TxCommit implements tl2.EventSink: it finalizes the previous pending
-// commit into the new current state, then makes this commit pending.
+// commit into the new current state, then makes this commit pending, and
+// advances the watchdog's window.
 func (c *Controller) TxCommit(p txid.Pair, wv uint64, aborts int) {
 	c.mu.Lock()
 	if c.hasPend {
@@ -250,6 +265,7 @@ func (c *Controller) TxCommit(p txid.Pair, wv uint64, aborts int) {
 	if c.seen%1024 == 0 {
 		c.prune(wv)
 	}
+	c.observeLocked(false)
 	c.mu.Unlock()
 }
 
@@ -270,13 +286,15 @@ func (c *Controller) box(aborted []txid.Packed, commit txid.Packed) *stateBox {
 
 // TxAbort implements tl2.EventSink: it records the abort against the
 // commit that caused it so the state finalized for that commit includes it,
-// and, when that commit is the pending one, republishes latest.
+// and, when that commit is the pending one, republishes latest. It advances
+// the watchdog's window like a commit.
 func (c *Controller) TxAbort(p txid.Pair, byWV uint64, known bool) {
 	c.mu.Lock()
 	c.aborts[byWV] = append(c.aborts[byWV], p.Pack())
 	if c.hasPend && byWV == c.pending.wv {
 		c.latest.Store(c.box(c.aborts[byWV], c.pending.pair))
 	}
+	c.observeLocked(true)
 	c.mu.Unlock()
 }
 

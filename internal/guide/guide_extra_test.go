@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gstm/internal/model"
+	"gstm/internal/telemetry"
 	"gstm/internal/trace"
 	"gstm/internal/txid"
 )
@@ -89,27 +90,57 @@ func waitInHeldYield(t *testing.T) {
 	}
 }
 
+// TestConcurrentEventsAndArrivals races arrivals, checks and events on one
+// controller. Unarmed, every decision is counted. Armed WithWatchdog, a fifth
+// goroutine drives escapes until the watchdog trips while the others run, so
+// the race detector sees the lock-free trip flag read against its store.
 func TestConcurrentEventsAndArrivals(t *testing.T) {
-	c := NewController(buildTable(t), WithGateRetries(4))
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				p := pair(i%3, id)
-				c.Arrive(p)
-				c.TxCommit(p, uint64(id*1000+i+1), i%2)
-				if i%3 == 0 {
-					c.TxAbort(pair(1, (id+1)%4), uint64(id*1000+i+1), true)
+	for _, armed := range []bool{false, true} {
+		opts := []Option{WithGateRetries(4)}
+		if armed {
+			opts = append(opts, WithWatchdog())
+		}
+		c := NewController(buildTable(t), opts...)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				// Armed, the workers outlast the trip, so their reads of
+				// the flag straddle its store.
+				for i := 0; i < 500 || armed && !c.Tripped(); i++ {
+					p := pair(i%3, id)
+					c.Arrive(p)
+					c.Check(p)
+					c.TxCommit(p, uint64(id*1000+i+1), i%2)
+					if i%3 == 0 {
+						c.TxAbort(pair(1, (id+1)%4), uint64(id*1000+i+1), true)
+					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	passed, held, escaped := c.GateStats()
-	if passed+held+escaped != 4*500 {
-		t.Fatalf("gate decisions %d+%d+%d != 2000", passed, held, escaped)
+			}(g)
+		}
+		if armed {
+			// State A admits only B, so C's arrivals escape; the
+			// tripper's commits of A and aborts keep the windows closing
+			// until one is judged.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; !c.Tripped(); i++ {
+					c.TxCommit(pair(0, 0), uint64(10000+i), 0)
+					c.Arrive(pair(2, 2))
+					c.TxAbort(pair(2, 2), 0, false)
+				}
+			}()
+		}
+		wg.Wait()
+		passed, held, escaped := c.GateStats()
+		if !armed && passed+held+escaped != 2*4*500 {
+			t.Fatalf("gate decisions %d+%d+%d != 4000", passed, held, escaped)
+		}
+		if armed && (!c.Tripped() || c.Arrive(pair(2, 2)) != telemetry.GatePass) {
+			t.Fatalf("armed controller: tripped=%v after the tripper returned", c.Tripped())
+		}
 	}
 }
 

@@ -187,21 +187,39 @@ func TestGuidedEndToEnd(t *testing.T) {
 // TestControllerCommitZeroAlloc is the allocation gate run by CI's
 // bench-smoke: an abort-free commit that finalizes a state the controller has
 // seen before builds its key in the scratch buffer and republishes the
-// interned box, allocating nothing.
+// interned box, allocating nothing. Armed WithWatchdog, the commits also
+// close watchdog windows without a trip, still allocating nothing.
 func TestControllerCommitZeroAlloc(t *testing.T) {
-	c := NewController(buildTable(t))
-	wv := uint64(0)
-	commit := func() {
-		wv++
-		c.TxCommit(pair(1, 1), wv, 0)
-	}
-	commit()
-	commit() // the first finalization interns {<b1>}
-	if got := testing.AllocsPerRun(1000, commit); got != 0 {
-		t.Fatalf("abort-free commit of a seen state: %v allocs, want 0", got)
-	}
-	if k, _ := c.CurrentState(); k != trace.NewState(nil, pk(1, 1)).Key() {
-		t.Fatalf("state = %q after repeated commits of (1,1)", k)
+	for _, armed := range []bool{false, true} {
+		var opts []Option
+		if armed {
+			opts = append(opts, WithWatchdog())
+		}
+		c := NewController(buildTable(t), opts...)
+		wv := uint64(0)
+		commit := func() {
+			wv++
+			c.TxCommit(pair(1, 1), wv, 0)
+		}
+		commit()
+		commit() // the first finalization interns {<b1>}
+		// AllocsPerRun adds one warm-up call: 2+1+runs commits in all.
+		const runs = 2*watchdogWindow + 100
+		if got := testing.AllocsPerRun(runs, commit); got != 0 {
+			t.Fatalf("armed=%v: abort-free commit of a seen state: %v allocs, want 0", armed, got)
+		}
+		if k, _ := c.CurrentState(); k != trace.NewState(nil, pk(1, 1)).Key() {
+			t.Fatalf("armed=%v: state = %q after repeated commits of (1,1)", armed, k)
+		}
+		if !armed {
+			continue
+		}
+		if c.Tripped() {
+			t.Fatal("armed controller tripped on commits alone")
+		}
+		if want := (3 + runs) % watchdogWindow; c.wd.winEvents != want {
+			t.Fatalf("open window holds %d events, want %d after two closed windows", c.wd.winEvents, want)
+		}
 	}
 }
 

@@ -2,19 +2,14 @@ package guide
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"gstm/internal/telemetry"
-	"gstm/internal/txid"
 )
 
 // The guidance watchdog is the runtime analogue of the paper's offline
 // model rejection: where the analyzer rejects unguidable models (ssca2)
 // before execution, the watchdog detects a model that is degrading execution
-// *while* guiding it and trips guidance into pass-through mode. Its
-// thresholds are fixed.
+// *while* guiding it and trips guidance into pass-through mode. It is part
+// of the Controller, armed WithWatchdog. Its thresholds are fixed.
 const (
 	// watchdogWindow is how many commit/abort events form one evaluation
 	// window.
@@ -77,7 +72,7 @@ func (s WatchdogState) String() string {
 }
 
 // WatchdogSnapshot is a point-in-time view of the watchdog for health
-// reporting.
+// reporting (Controller.Watchdog).
 type WatchdogSnapshot struct {
 	State WatchdogState
 	Trips uint64 // armed → tripped transitions so far (0 or 1: a trip is final)
@@ -93,19 +88,17 @@ type WatchdogSnapshot struct {
 	LastTrip *TripReason
 }
 
-// Watchdog wraps a Controller as a circuit breaker: it stays on the gate
-// and sink paths permanently, delegating to the controller while armed and
-// short-circuiting the gate once tripped (events still flow to the
-// controller, so CurrentState stays current). A trip is final.
-//
-// Install the Watchdog — not the inner controller — as both the runtime's
-// Gate and EventSink, or as the EventSink with callers asking Check.
-type Watchdog struct {
-	ctrl *Controller
+// WithWatchdog arms the controller's watchdog: a circuit breaker that
+// judges the event stream in windows of watchdogWindow commits and aborts
+// and, once a window's escape rate is too high, trips the controller into
+// pass-through for good. Events still update the tracked state after a trip,
+// so CurrentState stays current.
+func WithWatchdog() Option {
+	return func(c *Controller) { c.armed = true }
+}
 
-	tripped atomic.Bool // read on every Arrive; the hot flag
-
-	mu          sync.Mutex
+// watchdog is the breaker's window state, guarded by Controller.mu.
+type watchdog struct {
 	winEvents   int
 	winAborts   int
 	basePassed  uint64
@@ -114,93 +107,54 @@ type Watchdog struct {
 	escRate     float64
 	holdRate    float64
 	abortRate   float64
-	trips       uint64
-	lastTrip    *TripReason
+	lastTrip    *TripReason // non-nil once tripped
 }
 
-// NewWatchdog returns a Watchdog guarding ctrl.
-func NewWatchdog(ctrl *Controller) *Watchdog {
-	w := &Watchdog{ctrl: ctrl}
-	w.basePassed, w.baseHeld, w.baseEscaped = ctrl.GateStats()
-	return w
-}
+// Tripped reports whether the watchdog has tripped the controller into
+// pass-through. An unarmed controller never trips.
+func (c *Controller) Tripped() bool { return c.tripped.Load() }
 
-// Controller returns the guarded controller.
-func (w *Watchdog) Controller() *Controller { return w.ctrl }
-
-// Tripped reports whether the breaker is currently open (pass-through).
-func (w *Watchdog) Tripped() bool { return w.tripped.Load() }
-
-// Snapshot returns the current watchdog state and window rates.
-func (w *Watchdog) Snapshot() WatchdogSnapshot {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// Watchdog returns the watchdog's state and window rates, and whether the
+// controller is armed at all (WithWatchdog).
+func (c *Controller) Watchdog() (WatchdogSnapshot, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := &c.wd
 	s := WatchdogSnapshot{
-		State:      WatchdogArmed,
-		Trips:      w.trips,
 		EscapeRate: w.escRate,
 		HoldRate:   w.holdRate,
 		AbortRate:  w.abortRate,
 		LastTrip:   w.lastTrip,
 	}
-	if w.tripped.Load() {
-		s.State = WatchdogTripped
+	if w.lastTrip != nil {
+		s.State, s.Trips = WatchdogTripped, 1
 	}
-	return s
+	return s, c.armed
 }
 
-// Arrive implements the gate: pass-through while tripped, guided otherwise.
-func (w *Watchdog) Arrive(p txid.Pair) telemetry.GateOutcome {
-	if w.tripped.Load() {
-		return telemetry.GatePass
-	}
-	return w.ctrl.Arrive(p)
-}
-
-// Check is the controller's Check while armed; tripped, every pair passes
-// and, as with the pass-through Arrive, nothing is counted.
-func (w *Watchdog) Check(p txid.Pair) telemetry.GateOutcome {
-	if w.tripped.Load() {
-		return telemetry.GatePass
-	}
-	return w.ctrl.Check(p)
-}
-
-// TxCommit implements the event sink: state tracking first, then window
-// accounting.
-func (w *Watchdog) TxCommit(p txid.Pair, wv uint64, aborts int) {
-	w.ctrl.TxCommit(p, wv, aborts)
-	w.observe(false)
-}
-
-// TxAbort implements the event sink.
-func (w *Watchdog) TxAbort(p txid.Pair, byWV uint64, known bool) {
-	w.ctrl.TxAbort(p, byWV, known)
-	w.observe(true)
-}
-
-// observe advances the window by one event and judges it at the window
-// boundary. A tripped watchdog judges nothing more.
-func (w *Watchdog) observe(abort bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.tripped.Load() {
+// observeLocked advances an armed controller's window by one event and
+// judges it at the window boundary. A tripped controller judges nothing
+// more. Called with mu held.
+func (c *Controller) observeLocked(abort bool) {
+	if !c.armed || c.tripped.Load() {
 		return
 	}
+	w := &c.wd
 	w.winEvents++
 	if abort {
 		w.winAborts++
 	}
 	if w.winEvents >= watchdogWindow {
-		w.evaluateLocked()
+		c.evaluateLocked()
 	}
 }
 
 // evaluateLocked closes the current window: computes the three rates,
 // trips the breaker when a conclusive window's escape rate exceeds the
 // threshold, and opens a fresh window. Called with mu held.
-func (w *Watchdog) evaluateLocked() {
-	p, h, e := w.ctrl.GateStats()
+func (c *Controller) evaluateLocked() {
+	w := &c.wd
+	p, h, e := c.GateStats()
 	dp, dh, de := p-w.basePassed, h-w.baseHeld, e-w.baseEscaped
 	gateTotal := dp + dh + de
 
@@ -209,7 +163,7 @@ func (w *Watchdog) evaluateLocked() {
 		w.escRate = float64(de) / float64(gateTotal)
 		w.holdRate = float64(dh+de) / float64(gateTotal)
 		if w.escRate > watchdogMaxEscapeRate {
-			reason := &TripReason{
+			w.lastTrip = &TripReason{
 				At:          time.Now(),
 				Window:      w.winEvents,
 				GateSamples: int(gateTotal),
@@ -217,10 +171,8 @@ func (w *Watchdog) evaluateLocked() {
 				HoldRate:    w.holdRate,
 				AbortRate:   w.abortRate,
 			}
-			w.tripped.Store(true)
-			w.trips++
-			w.lastTrip = reason
-			w.ctrl.tel.WatchdogTrip()
+			c.tripped.Store(true)
+			c.tel.WatchdogTrip()
 		}
 	}
 	w.winEvents, w.winAborts = 0, 0

@@ -30,25 +30,31 @@ func adversarialTable(realPairs []txid.Pair, ghost txid.Pair) *model.GuideTable 
 	return model.Compile(m, 4)
 }
 
-// sink counts the commit/abort events it feeds a watchdog, so a test can
-// close a window at a known event.
+// sink counts the commit/abort events it feeds a controller, so a test can
+// close a watchdog window at a known event.
 type sink struct {
-	dog    *Watchdog
+	ctrl   *Controller
 	wv     uint64
 	events int
+}
+
+// snap returns the controller's watchdog snapshot.
+func (s *sink) snap() WatchdogSnapshot {
+	w, _ := s.ctrl.Watchdog()
+	return w
 }
 
 func (s *sink) commit(p txid.Pair) {
 	s.wv++
 	s.events++
-	s.dog.TxCommit(p, s.wv, 0)
+	s.ctrl.TxCommit(p, s.wv, 0)
 }
 
 // abort reports an abort against no known commit, leaving the tracked
 // state as it is.
 func (s *sink) abort(p txid.Pair) {
 	s.events++
-	s.dog.TxAbort(p, 0, false)
+	s.ctrl.TxAbort(p, 0, false)
 }
 
 // fill commits p until the sink has fed n events.
@@ -79,12 +85,12 @@ func TestWatchdogFixedThresholds(t *testing.T) {
 		start := s.events
 		s.commit(b) // the pending commit all decisions judge: {<b1>}
 		for i := 0; i < escapes; i++ {
-			if o := s.dog.Check(c); o != telemetry.GateEscape {
+			if o := s.ctrl.Check(c); o != telemetry.GateEscape {
 				t.Fatalf("Check(c) = %v, want escape", o)
 			}
 		}
 		for i := 0; i < passes; i++ {
-			if o := s.dog.Check(a); o != telemetry.GatePass {
+			if o := s.ctrl.Check(a); o != telemetry.GatePass {
 				t.Fatalf("Check(a) = %v, want pass", o)
 			}
 		}
@@ -92,14 +98,14 @@ func TestWatchdogFixedThresholds(t *testing.T) {
 			s.abort(c)
 		}
 		s.fill(b, start+511)
-		if s.dog.Tripped() {
+		if s.ctrl.Tripped() {
 			t.Fatalf("tripped after %d events of a 512-event window", s.events-start)
 		}
 		s.commit(b)
-		return s.dog.Tripped()
+		return s.ctrl.Tripped()
 	}
 	newSink := func(tel *telemetry.Metrics) *sink {
-		return &sink{dog: NewWatchdog(NewController(table, WithTelemetry(tel)))}
+		return &sink{ctrl: NewController(table, WithTelemetry(tel), WithWatchdog())}
 	}
 
 	tel := telemetry.NewDetached("watchdog-thresholds")
@@ -107,19 +113,19 @@ func TestWatchdogFixedThresholds(t *testing.T) {
 	if window(s, 31, 0, 0) {
 		t.Fatal("31 gate decisions, all escapes, tripped: the window must be inconclusive")
 	}
-	if snap := s.dog.Snapshot(); snap.EscapeRate != 0 {
+	if snap := s.snap(); snap.EscapeRate != 0 {
 		t.Fatalf("inconclusive window set the escape rate to %v", snap.EscapeRate)
 	}
 	if window(s, 2500, 7500, 0) {
 		t.Fatal("escape rate exactly 0.25 tripped")
 	}
-	if snap := s.dog.Snapshot(); snap.EscapeRate != 0.25 || snap.Trips != 0 {
+	if snap := s.snap(); snap.EscapeRate != 0.25 || snap.Trips != 0 {
 		t.Fatalf("snapshot after a 0.25 window = %+v", snap)
 	}
 	if !window(s, 2501, 7499, 0) {
 		t.Fatal("escape rate 0.2501 did not trip")
 	}
-	r := s.dog.Snapshot().LastTrip
+	r := s.snap().LastTrip
 	if r == nil || r.Window != 512 || r.GateSamples != 10000 || r.EscapeRate != 0.2501 {
 		t.Fatalf("trip reason = %+v, want window 512, 10000 decisions, escape rate 0.2501", r)
 	}
@@ -129,7 +135,7 @@ func TestWatchdogFixedThresholds(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.fill(b, s.events+512)
 	}
-	if snap := s.dog.Snapshot(); snap.State != WatchdogTripped || snap.Trips != 1 || snap.LastTrip != r {
+	if snap := s.snap(); snap.State != WatchdogTripped || snap.Trips != 1 || snap.LastTrip != r {
 		t.Fatalf("after ten more windows: %+v, want tripped once with reason %+v", snap, r)
 	}
 	if got := tel.Snapshot().WatchdogTrips; got != 1 {
@@ -141,7 +147,7 @@ func TestWatchdogFixedThresholds(t *testing.T) {
 	if !window(s, 9, 23, 128) {
 		t.Fatal("9 escapes in 32 decisions did not trip")
 	}
-	if r := s.dog.Snapshot().LastTrip; r.GateSamples != 32 || r.AbortRate != 0.25 {
+	if r := s.snap().LastTrip; r.GateSamples != 32 || r.AbortRate != 0.25 {
 		t.Fatalf("trip reason = %+v, want 32 decisions and abort rate 0.25", r)
 	}
 	s = newSink(telemetry.NewDetached("watchdog-aborts"))
@@ -156,8 +162,8 @@ func TestWatchdogFixedThresholds(t *testing.T) {
 func TestWatchdogTripsOnEscapeRate(t *testing.T) {
 	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
 	ghost := pairOf(9, 9)
-	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, ghost), WithGateRetries(2))
-	s := &sink{dog: NewWatchdog(ctrl)}
+	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, ghost), WithGateRetries(2), WithWatchdog())
+	s := &sink{ctrl: ctrl}
 
 	// Two commits establish a tracked current state (key {<a>}).
 	s.commit(a)
@@ -169,14 +175,14 @@ func TestWatchdogTripsOnEscapeRate(t *testing.T) {
 	// Arrivals by a disallowed pair, then enough events to close the
 	// window with a 100% escape rate.
 	for i := 0; i < 40; i++ {
-		s.dog.Arrive(c) // held twice, then forced through
+		s.ctrl.Arrive(c) // held twice, then forced through
 		s.commit(b)
 	}
 	s.fill(b, 512)
-	if !s.dog.Tripped() {
+	if !s.ctrl.Tripped() {
 		t.Fatal("watchdog did not trip on 100% escape rate")
 	}
-	snap := s.dog.Snapshot()
+	snap := s.snap()
 	if snap.State != WatchdogTripped || snap.Trips != 1 {
 		t.Fatalf("snapshot = %+v, want tripped with 1 trip", snap)
 	}
@@ -190,15 +196,22 @@ func TestWatchdogTripsOnEscapeRate(t *testing.T) {
 	// Pass-through: arrivals short-circuit, so gate stats stop moving.
 	p0, h0, e0 := ctrl.GateStats()
 	for i := 0; i < 10; i++ {
-		s.dog.Arrive(c)
+		s.ctrl.Arrive(c)
 	}
 	if p1, h1, e1 := ctrl.GateStats(); p1 != p0 || h1 != h0 || e1 != e0 {
 		t.Fatalf("tripped watchdog still consulted the gate: %d/%d/%d → %d/%d/%d", p0, h0, e0, p1, h1, e1)
 	}
 	// The trip is final.
 	s.fill(b, 2048)
-	if !s.dog.Tripped() {
+	if !s.ctrl.Tripped() {
 		t.Fatal("watchdog re-armed")
+	}
+	// Tripped, the controller still tracks the state: the next commit
+	// finalizes the one before it.
+	s.commit(a)
+	s.commit(c)
+	if k, ok := ctrl.CurrentState(); !ok || k != soloStateKey(a) {
+		t.Fatalf("state after a trip = %q ok=%v, want %q", k, ok, soloStateKey(a))
 	}
 }
 
@@ -212,20 +225,20 @@ func TestWatchdogHealthyModelStaysArmed(t *testing.T) {
 	m := model.New(2)
 	m.AddTransitionKeys(soloStateKey(a), soloStateKey(a))
 	m.AddTransitionKeys(soloStateKey(b), soloStateKey(b))
-	s := &sink{dog: NewWatchdog(NewController(model.Compile(m, 4)))}
+	s := &sink{ctrl: NewController(model.Compile(m, 4), WithWatchdog())}
 
 	for i := 0; i < 4*512; i++ {
 		p := a
 		if i%2 == 1 {
 			p = b
 		}
-		s.dog.Arrive(p)
+		s.ctrl.Arrive(p)
 		s.commit(p)
 	}
-	if s.dog.Tripped() {
+	if s.ctrl.Tripped() {
 		t.Fatal("watchdog tripped on a healthy model")
 	}
-	if snap := s.dog.Snapshot(); snap.EscapeRate != 0 || snap.Trips != 0 {
+	if snap := s.snap(); snap.EscapeRate != 0 || snap.Trips != 0 {
 		t.Fatalf("snapshot = %+v, want zero escapes and trips", snap)
 	}
 }
@@ -234,17 +247,17 @@ func TestWatchdogHealthyModelStaysArmed(t *testing.T) {
 // window's size, its rates, and the trip's timestamp.
 func TestWatchdogTripReason(t *testing.T) {
 	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
-	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, pairOf(9, 9)), WithGateRetries(1))
-	s := &sink{dog: NewWatchdog(ctrl)}
+	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, pairOf(9, 9)), WithGateRetries(1), WithWatchdog())
+	s := &sink{ctrl: ctrl}
 
-	if s.dog.Snapshot().LastTrip != nil {
+	if s.snap().LastTrip != nil {
 		t.Fatal("LastTrip non-nil before any trip")
 	}
 	before := time.Now()
 	s.commit(a)
 	s.commit(b)
 	for i := 0; i < 32; i++ {
-		s.dog.Arrive(c) // escapes (retries=1)
+		s.ctrl.Arrive(c) // escapes (retries=1)
 	}
 	for i := 0; i < 128; i++ {
 		s.abort(c)
@@ -252,10 +265,10 @@ func TestWatchdogTripReason(t *testing.T) {
 	s.fill(b, 512) // closes the window: escape rate 1.0, abort rate 0.25
 	after := time.Now()
 
-	if !s.dog.Tripped() {
+	if !s.ctrl.Tripped() {
 		t.Fatal("watchdog did not trip")
 	}
-	r := s.dog.Snapshot().LastTrip
+	r := s.snap().LastTrip
 	if r == nil {
 		t.Fatal("LastTrip nil after trip")
 	}
@@ -282,13 +295,13 @@ func TestWatchdogTelemetryEvents(t *testing.T) {
 	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
 	tel := telemetry.NewDetached("guide-test")
 	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, pairOf(9, 9)),
-		WithGateRetries(1), WithTelemetry(tel))
-	s := &sink{dog: NewWatchdog(ctrl)}
+		WithGateRetries(1), WithTelemetry(tel), WithWatchdog())
+	s := &sink{ctrl: ctrl}
 
 	s.commit(a)
 	s.commit(b)
 	for i := 0; i < 32; i++ {
-		s.dog.Arrive(c)
+		s.ctrl.Arrive(c)
 		s.commit(b)
 	}
 	s.fill(b, 512)
@@ -305,7 +318,7 @@ func TestWatchdogTelemetryEvents(t *testing.T) {
 	if len(snap.GateStates) == 0 {
 		t.Fatal("no per-state gate telemetry recorded")
 	}
-	if r := s.dog.Snapshot().LastTrip; r == nil || !strings.Contains(r.String(), "escape-rate") {
+	if r := s.snap().LastTrip; r == nil || !strings.Contains(r.String(), "escape-rate") {
 		t.Fatalf("trip reason = %v, want an escape-rate trip", r)
 	}
 }
@@ -314,32 +327,52 @@ func TestWatchdogTelemetryEvents(t *testing.T) {
 // queue does — Check never waits and books one decision per call — on the
 // adversarial table: Check refuses every real pair in a known state, its
 // escapes trip the watchdog, and from then on every pair passes uncounted.
+// Without WithWatchdog the same stream keeps being judged and counted.
 func TestCheckCountsDecisionsAndTrips(t *testing.T) {
 	a, b, c := pairOf(0, 0), pairOf(1, 1), pairOf(2, 2)
-	ctrl := NewController(adversarialTable([]txid.Pair{a, b, c}, pairOf(9, 9)))
-	s := &sink{dog: NewWatchdog(ctrl)}
-	if o := s.dog.Check(c); o != telemetry.GatePass {
+	table := adversarialTable([]txid.Pair{a, b, c}, pairOf(9, 9))
+	ctrl := NewController(table, WithWatchdog())
+	s := &sink{ctrl: ctrl}
+	if o := s.ctrl.Check(c); o != telemetry.GatePass {
 		t.Fatalf("no state yet, but Check said %v", o)
 	}
 	s.commit(a)
 	s.commit(b) // latest state {<b1>}: only the ghost is admitted
 	for i := 0; i < 40; i++ {
-		if o := s.dog.Check(c); o != telemetry.GateEscape {
+		if o := s.ctrl.Check(c); o != telemetry.GateEscape {
 			t.Fatalf("Check took a pair outside every destination set: %v", o)
 		}
 		s.commit(b)
 	}
 	s.fill(b, 512)
-	if !s.dog.Tripped() {
-		t.Fatalf("40 escapes in 41 decisions did not trip the watchdog: %+v", s.dog.Snapshot())
+	if !s.ctrl.Tripped() {
+		t.Fatalf("40 escapes in 41 decisions did not trip the watchdog: %+v", s.snap())
 	}
 	if p, h, e := ctrl.GateStats(); p != 1 || h != 0 || e != 40 {
 		t.Fatalf("GateStats = %d/%d/%d, want 1/0/40", p, h, e)
 	}
-	if o := s.dog.Check(c); o != telemetry.GatePass {
+	if o := s.ctrl.Check(c); o != telemetry.GatePass {
 		t.Fatalf("a tripped watchdog's Check said %v", o)
 	}
 	if p, _, e := ctrl.GateStats(); p != 1 || e != 40 {
 		t.Fatalf("a tripped watchdog's Check counted a decision (%d passed, %d escaped)", p, e)
+	}
+
+	// Unarmed, the same stream never trips: Check keeps refusing and
+	// counting past the 512th event.
+	u := &sink{ctrl: NewController(table)}
+	u.commit(a)
+	u.commit(b)
+	for u.events < 2*512 {
+		if o := u.ctrl.Check(c); o != telemetry.GateEscape {
+			t.Fatalf("unarmed Check after %d events said %v, want escape", u.events, o)
+		}
+		u.commit(b)
+	}
+	if _, armed := u.ctrl.Watchdog(); armed || u.ctrl.Tripped() {
+		t.Fatalf("unarmed controller: armed=%v tripped=%v", armed, u.ctrl.Tripped())
+	}
+	if p, h, e := u.ctrl.GateStats(); p != 0 || h != 0 || e != 2*512-2 {
+		t.Fatalf("unarmed GateStats = %d/%d/%d, want 0/0/%d", p, h, e, 2*512-2)
 	}
 }

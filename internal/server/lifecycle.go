@@ -105,7 +105,7 @@ func (lc *lifecycle) train(traces []*gstm.Trace) {
 
 // install puts m in as the shard's guidance — forced under
 // Config.ForceGuidance, otherwise only if the analyzer passes it — behind
-// the readers' per-batch check: the controller (or its watchdog) observes
+// the readers' per-batch check: the controller (watchdog included) observes
 // the shard's events, and no transaction is held at the gate (DESIGN.md
 // "Dispatch"). It is the one install, for a trained model (train) and for
 // one recovered from the write-ahead log (guided warmup). Reports false,

@@ -520,7 +520,7 @@ func (s *Server) info(req Request) Response {
 // ModeDegraded while that shard's watchdog holds guidance tripped.
 func (s *Server) ShardMode(sh int) ServingMode {
 	m := s.lcs[sh].currentMode()
-	if m == ModeGuided && s.router.System(sh).Health().Degraded() {
+	if m == ModeGuided && s.router.System(sh).Mode() == ModeDegraded {
 		return ModeDegraded
 	}
 	return m

@@ -1,17 +1,15 @@
 package gstm
 
-import "gstm/internal/guide"
-
 // Mode is the execution mode of a System (and, one level up, of each shard
 // of a sharded deployment): where it currently sits in the paper's
 // profile → train → analyze → guide lifecycle. The System itself only ever
 // occupies the states its own methods can establish — ModeUnguided,
 // ModeProfiling, ModeGuided and ModeDegraded, derived in System.Mode from
-// the installed collector, controller and watchdog. The remaining states
-// (ModeTraining, ModeRejected) belong to lifecycle drivers such as
-// internal/server, which overlay them while a model is being built in the
-// background or after the analyzer rejected one; they reuse this type so
-// the whole repo speaks one mode vocabulary.
+// the installed collector and controller (its watchdog included). The
+// remaining states (ModeTraining, ModeRejected) belong to lifecycle drivers
+// such as internal/server, which overlay them while a model is being built
+// in the background or after the analyzer rejected one; they reuse this
+// type so the whole repo speaks one mode vocabulary.
 type Mode uint32
 
 const (
@@ -62,14 +60,20 @@ func (m Mode) String() string {
 // lifecycle builds on; see Health for the same value alongside counters.
 func (s *System) Mode() Mode {
 	s.mu.Lock()
-	ctrl, dog, col := s.ctrl, s.dog, s.collector
+	ctrl, col := s.ctrl, s.collector
 	s.mu.Unlock()
+	return modeOf(ctrl != nil, ctrl != nil && ctrl.Tripped(), col != nil)
+}
+
+// modeOf is Mode's derivation, shared with Health so that its Mode comes
+// from the same read as its gate counts.
+func modeOf(guided, degraded, profiling bool) Mode {
 	switch {
-	case ctrl != nil && dog != nil && dog.Snapshot().State == guide.WatchdogTripped:
+	case degraded:
 		return ModeDegraded
-	case ctrl != nil:
+	case guided:
 		return ModeGuided
-	case col != nil:
+	case profiling:
 		return ModeProfiling
 	default:
 		return ModeUnguided

@@ -50,25 +50,15 @@ type System struct {
 	rt  *tl2.Runtime
 
 	mu        sync.Mutex
-	collector *trace.Collector // non-nil while profiling/measuring
-	ctrl      *guide.Controller
-	dog       *guide.Watchdog // non-nil when guidance runs under a watchdog
-	schedSink tl2.EventSink   // the custom scheduler's observer, if any
-	tap       tl2.EventSink   // persistent observer (WAL), survives hot-swaps
+	collector *trace.Collector  // non-nil while profiling/measuring
+	ctrl      *guide.Controller // the guidance controller, watchdog included
+	schedSink tl2.EventSink     // the custom scheduler's observer, if any
+	tap       tl2.EventSink     // persistent observer (WAL), survives hot-swaps
 
-	// check is guidance installed WithDequeueCheck (the controller or its
-	// watchdog); nil otherwise. Read without mu, once per CheckDequeue.
-	check atomic.Pointer[guidanceBox]
+	// check is the controller when guidance is installed WithDequeueCheck;
+	// nil otherwise. Read without mu, once per CheckDequeue.
+	check atomic.Pointer[guide.Controller]
 }
-
-// guidance is what a guidance install puts in place: the controller or its
-// watchdog, as the gate or as the check behind CheckDequeue.
-type guidance interface {
-	tl2.Gate
-	Check(p Pair) GateOutcome
-}
-
-type guidanceBox struct{ g guidance }
 
 // Scheduler is consulted at every transaction start and may delay the
 // caller; it must eventually return. Guided execution is one Scheduler;
@@ -163,32 +153,24 @@ func (s *System) forceGuidance(m *Model, set guidanceSettings) {
 	if set.gateRetries > 0 {
 		gopts = append(gopts, guide.WithGateRetries(set.gateRetries))
 	}
+	if set.watchdog {
+		gopts = append(gopts, guide.WithWatchdog())
+	}
+	ctrl := guide.NewController(table, gopts...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ctrl = guide.NewController(table, gopts...)
-	s.dog = nil
-	if set.watchdog {
-		s.dog = guide.NewWatchdog(s.ctrl)
-	}
+	s.ctrl = ctrl
 	s.schedSink = nil
 	s.installSinks()
-	var g guidance = s.ctrl
-	if s.dog != nil {
-		g = s.dog
-	}
-	s.installGuidance(g, set.dequeue)
-}
-
-// installGuidance puts g on the transaction-start gate or, dequeue set,
-// behind CheckDequeue with no gate. Called with mu held.
-func (s *System) installGuidance(g guidance, dequeue bool) {
-	if dequeue {
+	// The controller goes on the transaction-start gate or, dequeue set,
+	// behind CheckDequeue with no gate.
+	if set.dequeue {
 		s.rt.SetGate(nil)
-		s.check.Store(&guidanceBox{g})
+		s.check.Store(ctrl)
 		return
 	}
 	s.check.Store(nil)
-	s.rt.SetGate(g)
+	s.rt.SetGate(ctrl)
 }
 
 // CheckDequeue judges pair p, work the caller is about to run whatever the
@@ -201,11 +183,11 @@ func (s *System) installGuidance(g guidance, dequeue bool) {
 // WithDequeueCheck — unguided, gated, or a custom scheduler — at the cost of
 // one atomic load.
 func (s *System) CheckDequeue(p Pair) (o GateOutcome, ok bool) {
-	b := s.check.Load()
-	if b == nil {
+	c := s.check.Load()
+	if c == nil {
 		return GatePass, false
 	}
-	return b.g.Check(p), true
+	return c.Check(p), true
 }
 
 // DisableGuidance removes the guided-execution gate (and its watchdog).
@@ -213,7 +195,6 @@ func (s *System) DisableGuidance() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ctrl = nil
-	s.dog = nil
 	s.rt.SetGate(nil)
 	s.check.Store(nil)
 	s.installSinks()
@@ -227,7 +208,6 @@ func (s *System) SetScheduler(gate Scheduler, obs Observer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ctrl = nil
-	s.dog = nil
 	s.check.Store(nil)
 	s.schedSink = obs
 	if gate == nil {
@@ -269,16 +249,13 @@ func (s *System) Clock() uint64 { return s.rt.Clock() }
 func (s *System) AdvanceClock(v uint64) { s.rt.AdvanceClock(v) }
 
 // installSinks wires the event stream: the active scheduler's observer (a
-// guidance controller needs events for state tracking; a watchdog wraps
-// the controller and must see events for its windows) first, then the
-// collector when profiling, then the persistent tap. Called with mu held.
+// guidance controller needs events for state tracking and its watchdog's
+// windows) first, then the collector when profiling, then the persistent
+// tap. Called with mu held.
 func (s *System) installSinks() {
 	first := s.schedSink
 	if s.ctrl != nil {
 		first = s.ctrl
-	}
-	if s.dog != nil {
-		first = s.dog
 	}
 	var chain multiSink
 	for _, sink := range []tl2.EventSink{first, sinkOrNil(s.collector), s.tap} {
@@ -396,23 +373,21 @@ func (h Health) Degraded() bool {
 }
 
 // Health returns the system's current resilience snapshot. It is safe to
-// call concurrently with running transactions.
+// call concurrently with running transactions. Mode, the gate counts and the
+// watchdog come from one read of what is installed, so they agree.
 func (s *System) Health() Health {
 	s.mu.Lock()
-	ctrl, dog := s.ctrl, s.dog
+	ctrl, col := s.ctrl, s.collector
 	s.mu.Unlock()
 
 	var h Health
 	h.Commits, h.Aborts = s.rt.Stats()
-	h.Mode = s.Mode()
 	h.RetryBudgetExceeded, h.ContextCanceled = s.rt.ResilienceStats()
 	if ctrl != nil {
 		h.Guided = true
 		h.GatePassed, h.GateHeld, h.GateEscaped = ctrl.GateStats()
+		h.Watchdog, h.WatchdogEnabled = ctrl.Watchdog()
 	}
-	if dog != nil {
-		h.WatchdogEnabled = true
-		h.Watchdog = dog.Snapshot()
-	}
+	h.Mode = modeOf(h.Guided, h.Degraded(), col != nil)
 	return h
 }
