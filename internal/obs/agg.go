@@ -6,10 +6,10 @@ import (
 )
 
 // Per-shard, per-phase latency aggregation. Every finished span feeds it —
-// sampling only affects which whole spans are *retained*, never the
-// aggregate — so the loadgen tail-attribution table is exact regardless of
-// ring sizes. Writers record into their own slot's histograms; a scrape
-// sums the slots.
+// retention only decides which whole spans are kept, never the aggregate —
+// so the loadgen tail-attribution table is exact regardless of what the
+// ring and reservoir keep. Writers record into their own slot's
+// histograms; a scrape sums the slots.
 
 // The latency bucket layout of every Hist, so /metrics and /debug/trace
 // report comparable quantiles: HDR-style, values (nanoseconds) map to

@@ -8,7 +8,7 @@ import (
 
 // Handler serves the observatory over HTTP:
 //
-//	GET /debug/trace              — Snapshot JSON (slowest / forced / sampled)
+//	GET /debug/trace              — Snapshot JSON (slowest / forced)
 //	GET /debug/trace?format=agg   — per-shard per-phase bucket counts
 //	GET /debug/trace?format=chrome — Chrome trace_event JSON (load into
 //	                                 chrome://tracing or Perfetto)

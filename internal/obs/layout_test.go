@@ -14,7 +14,7 @@ import (
 // histogram behind /metrics, and requires both to report the same counts:
 // one histogram type, so the same buckets, count and sum.
 func TestAggBucketLayoutMatchesTelemetry(t *testing.T) {
-	o := obs.New(obs.Config{Shards: 1, Workers: 1})
+	o := obs.New(1, 1)
 	m := telemetry.NewDetached("layout")
 	var vals []uint32
 	for v := uint32(0); v < 64; v++ {

@@ -17,9 +17,9 @@
 // *Span and pay one predictable branch when tracing is off — and none of
 // them allocates; the zero-alloc property is CI-gated like internal/wset.
 // Retention is decoupled from recording: every finished span feeds the
-// per-shard per-phase aggregation (always), a 1-in-N sampled per-worker
-// ring, a ring of explicitly trace-requested spans, and a tail-triggered
-// reservoir that keeps the K slowest spans per window.
+// per-shard per-phase aggregation, a ring of explicitly trace-requested
+// spans, and a tail-triggered reservoir that keeps the K slowest spans per
+// window.
 package obs
 
 // Cause is the abort/failure taxonomy threaded through the engines, the

@@ -135,18 +135,18 @@ func mkSpan(id uint32, shard uint8, total uint32, forced bool) Span {
 }
 
 func TestReservoirKeepsSlowest(t *testing.T) {
-	o := New(Config{Shards: 2, Workers: 2, TailK: 4, SampleEvery: 1, Window: time.Hour})
+	o := New(2, 2)
 	for i := uint32(1); i <= 100; i++ {
 		sp := mkSpan(i, uint8(i%2), i*10, false)
 		o.Collect(int(i%2), &sp)
 	}
 	snap := o.Snapshot()
-	if len(snap.Slowest) != 4 {
-		t.Fatalf("slowest = %d, want 4", len(snap.Slowest))
+	if len(snap.Slowest) != tailK {
+		t.Fatalf("slowest = %d, want %d", len(snap.Slowest), tailK)
 	}
-	// The four slowest totals are 970..1000.
+	// The 32 slowest totals are 690..1000.
 	for _, sp := range snap.Slowest {
-		if sp.TotalNs < 970 {
+		if sp.TotalNs < 690 {
 			t.Fatalf("reservoir kept a fast span: %+v", sp)
 		}
 	}
@@ -156,11 +156,11 @@ func TestReservoirKeepsSlowest(t *testing.T) {
 }
 
 func TestReservoirWindowRotation(t *testing.T) {
-	o := New(Config{Shards: 1, Workers: 1, TailK: 2, Window: time.Nanosecond})
+	o := New(1, 1)
 	a := mkSpan(1, 0, 500, false)
 	o.Collect(0, &a)
 	b := mkSpan(2, 0, 400, false)
-	b.Begin = a.Begin + int64(time.Second) // forces rotation
+	b.Begin = a.Begin + int64(tailWindow+time.Second) // forces rotation
 	o.Collect(0, &b)
 	snap := o.Snapshot()
 	// Both windows are served: the rotated-out span and the new one.
@@ -170,8 +170,8 @@ func TestReservoirWindowRotation(t *testing.T) {
 }
 
 func TestForcedRingAlwaysRetained(t *testing.T) {
-	o := New(Config{Shards: 1, Workers: 1, SampleEvery: 1 << 30, TailK: 1, Window: time.Hour})
-	sp := mkSpan(9, 0, 1, true) // far too fast for the tail, never sampled
+	o := New(1, 1)
+	sp := mkSpan(9, 0, 1, true)
 	o.Collect(0, &sp)
 	snap := o.Snapshot()
 	if len(snap.Forced) != 1 || snap.Forced[0].ID != 9 || !snap.Forced[0].Forced {
@@ -180,7 +180,7 @@ func TestForcedRingAlwaysRetained(t *testing.T) {
 }
 
 func TestAggQuantilesAndDiff(t *testing.T) {
-	o := New(Config{Shards: 2, Workers: 1})
+	o := New(2, 1)
 	before := o.Agg()
 	for i := 0; i < 1000; i++ {
 		sp := mkSpan(uint32(i), 1, 1000, false) // 500ns queue + 500ns retry
@@ -229,7 +229,7 @@ func TestAggMergesSlots(t *testing.T) {
 		sp.Finish(CauseNone, begin+int64(i)*7+int64(w))
 		return sp
 	}
-	par := New(Config{Shards: 2, Workers: workers})
+	par := New(2, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -242,7 +242,7 @@ func TestAggMergesSlots(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	serial := New(Config{Shards: 2, Workers: 1})
+	serial := New(2, 1)
 	for w := 0; w < workers; w++ {
 		for i := 0; i < per; i++ {
 			sp := spanOf(w, i)
@@ -354,7 +354,7 @@ func TestBucketLayout(t *testing.T) {
 }
 
 func TestHandlerFormats(t *testing.T) {
-	o := New(Config{Shards: 1, Workers: 1, SampleEvery: 1})
+	o := New(1, 1)
 	sp := mkSpan(42, 0, 5000, true)
 	o.Collect(0, &sp)
 	h := o.Handler()
@@ -411,7 +411,7 @@ func TestSpanRecordZeroAlloc(t *testing.T) {
 		t.Fatalf("span record path allocates %.1f/op, want 0", n)
 	}
 
-	o := New(Config{Shards: 1, Workers: 1, SampleEvery: 2})
+	o := New(1, 1)
 	sp2 := mkSpan(1, 0, 100, false)
 	if n := testing.AllocsPerRun(1000, func() {
 		o.Collect(0, &sp2)
@@ -432,7 +432,7 @@ func BenchmarkSpanRecordUntraced(b *testing.B) {
 
 func BenchmarkSpanRecordTraced(b *testing.B) {
 	var sp Span
-	o := New(Config{Shards: 4, Workers: 4})
+	o := New(4, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp.Start(uint32(i), 1, uint8(i&3), 0, 4, false, int64(i))
@@ -446,7 +446,7 @@ func BenchmarkSpanRecordTraced(b *testing.B) {
 // BenchmarkCollectParallel is the serving path's Collect: every goroutine a
 // worker of its own, all spans on one shard.
 func BenchmarkCollectParallel(b *testing.B) {
-	o := New(Config{Shards: 1, Workers: runtime.GOMAXPROCS(0)})
+	o := New(1, runtime.GOMAXPROCS(0))
 	var next atomic.Int32
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {

@@ -7,77 +7,24 @@ import (
 	"time"
 )
 
-// Observatory defaults.
+// Retention sizes: the forced ring's capacity, how many slowest spans the
+// tail reservoir keeps per window, and the reservoir's rotation period.
 const (
-	DefaultSampleEvery = 64
-	DefaultRingSize    = 256
-	DefaultTailK       = 32
-	DefaultWindow      = 2 * time.Second
-	forcedRingSize     = 256
+	forcedRingSize = 256
+	tailK          = 32
+	tailWindow     = 2 * time.Second
 )
 
-// Config parameterizes an Observatory; zero fields take defaults.
-type Config struct {
-	// Shards and Workers size the aggregation and ring arrays.
-	Shards  int
-	Workers int
-
-	// SampleEvery retains every Nth finished span in its worker's ring
-	// (1 = every span).
-	SampleEvery int
-
-	// RingSize is the per-worker sampled-span ring capacity.
-	RingSize int
-
-	// TailK is how many slowest spans the reservoir keeps per window.
-	TailK int
-
-	// Window is the tail reservoir's rotation period.
-	Window time.Duration
-}
-
-func (c Config) normalize() Config {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = DefaultSampleEvery
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = DefaultRingSize
-	}
-	if c.TailK <= 0 {
-		c.TailK = DefaultTailK
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	return c
-}
-
-// ring is one worker's sampled-span retention. The worker is usually the
-// only writer — the mutex exists for scrapers (a snapshot copies the
-// slots out under it), so the lock is all but uncontended on the record
-// path — but two rings are genuinely shared: the forced ring (any worker
-// with a trace-bit span) and the watch thread's ring (every parked watch
-// goroutine collects under ThreadID Workers+1). The tick is therefore an
-// atomic add, and slot writes are already serialized by mu.
+// ring keeps the last forcedRingSize spans whose requests set the trace
+// bit. Any worker may write it; a scraper copies the slots out under mu.
 type ring struct {
 	mu    sync.Mutex
-	tick  atomic.Uint64 // sample countdown; atomic for the shared rings
 	slots []Span
 	next  int
 	full  bool
-	_     [32]byte // keep neighbors' hot fields apart
 }
 
-func (r *ring) offer(sp *Span, every int) {
-	if r.tick.Add(1)%uint64(every) != 0 {
-		return
-	}
+func (r *ring) offer(sp *Span) {
 	r.mu.Lock()
 	r.slots[r.next] = *sp
 	r.next++
@@ -104,9 +51,6 @@ func (r *ring) collect(dst []Span) []Span {
 // overwhelmingly common case — a span faster than the current tail — is
 // rejected with one load and no lock.
 type reservoir struct {
-	k      int
-	window int64 // ns
-
 	floor atomic.Uint32 // min TotalNs among cur when full; 0 otherwise
 
 	mu      sync.Mutex
@@ -119,19 +63,19 @@ func (t *reservoir) offer(sp *Span, now int64) {
 	if sp.TotalNs <= t.floor.Load() {
 		// Fast reject — but still rotate eventually even if all spans are
 		// fast; rotation is also checked here via the lock-free clock read.
-		if now-atomic.LoadInt64(&t.started) < t.window {
+		if now-atomic.LoadInt64(&t.started) < int64(tailWindow) {
 			return
 		}
 	}
 	t.mu.Lock()
-	if now-t.started >= t.window {
+	if now-t.started >= int64(tailWindow) {
 		t.prev = append(t.prev[:0], t.cur...)
 		t.cur = t.cur[:0]
 		atomic.StoreInt64(&t.started, now)
 		t.floor.Store(0)
 	}
-	if sp.TotalNs > t.floor.Load() || len(t.cur) < t.k {
-		if len(t.cur) < t.k {
+	if sp.TotalNs > t.floor.Load() || len(t.cur) < tailK {
+		if len(t.cur) < tailK {
 			t.cur = append(t.cur, *sp)
 		} else {
 			// Replace the current minimum.
@@ -145,7 +89,7 @@ func (t *reservoir) offer(sp *Span, now int64) {
 				t.cur[min] = *sp
 			}
 		}
-		if len(t.cur) == t.k {
+		if len(t.cur) == tailK {
 			min := t.cur[0].TotalNs
 			for i := 1; i < len(t.cur); i++ {
 				if t.cur[i].TotalNs < min {
@@ -165,34 +109,29 @@ func (t *reservoir) collect(dst []Span) []Span {
 	return append(dst, t.prev...)
 }
 
-// Observatory is the process-wide span retention: per-worker sampled
-// rings, a forced-trace ring, the K-slowest tail reservoir, and the
-// per-shard per-phase aggregation, kept per (worker, shard) slot.
+// Observatory is the process-wide span retention: a forced-trace ring,
+// the K-slowest tail reservoir, and the per-shard per-phase aggregation,
+// kept per (worker, shard) slot.
 type Observatory struct {
-	cfg Config
+	shards, workers int
 
-	rings  []ring
-	agg    []shardAgg // agg[worker*Shards+shard]
+	agg    []shardAgg // agg[worker*shards+shard]
 	tail   reservoir
 	forced ring
 }
 
-// New returns an Observatory for the given topology.
-func New(cfg Config) *Observatory {
-	cfg = cfg.normalize()
+// New returns an Observatory for shards shards written by workers
+// workers (each at least 1).
+func New(shards, workers int) *Observatory {
+	shards, workers = max(shards, 1), max(workers, 1)
 	o := &Observatory{
-		cfg:   cfg,
-		rings: make([]ring, cfg.Workers),
-		agg:   make([]shardAgg, cfg.Workers*cfg.Shards),
-	}
-	for i := range o.rings {
-		o.rings[i].slots = make([]Span, cfg.RingSize)
+		shards:  shards,
+		workers: workers,
+		agg:     make([]shardAgg, workers*shards),
 	}
 	o.forced.slots = make([]Span, forcedRingSize)
-	o.tail.k = cfg.TailK
-	o.tail.window = int64(cfg.Window)
-	o.tail.cur = make([]Span, 0, cfg.TailK)
-	o.tail.prev = make([]Span, 0, cfg.TailK)
+	o.tail.cur = make([]Span, 0, tailK)
+	o.tail.prev = make([]Span, 0, tailK)
 	return o
 }
 
@@ -206,16 +145,15 @@ func (o *Observatory) Collect(worker int, sp *Span) {
 		return
 	}
 	sh := int(sp.Shard)
-	if sh >= o.cfg.Shards {
-		sh = o.cfg.Shards - 1
+	if sh >= o.shards {
+		sh = o.shards - 1
 	}
-	if worker < 0 || worker >= len(o.rings) {
+	if worker < 0 || worker >= o.workers {
 		worker = 0
 	}
-	o.agg[worker*o.cfg.Shards+sh].observeSpan(sp)
-	o.rings[worker].offer(sp, o.cfg.SampleEvery)
+	o.agg[worker*o.shards+sh].observeSpan(sp)
 	if sp.Forced {
-		o.forced.offer(sp, 1)
+		o.forced.offer(sp)
 	}
 	now := sp.Begin + int64(sp.TotalNs)
 	o.tail.offer(sp, now)
@@ -229,8 +167,6 @@ type Snapshot struct {
 	// Forced is the ring of spans whose requests set the protocol
 	// trace-request bit, newest last.
 	Forced []SpanJSON `json:"forced,omitempty"`
-	// Sampled is the per-worker 1-in-N sample, unordered.
-	Sampled []SpanJSON `json:"sampled,omitempty"`
 }
 
 // SpanJSON is a Span rendered for humans and tests: phases and causes as
@@ -304,17 +240,12 @@ func (o *Observatory) Snapshot() Snapshot {
 	}
 	slow := o.tail.collect(nil)
 	sort.Slice(slow, func(i, j int) bool { return slow[i].TotalNs > slow[j].TotalNs })
-	if len(slow) > o.cfg.TailK {
-		slow = slow[:o.cfg.TailK]
-	}
-	var sampled []Span
-	for i := range o.rings {
-		sampled = o.rings[i].collect(sampled)
+	if len(slow) > tailK {
+		slow = slow[:tailK]
 	}
 	return Snapshot{
 		Slowest: renderSpans(slow),
 		Forced:  renderSpans(o.forced.collect(nil)),
-		Sampled: renderSpans(sampled),
 	}
 }
 
@@ -324,11 +255,11 @@ func (o *Observatory) Agg() AggSnapshot {
 	if o == nil {
 		return AggSnapshot{}
 	}
-	n := o.cfg.Shards
+	n := o.shards
 	out := AggSnapshot{Shards: make([]ShardAggSnapshot, 0, n)}
 	for sh := 0; sh < n; sh++ {
 		var sum shardAgg
-		for w := range o.rings {
+		for w := range o.workers {
 			sum.merge(&o.agg[w*n+sh])
 		}
 		out.Shards = append(out.Shards, sum.snapshot(sh))

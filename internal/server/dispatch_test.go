@@ -115,7 +115,7 @@ func seq(lo, n uint64) []uint64 {
 // traced span, led by its first request, so the forced ring lists the
 // batches; the results show that a key's operations kept their order.
 func TestChunkBatchesInOrder(t *testing.T) {
-	s := New(Config{Workers: 1, Batch: 4, Unguided: true, TraceSampleEvery: 1})
+	s := New(Config{Workers: 1, Batch: 4, Unguided: true})
 	defer s.router.Close()
 	w := s.workers[0]
 	get := func(id uint32, k uint64) task { return task{req: Request{Op: OpGet, ID: id, Key: k, Trace: true}} }
@@ -207,7 +207,7 @@ func TestChunkBatchesInOrder(t *testing.T) {
 // sub-op. A run of key-disjoint transactions too large for one WAL record is
 // cut before it outgrows one.
 func TestMaxSizeTxnChunkCuts(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 1, Unguided: true, TraceSampleEvery: 1})
+	s := New(Config{Shards: 2, Workers: 1, Unguided: true})
 	defer s.router.Close()
 	w := s.workers[0]
 	var pend pending
@@ -371,12 +371,13 @@ func TestPipelinedPutThenGetKeepsOrder(t *testing.T) {
 // TestMoreConnsThanSlots: connections outnumber the slots; every pipelined
 // request is answered, each connection's spans carry one thread — its home
 // slot, for its life — and with several slots the connections are spread
-// over all of them.
+// over all of them. Every request sets the trace bit, and the run's
+// conns*window*rounds requests fit the forced ring, so it keeps every span.
 func TestMoreConnsThanSlots(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s := startServer(t, Config{Workers: workers, Unguided: true, TraceSampleEvery: 1})
-			const conns, window, rounds = 8, 16, 8
+			s := startServer(t, Config{Workers: workers, Unguided: true})
+			const conns, window, rounds = 8, 16, 2
 			var wg sync.WaitGroup
 			for c := 0; c < conns; c++ {
 				wg.Add(1)
@@ -395,7 +396,7 @@ func TestMoreConnsThanSlots(t *testing.T) {
 						for i := 0; i < window; i++ {
 							// Request ids carry the connection: c<<16 | seq.
 							id := uint32(c)<<16 | uint32(r*window+i+1)
-							buf = AppendRequest(buf, Request{Op: OpAdd, ID: id, Key: uint64(c*window + i), Arg: 1})
+							buf = AppendRequest(buf, Request{Op: OpAdd, ID: id, Key: uint64(c*window + i), Arg: 1, Trace: true})
 						}
 						if _, err := nc.Write(buf); err != nil {
 							t.Error(err)
@@ -413,7 +414,7 @@ func TestMoreConnsThanSlots(t *testing.T) {
 			wg.Wait()
 			thread := map[uint32]int{}
 			slots := map[int]bool{}
-			for _, sp := range s.Observatory().Snapshot().Sampled {
+			for _, sp := range s.Observatory().Snapshot().Forced {
 				c := sp.ID >> 16
 				if w, ok := thread[c]; ok && w != sp.Worker {
 					t.Fatalf("conn %d ran as threads %d and %d", c, w, sp.Worker)

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"gstm/internal/obs"
 	"gstm/internal/shard"
 	"gstm/internal/stmds"
-	"gstm/internal/telemetry"
 	"gstm/internal/wal"
 )
 
@@ -109,12 +107,6 @@ type Config struct {
 	// DiskFaults, when non-nil, is installed as every shard WAL's disk
 	// fault hook (chaos tests).
 	DiskFaults wal.DiskFaults
-
-	// TraceSampleEvery is the variance observatory's retention sampling
-	// rate: every Nth finished span is kept in its slot's ring (0 =
-	// obs.DefaultSampleEvery; 1 keeps every span — tests). Aggregation and
-	// the K-slowest tail reservoir see every span regardless.
-	TraceSampleEvery int
 }
 
 func (cfg Config) normalize() Config {
@@ -178,13 +170,9 @@ type Server struct {
 
 	// obs is the variance observatory: every batch sub-transaction records
 	// a span (decode, queue wait, attempts with abort causes, commit
-	// phases, WAL ack wait) into it. Always on; retention is sampled.
+	// phases, WAL ack wait) into it. Always on; it retains the slowest
+	// spans and those whose request set the trace bit.
 	obs *obs.Observatory
-
-	// unregGauges unhooks the telemetry gauges Start registered (WAL queue
-	// depth per shard); dropped once by dropGauges.
-	unregGauges []func()
-	gaugeOnce   sync.Once
 }
 
 // New builds a Server (not yet listening) with cfg.Shards independent
@@ -198,11 +186,7 @@ func New(cfg Config) *Server {
 			Threads: cfg.Workers,
 		}),
 		conns: make(map[net.Conn]struct{}),
-		obs: obs.New(obs.Config{
-			Shards:      cfg.Shards,
-			Workers:     cfg.threads(), // one ring per STM thread
-			SampleEvery: cfg.TraceSampleEvery,
-		}),
+		obs:   obs.New(cfg.Shards, cfg.threads()),
 	}
 	s.watchCtx, s.watchCancel = context.WithCancel(context.Background())
 	buckets := cfg.Buckets / cfg.Shards
@@ -259,7 +243,6 @@ func (s *Server) Start() error {
 			lc.start()
 		}
 	}
-	s.registerGauges()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -267,31 +250,6 @@ func (s *Server) Start() error {
 			func(context.Context) { s.acceptLoop() })
 	}()
 	return nil
-}
-
-// registerGauges hooks each shard WAL's unflushed queue depth into the
-// process-wide telemetry registry. The gauges appear on /metrics until
-// dropGauges (Shutdown/Crash) unhooks them.
-func (s *Server) registerGauges() {
-	for i, l := range s.wals {
-		label := "shard"
-		if s.cfg.Shards > 1 {
-			label += strconv.Itoa(i)
-		}
-		s.unregGauges = append(s.unregGauges, telemetry.RegisterGauge(
-			"gstm_wal_queue_depth", label, func() float64 { return float64(l.QueueDepth()) }))
-	}
-}
-
-// dropGauges unhooks everything registerGauges registered; idempotent, so
-// both Shutdown and Crash can call it.
-func (s *Server) dropGauges() {
-	s.gaugeOnce.Do(func() {
-		for _, u := range s.unregGauges {
-			u()
-		}
-		s.unregGauges = nil
-	})
 }
 
 func (s *Server) acceptLoop() {
@@ -563,7 +521,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Wake every parked watch before waiting on inflight: a long-poll whose
 	// key never changes would otherwise hold the drain open forever.
 	s.watchCancel()
-	s.dropGauges()
 	_ = s.ln.Close()
 
 	drained := make(chan struct{})
@@ -623,7 +580,6 @@ func (s *Server) Close() error {
 func (s *Server) Crash() {
 	s.draining.Store(true)
 	s.watchCancel() // parked watch goroutines must exit before wg.Wait
-	s.dropGauges()
 	if s.ln != nil {
 		_ = s.ln.Close()
 	}

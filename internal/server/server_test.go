@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +48,70 @@ func TestStoppedServerLeavesTelemetry(t *testing.T) {
 		}
 		if got := len(telemetry.Gather().Components); got != before {
 			t.Fatalf("crash=%v: %d components after the server stopped, want %d", crash, got, before)
+		}
+	}
+}
+
+// TestWALQueueDepthSeries: each durable shard's log backlog is a series of
+// that shard's telemetry — on /metrics and in the component's /debug/vars
+// JSON — and it leaves with the shard when the server stops, by either
+// road. An in-memory server has no such series.
+func TestWALQueueDepthSeries(t *testing.T) {
+	scrape := func() string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := telemetry.WritePrometheus(&buf, telemetry.Gather()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	const family = "gstm_wal_queue_depth"
+
+	mem := startServer(t, Config{Shards: 2, Workers: 1, Unguided: true})
+	if out := scrape(); strings.Contains(out, family) {
+		t.Fatalf("in-memory server exports %s:\n%s", family, out)
+	}
+	if err := mem.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, crash := range []bool{false, true} {
+		s := startServer(t, Config{Shards: 2, Workers: 1, Unguided: true,
+			WALDir: t.TempDir(), FsyncInterval: 5 * time.Millisecond})
+		out := scrape()
+		for _, c := range []string{"shard0", "shard1"} {
+			if !strings.Contains(out, family+`{component="`+c+`"} `) {
+				t.Fatalf("crash=%v: no %s series for %s:\n%s", crash, family, c, out)
+			}
+		}
+
+		rec := httptest.NewRecorder()
+		telemetry.Handler(telemetry.Gather).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
+		var vars struct {
+			Gstm struct {
+				Components []map[string]any `json:"components"`
+			} `json:"gstm"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+			t.Fatal(err)
+		}
+		withDepth := 0
+		for _, c := range vars.Gstm.Components {
+			if _, ok := c["wal_queue_depth"]; ok {
+				withDepth++
+			}
+		}
+		if withDepth != 2 {
+			t.Fatalf("crash=%v: %d /debug/vars components carry wal_queue_depth, want 2", crash, withDepth)
+		}
+
+		if crash {
+			s.Crash()
+		} else if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if out := scrape(); strings.Contains(out, family) {
+			t.Fatalf("crash=%v: %s still exported after the server stopped:\n%s", crash, family, out)
 		}
 	}
 }

@@ -42,11 +42,10 @@ var phaseRank = map[string]int{
 // chrome formats must serve.
 func TestServerTraceEndToEnd(t *testing.T) {
 	s := startServer(t, Config{
-		Shards:           2,
-		Workers:          2,
-		Batch:            4,
-		Unguided:         true,
-		TraceSampleEvery: 1,
+		Shards:   2,
+		Workers:  2,
+		Batch:    4,
+		Unguided: true,
 	})
 	cl, err := Dial(s.Addr().String())
 	if err != nil {
@@ -85,9 +84,6 @@ func TestServerTraceEndToEnd(t *testing.T) {
 	}
 	if len(snap.Forced) == 0 {
 		t.Fatal("trace-request bit set on every op but the forced ring is empty")
-	}
-	if len(snap.Sampled) == 0 {
-		t.Fatal("SampleEvery=1 but the sampled rings are empty")
 	}
 	causes := validCauses()
 	shardsSeen := map[int]bool{}
@@ -171,7 +167,7 @@ func TestServerTraceEndToEnd(t *testing.T) {
 // against a live server: two agg scrapes around a burst of traffic must
 // diff to a non-empty run-local table.
 func TestServerTraceDiffTable(t *testing.T) {
-	s := startServer(t, Config{Shards: 2, Workers: 2, Unguided: true, TraceSampleEvery: 1})
+	s := startServer(t, Config{Shards: 2, Workers: 2, Unguided: true})
 	ts := httptest.NewServer(s.Observatory().Handler())
 	defer ts.Close()
 	addr := strings.TrimPrefix(ts.URL, "http://")
@@ -224,7 +220,7 @@ func TestServerTraceDiffTable(t *testing.T) {
 // reads decode, then queue, then the commit phases, summing to no more than
 // its total.
 func TestChunkSpansShareStamps(t *testing.T) {
-	s := startServer(t, Config{Shards: 2, Workers: 2, Batch: 4, Unguided: true, TraceSampleEvery: 1})
+	s := startServer(t, Config{Shards: 2, Workers: 2, Batch: 4, Unguided: true})
 	var buf []byte
 	homes := map[int]bool{}
 	for k := uint64(1); k <= 4; k++ {

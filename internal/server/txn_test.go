@@ -241,7 +241,7 @@ func TestTxnTransferMixRecovers(t *testing.T) {
 // one of the Workers threads, not a thread beyond them.
 func TestTxnRunsOnAWorker(t *testing.T) {
 	const workers = 2
-	s := startServer(t, Config{Shards: 2, Workers: workers, Unguided: true, TraceSampleEvery: 1})
+	s := startServer(t, Config{Shards: 2, Workers: workers, Unguided: true})
 	cl, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestTxnRunsOnAWorker(t *testing.T) {
 // participant's gate in the same attempt loop a single-shard transaction
 // uses, and that loop records the wait on the span.
 func TestTxnSpanRecordsGate(t *testing.T) {
-	s := startServer(t, Config{Shards: 2, Workers: 2, ProfileOps: 48, ProfileSlices: 2, ForceGuidance: true, TraceSampleEvery: 1})
+	s := startServer(t, Config{Shards: 2, Workers: 2, ProfileOps: 48, ProfileSlices: 2, ForceGuidance: true})
 	cl, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func waitParked(t *testing.T, s *Server, n uint64) {
 // and the park must be visible in telemetry (gstm_tx_parked_total's
 // counter) and in the span timeline (a "park" event with cause "wakeup").
 func TestWatchWakesOnCommit(t *testing.T) {
-	s := startServer(t, Config{Workers: 2, Unguided: true, TraceSampleEvery: 1})
+	s := startServer(t, Config{Workers: 2, Unguided: true})
 
 	watcher, err := Dial(s.Addr().String())
 	if err != nil {

@@ -62,19 +62,17 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	fmt.Fprintf(bw, "gstm_gate_decisions_total{outcome=\"held\"} %d\n", s.GateHeld)
 	fmt.Fprintf(bw, "gstm_gate_decisions_total{outcome=\"escaped\"} %d\n", s.GateEscaped)
 
-	if len(s.Gauges) > 0 {
-		written := map[string]bool{}
-		for _, g := range s.Gauges {
-			if !written[g.Name] {
-				fmt.Fprintf(bw, "# TYPE %s gauge\n", g.Name)
-				written[g.Name] = true
-			}
-			if g.Component != "" {
-				fmt.Fprintf(bw, "%s{component=%s} %s\n", g.Name, promQuote(g.Component), formatSeconds(g.Value))
-			} else {
-				fmt.Fprintf(bw, "%s %s\n", g.Name, formatSeconds(g.Value))
-			}
+	// One queue-depth series per component that has a write-ahead log.
+	wroteDepth := false
+	for _, c := range s.Components {
+		if c.WALQueueDepth == nil {
+			continue
 		}
+		if !wroteDepth {
+			fmt.Fprintf(bw, "# HELP gstm_wal_queue_depth Records appended to the write-ahead log and not yet acknowledged.\n# TYPE gstm_wal_queue_depth gauge\n")
+			wroteDepth = true
+		}
+		fmt.Fprintf(bw, "gstm_wal_queue_depth{component=%s} %d\n", promQuote(c.Label), *c.WALQueueDepth)
 	}
 
 	writeBuildInfo(bw)

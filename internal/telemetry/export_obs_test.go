@@ -1,8 +1,8 @@
 package telemetry
 
 // Exposition tests for the variance-observatory additions: the abort-cause
-// taxonomy series, the WAL-unavailable counter, scrape-time gauges, and the
-// build-info series.
+// taxonomy series, the WAL-unavailable counter, the WAL queue-depth gauge,
+// and the build-info series.
 
 import (
 	"bytes"
@@ -54,12 +54,12 @@ func TestWritePrometheusAbortCauseTaxonomy(t *testing.T) {
 }
 
 func TestWritePrometheusGaugesAndBuildInfo(t *testing.T) {
-	unregQueue := RegisterGauge("gstm_wal_queue_depth", "shard0", func() float64 { return 7 })
-	unregOther := RegisterGauge("gstm_wal_queue_depth", "shard1", func() float64 { return 3 })
-	defer unregOther()
+	shard0, shard1 := New("shard0"), New("shard1")
+	defer shard1.Unregister()
+	shard0.SetWALQueueDepth(func() uint64 { return 7 })
+	shard1.SetWALQueueDepth(func() uint64 { return 3 })
 
-	// Gauges are scrape-time readings attached by the registry-level Gather
-	// (they span Metrics instances), not by a single Metrics.Snapshot.
+	// The depth is a per-component series: Gather's Components carry it.
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, Gather()); err != nil {
 		t.Fatal(err)
@@ -77,17 +77,17 @@ func TestWritePrometheusGaugesAndBuildInfo(t *testing.T) {
 		}
 	}
 
-	// Unregistering removes the series from the next scrape: a shut-down
-	// server's dead closures must not linger.
-	unregQueue()
+	// Unregistering a component removes its series from the next scrape:
+	// a shut-down server's logs must not linger.
+	shard0.Unregister()
 	buf.Reset()
 	if err := WritePrometheus(&buf, Gather()); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), `gstm_wal_queue_depth{component="shard0"}`) {
-		t.Errorf("unregistered gauge still exported:\n%s", buf.String())
+		t.Errorf("unregistered component's depth still exported:\n%s", buf.String())
 	}
 	if !strings.Contains(buf.String(), `gstm_wal_queue_depth{component="shard1"} 3`) {
-		t.Errorf("another component's gauge vanished with the unregistered one:\n%s", buf.String())
+		t.Errorf("another component's depth vanished with the unregistered one:\n%s", buf.String())
 	}
 }

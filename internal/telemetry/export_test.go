@@ -155,6 +155,17 @@ func TestSnapshotMergeCounters(t *testing.T) {
 	if len(a.GateStates) != 2 || a.GateStates[0].Visits != 4 {
 		t.Fatalf("merged gate states = %+v", a.GateStates)
 	}
+	// Queue depths add, and snapshots without a log carry none.
+	if a.WALQueueDepth != nil {
+		t.Fatalf("merged snapshots without a log carry queue depth %d", *a.WALQueueDepth)
+	}
+	logged := NewDetached("log")
+	logged.SetWALQueueDepth(func() uint64 { return 3 })
+	a.Merge(logged.Snapshot())
+	a.Merge(logged.Snapshot())
+	if a.WALQueueDepth == nil || *a.WALQueueDepth != 6 {
+		t.Fatalf("merged queue depth %v, want 6", a.WALQueueDepth)
+	}
 }
 
 func TestFormatSeconds(t *testing.T) {

@@ -57,6 +57,10 @@ type Snapshot struct {
 	RecoveryReplayed uint64 `json:"recovery_replayed_records"`
 	RecoveryNanos    uint64 `json:"recovery_duration_ns"`
 
+	// WALQueueDepth is the log's unflushed backlog at snapshot time; nil
+	// when no component of the snapshot has a log.
+	WALQueueDepth *uint64 `json:"wal_queue_depth,omitempty"`
+
 	// Latency histograms as raw bucket counts on obs's layout; quantiles
 	// come from HistCounts.Quantile.
 	CommitLatency     obs.HistCounts `json:"commit_latency"`
@@ -64,10 +68,6 @@ type Snapshot struct {
 	GateHoldTime      obs.HistCounts `json:"gate_hold"`
 
 	GateStates []GateStateSnapshot `json:"gate_states,omitempty"`
-
-	// Gauges are the scrape-time readings (see RegisterGauge); only the
-	// Gather aggregate carries them.
-	Gauges []GaugeSample `json:"gauges,omitempty"`
 
 	// Components holds the per-label breakdown when this snapshot is a
 	// Gather aggregate: one merged snapshot per distinct registration
@@ -83,8 +83,8 @@ func (s Snapshot) AbortRatio() float64 {
 	return float64(s.Aborts) / float64(s.Commits)
 }
 
-// Merge folds o into s: counters add, histograms add bucket-wise, and
-// gate-state tallies combine by state key.
+// Merge folds o into s: counters and queue depths add, histograms add
+// bucket-wise, and gate-state tallies combine by state key.
 func (s *Snapshot) Merge(o Snapshot) {
 	s.Starts += o.Starts
 	s.Commits += o.Commits
@@ -118,6 +118,13 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.WALSnapshots += o.WALSnapshots
 	s.RecoveryReplayed += o.RecoveryReplayed
 	s.RecoveryNanos += o.RecoveryNanos
+	if o.WALQueueDepth != nil {
+		d := *o.WALQueueDepth
+		if s.WALQueueDepth != nil {
+			d += *s.WALQueueDepth
+		}
+		s.WALQueueDepth = &d
+	}
 	s.CommitLatency = s.CommitLatency.Add(o.CommitLatency)
 	s.ValidationLatency = s.ValidationLatency.Add(o.ValidationLatency)
 	s.GateHoldTime = s.GateHoldTime.Add(o.GateHoldTime)

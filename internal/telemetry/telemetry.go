@@ -140,6 +140,10 @@ type Metrics struct {
 
 	gateStates sync.Map // state key (string) → *gateStateStats
 	gateCount  atomic.Int64
+
+	// walQueueDepth reads the component's write-ahead log backlog at
+	// Snapshot time; nil while the component has no log.
+	walQueueDepth atomic.Pointer[func() uint64]
 }
 
 // Process-wide registry of every live Metrics, merged by Gather for the
@@ -176,6 +180,13 @@ func (m *Metrics) Unregister() {
 // and benchmarks that want isolation from the process-wide view.
 func NewDetached(label string) *Metrics {
 	return &Metrics{label: label}
+}
+
+// SetWALQueueDepth gives m its write-ahead log's queue-depth reading
+// (wal.Open calls it). depth is called on every Snapshot and must be safe
+// for concurrent use.
+func (m *Metrics) SetWALQueueDepth(depth func() uint64) {
+	m.walQueueDepth.Store(&depth)
 }
 
 // Label returns the diagnostic label given at creation.
@@ -217,7 +228,6 @@ func Gather() Snapshot {
 	for _, l := range labels {
 		out.Components = append(out.Components, *byLabel[l])
 	}
-	out.Gauges = gatherGauges()
 	return out
 }
 
@@ -400,6 +410,10 @@ func (m *Metrics) Snapshot() Snapshot {
 	// their sum is the attempt-start total (in-flight attempts show up on
 	// the next scrape — fine for a monotone monitoring counter).
 	s.Starts = s.Commits + s.Aborts
+	if depth := m.walQueueDepth.Load(); depth != nil {
+		d := (*depth)()
+		s.WALQueueDepth = &d
+	}
 	s.AbortsByCause = make([]uint64, obs.NumCauses)
 	for i := range m.AbortsByCause {
 		s.AbortsByCause[i] = m.AbortsByCause[i].Load()

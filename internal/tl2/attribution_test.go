@@ -3,6 +3,7 @@ package tl2
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestAbortAttributedByWV(t *testing.T) {
 	}
 	for _, st := range tr.Seq {
 		if st.Commit == b.Pack() {
-			if !st.Contains(a.Pack()) {
+			if !slices.Contains(st.Aborted, a.Pack()) {
 				t.Fatalf("state of B's commit %v does not hold A", st)
 			}
 			return

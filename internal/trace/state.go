@@ -12,7 +12,6 @@ package trace
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strings"
@@ -105,41 +104,6 @@ func (s State) Participants() []txid.Packed {
 	out := make([]txid.Packed, 0, len(s.Aborted)+1)
 	out = append(out, s.Aborted...)
 	return append(out, s.Commit)
-}
-
-// Contains reports whether pair p participates in the state, either as an
-// abort or as the commit. This is the membership test guided execution runs
-// at TM_BEGIN.
-func (s State) Contains(p txid.Packed) bool {
-	if s.Commit == p {
-		return true
-	}
-	for _, a := range s.Aborted {
-		if a == p {
-			return true
-		}
-	}
-	return false
-}
-
-// KeyContains is Contains without decoding the key: it scans the 4-byte
-// groups directly.
-func KeyContains(k Key, p txid.Packed) bool {
-	b := []byte(k)
-	for i := 0; i+4 <= len(b); i += 4 {
-		q := txid.Packed(uint32(b[i])<<24 | uint32(b[i+1])<<16 | uint32(b[i+2])<<8 | uint32(b[i+3]))
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
-// Hash64 returns an FNV-1a hash of the key, used to shard gate lookups.
-func (k Key) Hash64() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k))
-	return h.Sum64()
 }
 
 // String renders the state in the paper's notation, e.g.

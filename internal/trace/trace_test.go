@@ -76,21 +76,6 @@ func TestKeysDistinguishStates(t *testing.T) {
 	}
 }
 
-func TestContainsAndKeyContains(t *testing.T) {
-	s := NewState([]txid.Packed{pk(0, 1), pk(2, 3)}, pk(5, 6))
-	for _, p := range []txid.Packed{pk(0, 1), pk(2, 3), pk(5, 6)} {
-		if !s.Contains(p) {
-			t.Errorf("Contains(%v) = false", p)
-		}
-		if !KeyContains(s.Key(), p) {
-			t.Errorf("KeyContains(%v) = false", p)
-		}
-	}
-	if s.Contains(pk(9, 9)) || KeyContains(s.Key(), pk(9, 9)) {
-		t.Error("Contains reported a non-participant")
-	}
-}
-
 func TestStatePaperNotation(t *testing.T) {
 	// The kmeans example from the paper: state {<a6>, <b7>} — transaction a
 	// on thread 6 aborted by thread 7 committing b.

@@ -196,6 +196,7 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 	}
 	l.f = f
 	l.written = int64(len(segMagic))
+	cfg.Metrics.SetWALQueueDepth(l.QueueDepth)
 	go func() {
 		// The pprof label makes the flusher identifiable in goroutine and
 		// CPU profiles of a multi-shard server (one flusher per shard log).
@@ -393,8 +394,8 @@ func (l *Log) Failed() bool {
 }
 
 // QueueDepth returns how many appended records the flusher has not yet
-// acknowledged — the group-commit backlog. Exported as the per-shard
-// gstm_wal_queue_depth gauge.
+// acknowledged — the group-commit backlog. Open hands it to Config.Metrics,
+// whose snapshots export it as the gstm_wal_queue_depth gauge.
 func (l *Log) QueueDepth() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
