@@ -15,11 +15,11 @@
 package cm
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"gstm/internal/telemetry"
 	"gstm/internal/txid"
+	"gstm/internal/yield"
 )
 
 // maxThreads bounds the per-thread state arrays. ThreadIDs at or above the
@@ -62,9 +62,7 @@ func (p *Polite) Arrive(pair txid.Pair) telemetry.GateOutcome {
 	if n > p.MaxExponent {
 		n = p.MaxExponent
 	}
-	for i := 0; i < 1<<n; i++ {
-		runtime.Gosched()
-	}
+	yield.N(1 << n)
 	return telemetry.GateHold
 }
 
@@ -125,7 +123,7 @@ func (k *Karma) Arrive(pair txid.Pair) telemetry.GateOutcome {
 			}
 			return telemetry.GateHold
 		}
-		runtime.Gosched()
+		yield.Spin()
 		mine = k.karma[slot(pair.Thread)].Load()
 	}
 	return telemetry.GateEscape
@@ -179,7 +177,7 @@ func (g *Greedy) Arrive(pair txid.Pair) telemetry.GateOutcome {
 			}
 			return telemetry.GateHold
 		}
-		runtime.Gosched()
+		yield.Spin()
 	}
 	return telemetry.GateEscape
 }

@@ -1,11 +1,11 @@
 package cm
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"gstm/internal/telemetry"
 	"gstm/internal/txid"
+	"gstm/internal/yield"
 )
 
 // RoundRobin is a DeSTM-inspired deterministic scheduler (Ravichandran et
@@ -57,7 +57,7 @@ func (rr *RoundRobin) Arrive(pair txid.Pair) telemetry.GateOutcome {
 			}
 			return telemetry.GateHold
 		}
-		runtime.Gosched()
+		yield.Spin()
 		cur = rr.turn.Load()
 	}
 	// The token holder has gone quiet: steal by advancing the rotation to

@@ -12,11 +12,11 @@ package faultinject
 
 import (
 	"errors"
-	"runtime"
 	"sync/atomic"
 
 	"gstm/internal/telemetry"
 	"gstm/internal/txid"
+	"gstm/internal/yield"
 )
 
 // Config parameterizes an Injector. Zero probabilities disable the
@@ -246,9 +246,7 @@ func (s *StallingSink) Events() uint64 { return s.events.Load() }
 
 func (s *StallingSink) stall() {
 	s.events.Add(1)
-	for i := 0; i < s.yields; i++ {
-		runtime.Gosched()
-	}
+	yield.N(s.yields)
 }
 
 // TxCommit implements Sink.
@@ -288,9 +286,7 @@ func (g *StarvingGate) Arrivals() uint64 { return g.arrivals.Load() }
 // Arrive implements Gate.
 func (g *StarvingGate) Arrive(p txid.Pair) telemetry.GateOutcome {
 	g.arrivals.Add(1)
-	for i := 0; i < g.yields; i++ {
-		runtime.Gosched()
-	}
+	yield.N(g.yields)
 	if g.inner != nil {
 		out := g.inner.Arrive(p)
 		if out == telemetry.GatePass && g.yields > 0 {

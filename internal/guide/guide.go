@@ -18,7 +18,6 @@
 package guide
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -27,6 +26,7 @@ import (
 	"gstm/internal/telemetry"
 	"gstm/internal/trace"
 	"gstm/internal/txid"
+	"gstm/internal/yield"
 )
 
 // DefaultGateRetries is the paper's k: how many times the gate re-checks a
@@ -174,14 +174,10 @@ func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
 		}
 		heldOnce = true
 		// Step aside so a thread that *is* in the destination set can run
-		// and change the current state. A scheduler yield hands the core to
-		// every other runnable worker once, which is exactly one "round" of
-		// other threads' progress; sleeping would over-hold (the OS timer
-		// granularity dwarfs a transaction) and serialize the program.
-		// Yield counts follow tl2.backoff's tiers so chronically held
-		// threads step aside longer instead of busy-spinning a single
-		// Gosched on oversubscribed machines.
-		heldYield(i)
+		// and change the current state; sleeping would over-hold (the OS
+		// timer granularity dwarfs a transaction) and serialize the
+		// program.
+		yield.Hold(i)
 	}
 	if heldOnce {
 		return c.count(p, telemetry.GateHold, stateKey, uint64(obs.Now()-t0))
@@ -227,24 +223,6 @@ func (c *Controller) Check(p txid.Pair) telemetry.GateOutcome {
 		o = telemetry.GateEscape
 	}
 	return c.count(p, o, string(k), 0)
-}
-
-// heldYield yields the processor with the same tiered schedule as
-// tl2.backoff (minimum one yield per re-check round, or the held thread
-// would busy-spin the gate loop).
-func heldYield(round int) {
-	yields := 1
-	switch {
-	case round < 8:
-		yields = 1
-	case round < 32:
-		yields = 4
-	default:
-		yields = 16
-	}
-	for i := 0; i < yields; i++ {
-		runtime.Gosched()
-	}
 }
 
 // TxCommit implements tl2.EventSink: it finalizes the previous pending

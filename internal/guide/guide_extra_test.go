@@ -1,7 +1,7 @@
 package guide
 
 import (
-	"bytes"
+	"regexp"
 	"runtime"
 	"sync"
 	"testing"
@@ -62,8 +62,9 @@ func TestHeldThenAllowedCountsAsHeld(t *testing.T) {
 		c.Arrive(pair(2, 2)) // blocked until the state changes
 	}()
 	// The arrival has been refused at least once when its goroutine is
-	// inside heldYield, which Arrive reaches only after a refusal.
-	waitInHeldYield(t)
+	// inside yield.Hold called from Arrive, which Arrive reaches only
+	// after a refusal.
+	waitInHold(t)
 	// Change current state to an unknown one: (2,2) becomes allowed.
 	c.TxCommit(pair(25, 9), 3, 0)
 	c.TxCommit(pair(25, 9), 4, 0)
@@ -74,13 +75,17 @@ func TestHeldThenAllowedCountsAsHeld(t *testing.T) {
 	}
 }
 
-// waitInHeldYield polls every goroutine's stack until one is inside
-// heldYield.
-func waitInHeldYield(t *testing.T) {
+// holdInArrive matches a yield.Hold frame whose caller is the controller's
+// Arrive: each frame is a function line and a file line.
+var holdInArrive = regexp.MustCompile(`yield\.Hold\(.*\n.*\n.*guide\.\(\*Controller\)\.Arrive\(`)
+
+// waitInHold polls every goroutine's stack until one is inside yield.Hold
+// under Controller.Arrive.
+func waitInHold(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("guide.heldYield(")) {
+		if holdInArrive.Match(buf[:runtime.Stack(buf, true)]) {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -1,13 +1,13 @@
 package libtm
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"gstm/internal/obs"
 	"gstm/internal/telemetry"
 	"gstm/internal/txid"
+	"gstm/internal/yield"
 )
 
 // Runtime is a LibTM STM instance.
@@ -119,7 +119,7 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 		if c != nil {
 			tx.cleanup()
 			rt.noteAbort(self, c)
-			backoff(attempt)
+			yield.Backoff(attempt)
 			continue
 		}
 		if err != nil {
@@ -129,7 +129,7 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 		if fi := rt.injector(); fi != nil && fi.SpuriousAbort(self, attempt) {
 			tx.cleanup()
 			rt.noteAbort(self, &conflict{cause: obs.CauseSpurious})
-			backoff(attempt)
+			yield.Backoff(attempt)
 			continue
 		}
 		var t0 int64
@@ -140,7 +140,7 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 		if !ok {
 			tx.cleanup()
 			rt.noteAbort(self, c)
-			backoff(attempt)
+			yield.Backoff(attempt)
 			continue
 		}
 		if sampled {
@@ -169,23 +169,6 @@ func (rt *Runtime) noteAbort(self txid.Pair, c *conflict) {
 		return
 	}
 	sb.s.TxAbort(self, seq.Load(), false)
-}
-
-// backoff mirrors tl2's yield-based contention backoff.
-func backoff(attempt int) {
-	yields := 0
-	switch {
-	case attempt < 2:
-	case attempt < 8:
-		yields = 1
-	case attempt < 32:
-		yields = 4
-	default:
-		yields = 16
-	}
-	for i := 0; i < yields; i++ {
-		runtime.Gosched()
-	}
 }
 
 // runBody executes fn, converting a conflict panic into a result and a

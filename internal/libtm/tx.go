@@ -2,13 +2,13 @@ package libtm
 
 import (
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"unsafe"
 
 	"gstm/internal/obs"
 	"gstm/internal/txid"
 	"gstm/internal/wset"
+	"gstm/internal/yield"
 )
 
 // txState is the shared-visibility part of a transaction attempt: other
@@ -64,7 +64,7 @@ type Tx struct {
 	// locks have no pre-word, so Entry.Pre stays zero).
 	ws      wset.Set[*objBase]
 	attempt int
-	rng     uint64
+	op      yield.Op // the Interleave roll at each read and write
 }
 
 func (tx *Tx) reset(rt *Runtime, self txid.Pair, attempt int) {
@@ -73,32 +73,13 @@ func (tx *Tx) reset(rt *Runtime, self txid.Pair, attempt int) {
 	tx.reads = tx.reads[:0]
 	tx.ws.Reset()
 	tx.attempt = attempt
-	if tx.rng == 0 {
-		tx.rng = rngSeq.Add(0x9e3779b97f4a7c15) | 1
-	}
 }
-
-// rngSeq seeds per-Tx yield generators (see tl2 for rationale).
-var rngSeq atomic.Uint64
 
 // Self returns the attempt's (transaction, thread) pair.
 func (tx *Tx) Self() txid.Pair { return tx.st.self }
 
 // Attempt returns the zero-based retry count.
 func (tx *Tx) Attempt() int { return tx.attempt }
-
-func (tx *Tx) maybeYield() {
-	n := tx.rt.cfg.Interleave
-	if n <= 0 {
-		return
-	}
-	tx.rng ^= tx.rng << 13
-	tx.rng ^= tx.rng >> 7
-	tx.rng ^= tx.rng << 17
-	if tx.rng%uint64(n) == 0 {
-		runtime.Gosched()
-	}
-}
 
 func (tx *Tx) abort(c *conflict) {
 	panic(c)
@@ -143,7 +124,7 @@ func objAddr(b *objBase) uintptr { return uintptr(unsafe.Pointer(b)) }
 // dereference — no closure, no interface conversion (the unboxed protocol
 // mirrored from tl2).
 func (tx *Tx) readBase(b *objBase) unsafe.Pointer {
-	tx.maybeYield()
+	tx.op.Yield(tx.rt.cfg.Interleave)
 	tx.checkDoomed()
 	if e, fp := tx.ws.Lookup(objAddr(b)); e != nil {
 		return e.Val
@@ -154,7 +135,7 @@ func (tx *Tx) readBase(b *objBase) unsafe.Pointer {
 		if spins >= maxSpin {
 			tx.abort(&conflict{cause: obs.CauseLockBusy})
 		}
-		runtime.Gosched()
+		yield.Spin()
 		tx.checkDoomed()
 	}
 	tx.reads = append(tx.reads, b)
@@ -179,7 +160,7 @@ func box[T any](val T) *T {
 // taken at commit. Rewrites of an already-buffered object update the
 // private redo box in place without allocating.
 func Write[T any](tx *Tx, o *Obj[T], val T) {
-	tx.maybeYield()
+	tx.op.Yield(tx.rt.cfg.Interleave)
 	tx.checkDoomed()
 	b := &o.b
 	addr := objAddr(b)
@@ -247,9 +228,7 @@ func (tx *Tx) commit() (wv uint64, c *conflict, ok bool) {
 	defer tx.st.committing.Store(false)
 	if fi := tx.rt.injector(); fi != nil {
 		// Fault point: hold the write locks longer before publishing.
-		for i, n := 0, fi.CommitDelay(tx.st.self, tx.attempt); i < n; i++ {
-			runtime.Gosched()
-		}
+		yield.N(fi.CommitDelay(tx.st.self, tx.attempt))
 	}
 	wv = seq.Add(1)
 	for i := range ents {
@@ -281,6 +260,6 @@ func (tx *Tx) tryLockBounded(e *wset.Entry[*objBase], b *objBase) bool {
 		if spins >= maxSpin {
 			return false
 		}
-		runtime.Gosched()
+		yield.Spin()
 	}
 }

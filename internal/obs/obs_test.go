@@ -177,6 +177,27 @@ func TestForcedRingAlwaysRetained(t *testing.T) {
 	if len(snap.Forced) != 1 || snap.Forced[0].ID != 9 || !snap.Forced[0].Forced {
 		t.Fatalf("forced span not retained: %+v", snap.Forced)
 	}
+
+	// Past the wrap the ring keeps the newest forcedRingSize spans, oldest
+	// first and newest last.
+	o = New(1, 1)
+	const spans = forcedRingSize + 3
+	for i := uint32(1); i <= spans; i++ {
+		sp := mkSpan(i, 0, 1, true)
+		o.Collect(0, &sp)
+	}
+	forced := o.Snapshot().Forced
+	if len(forced) != forcedRingSize {
+		t.Fatalf("wrapped ring holds %d spans, want %d", len(forced), forcedRingSize)
+	}
+	for i, sp := range forced {
+		if want := uint32(spans - forcedRingSize + 1 + i); sp.ID != want {
+			t.Fatalf("Forced[%d].ID = %d, want %d (oldest first)", i, sp.ID, want)
+		}
+	}
+	if last := forced[len(forced)-1].ID; last != spans {
+		t.Fatalf("last forced ID = %d, want the newest, %d", last, spans)
+	}
 }
 
 func TestAggQuantilesAndDiff(t *testing.T) {

@@ -35,14 +35,15 @@ func (r *ring) offer(sp *Span) {
 	r.mu.Unlock()
 }
 
+// collect appends the retained spans to dst, oldest first: once the ring
+// has wrapped, the oldest is the slot next overwrites.
 func (r *ring) collect(dst []Span) []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.next
 	if r.full {
-		n = len(r.slots)
+		dst = append(dst, r.slots[r.next:]...)
 	}
-	return append(dst, r.slots[:n]...)
+	return append(dst, r.slots[:r.next]...)
 }
 
 // reservoir keeps the K slowest spans per rotation window (plus the

@@ -22,10 +22,7 @@
 // instrumented TX_start/TX_abort/TX_commit.
 package tl2
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // clock is the global version clock. It starts at zero and is incremented
 // once per commit; the post-increment value is the commit's unique write
@@ -111,9 +108,3 @@ func makeWord(version uint64, locked bool) uint64 {
 
 func wordVersion(w uint64) uint64 { return w >> 1 }
 func wordLocked(w uint64) bool    { return w&lockedBit != 0 }
-
-// spinYield is called in bounded-spin loops. On the oversubscribed
-// single-core configuration this repository runs on, yielding to the Go
-// scheduler is what lets a mid-commit lock holder finish; busy-waiting
-// would deadlock the core.
-func spinYield() { runtime.Gosched() }

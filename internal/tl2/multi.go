@@ -6,6 +6,7 @@ import (
 
 	"gstm/internal/obs"
 	"gstm/internal/txid"
+	"gstm/internal/yield"
 )
 
 // Cross-shard atomic commit.
@@ -131,8 +132,8 @@ func commitMulti(txs []*Tx) (wv, byWV uint64, by *Runtime, cause obs.Cause, ok b
 		delay = fi.CommitDelay(lead.self, lead.attempt)
 	}
 	for i, tx := range txs {
-		for j := 0; i > 0 && j < delay; j++ {
-			spinYield()
+		if i > 0 {
+			yield.N(delay)
 		}
 		tx.rt.clk().advanceTo(wv)
 		tx.publishAt(wv)

@@ -10,6 +10,7 @@ import (
 	"gstm/internal/obs"
 	"gstm/internal/telemetry"
 	"gstm/internal/txid"
+	"gstm/internal/yield"
 )
 
 // Config parameterizes a Runtime. The zero value is usable.
@@ -492,7 +493,7 @@ func (rt *Runtime) aborted(txs []*Tx, self txid.Pair, byWV uint64, by *Runtime, 
 	if rt.budgetSpent(uint64(self.Thread), budget, attempt) {
 		return true
 	}
-	backoff(attempt)
+	yield.Backoff(attempt)
 	return false
 }
 
@@ -543,31 +544,6 @@ func (rt *Runtime) noteAbort(self txid.Pair, byWV uint64, cause obs.Cause) {
 		return
 	}
 	sb.s.TxAbort(self, rt.clk().now(), false)
-}
-
-// backoff applies bounded, contention-proportional backoff between retry
-// attempts: early retries just yield, persistent losers sleep briefly so
-// the winner's transaction can finish. Without it, high-contention sites
-// (queue heads, heap roots) churn on the oversubscribed test machine.
-func backoff(attempt int) {
-	// Yield-based only: timer sleeps have ~100µs OS granularity, orders of
-	// magnitude above a transaction, and their jitter would dominate the
-	// very execution-time variance these experiments measure. Yield counts
-	// grow with persistence so chronic losers step aside longer.
-	yields := 0
-	switch {
-	case attempt < 2:
-		// Retry immediately: most conflicts are transient.
-	case attempt < 8:
-		yields = 1
-	case attempt < 32:
-		yields = 4
-	default:
-		yields = 16
-	}
-	for i := 0; i < yields; i++ {
-		spinYield()
-	}
 }
 
 // runBody executes the attempt's body — many over every participant when

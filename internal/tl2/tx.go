@@ -7,10 +7,8 @@ import (
 	"gstm/internal/obs"
 	"gstm/internal/txid"
 	"gstm/internal/wset"
+	"gstm/internal/yield"
 )
-
-// rngSeq hands out distinct initial states for per-Tx yield generators.
-var rngSeq atomic.Uint64
 
 // tagSeq hands out nonzero ownership tags, one per pooled Tx object. A tag
 // only ever marks locks the Tx itself holds, and every lock is released
@@ -40,8 +38,7 @@ type Tx struct {
 	reads    []*base
 	ws       wset.Set[*base] // redo log: sorted small-vector write set with lock bookkeeping
 	attempt  int
-	rng      uint64
-	ops      int
+	op       yield.Op // the Interleave roll at each read and write
 	readOnly bool
 
 	// trackReads records read bases into tx.reads. True for every
@@ -100,16 +97,6 @@ func (tx *Tx) reset(self txid.Pair, attempt int, readOnly, track bool, span *obs
 	if tx.tag == 0 {
 		tx.tag = tagSeq.Add(1)
 	}
-	// The yield generator is seeded once per Tx object and then evolves
-	// across transactions and attempts. Re-seeding per attempt would make
-	// the yield pattern a pure function of (pair, attempt): short
-	// transactions would then either always or never yield at the same
-	// operation, and on a single core "never" means transactions stop
-	// overlapping entirely.
-	if tx.rng == 0 {
-		tx.rng = rngSeq.Add(0x9e3779b97f4a7c15) | 1
-	}
-	tx.ops = 0
 	return tx.measure
 }
 
@@ -118,25 +105,6 @@ func (tx *Tx) Self() txid.Pair { return tx.self }
 
 // Attempt returns the zero-based retry count of this attempt.
 func (tx *Tx) Attempt() int { return tx.attempt }
-
-// maybeYield implements the Interleave knob: on the single-core test
-// machine, transactions would otherwise frequently run to completion
-// between preemptions and never conflict, so every STM operation has a
-// 1/Interleave chance of yielding the processor mid-transaction. This
-// substitutes for the paper's true multi-core interleaving (see DESIGN.md).
-func (tx *Tx) maybeYield() {
-	n := tx.rt.cfg.Interleave
-	if n <= 0 {
-		return
-	}
-	tx.ops++
-	tx.rng ^= tx.rng << 13
-	tx.rng ^= tx.rng >> 7
-	tx.rng ^= tx.rng << 17
-	if tx.rng%uint64(n) == 0 {
-		spinYield()
-	}
-}
 
 func (tx *Tx) conflict(byWV uint64, cause obs.Cause) {
 	panic(&conflictSignal{byWV: byWV, by: tx.rt, cause: cause})
@@ -152,7 +120,7 @@ func baseAddr(b *base) uintptr { return uintptr(unsafe.Pointer(b)) }
 // conflictSignal when the location's version exceeds rv or the location
 // stays locked.
 func (tx *Tx) readBase(b *base) unsafe.Pointer {
-	tx.maybeYield()
+	tx.op.Yield(tx.rt.cfg.Interleave)
 	// Read-after-write fast path: the filter answers the common miss in
 	// O(1) (read-only transactions keep it at zero, so this is one branch),
 	// and a hit returns the private redo box without allocating.
@@ -168,7 +136,7 @@ func (tx *Tx) readBase(b *base) unsafe.Pointer {
 		w1 := lk.word.Load()
 		if wordLocked(w1) {
 			if spins < maxReadSpin {
-				spinYield()
+				yield.Spin()
 				continue
 			}
 			// The lock holder is mid-commit and will bump the version past
@@ -225,7 +193,7 @@ func Write[T any](tx *Tx, v *Var[T], val T) {
 	if tx.readOnly {
 		panic(errWriteInReadOnly{})
 	}
-	tx.maybeYield()
+	tx.op.Yield(tx.rt.cfg.Interleave)
 	b := &v.b
 	addr := baseAddr(b)
 	if e, fp := tx.ws.Lookup(addr); e != nil {
@@ -267,7 +235,7 @@ func (tx *Tx) lockWriteSet() bool {
 		for spins := 0; spins <= maxLockSpin; spins++ {
 			w := lk.word.Load()
 			if wordLocked(w) {
-				spinYield()
+				yield.Spin()
 				continue
 			}
 			if lk.word.CompareAndSwap(w, w|lockedBit) {
@@ -418,9 +386,7 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 	if fi := tx.rt.injector(); fi != nil {
 		// Fault point: hold the write-set locks longer, widening the
 		// mid-commit window other transactions see as locked words.
-		for i, n := 0, fi.CommitDelay(tx.self, tx.attempt); i < n; i++ {
-			spinYield()
-		}
+		yield.N(fi.CommitDelay(tx.self, tx.attempt))
 		if spanned {
 			mark = obs.Now() // the injected hold is not a validate cost
 		}
