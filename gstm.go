@@ -141,7 +141,9 @@ func Analyze(m *Model) Report { return model.DefaultAnalyzer().Analyze(m) }
 // SaveModel writes m to path in the binary state_data format.
 func SaveModel(m *Model, path string) error { return m.Save(path) }
 
-// LoadModel reads a model written by SaveModel.
+// LoadModel reads a model written by SaveModel (or by `gstm model -o`), so
+// a model trained once can guide later runs: the pair is the library side
+// of the artifact's state_data files.
 func LoadModel(path string) (*Model, error) { return model.Load(path) }
 
 // TelemetrySnapshot is a point-in-time view of the runtime telemetry layer:
@@ -159,10 +161,6 @@ type TelemetryHist = obs.HistCounts
 // attach one to a Run call with WithSpan to record gate waits, aborted
 // attempts with their causes, and the commit protocol's phases.
 type Span = obs.Span
-
-// SpanCause is the abort-cause taxonomy recorded on spans and exported as
-// the gstm_tx_aborts_by_cause_total telemetry series.
-type SpanCause = obs.Cause
 
 // GatherTelemetry merges the telemetry of every live runtime in the process
 // into one snapshot — the view the -metrics-addr HTTP endpoint serves.

@@ -11,7 +11,7 @@ import (
 // transactions: the body reads the key and calls tx.Retry when the wait
 // condition holds, which parks the goroutine on the one cell the read
 // touched (the key's hash bucket). A commit to that bucket wakes it through
-// tl2's per-base waiter lists — it parks again unless its own key changed —
+// tl2's per-location wakeups — it parks again unless its own key changed —
 // with no server-side polling loop and no periodic revalidation.
 //
 // Watches run outside the thread slots, one goroutine per outstanding

@@ -4,8 +4,11 @@ import "gstm/internal/tl2"
 
 // entry is one link of a bucket's chain. A bucket cell's published snapshot
 // is the chain's head entry itself — key and value live in the box the cell
-// points at — and next leads to the rest of the chain. used tells an empty
-// cell from one holding key 0; it is true on every linked node.
+// points at — and next leads to the rest of the chain. A node is live exactly
+// when its next is non-nil: the last node of every chain points at its
+// table's end sentinel, whose own next is nil, so the zero entry is an empty
+// bucket and needs no flag to tell it from one holding key 0. An
+// entry[uint64] is three words, 24 bytes.
 //
 // Entries are immutable once reachable: a mutation builds a new head,
 // copying only the nodes in front of the one it changes and sharing the
@@ -17,13 +20,12 @@ type entry[V any] struct {
 	key  int64
 	val  V
 	next *entry[V]
-	used bool
 }
 
 // find returns the node holding k in the chain headed by e, or nil.
 func (e *entry[V]) find(k int64) *entry[V] {
-	for n := e; n != nil; n = n.next {
-		if n.key == k && n.used {
+	for n := e; n.next != nil; n = n.next {
+		if n.key == k {
 			return n
 		}
 	}
@@ -54,6 +56,7 @@ type HashTable[V any] struct {
 	cells *tl2.Array[entry[V]]
 	mask  uint64
 	size  *tl2.Var[int]
+	end   *entry[V] // the sentinel every chain's last node points at
 }
 
 // NewHashTable returns a table with nbuckets rounded up to a power of two
@@ -67,6 +70,7 @@ func NewHashTable[V any](nbuckets int) *HashTable[V] {
 		cells: tl2.NewArray[entry[V]](n),
 		mask:  uint64(n - 1),
 		size:  tl2.NewVar(0),
+		end:   new(entry[V]),
 	}
 }
 
@@ -93,8 +97,8 @@ func (h *HashTable[V]) Insert(tx *tl2.Tx, k int64, v V) bool {
 func (h *HashTable[V]) InsertNoCount(tx *tl2.Tx, k int64, v V) bool {
 	c := h.cell(k)
 	e := tl2.Read(tx, c)
-	head := entry[V]{key: k, val: v, used: true}
-	if e.used {
+	head := entry[V]{key: k, val: v, next: h.end}
+	if e.next != nil {
 		if e.find(k) != nil {
 			return false
 		}
@@ -122,7 +126,7 @@ func (h *HashTable[V]) RemoveNoCount(tx *tl2.Tx, k int64) bool {
 		return false
 	case hit != &e: // behind the head: unlink it from a copied prefix
 		*e.detach(hit) = hit.next
-	case e.next != nil: // the head: its successor's copy takes its place
+	case e.next != h.end: // the head: its successor's copy takes its place
 		e = *e.next
 	default: // the bucket's only key
 		e = entry[V]{}
@@ -189,10 +193,7 @@ func (h *HashTable[V]) NumBuckets() int { return h.cells.Len() }
 func (h *HashTable[V]) RangeAll(tx *tl2.Tx, fn func(k int64, v V) bool) {
 	for i := range h.cells.Len() {
 		e := tl2.ReadAt(tx, h.cells, i)
-		if !e.used {
-			continue
-		}
-		for n := &e; n != nil; n = n.next {
+		for n := &e; n.next != nil; n = n.next {
 			if !fn(n.key, n.val) {
 				return
 			}

@@ -6,7 +6,8 @@
 //
 //   - a global version clock, sampled into rv at transaction start;
 //   - per-location versioned lock words (version in the high bits, a lock
-//     bit in the low bit), checked on every transactional read;
+//     bit in the low bit; a locked word names its owner), checked on every
+//     transactional read;
 //   - lazy (commit-time) conflict detection: writes are buffered in a
 //     write-back redo log and only published after all written locations
 //     have been locked, a new write version wv has been drawn from the
@@ -89,22 +90,34 @@ func (c *clock) tickGV4(rv uint64) (wv uint64, needValidate, adopted bool) {
 	return c.v.Load(), true, true
 }
 
-// A versioned lock word packs a version number and a lock bit:
+// A versioned lock word packs a version number, a waiter mark and a lock
+// bit into one word:
 //
-//	word = version<<1 | lockedBit
+//	unlocked: word = version<<2 | waitBit
+//	locked:   word = tag<<2     | lockedBit
 //
-// While a location is locked (mid-commit) the version field still carries
-// the pre-commit version, so concurrent readers spinning on the word can
-// tell how stale their view is once the lock is released.
-const lockedBit uint64 = 1
+// A locked word names its owner: the lock CAS installs the holder's
+// ownership tag (Tx.tag) in place of the version, so "is this lock mine?"
+// is one compare against the word already loaded. The pre-lock word —
+// version and waiter mark — lives in the holder's write-set entry (Pre)
+// until the release either restores it (abort) or publishes a new version
+// (commit). Readers never need the version of a locked word: they spin
+// until it is released, or abort.
+//
+// waitBit marks a location some parked transaction waits on (waiters.go).
+// Only a parker sets it, only on an unlocked word; a commit's release at a
+// new version clears it, and an abort's restore of Pre keeps it.
+const (
+	lockedBit uint64 = 1
+	waitBit   uint64 = 2
+)
 
-func makeWord(version uint64, locked bool) uint64 {
-	w := version << 1
-	if locked {
-		w |= lockedBit
-	}
-	return w
-}
+// makeWord is the unlocked, unmarked word of a location at version.
+func makeWord(version uint64) uint64 { return version << 2 }
 
-func wordVersion(w uint64) uint64 { return w >> 1 }
+// lockedBy is the word of a location locked by the transaction with
+// ownership tag tag.
+func lockedBy(tag uint64) uint64 { return tag<<2 | lockedBit }
+
+func wordVersion(w uint64) uint64 { return w >> 2 }
 func wordLocked(w uint64) bool    { return w&lockedBit != 0 }

@@ -182,7 +182,7 @@ func TestCommitLockFailureRestoresAcquiredLocks(t *testing.T) {
 	}
 	// Array cells sit at ascending addresses, so the last one is locked
 	// last.
-	last := &arr.At(n - 1).b.lk.word
+	last := &arr.At(n - 1).b.word
 	held := last.Load()
 	last.Store(held | lockedBit)
 	err := rt.Run(nil, 0, 0, func(tx *Tx) error {

@@ -352,14 +352,102 @@ func TestArrayDisjointElementsDoNotConflict(t *testing.T) {
 	}
 }
 
+// TestVersionedLockWord pins the lock word's encoding (clock.go) and the
+// protocol steps that read and write it: an unlocked word carries its
+// version and the waiter mark, a locked word names its owner's tag, the
+// ownership test rejects every other tag, an abort's restore keeps the mark
+// and a commit's publish clears it.
 func TestVersionedLockWord(t *testing.T) {
-	if err := quick.Check(func(version uint64, locked bool) bool {
+	if err := quick.Check(func(version, tag uint64) bool {
 		version &= (1 << 62) - 1 // stay in range
-		w := makeWord(version, locked)
-		return wordVersion(w) == version && wordLocked(w) == locked
+		tag = tag&((1<<62)-1) | 1
+		w := makeWord(version)
+		return wordVersion(w) == version && !wordLocked(w) &&
+			wordVersion(w|waitBit) == version && !wordLocked(w|waitBit) &&
+			wordLocked(lockedBy(tag)) && lockedBy(tag)&waitBit == 0
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
+
+	rt := New(Config{PrivateClock: true})
+	v := NewVar(0)
+	b := &v.b
+	// locked takes b's lock in a fresh transaction that writes v, the first
+	// half of a commit.
+	locked := func() *Tx {
+		t.Helper()
+		tx := rt.pool.Get().(*Tx)
+		tx.reset(txid.Pair{}, 0, false, false, nil)
+		Write(tx, v, 1)
+		if !tx.lockWriteSet() {
+			t.Fatal("lockWriteSet failed on an unlocked location")
+		}
+		return tx
+	}
+
+	rt.AdvanceClock(5)
+	b.word.Store(makeWord(5))
+	tx := locked()
+	w := b.word.Load()
+	if w != lockedBy(tx.tag) {
+		t.Fatalf("locked word = %#x, want lockedBy(tag %d) = %#x", w, tx.tag, lockedBy(tx.tag))
+	}
+	if pre, mine := tx.ownedPre(b, w); !mine || pre != makeWord(5) {
+		t.Fatalf("ownedPre(own lock) = (%#x, %v), want (%#x, true)", pre, mine, makeWord(5))
+	}
+	other := rt.pool.Get().(*Tx)
+	other.reset(txid.Pair{}, 0, false, false, nil)
+	if other.tag == tx.tag {
+		t.Fatal("two pooled transactions share a tag")
+	}
+	if _, mine := other.ownedPre(b, w); mine {
+		t.Fatal("ownedPre accepted a lock held under a foreign tag")
+	}
+	if _, mine := tx.ownedPre(b, lockedBy(tx.tag+1)); mine {
+		t.Fatal("ownedPre accepted a word locked by another tag")
+	}
+	if _, locked := v.LockState(); !locked {
+		t.Fatal("LockState does not report the held lock")
+	}
+	tx.releaseLocks(0)
+	tx.scrub()
+	if got := b.word.Load(); got != makeWord(5) {
+		t.Fatalf("abort restored %#x, want %#x", got, makeWord(5))
+	}
+
+	// A parker's mark survives an abort's restore...
+	if !markWaited(b, 5) {
+		t.Fatal("markWaited refused an unlocked word at rv")
+	}
+	if markWaited(b, 4) {
+		t.Fatal("markWaited accepted a word newer than rv")
+	}
+	tx = locked()
+	if tx.ws.Entries()[0].Pre != makeWord(5)|waitBit {
+		t.Fatalf("Pre = %#x, want the marked word %#x", tx.ws.Entries()[0].Pre, makeWord(5)|waitBit)
+	}
+	if markWaited(b, 5) {
+		t.Fatal("markWaited accepted a locked word")
+	}
+	tx.releaseLocks(0)
+	tx.scrub()
+	if got := b.word.Load(); got != makeWord(5)|waitBit {
+		t.Fatalf("abort restored %#x, want the mark kept: %#x", got, makeWord(5)|waitBit)
+	}
+
+	// ...and a commit's publish clears it.
+	tx = locked()
+	rt.AdvanceClock(9)
+	tx.publishAt(9)
+	tx.scrub()
+	if got := b.word.Load(); got != makeWord(9) {
+		t.Fatalf("publish left %#x, want the unmarked word at wv: %#x", got, makeWord(9))
+	}
+	if version, locked := v.LockState(); locked || version != 9 || v.Peek() != 1 {
+		t.Fatalf("after publish: version %d locked %v value %d, want 9 false 1", version, locked, v.Peek())
+	}
+	rt.pool.Put(tx)
+	rt.pool.Put(other)
 }
 
 func TestQuickSequentialTransfersConserve(t *testing.T) {

@@ -11,8 +11,9 @@ import (
 )
 
 // tagSeq hands out nonzero ownership tags, one per pooled Tx object. A tag
-// only ever marks locks the Tx itself holds, and every lock is released
-// (owner cleared) before the Tx is pooled, so reuse across attempts is safe.
+// only ever marks locks the Tx itself holds (a locked word is
+// lockedBy(tag)), and every lock is released before the Tx is pooled, so
+// reuse across attempts is safe.
 var tagSeq atomic.Uint64
 
 // conflictSignal is panicked by transactional reads/writes when a conflict
@@ -34,7 +35,7 @@ type Tx struct {
 	rt       *Runtime
 	self     txid.Pair
 	rv       uint64
-	tag      uint64 // nonzero ownership tag stamped into lock-slot owners while locking
+	tag      uint64 // nonzero ownership tag the lock CAS writes into each word it locks
 	reads    []*base
 	ws       wset.Set[*base] // redo log: sorted small-vector write set with lock bookkeeping
 	attempt  int
@@ -131,9 +132,8 @@ func (tx *Tx) readBase(b *base) unsafe.Pointer {
 	}
 	// Locks are only taken at commit, after the body, so a locked word
 	// here is always another transaction's.
-	lk := &b.lk
 	for spins := 0; ; spins++ {
-		w1 := lk.word.Load()
+		w1 := b.word.Load()
 		if wordLocked(w1) {
 			if spins < maxReadSpin {
 				yield.Spin()
@@ -145,9 +145,9 @@ func (tx *Tx) readBase(b *base) unsafe.Pointer {
 			tx.conflict(0, obs.CauseLockBusy)
 		}
 		p := b.loadPtr()
-		w2 := lk.word.Load()
+		w2 := b.word.Load()
 		if w1 != w2 {
-			// Raced with a commit; re-run the protocol.
+			// Raced with a commit (or a parker's mark); re-run the protocol.
 			continue
 		}
 		if v := wordVersion(w1); v > tx.rv {
@@ -218,7 +218,9 @@ func ReadAt[T any](tx *Tx, a *Array[T], i int) T { return Read(tx, a.At(i)) }
 func WriteAt[T any](tx *Tx, a *Array[T], i int, val T) { Write(tx, a.At(i), val) }
 
 // lockWriteSet acquires the versioned lock of every written location with
-// bounded spinning. It reports failure (and releases everything acquired)
+// bounded spinning: one CAS from the unlocked word, kept in the entry's Pre,
+// to lockedBy(tx.tag), so the word itself names the holder from the instant
+// it is locked. It reports failure (and releases everything acquired)
 // when some lock cannot be taken, the TL2 deadlock-avoidance rule.
 //
 // Locks are acquired in ascending location address order (the write set is
@@ -230,16 +232,15 @@ func (tx *Tx) lockWriteSet() bool {
 	ents := tx.ws.Entries()
 	for i := range ents {
 		e := &ents[i]
-		lk := &e.Key.lk
+		word := &e.Key.word
 		acquired := false
 		for spins := 0; spins <= maxLockSpin; spins++ {
-			w := lk.word.Load()
+			w := word.Load()
 			if wordLocked(w) {
 				yield.Spin()
 				continue
 			}
-			if lk.word.CompareAndSwap(w, w|lockedBit) {
-				lk.owner.Store(tx.tag)
+			if word.CompareAndSwap(w, lockedBy(tx.tag)) {
 				e.Pre = w
 				e.Locked = true
 				acquired = true
@@ -255,9 +256,9 @@ func (tx *Tx) lockWriteSet() bool {
 }
 
 // releaseLocks restores every acquired lock word. When wv is zero the
-// pre-lock words are restored (abort path); otherwise each location is
-// published at version wv (commit path). The owner tag is cleared before
-// the unlocking store so no later lock holder's tag is ever clobbered.
+// pre-lock words are restored (abort path), waiter mark included;
+// otherwise each location is published at version wv (commit path), which
+// clears the mark — publishAt then wakes what was marked.
 func (tx *Tx) releaseLocks(wv uint64) {
 	ents := tx.ws.Entries()
 	for i := range ents {
@@ -265,12 +266,10 @@ func (tx *Tx) releaseLocks(wv uint64) {
 		if !e.Locked {
 			continue
 		}
-		lk := &e.Key.lk
-		lk.owner.Store(0)
 		if wv == 0 {
-			lk.word.Store(e.Pre)
+			e.Key.word.Store(e.Pre)
 		} else {
-			lk.word.Store(makeWord(wv, false))
+			e.Key.word.Store(makeWord(wv))
 		}
 		e.Locked = false
 	}
@@ -286,11 +285,12 @@ func (tx *Tx) scrub() {
 
 // ownedPre returns the pre-lock word of b if this transaction holds its
 // lock: a location it both read and wrote, met again by commit-time read-set
-// validation. The ownership test is one atomic load of the slot's owner tag
-// — O(1), replacing the linear lock-list scan that made validation
-// O(reads×locks) — and only a positive answer pays the write-set lookup.
-func (tx *Tx) ownedPre(b *base) (uint64, bool) {
-	if b.lk.owner.Load() != tx.tag {
+// validation as the locked word w. The ownership test is one compare of w
+// against this transaction's locked word — O(1), replacing the linear
+// lock-list scan that made validation O(reads×locks) — and only a positive
+// answer pays the write-set lookup.
+func (tx *Tx) ownedPre(b *base, w uint64) (uint64, bool) {
+	if w != lockedBy(tx.tag) {
 		return 0, false
 	}
 	e, _ := tx.ws.Lookup(baseAddr(b))
@@ -309,9 +309,9 @@ func (tx *Tx) ownedPre(b *base) (uint64, bool) {
 // lock release on failure.
 func (tx *Tx) validateReads() (byWV uint64, cause obs.Cause, ok bool) {
 	for _, b := range tx.reads {
-		w := b.lk.word.Load()
+		w := b.word.Load()
 		if wordLocked(w) {
-			pre, mine := tx.ownedPre(b)
+			pre, mine := tx.ownedPre(b, w)
 			if !mine {
 				return 0, obs.CauseLockBusy, false
 			}
@@ -324,13 +324,18 @@ func (tx *Tx) validateReads() (byWV uint64, cause obs.Cause, ok bool) {
 	return 0, obs.CauseNone, true
 }
 
-// publishAt is the back half of the prepared-commit split: it publishes
-// the write set at the caller-chosen write version wv, releases every lock
-// at wv and wakes parked readers. The
-// caller must hold the write-set locks (lockWriteSet succeeded), have
-// validated the read set, and have advanced this runtime's clock to at
-// least wv — locations must never carry versions the clock has not
-// reached, or readers under this clock would spin on the future.
+// publishAt is the back half of every commit: it publishes the write set
+// at write version wv — one raw pointer store per location, the redo box —
+// releases every lock at wv, and then wakes the transactions parked on any
+// written location (waiters.go): exactly those whose pre-lock word carried
+// waitBit. The release already published the new versions and cleared the
+// marks, so a parker that registers after the drain finds a version above
+// its rv, or marks the word afresh for the next commit, and never sleeps
+// through this one; without parkers the wake step is one register test per
+// written location. The caller must hold the write-set locks (lockWriteSet
+// succeeded), have validated the read set, and have advanced this runtime's
+// clock to at least wv — locations must never carry versions the clock has
+// not reached, or readers under this clock would spin on the future.
 func (tx *Tx) publishAt(wv uint64) {
 	ents := tx.ws.Entries()
 	for i := range ents {
@@ -338,8 +343,8 @@ func (tx *Tx) publishAt(wv uint64) {
 	}
 	tx.releaseLocks(wv)
 	for i := range ents {
-		if b := ents[i].Key; b.wtrs.Load() != nil {
-			b.wakeWaiters()
+		if ents[i].Pre&waitBit != 0 {
+			wakeWaiters(ents[i].Key)
 		}
 	}
 }
@@ -437,25 +442,9 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 			}
 		}
 	}
-	ents := tx.ws.Entries()
-	for i := range ents {
-		// Publish the redo box: one raw pointer store per location, the
-		// unboxed replacement for the old per-location apply closure call.
-		ents[i].Key.storePtr(ents[i].Val)
-	}
-	tx.releaseLocks(wv)
+	tx.publishAt(wv)
 	if spanned {
 		tx.span.AddSince(obs.PhasePublish, obs.CauseNone, att, mark)
-	}
-	// Wake transactions parked on any written location (waiters.go). The
-	// versions published above are already observable, so a parker that
-	// registers after the detach below re-validates against them and never
-	// sleeps through this commit. On the non-blocking fast path this is one
-	// atomic nil-load per written location and nothing else.
-	for i := range ents {
-		if b := ents[i].Key; b.wtrs.Load() != nil {
-			b.wakeWaiters()
-		}
 	}
 	return wv, 0, obs.CauseNone, true
 }

@@ -5,26 +5,10 @@ import (
 	"unsafe"
 )
 
-// lockSlot is one TL2 versioned write-lock: the lock word (version<<1 |
-// lockedBit) plus the ownership tag of the transaction currently holding
-// the lock bit. Every base embeds its own slot.
-type lockSlot struct {
-	word atomic.Uint64
-	// owner is the ownership tag (Tx.tag) of the transaction currently
-	// holding word's lock bit, or zero. It is stored immediately after a
-	// successful lock CAS and cleared immediately before the unlocking
-	// store, so read-set validation answers "is this locked word mine?"
-	// with one atomic load instead of scanning the lock list — the O(1)
-	// ownership check that removes the O(reads×locks) validation scan. A
-	// reader that observes the lock bit with owner still 0 (the acquire
-	// window) correctly treats the location as locked by someone else: the
-	// window only exists on other transactions' acquisitions, never on the
-	// reader's own, whose stores are ordered by program order.
-	owner atomic.Uint64
-}
-
-// base is the non-generic core of a transactional location: its versioned
-// lock slot plus the published value snapshot as a raw pointer.
+// base is the non-generic core of a transactional location: its TL2
+// versioned write-lock word (clock.go: version<<2 | waitBit while unlocked,
+// the holder's tag<<2 | lockedBit while locked) plus the published value
+// snapshot as a raw pointer — 16 bytes, the whole of a location's metadata.
 // Transactions track read and write sets as *base pointers so the commit
 // protocol never needs to know element types.
 //
@@ -33,17 +17,14 @@ type lockSlot struct {
 // unsafe.Pointer, reads load it and dereference through the statically
 // known T, and commit publishes a buffered write by storing the redo
 // pointer — one word moved, zero interface conversions, zero closures.
+//
+// Parked transactions are not recorded on the location: waitBit marks that
+// some are, and the waiters themselves live in a process-wide side table
+// keyed by *base (waiters.go), which only parks and the commits that meet
+// the mark touch.
 type base struct {
-	lk   lockSlot
+	word atomic.Uint64
 	slot unsafe.Pointer // the current *T snapshot, loaded/stored atomically
-
-	// wtrs heads the Treiber stack of transactions parked on this location
-	// (tx.Retry under blocking mode; see waiters.go). The commit publish
-	// path checks it with one atomic load per written location and wakes the
-	// whole stack when it installs a new version — per-base wakeups instead
-	// of a global broadcast. nil whenever nothing is parked here, which is
-	// the permanent state of every location non-blocking workloads touch.
-	wtrs atomic.Pointer[waiterNode]
 }
 
 // loadPtr atomically loads the published value snapshot.
@@ -77,8 +58,7 @@ func NewVar[T any](val T) *Var[T] {
 // initialize shared data before the timed transactional region).
 func (v *Var[T]) Reset(val T) {
 	v.b.storePtr(unsafe.Pointer(&val))
-	v.b.lk.word.Store(0)
-	v.b.lk.owner.Store(0)
+	v.b.word.Store(0)
 }
 
 // Peek loads the current value non-transactionally. Like Reset it is only
@@ -89,10 +69,14 @@ func (v *Var[T]) Peek() T { return *(*T)(v.b.loadPtr()) }
 // LockState reports v's embedded versioned lock word split into version
 // and lock bit. It is a diagnostic for tests and fault-injection sweeps: at
 // any quiescent point every location must report locked == false, or an
-// abort path leaked a lock.
+// abort path leaked a lock. A locked word names its owner rather than a
+// version, so version reads 0 while locked is true.
 func (v *Var[T]) LockState() (version uint64, locked bool) {
-	w := v.b.lk.word.Load()
-	return wordVersion(w), wordLocked(w)
+	w := v.b.word.Load()
+	if wordLocked(w) {
+		return 0, true
+	}
+	return wordVersion(w), false
 }
 
 // Array is a fixed-length sequence of transactional locations of type T.

@@ -2,6 +2,7 @@ package tl2
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 )
 
@@ -11,44 +12,61 @@ import (
 // is not there yet — calls tx.Retry(): the attempt aborts, and instead of
 // spinning through retries the goroutine parks until some commit changes a
 // location the attempt read. The design follows the classic STM `retry`
-// (SNIPPETS.md §2–3 shows the anacrolix/stm surface) with one deliberate
-// departure: wakeup tracking is a per-base waiter list riding the existing
-// lock-word publish path, not a global broadcast. A commit already walks
-// its write set holding the lock words; waking the waiters of
-// exactly the bases it wrote costs one atomic nil-check per written
-// location on the non-blocking fast path (CI-gated zero-alloc) and scales
-// with real conflicts, not with the number of parked connections — the
-// shared-metadata-contention trap the Pasqualin survey warns about and the
-// ROADMAP's "millions of connections" target forbids.
+// (SNIPPETS.md §2–3 shows the anacrolix/stm surface) with per-location
+// wakeups, not a global broadcast: a commit wakes only the parkers of the
+// locations it wrote, so wakeups scale with real conflicts, not with the
+// number of parked connections.
 //
-// Lost-wakeup safety is the register → validate → sleep protocol:
+// A location carries no waiter list of its own — that would be a word on
+// every location for the few that are ever parked on. Instead, waitBit in
+// the lock word marks a location somebody waits on, and the waiters live in
+// a process-wide side table keyed by *base: one mutex-guarded map, each
+// entry a doubly-linked list of waiterNodes. Only parkers, and commits whose
+// pre-lock word (the write-set entry's Pre) carries the mark, ever touch it;
+// every other commit tests a register per written location.
 //
-//  1. the parker pushes a node onto the waiter stack of every base it read;
-//  2. it then re-loads each base's versioned lock word: a version above the
-//     attempt's read version rv (or a held lock) means something already
-//     changed, so it retries immediately instead of sleeping;
-//  3. only then does it sleep on its wakeup channel.
+// Lost-wakeup safety is the register → mark → sleep protocol:
 //
-// A committing writer stores the new versions (releaseLocks) strictly
-// before detaching and signalling the waiter stacks. Go's atomics are
-// sequentially consistent, so a parker whose push lands after the writer's
-// detach must observe the already-published version in step 2 and skips the
-// sleep; a push that lands before the detach is in the detached list and
-// gets signalled. Either way the wakeup cannot fall between the cracks.
+//  1. the parker links a node into the side-table list of every base it
+//     read;
+//  2. it then marks each base: it CASes waitBit onto the lock word while
+//     the word is unlocked and at a version no newer than the attempt's
+//     read version rv. A newer version (something already changed) or a
+//     held lock (a commit in flight) makes it skip the sleep and retry at
+//     once;
+//  3. only then does it sleep on its wakeup channel;
+//  4. on every return — woken, canceled, or skipped sleep — it removes its
+//     own nodes, so the table holds only live parkers and never pins a
+//     location whose owner has gone.
 //
-// Nodes are allocated per park (the parking path is the slow path; the
-// zero-alloc budget protects only non-blocking transactions) and are
-// reclaimed when their base is next written. A node the waiter abandons —
-// it woke via another base, or its park context ended — stays linked until
-// then; signalling it later is a spurious wakeup, which the validate step
-// of the next park absorbs. All races therefore degrade to spurious
+// A committing writer locks the word (its Pre then carries the mark of
+// every parker that marked before the lock), publishes and releases at its
+// wv, which clears the mark, and only then drains and wakes the list of
+// each written location whose Pre had the mark. Go's atomics are
+// sequentially consistent: a parker whose mark CAS precedes the lock CAS
+// linked its node even earlier, so the drain finds it; a parker whose mark
+// would follow the lock CAS finds the word locked or already at a version
+// above rv, and skips the sleep. An abort restores Pre, mark included, so
+// the next commit of the location still drains. The wakeup cannot fall
+// between the cracks.
+//
+// A park allocates its nodes in one slice (the parking path is the slow
+// path; the zero-alloc budget protects only non-blocking transactions). A drained
+// node whose parker already left, or one woken through another location,
+// costs at most a spurious wakeup of the parker's next park cycle, which the
+// mark step of that park absorbs. All races therefore degrade to spurious
 // wakeups, never lost ones.
 
 // waiterNode is one parked transaction's registration on one base: a link
-// in the base's Treiber-stack waiter list.
+// in that base's doubly-linked list in the side table, so its parker can
+// unlink it in O(1) however many others wait on the same base. linked says
+// whether it is still in the list; a drain clears it, and an unregister
+// then leaves the node alone.
 type waiterNode struct {
-	w    *parkWaiter
-	next *waiterNode
+	w          *parkWaiter
+	b          *base
+	prev, next *waiterNode
+	linked     bool
 }
 
 // parkWaiter is the per-Tx wakeup record shared by all of a park's nodes.
@@ -84,23 +102,89 @@ func (w *parkWaiter) wake() {
 	}
 }
 
-// registerWaiter pushes n onto b's waiter stack.
-func (b *base) registerWaiter(n *waiterNode) {
-	for {
-		h := b.wtrs.Load()
-		n.next = h
-		if b.wtrs.CompareAndSwap(h, n) {
-			return
+// waitTable maps each base some transaction is parked on to the head of
+// its waiter list. One mutex guards it: a park takes it twice (register,
+// unregister) and a drain once. A subscriber load of hundreds of parked
+// watches against steady commits served the same with a 64-way sharded
+// table, so the table is not sharded.
+var waitTable struct {
+	mu sync.Mutex
+	m  map[*base]*waiterNode
+}
+
+// registerWaiters links every node at the head of its base's list.
+func registerWaiters(nodes []waiterNode) {
+	waitTable.mu.Lock()
+	if waitTable.m == nil {
+		waitTable.m = make(map[*base]*waiterNode)
+	}
+	for i := range nodes {
+		n := &nodes[i]
+		head := waitTable.m[n.b]
+		n.next, n.linked = head, true
+		if head != nil {
+			head.prev = n
 		}
+		waitTable.m[n.b] = n
+	}
+	waitTable.mu.Unlock()
+}
+
+// unregisterWaiters unlinks every node a drain has not already taken,
+// dropping a base's entry once its list is empty.
+func unregisterWaiters(nodes []waiterNode) {
+	waitTable.mu.Lock()
+	for i := range nodes {
+		n := &nodes[i]
+		if !n.linked {
+			continue
+		}
+		n.linked = false
+		if n.next != nil {
+			n.next.prev = n.prev
+		}
+		switch {
+		case n.prev != nil:
+			n.prev.next = n.next
+		case n.next != nil:
+			waitTable.m[n.b] = n.next
+		default:
+			delete(waitTable.m, n.b)
+		}
+	}
+	waitTable.mu.Unlock()
+}
+
+// wakeWaiters detaches b's whole list from the side table and signals
+// every waiter on it. The commit protocol calls it after publishing b at a
+// new version, for each written base whose pre-lock word carried waitBit.
+// The detached nodes are marked under the mutex and never relinked (a park
+// allocates fresh ones), so the signalling walk runs outside it.
+func wakeWaiters(b *base) {
+	waitTable.mu.Lock()
+	head := waitTable.m[b]
+	delete(waitTable.m, b)
+	for n := head; n != nil; n = n.next {
+		n.linked = false
+	}
+	waitTable.mu.Unlock()
+	for n := head; n != nil; n = n.next {
+		n.w.wake()
 	}
 }
 
-// wakeWaiters detaches b's whole waiter stack and signals every waiter on
-// it. Called by the commit protocol after the new version is published, and
-// only when the stack head was observed non-nil.
-func (b *base) wakeWaiters() {
-	for n := b.wtrs.Swap(nil); n != nil; n = n.next {
-		n.w.wake()
+// markWaited sets waitBit on b's word while it is unlocked at a version no
+// newer than rv, and reports whether it could: false means a commit is in
+// flight on b or already published past rv, so the parker must not sleep.
+func markWaited(b *base, rv uint64) bool {
+	for {
+		w := b.word.Load()
+		if wordLocked(w) || wordVersion(w) > rv {
+			return false
+		}
+		if w&waitBit != 0 || b.word.CompareAndSwap(w, w|waitBit) {
+			return true
+		}
 	}
 }
 
@@ -117,27 +201,26 @@ func (tx *Tx) Retry() {
 	panic(retrySignal{})
 }
 
-// parkOnReads implements steps 1–3 above for the current attempt's read
+// parkOnReads implements steps 1–4 above for the current attempt's read
 // set. It returns parked=true when the goroutine actually slept and was
-// woken by a commit; parked=false when validation found a change already
-// published (retry immediately). A non-nil error is terminal for the Run
-// call: ErrWouldBlock for an empty read set (nothing could ever wake
-// us), or the park context's error.
+// woken by a commit; parked=false when the mark step found a change already
+// published or in flight (retry immediately). A non-nil error is terminal
+// for the Run call: ErrWouldBlock for an empty read set (nothing could ever
+// wake us), or the park context's error.
 func (tx *Tx) parkOnReads(ctx context.Context) (parked bool, err error) {
 	if len(tx.reads) == 0 {
 		return false, ErrWouldBlock
 	}
 	w := &tx.parkW
 	w.prepare()
-	for _, b := range tx.reads {
-		b.registerWaiter(&waiterNode{w: w})
+	nodes := make([]waiterNode, len(tx.reads))
+	for i, b := range tx.reads {
+		nodes[i] = waiterNode{w: w, b: b}
 	}
+	registerWaiters(nodes)
+	defer unregisterWaiters(nodes)
 	for _, b := range tx.reads {
-		wd := b.lk.word.Load()
-		// A held lock is a commit in flight on this base; skip the sleep
-		// rather than reason about whether its publish will cover our
-		// registration.
-		if wordLocked(wd) || wordVersion(wd) > tx.rv {
+		if !markWaited(b, tx.rv) {
 			return false, nil
 		}
 	}

@@ -56,8 +56,10 @@ type Entry[K comparable] struct {
 	// unsafe.Pointer (not any) so the hot path moves one word with no
 	// interface header and no type assertion.
 	Val unsafe.Pointer
-	// Pre is the location's pre-lock word, valid while Locked (tl2's abort
-	// path restores it; libtm leaves it zero).
+	// Pre is the location's pre-lock word, set when the lock is taken and
+	// kept until the next Reset (tl2's abort path restores it, and its
+	// commit reads the waiter mark from it after the release; libtm leaves
+	// it zero).
 	Pre uint64
 	// Locked records that the owning transaction holds this location's
 	// write lock (taken at encounter time or during commit).
