@@ -145,34 +145,26 @@ func (s *Server) replayShard(sh int, rec *wal.Recovery) error {
 // shardSource adapts one shard to wal.SnapshotSource. ClockNow reads the
 // shard's version clock; Scan is a read-only STM full-table scan run on
 // the scan thread — outside the WAL stager range, so its commit event
-// never touches a staging slot and the log ignores it.
+// never touches a staging slot and the log ignores it. Each attempt hands
+// its pairs straight to the log's snapshot writer.
 type shardSource struct {
 	srv   *Server
 	shard int
-
-	// Scan scratch, reused across snapshot cycles. Only the flusher
-	// goroutine calls Scan, so no synchronization is needed.
-	keys, vals []uint64
 }
 
 func (ss *shardSource) ClockNow() uint64 { return ss.srv.router.System(ss.shard).Clock() }
 
-func (ss *shardSource) Scan() (keys, vals []uint64, err error) {
+func (ss *shardSource) Scan(begin func(), put func(key, val uint64)) error {
 	sys := ss.srv.router.System(ss.shard)
 	st := ss.srv.stores[ss.shard]
-	err = sys.Run(context.Background(), ss.srv.scanThread(), siteScan, func(tx *gstm.Tx) error {
-		ss.keys, ss.vals = ss.keys[:0], ss.vals[:0]
+	return sys.Run(context.Background(), ss.srv.scanThread(), siteScan, func(tx *gstm.Tx) error {
+		begin()
 		st.RangeAll(tx, func(k int64, v uint64) bool {
-			ss.keys = append(ss.keys, uint64(k))
-			ss.vals = append(ss.vals, v)
+			put(uint64(k), v)
 			return true
 		})
 		return nil
 	}, gstm.WithReadOnly(), gstm.WithMaxAttempts(scanAttempts))
-	if err != nil {
-		return nil, nil, err
-	}
-	return ss.keys, ss.vals, nil
 }
 
 // WAL returns shard sh's write-ahead log (nil when durability is off) —

@@ -205,9 +205,15 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 		acked[k] = v
 	}
 	cl.Close()
-	snaps := s.Router().System(0).TelemetrySnapshot().WALSnapshots
-	if snaps == 0 {
-		t.Fatal("no snapshot fired over 300 appends with SnapshotEvery=60")
+	// A cycle's fsyncs and rename run after the log's file lock is
+	// released, so acks no longer wait for them: the first cycle may
+	// still be finishing after the last ack.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Router().System(0).TelemetrySnapshot().WALSnapshots == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no snapshot fired over 300 appends with SnapshotEvery=60")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	s.Crash()
 

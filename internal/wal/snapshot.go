@@ -21,46 +21,119 @@ const snapName = "snapshot"
 
 func snapPath(dir string) string { return filepath.Join(dir, snapName) }
 
-// writeSnapshotFile durably replaces dir's snapshot with (snapWV, keys,
-// vals).
-func writeSnapshotFile(dir string, snapWV uint64, keys, vals []uint64) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("wal: snapshot: %d keys, %d vals", len(keys), len(vals))
-	}
-	buf := make([]byte, 0, len(snapMagic)+16+16*len(keys)+4)
-	buf = append(buf, snapMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, snapWV)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(keys)))
-	for i := range keys {
-		buf = binary.BigEndian.AppendUint64(buf, keys[i])
-		buf = binary.BigEndian.AppendUint64(buf, vals[i])
-	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[len(snapMagic):], castagnoli))
+const (
+	// snapHdr is the byte offset of the first pair: magic, snapWV, count.
+	snapHdr = 8 + 16
+	// snapBufSize is the snapshot writer's one buffer: whole pairs, so a
+	// cycle costs this much memory however large the shard is.
+	snapBufSize = 1 << 16
+)
 
-	tmp := snapPath(dir) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// snapWriter streams one snapshot's pairs into snapshot.tmp through a
+// fixed buffer. The pairs go in at their final offsets; the header, whose
+// count is known only at the end, and the trailing checksum are written by
+// finish. A write error latches: later puts are dropped and finish reports
+// it.
+type snapWriter struct {
+	f     *os.File
+	buf   []byte
+	off   int64  // file offset of buf[0]
+	count uint64 // pairs put in the current attempt
+	sum   uint32 // crc32c of the pairs flushed so far
+	err   error
+}
+
+// createSnapWriter truncates or creates dir's snapshot.tmp.
+func createSnapWriter(dir string) (*snapWriter, error) {
+	f, err := os.OpenFile(snapPath(dir)+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
+		return nil, err
+	}
+	return &snapWriter{f: f, buf: make([]byte, 0, snapBufSize), off: snapHdr}, nil
+}
+
+// begin starts a scan attempt: whatever an earlier attempt put is thrown
+// away, on disk included.
+func (w *snapWriter) begin() {
+	if w.off > snapHdr && w.err == nil {
+		w.err = w.f.Truncate(snapHdr)
+	}
+	w.buf, w.off, w.count, w.sum = w.buf[:0], snapHdr, 0, 0
+}
+
+// put appends one pair.
+func (w *snapWriter) put(key, val uint64) {
+	if len(w.buf) == cap(w.buf) {
+		w.flush()
+	}
+	w.buf = binary.BigEndian.AppendUint64(w.buf, key)
+	w.buf = binary.BigEndian.AppendUint64(w.buf, val)
+	w.count++
+}
+
+// flush writes the buffered pairs at their offset and folds them into the
+// checksum.
+func (w *snapWriter) flush() {
+	if w.err == nil {
+		_, w.err = w.f.WriteAt(w.buf, w.off)
+	}
+	w.sum = crc32.Update(w.sum, castagnoli, w.buf)
+	w.off += int64(len(w.buf))
+	w.buf = w.buf[:0]
+}
+
+// finish writes the trailing checksum and the header stamped snapWV, then
+// fsyncs and closes the file. The checksum covers the 16 header bytes h
+// ahead of the pairs p, but p was summed first, before the count in h was
+// known. CRC is affine in its starting register, so
+// crc(h ‖ p) = crc(p) ⊕ shift(crc(h), len(p)), where shift(s, n) =
+// ^update(^s, n zero bytes) runs the bare register through n zeros.
+func (w *snapWriter) finish(snapWV uint64) error {
+	w.flush()
+	if w.err != nil {
+		return w.err
+	}
+	var hdr [snapHdr]byte
+	copy(hdr[:], snapMagic)
+	binary.BigEndian.PutUint64(hdr[8:], snapWV)
+	binary.BigEndian.PutUint64(hdr[16:], w.count)
+	zeros := w.buf[:cap(w.buf)]
+	clear(zeros)
+	reg := ^crc32.Checksum(hdr[8:], castagnoli)
+	for n := w.off - snapHdr; n > 0; n -= int64(len(zeros)) {
+		reg = crc32.Update(reg, castagnoli, zeros[:min(n, int64(len(zeros)))])
+	}
+	sum := w.sum ^ ^reg
+	if _, err := w.f.WriteAt(binary.BigEndian.AppendUint32(w.buf[:0], sum), w.off); err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
+	if _, err := w.f.WriteAt(hdr[:], 0); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
+	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, snapPath(dir)); err != nil {
-		_ = os.Remove(tmp)
+	err := w.f.Close()
+	w.f = nil
+	return err
+}
+
+// installSnapshot renames the finished snapshot.tmp over dir's snapshot
+// and makes the new name durable.
+func installSnapshot(dir string) error {
+	if err := os.Rename(snapPath(dir)+".tmp", snapPath(dir)); err != nil {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// abandon closes (when still open) and removes snapshot.tmp after a
+// failed cycle.
+func (w *snapWriter) abandon(dir string) {
+	if w.f != nil {
+		_ = w.f.Close()
+	}
+	_ = os.Remove(snapPath(dir) + ".tmp")
 }
 
 // syncDir fsyncs a directory so a just-renamed entry is durable.

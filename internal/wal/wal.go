@@ -35,11 +35,13 @@ type SnapshotSource interface {
 	// ClockNow returns the shard's current version clock value.
 	ClockNow() uint64
 
-	// Scan returns a transactionally consistent view of the full shard
+	// Scan visits a transactionally consistent view of the full shard
 	// state, taken at a clock value at or after the preceding ClockNow
-	// call. An error skips this snapshot cycle (the log keeps its
-	// segments); it must not leave partial effects.
-	Scan() (keys, vals []uint64, err error)
+	// call: it calls begin at the start of every attempt, which discards
+	// the pairs an aborted attempt put, then put once per stored pair. An
+	// error skips this snapshot cycle (the log keeps its segments); it
+	// must not leave partial effects.
+	Scan(begin func(), put func(key, val uint64)) error
 }
 
 // Config parameterizes a Log.
@@ -137,12 +139,16 @@ type Log struct {
 
 	commitsSinceSnap int // commit records written since the last snapshot cycle
 
-	// fileMu serializes all file I/O (flusher, Sync, Snapshot) and guards
-	// the fields below.
+	// snapMu serializes snapshot cycles (the flusher's and explicit
+	// Snapshot calls) and guards minSeg. It is taken before fileMu.
+	snapMu sync.Mutex
+	minSeg int // lowest on-disk segment index (pre-truncation tail)
+
+	// fileMu serializes the segment I/O (flusher, Sync, Snapshot's seal
+	// and scan) and guards the fields below.
 	fileMu   sync.Mutex
 	f        *os.File
 	segIdx   int
-	minSeg   int   // lowest on-disk segment index (pre-truncation tail)
 	written  int64 // bytes written to the current segment
 	writeOps uint64
 	fsyncOps uint64
@@ -665,12 +671,20 @@ func (l *Log) maybeSnapshot() {
 //     from here on, every record in the closed segments has wv ≤ the
 //     clock value read next;
 //  2. read the shard clock C0, then take a consistent read-only scan of
-//     the shard state. TL2 guarantees the scan observes every commit with
-//     wv ≤ C0: such a commit held all its write locks when it drew its
-//     wv (before C0), and readers never read through a locked word;
-//  3. write the snapshot file (tmp + fsync + rename) stamped snapWV = C0;
+//     the shard state, streamed pair by pair into snapshot.tmp. TL2
+//     guarantees the scan observes every commit with wv ≤ C0: such a
+//     commit held all its write locks when it drew its wv (before C0),
+//     and readers never read through a locked word;
+//  3. finish the snapshot file (header stamped snapWV = C0, checksum,
+//     fsync) and rename it over the live one;
 //  4. delete the closed segments — everything they held is covered by
 //     the snapshot, because their records all carry wv ≤ C0.
+//
+// Steps 1 and 2 hold fileMu. The scan needs it: holding it stalls the
+// shard's relaxed-mode acks, which quiesces its writers long enough for a
+// full-table read-only scan to commit. Steps 3 and 4 touch only the
+// snapshot file, the directory and the sealed segments, so they run after
+// fileMu is released and the shard's acks go on meanwhile.
 //
 // Replay applies the snapshot and then only records with wv > snapWV (in
 // wv order); records below the stamp may survive in the active segment,
@@ -682,49 +696,66 @@ func (l *Log) Snapshot() error {
 	if l.cfg.Source == nil {
 		return fmt.Errorf("wal: no snapshot source")
 	}
-	l.fileMu.Lock()
-	defer l.fileMu.Unlock()
-	if l.Failed() {
-		return l.terminalErr()
-	}
-
-	// 1. Seal and rotate the active segment.
-	if l.unsynced > 0 {
-		if err := l.fsyncSegment(); err != nil {
-			l.fail(err)
-			return err
-		}
-	}
-	nf, err := createSegment(l.cfg.Dir, l.segIdx+1)
+	l.snapMu.Lock()
+	defer l.snapMu.Unlock()
+	sealedBelow, c0, w, err := l.sealAndScan()
 	if err != nil {
-		l.fail(err)
 		return err
 	}
-	_ = l.f.Close()
-	l.f = nf
-	l.segIdx++
-	l.written = int64(len(segMagic))
-	sealedBelow := l.segIdx // segments < sealedBelow are frozen
-
-	// 2. Clock, then consistent scan.
-	c0 := l.cfg.Source.ClockNow()
-	keys, vals, err := l.cfg.Source.Scan()
-	if err != nil {
-		return fmt.Errorf("wal: snapshot scan skipped: %w", err)
+	err = w.finish(c0)
+	if err == nil {
+		err = installSnapshot(l.cfg.Dir)
 	}
-
-	// 3. Durable snapshot file.
-	if err := writeSnapshotFile(l.cfg.Dir, c0, keys, vals); err != nil {
+	if err != nil {
+		w.abandon(l.cfg.Dir)
 		return fmt.Errorf("wal: snapshot write skipped: %w", err)
 	}
-
-	// 4. Truncate: the sealed segments are fully covered.
 	for idx := l.minSeg; idx < sealedBelow; idx++ {
 		_ = os.Remove(segPath(l.cfg.Dir, idx))
 	}
 	l.minSeg = sealedBelow
 	l.cfg.Metrics.WALSnapshots.Inc(0)
 	return nil
+}
+
+// sealAndScan runs steps 1 and 2 of a snapshot cycle under fileMu: it
+// rotates the active segment and streams a scan stamped c0 into
+// snapshot.tmp. Segments below sealedBelow are frozen.
+func (l *Log) sealAndScan() (sealedBelow int, c0 uint64, w *snapWriter, err error) {
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
+	if l.Failed() {
+		return 0, 0, nil, l.terminalErr()
+	}
+
+	// 1. Seal and rotate the active segment.
+	if l.unsynced > 0 {
+		if err := l.fsyncSegment(); err != nil {
+			l.fail(err)
+			return 0, 0, nil, err
+		}
+	}
+	nf, err := createSegment(l.cfg.Dir, l.segIdx+1)
+	if err != nil {
+		l.fail(err)
+		return 0, 0, nil, err
+	}
+	_ = l.f.Close()
+	l.f = nf
+	l.segIdx++
+	l.written = int64(len(segMagic))
+
+	// 2. Clock, then consistent scan.
+	w, err = createSnapWriter(l.cfg.Dir)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("wal: snapshot write skipped: %w", err)
+	}
+	c0 = l.cfg.Source.ClockNow()
+	if err := l.cfg.Source.Scan(w.begin, w.put); err != nil {
+		w.abandon(l.cfg.Dir)
+		return 0, 0, nil, fmt.Errorf("wal: snapshot scan skipped: %w", err)
+	}
+	return l.segIdx, c0, w, nil
 }
 
 // Stats reports the log's cumulative activity (mirrors the telemetry

@@ -153,12 +153,12 @@ type fakeSource struct {
 }
 
 func (f *fakeSource) ClockNow() uint64 { return f.clock }
-func (f *fakeSource) Scan() (keys, vals []uint64, err error) {
+func (f *fakeSource) Scan(begin func(), put func(key, val uint64)) error {
+	begin()
 	for k, v := range f.state {
-		keys = append(keys, k)
-		vals = append(vals, v)
+		put(k, v)
 	}
-	return keys, vals, nil
+	return nil
 }
 
 func TestSnapshotTruncatesAndRecovers(t *testing.T) {
