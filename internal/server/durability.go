@@ -56,7 +56,7 @@ func (s *Server) openDurability() error {
 			SnapshotEvery: s.cfg.SnapshotEvery,
 			LogAborts:     s.cfg.GuidedWarmup,
 			Source:        &shardSource{srv: s, shard: sh},
-			Faults:        s.cfg.DiskFaults,
+			FS:            s.cfg.WALFS,
 			Metrics:       sys.Telemetry(),
 		})
 		if err != nil {

@@ -104,9 +104,10 @@ type Config struct {
 	// guided instead of re-profiling from cold.
 	GuidedWarmup bool
 
-	// DiskFaults, when non-nil, is installed as every shard WAL's disk
-	// fault hook (chaos tests).
-	DiskFaults wal.DiskFaults
+	// WALFS, when non-nil, is the file system every shard's WAL reaches
+	// the disk through (tests record or fail its operations); nil is the
+	// OS.
+	WALFS wal.FS
 }
 
 func (cfg Config) normalize() Config {

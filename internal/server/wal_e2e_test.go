@@ -11,6 +11,7 @@ import (
 
 	"gstm/internal/faultinject"
 	"gstm/internal/obs"
+	"gstm/internal/wal"
 )
 
 // TestDurableCleanShutdown: every operation acknowledged before a
@@ -255,10 +256,19 @@ func TestWALFailureMapsToUnavailable(t *testing.T) {
 		{"relaxed-torn", 5 * time.Millisecond, faultinject.DiskConfig{Seed: 11, TornWriteProb: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inj := faultinject.NewDisk(tc.faults)
+			rolls := faultinject.NewDiskRolls(tc.faults)
+			// Every file's write 0 — a segment's header — goes through: a
+			// log whose Open cannot write its header never serves.
+			pastHeader := func(op faultinject.DiskOp) (int, error) {
+				if op.Kind == faultinject.OpWrite && op.Seq == 0 {
+					return op.Len, nil
+				}
+				return rolls.Rule(op)
+			}
 			s := startServer(t, Config{
 				Workers: 2, Batch: 4, Unguided: true,
-				WALDir: t.TempDir(), FsyncInterval: tc.interval, DiskFaults: inj,
+				WALDir: t.TempDir(), FsyncInterval: tc.interval,
+				WALFS: faultinject.NewDisk(wal.OSFS{}, pastHeader),
 			})
 			cl, err := Dial(s.Addr().String())
 			if err != nil {
@@ -283,7 +293,7 @@ func TestWALFailureMapsToUnavailable(t *testing.T) {
 			if st, _, err := cl.Do(OpGet, 0, 0); err != nil || (st != StatusOK && st != StatusNotFound) {
 				t.Fatalf("read after WAL failure: status %d err %v", st, err)
 			}
-			fsyncErrs, torn, _ := inj.DiskCounts()
+			fsyncErrs, torn, _ := rolls.DiskCounts()
 			if fsyncErrs+torn == 0 {
 				t.Fatal("injector never fired")
 			}
@@ -291,18 +301,17 @@ func TestWALFailureMapsToUnavailable(t *testing.T) {
 	}
 }
 
-// firstWriteFault is a DiskFaults hook that, once armed, fails the first
-// record write of any log that has written none yet.
-type firstWriteFault struct{ armed atomic.Bool }
-
-func (f *firstWriteFault) WriteFault(op uint64, off int64, n int) (int, error) {
-	if f.armed.Load() && op == 0 {
-		return 0, errors.New("injected write failure")
-	}
-	return n, nil
+// refuseFirstRecord returns an FS that, once armed, fails the first record
+// write of any segment that has taken none yet: its write 1, after the
+// header.
+func refuseFirstRecord(armed *atomic.Bool) wal.FS {
+	return faultinject.NewDisk(wal.OSFS{}, func(op faultinject.DiskOp) (int, error) {
+		if armed.Load() && op.Kind == faultinject.OpWrite && op.Seq == 1 {
+			return 0, errors.New("injected write failure")
+		}
+		return op.Len, nil
+	})
 }
-
-func (f *firstWriteFault) FsyncFault(op uint64) error { return nil }
 
 // TestRefusedRecordDemotesItsOwnBatch: on a two-shard WAL server, a refused
 // record demotes exactly the operations of its own batch on that shard.
@@ -313,11 +322,11 @@ func (f *firstWriteFault) FsyncFault(op uint64) error { return nil }
 // StatusUnavailable. The Put on shard 0 is acked, and the Gets, one of them
 // homed on the refusing shard, are not demoted.
 func TestRefusedRecordDemotesItsOwnBatch(t *testing.T) {
-	faults := &firstWriteFault{}
+	var armed atomic.Bool
 	// An hour between fsyncs keeps the flusher idle: the reader writes each
 	// record itself, while it answers.
 	s := startServer(t, Config{Shards: 2, Workers: 1, Unguided: true,
-		WALDir: t.TempDir(), FsyncInterval: time.Hour, DiskFaults: faults})
+		WALDir: t.TempDir(), FsyncInterval: time.Hour, WALFS: refuseFirstRecord(&armed)})
 	w := s.workers[0]
 	var keys [2][]uint64 // keys[sh]: the first keys homed on shard sh
 	for k := uint64(1); len(keys[0]) < 4 || len(keys[1]) < 4; k++ {
@@ -345,7 +354,7 @@ func TestRefusedRecordDemotesItsOwnBatch(t *testing.T) {
 	if r := run(put(1, keys[0][0])); r[0].status != StatusOK {
 		t.Fatalf("warm-up Put answered %+v", r[0])
 	}
-	faults.armed.Store(true)
+	armed.Store(true)
 	got := run(
 		put(2, keys[0][1]),
 		txn(3, keys[0][2], keys[1][0]),
@@ -410,8 +419,8 @@ func TestDurableSpansStampWALAck(t *testing.T) {
 	}
 }
 
-// gateFsync is a DiskFaults hook that, once armed, holds every fsync until
-// release is closed, signalling entered at the first one it holds.
+// gateFsync holds every file fsync, once armed, until release is closed,
+// signalling entered at the first one it holds.
 type gateFsync struct {
 	armed   atomic.Bool
 	once    sync.Once
@@ -423,14 +432,15 @@ func newGateFsync() *gateFsync {
 	return &gateFsync{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gateFsync) WriteFault(op uint64, off int64, n int) (int, error) { return n, nil }
-
-func (g *gateFsync) FsyncFault(op uint64) error {
-	if g.armed.Load() {
-		g.once.Do(func() { close(g.entered) })
-		<-g.release
-	}
-	return nil
+// fs is the WAL file system the gate rules over.
+func (g *gateFsync) fs() wal.FS {
+	return faultinject.NewDisk(wal.OSFS{}, func(op faultinject.DiskOp) (int, error) {
+		if op.Kind == faultinject.OpSync && g.armed.Load() {
+			g.once.Do(func() { close(g.entered) })
+			<-g.release
+		}
+		return op.Len, nil
+	})
 }
 
 // TestStrictAckWaitsForFsync: in strict mode a write is answered only once
@@ -442,7 +452,7 @@ func TestStrictAckWaitsForFsync(t *testing.T) {
 	start := func(t *testing.T) (*Server, *gateFsync, chan error) {
 		t.Helper()
 		g := newGateFsync()
-		s := New(Config{Workers: 2, Unguided: true, WALDir: t.TempDir(), DiskFaults: g})
+		s := New(Config{Workers: 2, Unguided: true, WALDir: t.TempDir(), WALFS: g.fs()})
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +492,7 @@ func TestStrictAckWaitsForFsync(t *testing.T) {
 
 	t.Run("burst", func(t *testing.T) {
 		g := newGateFsync()
-		s := startServer(t, Config{Workers: 2, Unguided: true, WALDir: t.TempDir(), DiskFaults: g})
+		s := startServer(t, Config{Workers: 2, Unguided: true, WALDir: t.TempDir(), WALFS: g.fs()})
 		fc := attach(s)
 		g.armed.Store(true)
 		var buf []byte

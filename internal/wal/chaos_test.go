@@ -12,8 +12,8 @@ import (
 // refuse the ack (fail closed) — acknowledging a record whose durability
 // the failed fsync covered would break the recovery contract.
 func TestFsyncErrorFailsClosed(t *testing.T) {
-	inj := faultinject.NewDisk(faultinject.DiskConfig{Seed: 42, FsyncErrorProb: 1})
-	l, _ := openT(t, Config{Dir: t.TempDir(), Threads: 1, Faults: inj})
+	inj := faultinject.NewDiskRolls(faultinject.DiskConfig{Seed: 42, FsyncErrorProb: 1})
+	l, _ := openT(t, Config{Dir: t.TempDir(), Threads: 1, FS: faultinject.NewDisk(OSFS{}, inj.Rule)})
 	commitOne(l, 0, 1, Op{Key: 1, Val: 1})
 	err := l.WaitThread(0)
 	if !errors.Is(err, ErrFailed) {
@@ -44,8 +44,16 @@ func TestRelaxedTornWriteRecoversPrefix(t *testing.T) { tornWriteRecoversPrefix(
 
 func tornWriteRecoversPrefix(t *testing.T, fsyncInterval time.Duration) {
 	dir := t.TempDir()
-	inj := faultinject.NewDisk(faultinject.DiskConfig{Seed: 7, TornWriteProb: 1})
-	l, _ := openT(t, Config{Dir: dir, Threads: 1, FsyncInterval: fsyncInterval, Faults: inj})
+	inj := faultinject.NewDiskRolls(faultinject.DiskConfig{Seed: 7, TornWriteProb: 1})
+	// The segment header, its file's write 0, goes through: a log whose
+	// Open cannot write its header takes no record to tear.
+	pastHeader := func(op faultinject.DiskOp) (int, error) {
+		if op.Kind == faultinject.OpWrite && op.Seq == 0 {
+			return op.Len, nil
+		}
+		return inj.Rule(op)
+	}
+	l, _ := openT(t, Config{Dir: dir, Threads: 1, FsyncInterval: fsyncInterval, FS: faultinject.NewDisk(OSFS{}, pastHeader)})
 	var wvs []uint64
 	for wv := uint64(1); wv <= 16; wv++ {
 		commitOne(l, 0, wv, Op{Key: wv, Val: wv * 2})
@@ -84,7 +92,7 @@ func TestRelaxedENOSPCFailsClosed(t *testing.T) { enospcFailsClosed(t, time.Hour
 
 func enospcFailsClosed(t *testing.T, fsyncInterval time.Duration) {
 	dir := t.TempDir()
-	inj := faultinject.NewDisk(faultinject.DiskConfig{Seed: 3, ENOSPCAfterBytes: 256})
+	inj := faultinject.NewDiskRolls(faultinject.DiskConfig{Seed: 3, ENOSPCAfterBytes: 256})
 	l, _ := openT(t, Config{Dir: dir, Threads: 1, FsyncInterval: fsyncInterval})
 	// First fill a healthy log, then reopen it with the cliff armed: the
 	// acked records predate the failure.
@@ -98,7 +106,7 @@ func enospcFailsClosed(t *testing.T, fsyncInterval time.Duration) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	l2, rec := openT(t, Config{Dir: dir, Threads: 1, FsyncInterval: fsyncInterval, Faults: inj})
+	l2, rec := openT(t, Config{Dir: dir, Threads: 1, FsyncInterval: fsyncInterval, FS: faultinject.NewDisk(OSFS{}, inj.Rule)})
 	if rec.Replayed() != 4 {
 		t.Fatalf("recovered %d, want 4", rec.Replayed())
 	}

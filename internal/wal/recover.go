@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -54,17 +53,20 @@ var errNoLog = errors.New("wal: no segment and no snapshot")
 // snapshot.tmp residue in place and starts no flusher, so it can inspect
 // a crashed log and leave it recoverable. It fails when dir holds neither
 // a segment nor a snapshot.
-func Read(dir string) (*Recovery, error) {
+func Read(dir string) (*Recovery, error) { return read(OSFS{}, dir) }
+
+// read is Read through fsys; Open recovers with it.
+func read(fsys FS, dir string) (*Recovery, error) {
 	rec := &Recovery{maxSeg: -1}
 	var haveSnap bool
 	var err error
-	rec.SnapWV, rec.SnapKeys, rec.SnapVals, haveSnap, err = readSnapshotFile(dir)
+	rec.SnapWV, rec.SnapKeys, rec.SnapVals, haveSnap, err = readSnapshotFile(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
 	rec.MaxWV = rec.SnapWV
 
-	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	names, err := fsys.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +85,7 @@ func Read(dir string) (*Recovery, error) {
 		rec.minSeg, rec.maxSeg = idxs[0], idxs[len(idxs)-1]
 	}
 	for _, i := range idxs {
-		buf, rerr := os.ReadFile(segPath(dir, i))
+		buf, rerr := fsys.ReadFile(segPath(dir, i))
 		if rerr != nil {
 			return nil, rerr
 		}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -35,7 +36,7 @@ const (
 // finish. A write error latches: later puts are dropped and finish reports
 // it.
 type snapWriter struct {
-	f     *os.File
+	f     File
 	buf   []byte
 	off   int64  // file offset of buf[0]
 	count uint64 // pairs put in the current attempt
@@ -44,8 +45,8 @@ type snapWriter struct {
 }
 
 // createSnapWriter truncates or creates dir's snapshot.tmp.
-func createSnapWriter(dir string) (*snapWriter, error) {
-	f, err := os.OpenFile(snapPath(dir)+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+func createSnapWriter(fsys FS, dir string) (*snapWriter, error) {
+	f, err := fsys.OpenFile(snapPath(dir)+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
 	if err != nil {
 		return nil, err
 	}
@@ -120,43 +121,30 @@ func (w *snapWriter) finish(snapWV uint64) error {
 
 // installSnapshot renames the finished snapshot.tmp over dir's snapshot
 // and makes the new name durable.
-func installSnapshot(dir string) error {
-	if err := os.Rename(snapPath(dir)+".tmp", snapPath(dir)); err != nil {
+func installSnapshot(fsys FS, dir string) error {
+	if err := fsys.Rename(snapPath(dir)+".tmp", snapPath(dir)); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return fsys.SyncDir(dir)
 }
 
 // abandon closes (when still open) and removes snapshot.tmp after a
 // failed cycle.
-func (w *snapWriter) abandon(dir string) {
+func (w *snapWriter) abandon(fsys FS, dir string) {
 	if w.f != nil {
 		_ = w.f.Close()
 	}
-	_ = os.Remove(snapPath(dir) + ".tmp")
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	_ = fsys.Remove(snapPath(dir) + ".tmp")
 }
 
 // readSnapshotFile loads dir's snapshot. ok is false when none exists. A
 // structurally invalid snapshot is an error — unlike a torn segment tail
 // it cannot be the residue of a crash (the rename is atomic), so serving
 // as if the state were empty would silently lose acked data.
-func readSnapshotFile(dir string) (snapWV uint64, keys, vals []uint64, ok bool, err error) {
-	buf, rerr := os.ReadFile(snapPath(dir))
+func readSnapshotFile(fsys FS, dir string) (snapWV uint64, keys, vals []uint64, ok bool, err error) {
+	buf, rerr := fsys.ReadFile(snapPath(dir))
 	if rerr != nil {
-		if os.IsNotExist(rerr) {
+		if errors.Is(rerr, os.ErrNotExist) {
 			return 0, nil, nil, false, nil
 		}
 		return 0, nil, nil, false, rerr

@@ -242,7 +242,7 @@ func TestSnapshotRacesFlusherCycle(t *testing.T) {
 	if _, err := os.Stat(snapPath(dir) + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("snapshot.tmp left behind (stat: %v)", err)
 	}
-	if _, _, _, ok, err := readSnapshotFile(dir); !ok || err != nil {
+	if _, _, _, ok, err := readSnapshotFile(OSFS{}, dir); !ok || err != nil {
 		t.Fatalf("no valid snapshot: ok %v, err %v", ok, err)
 	}
 	if m, _ := filepath.Glob(filepath.Join(dir, "snapshot*")); len(m) != 1 {

@@ -14,21 +14,6 @@ import (
 	"gstm/internal/txid"
 )
 
-// DiskFaults is the chaos-testing hook for the log's file operations
-// (internal/faultinject.DiskInjector implements it). Decisions must be
-// deterministic functions of the operation ordinal (plus offset) so a
-// fault schedule replays identically regardless of flusher timing. A nil
-// DiskFaults disables all fault points.
-type DiskFaults interface {
-	// WriteFault rules on write ordinal op, appending n bytes at segment
-	// offset off: it returns how many bytes must still reach the file
-	// (the torn prefix) and a non-nil error to fail the write.
-	WriteFault(op uint64, off int64, n int) (int, error)
-
-	// FsyncFault rules on fsync ordinal op.
-	FsyncFault(op uint64) error
-}
-
 // SnapshotSource produces consistent snapshots of the shard state the log
 // protects; the serving layer implements it with a read-only STM scan.
 type SnapshotSource interface {
@@ -73,8 +58,12 @@ type Config struct {
 	// abort.
 	LogAborts bool
 
-	Source  SnapshotSource
-	Faults  DiskFaults
+	Source SnapshotSource
+
+	// FS is the file system the log reaches the disk through; nil is
+	// OSFS. Tests substitute one that records or fails operations.
+	FS FS
+
 	Metrics *telemetry.Metrics
 }
 
@@ -140,18 +129,16 @@ type Log struct {
 	commitsSinceSnap int // commit records written since the last snapshot cycle
 
 	// snapMu serializes snapshot cycles (the flusher's and explicit
-	// Snapshot calls) and guards minSeg. It is taken before fileMu.
+	// Snapshot calls) and guards minSeg and segIdx. It is taken before
+	// fileMu.
 	snapMu sync.Mutex
 	minSeg int // lowest on-disk segment index (pre-truncation tail)
+	segIdx int // the active segment's index
 
-	// fileMu serializes the segment I/O (flusher, Sync, Snapshot's seal
-	// and scan) and guards the fields below.
+	// fileMu serializes the active segment's I/O (flusher, Sync,
+	// Snapshot's rotation and scan) and guards the fields below.
 	fileMu   sync.Mutex
-	f        *os.File
-	segIdx   int
-	written  int64 // bytes written to the current segment
-	writeOps uint64
-	fsyncOps uint64
+	f        File
 	unsynced int64
 	lastSync time.Time
 
@@ -172,17 +159,20 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewDetached("wal")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if cfg.FS == nil {
+		cfg.FS = OSFS{}
+	}
+	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	rec, err := Read(cfg.Dir)
+	rec, err := read(cfg.FS, cfg.Dir)
 	if errors.Is(err, errNoLog) {
 		rec, err = &Recovery{maxSeg: -1}, nil
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	_ = os.Remove(snapPath(cfg.Dir) + ".tmp") // crash residue, superseded or partial
+	_ = cfg.FS.Remove(snapPath(cfg.Dir) + ".tmp") // crash residue, superseded or partial
 	l := &Log{
 		cfg:         cfg,
 		strict:      cfg.FsyncInterval == 0,
@@ -196,12 +186,11 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 		flusherDone: make(chan struct{}),
 	}
 	l.ackCond = sync.NewCond(&l.mu)
-	f, err := createSegment(cfg.Dir, l.segIdx)
+	f, err := createSegment(cfg.FS, cfg.Dir, l.segIdx)
 	if err != nil {
 		return nil, nil, err
 	}
 	l.f = f
-	l.written = int64(len(segMagic))
 	cfg.Metrics.SetWALQueueDepth(l.QueueDepth)
 	go func() {
 		// The pprof label makes the flusher identifiable in goroutine and
@@ -217,15 +206,21 @@ func segPath(dir string, idx int) string {
 	return filepath.Join(dir, fmt.Sprintf("seg-%06d.log", idx))
 }
 
-// createSegment creates segment idx with its magic header.
-func createSegment(dir string, idx int) (*os.File, error) {
-	f, err := os.OpenFile(segPath(dir, idx), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+// createSegment creates segment idx with its magic header, then fsyncs
+// the directory: the segment's entry is durable before it takes a record,
+// so no ack of a record in it can precede that directory fsync.
+func createSegment(fsys FS, dir string, idx int) (File, error) {
+	f, err := fsys.OpenFile(segPath(dir, idx), os.O_CREATE|os.O_EXCL|os.O_WRONLY)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
 	if _, err := f.Write(segMagic); err != nil {
 		_ = f.Close()
 		return nil, fmt.Errorf("wal: segment header: %w", err)
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("wal: segment directory sync: %w", err)
 	}
 	return f, nil
 }
@@ -521,7 +516,9 @@ func (l *Log) flush(sync bool) error {
 
 	wake := false
 	if len(take) > 0 {
-		if err := l.writeSegment(take); err != nil {
+		// A failed write may leave a prefix of take in the segment: the
+		// torn tail recovery must cope with.
+		if _, err := l.f.Write(take); err != nil {
 			l.fail(err)
 			return err
 		}
@@ -552,36 +549,8 @@ func (l *Log) flush(sync bool) error {
 	return nil
 }
 
-// writeSegment writes b to the active segment through the fault hook.
-// Called with fileMu held. A fault's torn prefix really reaches the file:
-// that is the artifact recovery must cope with.
-func (l *Log) writeSegment(b []byte) error {
-	op := l.writeOps
-	l.writeOps++
-	allow, ferr := len(b), error(nil)
-	if l.cfg.Faults != nil {
-		allow, ferr = l.cfg.Faults.WriteFault(op, l.written, len(b))
-	}
-	if allow > 0 {
-		n, werr := l.f.Write(b[:allow])
-		l.written += int64(n)
-		if werr != nil && ferr == nil {
-			ferr = werr
-		}
-	}
-	return ferr
-}
-
-// fsyncSegment fsyncs the active segment through the fault hook. Called
-// with fileMu held.
+// fsyncSegment fsyncs the active segment. Called with fileMu held.
 func (l *Log) fsyncSegment() error {
-	op := l.fsyncOps
-	l.fsyncOps++
-	if l.cfg.Faults != nil {
-		if err := l.cfg.Faults.FsyncFault(op); err != nil {
-			return err
-		}
-	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
@@ -667,9 +636,9 @@ func (l *Log) maybeSnapshot() {
 
 // Snapshot runs one snapshot+truncate cycle:
 //
-//  1. fsync and close the active segment, then rotate to a fresh one —
-//     from here on, every record in the closed segments has wv ≤ the
-//     clock value read next;
+//  1. create the next segment and rotate to it — from here on, every
+//     record in the sealed segments has wv ≤ the clock value read next —
+//     then fsync and close the segment the rotation sealed;
 //  2. read the shard clock C0, then take a consistent read-only scan of
 //     the shard state, streamed pair by pair into snapshot.tmp. TL2
 //     guarantees the scan observes every commit with wv ≤ C0: such a
@@ -677,85 +646,108 @@ func (l *Log) maybeSnapshot() {
 //     and readers never read through a locked word;
 //  3. finish the snapshot file (header stamped snapWV = C0, checksum,
 //     fsync) and rename it over the live one;
-//  4. delete the closed segments — everything they held is covered by
+//  4. delete the sealed segments — everything they held is covered by
 //     the snapshot, because their records all carry wv ≤ C0.
 //
-// Steps 1 and 2 hold fileMu. The scan needs it: holding it stalls the
-// shard's relaxed-mode acks, which quiesces its writers long enough for a
-// full-table read-only scan to commit. Steps 3 and 4 touch only the
-// snapshot file, the directory and the sealed segments, so they run after
-// fileMu is released and the shard's acks go on meanwhile.
+// Only the rotation itself and step 2 hold fileMu. The scan needs it:
+// holding it stalls the shard's relaxed-mode acks, which quiesces its
+// writers long enough for a full-table read-only scan to commit. Creating
+// the next segment (its directory fsync included), the sealed segment's
+// fsync and steps 3 and 4 touch no file the shard's acks write, so they
+// run with fileMu released and the acks go on meanwhile.
 //
 // Replay applies the snapshot and then only records with wv > snapWV (in
 // wv order); records below the stamp may survive in the active segment,
 // and must not clobber the snapshot's newer values. A failed scan or
 // snapshot write skips the cycle without data loss: rotation already
 // happened, and the old segments are only deleted after the snapshot file
-// is durable.
+// is durable. A failed segment create or fsync fails the log.
 func (l *Log) Snapshot() error {
 	if l.cfg.Source == nil {
 		return fmt.Errorf("wal: no snapshot source")
 	}
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
-	sealedBelow, c0, w, err := l.sealAndScan()
+	if l.Failed() {
+		return l.terminalErr()
+	}
+
+	// 1. Seal: rotate, then make the sealed segment durable.
+	next, err := createSegment(l.cfg.FS, l.cfg.Dir, l.segIdx+1)
+	if err != nil {
+		l.fail(err)
+		return err
+	}
+	sealed, dirty, err := l.rotate(next)
+	if err != nil {
+		_ = next.Close()
+		return err
+	}
+	if dirty {
+		if err := sealed.Sync(); err != nil {
+			_ = sealed.Close()
+			l.fail(err)
+			return err
+		}
+		l.cfg.Metrics.WALFsyncs.Inc(0)
+	}
+	_ = sealed.Close()
+
+	// 2. Clock, then consistent scan.
+	c0, w, err := l.scan()
 	if err != nil {
 		return err
 	}
+
+	// 3. Install the snapshot.
 	err = w.finish(c0)
 	if err == nil {
-		err = installSnapshot(l.cfg.Dir)
+		err = installSnapshot(l.cfg.FS, l.cfg.Dir)
 	}
 	if err != nil {
-		w.abandon(l.cfg.Dir)
+		w.abandon(l.cfg.FS, l.cfg.Dir)
 		return fmt.Errorf("wal: snapshot write skipped: %w", err)
 	}
-	for idx := l.minSeg; idx < sealedBelow; idx++ {
-		_ = os.Remove(segPath(l.cfg.Dir, idx))
+
+	// 4. Truncate.
+	for idx := l.minSeg; idx < l.segIdx; idx++ {
+		_ = l.cfg.FS.Remove(segPath(l.cfg.Dir, idx))
 	}
-	l.minSeg = sealedBelow
+	l.minSeg = l.segIdx
 	l.cfg.Metrics.WALSnapshots.Inc(0)
 	return nil
 }
 
-// sealAndScan runs steps 1 and 2 of a snapshot cycle under fileMu: it
-// rotates the active segment and streams a scan stamped c0 into
-// snapshot.tmp. Segments below sealedBelow are frozen.
-func (l *Log) sealAndScan() (sealedBelow int, c0 uint64, w *snapWriter, err error) {
+// rotate makes next the active segment under fileMu and returns the one it
+// seals, dirty when that one holds bytes never fsynced. A failed log
+// rotates nothing.
+func (l *Log) rotate(next File) (sealed File, dirty bool, err error) {
 	l.fileMu.Lock()
 	defer l.fileMu.Unlock()
 	if l.Failed() {
-		return 0, 0, nil, l.terminalErr()
+		return nil, false, l.terminalErr()
 	}
-
-	// 1. Seal and rotate the active segment.
-	if l.unsynced > 0 {
-		if err := l.fsyncSegment(); err != nil {
-			l.fail(err)
-			return 0, 0, nil, err
-		}
-	}
-	nf, err := createSegment(l.cfg.Dir, l.segIdx+1)
-	if err != nil {
-		l.fail(err)
-		return 0, 0, nil, err
-	}
-	_ = l.f.Close()
-	l.f = nf
+	sealed, dirty = l.f, l.unsynced > 0
+	l.f, l.unsynced, l.lastSync = next, 0, time.Now()
 	l.segIdx++
-	l.written = int64(len(segMagic))
+	return sealed, dirty, nil
+}
 
-	// 2. Clock, then consistent scan.
-	w, err = createSnapWriter(l.cfg.Dir)
+// scan runs step 2 of a snapshot cycle under fileMu: it streams a scan
+// stamped c0 into snapshot.tmp.
+func (l *Log) scan() (c0 uint64, w *snapWriter, err error) {
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
+	w, err = createSnapWriter(l.cfg.FS, l.cfg.Dir)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("wal: snapshot write skipped: %w", err)
+		return 0, nil, fmt.Errorf("wal: snapshot write skipped: %w", err)
 	}
 	c0 = l.cfg.Source.ClockNow()
 	if err := l.cfg.Source.Scan(w.begin, w.put); err != nil {
-		w.abandon(l.cfg.Dir)
-		return 0, 0, nil, fmt.Errorf("wal: snapshot scan skipped: %w", err)
+		w.abandon(l.cfg.FS, l.cfg.Dir)
+		return 0, nil, fmt.Errorf("wal: snapshot scan skipped: %w", err)
 	}
-	return l.segIdx, c0, w, nil
+	return c0, w, nil
 }
 
 // Stats reports the log's cumulative activity (mirrors the telemetry

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gstm/internal/faultinject"
 	"gstm/internal/trace"
 	"gstm/internal/txid"
 )
@@ -537,9 +538,9 @@ func TestAppendZeroAlloc(t *testing.T) {
 	}
 }
 
-// writeProbe is a fault-free DiskFaults hook that records which write
-// ordinals ran while the test goroutine sat inside WaitThread, and when
-// each fsync started.
+// writeProbe is a fault-free file system that counts the record writes
+// (a segment's writes after its header) and which of them ran while the
+// test goroutine sat inside WaitThread, and notes when each fsync started.
 type writeProbe struct {
 	inWait atomic.Bool
 	writes atomic.Uint64
@@ -549,19 +550,21 @@ type writeProbe struct {
 	fsyncs []time.Time
 }
 
-func (p *writeProbe) WriteFault(op uint64, off int64, n int) (int, error) {
-	p.writes.Add(1)
-	if p.inWait.Load() {
-		p.inside.Add(1)
-	}
-	return n, nil
-}
-
-func (p *writeProbe) FsyncFault(op uint64) error {
-	p.mu.Lock()
-	p.fsyncs = append(p.fsyncs, time.Now())
-	p.mu.Unlock()
-	return nil
+func (p *writeProbe) fs() FS {
+	return faultinject.NewDisk(OSFS{}, func(op faultinject.DiskOp) (int, error) {
+		switch {
+		case op.Kind == faultinject.OpWrite && op.Seq > 0:
+			p.writes.Add(1)
+			if p.inWait.Load() {
+				p.inside.Add(1)
+			}
+		case op.Kind == faultinject.OpSync:
+			p.mu.Lock()
+			p.fsyncs = append(p.fsyncs, time.Now())
+			p.mu.Unlock()
+		}
+		return op.Len, nil
+	})
 }
 
 // TestRelaxedWaitWritesThrough: in relaxed mode a commit alone leaves its
@@ -569,7 +572,7 @@ func (p *writeProbe) FsyncFault(op uint64) error {
 // for the record writes it, inside its WaitThread call.
 func TestRelaxedWaitWritesThrough(t *testing.T) {
 	probe := &writeProbe{}
-	l, _ := openT(t, Config{Dir: t.TempDir(), Threads: 1, FsyncInterval: time.Hour, Faults: probe})
+	l, _ := openT(t, Config{Dir: t.TempDir(), Threads: 1, FsyncInterval: time.Hour, FS: probe.fs()})
 	defer l.Close()
 	time.Sleep(20 * time.Millisecond) // the flusher's first pass parks it
 	commitOne(l, 0, 1, Op{Key: 1, Val: 1})
@@ -584,7 +587,7 @@ func TestRelaxedWaitWritesThrough(t *testing.T) {
 		t.Fatalf("WaitThread: %v", err)
 	}
 	if w, in := probe.writes.Load(), probe.inside.Load(); w != 1 || in != 1 {
-		t.Fatalf("%d writes, %d of them inside WaitThread; want write ordinal 0 inside it", w, in)
+		t.Fatalf("%d record writes, %d of them inside WaitThread; want the one inside it", w, in)
 	}
 	if d := l.QueueDepth(); d != 0 {
 		t.Fatalf("queue depth %d after the ack", d)
@@ -597,7 +600,7 @@ func TestRelaxedWaitWritesThrough(t *testing.T) {
 func TestRelaxedIntervalFsync(t *testing.T) {
 	const interval = 5 * time.Millisecond
 	probe := &writeProbe{}
-	l, _ := openT(t, Config{Dir: t.TempDir(), Threads: 1, FsyncInterval: interval, Faults: probe})
+	l, _ := openT(t, Config{Dir: t.TempDir(), Threads: 1, FsyncInterval: interval, FS: probe.fs()})
 	time.Sleep(20 * time.Millisecond) // the flusher's first pass parks it
 	start := time.Now()
 	wv := uint64(0)
