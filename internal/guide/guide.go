@@ -45,7 +45,7 @@ type Controller struct {
 
 	tripped atomic.Bool // read first on every Arrive and Check
 
-	cur atomic.Pointer[stateBox] // current TTS key; nil until first commit
+	cur atomic.Pointer[stateBox] // current TTS; nil until first commit
 	// latest is the pending commit's state as known so far: its pair and
 	// the aborts reported against it yet. It becomes cur at the next commit,
 	// so it runs one commit ahead; Check, which cannot wait for cur to catch
@@ -55,30 +55,59 @@ type Controller struct {
 	mu      sync.Mutex
 	pending pendingCommit
 	hasPend bool
-	aborts  map[uint64][]txid.Packed // byWV → aborted pairs (recent window)
-	seen    uint64                   // commits processed, for periodic pruning
-	// keyBuf is the scratch buffer each published state's key is built in,
-	// and boxes interns one box per distinct key (at most maxInterned), so
-	// a commit of a state already seen allocates nothing.
+	// ring holds the aborts reported against the last abortWindow write
+	// versions, slot wv%abortWindow (see TxAbort).
+	ring [abortWindow]abortSlot
+	// solo holds the box of each abort-free state {<p>}, indexed by p's
+	// bit in the table's pair universe, so such a commit — most commits —
+	// finds its box with no key built. The other states are interned in
+	// boxes by key (at most maxInterned), built in keyBuf; a commit of a
+	// state already seen allocates nothing either way.
+	solo   []*stateBox
 	keyBuf []byte
 	boxes  map[string]*stateBox
 	wd     watchdog
 
-	held    atomic.Uint64 // gate decisions that delayed a thread
-	passed  atomic.Uint64 // gate decisions that let a thread through at once
-	escaped atomic.Uint64 // gate decisions forced through after K retries
+	// Gate decisions, sharded by thread so that concurrent Checks do not
+	// contend on one line: delayed a thread, let it through at once,
+	// forced it through after K retries.
+	held    telemetry.Counter
+	passed  telemetry.Counter
+	escaped telemetry.Counter
 
 	// tel, when set (WithTelemetry), receives per-state gate telemetry and
 	// hold-time samples. Nil-safe: all record calls no-op without it.
 	tel *telemetry.Metrics
+	// boot is the box gate decisions book to before the first commit.
+	boot stateBox
 }
 
-type stateBox struct{ key trace.Key }
+// stateBox is one automaton state, resolved once: its key, its row in the
+// guide table and, from its first gate decision on, its telemetry cell.
+// Arrive and Check look nothing up by key: they read the box and test its
+// row.
+type stateBox struct {
+	key  trace.Key
+	id   model.StateID
+	cell atomic.Pointer[telemetry.GateCell]
+}
 
-// maxInterned bounds the interned state boxes. A workload whose automaton
+// maxInterned bounds the boxes interned by key. A workload whose automaton
 // outgrows it still tracks every state; the states past the bound just
 // allocate their box each time they recur.
 const maxInterned = 4096
+
+// abortWindow is how many write versions back an abort still finds its
+// commit's slot: an abort against a commit at least abortWindow versions
+// older than the slot's live commit is dropped. The commit it names was
+// finalized long ago, so no state it could join is still open.
+const abortWindow = 256
+
+// abortSlot is the pairs aborted by the commit at wv, in report order.
+type abortSlot struct {
+	wv      uint64
+	aborted []txid.Packed
+}
 
 type pendingCommit struct {
 	wv   uint64
@@ -109,8 +138,9 @@ func NewController(table *model.GuideTable, opts ...Option) *Controller {
 	c := &Controller{
 		table:   table,
 		retries: DefaultGateRetries,
-		aborts:  make(map[uint64][]txid.Packed),
+		solo:    make([]*stateBox, table.NumPairs()),
 		boxes:   make(map[string]*stateBox),
+		boot:    stateBox{id: model.Unknown},
 	}
 	for _, o := range opts {
 		o(c)
@@ -137,14 +167,9 @@ func (c *Controller) GateStats() (passed, held, escaped uint64) {
 // admits is the membership test behind Arrive and Check alike: whether pk
 // lies in a high-probability destination of state b. Before the first
 // state, and in a state the table does not know, everything is admitted
-// (Section V progress rule). It also returns the state it judged, for
-// telemetry.
-func (c *Controller) admits(b *stateBox, pk txid.Packed) (bool, trace.Key) {
-	if b == nil {
-		return true, "" // no state observed yet: execution has just begun
-	}
-	allowed, known := c.table.Allowed(b.key, pk)
-	return allowed || !known, b.key
+// (Section V progress rule).
+func (c *Controller) admits(b *stateBox, pk txid.Packed) bool {
+	return b == nil || c.table.Allowed(b.id, pk)
 }
 
 // Arrive implements the gate (tl2.Gate). A tripped controller lets every
@@ -158,16 +183,15 @@ func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
 	}
 	pk := p.Pack()
 	heldOnce := false
-	var stateKey string
-	var t0 int64 // first-hold obs.Now stamp; hold time spans all re-checks
+	var b *stateBox // the state judged last
+	var t0 int64    // first-hold obs.Now stamp; hold time spans all re-checks
 	for i := 0; ; i++ {
-		ok, k := c.admits(c.cur.Load(), pk)
-		stateKey = string(k)
-		if ok {
+		b = c.cur.Load()
+		if c.admits(b, pk) {
 			break
 		}
 		if i >= c.retries {
-			return c.count(p, telemetry.GateEscape, stateKey, uint64(obs.Now()-t0))
+			return c.count(b, p, telemetry.GateEscape, uint64(obs.Now()-t0))
 		}
 		if !heldOnce {
 			t0 = obs.Now()
@@ -180,24 +204,46 @@ func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
 		yield.Hold(i)
 	}
 	if heldOnce {
-		return c.count(p, telemetry.GateHold, stateKey, uint64(obs.Now()-t0))
+		return c.count(b, p, telemetry.GateHold, uint64(obs.Now()-t0))
 	}
-	return c.count(p, telemetry.GatePass, stateKey, 0)
+	return c.count(b, p, telemetry.GatePass, 0)
 }
 
-// count books one gate decision for p, taken in state, in GateStats and
-// the per-state telemetry, and returns it.
-func (c *Controller) count(p txid.Pair, o telemetry.GateOutcome, state string, holdNs uint64) telemetry.GateOutcome {
+// count books one gate decision for p, taken in state b (nil before the
+// first commit), in GateStats and the per-state telemetry, and returns it.
+func (c *Controller) count(b *stateBox, p txid.Pair, o telemetry.GateOutcome, holdNs uint64) telemetry.GateOutcome {
 	switch o {
 	case telemetry.GateHold:
-		c.held.Add(1)
+		c.held.Inc(uint64(p.Thread))
 	case telemetry.GateEscape:
-		c.escaped.Add(1)
+		c.escaped.Inc(uint64(p.Thread))
 	default:
-		c.passed.Add(1)
+		c.passed.Inc(uint64(p.Thread))
 	}
-	c.tel.GateArrival(state, o, uint64(p.Thread), holdNs)
+	if c.tel != nil {
+		if b == nil {
+			b = &c.boot
+		}
+		c.tel.GateArrival(c.cell(b), o, uint64(p.Thread), holdNs)
+	}
 	return o
+}
+
+// cell returns b's telemetry cell, resolving it on b's first gate decision
+// — not at b's creation, so the telemetry's state cap fills in the order
+// states are first judged, and a state never judged costs no label.
+// Concurrent first decisions resolve the same cell.
+func (c *Controller) cell(b *stateBox) *telemetry.GateCell {
+	if cell := b.cell.Load(); cell != nil {
+		return cell
+	}
+	label := "" // the bootstrap state's
+	if st, err := trace.ParseKey(b.key); err == nil {
+		label = st.String()
+	}
+	cell := c.tel.GateCell(label)
+	b.cell.Store(cell)
+	return cell
 }
 
 // Check is the gate's membership test without the wait, for a caller that
@@ -217,12 +263,12 @@ func (c *Controller) Check(p txid.Pair) telemetry.GateOutcome {
 	if c.tripped.Load() {
 		return telemetry.GatePass
 	}
+	b := c.latest.Load()
 	o := telemetry.GatePass
-	ok, k := c.admits(c.latest.Load(), p.Pack())
-	if !ok {
+	if !c.admits(b, p.Pack()) {
 		o = telemetry.GateEscape
 	}
-	return c.count(p, o, string(k), 0)
+	return c.count(b, p, o, 0)
 }
 
 // TxCommit implements tl2.EventSink: it finalizes the previous pending
@@ -232,57 +278,70 @@ func (c *Controller) TxCommit(p txid.Pair, wv uint64, aborts int) {
 	c.mu.Lock()
 	if c.hasPend {
 		// latest already holds the pending commit with every abort
-		// reported against it.
-		delete(c.aborts, c.pending.wv)
+		// reported against it; its slot is done.
+		if s := &c.ring[c.pending.wv%abortWindow]; s.wv == c.pending.wv {
+			s.aborted = s.aborted[:0]
+		}
 		c.cur.Store(c.latest.Load())
 	}
 	c.pending = pendingCommit{wv: wv, pair: p.Pack()}
 	c.hasPend = true
-	c.latest.Store(c.box(c.aborts[wv], c.pending.pair))
-	c.seen++
-	if c.seen%1024 == 0 {
-		c.prune(wv)
+	var aborted []txid.Packed
+	if s := &c.ring[wv%abortWindow]; s.wv == wv {
+		aborted = s.aborted // reported before the commit itself
 	}
+	c.latest.Store(c.box(aborted, c.pending.pair))
 	c.observeLocked(false)
 	c.mu.Unlock()
 }
 
 // box returns the published box of state {aborted, commit}: the interned
-// one when the key was seen before, else a new one, interned while the
-// table has room. Called with mu held; aborted is sorted in place.
+// one when the state was seen before, else a new one, interned while there
+// is room. Called with mu held; aborted is sorted in place.
 func (c *Controller) box(aborted []txid.Packed, commit txid.Packed) *stateBox {
+	if len(aborted) == 0 {
+		if i, ok := c.table.PairIndex(commit); ok {
+			if c.solo[i] == nil {
+				c.solo[i] = c.newBox(trace.NewState(nil, commit).Key())
+			}
+			return c.solo[i]
+		}
+	}
 	c.keyBuf = trace.AppendKey(c.keyBuf[:0], aborted, commit)
 	if b, ok := c.boxes[string(c.keyBuf)]; ok {
 		return b
 	}
-	b := &stateBox{key: trace.Key(c.keyBuf)}
+	b := c.newBox(trace.Key(c.keyBuf))
 	if len(c.boxes) < maxInterned {
 		c.boxes[string(b.key)] = b
 	}
 	return b
 }
 
+// newBox resolves the state keyed k against the table.
+func (c *Controller) newBox(k trace.Key) *stateBox {
+	return &stateBox{key: k, id: c.table.Lookup(k)}
+}
+
 // TxAbort implements tl2.EventSink: it records the abort against the
 // commit that caused it so the state finalized for that commit includes it,
 // and, when that commit is the pending one, republishes latest. It advances
 // the watchdog's window like a commit.
+//
+// The abort goes to slot byWV%abortWindow. A slot still holding an older
+// commit's aborts is taken over — that commit was finalized long ago — and
+// an abort against a commit older than the slot's is dropped.
 func (c *Controller) TxAbort(p txid.Pair, byWV uint64, known bool) {
 	c.mu.Lock()
-	c.aborts[byWV] = append(c.aborts[byWV], p.Pack())
-	if c.hasPend && byWV == c.pending.wv {
-		c.latest.Store(c.box(c.aborts[byWV], c.pending.pair))
+	if s := &c.ring[byWV%abortWindow]; s.wv <= byWV {
+		if s.wv != byWV {
+			s.wv, s.aborted = byWV, s.aborted[:0]
+		}
+		s.aborted = append(s.aborted, p.Pack())
+		if c.hasPend && byWV == c.pending.wv {
+			c.latest.Store(c.box(s.aborted, c.pending.pair))
+		}
 	}
 	c.observeLocked(true)
 	c.mu.Unlock()
-}
-
-// prune drops abort records for commits far older than wv; their states
-// have long been finalized. Called with mu held.
-func (c *Controller) prune(wv uint64) {
-	const window = 256
-	for k := range c.aborts {
-		if k+window < wv {
-			delete(c.aborts, k)
-		}
-	}
 }

@@ -1,11 +1,16 @@
 package guide
 
 import (
+	"bytes"
+	"encoding/json"
 	"regexp"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"gstm/internal/model"
 	"gstm/internal/telemetry"
@@ -180,5 +185,67 @@ func TestCompiledTableReflectsTfactor(t *testing.T) {
 	passed, _, escaped := wide.GateStats()
 	if passed != 1 || escaped != 0 {
 		t.Fatalf("wide table blocked a kept destination: %d/%d", passed, escaped)
+	}
+}
+
+// TestGateStateLabelsPrintable: the per-state gate telemetry names each
+// state in the paper's notation, resolved once per state, so neither
+// /metrics nor the JSON snapshot carries a raw key: no exported label holds
+// a byte below 0x20 or invalid UTF-8.
+func TestGateStateLabelsPrintable(t *testing.T) {
+	tel := telemetry.NewDetached("labels")
+	c := NewController(buildTable(t), WithTelemetry(tel))
+	c.Check(pair(1, 1)) // before any commit
+	c.TxCommit(pair(2, 1), 1, 0)
+	c.TxAbort(pair(0, 6), 1, true)
+	c.Check(pair(1, 1))
+	c.TxCommit(pair(0, 0), 2, 0)
+	c.Check(pair(1, 1))
+	c.TxCommit(pair(40, 300), 3, 0) // outside the model's universe
+	c.Check(pair(1, 1))
+	snap := tel.Snapshot()
+
+	want := []string{"(bootstrap)", "{<a0>}", "{<a6>, <c1>}", "{<ao300>}"}
+	var got []string
+	for _, g := range snap.GateStates {
+		got = append(got, g.State)
+	}
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("state labels %q, want %q", got, want)
+	}
+
+	printable := func(where, label string) {
+		t.Helper()
+		if !utf8.ValidString(label) {
+			t.Fatalf("%s: label %q is not valid UTF-8", where, label)
+		}
+		for i := 0; i < len(label); i++ {
+			if label[i] < 0x20 {
+				t.Fatalf("%s: label %q holds byte %#x", where, label, label[i])
+			}
+		}
+	}
+	var prom bytes.Buffer
+	if err := telemetry.WritePrometheus(&prom, snap); err != nil {
+		t.Fatal(err)
+	}
+	labels := regexp.MustCompile(`(?m)^gstm_gate_state_\w+\{state="((?:[^"\\]|\\.)*)"\}`).FindAllStringSubmatch(prom.String(), -1)
+	if len(labels) != 3*len(want) {
+		t.Fatalf("%d gate-state series in /metrics, want %d:\n%s", len(labels), 3*len(want), prom.String())
+	}
+	for _, m := range labels {
+		printable("/metrics", m[1])
+	}
+	js, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back telemetry.Snapshot
+	if err := json.Unmarshal(js, &back); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range back.GateStates {
+		printable("JSON", g.State)
 	}
 }

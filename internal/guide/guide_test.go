@@ -2,6 +2,7 @@ package guide
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gstm/internal/model"
@@ -22,7 +23,7 @@ func pair(txn, thread int) txid.Pair {
 // buildTable builds a table where from state A={<a0>} the only
 // high-probability destination is B={<b1>}, and C={<c2>} is low
 // probability.
-func buildTable(t *testing.T) *model.GuideTable {
+func buildTable(t testing.TB) *model.GuideTable {
 	t.Helper()
 	a := trace.NewState(nil, pk(0, 0))
 	b := trace.NewState(nil, pk(1, 1))
@@ -119,17 +120,31 @@ func TestUnknownStateNeverBlocks(t *testing.T) {
 	<-done
 }
 
+// TestPruneDropsStaleAborts: aborts live in a ring of abortWindow slots
+// by write version. An abort against a commit that never came does not
+// leak into the commit abortWindow versions later, which shares its slot;
+// and once a slot serves a newer commit, an abort against the older one is
+// dropped rather than joining the newer state.
 func TestPruneDropsStaleAborts(t *testing.T) {
 	c := NewController(buildTable(t))
-	c.TxAbort(pair(1, 1), 1, true)
-	for wv := uint64(2); wv < 2100; wv++ {
+	c.TxAbort(pair(1, 1), 1, true) // wv 1 is never committed
+	solo := trace.NewState(nil, pk(0, 0)).Key()
+	const last = 2100
+	for wv := uint64(2); wv < last; wv++ {
 		c.TxCommit(pair(0, 0), wv, 0)
+		if k, ok := c.CurrentState(); ok && k != solo {
+			t.Fatalf("wv %d: state %x, want abort-free %x", wv, k, solo)
+		}
 	}
-	c.mu.Lock()
-	n := len(c.aborts)
-	c.mu.Unlock()
-	if n > 2 {
-		t.Fatalf("abort map grew to %d entries; prune failed", n)
+	pend := uint64(last - 1)
+	stale := pend - abortWindow // shares the pending commit's slot
+	c.TxAbort(pair(1, 1), stale, true)
+	c.TxAbort(pair(2, 2), pend, true)
+	c.TxAbort(pair(1, 1), stale, true) // older than the slot's commit: dropped
+	c.TxCommit(pair(0, 0), last, 0)
+	want := trace.NewState([]txid.Packed{pk(2, 2)}, pk(0, 0)).Key()
+	if k, _ := c.CurrentState(); k != want {
+		t.Fatalf("state %x, want %x: the stale abort joined it", k, want)
 	}
 }
 
@@ -186,9 +201,11 @@ func TestGuidedEndToEnd(t *testing.T) {
 
 // TestControllerCommitZeroAlloc is the allocation gate run by CI's
 // bench-smoke: an abort-free commit that finalizes a state the controller has
-// seen before builds its key in the scratch buffer and republishes the
-// interned box, allocating nothing. Armed WithWatchdog, the commits also
-// close watchdog windows without a trip, still allocating nothing.
+// seen before reaches the box interned for its pair and republishes it,
+// allocating nothing. Armed WithWatchdog, the commits also close watchdog
+// windows without a trip, still allocating nothing. With telemetry
+// attached, a Check in a state already judged books its decision through
+// the state's resolved cell, allocating nothing either.
 func TestControllerCommitZeroAlloc(t *testing.T) {
 	for _, armed := range []bool{false, true} {
 		var opts []Option
@@ -221,6 +238,50 @@ func TestControllerCommitZeroAlloc(t *testing.T) {
 			t.Fatalf("open window holds %d events, want %d after two closed windows", c.wd.winEvents, want)
 		}
 	}
+
+	tel := telemetry.NewDetached("alloc")
+	c := NewController(buildTable(t), WithTelemetry(tel))
+	c.TxCommit(pair(1, 1), 1, 0)
+	c.TxCommit(pair(0, 0), 2, 0) // latest is A = {<a0>}
+	check := func() {
+		c.Check(pair(1, 1)) // in B: passes
+		c.Check(pair(2, 2)) // only in C: escapes
+	}
+	check() // resolves A's cell
+	if got := testing.AllocsPerRun(1000, check); got != 0 {
+		t.Fatalf("Check in a seen state with telemetry: %v allocs, want 0", got)
+	}
+	want := telemetry.GateStateSnapshot{State: "{<a0>}", Visits: 2 * 1002, Escapes: 1002}
+	if s := tel.Snapshot(); len(s.GateStates) != 1 || s.GateStates[0] != want {
+		t.Fatalf("gate states %+v, want %+v", s.GateStates, want)
+	}
+}
+
+// BenchmarkControllerCommitCheck prices guidance on the serving path: two
+// goroutines take turns at commit and Check on one controller with
+// telemetry, as two workers do, and an abort is reported against one
+// commit in twenty (5 %).
+func BenchmarkControllerCommitCheck(b *testing.B) {
+	c := NewController(buildTable(b), WithTelemetry(telemetry.NewDetached("bench")))
+	var wv atomic.Uint64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(self, other txid.Pair) {
+			defer wg.Done()
+			for i := int(self.Thread); i < b.N; i += 2 {
+				v := wv.Add(1)
+				c.TxCommit(self, v, 0)
+				if i%40 < 2 {
+					c.TxAbort(other, v, true)
+				}
+				c.Check(other)
+			}
+		}(pair(g, g), pair(1-g, 1-g))
+	}
+	wg.Wait()
 }
 
 // TestCheckJudgesLatestCommit: Check asks about the commit its caller's

@@ -217,7 +217,7 @@ func (s *Suite) WriteTelemetry(w io.Writer) {
 						fmt.Fprintf(w, "%-12s %2dt %-7s   ... %d more states\n", app, th, side.name, len(t.GateStates)-i)
 						break
 					}
-					fmt.Fprintf(w, "%-12s %2dt %-7s   state %-24q visits=%d holds=%d escapes=%d\n",
+					fmt.Fprintf(w, "%-12s %2dt %-7s   state %-24s visits=%d holds=%d escapes=%d\n",
 						app, th, side.name, g.State, g.Visits, g.Holds, g.Escapes)
 				}
 				if trip := r.GuidedHealth.Watchdog.LastTrip; side.guided && trip != nil {

@@ -302,22 +302,90 @@ func TestGuideTableMembership(t *testing.T) {
 	if g.Tfactor() != 4 {
 		t.Fatalf("Tfactor = %v", g.Tfactor())
 	}
-	if !g.Known(a.Key()) {
+	ida := g.Lookup(a.Key())
+	if ida == Unknown {
 		t.Fatal("state a unknown in table")
 	}
-	if allowed, known := g.Allowed(a.Key(), pb); !allowed || !known {
+	if !g.Allowed(ida, pb) {
 		t.Fatal("pb should be allowed from a")
 	}
-	if allowed, _ := g.Allowed(a.Key(), pc); allowed {
+	if g.Allowed(ida, pc) {
 		t.Fatal("pc should be blocked from a (low probability path)")
 	}
-	// Unknown state: always allowed, flagged unknown.
-	if allowed, known := g.Allowed("bogus-key!", pc); !allowed || known {
-		t.Fatal("unknown state must allow and report !known")
+	// A pair outside the model's universe lies in no destination set.
+	if g.Allowed(ida, pk(7, 0)) || g.Allowed(ida, pk(0, 9)) {
+		t.Fatal("a pair outside the universe should be blocked from a")
+	}
+	// Unknown state: always allowed.
+	if g.Lookup("bogus-key!") != Unknown || !g.Allowed(Unknown, pc) {
+		t.Fatal("unknown state must be Unknown and allow every pair")
 	}
 	// Terminal states (no outbound edges) are not retained.
-	if g.Known(b.Key()) {
+	if g.Lookup(b.Key()) != Unknown {
 		t.Fatal("terminal state should not be in compiled table")
+	}
+}
+
+// TestGuideTableBitsMatchDestinations: over a model of many sites, threads
+// and states, every row's bits are exactly the participants of the state's
+// Tfactor destinations, for every pair of the universe and pairs just past
+// it, and the universe's pairs have distinct indices.
+func TestGuideTableBitsMatchDestinations(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 0))
+	m := New(5)
+	var states []trace.State
+	for i := 0; i < 60; i++ {
+		var ab []txid.Packed
+		for j := r.IntN(3); j > 0; j-- {
+			ab = append(ab, pk(r.IntN(9), r.IntN(5)))
+		}
+		states = append(states, trace.NewState(ab, pk(r.IntN(9), r.IntN(5))))
+	}
+	for i := 0; i < 2000; i++ {
+		m.AddTransitionKeys(states[r.IntN(len(states))].Key(), states[r.IntN(len(states))].Key())
+	}
+	g := Compile(m, 4)
+	idx := make(map[int]txid.Packed)
+	for site := 0; site < 9; site++ {
+		for thread := 0; thread < 5; thread++ {
+			i, ok := g.PairIndex(pk(site, thread))
+			if !ok || i < 0 || i >= g.NumPairs() {
+				t.Fatalf("pair (%d,%d): index %d, %v of %d", site, thread, i, ok, g.NumPairs())
+			}
+			if q, dup := idx[i]; dup {
+				t.Fatalf("pairs %v and (%d,%d) share index %d", q, site, thread, i)
+			}
+			idx[i] = pk(site, thread)
+		}
+	}
+	retained := 0
+	for _, k := range m.Keys() {
+		want := map[txid.Packed]bool{}
+		for _, e := range m.Destinations(k, 4) {
+			st, _ := trace.ParseKey(e.To)
+			for _, p := range st.Participants() {
+				want[p] = true
+			}
+		}
+		id := g.Lookup(k)
+		if len(want) == 0 {
+			if id != Unknown {
+				t.Fatalf("terminal state %x retained", k)
+			}
+			continue
+		}
+		retained++
+		for site := 0; site < 10; site++ {
+			for thread := 0; thread < 6; thread++ {
+				p := pk(site, thread)
+				if got := g.Allowed(id, p); got != want[p] {
+					t.Fatalf("state %x pair %v: Allowed %v, want %v", k, p, got, want[p])
+				}
+			}
+		}
+	}
+	if g.NumStates() != retained {
+		t.Fatalf("NumStates %d, want %d", g.NumStates(), retained)
 	}
 }
 

@@ -69,10 +69,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 	b.Run("gate-arrival", func(b *testing.B) {
 		m := NewDetached("bench")
-		m.GateArrival("s0/w2", GatePass, 0, 0) // pre-create the state cell
+		cell := m.GateCell("s0/w2")
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.GateArrival("s0/w2", GatePass, uint64(i)&7, 0)
+			m.GateArrival(cell, GatePass, uint64(i)&7, 0)
 		}
 	})
 

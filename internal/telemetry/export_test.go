@@ -24,9 +24,9 @@ func sampleSnapshot() Snapshot {
 	m.TxBudgetExceeded(0)
 	m.ObserveCommit(5000, 1000, true)
 	m.ObserveCommit(50000, 2000, true)
-	m.GateArrival("s0/w2", GatePass, 0, 0)
-	m.GateArrival("s0/w2", GateHold, 1, 3000)
-	m.GateArrival(`s1"quoted\`, GateEscape, 2, 8000)
+	m.GateArrival(m.GateCell("s0/w2"), GatePass, 0, 0)
+	m.GateArrival(m.GateCell("s0/w2"), GateHold, 1, 3000)
+	m.GateArrival(m.GateCell(`s1"quoted\`), GateEscape, 2, 8000)
 	m.WatchdogTrip()
 	return m.Snapshot()
 }

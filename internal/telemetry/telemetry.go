@@ -42,19 +42,22 @@ import (
 // Must be a power of two.
 const SampleEvery = 64
 
-// maxGateStates bounds the per-state gate table; arrivals in states beyond
-// the cap are folded into the synthetic OverflowState entry so the hot path
-// never grows the map unboundedly on adversarial workloads.
+// maxGateStates bounds the per-state gate table; states resolved beyond
+// the cap share the synthetic OverflowState cell, so adversarial workloads
+// cannot grow the map unboundedly.
 const maxGateStates = 512
 
-// OverflowState is the synthetic state key that absorbs gate telemetry once
-// maxGateStates distinct automaton states have been seen.
+// OverflowState is the synthetic state label that absorbs gate telemetry
+// once maxGateStates distinct automaton states have been resolved.
 const OverflowState = "(other)"
 
-// gateStateStats is the per-automaton-state gate telemetry. Plain atomics
-// (not sharded): arrivals in any single state are already serialized by the
-// workload far more than by the counter line.
-type gateStateStats struct {
+// GateCell is one automaton state's gate telemetry in a Metrics: its
+// visits, holds and escapes. A caller resolves a state's cell once
+// (Metrics.GateCell) and books every later decision in that state through
+// it (Metrics.GateArrival), so the record path never looks a state up.
+// Plain atomics (not sharded): arrivals in any single state are already
+// serialized by the workload far more than by the counter line.
+type GateCell struct {
 	visits  atomic.Uint64
 	holds   atomic.Uint64
 	escapes atomic.Uint64
@@ -138,7 +141,7 @@ type Metrics struct {
 	ValidationLatency obs.Hist // read-set validation when it ran, same samples
 	GateHoldTime      obs.Hist // time a held arrival spent at the gate
 
-	gateStates sync.Map // state key (string) → *gateStateStats
+	gateStates sync.Map // state label (string) → *GateCell
 	gateCount  atomic.Int64
 
 	// walQueueDepth reads the component's write-ahead log backlog at
@@ -314,10 +317,10 @@ func (m *Metrics) ObserveCommit(totalNs, validationNs uint64, validated bool) {
 }
 
 // GateArrival records one guidance-gate decision: the aggregate outcome
-// counter, the per-state visit/hold/escape tally under the automaton state
-// current at arrival, and the hold-time sample (nanoseconds) for delayed
-// arrivals.
-func (m *Metrics) GateArrival(state string, outcome GateOutcome, thread uint64, holdNs uint64) {
+// counter, the visit/hold/escape tally of cell — the automaton state the
+// decision judged, resolved by m.GateCell — and the hold-time sample
+// (nanoseconds) for delayed arrivals.
+func (m *Metrics) GateArrival(cell *GateCell, outcome GateOutcome, thread uint64, holdNs uint64) {
 	if m == nil {
 		return
 	}
@@ -332,34 +335,38 @@ func (m *Metrics) GateArrival(state string, outcome GateOutcome, thread uint64, 
 	if holdNs > 0 {
 		m.GateHoldTime.Observe(holdNs)
 	}
-	st := m.gateState(state)
-	st.visits.Add(1)
+	cell.visits.Add(1)
 	switch outcome {
 	case GateHold:
-		st.holds.Add(1)
+		cell.holds.Add(1)
 	case GateEscape:
-		st.escapes.Add(1)
+		cell.escapes.Add(1)
 	}
 }
 
-// gateState returns the stats cell for state, folding new states into
-// OverflowState once the cap is reached. The double-checked LoadOrStore
-// keeps the steady-state path to one lock-free map read.
-func (m *Metrics) gateState(state string) *gateStateStats {
+// GateCell returns the cell of the automaton state labeled state ("" is
+// the bootstrap state, before any commit), creating it on first use; once
+// maxGateStates states have cells, a new label gets the OverflowState cell.
+// It costs a map lookup by label, so callers resolve each state once. Nil
+// on a nil Metrics.
+func (m *Metrics) GateCell(state string) *GateCell {
+	if m == nil {
+		return nil
+	}
 	if state == "" {
 		state = "(bootstrap)"
 	}
 	if v, ok := m.gateStates.Load(state); ok {
-		return v.(*gateStateStats)
+		return v.(*GateCell)
 	}
 	if m.gateCount.Load() >= maxGateStates && state != OverflowState {
-		return m.gateState(OverflowState)
+		return m.GateCell(OverflowState)
 	}
-	v, loaded := m.gateStates.LoadOrStore(state, &gateStateStats{})
+	v, loaded := m.gateStates.LoadOrStore(state, &GateCell{})
 	if !loaded {
 		m.gateCount.Add(1)
 	}
-	return v.(*gateStateStats)
+	return v.(*GateCell)
 }
 
 // WatchdogTrip records a guidance-watchdog trip. Its reason is the
@@ -419,13 +426,15 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.AbortsByCause[i] = m.AbortsByCause[i].Load()
 	}
 	m.gateStates.Range(func(k, v any) bool {
-		st := v.(*gateStateStats)
-		s.GateStates = append(s.GateStates, GateStateSnapshot{
-			State:   k.(string),
-			Visits:  st.visits.Load(),
-			Holds:   st.holds.Load(),
-			Escapes: st.escapes.Load(),
-		})
+		c := v.(*GateCell)
+		if n := c.visits.Load(); n > 0 { // skip a cell not visited since Reset
+			s.GateStates = append(s.GateStates, GateStateSnapshot{
+				State:   k.(string),
+				Visits:  n,
+				Holds:   c.holds.Load(),
+				Escapes: c.escapes.Load(),
+			})
+		}
 		return true
 	})
 	sort.Slice(s.GateStates, func(i, j int) bool {
@@ -461,9 +470,13 @@ func (m *Metrics) Reset() {
 	for _, h := range []*obs.Hist{&m.CommitLatency, &m.ValidationLatency, &m.GateHoldTime} {
 		h.Reset()
 	}
-	m.gateStates.Range(func(k, _ any) bool {
-		m.gateStates.Delete(k)
+	// Cells stay (their holders keep booking through them); only their
+	// counts go, and Snapshot lists no cell before its next visit.
+	m.gateStates.Range(func(_, v any) bool {
+		c := v.(*GateCell)
+		c.visits.Store(0)
+		c.holds.Store(0)
+		c.escapes.Store(0)
 		return true
 	})
-	m.gateCount.Store(0)
 }

@@ -89,9 +89,10 @@ func TestMetricsLifecycleAndSnapshot(t *testing.T) {
 	m.TxCanceled(3)
 	m.ObserveCommit(2000, 1000, true)
 	m.ObserveCommit(3000, 0, false) // a commit that did not validate
-	m.GateArrival("stateA", GatePass, 0, 0)
-	m.GateArrival("stateA", GateHold, 0, 5000)
-	m.GateArrival("stateB", GateEscape, 0, 10000)
+	cellA := m.GateCell("stateA")
+	m.GateArrival(cellA, GatePass, 0, 0)
+	m.GateArrival(m.GateCell("stateA"), GateHold, 0, 5000)
+	m.GateArrival(m.GateCell("stateB"), GateEscape, 0, 10000)
 	m.WatchdogTrip()
 
 	if sampled != 64/SampleEvery {
@@ -131,12 +132,17 @@ func TestMetricsLifecycleAndSnapshot(t *testing.T) {
 		s.WatchdogTrips != 0 || len(s.GateStates) != 0 {
 		t.Fatalf("snapshot after reset not empty: %+v", s)
 	}
+	// A cell resolved before the reset keeps booking after it.
+	m.GateArrival(cellA, GateEscape, 0, 0)
+	if s = m.Snapshot(); len(s.GateStates) != 1 || s.GateStates[0] != (GateStateSnapshot{State: "stateA", Visits: 1, Escapes: 1}) {
+		t.Fatalf("gate states after reset and one escape = %+v", s.GateStates)
+	}
 }
 
 func TestGateStateOverflowFoldsIntoOther(t *testing.T) {
 	m := NewDetached("test")
 	for i := 0; i < maxGateStates+50; i++ {
-		m.GateArrival(fmt.Sprintf("state-%04d", i), GatePass, 0, 0)
+		m.GateArrival(m.GateCell(fmt.Sprintf("state-%04d", i)), GatePass, 0, 0)
 	}
 	s := m.Snapshot()
 	var other *GateStateSnapshot
@@ -163,7 +169,7 @@ func TestNilMetricsSafe(t *testing.T) {
 	m.TxBudgetExceeded(0)
 	m.TxCanceled(0)
 	m.ObserveCommit(1000, 0, false)
-	m.GateArrival("s", GatePass, 0, 0)
+	m.GateArrival(m.GateCell("s"), GatePass, 0, 0)
 	m.WatchdogTrip()
 	m.Reset()
 	if s := m.Snapshot(); s.Commits != 0 {
@@ -270,7 +276,7 @@ func TestConcurrentRecordSnapshotReset(t *testing.T) {
 						m.ObserveCommit(uint64(i%1000), uint64(i%100), i%2 == 0)
 					}
 				}
-				m.GateArrival("s", GateOutcome(i%3), thread, uint64(i%50))
+				m.GateArrival(m.GateCell("s"), GateOutcome(i%3), thread, uint64(i%50))
 			}
 		}(uint64(w))
 	}
@@ -301,9 +307,9 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("counter+histogram record path allocates %v bytes-ish/op, want 0", n)
 	}
-	m.GateArrival("warm", GatePass, 0, 0) // pre-create the state cell
+	warm := m.GateCell("warm")
 	if n := testing.AllocsPerRun(1000, func() {
-		m.GateArrival("warm", GateHold, 0, 1000)
+		m.GateArrival(warm, GateHold, 0, 1000)
 	}); n != 0 {
 		t.Fatalf("gate-state record path allocates %v/op, want 0", n)
 	}

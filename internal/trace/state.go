@@ -28,9 +28,9 @@ type State struct {
 }
 
 // Key is a compact, comparable encoding of a State, used as a map key by
-// the model and the guided-execution gate. It is the paper's "efficient
-// bitwise structure": 4 big-endian bytes per participant, aborted pairs
-// first (sorted), committing pair last.
+// the model and resolved once per state by the guided-execution
+// controller: 4 big-endian bytes per participant, aborted pairs first
+// (sorted), committing pair last.
 type Key string
 
 // NewState builds a normalized State: aborted is copied, sorted and
