@@ -99,7 +99,9 @@ type Phase uint8
 const (
 	// PhaseDecode: reading and decoding the request frame off the socket.
 	PhaseDecode Phase = iota
-	// PhaseQueue: waiting in the worker's queue (and batch assembly).
+	// PhaseQueue: from the chunk's decode stamp to its batch's run: the
+	// wait for the connection's home slot mutex plus the batches ahead of
+	// it in the chunk (DESIGN.md "The reader's clock").
 	PhaseQueue
 	// PhaseGate: held at the guidance gate before the attempt started.
 	PhaseGate

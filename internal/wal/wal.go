@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gstm/internal/telemetry"
@@ -109,20 +111,24 @@ func (s Staging) Del(key uint64) {
 type Log struct {
 	cfg    Config
 	strict bool
+	// poll: relaxed mode with GOMAXPROCS > 1 at Open, so a waiter may poll
+	// out a write-only flush rather than park on fileMu (writeThrough).
+	poll bool
 
 	stagers []stager
 
 	// mu guards the staging buffer and ack state; appenders hold it for
 	// one encode, the flusher for one swap. ackCond signals acked / err /
-	// crashed transitions.
+	// crashed transitions. acked is written under mu but read without it
+	// by polling waiters.
 	mu         sync.Mutex
 	ackCond    *sync.Cond
-	buf        []byte // encoded records awaiting flush
-	spare      []byte // flusher's swap buffer
-	bufSeq     uint64 // seq of the last record appended to buf
-	commitsBuf int    // commit records currently in buf
-	acked      uint64 // last record seq acknowledged per the mode's rule
-	err        error  // terminal failure, wraps ErrFailed
+	buf        []byte        // encoded records awaiting flush
+	spare      []byte        // flusher's swap buffer
+	bufSeq     uint64        // seq of the last record appended to buf
+	commitsBuf int           // commit records currently in buf
+	acked      atomic.Uint64 // last record seq acknowledged per the mode's rule
+	err        error         // terminal failure, wraps ErrFailed
 	closing    bool
 	crashed    bool
 
@@ -136,8 +142,11 @@ type Log struct {
 	segIdx int // the active segment's index
 
 	// fileMu serializes the active segment's I/O (flusher, Sync,
-	// Snapshot's rotation and scan) and guards the fields below.
+	// Snapshot's rotation and scan) and guards the fields below. writing
+	// is set while fileMu's holder is a flush that writes and does not
+	// fsync: a hold short enough for a relaxed waiter to poll out.
 	fileMu   sync.Mutex
+	writing  atomic.Bool
 	f        File
 	unsynced int64
 	lastSync time.Time
@@ -176,6 +185,7 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 	l := &Log{
 		cfg:         cfg,
 		strict:      cfg.FsyncInterval == 0,
+		poll:        cfg.FsyncInterval > 0 && runtime.GOMAXPROCS(0) > 1,
 		stagers:     make([]stager, cfg.Threads),
 		buf:         make([]byte, 0, 1<<16),
 		spare:       make([]byte, 0, 1<<16),
@@ -359,30 +369,66 @@ func (l *Log) WaitThread(thread int) error {
 }
 
 // WaitAcked blocks until record seq is acknowledged, or the log reaches a
-// terminal state first. In relaxed mode the caller writes the record
-// itself when it is not yet acked: group commit with no hand-off, since
-// concurrent waiters queue on the file lock and whichever goes first writes
-// every record appended so far, its queue-mates' included. A write error
-// latches the terminal state reported here. Strict mode waits for the
-// flusher's fsync.
+// terminal state first. Strict mode waits for the flusher's fsync. In
+// relaxed mode the caller gets its record written itself (writeThrough):
+// group commit with no hand-off, since whichever waiter holds the file lock
+// writes every record appended so far, the other waiters' included. A
+// waiter that finds the lock held by such a write polls for its ack or for
+// the lock to come free, up to pollBound polls; behind anything longer (the
+// interval fsync, a rotation, a snapshot scan), past the bound, or with
+// GOMAXPROCS 1 it waits on the lock. A write error latches the terminal
+// state reported here.
 func (l *Log) WaitAcked(seq uint64) error {
+	if l.acked.Load() >= seq {
+		return nil
+	}
+	if !l.strict {
+		l.writeThrough(seq)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.strict && l.acked < seq && l.err == nil && !l.crashed {
-		l.mu.Unlock()
-		_ = l.flush(false)
-		l.mu.Lock()
-	}
-	for l.acked < seq && l.err == nil && !l.crashed {
+	for l.acked.Load() < seq && l.err == nil && !l.crashed {
 		l.ackCond.Wait()
 	}
-	if l.acked >= seq {
+	if l.acked.Load() >= seq {
 		return nil
 	}
 	if l.err != nil {
 		return l.err
 	}
 	return ErrCrashed
+}
+
+// pollBound caps the polls of one relaxed waiter behind a write-only
+// flush. A poll costs 2–3.5 ns on a 2-vCPU x86 host, so the bound lasts
+// 30–60 µs: twenty-odd times the 1.5–1.9 µs mean write(2), so an ordinary
+// write ends inside it, and a small fraction of the 4 ms scheduler tick, so
+// a write stalled in writeback, or a holder whose vCPU was taken away,
+// burns little CPU before its waiters park on fileMu (DESIGN.md "Group
+// commit: who writes a record"). Tests raise it.
+var pollBound = 1 << 14
+
+// writeThrough gets relaxed record seq written: it writes the buffer itself
+// when fileMu is free, polls while the holder is a write-only flush, and
+// otherwise waits for the lock and writes whatever is still staged. Any
+// error is latched in the log; the caller reads it from there.
+func (l *Log) writeThrough(seq uint64) {
+	if l.poll {
+		for range pollBound {
+			if l.acked.Load() >= seq {
+				return
+			}
+			if l.fileMu.TryLock() {
+				_ = l.flushLocked(false)
+				l.fileMu.Unlock()
+				return
+			}
+			if !l.writing.Load() {
+				break
+			}
+		}
+	}
+	_ = l.flush(false)
 }
 
 // Failed reports whether the log is in a terminal failure state; the
@@ -400,10 +446,11 @@ func (l *Log) Failed() bool {
 func (l *Log) QueueDepth() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.bufSeq <= l.acked {
+	acked := l.acked.Load()
+	if l.bufSeq <= acked {
 		return 0
 	}
-	return l.bufSeq - l.acked
+	return l.bufSeq - acked
 }
 
 func (l *Log) terminalErr() error {
@@ -496,7 +543,16 @@ func (l *Log) syncDue() bool {
 func (l *Log) flush(sync bool) error {
 	l.fileMu.Lock()
 	defer l.fileMu.Unlock()
+	return l.flushLocked(sync)
+}
 
+// flushLocked is flush with fileMu held. A flush that does not fsync
+// raises writing for its hold, so relaxed waiters poll it out.
+func (l *Log) flushLocked(sync bool) error {
+	if !sync {
+		l.writing.Store(true)
+		defer l.writing.Store(false)
+	}
 	l.mu.Lock()
 	if l.err != nil || l.crashed {
 		err := l.err
@@ -538,8 +594,8 @@ func (l *Log) flush(sync bool) error {
 	if l.snapDue() {
 		wake = true
 	}
-	if seqHi > l.acked {
-		l.acked = seqHi
+	if seqHi > l.acked.Load() {
+		l.acked.Store(seqHi)
 		l.ackCond.Broadcast()
 	}
 	l.mu.Unlock()

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -666,12 +667,14 @@ func TestRelaxedWriteThroughSnapshots(t *testing.T) {
 }
 
 // TestRelaxedConcurrentWaiters: waiters on four threads race to write each
-// other's records; every wait must be acked, and every acked record must
-// survive a crash.
+// other's records, polling and parking behind each other's writes; every
+// wait must be acked, none before the write(2) carrying its record has
+// returned, and every acked record must survive a crash.
 func TestRelaxedConcurrentWaiters(t *testing.T) {
 	const threads, perThread = 4, 200
 	dir := t.TempDir()
-	l, _ := openT(t, Config{Dir: dir, Threads: threads, FsyncInterval: time.Hour})
+	fs := &writtenLog{written: map[uint64]bool{}}
+	l, _ := openT(t, Config{Dir: dir, Threads: threads, FsyncInterval: time.Hour, FS: fs})
 	var wv atomic.Uint64
 	errs := make(chan error, threads)
 	for th := 0; th < threads; th++ {
@@ -681,6 +684,10 @@ func TestRelaxedConcurrentWaiters(t *testing.T) {
 				commitOne(l, th, v, Op{Key: v, Val: v})
 				if err := l.WaitThread(th); err != nil {
 					errs <- err
+					return
+				}
+				if !fs.has(v) {
+					errs <- fmt.Errorf("wv %d acked before a write carried it", v)
 					return
 				}
 			}
