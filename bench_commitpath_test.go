@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gstm/internal/libtm"
+	"gstm/internal/telemetry"
 	"gstm/internal/tl2"
 	"gstm/internal/txid"
 )
@@ -73,7 +74,7 @@ func BenchmarkClockContention(b *testing.B) {
 			})
 		}
 	})
-	b.ReportMetric(float64(rt.Telemetry().ClockCASFallbacks.Load()), "gv4_adoptions")
+	b.ReportMetric(float64(rt.Telemetry().Load(telemetry.ClockCASFallbacks)), "gv4_adoptions")
 }
 
 // nopSink is an installed-but-trivial EventSink: its presence switches the

@@ -68,12 +68,11 @@ type Controller struct {
 	boxes  map[string]*stateBox
 	wd     watchdog
 
-	// Gate decisions, sharded by thread so that concurrent Checks do not
-	// contend on one line: delayed a thread, let it through at once,
-	// forced it through after K retries.
-	held    telemetry.Counter
-	passed  telemetry.Counter
-	escaped telemetry.Counter
+	// Gate decisions (decHeld, decPassed, decEscaped: delayed a thread,
+	// let it through at once, forced it through after K retries), one
+	// block per thread slot so that concurrent Checks do not contend on
+	// one line.
+	dec telemetry.Counters
 
 	// tel, when set (WithTelemetry), receives per-state gate telemetry and
 	// hold-time samples. Nil-safe: all record calls no-op without it.
@@ -91,6 +90,14 @@ type stateBox struct {
 	id   model.StateID
 	cell atomic.Pointer[telemetry.GateCell]
 }
+
+// The Controller's decision counters.
+const (
+	decHeld = iota
+	decPassed
+	decEscaped
+	numDecisions
+)
 
 // maxInterned bounds the boxes interned by key. A workload whose automaton
 // outgrows it still tracks every state; the states past the bound just
@@ -139,6 +146,7 @@ func NewController(table *model.GuideTable, opts ...Option) *Controller {
 		table:   table,
 		retries: DefaultGateRetries,
 		solo:    make([]*stateBox, table.NumPairs()),
+		dec:     telemetry.NewCounters(numDecisions),
 		boxes:   make(map[string]*stateBox),
 		boot:    stateBox{id: model.Unknown},
 	}
@@ -161,7 +169,7 @@ func (c *Controller) CurrentState() (trace.Key, bool) {
 // GateStats reports how many gate arrivals passed immediately, were held at
 // least once, and were forced through by the K-retry escape hatch.
 func (c *Controller) GateStats() (passed, held, escaped uint64) {
-	return c.passed.Load(), c.held.Load(), c.escaped.Load()
+	return c.dec.Load(decPassed), c.dec.Load(decHeld), c.dec.Load(decEscaped)
 }
 
 // admits is the membership test behind Arrive and Check alike: whether pk
@@ -212,14 +220,14 @@ func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
 // count books one gate decision for p, taken in state b (nil before the
 // first commit), in GateStats and the per-state telemetry, and returns it.
 func (c *Controller) count(b *stateBox, p txid.Pair, o telemetry.GateOutcome, holdNs uint64) telemetry.GateOutcome {
+	d := decPassed
 	switch o {
 	case telemetry.GateHold:
-		c.held.Inc(uint64(p.Thread))
+		d = decHeld
 	case telemetry.GateEscape:
-		c.escaped.Inc(uint64(p.Thread))
-	default:
-		c.passed.Inc(uint64(p.Thread))
+		d = decEscaped
 	}
+	c.dec.Inc(uint64(p.Thread), d)
 	if c.tel != nil {
 		if b == nil {
 			b = &c.boot

@@ -18,8 +18,8 @@ type Runtime struct {
 	fault atomic.Pointer[faultBox]
 	pool  sync.Pool
 
-	// tel holds all runtime counters and latency histograms (sharded by
-	// worker thread), registered in the process-wide telemetry registry.
+	// tel holds all runtime counters (one block per thread slot) and
+	// latency histograms, registered in the process-wide telemetry registry.
 	tel *telemetry.Metrics
 }
 
@@ -79,7 +79,7 @@ func (rt *Runtime) injector() FaultInjector {
 
 // Stats returns cumulative committed transactions and aborted attempts.
 func (rt *Runtime) Stats() (commits, aborts uint64) {
-	return rt.tel.Commits.Load(), rt.tel.Aborts.Load()
+	return rt.tel.Load(telemetry.Commits), rt.tel.Load(telemetry.Aborts)
 }
 
 // ResetStats zeroes the cumulative telemetry — counters and latency
@@ -107,12 +107,11 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 		rt.pool.Put(tx)
 	}()
 
-	shard := uint64(thread)
 	for attempt := 0; ; attempt++ {
 		if gb := rt.gate.Load(); gb != nil {
 			gb.g.Arrive(self)
 		}
-		sampled := rt.tel.TxStart(shard)
+		sampled := rt.tel.TxStart(uint64(thread))
 		tx.reset(rt, self, attempt)
 
 		err, c := runBody(tx, fn)
@@ -148,7 +147,7 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 			// commit-time read-set validation phase to time separately.
 			rt.tel.ObserveCommit(uint64(obs.Now()-t0), 0, false)
 		}
-		rt.tel.TxCommit(shard)
+		rt.tel.TxCommit(uint64(thread))
 		if sb := rt.sink.Load(); sb != nil {
 			sb.s.TxCommit(self, wv, attempt)
 		}

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"gstm/internal/obs"
+	"gstm/internal/telemetry"
 	"gstm/internal/txid"
 	"gstm/internal/wset"
 	"gstm/internal/yield"
@@ -129,7 +130,7 @@ func (tx *Tx) readBase(b *objBase) unsafe.Pointer {
 	if e, fp := tx.ws.Lookup(objAddr(b)); e != nil {
 		return e.Val
 	} else if fp {
-		tx.rt.tel.FilterFalsePositives.Inc(uint64(tx.st.self.Thread))
+		tx.rt.tel.Inc(telemetry.FilterFalsePositives, uint64(tx.st.self.Thread))
 	}
 	for spins := 0; !b.registerReader(tx.st); spins++ {
 		if spins >= maxSpin {
@@ -170,12 +171,12 @@ func Write[T any](tx *Tx, o *Obj[T], val T) {
 		*(*T)(e.Val) = val
 		return
 	} else if fp {
-		tx.rt.tel.FilterFalsePositives.Inc(uint64(tx.st.self.Thread))
+		tx.rt.tel.Inc(telemetry.FilterFalsePositives, uint64(tx.st.self.Thread))
 	}
 	e, spilled := tx.ws.Insert(b, addr)
 	e.Val = unsafe.Pointer(box(val))
 	if spilled {
-		tx.rt.tel.WriteSetSpills.Inc(uint64(tx.st.self.Thread))
+		tx.rt.tel.Inc(telemetry.WriteSetSpills, uint64(tx.st.self.Thread))
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 // retention only decides which whole spans are kept, never the aggregate —
 // so the loadgen tail-attribution table is exact regardless of what the
 // ring and reservoir keep. Writers record into their own slot's
-// histograms; a scrape sums the slots.
+// histograms; a scrape sums the slots. A slot's aggregate, and each of its
+// phase histograms, is allocated by the first span (or phase time) that
+// lands in it.
 
 // The latency bucket layout of every Hist, so /metrics and /debug/trace
 // report comparable quantiles: HDR-style, values (nanoseconds) map to
@@ -63,10 +65,10 @@ func BucketHigh(i int) uint64 {
 
 // Hist is the module's one latency histogram: nanosecond observations on
 // the shared bucket layout, mergeable by adding bucket counts. The
-// observatory keeps one per (slot, shard, phase), so the thread slot that
-// records a span adds into histograms no other slot writes; telemetry keeps
-// one per sampled latency series. The zero value is ready for use, and
-// neither Observe nor Reset allocates.
+// observatory keeps one per (slot, shard, phase) that has recorded, so the
+// thread slot that records a span adds into histograms no other slot
+// writes; telemetry keeps one per sampled latency series. The zero value
+// is ready for use, and neither Observe nor Reset allocates.
 type Hist struct {
 	counts [NumBuckets]atomic.Uint64
 	sum    atomic.Uint64
@@ -86,11 +88,22 @@ func (h *Hist) Reset() {
 	h.sum.Store(0)
 }
 
-// shardAgg is one slot's per-phase histograms of one shard plus the
-// whole-span total.
+// shardAgg is one slot's aggregation of one shard: the whole-span total
+// and, from the first span that spends time in it, each phase's histogram
+// (nil until then).
 type shardAgg struct {
-	phases [NumPhases]Hist
 	total  Hist
+	phases [NumPhases]atomic.Pointer[Hist]
+}
+
+// installed returns *p, first installing a zero T when *p is nil.
+// Concurrent first callers install one T between them and all return it.
+func installed[T any](p *atomic.Pointer[T]) *T {
+	if v := p.Load(); v != nil {
+		return v
+	}
+	p.CompareAndSwap(nil, new(T))
+	return p.Load()
 }
 
 // observeSpan folds one finished span into the aggregation: each phase's
@@ -101,7 +114,7 @@ func (a *shardAgg) observeSpan(sp *Span) {
 	tot := sp.PhaseTotals()
 	for ph, ns := range tot {
 		if ns > 0 {
-			a.phases[ph].Observe(ns)
+			installed(&a.phases[ph]).Observe(ns)
 		}
 	}
 	a.total.Observe(uint64(sp.TotalNs))
@@ -109,10 +122,12 @@ func (a *shardAgg) observeSpan(sp *Span) {
 
 // merge adds o's counts into a; Agg folds a shard's slots into one with it.
 // Counts add bucket by bucket — every slot shares the one layout — so the
-// fold is exact.
+// fold is exact. A phase o never recorded adds nothing.
 func (a *shardAgg) merge(o *shardAgg) {
 	for ph := range a.phases {
-		a.phases[ph].merge(&o.phases[ph])
+		if h := o.phases[ph].Load(); h != nil {
+			installed(&a.phases[ph]).merge(h)
+		}
 	}
 	a.total.merge(&o.total)
 }
@@ -238,8 +253,10 @@ type AggSnapshot struct {
 func (a *shardAgg) snapshot(sh int) ShardAggSnapshot {
 	out := ShardAggSnapshot{Shard: sh, Phases: make(map[string]HistCounts, int(NumPhases))}
 	for ph := range a.phases {
-		if hc := a.phases[ph].Snapshot(); hc.Count > 0 {
-			out.Phases[Phase(ph).String()] = hc
+		if h := a.phases[ph].Load(); h != nil {
+			if hc := h.Snapshot(); hc.Count > 0 {
+				out.Phases[Phase(ph).String()] = hc
+			}
 		}
 	}
 	out.Total = a.total.Snapshot()

@@ -200,6 +200,128 @@ func TestForcedRingAlwaysRetained(t *testing.T) {
 	}
 }
 
+// TestForcedRingAllocatedOnFirstTrace: untraced spans leave the forced ring
+// unallocated and /debug/trace lists no forced span; the first forced span
+// allocates the ring, and /debug/trace then serves it.
+func TestForcedRingAllocatedOnFirstTrace(t *testing.T) {
+	o := New(1, 2)
+	for i := uint32(1); i <= 100; i++ {
+		sp := mkSpan(i, 0, 10*i, false)
+		o.Collect(int(i%2), &sp)
+	}
+	o.forced.mu.Lock()
+	slots := o.forced.slots
+	o.forced.mu.Unlock()
+	if slots != nil {
+		t.Fatalf("untraced spans allocated the forced ring (%d slots)", len(slots))
+	}
+	forcedOf := func() []SpanJSON {
+		rec := httptest.NewRecorder()
+		o.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
+		var snap Snapshot
+		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Forced
+	}
+	if f := forcedOf(); len(f) != 0 {
+		t.Fatalf("/debug/trace lists %d forced spans before any trace", len(f))
+	}
+	sp := mkSpan(500, 0, 7, true)
+	o.Collect(1, &sp)
+	o.forced.mu.Lock()
+	slots = o.forced.slots
+	o.forced.mu.Unlock()
+	if len(slots) != forcedRingSize {
+		t.Fatalf("the first forced span left a ring of %d slots, want %d", len(slots), forcedRingSize)
+	}
+	if f := forcedOf(); len(f) != 1 || f[0].ID != 500 || !f[0].Forced {
+		t.Fatalf("/debug/trace forced = %+v, want the one forced span", f)
+	}
+}
+
+// TestAggUnrecordedReadsZero: a slot or a phase that never recorded holds
+// no histogram, and Agg reads it as the empty aggregate it always was: a
+// shard nobody recorded has a zero total and no phases, and a recording
+// slot lists only the phases that saw time.
+func TestAggUnrecordedReadsZero(t *testing.T) {
+	o := New(2, 3)
+	sp := mkSpan(1, 0, 1000, false) // queue and retry time only
+	o.Collect(1, &sp)
+	for w := 0; w < 3; w++ {
+		for sh := 0; sh < 2; sh++ {
+			if a := o.agg[w*2+sh].Load(); (a != nil) != (w == 1 && sh == 0) {
+				t.Fatalf("slot %d shard %d aggregate allocated = %v", w, sh, a != nil)
+			}
+		}
+	}
+	a := o.agg[1*2+0].Load()
+	for ph := range a.phases {
+		if h := a.phases[ph].Load(); (h != nil) != (Phase(ph) == PhaseQueue || Phase(ph) == PhaseRetry) {
+			t.Fatalf("phase %s histogram allocated = %v", Phase(ph), h != nil)
+		}
+	}
+	agg := o.Agg()
+	if len(agg.Shards) != 2 {
+		t.Fatalf("shards = %d, want 2", len(agg.Shards))
+	}
+	if want := (ShardAggSnapshot{Shard: 1, Phases: map[string]HistCounts{}}); !reflect.DeepEqual(agg.Shards[1], want) {
+		t.Fatalf("unrecorded shard = %+v, want %+v", agg.Shards[1], want)
+	}
+	sh0 := agg.Shards[0]
+	if sh0.Total.Count != 1 || len(sh0.Phases) != 2 || sh0.Phases["queue"].Count != 1 || sh0.Phases["retry"].Count != 1 {
+		t.Fatalf("recorded shard = %+v, want one span with queue and retry", sh0)
+	}
+	if empty := New(1, 1).Agg(); !reflect.DeepEqual(empty.Shards, []ShardAggSnapshot{{Phases: map[string]HistCounts{}}}) {
+		t.Fatalf("a fresh observatory aggregates to %+v", empty)
+	}
+}
+
+// TestAggRacesFirstCollect: each slot's first spans, which install its
+// aggregate and phase histograms, race Agg scrapes (meaningful under
+// -race), two writers share one slot as the watch thread's long-polls do,
+// and the final Agg counts every span.
+func TestAggRacesFirstCollect(t *testing.T) {
+	const slots, per = 4, 200
+	o := New(2, slots)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = o.Agg()
+			}
+		}
+	}()
+	for g := 0; g <= slots; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				sp := mkSpan(uint32(i), uint8(i%2), uint32(100+i), false)
+				o.Collect(g%slots, &sp) // goroutines 0 and slots share slot 0
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-scraped
+	agg := o.Agg()
+	var spans, queue uint64
+	for _, sh := range agg.Shards {
+		spans += sh.Total.Count
+		queue += sh.Phases["queue"].Count
+	}
+	if want := uint64((slots + 1) * per); spans != want || queue != want {
+		t.Fatalf("Agg counts %d spans and %d queue phases, want %d of each", spans, queue, want)
+	}
+}
+
 func TestAggQuantilesAndDiff(t *testing.T) {
 	o := New(2, 1)
 	before := o.Agg()

@@ -17,6 +17,8 @@ const (
 
 // ring keeps the last forcedRingSize spans whose requests set the trace
 // bit. Any worker may write it; a scraper copies the slots out under mu.
+// The slots are allocated by the first forced span, so a process that is
+// never traced holds none.
 type ring struct {
 	mu    sync.Mutex
 	slots []Span
@@ -26,6 +28,9 @@ type ring struct {
 
 func (r *ring) offer(sp *Span) {
 	r.mu.Lock()
+	if r.slots == nil {
+		r.slots = make([]Span, forcedRingSize)
+	}
 	r.slots[r.next] = *sp
 	r.next++
 	if r.next == len(r.slots) {
@@ -36,7 +41,8 @@ func (r *ring) offer(sp *Span) {
 }
 
 // collect appends the retained spans to dst, oldest first: once the ring
-// has wrapped, the oldest is the slot next overwrites.
+// has wrapped, the oldest is the slot next overwrites. Before the first
+// forced span it appends nothing.
 func (r *ring) collect(dst []Span) []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -112,11 +118,13 @@ func (t *reservoir) collect(dst []Span) []Span {
 
 // Observatory is the process-wide span retention: a forced-trace ring,
 // the K-slowest tail reservoir, and the per-shard per-phase aggregation,
-// kept per (worker, shard) slot.
+// kept per (worker, shard) slot. Its size follows use: the ring appears
+// with the first forced span, a slot's aggregate with the slot's first
+// span on that shard, and a phase's histogram with its first time.
 type Observatory struct {
 	shards, workers int
 
-	agg    []shardAgg // agg[worker*shards+shard]
+	agg    []atomic.Pointer[shardAgg] // agg[worker*shards+shard], nil until its first span
 	tail   reservoir
 	forced ring
 }
@@ -128,19 +136,20 @@ func New(shards, workers int) *Observatory {
 	o := &Observatory{
 		shards:  shards,
 		workers: workers,
-		agg:     make([]shardAgg, workers*shards),
+		agg:     make([]atomic.Pointer[shardAgg], workers*shards),
 	}
-	o.forced.slots = make([]Span, forcedRingSize)
 	o.tail.cur = make([]Span, 0, tailK)
 	o.tail.prev = make([]Span, 0, tailK)
 	return o
 }
 
-// Collect retains one finished span recorded by the given worker. It is
-// allocation-free: retention copies the span by value into preallocated
-// slots. The worker's own histograms take the span's phases, so workers
-// aggregate without sharing a cache line. Nil-safe (a nil Observatory drops
-// the span), so callers can keep one unconditional call site.
+// Collect retains one finished span recorded by the given worker.
+// Retention copies the span by value into slots it already holds, so once
+// a worker's aggregate has seen its phases (and, for a forced span, once
+// the ring exists) Collect allocates nothing. The worker's own histograms
+// take the span's phases, so workers aggregate without sharing a cache
+// line. Nil-safe (a nil Observatory drops the span), so callers can keep
+// one unconditional call site.
 func (o *Observatory) Collect(worker int, sp *Span) {
 	if o == nil || sp == nil {
 		return
@@ -152,7 +161,7 @@ func (o *Observatory) Collect(worker int, sp *Span) {
 	if worker < 0 || worker >= o.workers {
 		worker = 0
 	}
-	o.agg[worker*o.shards+sh].observeSpan(sp)
+	installed(&o.agg[worker*o.shards+sh]).observeSpan(sp)
 	if sp.Forced {
 		o.forced.offer(sp)
 	}
@@ -251,7 +260,8 @@ func (o *Observatory) Snapshot() Snapshot {
 }
 
 // Agg gathers the per-shard per-phase aggregation, summing every worker's
-// slot of each shard. Safe while writers run.
+// slot of each shard; a slot or phase that never recorded adds nothing.
+// Safe while writers run.
 func (o *Observatory) Agg() AggSnapshot {
 	if o == nil {
 		return AggSnapshot{}
@@ -261,7 +271,9 @@ func (o *Observatory) Agg() AggSnapshot {
 	for sh := 0; sh < n; sh++ {
 		var sum shardAgg
 		for w := range o.workers {
-			sum.merge(&o.agg[w*n+sh])
+			if a := o.agg[w*n+sh].Load(); a != nil {
+				sum.merge(a)
+			}
 		}
 		out.Shards = append(out.Shards, sum.snapshot(sh))
 	}

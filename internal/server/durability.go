@@ -9,6 +9,7 @@ import (
 
 	"gstm"
 	"gstm/internal/obs"
+	"gstm/internal/telemetry"
 	"gstm/internal/wal"
 )
 
@@ -137,8 +138,8 @@ func (s *Server) replayShard(sh int, rec *wal.Recovery) error {
 
 	sys.AdvanceClock(rec.MaxWV)
 	m := sys.Telemetry()
-	m.RecoveryReplayed.Add(0, uint64(rec.Replayed()))
-	m.RecoveryNanos.Add(0, uint64(time.Since(t0).Nanoseconds()))
+	m.Add(telemetry.RecoveryReplayed, 0, uint64(rec.Replayed()))
+	m.Add(telemetry.RecoveryNanos, 0, uint64(time.Since(t0).Nanoseconds()))
 	return nil
 }
 

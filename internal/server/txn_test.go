@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gstm/internal/telemetry"
 	"gstm/internal/xrand"
 )
 
@@ -205,7 +206,7 @@ func TestTxnTransferMix(t *testing.T) {
 	checkTransfers(t, s, keys, moved)
 	var xc uint64
 	for sh := 0; sh < s.Shards(); sh++ {
-		xc += s.Router().System(sh).Telemetry().XShardCommits.Load()
+		xc += s.Router().System(sh).Telemetry().Load(telemetry.XShardCommits)
 	}
 	if xc == 0 {
 		t.Fatal("gstm_xshard_commits_total is 0 after a transfer mix over two shards")

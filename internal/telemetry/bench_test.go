@@ -20,21 +20,21 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 
 	b.Run("counter-inc", func(b *testing.B) {
-		var c Counter
+		c := NewCounters(1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c.Inc(uint64(i) & 7)
+			c.Inc(uint64(i)&7, 0)
 		}
 	})
 
 	b.Run("counter-inc-parallel", func(b *testing.B) {
-		var c Counter
+		c := NewCounters(1)
 		var next atomic.Uint64
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			thread := next.Add(1)
 			for pb.Next() {
-				c.Inc(thread)
+				c.Inc(thread, 0)
 			}
 		})
 	})

@@ -1,66 +1,74 @@
 package telemetry
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
-// NumShards is the number of cache-line-padded shards per Counter. Sixteen
-// covers the thread counts the experiments run (8 and 16 workers) with at
-// most two threads folding onto one shard, and keeps a Counter at 1KB.
-// Must be a power of two.
-const NumShards = 16
+// NumSlots is the number of thread slots a Counters keeps. Sixteen covers
+// the thread counts the experiments run (8 and 16 workers) with at most
+// two threads folding onto one slot. Must be a power of two.
+const NumSlots = 16
 
-// counterShard is one cache line's worth of counter: the padding keeps
-// adjacent shards from false-sharing, which is the whole point of the type —
-// an un-padded [16]atomic.Uint64 would put eight shards on one line and
-// serialize the "independent" writers through the cache-coherence protocol.
-type counterShard struct {
-	n atomic.Uint64
-	_ [56]byte
-}
+// lineWords is how many 8-byte counters fill one 64-byte cache line.
+const lineWords = 8
 
-// Counter is a monotone event counter sharded by worker thread. Writers
-// call Inc/Add with their thread number (any value — it is folded onto a
-// shard by masking); readers merge all shards with Load. The zero value is
-// ready for use.
+// Counters is a fixed set of monotone event counters sharded by thread:
+// one block holding all of them per thread slot, every block starting on a
+// cache line of its own, so a thread's increments stay on its own few
+// lines and no two slots false-share. Writers name their thread (any
+// value: it is folded onto a slot by masking) and a counter index; readers
+// sum a counter over the slots with Load.
 //
-// The counter is eventually consistent: Load observes each shard with a
-// separate atomic load, so a sum taken while writers run may miss in-flight
+// A sum is eventually consistent: Load reads each slot with a separate
+// atomic load, so a sum taken while writers run may miss in-flight
 // increments, which is fine for monitoring (the value is monotone and
 // catches up on the next scrape).
-type Counter struct {
-	shards [NumShards]counterShard
+type Counters struct {
+	width uint64          // words per block: the counters, rounded up to whole lines
+	cells []atomic.Uint64 // counter i of slot s at s*width+i
 }
 
-// Inc adds one to the shard selected by thread and returns the new
-// shard-local count.
-func (c *Counter) Inc(thread uint64) uint64 {
-	return c.shards[thread&(NumShards-1)].n.Add(1)
+// NewCounters returns n counters with one block per thread slot.
+func NewCounters(n int) Counters {
+	width := (n + lineWords - 1) / lineWords * lineWords
+	size := NumSlots * width
+	// One line of slack lets the first block start on a line boundary
+	// wherever the allocator put the buffer; the heap never moves it.
+	buf := make([]atomic.Uint64, size+lineWords-1)
+	off := (lineWords - int(uintptr(unsafe.Pointer(&buf[0]))/8%lineWords)) % lineWords
+	return Counters{width: uint64(width), cells: buf[off : off+size : off+size]}
 }
 
-// shardLoad returns the shard-local count for thread without modifying it:
-// a plain atomic load of a cache line the calling thread usually owns, so
-// it is far cheaper than an Inc (no locked read-modify-write).
-func (c *Counter) shardLoad(thread uint64) uint64 {
-	return c.shards[thread&(NumShards-1)].n.Load()
+func (c *Counters) cell(thread uint64, i int) *atomic.Uint64 {
+	return &c.cells[(thread&(NumSlots-1))*c.width+uint64(i)]
 }
 
-// Add adds n to the shard selected by thread.
-func (c *Counter) Add(thread, n uint64) {
-	c.shards[thread&(NumShards-1)].n.Add(n)
-}
+// Inc adds one to counter i in thread's slot and returns the slot-local
+// count.
+func (c *Counters) Inc(thread uint64, i int) uint64 { return c.cell(thread, i).Add(1) }
 
-// Load returns the sum over all shards.
-func (c *Counter) Load() uint64 {
+// Add adds n to counter i in thread's slot.
+func (c *Counters) Add(thread uint64, i int, n uint64) { c.cell(thread, i).Add(n) }
+
+// slotLoad returns counter i's count in thread's slot without modifying
+// it: a plain atomic load of a line the calling thread usually owns, so it
+// is far cheaper than an Inc (no locked read-modify-write).
+func (c *Counters) slotLoad(thread uint64, i int) uint64 { return c.cell(thread, i).Load() }
+
+// Load returns counter i summed over every slot.
+func (c *Counters) Load(i int) uint64 {
 	var sum uint64
-	for i := range c.shards {
-		sum += c.shards[i].n.Load()
+	for s := uint64(0); s < NumSlots; s++ {
+		sum += c.cells[s*c.width+uint64(i)].Load()
 	}
 	return sum
 }
 
-// reset zeroes every shard. Concurrent increments race benignly (they land
-// before or after the zeroing, never corrupt).
-func (c *Counter) reset() {
-	for i := range c.shards {
-		c.shards[i].n.Store(0)
+// reset zeroes every counter. Concurrent increments race benignly (they
+// land before or after the zeroing, never corrupt).
+func (c *Counters) reset() {
+	for i := range c.cells {
+		c.cells[i].Store(0)
 	}
 }

@@ -16,7 +16,7 @@ type GateStateSnapshot struct {
 }
 
 // Snapshot is the stable exported view of the telemetry layer: every
-// counter, histogram and gate-state tally, merged across shards (and
+// counter, histogram and gate-state tally, summed over thread slots (and
 // across components, for Gather). It marshals directly to the
 // JSON encoding the /debug/vars endpoint serves.
 type Snapshot struct {

@@ -6,12 +6,12 @@
 // Design constraints, in order:
 //
 //  1. The record path must be cheap enough to leave on during the paper's
-//     variance measurements: sharded cache-line-padded counters (one
-//     uncontended atomic add), sampled latency stamps (1 in SampleEvery
-//     commits, read off obs.Now, the span clock) into obs.Hist, the
-//     module's one histogram type, and zero allocation anywhere on the
-//     record path.
-//  2. Reads must not perturb writers: snapshots merge per-shard values with
+//     variance measurements: counters kept in one cache-line-aligned block
+//     per thread slot (one uncontended atomic add), sampled latency stamps
+//     (1 in SampleEvery commits, read off obs.Now, the span clock) into
+//     obs.Hist, the module's one histogram type, and zero allocation
+//     anywhere on the record path.
+//  2. Reads must not perturb writers: snapshots sum the slots' values with
 //     plain atomic loads, taking no locks the record path touches.
 //  3. Everything must be mergeable, so per-runtime metrics roll up into the
 //     process-wide view served by the HTTP exporter (Gather).
@@ -32,7 +32,7 @@ import (
 )
 
 // SampleEvery is the commit-latency sampling period: one in every
-// SampleEvery commits (per counter shard) has its commit and validation
+// SampleEvery commits (per thread slot) has its commit and validation
 // phases timed. Sampling keeps the two obs.Now calls and the histogram
 // update — the only non-trivial costs on the commit path — off all but
 // 1/SampleEvery of commits, while a few hundred commits already give
@@ -77,51 +77,44 @@ const (
 	GateEscape
 )
 
-// Metrics is one instrumented component's telemetry: sharded counters,
-// latency histograms and per-state gate telemetry.
-// All record methods are safe for concurrent use and nil-safe, so optional
-// holders (the guidance controller) can call through without a check.
-type Metrics struct {
-	label string
+// Counter names one of a Metrics' counters (Metrics.Inc, Add, Load).
+type Counter int
 
-	// Transaction lifecycle counters (sharded by worker thread). Attempt
-	// starts are not counted separately: every attempt ends in exactly one
-	// of Commits or Aborts (budget exhaustion and cancellation are decided
-	// after the final abort, before the next attempt), so Snapshot derives
-	// Starts as their sum and the start path pays no atomic RMW at all.
-	Commits             Counter // committed transactions
-	Aborts              Counter // aborted attempts
-	RetryBudgetExceeded Counter // transactions abandoned on a spent retry budget
-	ContextCanceled     Counter // transactions abandoned on ctx cancellation
-	WALUnavailable      Counter // operations refused because the shard's WAL is failed
-	Parked              Counter // blocking transactions parked on their read set (tx.Retry)
+// The counters of a Metrics, in block order.
+const (
+	// Transaction lifecycle counters. Attempt starts are not counted
+	// separately: every attempt ends in exactly one of Commits or Aborts
+	// (budget exhaustion and cancellation are decided after the final
+	// abort, before the next attempt), so Snapshot derives Starts as their
+	// sum and the start path pays no atomic RMW at all.
+	Commits             Counter = iota // committed transactions
+	Aborts                             // aborted attempts
+	RetryBudgetExceeded                // transactions abandoned on a spent retry budget
+	ContextCanceled                    // transactions abandoned on ctx cancellation
+	WALUnavailable                     // operations refused because the shard's WAL is failed
+	Parked                             // blocking transactions parked on their read set (tx.Retry)
 
 	// Cross-shard commit-protocol counters. A k-shard transaction counts
 	// once on every participant shard's Metrics, so the Gather aggregate
 	// counts participant-commits, not transactions — divide by the mean
 	// participant count for a transaction rate.
-	XShardCommits Counter // cross-shard sub-transactions published atomically
-	XShardAborts  Counter // cross-shard prepare rounds aborted all-or-nothing
-
-	// AbortsByCause breaks Aborts down by the obs taxonomy (index =
-	// obs.Cause): the same labels the span tracer stamps on captured
-	// spans, so /metrics and /debug/trace agree on why attempts died.
-	AbortsByCause [obs.NumCauses]Counter
+	XShardCommits // cross-shard sub-transactions published atomically
+	XShardAborts  // cross-shard prepare rounds aborted all-or-nothing
 
 	// Commit-path micro-counters: the engines' hot-path diagnostics added
 	// with the small-vector write set and the GV4 clock (see DESIGN.md
 	// "Commit-path deviations").
-	ClockCASFallbacks    Counter // GV4 pass-on-failure: commits that adopted a winner's clock value
-	WriteSetSpills       Counter // write sets that outgrew the inline fast path
-	FilterFalsePositives Counter // write-set filter hits that found no entry
+	ClockCASFallbacks    // GV4 pass-on-failure: commits that adopted a winner's clock value
+	WriteSetSpills       // write sets that outgrew the inline fast path
+	FilterFalsePositives // write-set filter hits that found no entry
 
 	// Guidance-gate decision counters.
-	GatePassed  Counter
-	GateHeld    Counter
-	GateEscaped Counter
+	GatePassed
+	GateHeld
+	GateEscaped
 
 	// Watchdog trips (a trip is final).
-	WatchdogTrips Counter
+	WatchdogTrips
 
 	// Durability counters (internal/wal). Appends and bytes count records
 	// accepted into the log buffer; fsyncs count physical fsync(2) calls
@@ -129,12 +122,40 @@ type Metrics struct {
 	// completed snapshot+truncate cycles. RecoveryReplayed counts records
 	// re-applied during crash recovery and RecoveryNanos the wall time it
 	// took, both recorded once at startup.
-	WALAppends       Counter
-	WALFsyncs        Counter
-	WALBytes         Counter
-	WALSnapshots     Counter
-	RecoveryReplayed Counter
-	RecoveryNanos    Counter
+	WALAppends
+	WALFsyncs
+	WALBytes
+	WALSnapshots
+	RecoveryReplayed
+	RecoveryNanos
+
+	// abortCauses is the first of obs.NumCauses counters breaking Aborts
+	// down by the obs taxonomy (abortCause): the same labels the span
+	// tracer stamps on captured spans, so /metrics and /debug/trace agree
+	// on why attempts died.
+	abortCauses
+
+	numCounters = int(abortCauses) + int(obs.NumCauses)
+)
+
+// abortCause names the counter of aborts with cause c; an out-of-range
+// cause counts as obs.CauseNone.
+func abortCause(c obs.Cause) Counter {
+	if c >= obs.NumCauses {
+		c = obs.CauseNone
+	}
+	return abortCauses + Counter(c)
+}
+
+// Metrics is one instrumented component's telemetry: counters, latency
+// histograms and per-state gate telemetry. The counters are one block of
+// every Counter per thread slot (see Counters), so a thread's increments
+// touch only its own block's lines.
+// All record methods are safe for concurrent use and nil-safe, so optional
+// holders (the guidance controller) can call through without a check.
+type Metrics struct {
+	label string
+	ctr   Counters
 
 	// Latency histograms (nanosecond observations, obs.Now stamps).
 	CommitLatency     obs.Hist // whole commit protocol, sampled 1/SampleEvery
@@ -182,7 +203,32 @@ func (m *Metrics) Unregister() {
 // NewDetached returns a Metrics that is NOT merged into Gather — for tests
 // and benchmarks that want isolation from the process-wide view.
 func NewDetached(label string) *Metrics {
-	return &Metrics{label: label}
+	return &Metrics{label: label, ctr: NewCounters(numCounters)}
+}
+
+// Inc adds one to counter c in thread's slot. Nil-safe.
+func (m *Metrics) Inc(c Counter, thread uint64) {
+	if m == nil {
+		return
+	}
+	m.ctr.Inc(thread, int(c))
+}
+
+// Add adds n to counter c in thread's slot. Nil-safe.
+func (m *Metrics) Add(c Counter, thread, n uint64) {
+	if m == nil {
+		return
+	}
+	m.ctr.Add(thread, int(c), n)
+}
+
+// Load returns counter c summed over every thread slot (0 on a nil
+// Metrics).
+func (m *Metrics) Load(c Counter) uint64 {
+	if m == nil {
+		return 0
+	}
+	return m.ctr.Load(int(c))
 }
 
 // SetWALQueueDepth gives m its write-ahead log's queue-depth reading
@@ -236,8 +282,8 @@ func Gather() Snapshot {
 
 // TxStart marks one transaction attempt start by thread and reports
 // whether this attempt's commit should be latency-sampled (one in
-// SampleEvery commits per shard). The decision is a single plain atomic
-// load of the shard's commit count — a cache line the calling thread
+// SampleEvery commits per thread slot). The decision is a single plain
+// atomic load of the slot's commit count — a cache line the calling thread
 // already owns — so an unsampled start costs no locked RMW. When a sampled
 // attempt aborts, the retry is sampled again until one commits, which
 // keeps the effective commit sampling rate at 1/SampleEvery.
@@ -245,7 +291,7 @@ func (m *Metrics) TxStart(thread uint64) bool {
 	if m == nil {
 		return false
 	}
-	return m.Commits.shardLoad(thread)&(SampleEvery-1) == SampleEvery-1
+	return m.ctr.slotLoad(thread, int(Commits))&(SampleEvery-1) == SampleEvery-1
 }
 
 // TxCommit records one committed transaction.
@@ -253,7 +299,7 @@ func (m *Metrics) TxCommit(thread uint64) {
 	if m == nil {
 		return
 	}
-	m.Commits.Inc(thread)
+	m.Inc(Commits, thread)
 }
 
 // TxAbort records one aborted attempt with its taxonomy cause.
@@ -261,11 +307,8 @@ func (m *Metrics) TxAbort(thread uint64, cause obs.Cause) {
 	if m == nil {
 		return
 	}
-	m.Aborts.Inc(thread)
-	if cause >= obs.NumCauses {
-		cause = obs.CauseNone
-	}
-	m.AbortsByCause[cause].Inc(thread)
+	m.Inc(Aborts, thread)
+	m.Inc(abortCause(cause), thread)
 }
 
 // WALRefused records an operation refused because the write-ahead log is
@@ -274,7 +317,7 @@ func (m *Metrics) WALRefused(thread uint64) {
 	if m == nil {
 		return
 	}
-	m.WALUnavailable.Inc(thread)
+	m.Inc(WALUnavailable, thread)
 }
 
 // TxParked records one blocking transaction parking on its read set after
@@ -284,7 +327,7 @@ func (m *Metrics) TxParked(thread uint64) {
 	if m == nil {
 		return
 	}
-	m.Parked.Inc(thread)
+	m.Inc(Parked, thread)
 }
 
 // TxBudgetExceeded records a transaction abandoned on a spent retry budget.
@@ -292,7 +335,7 @@ func (m *Metrics) TxBudgetExceeded(thread uint64) {
 	if m == nil {
 		return
 	}
-	m.RetryBudgetExceeded.Inc(thread)
+	m.Inc(RetryBudgetExceeded, thread)
 }
 
 // TxCanceled records a transaction abandoned on context cancellation.
@@ -300,7 +343,7 @@ func (m *Metrics) TxCanceled(thread uint64) {
 	if m == nil {
 		return
 	}
-	m.ContextCanceled.Inc(thread)
+	m.Inc(ContextCanceled, thread)
 }
 
 // ObserveCommit records a sampled commit's protocol latency and, when the
@@ -326,11 +369,11 @@ func (m *Metrics) GateArrival(cell *GateCell, outcome GateOutcome, thread uint64
 	}
 	switch outcome {
 	case GateHold:
-		m.GateHeld.Inc(thread)
+		m.Inc(GateHeld, thread)
 	case GateEscape:
-		m.GateEscaped.Inc(thread)
+		m.Inc(GateEscaped, thread)
 	default:
-		m.GatePassed.Inc(thread)
+		m.Inc(GatePassed, thread)
 	}
 	if holdNs > 0 {
 		m.GateHoldTime.Observe(holdNs)
@@ -375,7 +418,7 @@ func (m *Metrics) WatchdogTrip() {
 	if m == nil {
 		return
 	}
-	m.WatchdogTrips.Inc(0)
+	m.Inc(WatchdogTrips, 0)
 }
 
 // Snapshot returns a point-in-time view of this Metrics. Safe to call
@@ -388,27 +431,27 @@ func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
 		Label:                m.label,
 		TakenAt:              time.Now(),
-		Commits:              m.Commits.Load(),
-		Aborts:               m.Aborts.Load(),
-		RetryBudgetExceeded:  m.RetryBudgetExceeded.Load(),
-		ContextCanceled:      m.ContextCanceled.Load(),
-		WALUnavailable:       m.WALUnavailable.Load(),
-		Parked:               m.Parked.Load(),
-		XShardCommits:        m.XShardCommits.Load(),
-		XShardAborts:         m.XShardAborts.Load(),
-		ClockCASFallbacks:    m.ClockCASFallbacks.Load(),
-		WriteSetSpills:       m.WriteSetSpills.Load(),
-		FilterFalsePositives: m.FilterFalsePositives.Load(),
-		GatePassed:           m.GatePassed.Load(),
-		GateHeld:             m.GateHeld.Load(),
-		GateEscaped:          m.GateEscaped.Load(),
-		WatchdogTrips:        m.WatchdogTrips.Load(),
-		WALAppends:           m.WALAppends.Load(),
-		WALFsyncs:            m.WALFsyncs.Load(),
-		WALBytes:             m.WALBytes.Load(),
-		WALSnapshots:         m.WALSnapshots.Load(),
-		RecoveryReplayed:     m.RecoveryReplayed.Load(),
-		RecoveryNanos:        m.RecoveryNanos.Load(),
+		Commits:              m.Load(Commits),
+		Aborts:               m.Load(Aborts),
+		RetryBudgetExceeded:  m.Load(RetryBudgetExceeded),
+		ContextCanceled:      m.Load(ContextCanceled),
+		WALUnavailable:       m.Load(WALUnavailable),
+		Parked:               m.Load(Parked),
+		XShardCommits:        m.Load(XShardCommits),
+		XShardAborts:         m.Load(XShardAborts),
+		ClockCASFallbacks:    m.Load(ClockCASFallbacks),
+		WriteSetSpills:       m.Load(WriteSetSpills),
+		FilterFalsePositives: m.Load(FilterFalsePositives),
+		GatePassed:           m.Load(GatePassed),
+		GateHeld:             m.Load(GateHeld),
+		GateEscaped:          m.Load(GateEscaped),
+		WatchdogTrips:        m.Load(WatchdogTrips),
+		WALAppends:           m.Load(WALAppends),
+		WALFsyncs:            m.Load(WALFsyncs),
+		WALBytes:             m.Load(WALBytes),
+		WALSnapshots:         m.Load(WALSnapshots),
+		RecoveryReplayed:     m.Load(RecoveryReplayed),
+		RecoveryNanos:        m.Load(RecoveryNanos),
 		CommitLatency:        m.CommitLatency.Snapshot(),
 		ValidationLatency:    m.ValidationLatency.Snapshot(),
 		GateHoldTime:         m.GateHoldTime.Snapshot(),
@@ -422,8 +465,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.WALQueueDepth = &d
 	}
 	s.AbortsByCause = make([]uint64, obs.NumCauses)
-	for i := range m.AbortsByCause {
-		s.AbortsByCause[i] = m.AbortsByCause[i].Load()
+	for i := range s.AbortsByCause {
+		s.AbortsByCause[i] = m.Load(abortCause(obs.Cause(i)))
 	}
 	m.gateStates.Range(func(k, v any) bool {
 		c := v.(*GateCell)
@@ -452,21 +495,7 @@ func (m *Metrics) Reset() {
 	if m == nil {
 		return
 	}
-	for _, c := range []*Counter{
-		&m.Commits, &m.Aborts, &m.RetryBudgetExceeded,
-		&m.ContextCanceled, &m.WALUnavailable, &m.Parked,
-		&m.XShardCommits, &m.XShardAborts, &m.ClockCASFallbacks,
-		&m.WriteSetSpills, &m.FilterFalsePositives,
-		&m.GatePassed, &m.GateHeld, &m.GateEscaped,
-		&m.WatchdogTrips,
-		&m.WALAppends, &m.WALFsyncs, &m.WALBytes, &m.WALSnapshots,
-		&m.RecoveryReplayed, &m.RecoveryNanos,
-	} {
-		c.reset()
-	}
-	for i := range m.AbortsByCause {
-		m.AbortsByCause[i].reset()
-	}
+	m.ctr.reset()
 	for _, h := range []*obs.Hist{&m.CommitLatency, &m.ValidationLatency, &m.GateHoldTime} {
 		h.Reset()
 	}

@@ -4,42 +4,69 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"gstm/internal/obs"
 )
 
+// TestCounterShardingAndLoad: thread ids below the slot count, at it and
+// far beyond it all land in some slot, and Load sums every slot exactly;
+// reset zeroes them all.
 func TestCounterShardingAndLoad(t *testing.T) {
-	var c Counter
+	c := NewCounters(3)
 	for thread := uint64(0); thread < 64; thread++ {
 		for i := uint64(0); i <= thread; i++ {
-			c.Inc(thread)
+			c.Inc(thread, 1)
 		}
 	}
 	want := uint64(64 * 65 / 2) // Σ (thread+1)
-	if got := c.Load(); got != want {
+	if got := c.Load(1); got != want {
 		t.Fatalf("Load = %d, want %d", got, want)
 	}
-	c.Add(3, 100)
-	if got := c.Load(); got != want+100 {
-		t.Fatalf("Load after Add = %d, want %d", got, want+100)
+	c.Add(3, 1, 100)
+	c.Add(1<<40+5, 1, 7)
+	if got := c.Load(1); got != want+107 {
+		t.Fatalf("Load after Add = %d, want %d", got, want+107)
+	}
+	if got := c.Load(0) + c.Load(2); got != 0 {
+		t.Fatalf("neighbouring counters read %d, want 0", got)
 	}
 	c.reset()
-	if got := c.Load(); got != 0 {
+	if got := c.Load(1); got != 0 {
 		t.Fatalf("Load after reset = %d, want 0", got)
 	}
 }
 
 func TestCounterIncReturnsShardLocalCount(t *testing.T) {
-	var c Counter
-	// Threads 0 and 16 share shard 0; thread 1 does not.
-	if n := c.Inc(0); n != 1 {
+	c := NewCounters(1)
+	// Threads 0 and NumSlots fold onto slot 0; thread 1 does not.
+	if n := c.Inc(0, 0); n != 1 {
 		t.Fatalf("first Inc = %d, want 1", n)
 	}
-	if n := c.Inc(16); n != 2 {
-		t.Fatalf("same-shard Inc = %d, want 2", n)
+	if n := c.Inc(NumSlots, 0); n != 2 {
+		t.Fatalf("same-slot Inc = %d, want 2", n)
 	}
-	if n := c.Inc(1); n != 1 {
-		t.Fatalf("other-shard Inc = %d, want 1", n)
+	if n := c.Inc(1, 0); n != 1 {
+		t.Fatalf("other-slot Inc = %d, want 1", n)
+	}
+}
+
+// TestCounterBlockLayout: every slot's block starts on a cache line of its
+// own and spans whole lines, so two slots never share a line.
+func TestCounterBlockLayout(t *testing.T) {
+	for _, n := range []int{1, 3, 8, 9, numCounters} {
+		c := NewCounters(n)
+		if c.width%lineWords != 0 || c.width < uint64(n) {
+			t.Fatalf("NewCounters(%d): block of %d words", n, c.width)
+		}
+		if len(c.cells) != NumSlots*int(c.width) {
+			t.Fatalf("NewCounters(%d): %d cells, want %d slots of %d", n, len(c.cells), NumSlots, c.width)
+		}
+		for s := uint64(0); s < NumSlots; s++ {
+			if addr := uintptr(unsafe.Pointer(c.cell(s, 0))); addr%64 != 0 {
+				t.Fatalf("NewCounters(%d): slot %d's block starts at %#x, off a cache line", n, s, addr)
+			}
+		}
 	}
 }
 

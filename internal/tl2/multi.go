@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"gstm/internal/obs"
+	"gstm/internal/telemetry"
 	"gstm/internal/txid"
 	"gstm/internal/yield"
 )
@@ -109,7 +110,7 @@ func commitMulti(txs []*Tx) (wv, byWV uint64, by *Runtime, cause obs.Cause, ok b
 	if !ok {
 		for _, tx := range txs {
 			tx.releaseLocks(0)
-			tx.rt.tel.XShardAborts.Inc(thread)
+			tx.rt.tel.Inc(telemetry.XShardAborts, thread)
 		}
 		span.AddSince(obs.PhaseXPrepare, obs.CauseXShardValidation, att, t0)
 		return 0, byWV, by, obs.CauseXShardValidation, false

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gstm/internal/telemetry"
 	"gstm/internal/txid"
 )
 
@@ -161,7 +162,7 @@ func opacityRun(t *testing.T, seed uint64) {
 	if got, want := x.Peek(), int64(writers*perWriter); got != want || y.Peek() != want {
 		t.Fatalf("seed %d: final x=%d y=%d, want both %d", seed, got, y.Peek(), want)
 	}
-	if xa, xb := rtA.Telemetry().XShardCommits.Load(), rtB.Telemetry().XShardCommits.Load(); xa != xb || xa < writers*perWriter {
+	if xa, xb := rtA.Telemetry().Load(telemetry.XShardCommits), rtB.Telemetry().Load(telemetry.XShardCommits); xa != xb || xa < writers*perWriter {
 		t.Fatalf("seed %d: cross-shard commits A=%d B=%d, want equal and >= %d", seed, xa, xb, writers*perWriter)
 	}
 }

@@ -107,8 +107,8 @@ type Runtime struct {
 	fault atomic.Pointer[faultBox]
 	pool  sync.Pool
 
-	// tel holds all runtime counters and latency histograms (sharded by
-	// worker thread), registered in the process-wide telemetry registry.
+	// tel holds all runtime counters (one block per thread slot) and
+	// latency histograms, registered in the process-wide telemetry registry.
 	tel *telemetry.Metrics
 }
 
@@ -198,7 +198,7 @@ func (rt *Runtime) AdvanceClock(v uint64) { rt.clk().advanceTo(v) }
 // Stats returns the cumulative number of committed transactions and of
 // aborted attempts.
 func (rt *Runtime) Stats() (commits, aborts uint64) {
-	return rt.tel.Commits.Load(), rt.tel.Aborts.Load()
+	return rt.tel.Load(telemetry.Commits), rt.tel.Load(telemetry.Aborts)
 }
 
 // ResetStats zeroes the cumulative telemetry — counters, latency
@@ -214,7 +214,7 @@ func (rt *Runtime) ResetStats() {
 // outcomes; the per-attempt aborts they incurred along the way are counted
 // by Stats as usual.
 func (rt *Runtime) ResilienceStats() (budgetExceeded, canceled uint64) {
-	return rt.tel.RetryBudgetExceeded.Load(), rt.tel.ContextCanceled.Load()
+	return rt.tel.Load(telemetry.RetryBudgetExceeded), rt.tel.Load(telemetry.ContextCanceled)
 }
 
 // Retry budgets and the engine's policy sentinels. A budget bounds the
@@ -351,14 +351,14 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 	}()
 
 	budget := o.MaxAttempts
-	shard := uint64(self.Thread)
+	thread := uint64(self.Thread)
 	// Cross-shard reads are always tracked: the prepare step validates
 	// every participant's read set.
 	track := o.Block || multi
 	for attempt := 0; ; attempt++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				rt.tel.TxCanceled(shard)
+				rt.tel.TxCanceled(thread)
 				return fmt.Errorf("%w: %w", ErrCanceled, err)
 			}
 		}
@@ -397,7 +397,7 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 					return perr
 				}
 				span.AddSince(obs.PhasePark, obs.CauseCanceled, attempt+1, attStart)
-				rt.tel.TxCanceled(shard)
+				rt.tel.TxCanceled(thread)
 				return fmt.Errorf("%w: %w", ErrCanceled, perr)
 			}
 			if parked {
@@ -456,9 +456,9 @@ func (rt *Runtime) run(ctx context.Context, txs []*Tx, self txid.Pair, fn func(*
 			if tx.measure {
 				tx.rt.tel.ObserveCommit(commitNs, tx.valNs, tx.validated)
 			}
-			tx.rt.tel.TxCommit(shard)
+			tx.rt.tel.TxCommit(thread)
 			if multi {
-				tx.rt.tel.XShardCommits.Inc(shard)
+				tx.rt.tel.Inc(telemetry.XShardCommits, thread)
 			}
 			// Every participant's sink (per-shard WAL taps, trace
 			// collectors) sees the one wv, so every shard's log records a
@@ -521,9 +521,9 @@ func releaseAll(txs []*Tx) {
 
 // budgetSpent reports whether the aborted attempt was the last one the
 // call's budget allows, counting the exhaustion when it was.
-func (rt *Runtime) budgetSpent(shard uint64, budget, attempt int) bool {
+func (rt *Runtime) budgetSpent(thread uint64, budget, attempt int) bool {
 	if budget > 0 && attempt+1 >= budget {
-		rt.tel.TxBudgetExceeded(shard)
+		rt.tel.TxBudgetExceeded(thread)
 		return true
 	}
 	return false

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"gstm/internal/obs"
+	"gstm/internal/telemetry"
 	"gstm/internal/txid"
 	"gstm/internal/wset"
 	"gstm/internal/yield"
@@ -128,7 +129,7 @@ func (tx *Tx) readBase(b *base) unsafe.Pointer {
 	if e, fp := tx.ws.Lookup(baseAddr(b)); e != nil {
 		return e.Val
 	} else if fp {
-		tx.rt.tel.FilterFalsePositives.Inc(uint64(tx.self.Thread))
+		tx.rt.tel.Inc(telemetry.FilterFalsePositives, uint64(tx.self.Thread))
 	}
 	// Locks are only taken at commit, after the body, so a locked word
 	// here is always another transaction's.
@@ -202,12 +203,12 @@ func Write[T any](tx *Tx, v *Var[T], val T) {
 		*(*T)(e.Val) = val
 		return
 	} else if fp {
-		tx.rt.tel.FilterFalsePositives.Inc(uint64(tx.self.Thread))
+		tx.rt.tel.Inc(telemetry.FilterFalsePositives, uint64(tx.self.Thread))
 	}
 	e, spilled := tx.ws.Insert(b, addr)
 	e.Val = unsafe.Pointer(box(val))
 	if spilled {
-		tx.rt.tel.WriteSetSpills.Inc(uint64(tx.self.Thread))
+		tx.rt.tel.Inc(telemetry.WriteSetSpills, uint64(tx.self.Thread))
 	}
 }
 
@@ -404,7 +405,7 @@ func (tx *Tx) commit(traced bool) (wv uint64, byWV uint64, cause obs.Cause, ok b
 	} else {
 		wv, needValidate, adopted = tx.rt.clk().tickGV4(tx.rv)
 		if adopted {
-			tx.rt.tel.ClockCASFallbacks.Inc(uint64(tx.self.Thread))
+			tx.rt.tel.Inc(telemetry.ClockCASFallbacks, uint64(tx.self.Thread))
 		}
 	}
 	if needValidate {

@@ -65,18 +65,22 @@ func (f notedFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// parkedInWait reports whether a goroutine sits in sync.(*Mutex).Lock under
-// WaitAcked: a relaxed waiter that waits on fileMu rather than polling.
-func parkedInWait() bool {
+// parkedUnder reports whether a goroutine sits in sync.(*Mutex).Lock with
+// frame (a function name and its opening parenthesis) on its stack.
+func parkedUnder(frame string) bool {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "sync.(*Mutex).Lock(") && strings.Contains(g, "wal.(*Log).WaitAcked(") {
+		if strings.Contains(g, "sync.(*Mutex).Lock(") && strings.Contains(g, frame) {
 			return true
 		}
 	}
 	return false
 }
+
+// parkedInWait reports whether a goroutine sits in sync.(*Mutex).Lock under
+// WaitAcked: a relaxed waiter that waits on fileMu rather than polling.
+func parkedInWait() bool { return parkedUnder("wal.(*Log).WaitAcked(") }
 
 // awaitParked waits up to 5 s for parkedInWait.
 func awaitParked() bool {
@@ -154,6 +158,37 @@ func TestRelaxedWaiterParksBehindStalledWrite(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		run(t)
 	})
+}
+
+// TestFlusherIdleCheckSkipsFileLock: the flusher's idle check reads the
+// segment's fsync state without fileMu. While a stalled write-only flush
+// holds the lock, kicking the flusher must never leave it waiting on the
+// lock: that hold would not raise writing, so relaxed waiters arriving
+// behind it would park instead of polling.
+func TestFlusherIdleCheckSkipsFileLock(t *testing.T) {
+	dir := t.TempDir()
+	g := &gatedWrites{}
+	l, _ := openT(t, Config{Dir: dir, Threads: 2, FsyncInterval: time.Hour, FS: g.fs(dir)})
+	defer l.Close()
+	time.Sleep(20 * time.Millisecond) // the flusher's first pass parks it
+	g.armed.Store(true)
+	commitOne(l, 0, 1, Op{Key: 1, Val: 1})
+	acked := make(chan error, 1)
+	go func() { acked <- l.WaitThread(0) }()
+	<-g.entered // the waiter's flagged write holds fileMu
+	parked := false
+	for i := 0; i < 50 && !parked; i++ {
+		l.kickFlusher() // nothing staged: the flusher runs its idle check
+		time.Sleep(time.Millisecond)
+		parked = parkedUnder("wal.(*Log).flushLoop(")
+	}
+	close(g.release)
+	if err := <-acked; err != nil {
+		t.Fatalf("WaitThread: %v", err)
+	}
+	if parked {
+		t.Fatal("the flusher's idle check waited on fileMu behind a flagged write")
+	}
 }
 
 // blockingSource is a fakeSource whose scan stalls until release is closed.

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gstm/internal/obs"
 	"gstm/internal/telemetry"
 	"gstm/internal/txid"
 )
@@ -142,14 +143,17 @@ type Log struct {
 	segIdx int // the active segment's index
 
 	// fileMu serializes the active segment's I/O (flusher, Sync,
-	// Snapshot's rotation and scan) and guards the fields below. writing
-	// is set while fileMu's holder is a flush that writes and does not
-	// fsync: a hold short enough for a relaxed waiter to poll out.
+	// Snapshot's rotation and scan) and guards f. writing is set while
+	// fileMu's holder is a flush that writes and does not fsync: a hold
+	// short enough for a relaxed waiter to poll out. unsynced (bytes
+	// written since the segment's last fsync) and lastSync (that fsync's
+	// span-clock time, obs.Now) are written under fileMu and atomic, so the
+	// flusher's idle check reads them without taking the lock.
 	fileMu   sync.Mutex
 	writing  atomic.Bool
 	f        File
-	unsynced int64
-	lastSync time.Time
+	unsynced atomic.Int64
+	lastSync atomic.Int64
 
 	kick        chan struct{}
 	flusherDone chan struct{}
@@ -191,10 +195,10 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 		spare:       make([]byte, 0, 1<<16),
 		segIdx:      rec.maxSeg + 1,
 		minSeg:      rec.minSeg,
-		lastSync:    time.Now(),
 		kick:        make(chan struct{}, 1),
 		flusherDone: make(chan struct{}),
 	}
+	l.lastSync.Store(obs.Now())
 	l.ackCond = sync.NewCond(&l.mu)
 	f, err := createSegment(cfg.FS, cfg.Dir, l.segIdx)
 	if err != nil {
@@ -296,8 +300,8 @@ func (l *Log) TxCommit(p txid.Pair, wv uint64, aborts int) {
 	st.seq = l.bufSeq
 	l.commitsBuf++
 	l.mu.Unlock()
-	l.cfg.Metrics.WALAppends.Inc(uint64(t))
-	l.cfg.Metrics.WALBytes.Add(uint64(t), uint64(grew))
+	l.cfg.Metrics.Inc(telemetry.WALAppends, uint64(t))
+	l.cfg.Metrics.Add(telemetry.WALBytes, uint64(t), uint64(grew))
 	if l.strict {
 		l.kickFlusher() // the ack waits on the flusher's fsync
 	}
@@ -322,8 +326,8 @@ func (l *Log) TxAbort(p txid.Pair, byWV uint64, known bool) {
 	grew := len(l.buf) - before
 	l.bufSeq++
 	l.mu.Unlock()
-	l.cfg.Metrics.WALAppends.Inc(uint64(t))
-	l.cfg.Metrics.WALBytes.Add(uint64(t), uint64(grew))
+	l.cfg.Metrics.Inc(telemetry.WALAppends, uint64(t))
+	l.cfg.Metrics.Add(telemetry.WALBytes, uint64(t), uint64(grew))
 	l.kickFlusher()
 }
 
@@ -505,12 +509,9 @@ func (l *Log) flushLoop() {
 				return
 			}
 		default:
-			l.fileMu.Lock()
-			unsynced := l.unsynced
-			due := l.cfg.FsyncInterval - time.Since(l.lastSync)
-			l.fileMu.Unlock()
+			due := l.cfg.FsyncInterval - l.sinceSync()
 			switch {
-			case l.strict || unsynced == 0:
+			case l.strict || l.unsynced.Load() == 0:
 				<-l.kick
 			case due <= 0:
 				if l.flush(true) != nil {
@@ -529,11 +530,11 @@ func (l *Log) flushLoop() {
 	}
 }
 
-func (l *Log) syncDue() bool {
-	l.fileMu.Lock()
-	defer l.fileMu.Unlock()
-	return time.Since(l.lastSync) >= l.cfg.FsyncInterval
-}
+func (l *Log) syncDue() bool { return l.sinceSync() >= l.cfg.FsyncInterval }
+
+// sinceSync is the time since the active segment's last fsync (or its
+// creation).
+func (l *Log) sinceSync() time.Duration { return time.Duration(obs.Now() - l.lastSync.Load()) }
 
 // flush writes the staged buffer to the active segment and, when sync is
 // set (always, in strict mode), fsyncs it; then it acknowledges the
@@ -578,10 +579,10 @@ func (l *Log) flushLocked(sync bool) error {
 			l.fail(err)
 			return err
 		}
-		wake = !sync && l.unsynced == 0
-		l.unsynced += int64(len(take))
+		wake = !sync && l.unsynced.Load() == 0
+		l.unsynced.Add(int64(len(take)))
 	}
-	if sync && l.unsynced > 0 {
+	if sync && l.unsynced.Load() > 0 {
 		if err := l.fsyncSegment(); err != nil {
 			l.fail(err)
 			return err
@@ -610,9 +611,9 @@ func (l *Log) fsyncSegment() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.unsynced = 0
-	l.lastSync = time.Now()
-	l.cfg.Metrics.WALFsyncs.Inc(0)
+	l.unsynced.Store(0)
+	l.lastSync.Store(obs.Now())
+	l.cfg.Metrics.Inc(telemetry.WALFsyncs, 0)
 	return nil
 }
 
@@ -745,7 +746,7 @@ func (l *Log) Snapshot() error {
 			l.fail(err)
 			return err
 		}
-		l.cfg.Metrics.WALFsyncs.Inc(0)
+		l.cfg.Metrics.Inc(telemetry.WALFsyncs, 0)
 	}
 	_ = sealed.Close()
 
@@ -770,7 +771,7 @@ func (l *Log) Snapshot() error {
 		_ = l.cfg.FS.Remove(segPath(l.cfg.Dir, idx))
 	}
 	l.minSeg = l.segIdx
-	l.cfg.Metrics.WALSnapshots.Inc(0)
+	l.cfg.Metrics.Inc(telemetry.WALSnapshots, 0)
 	return nil
 }
 
@@ -783,8 +784,10 @@ func (l *Log) rotate(next File) (sealed File, dirty bool, err error) {
 	if l.Failed() {
 		return nil, false, l.terminalErr()
 	}
-	sealed, dirty = l.f, l.unsynced > 0
-	l.f, l.unsynced, l.lastSync = next, 0, time.Now()
+	sealed, dirty = l.f, l.unsynced.Load() > 0
+	l.f = next
+	l.unsynced.Store(0)
+	l.lastSync.Store(obs.Now())
 	l.segIdx++
 	return sealed, dirty, nil
 }
@@ -809,6 +812,6 @@ func (l *Log) scan() (c0 uint64, w *snapWriter, err error) {
 // Stats reports the log's cumulative activity (mirrors the telemetry
 // counters; handy for tests with detached metrics).
 func (l *Log) Stats() (appends, bytes, fsyncs, snapshots uint64) {
-	return l.cfg.Metrics.WALAppends.Load(), l.cfg.Metrics.WALBytes.Load(),
-		l.cfg.Metrics.WALFsyncs.Load(), l.cfg.Metrics.WALSnapshots.Load()
+	return l.cfg.Metrics.Load(telemetry.WALAppends), l.cfg.Metrics.Load(telemetry.WALBytes),
+		l.cfg.Metrics.Load(telemetry.WALFsyncs), l.cfg.Metrics.Load(telemetry.WALSnapshots)
 }
