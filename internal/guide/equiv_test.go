@@ -178,10 +178,10 @@ func replay(t *testing.T, m *model.TSA, events []event, probes []txid.Pair) {
 		}
 		delete(got, label)
 	}
-	if g := got[telemetry.OverflowState]; g.Visits != rest[0] || g.Holds != rest[1] || g.Escapes != rest[2] {
+	if g := got[guide.OverflowState]; g.Visits != rest[0] || g.Holds != rest[1] || g.Escapes != rest[2] {
 		t.Fatalf("overflow entry %+v, reference states without an entry sum to %v", g, rest)
 	}
-	delete(got, telemetry.OverflowState)
+	delete(got, guide.OverflowState)
 	if len(got) != 0 {
 		t.Fatalf("telemetry has states the reference never judged: %v", got)
 	}

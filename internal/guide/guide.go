@@ -35,9 +35,10 @@ const DefaultGateRetries = 16
 
 // Controller implements tl2.Gate and tl2.EventSink. Install it as gate and
 // sink on a runtime (SetGate/SetSink) to obtain guided execution, or as sink
-// only when the caller asks Check itself. Armed WithWatchdog, it is also the
-// watchdog's circuit breaker (watchdog.go): once tripped, Arrive and Check
-// pass every pair uncounted.
+// only when the caller asks Check itself. It keeps the one record of its
+// gate decisions, which a telemetry.Metrics reads (WithTelemetry). Armed
+// WithWatchdog, it is also the watchdog's circuit breaker (watchdog.go):
+// once tripped, Arrive and Check pass every pair uncounted.
 type Controller struct {
 	table   *model.GuideTable
 	retries int
@@ -71,25 +72,31 @@ type Controller struct {
 	// Gate decisions (decHeld, decPassed, decEscaped: delayed a thread,
 	// let it through at once, forced it through after K retries), one
 	// block per thread slot so that concurrent Checks do not contend on
-	// one line.
+	// one line. Each decision also books to the judged state's box.
 	dec telemetry.Counters
 
-	// tel, when set (WithTelemetry), receives per-state gate telemetry and
-	// hold-time samples. Nil-safe: all record calls no-op without it.
-	tel *telemetry.Metrics
-	// boot is the box gate decisions book to before the first commit.
-	boot stateBox
+	// hold is the time held arrivals spent at the gate, escapes included.
+	hold obs.Hist
+	// boot is the box gate decisions book to before the first commit;
+	// other tallies every state past the intern bound (OverflowState).
+	boot, other stateBox
 }
 
 // stateBox is one automaton state, resolved once: its key, its row in the
-// guide table and, from its first gate decision on, its telemetry cell.
-// Arrive and Check look nothing up by key: they read the box and test its
-// row.
+// guide table and its gate-decision tallies. Arrive and Check look nothing
+// up by key: they read the box, test its row and book to it.
 type stateBox struct {
-	key  trace.Key
-	id   model.StateID
-	cell atomic.Pointer[telemetry.GateCell]
+	key trace.Key
+	id  model.StateID
+	// spill marks a state past the intern bound: its decisions book to
+	// the controller's other box, as every such state's do.
+	spill bool
+	dec   [numDecisions]atomic.Uint64
 }
+
+// OverflowState labels the gate-state row of every state judged past the
+// intern bound.
+const OverflowState = "(other)"
 
 // The Controller's decision counters.
 const (
@@ -101,7 +108,8 @@ const (
 
 // maxInterned bounds the boxes interned by key. A workload whose automaton
 // outgrows it still tracks every state; the states past the bound just
-// allocate their box each time they recur.
+// allocate their box each time they recur, and tally their gate decisions
+// together under OverflowState.
 const maxInterned = 4096
 
 // abortWindow is how many write versions back an abort still finds its
@@ -133,11 +141,12 @@ func WithGateRetries(k int) Option {
 	}
 }
 
-// WithTelemetry routes per-state gate telemetry (visits, holds, escapes,
-// hold-time samples, watchdog trips) into m — typically the guided
+// WithTelemetry installs the controller as m's gate (Metrics.SetGate), so
+// m's snapshots report its decisions, per-state tallies, hold times and
+// watchdog trip, and m's Reset zeroes them — typically on the guided
 // runtime's own Metrics so gate and engine telemetry land in one snapshot.
 func WithTelemetry(m *telemetry.Metrics) Option {
-	return func(c *Controller) { c.tel = m }
+	return func(c *Controller) { m.SetGate(c) }
 }
 
 // NewController returns a Controller over a compiled guide table.
@@ -218,7 +227,8 @@ func (c *Controller) Arrive(p txid.Pair) telemetry.GateOutcome {
 }
 
 // count books one gate decision for p, taken in state b (nil before the
-// first commit), in GateStats and the per-state telemetry, and returns it.
+// first commit), in GateStats and in b's tallies, samples its hold time,
+// and returns it.
 func (c *Controller) count(b *stateBox, p txid.Pair, o telemetry.GateOutcome, holdNs uint64) telemetry.GateOutcome {
 	d := decPassed
 	switch o {
@@ -228,30 +238,16 @@ func (c *Controller) count(b *stateBox, p txid.Pair, o telemetry.GateOutcome, ho
 		d = decEscaped
 	}
 	c.dec.Inc(uint64(p.Thread), d)
-	if c.tel != nil {
-		if b == nil {
-			b = &c.boot
-		}
-		c.tel.GateArrival(c.cell(b), o, uint64(p.Thread), holdNs)
+	if b == nil {
+		b = &c.boot
+	} else if b.spill {
+		b = &c.other
+	}
+	b.dec[d].Add(1)
+	if holdNs > 0 {
+		c.hold.Observe(holdNs)
 	}
 	return o
-}
-
-// cell returns b's telemetry cell, resolving it on b's first gate decision
-// — not at b's creation, so the telemetry's state cap fills in the order
-// states are first judged, and a state never judged costs no label.
-// Concurrent first decisions resolve the same cell.
-func (c *Controller) cell(b *stateBox) *telemetry.GateCell {
-	if cell := b.cell.Load(); cell != nil {
-		return cell
-	}
-	label := "" // the bootstrap state's
-	if st, err := trace.ParseKey(b.key); err == nil {
-		label = st.String()
-	}
-	cell := c.tel.GateCell(label)
-	b.cell.Store(cell)
-	return cell
 }
 
 // Check is the gate's membership test without the wait, for a caller that
@@ -322,6 +318,8 @@ func (c *Controller) box(aborted []txid.Packed, commit txid.Packed) *stateBox {
 	b := c.newBox(trace.Key(c.keyBuf))
 	if len(c.boxes) < maxInterned {
 		c.boxes[string(b.key)] = b
+	} else {
+		b.spill = true
 	}
 	return b
 }
@@ -352,4 +350,80 @@ func (c *Controller) TxAbort(p txid.Pair, byWV uint64, known bool) {
 	}
 	c.observeLocked(true)
 	c.mu.Unlock()
+}
+
+// FillGate implements telemetry.GateSource: s's gate decisions, hold
+// times, watchdog trip and one row for each state judged since the last
+// reset, labeled in the paper's notation. The rows are read under mu;
+// their labels are built after it.
+func (c *Controller) FillGate(s *telemetry.Snapshot) {
+	s.GatePassed, s.GateHeld, s.GateEscaped = c.GateStats()
+	s.GateHoldTime = c.hold.Snapshot()
+	var rows []telemetry.GateStateSnapshot
+	var judged []*stateBox // rows[i] is judged[i]'s
+	add := func(b *stateBox) {
+		h, p, e := b.dec[decHeld].Load(), b.dec[decPassed].Load(), b.dec[decEscaped].Load()
+		if h+p+e > 0 {
+			rows = append(rows, telemetry.GateStateSnapshot{Visits: h + p + e, Holds: h, Escapes: e})
+			judged = append(judged, b)
+		}
+	}
+	c.mu.Lock()
+	if c.wd.lastTrip != nil {
+		s.WatchdogTrips = 1
+	}
+	c.eachBox(add)
+	c.mu.Unlock()
+	for i, b := range judged {
+		rows[i].State = c.label(b)
+	}
+	s.GateStates = append(s.GateStates, rows...)
+}
+
+// ResetGate implements telemetry.GateSource: it zeroes GateStats, every
+// box's tallies and the hold times, and rebases the watchdog's open window
+// on the zeroed counts, all under mu, so the window's next verdict reads
+// no wrapped difference. The breaker's position and the boxes stay.
+// Decisions take no lock, so one racing the reset may be zeroed in
+// GateStats and not in its box, or the other way round.
+func (c *Controller) ResetGate() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dec.Reset()
+	c.hold.Reset()
+	c.eachBox((*stateBox).reset)
+	c.wd.basePassed, c.wd.baseHeld, c.wd.baseEscaped = 0, 0, 0
+}
+
+// eachBox calls f on every box that tallies gate decisions. Called with mu
+// held.
+func (c *Controller) eachBox(f func(*stateBox)) {
+	for _, b := range c.solo {
+		if b != nil {
+			f(b)
+		}
+	}
+	for _, b := range c.boxes {
+		f(b)
+	}
+	f(&c.boot)
+	f(&c.other)
+}
+
+// label names b's gate-state row.
+func (c *Controller) label(b *stateBox) string {
+	switch b {
+	case &c.boot:
+		return "(bootstrap)"
+	case &c.other:
+		return OverflowState
+	}
+	st, _ := trace.ParseKey(b.key) // built by AppendKey: well formed
+	return st.String()
+}
+
+func (b *stateBox) reset() {
+	for i := range b.dec {
+		b.dec[i].Store(0)
+	}
 }

@@ -172,7 +172,6 @@ func (c *Controller) evaluateLocked() {
 				AbortRate:   w.abortRate,
 			}
 			c.tripped.Store(true)
-			c.tel.WatchdogTrip()
 		}
 	}
 	w.winEvents, w.winAborts = 0, 0

@@ -82,8 +82,9 @@ func (rt *Runtime) Stats() (commits, aborts uint64) {
 	return rt.tel.Load(telemetry.Commits), rt.tel.Load(telemetry.Aborts)
 }
 
-// ResetStats zeroes the cumulative telemetry — counters and latency
-// histograms.
+// ResetStats zeroes the cumulative telemetry — counters, latency
+// histograms and the gate tallies of the guidance controller installed on
+// its Metrics (guide.WithTelemetry), so GateStats resets with them.
 func (rt *Runtime) ResetStats() {
 	rt.tel.Reset()
 }

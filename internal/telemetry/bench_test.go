@@ -67,15 +67,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		}
 	})
 
-	b.Run("gate-arrival", func(b *testing.B) {
-		m := NewDetached("bench")
-		cell := m.GateCell("s0/w2")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.GateArrival(cell, GatePass, uint64(i)&7, 0)
-		}
-	})
-
 	b.Run("snapshot", func(b *testing.B) {
 		m := NewDetached("bench")
 		for i := 0; i < 1000; i++ {

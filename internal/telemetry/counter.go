@@ -65,9 +65,9 @@ func (c *Counters) Load(i int) uint64 {
 	return sum
 }
 
-// reset zeroes every counter. Concurrent increments race benignly (they
+// Reset zeroes every counter. Concurrent increments race benignly (they
 // land before or after the zeroing, never corrupt).
-func (c *Counters) reset() {
+func (c *Counters) Reset() {
 	for i := range c.cells {
 		c.cells[i].Store(0)
 	}

@@ -24,12 +24,35 @@ func sampleSnapshot() Snapshot {
 	m.TxBudgetExceeded(0)
 	m.ObserveCommit(5000, 1000, true)
 	m.ObserveCommit(50000, 2000, true)
-	m.GateArrival(m.GateCell("s0/w2"), GatePass, 0, 0)
-	m.GateArrival(m.GateCell("s0/w2"), GateHold, 1, 3000)
-	m.GateArrival(m.GateCell(`s1"quoted\`), GateEscape, 2, 8000)
-	m.WatchdogTrip()
+	m.SetGate(newFakeGate())
 	return m.Snapshot()
 }
+
+// fakeGate stands in for the guidance controller (whose own tests drive
+// the real tallies): one pass and one 3 µs hold in state "s0/w2", one
+// escape after 8 µs in a state whose label needs quoting, and a trip.
+type fakeGate struct {
+	passed uint64
+	hold   obs.Hist
+	resets int
+}
+
+func newFakeGate() *fakeGate {
+	g := &fakeGate{passed: 1}
+	g.hold.Observe(3000)
+	g.hold.Observe(8000)
+	return g
+}
+
+func (g *fakeGate) FillGate(s *Snapshot) {
+	s.GatePassed, s.GateHeld, s.GateEscaped, s.WatchdogTrips = g.passed, 1, 1, 1
+	s.GateHoldTime = g.hold.Snapshot()
+	s.GateStates = append(s.GateStates,
+		GateStateSnapshot{State: `s1"quoted\`, Visits: 1, Escapes: 1},
+		GateStateSnapshot{State: "s0/w2", Visits: 2, Holds: 1})
+}
+
+func (g *fakeGate) ResetGate() { g.resets++ }
 
 func TestWritePrometheusFamilies(t *testing.T) {
 	var buf bytes.Buffer

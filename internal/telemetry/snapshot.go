@@ -146,11 +146,17 @@ func (s *Snapshot) Merge(o Snapshot) {
 		for _, g := range byState {
 			s.GateStates = append(s.GateStates, g)
 		}
-		sort.Slice(s.GateStates, func(i, j int) bool {
-			if s.GateStates[i].Visits != s.GateStates[j].Visits {
-				return s.GateStates[i].Visits > s.GateStates[j].Visits
-			}
-			return s.GateStates[i].State < s.GateStates[j].State
-		})
+		sortGateStates(s.GateStates)
 	}
+}
+
+// sortGateStates orders gate-state rows by visits, most first, then by
+// label, the order the exporters cut the hottest states from.
+func sortGateStates(gs []GateStateSnapshot) {
+	sort.Slice(gs, func(i, j int) bool {
+		if gs[i].Visits != gs[j].Visits {
+			return gs[i].Visits > gs[j].Visits
+		}
+		return gs[i].State < gs[j].State
+	})
 }

@@ -42,27 +42,6 @@ import (
 // Must be a power of two.
 const SampleEvery = 64
 
-// maxGateStates bounds the per-state gate table; states resolved beyond
-// the cap share the synthetic OverflowState cell, so adversarial workloads
-// cannot grow the map unboundedly.
-const maxGateStates = 512
-
-// OverflowState is the synthetic state label that absorbs gate telemetry
-// once maxGateStates distinct automaton states have been resolved.
-const OverflowState = "(other)"
-
-// GateCell is one automaton state's gate telemetry in a Metrics: its
-// visits, holds and escapes. A caller resolves a state's cell once
-// (Metrics.GateCell) and books every later decision in that state through
-// it (Metrics.GateArrival), so the record path never looks a state up.
-// Plain atomics (not sharded): arrivals in any single state are already
-// serialized by the workload far more than by the counter line.
-type GateCell struct {
-	visits  atomic.Uint64
-	holds   atomic.Uint64
-	escapes atomic.Uint64
-}
-
 // GateOutcome classifies one gate arrival.
 type GateOutcome int
 
@@ -108,14 +87,6 @@ const (
 	WriteSetSpills       // write sets that outgrew the inline fast path
 	FilterFalsePositives // write-set filter hits that found no entry
 
-	// Guidance-gate decision counters.
-	GatePassed
-	GateHeld
-	GateEscaped
-
-	// Watchdog trips (a trip is final).
-	WatchdogTrips
-
 	// Durability counters (internal/wal). Appends and bytes count records
 	// accepted into the log buffer; fsyncs count physical fsync(2) calls
 	// (group commit batches many appends per fsync); snapshots count
@@ -147,12 +118,12 @@ func abortCause(c obs.Cause) Counter {
 	return abortCauses + Counter(c)
 }
 
-// Metrics is one instrumented component's telemetry: counters, latency
-// histograms and per-state gate telemetry. The counters are one block of
-// every Counter per thread slot (see Counters), so a thread's increments
-// touch only its own block's lines.
-// All record methods are safe for concurrent use and nil-safe, so optional
-// holders (the guidance controller) can call through without a check.
+// Metrics is one instrumented component's telemetry: counters and latency
+// histograms, plus the gate tallies of the guidance controller installed
+// on it (SetGate), which it reads rather than copies. The counters are one
+// block of every Counter per thread slot (see Counters), so a thread's
+// increments touch only its own block's lines.
+// All record methods are safe for concurrent use and nil-safe.
 type Metrics struct {
 	label string
 	ctr   Counters
@@ -160,10 +131,10 @@ type Metrics struct {
 	// Latency histograms (nanosecond observations, obs.Now stamps).
 	CommitLatency     obs.Hist // whole commit protocol, sampled 1/SampleEvery
 	ValidationLatency obs.Hist // read-set validation when it ran, same samples
-	GateHoldTime      obs.Hist // time a held arrival spent at the gate
 
-	gateStates sync.Map // state label (string) → *GateCell
-	gateCount  atomic.Int64
+	// gate is the guidance gate whose decisions Snapshot reports and Reset
+	// zeroes; nil while none was ever installed.
+	gate atomic.Pointer[GateSource]
 
 	// walQueueDepth reads the component's write-ahead log backlog at
 	// Snapshot time; nil while the component has no log.
@@ -236,6 +207,28 @@ func (m *Metrics) Load(c Counter) uint64 {
 // for concurrent use.
 func (m *Metrics) SetWALQueueDepth(depth func() uint64) {
 	m.walQueueDepth.Store(&depth)
+}
+
+// GateSource is a guidance gate that keeps its own decision tallies
+// (guide.Controller): a Metrics reads them on every Snapshot and zeroes them
+// on Reset, so the gate's decisions have one record. Both methods must be
+// safe for concurrent use with the gate's decisions.
+type GateSource interface {
+	// FillGate sets s's gate fields: GatePassed, GateHeld, GateEscaped,
+	// WatchdogTrips, GateHoldTime and GateStates (in any order).
+	FillGate(s *Snapshot)
+	// ResetGate zeroes the decision tallies and hold times.
+	ResetGate()
+}
+
+// SetGate makes g the gate m reports (guide.WithTelemetry calls it). It
+// replaces any earlier gate, whose tallies m then no longer reads, so the
+// gate series restart from zero. Nil-safe.
+func (m *Metrics) SetGate(g GateSource) {
+	if m == nil {
+		return
+	}
+	m.gate.Store(&g)
 }
 
 // Label returns the diagnostic label given at creation.
@@ -359,68 +352,6 @@ func (m *Metrics) ObserveCommit(totalNs, validationNs uint64, validated bool) {
 	}
 }
 
-// GateArrival records one guidance-gate decision: the aggregate outcome
-// counter, the visit/hold/escape tally of cell — the automaton state the
-// decision judged, resolved by m.GateCell — and the hold-time sample
-// (nanoseconds) for delayed arrivals.
-func (m *Metrics) GateArrival(cell *GateCell, outcome GateOutcome, thread uint64, holdNs uint64) {
-	if m == nil {
-		return
-	}
-	switch outcome {
-	case GateHold:
-		m.Inc(GateHeld, thread)
-	case GateEscape:
-		m.Inc(GateEscaped, thread)
-	default:
-		m.Inc(GatePassed, thread)
-	}
-	if holdNs > 0 {
-		m.GateHoldTime.Observe(holdNs)
-	}
-	cell.visits.Add(1)
-	switch outcome {
-	case GateHold:
-		cell.holds.Add(1)
-	case GateEscape:
-		cell.escapes.Add(1)
-	}
-}
-
-// GateCell returns the cell of the automaton state labeled state ("" is
-// the bootstrap state, before any commit), creating it on first use; once
-// maxGateStates states have cells, a new label gets the OverflowState cell.
-// It costs a map lookup by label, so callers resolve each state once. Nil
-// on a nil Metrics.
-func (m *Metrics) GateCell(state string) *GateCell {
-	if m == nil {
-		return nil
-	}
-	if state == "" {
-		state = "(bootstrap)"
-	}
-	if v, ok := m.gateStates.Load(state); ok {
-		return v.(*GateCell)
-	}
-	if m.gateCount.Load() >= maxGateStates && state != OverflowState {
-		return m.GateCell(OverflowState)
-	}
-	v, loaded := m.gateStates.LoadOrStore(state, &GateCell{})
-	if !loaded {
-		m.gateCount.Add(1)
-	}
-	return v.(*GateCell)
-}
-
-// WatchdogTrip records a guidance-watchdog trip. Its reason is the
-// watchdog's own LastTrip.
-func (m *Metrics) WatchdogTrip() {
-	if m == nil {
-		return
-	}
-	m.Inc(WatchdogTrips, 0)
-}
-
 // Snapshot returns a point-in-time view of this Metrics. Safe to call
 // while recording continues; the snapshot is internally consistent per
 // metric but not across metrics (monitoring semantics).
@@ -442,10 +373,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		ClockCASFallbacks:    m.Load(ClockCASFallbacks),
 		WriteSetSpills:       m.Load(WriteSetSpills),
 		FilterFalsePositives: m.Load(FilterFalsePositives),
-		GatePassed:           m.Load(GatePassed),
-		GateHeld:             m.Load(GateHeld),
-		GateEscaped:          m.Load(GateEscaped),
-		WatchdogTrips:        m.Load(WatchdogTrips),
 		WALAppends:           m.Load(WALAppends),
 		WALFsyncs:            m.Load(WALFsyncs),
 		WALBytes:             m.Load(WALBytes),
@@ -454,7 +381,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		RecoveryNanos:        m.Load(RecoveryNanos),
 		CommitLatency:        m.CommitLatency.Snapshot(),
 		ValidationLatency:    m.ValidationLatency.Snapshot(),
-		GateHoldTime:         m.GateHoldTime.Snapshot(),
 	}
 	// Derived, not counted: every finished attempt committed or aborted, so
 	// their sum is the attempt-start total (in-flight attempts show up on
@@ -468,44 +394,23 @@ func (m *Metrics) Snapshot() Snapshot {
 	for i := range s.AbortsByCause {
 		s.AbortsByCause[i] = m.Load(abortCause(obs.Cause(i)))
 	}
-	m.gateStates.Range(func(k, v any) bool {
-		c := v.(*GateCell)
-		if n := c.visits.Load(); n > 0 { // skip a cell not visited since Reset
-			s.GateStates = append(s.GateStates, GateStateSnapshot{
-				State:   k.(string),
-				Visits:  n,
-				Holds:   c.holds.Load(),
-				Escapes: c.escapes.Load(),
-			})
-		}
-		return true
-	})
-	sort.Slice(s.GateStates, func(i, j int) bool {
-		if s.GateStates[i].Visits != s.GateStates[j].Visits {
-			return s.GateStates[i].Visits > s.GateStates[j].Visits
-		}
-		return s.GateStates[i].State < s.GateStates[j].State
-	})
+	if g := m.gate.Load(); g != nil {
+		(*g).FillGate(&s)
+		sortGateStates(s.GateStates)
+	}
 	return s
 }
 
-// Reset zeroes all counters, histograms and gate-state telemetry.
+// Reset zeroes all counters, histograms and the installed gate's tallies.
 // Intended between measurement phases; concurrent recording races benignly.
 func (m *Metrics) Reset() {
 	if m == nil {
 		return
 	}
-	m.ctr.reset()
-	for _, h := range []*obs.Hist{&m.CommitLatency, &m.ValidationLatency, &m.GateHoldTime} {
-		h.Reset()
+	m.ctr.Reset()
+	m.CommitLatency.Reset()
+	m.ValidationLatency.Reset()
+	if g := m.gate.Load(); g != nil {
+		(*g).ResetGate()
 	}
-	// Cells stay (their holders keep booking through them); only their
-	// counts go, and Snapshot lists no cell before its next visit.
-	m.gateStates.Range(func(_, v any) bool {
-		c := v.(*GateCell)
-		c.visits.Store(0)
-		c.holds.Store(0)
-		c.escapes.Store(0)
-		return true
-	})
 }

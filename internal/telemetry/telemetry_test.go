@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"unsafe"
@@ -31,7 +30,7 @@ func TestCounterShardingAndLoad(t *testing.T) {
 	if got := c.Load(0) + c.Load(2); got != 0 {
 		t.Fatalf("neighbouring counters read %d, want 0", got)
 	}
-	c.reset()
+	c.Reset()
 	if got := c.Load(1); got != 0 {
 		t.Fatalf("Load after reset = %d, want 0", got)
 	}
@@ -116,11 +115,6 @@ func TestMetricsLifecycleAndSnapshot(t *testing.T) {
 	m.TxCanceled(3)
 	m.ObserveCommit(2000, 1000, true)
 	m.ObserveCommit(3000, 0, false) // a commit that did not validate
-	cellA := m.GateCell("stateA")
-	m.GateArrival(cellA, GatePass, 0, 0)
-	m.GateArrival(m.GateCell("stateA"), GateHold, 0, 5000)
-	m.GateArrival(m.GateCell("stateB"), GateEscape, 0, 10000)
-	m.WatchdogTrip()
 
 	if sampled != 64/SampleEvery {
 		t.Fatalf("sampled %d of 64 starts, want %d", sampled, 64/SampleEvery)
@@ -133,56 +127,48 @@ func TestMetricsLifecycleAndSnapshot(t *testing.T) {
 	if s.RetryBudgetExceeded != 1 || s.ContextCanceled != 1 {
 		t.Fatalf("budget/canceled = %d/%d", s.RetryBudgetExceeded, s.ContextCanceled)
 	}
-	if s.GatePassed != 1 || s.GateHeld != 1 || s.GateEscaped != 1 {
-		t.Fatalf("gate = %d/%d/%d", s.GatePassed, s.GateHeld, s.GateEscaped)
-	}
-	if s.WatchdogTrips != 1 {
-		t.Fatalf("watchdog trips = %d", s.WatchdogTrips)
-	}
 	if s.CommitLatency.Count != 2 || s.ValidationLatency.Count != 1 {
 		t.Fatalf("latency counts = %d/%d", s.CommitLatency.Count, s.ValidationLatency.Count)
 	}
 	if s.CommitLatency.SumNs != 5000 || s.ValidationLatency.SumNs != 1000 {
 		t.Fatalf("latency sums = %d/%d", s.CommitLatency.SumNs, s.ValidationLatency.SumNs)
 	}
-	if s.GateHoldTime.Count != 2 || s.GateHoldTime.SumNs != 15000 {
-		t.Fatalf("gate hold count/sum = %d/%d", s.GateHoldTime.Count, s.GateHoldTime.SumNs)
-	}
-	if len(s.GateStates) != 2 || s.GateStates[0].State != "stateA" || s.GateStates[0].Visits != 2 {
-		t.Fatalf("gate states = %+v", s.GateStates)
-	}
 
 	m.Reset()
 	s = m.Snapshot()
 	if s.Starts != 0 || s.Commits != 0 || s.CommitLatency.Count != 0 ||
-		s.ValidationLatency.Count != 0 || s.GateHoldTime.Count != 0 ||
-		s.WatchdogTrips != 0 || len(s.GateStates) != 0 {
+		s.ValidationLatency.Count != 0 {
 		t.Fatalf("snapshot after reset not empty: %+v", s)
-	}
-	// A cell resolved before the reset keeps booking after it.
-	m.GateArrival(cellA, GateEscape, 0, 0)
-	if s = m.Snapshot(); len(s.GateStates) != 1 || s.GateStates[0] != (GateStateSnapshot{State: "stateA", Visits: 1, Escapes: 1}) {
-		t.Fatalf("gate states after reset and one escape = %+v", s.GateStates)
 	}
 }
 
-func TestGateStateOverflowFoldsIntoOther(t *testing.T) {
-	m := NewDetached("test")
-	for i := 0; i < maxGateStates+50; i++ {
-		m.GateArrival(m.GateCell(fmt.Sprintf("state-%04d", i)), GatePass, 0, 0)
+// TestSetGateReadsAndResetsSource: a Metrics reports its gate's tallies in
+// every Snapshot, rows sorted by visits, zeroes them on Reset, and after
+// SetGate of another gate reads only the new one.
+func TestSetGateReadsAndResetsSource(t *testing.T) {
+	m := NewDetached("gate")
+	if s := m.Snapshot(); s.GatePassed != 0 || len(s.GateStates) != 0 {
+		t.Fatalf("snapshot without a gate = %+v", s)
 	}
+	g := newFakeGate()
+	m.SetGate(g)
 	s := m.Snapshot()
-	var other *GateStateSnapshot
-	for i := range s.GateStates {
-		if s.GateStates[i].State == OverflowState {
-			other = &s.GateStates[i]
-		}
+	if s.GatePassed != 1 || s.GateHeld != 1 || s.GateEscaped != 1 || s.WatchdogTrips != 1 ||
+		s.GateHoldTime.Count != 2 || s.GateHoldTime.SumNs != 11000 {
+		t.Fatalf("gate fields = %+v", s)
 	}
-	if other == nil || other.Visits != 50 {
-		t.Fatalf("overflow entry = %+v, want 50 visits", other)
+	if len(s.GateStates) != 2 || s.GateStates[0].State != "s0/w2" {
+		t.Fatalf("gate states not sorted by visits: %+v", s.GateStates)
 	}
-	if len(s.GateStates) > maxGateStates+1 {
-		t.Fatalf("tracked states = %d, want ≤ %d", len(s.GateStates), maxGateStates+1)
+	m.Reset()
+	if g.resets != 1 {
+		t.Fatalf("Reset reached the gate %d times, want 1", g.resets)
+	}
+	next := newFakeGate()
+	next.passed = 7
+	m.SetGate(next)
+	if s := m.Snapshot(); s.GatePassed != 7 {
+		t.Fatalf("after SetGate of a new gate, passed = %d, want 7", s.GatePassed)
 	}
 }
 
@@ -196,8 +182,7 @@ func TestNilMetricsSafe(t *testing.T) {
 	m.TxBudgetExceeded(0)
 	m.TxCanceled(0)
 	m.ObserveCommit(1000, 0, false)
-	m.GateArrival(m.GateCell("s"), GatePass, 0, 0)
-	m.WatchdogTrip()
+	m.SetGate(newFakeGate())
 	m.Reset()
 	if s := m.Snapshot(); s.Commits != 0 {
 		t.Fatal("nil snapshot non-zero")
@@ -303,7 +288,6 @@ func TestConcurrentRecordSnapshotReset(t *testing.T) {
 						m.ObserveCommit(uint64(i%1000), uint64(i%100), i%2 == 0)
 					}
 				}
-				m.GateArrival(m.GateCell("s"), GateOutcome(i%3), thread, uint64(i%50))
 			}
 		}(uint64(w))
 	}
@@ -333,11 +317,5 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 		m.TxAbort(1, obs.CauseReadValidation)
 	}); n != 0 {
 		t.Fatalf("counter+histogram record path allocates %v bytes-ish/op, want 0", n)
-	}
-	warm := m.GateCell("warm")
-	if n := testing.AllocsPerRun(1000, func() {
-		m.GateArrival(warm, GateHold, 0, 1000)
-	}); n != 0 {
-		t.Fatalf("gate-state record path allocates %v/op, want 0", n)
 	}
 }

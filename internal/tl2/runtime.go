@@ -202,8 +202,9 @@ func (rt *Runtime) Stats() (commits, aborts uint64) {
 }
 
 // ResetStats zeroes the cumulative telemetry — counters, latency
-// histograms and gate tallies (the clock is never reset — versions must
-// stay monotone).
+// histograms and the gate tallies of the guidance controller installed on
+// its Metrics (guide.WithTelemetry), so GateStats resets with them. The
+// clock is never reset — versions must stay monotone.
 func (rt *Runtime) ResetStats() {
 	rt.tel.Reset()
 }

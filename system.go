@@ -304,9 +304,9 @@ func (m multiSink) TxAbort(p Pair, byWV uint64, known bool) {
 func (s *System) Stats() (commits, aborts uint64) { return s.rt.Stats() }
 
 // Telemetry returns the system's live metrics: sharded lifecycle counters,
-// sampled commit/validation latency histograms and per-state gate
-// telemetry. The same object feeds the process-wide exporter
-// (telemetry.Gather).
+// sampled commit/validation latency histograms and, read from the guidance
+// controller installed last, its gate tallies. The same object feeds the
+// process-wide exporter (telemetry.Gather).
 func (s *System) Telemetry() *telemetry.Metrics { return s.rt.Telemetry() }
 
 // TelemetrySnapshot returns a point-in-time view of the system's metrics.
@@ -319,7 +319,10 @@ func (s *System) TelemetrySnapshot() TelemetrySnapshot { return s.rt.Telemetry()
 // keep working. Idempotent.
 func (s *System) Close() { s.rt.Telemetry().Unregister() }
 
-// ResetStats zeroes the cumulative counters.
+// ResetStats zeroes the cumulative counters and latency histograms, and
+// the gate tallies of the guidance installed last (or still installed):
+// GateStats, Health's gate counts and the telemetry's gate fields read
+// zero together after it. The watchdog's trip is not undone.
 func (s *System) ResetStats() { s.rt.ResetStats() }
 
 // GateStats reports guided-execution gate decisions (passed immediately,
