@@ -85,47 +85,6 @@ func TestUserErrorDiscardsWrites(t *testing.T) {
 	}
 }
 
-func TestNoTornReads(t *testing.T) {
-	// Two objects updated together must never be observed unequal.
-	rt := New(Config{Interleave: 2})
-	a, b := NewObj(0), NewObj(0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var torn int
-	go func() {
-		defer wg.Done()
-		for i := 1; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = rt.Atomic(0, 0, func(tx *Tx) error {
-				Write(tx, a, i)
-				Write(tx, b, i)
-				return nil
-			})
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		defer close(stop)
-		for j := 0; j < 1500; j++ {
-			_ = rt.Atomic(1, 1, func(tx *Tx) error {
-				if Read(tx, a) != Read(tx, b) {
-					torn++
-				}
-				return nil
-			})
-		}
-	}()
-	wg.Wait()
-	if torn != 0 {
-		t.Fatalf("observed %d torn reads", torn)
-	}
-}
-
 func TestAbortReadersDoomsReader(t *testing.T) {
 	rt := New(Config{})
 	o := NewObj(0)

@@ -261,46 +261,6 @@ func TestManyVarsManyThreadsStress(t *testing.T) {
 	}
 }
 
-func TestAtomicROReadsConsistently(t *testing.T) {
-	rt := New(Config{Interleave: 2})
-	a, b := NewVar(0), NewVar(0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 1; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = rt.Atomic(0, 0, func(tx *Tx) error {
-				Write(tx, a, i)
-				Write(tx, b, i)
-				return nil
-			})
-		}
-	}()
-	torn := 0
-	go func() {
-		defer wg.Done()
-		defer close(stop)
-		for j := 0; j < 2000; j++ {
-			_ = rt.Run(nil, 1, 1, func(tx *Tx) error {
-				if Read(tx, a) != Read(tx, b) {
-					torn++
-				}
-				return nil
-			}, true, 0)
-		}
-	}()
-	wg.Wait()
-	if torn != 0 {
-		t.Fatalf("read-only fast path observed %d torn states", torn)
-	}
-}
-
 func TestAtomicRORejectsWrites(t *testing.T) {
 	rt := New(Config{})
 	v := NewVar(5)

@@ -161,50 +161,6 @@ func TestBankTransferConservesTotal(t *testing.T) {
 	}
 }
 
-func TestNoDirtyReads(t *testing.T) {
-	// A transaction that writes two vars must never expose a state where
-	// only one write is visible.
-	rt := New(Config{Interleave: 2})
-	a, b := NewVar(0), NewVar(0)
-	stop := make(chan struct{})
-	var violations atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 1; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = rt.Atomic(0, 0, func(tx *Tx) error {
-				Write(tx, a, i)
-				Write(tx, b, i)
-				return nil
-			})
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for j := 0; j < 2000; j++ {
-			_ = rt.Atomic(1, 1, func(tx *Tx) error {
-				va := Read(tx, a)
-				vb := Read(tx, b)
-				if va != vb {
-					violations.Add(1)
-				}
-				return nil
-			})
-		}
-		close(stop)
-	}()
-	wg.Wait()
-	if n := violations.Load(); n != 0 {
-		t.Fatalf("observed %d torn states (a != b inside a transaction)", n)
-	}
-}
-
 type recordingSink struct {
 	mu      sync.Mutex
 	commits []uint64

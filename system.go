@@ -14,9 +14,9 @@ import (
 
 // Config parameterizes a System.
 type Config struct {
-	// Threads is the number of worker threads the application will use.
-	// It is metadata recorded in models trained on this system; Run
-	// accepts any ThreadID regardless.
+	// Threads is the number of worker threads the application means to
+	// use. Nothing reads it: Run accepts any ThreadID, and BuildModel takes
+	// its own thread count.
 	Threads int
 
 	// Interleave, when positive, makes each transactional operation yield
